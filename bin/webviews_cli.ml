@@ -172,6 +172,18 @@ let views_arg =
 let with_site f site depts profs courses seed =
   f (load site ~depts ~profs ~courses ~seed)
 
+(* The static lint gate of the commands that plan a query: a query
+   with an error-severity finding (syntax E0308, unknown relation,
+   alias or attribute E0301-E0304, ...) is reported as coded
+   diagnostics and exits 2 before planning, instead of escaping as a
+   parser exception. *)
+let lint_gate loaded sql =
+  let ds = Typecheck.lint_sql loaded.schema loaded.registry sql in
+  if Diagnostic.has_errors ds then begin
+    List.iter (fun d -> Fmt.epr "%a@." Diagnostic.pp d) (List.sort Diagnostic.compare ds);
+    exit 2
+  end
+
 let site_args f =
   Term.(const (with_site f) $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg)
 
@@ -207,6 +219,7 @@ let plan_cmd =
   let run cap n dot sql loaded =
     if loaded.registry = [] then Fmt.epr "this site has no external view@."
     else begin
+      lint_gate loaded sql;
       let stats = stats_of loaded in
       let outcome =
         Planner.plan_sql ?cap ?bindings:(bindings_of loaded) loaded.schema stats
@@ -245,6 +258,7 @@ let plan_cmd =
 
 let explain_cmd =
   let run cap physical window use_views sql loaded =
+    lint_gate loaded sql;
     let stats = stats_of loaded in
     let vs = if use_views then Some (viewstore_of loaded) else None in
     let econ = Option.map Viewstore.econ vs in
@@ -305,6 +319,7 @@ let explain_cmd =
 
 let query_cmd =
   let run cap use_views sql loaded =
+    lint_gate loaded sql;
     let stats = stats_of loaded in
     let vs = if use_views then Some (viewstore_of loaded) else None in
     let http = Websim.Http.connect loaded.site in
@@ -341,6 +356,7 @@ let query_cmd =
 
 let run_cmd =
   let run faults latency window retries net_seed cap limit sql loaded =
+    lint_gate loaded sql;
     let stats = stats_of loaded in
     let http = Websim.Http.connect loaded.site in
     let netmodel =
@@ -418,6 +434,7 @@ let matview_cmd =
       Fmt.epr "this site cannot be crawled (form-only); use query/run instead@.";
       exit 2
     end;
+    lint_gate loaded sql;
     let stats = stats_of loaded in
     let http = Websim.Http.connect loaded.site in
     let mv = Matview.materialize loaded.schema http in

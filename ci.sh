@@ -61,4 +61,21 @@ grep -q '"code":"E0111"' /tmp/ci_bindings_analyze.$$ \
   || { echo "E0111 missing from analyze --format=json"; rm -f /tmp/ci_bindings_analyze.$$; exit 1; }
 rm -f /tmp/ci_bindings_analyze.$$
 
+echo "== smoke lint gate: a bad query is a coded diagnostic with exit 2, never an exception =="
+for cmd in query explain plan run; do
+  status=0
+  dune exec --profile ci bin/webviews_cli.exe -- $cmd "SELECT p.Nope FROM Professor p" \
+    > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
+  [ "$status" -eq 2 ] \
+    || { echo "$cmd exited $status on an unknown attribute (want 2)"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
+  grep -q "E0304" /tmp/ci_lint_gate.$$ \
+    || { echo "E0304 missing from $cmd"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
+done
+status=0
+dune exec --profile ci bin/webviews_cli.exe -- query "SELEC p.PName FROM Professor p" \
+  > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
+[ "$status" -eq 2 ] && grep -q "E0308" /tmp/ci_lint_gate.$$ \
+  || { echo "syntax error not reported as E0308 with exit 2"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
+rm -f /tmp/ci_lint_gate.$$
+
 echo "== ci: all green =="

@@ -706,13 +706,29 @@ let equiv q1 q2 =
 (* Equivalence-keyed canonical form                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Serialize a tableau under an occurrence renumbering π; the key is
-   the lexicographic minimum over all renumberings that permute only
-   occurrences with the same kind/name signature. Isomorphic tableaux
-   (equal up to occurrence renaming — bag equivalence on the
+(* The key serializes a tableau under an occurrence renumbering π and
+   takes the lexicographic minimum over the renumberings that permute
+   only occurrences with the same kind/name signature. Isomorphic
+   tableaux (equal up to occurrence renaming — bag equivalence on the
    conjunctive fragment) therefore share a key, and distinct keys are
    possible for equivalent plans (the key is sound for deduplication,
-   not complete). *)
+   not complete).
+
+   Refinement. Most same-signature occurrences are told apart by how
+   they sit in the tableau, so the minimum need not range over every
+   renumbering of a signature group. Each group is split by an
+   invariant of the occurrence that mentions no occurrence index —
+   its navigation steps with the neighbour's scheme, its unnest
+   paths, its terms with their classes' constants, sizes and output
+   positions, its residual comparisons and its classless outputs —
+   and renumberings only permute occurrences inside one refined
+   group, whose blocks are laid out in (signature, invariant) order.
+   An isomorphism between two tableaux preserves signatures and
+   invariants, so it maps refined groups onto refined groups: two
+   tableaux share a refined key exactly when they share the key over
+   whole signature groups. Whether the enumeration is attempted at all
+   (at most [perm_cap] renumberings) is still decided on the unrefined
+   groups, so exactly the same plans fall back to the structural key. *)
 
 let value_str v = Adm.Value.type_name v ^ ":" ^ Adm.Value.to_string v
 
@@ -720,22 +736,67 @@ let bound_str = function
   | None -> "_"
   | Some (v, s) -> (if s then "!" else "=") ^ value_str v
 
+(* A class's constants: binding, bounds and excluded values. *)
+let class_constants c =
+  Printf.sprintf "b%s l%s h%s x%s"
+    (match c.binding with None -> "_" | Some v -> value_str v)
+    (bound_str c.lo) (bound_str c.hi)
+    (String.concat "," (List.map value_str c.excluded))
+
 let perm_cap = 720
 
-let occ_sig (t : tableau) i =
-  let o = t.occs.(i) in
-  let kind =
-    match o.kind with Entry_occ -> "E" | External_occ -> "X" | Follow_occ -> "F"
-  in
-  let steps =
-    match o.kind with
-    | Follow_occ -> (
-      match List.find_opt (fun (_, _, d) -> d = i) t.navs with
-      | Some (_, steps, _) -> String.concat "." steps
-      | None -> "")
-    | _ -> ""
-  in
-  kind ^ "/" ^ o.name ^ "/" ^ steps
+let kind_str = function Entry_occ -> "E" | External_occ -> "X" | Follow_occ -> "F"
+
+let steps_str = String.concat "."
+
+(* Kind, name and incoming link steps of every occurrence. *)
+let occ_sigs (t : tableau) =
+  let incoming = Array.make (Array.length t.occs) "" in
+  List.iter (fun (_, steps, d) -> incoming.(d) <- steps_str steps) t.navs;
+  Array.mapi
+    (fun i o ->
+      let steps = match o.kind with Follow_occ -> incoming.(i) | _ -> "" in
+      kind_str o.kind ^ "/" ^ o.name ^ "/" ^ steps)
+    t.occs
+
+(* The index-free invariant of every occurrence, as a sorted list of
+   facts joined into one string. *)
+let occ_invariants (t : tableau) =
+  let facts = Array.make (Array.length t.occs) [] in
+  let add i f = facts.(i) <- f :: facts.(i) in
+  let name i = t.occs.(i).name in
+  List.iter
+    (fun (s, steps, d) ->
+      let st = steps_str steps in
+      add s ("n>" ^ st ^ ">" ^ name d);
+      add d ("n<" ^ st ^ "<" ^ name s))
+    t.navs;
+  List.iter (fun (o, p) -> add o ("u:" ^ steps_str p)) t.unnests;
+  let positions = Array.make (Array.length t.classes) [] in
+  (match t.outputs with
+  | None -> ()
+  | Some outs ->
+    List.iteri
+      (fun k ((o, p) as term) ->
+        match Hashtbl.find_opt t.cls_of term with
+        | Some c -> positions.(c) <- string_of_int k :: positions.(c)
+        | None -> add o ("o:" ^ string_of_int k ^ ":" ^ steps_str p))
+      outs);
+  Array.iteri
+    (fun ci c ->
+      let desc =
+        Printf.sprintf "{%d %s @%s}" (List.length c.members) (class_constants c)
+          (String.concat "," (List.rev positions.(ci)))
+      in
+      List.iter (fun (o, p) -> add o ("m:" ^ steps_str p ^ desc)) c.members)
+    t.classes;
+  List.iter
+    (fun ((xo, xp), cmp, (yo, yp)) ->
+      let c = Pred.cmp_to_string cmp in
+      add xo ("r:" ^ steps_str xp ^ c ^ name yo ^ "." ^ steps_str yp);
+      add yo ("r':" ^ name xo ^ "." ^ steps_str xp ^ c ^ steps_str yp))
+    t.residuals;
+  Array.map (fun fs -> String.concat ";" (List.sort String.compare fs)) facts
 
 let rec permutations = function
   | [] -> [ [] ]
@@ -746,65 +807,93 @@ let rec permutations = function
         List.map (fun p -> x :: p) (permutations rest))
       l
 
-let serialize_under (t : tableau) (pi : int array) (outputs : term list) =
+(* Saturating product of the groups' factorials: stops multiplying as
+   soon as the running product passes [perm_cap], so a large group
+   (≥ 21 same-signature occurrences) cannot overflow the int, wrap
+   below the cap, and slip past the guard into an n! enumeration. *)
+let renumberings groups =
+  List.fold_left
+    (fun acc is ->
+      let rec go acc k = if acc > perm_cap || k <= 1 then acc else go (acc * k) (k - 1) in
+      go acc (List.length is))
+    1 groups
+
+(* Occurrence indices grouped by [key], groups in key order. *)
+let group_by key idxs =
+  List.map (fun i -> (key i, i)) idxs
+  |> List.stable_sort (fun (k1, _) (k2, _) -> compare k1 k2)
+  |> List.fold_left
+       (fun acc (k, i) ->
+         match acc with
+         | (k', is) :: rest when k = k' -> (k', i :: is) :: rest
+         | _ -> (k, [ i ]) :: acc)
+       []
+  |> List.rev_map (fun (k, is) -> (k, List.rev is))
+
+(* Serializer of one tableau: everything that does not depend on the
+   renumbering is rendered once; [ser pi] writes the renumbered
+   tableau into one buffer. Every part is sorted on its renumbered
+   form, so the output is a function of the renumbered tableau. *)
+let serializer (t : tableau) sigs outputs =
   let buf = Buffer.create 256 in
-  let term_str (o, p) =
-    string_of_int pi.(o) ^ "." ^ String.concat "." p
-  in
   let add = Buffer.add_string buf in
-  let occ_strs =
-    Array.to_list (Array.mapi (fun i _ -> (pi.(i), occ_sig t i)) t.occs)
+  let add_int i = add (string_of_int i) in
+  let term_cmp (o1, p1) (o2, p2) =
+    match Int.compare o1 o2 with 0 -> String.compare p1 p2 | c -> c
+  in
+  let path (o, p) = (o, steps_str p) in
+  let add_term (o, p) = add_int o; add "."; add p in
+  let navs = List.map (fun (s, steps, d) -> (s, steps_str steps, d)) t.navs in
+  let unnests = List.map path t.unnests in
+  let classes = Array.map (fun c -> (List.map path c.members, class_constants c)) t.classes in
+  let residuals =
+    List.map (fun (x, cmp, y) -> (path x, Pred.cmp_to_string cmp, path y)) t.residuals
+  in
+  let outs =
+    List.map
+      (fun o ->
+        match Hashtbl.find_opt t.cls_of o with
+        | Some c -> Either.Left c
+        | None -> Either.Right (path o))
+      outputs
+  in
+  let by_index = Array.make (Array.length sigs) "" in
+  fun (pi : int array) ->
+    Buffer.clear buf;
+    let ren (o, p) = (pi.(o), p) in
+    Array.iteri (fun i s -> by_index.(pi.(i)) <- s) sigs;
+    Array.iteri (fun k s -> if k > 0 then add ";"; add s) by_index;
+    add "|N:";
+    List.map (fun (s, st, d) -> (pi.(s), st, pi.(d))) navs
     |> List.sort compare
-    |> List.map snd
-  in
-  add (String.concat ";" occ_strs);
-  add "|N:";
-  t.navs
-  |> List.map (fun (s, steps, d) ->
-         Fmt.str "%d>%s>%d" pi.(s) (String.concat "." steps) pi.(d))
-  |> List.sort String.compare
-  |> List.iter (fun s -> add s; add ";");
-  add "|U:";
-  t.unnests
-  |> List.map term_str
-  |> List.sort String.compare
-  |> List.iter (fun s -> add s; add ";");
-  add "|C:";
-  let class_strs =
-    Array.to_list t.classes
-    |> List.map (fun c ->
-           let members =
-             List.map term_str c.members |> List.sort String.compare
-           in
-           Fmt.str "{%s}b%s l%s h%s x%s"
-             (String.concat "," members)
-             (match c.binding with None -> "_" | Some v -> value_str v)
-             (bound_str c.lo) (bound_str c.hi)
-             (String.concat "," (List.map value_str c.excluded)))
-    |> List.sort String.compare
-  in
-  List.iter (fun s -> add s; add ";") class_strs;
-  add "|R:";
-  t.residuals
-  |> List.map (fun (x, cmp, y) ->
-         Fmt.str "%s%s%s" (term_str x) (Pred.cmp_to_string cmp) (term_str y))
-  |> List.sort String.compare
-  |> List.iter (fun s -> add s; add ";");
-  add "|O:";
-  List.iter
-    (fun o ->
-      (* name the output by its class when it has one, so equivalent
-         plans projecting different members of one equality class
-         agree; classes are referenced by their sorted serialization *)
-      (match Hashtbl.find_opt t.cls_of o with
-      | Some i ->
-        let c = t.classes.(i) in
-        let members = List.map term_str c.members |> List.sort String.compare in
-        add "{"; add (String.concat "," members); add "}"
-      | None -> add (term_str o));
-      add ";")
-    outputs;
-  Buffer.contents buf
+    |> List.iter (fun (s, st, d) -> add_int s; add ">"; add st; add ">"; add_int d; add ";");
+    add "|U:";
+    List.map ren unnests |> List.sort term_cmp |> List.iter (fun u -> add_term u; add ";");
+    add "|C:";
+    (* a class is named by its least renumbered member: classes are
+       disjoint, so that member identifies it *)
+    let members = Array.map (fun (ms, _) -> List.sort term_cmp (List.map ren ms)) classes in
+    Array.to_list (Array.mapi (fun ci ms -> (ms, ci)) members)
+    |> List.sort (fun (m1, _) (m2, _) -> List.compare term_cmp m1 m2)
+    |> List.iter (fun (ms, ci) ->
+           add "{";
+           List.iteri (fun k m -> if k > 0 then add ","; add_term m) ms;
+           add "}";
+           add (snd classes.(ci));
+           add ";");
+    add "|R:";
+    List.map (fun (x, c, y) -> (ren x, c, ren y)) residuals
+    |> List.sort compare
+    |> List.iter (fun (x, c, y) -> add_term x; add c; add_term y; add ";");
+    add "|O:";
+    List.iter
+      (fun o ->
+        (match o with
+        | Either.Left ci -> add "{"; add_term (List.hd members.(ci)); add "}"
+        | Either.Right term -> add_term (ren term));
+        add ";")
+      outs;
+    Buffer.contents buf
 
 let plan_key (e : Nalg.expr) : string =
   match of_expr e with
@@ -813,67 +902,40 @@ let plan_key (e : Nalg.expr) : string =
     | None -> "S:" ^ Nalg.canonical e
     | Some outputs ->
       let n = Array.length t.occs in
-      (* group occurrence indices by signature *)
-      let groups = Hashtbl.create 8 in
-      for i = 0 to n - 1 do
-        let s = occ_sig t i in
-        Hashtbl.replace groups s (i :: Option.value ~default:[] (Hashtbl.find_opt groups s))
-      done;
-      let group_list =
-        Hashtbl.fold (fun s is acc -> (s, List.rev is) :: acc) groups []
-        |> List.sort compare
-      in
-      let count =
-        (* saturating product of factorials: stop multiplying as soon
-           as the running product passes perm_cap, so a large group
-           (≥ 21 same-signature occurrences) cannot overflow the int,
-           wrap below the cap, and slip past the guard into an n!
-           enumeration *)
-        List.fold_left
-          (fun acc (_, is) ->
-            let rec go acc k =
-              if acc > perm_cap || k <= 1 then acc else go (acc * k) (k - 1)
-            in
-            go acc (List.length is))
-          1 group_list
-      in
-      if count > perm_cap then "S:" ^ Nalg.canonical e
+      let sigs = occ_sigs t in
+      let groups = group_by (fun i -> sigs.(i)) (List.init n Fun.id) in
+      if renumberings (List.map snd groups) > perm_cap then "S:" ^ Nalg.canonical e
       else begin
-        (* enumerate renumberings: each group's indices take the
-           consecutive block of new positions assigned to the group,
-           in every order *)
-        let blocks =
-          let base = ref 0 in
-          List.map
+        (* split the groups that are not already singletons *)
+        let inv = lazy (occ_invariants t) in
+        let refined =
+          List.concat_map
             (fun (_, is) ->
-              let b = !base in
-              base := !base + List.length is;
-              (b, is))
-            group_list
+              match is with
+              | [ _ ] -> [ is ]
+              | _ -> List.map snd (group_by (fun i -> (Lazy.force inv).(i)) is))
+            groups
         in
-        let rec assignments = function
-          | [] -> [ [] ]
-          | (b, is) :: rest ->
-            let tails = assignments rest in
-            List.concat_map
-              (fun perm ->
-                let pairs = List.mapi (fun k i -> (i, b + k)) perm in
-                List.map (fun tl -> pairs @ tl) tails)
-              (permutations is)
-        in
+        (* each refined group takes the consecutive block of new
+           positions assigned to it, in every order *)
+        let ser = serializer t sigs outputs in
+        let pi = Array.make n 0 in
         let best = ref None in
-        List.iter
-          (fun pairs ->
-            let pi = Array.make n 0 in
-            List.iter (fun (i, ni) -> pi.(i) <- ni) pairs;
-            let s = serialize_under t pi outputs in
+        let rec assign base = function
+          | [] -> (
+            let s = ser pi in
             match !best with
             | Some b when String.compare b s <= 0 -> ()
             | _ -> best := Some s)
-          (assignments blocks);
-        match !best with
-        | Some s -> "T:" ^ s
-        | None -> "S:" ^ Nalg.canonical e
+          | is :: rest ->
+            List.iter
+              (fun perm ->
+                List.iteri (fun k i -> pi.(i) <- base + k) perm;
+                assign (base + List.length is) rest)
+              (permutations is)
+        in
+        assign 0 refined;
+        "T:" ^ Option.get !best
       end)
   | Some t -> (
     (* provably empty: all empty plans of one arity are equivalent *)

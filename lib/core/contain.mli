@@ -20,8 +20,47 @@
     ({!View.relation}'s [rel_keys]), which preserves results under bag
     semantics. *)
 
-type tableau
-(** The canonical form. Abstract; build with {!of_expr}. *)
+type occ_kind = Entry_occ | External_occ | Follow_occ
+
+type occ = { kind : occ_kind; name : string }
+(** One leaf occurrence: an entry point, an external relation or a
+    followed page-scheme, with its scheme or relation name. *)
+
+type term = int * string list
+(** (occurrence index, attribute path) *)
+
+type bound = Adm.Value.t * bool
+(** value, strict? *)
+
+type cls = private {
+  members : term list;  (** sorted, distinct *)
+  binding : Adm.Value.t option;
+  lo : bound option;
+  hi : bound option;
+  excluded : Adm.Value.t list;  (** sorted, distinct *)
+  nonnull : bool;
+}
+(** An equality class of terms with the constants it carries. *)
+
+type residual = term * Pred.cmp * term
+(** An attribute-attribute comparison ([Neq], [Lt] or [Le]) between
+    class roots. *)
+
+type tableau = private {
+  occs : occ array;
+  navs : (int * string list * int) list;
+      (** source occurrence, link steps, target occurrence *)
+  unnests : term list;
+  classes : cls array;
+  cls_of : (term, int) Hashtbl.t;  (** every constrained term -> class index *)
+  residuals : residual list;
+  outputs : term list option;  (** top projection, in order *)
+  unsat : bool;
+}
+(** The canonical form, read-only; build with {!of_expr}. Occurrences
+    are numbered in plan order, so the same query written differently
+    may number them differently — {!plan_key} is the
+    renumbering-independent form. *)
 
 val of_expr : Nalg.expr -> tableau option
 (** Canonicalize a plan. [None] when the plan is outside the supported
@@ -56,10 +95,21 @@ val equiv : Nalg.expr -> Nalg.expr -> bool
 val plan_key : Nalg.expr -> string
 (** Equivalence-keyed canonical form: plans whose tableaux are
     isomorphic (equal up to occurrence renaming — bag equivalence for
-    the conjunctive fragment) share a key. Falls back to
-    {!Nalg.canonical} outside the supported fragment, so the key is
-    always at least as coarse as structural identity and never merges
-    plans it cannot analyze. *)
+    the conjunctive fragment) share a key. The key is the least
+    serialization of the tableau over occurrence renumberings that
+    permute same-signature (kind, name, incoming link) occurrences.
+    Before enumerating, each signature group is split by an invariant
+    that mentions no occurrence index (navigation steps with the
+    neighbour's scheme, unnest paths, terms with their classes'
+    constants, sizes and output positions, residual comparisons,
+    classless outputs); renumberings only permute inside the refined
+    groups. Isomorphisms preserve the invariant, so the refinement
+    changes which plans share a key not at all — only how many
+    renumberings are tried. When the unrefined groups admit more than
+    720 renumberings, and outside the supported fragment, the key
+    falls back to {!Nalg.canonical}, so it is always at least as
+    coarse as structural identity and never merges plans it cannot
+    analyze. *)
 
 val minimize_query :
   View.registry -> Conjunctive.t -> Conjunctive.t * Diagnostic.t list

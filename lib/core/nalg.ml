@@ -115,10 +115,12 @@ let size e = fold (fun n _ -> n + 1) 0 e
    are equal exactly when they are the same tree — rewrites that only
    reorder atoms produce distinct (if equivalent) plans, as before. *)
 let rec equal e1 e2 =
+  e1 == e2
+  ||
   match e1, e2 with
   | Entry a, Entry b -> String.equal a.scheme b.scheme && String.equal a.alias b.alias
   | External a, External b -> String.equal a.name b.name && String.equal a.alias b.alias
-  | Select (p1, a), Select (p2, b) -> Pred.equal p1 p2 && equal a b
+  | Select (p1, a), Select (p2, b) -> List.equal Pred.atom_equal p1 p2 && equal a b
   | Project (attrs1, a), Project (attrs2, b) ->
     List.equal String.equal attrs1 attrs2 && equal a b
   | Join (k1, a1, a2), Join (k2, b1, b2) ->
@@ -145,6 +147,51 @@ let rec equal e1 e2 =
     && Option.equal equal c1.c_src c2.c_src
   | ( Entry _ | External _ | Select _ | Project _ | Join _ | Unnest _ | Follow _
     | Call _ ), _ -> false
+
+(* Full-depth structural hash, consistent with [equal]: every node,
+   string and predicate atom feeds the hash (the polymorphic
+   [Hashtbl.hash] stops after a handful of words, so plans differing
+   deep in the tree would share a bucket). *)
+let hash e =
+  let mix acc h = (acc * 31) + h in
+  let str acc s = mix acc (Hashtbl.hash s) in
+  let operand acc = function
+    | Pred.Attr a -> str (mix acc 1) a
+    | Pred.Const v -> mix (mix acc 2) (Adm.Value.hash v)
+  in
+  let atom acc (a : Pred.atom) =
+    operand (mix (operand acc a.Pred.left) (Hashtbl.hash a.Pred.cmp)) a.Pred.right
+  in
+  let rec go acc = function
+    | Entry { scheme; alias } -> str (str (mix acc 3) scheme) alias
+    | External { name; alias } -> str (str (mix acc 5) name) alias
+    | Select (p, e1) -> go (List.fold_left atom (mix acc 7) p) e1
+    | Project (attrs, e1) -> go (List.fold_left str (mix acc 11) attrs) e1
+    | Join (keys, e1, e2) ->
+      go (go (List.fold_left (fun acc (a, b) -> str (str acc a) b) (mix acc 13) keys) e1) e2
+    | Unnest (e1, a) -> go (str (mix acc 17) a) e1
+    | Follow { src; link; scheme; alias } ->
+      go (str (str (str (mix acc 19) link) scheme) alias) src
+    | Call { c_src; c_scheme; c_alias; c_args } ->
+      let acc =
+        List.fold_left
+          (fun acc (p, a) ->
+            match a with
+            | Arg_const c -> str (str (mix acc 1) p) c
+            | Arg_attr x -> str (str (mix acc 2) p) x)
+          (str (str (mix acc 23) c_scheme) c_alias)
+          c_args
+      in
+      (match c_src with None -> acc | Some s -> go (mix acc 29) s)
+  in
+  go 0 e land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type t = expr
+
+  let equal = equal
+  let hash = hash
+end)
 
 (* Aliases in scope: alias -> page-scheme name. External occurrences
    are reported with their relation name. *)
@@ -178,27 +225,34 @@ let is_computable e = externals e = []
    steps, given the aliases in scope. Aliases may themselves contain
    no dots, but we match by longest prefix for safety. *)
 let split_attr known_aliases attr =
-  let parts = String.split_on_char '.' attr in
-  let rec try_prefix k =
-    if k = 0 then None
+  (* candidate prefixes end at each dot, scanned right to left *)
+  let rec try_dot i =
+    if i < 0 then None
     else
-      let prefix = String.concat "." (List.filteri (fun i _ -> i < k) parts) in
-      if List.mem prefix known_aliases then
-        Some (prefix, List.filteri (fun i _ -> i >= k) parts)
-      else try_prefix (k - 1)
+      match String.rindex_from_opt attr i '.' with
+      | None -> None
+      | Some j ->
+        let prefix = String.sub attr 0 j in
+        if List.mem prefix known_aliases then
+          Some
+            ( prefix,
+              String.split_on_char '.'
+                (String.sub attr (j + 1) (String.length attr - j - 1)) )
+        else try_dot (j - 1)
   in
-  try_prefix (List.length parts - 1)
+  try_dot (String.length attr - 1)
 
 (* The dotted constraint path (scheme + steps) an attribute denotes,
-   resolving its alias against the expression's environment. *)
-let constraint_path_of_attr e attr =
-  let env = alias_env e in
+   resolving its alias against an alias environment. *)
+let constraint_path_in env attr =
   match split_attr (List.map fst env) attr with
   | Some (alias, steps) -> (
     match List.assoc_opt alias env with
     | Some scheme -> Some (Adm.Constraints.path scheme steps, alias)
     | None -> None)
   | None -> None
+
+let constraint_path_of_attr e attr = constraint_path_in (alias_env e) attr
 
 (* ------------------------------------------------------------------ *)
 (* Output attributes                                                   *)
@@ -250,17 +304,10 @@ and unnested_attrs schema e1 attr =
    typechecker's soundness pass): one table per invocation, keyed by
    structural equality, turns the naive quadratic recomputation into a
    single bottom-up pass. *)
-module Expr_tbl = Hashtbl.Make (struct
-  type t = expr
-
-  let equal = equal
-  let hash = Hashtbl.hash
-end)
-
 let output_attrs_memo (schema : Adm.Schema.t) : expr -> string list =
-  let tbl = Expr_tbl.create 256 in
+  let tbl = Tbl.create 256 in
   let rec go e =
-    match Expr_tbl.find_opt tbl e with
+    match Tbl.find_opt tbl e with
     | Some attrs -> attrs
     | None ->
       let attrs =
@@ -279,7 +326,7 @@ let output_attrs_memo (schema : Adm.Schema.t) : expr -> string list =
           (match c_src with None -> [] | Some s -> go s)
           @ scheme_attrs schema ~scheme:c_scheme ~alias:c_alias
       in
-      Expr_tbl.add tbl e attrs;
+      Tbl.add tbl e attrs;
       attrs
   in
   go

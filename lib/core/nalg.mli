@@ -77,7 +77,13 @@ val map : (expr -> expr) -> expr -> expr
 val size : expr -> int
 
 val equal : expr -> expr -> bool
-(** Structural equality: same tree, predicates compared atom-by-atom. *)
+(** Structural equality: same tree, predicates compared atom-by-atom
+    (atom order matters: two equivalent conjunctions written in a
+    different order are different plans). *)
+
+module Tbl : Hashtbl.S with type key = expr
+(** Hash tables keyed by plans under {!equal} and a structural hash
+    over the whole tree: the planner's dedup and memo tables. *)
 
 val alias_env : expr -> (string * string) list
 (** Aliases in scope, as [(alias, page-scheme name)]. *)
@@ -96,6 +102,11 @@ val constraint_path_of_attr :
   expr -> string -> (Adm.Constraints.path * string) option
 (** The constraint path (scheme + steps) an attribute denotes,
     resolving its alias, plus that alias. *)
+
+val constraint_path_in :
+  (string * string) list -> string -> (Adm.Constraints.path * string) option
+(** {!constraint_path_of_attr} against a precomputed {!alias_env}, for
+    callers resolving many attributes of one expression. *)
 
 val output_attrs : Adm.Schema.t -> expr -> string list
 (** Statically computed output attribute names. *)

@@ -68,26 +68,25 @@ let rename_output (o : outcome) rel =
   else rel
 
 (* Closure of a set of expressions under one-step rewritings, with
-   deduplication by canonical form and a safety cap. Returns the
+   deduplication by structural identity and a safety cap. Returns the
    plans plus whether the cap truncated the exploration (work left in
    the queue when the loop stopped). [on_rewrite] fires on every rule
    application, before deduplication — the planner hooks the
    rewrite-soundness check here. *)
 let closure ?(cap = 400) ?(on_rewrite = fun ~parent:_ ~child:_ -> ())
     (rules : (Nalg.expr -> Nalg.expr list) list) (seeds : Nalg.expr list) =
-  let seen = Hashtbl.create 64 in
+  let seen = Nalg.Tbl.create 64 in
   let out = ref [] in
   let queue = Queue.create () in
   let add e =
-    let k = Nalg.canonical e in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
+    if not (Nalg.Tbl.mem seen e) then begin
+      Nalg.Tbl.replace seen e ();
       out := e :: !out;
       Queue.add e queue
     end
   in
   List.iter add seeds;
-  while (not (Queue.is_empty queue)) && Hashtbl.length seen < cap do
+  while (not (Queue.is_empty queue)) && Nalg.Tbl.length seen < cap do
     let e = Queue.pop queue in
     List.iter
       (fun rule ->
@@ -176,23 +175,21 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     match views with None -> None | Some vc -> vc.vc_env name
   in
   (* Rewrite soundness (E0402/E0403), with type inference memoized by
-     canonical form — each distinct plan of the closure is inferred
-     once — and at most one report per offending child plan. *)
-  let inferred = Hashtbl.create 256 in
+     plan — each distinct plan of the closure is inferred once — and
+     at most one report per offending child plan. *)
+  let inferred = Nalg.Tbl.create 256 in
   let infer_cached e =
-    let k = Nalg.canonical e in
-    match Hashtbl.find_opt inferred k with
+    match Nalg.Tbl.find_opt inferred e with
     | Some r -> r
     | None ->
       let r = Typecheck.infer ~views:tc_views schema e in
-      Hashtbl.add inferred k r;
+      Nalg.Tbl.add inferred e r;
       r
   in
-  let judged = Hashtbl.create 256 in
+  let judged = Nalg.Tbl.create 256 in
   let on_rewrite ~parent ~child =
-    let k = Nalg.canonical child in
-    if not (Hashtbl.mem judged k) then begin
-      Hashtbl.add judged k ();
+    if not (Nalg.Tbl.mem judged child) then begin
+      Nalg.Tbl.add judged child ();
       List.iter diag
         (Typecheck.judge ~parent:(infer_cached parent)
            ~child:(infer_cached child))
@@ -267,7 +264,7 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     ]
     @
     if pointer_rules then
-      [ Rewrite.rule8 schema; Rewrite.rule9 schema; Rewrite.rule2 schema ]
+      [ Rewrite.rules8_9 schema; Rewrite.rule2 schema ]
     else []
   in
   let with_joins = closure_phase ~phase:"join" ~cap:join_cap join_rules merged in
@@ -306,14 +303,13 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
      relaxed to access paths: a plan may keep External leaves when
      every one names a view the economics snapshot prices (the
      executor answers those from the store). *)
-  let seen = Hashtbl.create 64 in
+  let seen = Nalg.Tbl.create 64 in
   let costed =
     List.filter
       (fun e ->
-        let k = Nalg.canonical e in
-        if Hashtbl.mem seen k then false
+        if Nalg.Tbl.mem seen e then false
         else begin
-          Hashtbl.replace seen k ();
+          Nalg.Tbl.replace seen e ();
           true
         end)
       pruned

@@ -63,10 +63,10 @@ val closure :
   Nalg.expr list ->
   Nalg.expr list * bool
 (** Closure of a seed set under one-step rewritings, deduplicated by
-    canonical form, with a safety cap. The boolean is [true] when the
-    cap truncated the exploration (work was still queued).
-    [on_rewrite] fires on every rule application, before
-    deduplication. *)
+    structural identity ({!Nalg.equal}), with a safety cap. The
+    boolean is [true] when the cap truncated the exploration (work was
+    still queued). [on_rewrite] fires on every rule application,
+    before deduplication. *)
 
 val fixpoint :
   ?max_rounds:int -> (Nalg.expr -> Nalg.expr list) -> Nalg.expr -> Nalg.expr

@@ -116,9 +116,8 @@ let atom_verdict (a : atom) =
 
 (* Normal form of a conjunction: orient every atom, constant-fold the
    statically decided ones, sort and dedup. A conjunction with a
-   refuted atom collapses to [[falsum]]. Idempotent; used by {!equal}
-   and {!compile} so atom order never matters to predicate identity or
-   evaluation. *)
+   refuted atom collapses to [[falsum]]. Idempotent; used by
+   {!compile} so atom order never matters to evaluation. *)
 let normalize (p : t) : t =
   let exception False in
   match
@@ -133,8 +132,6 @@ let normalize (p : t) : t =
   with
   | atoms -> List.sort_uniq atom_compare atoms
   | exception False -> [ falsum ]
-
-let equal (p1 : t) (p2 : t) = List.equal atom_equal (normalize p1) (normalize p2)
 
 (* Positional compilation: resolve each attribute to a column offset
    once, then evaluate rows by array indexing — no assoc scans.

@@ -41,11 +41,6 @@ val normalize : t -> t
 (** Normal form: oriented, constant-folded, sorted, deduped;
     [[falsum]] when refuted. Idempotent, semantics-preserving. *)
 
-val equal : t -> t -> bool
-(** Equality of normal forms: conjunctions that differ only by atom
-    order, orientation or duplicated / trivially-true atoms compare
-    equal. *)
-
 val atom_attrs : atom -> string list
 val attrs : t -> string list
 

@@ -52,9 +52,10 @@ let attr_of_path alias (p : Adm.Constraints.path) =
    unnests), with their constraint path and target scheme. *)
 let available_links (schema : Adm.Schema.t) (e : expr) =
   let out = output_attrs schema e in
+  let env = alias_env e in
   List.filter_map
     (fun attr ->
-      match constraint_path_of_attr e attr with
+      match constraint_path_in env attr with
       | None -> None
       | Some (path, alias) -> (
         match Adm.Schema.link_target schema path with
@@ -127,38 +128,51 @@ let rule2 (schema : Adm.Schema.t) (root : expr) : expr list =
 (* Rule 4: eliminate repeated navigations                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Rename an attribute's alias through an alias map, leaving
+   attributes of unmapped aliases alone. *)
+let rename_through map a =
+  match String.index_opt a '.' with
+  | None -> a
+  | Some i -> (
+    let alias = String.sub a 0 i in
+    match List.assoc_opt alias map with
+    | Some alias' -> alias' ^ String.sub a i (String.length a - i)
+    | None -> a)
+
+(* [p2] under the alias map is [p1], atom by atom. *)
+let same_pred map (p1 : Pred.t) (p2 : Pred.t) =
+  let operand o1 o2 =
+    match o1, o2 with
+    | Pred.Attr a1, Pred.Attr a2 -> String.equal a1 (rename_through map a2)
+    | (Pred.Attr _ | Pred.Const _), _ -> Pred.operand_equal o1 o2
+  in
+  List.equal
+    (fun (a1 : Pred.atom) (a2 : Pred.atom) ->
+      a1.Pred.cmp = a2.Pred.cmp
+      && operand a1.Pred.left a2.Pred.left
+      && operand a1.Pred.right a2.Pred.right)
+    p1 p2
+
 (* Structural isomorphism of navigation chains modulo an alias
    bijection: returns the renaming from [e2]'s aliases to [e1]'s. *)
 let rec iso (e1 : expr) (e2 : expr) (map : (string * string) list) :
     (string * string) list option =
-  let rename map a =
-    match String.index_opt a '.' with
-    | None -> a
-    | Some i ->
-      let alias = String.sub a 0 i in
-      let rest = String.sub a i (String.length a - i) in
-      (match List.assoc_opt alias map with
-      | Some alias' -> alias' ^ rest
-      | None -> a)
-  in
   match e1, e2 with
   | Entry { scheme = s1; alias = a1 }, Entry { scheme = s2; alias = a2 }
     when String.equal s1 s2 ->
     Some ((a2, a1) :: map)
   | Unnest (x1, at1), Unnest (x2, at2) -> (
     match iso x1 x2 map with
-    | Some map when String.equal (rename map at2) at1 -> Some map
+    | Some map when String.equal (rename_through map at2) at1 -> Some map
     | _ -> None)
   | Follow f1, Follow f2 when String.equal f1.scheme f2.scheme -> (
     match iso f1.src f2.src map with
-    | Some map when String.equal (rename map f2.link) f1.link ->
+    | Some map when String.equal (rename_through map f2.link) f1.link ->
       Some ((f2.alias, f1.alias) :: map)
     | _ -> None)
   | Select (p1, x1), Select (p2, x2) -> (
     match iso x1 x2 map with
-    | Some map
-      when String.equal (Pred.to_string (Pred.map_attrs (rename map) p2)) (Pred.to_string p1)
-      -> Some map
+    | Some map when same_pred map p1 p2 -> Some map
     | _ -> None)
   | _, _ -> None
 
@@ -200,14 +214,8 @@ let try_merge (keys : (string * string) list) ~(keep : expr) ~(drop : expr)
     | None -> None
     | Some alias_map ->
       let rename a =
-        match String.index_opt a '.' with
-        | None -> (match List.assoc_opt a alias_map with Some a' -> a' | None -> a)
-        | Some i ->
-          let alias = String.sub a 0 i in
-          let rest = String.sub a i (String.length a - i) in
-          (match List.assoc_opt alias alias_map with
-          | Some alias' -> alias' ^ rest
-          | None -> a)
+        if String.contains a '.' then rename_through alias_map a
+        else Option.value (List.assoc_opt a alias_map) ~default:a
       in
       let keys_ok =
         List.for_all
@@ -297,15 +305,18 @@ let pointer_matches (schema : Adm.Schema.t) (root : expr) : pointer_match list =
       match sub with
       | Join (keys, left, right) ->
         let sided nav_side other ~nav_is_left =
+          (* R2's links, resolved once per side and only when some
+             join key names a follow's target *)
+          let links = lazy (available_links schema other) in
           List.concat_map
             (fun (fsub, frb) ->
               match fsub with
               | Follow fl ->
                 (* join keys of the form (P3.B, R2.A) *)
+                let prefix = fl.alias ^ "." in
                 List.concat_map
                   (fun (ka, kb) ->
                     let nav_key, other_key = if nav_is_left then (ka, kb) else (kb, ka) in
-                    let prefix = fl.alias ^ "." in
                     if
                       String.length nav_key > String.length prefix
                       && String.sub nav_key 0 (String.length prefix) = prefix
@@ -347,7 +358,7 @@ let pointer_matches (schema : Adm.Schema.t) (root : expr) : pointer_match list =
                                   residual_keys;
                                   rebuild = rb;
                                 })
-                        (available_links schema other)
+                        (Lazy.force links)
                     else [])
                   keys
               | _ -> [])
@@ -357,26 +368,24 @@ let pointer_matches (schema : Adm.Schema.t) (root : expr) : pointer_match list =
       | _ -> [])
     (contexts root)
 
+(* A pointer match with its residual join keys re-applied as a
+   selection over the rewritten side. *)
+let with_residual m new_side =
+  match m.residual_keys with
+  | [] -> new_side
+  | keys -> Select (List.map (fun (a, b) -> Pred.eq_attrs a b) keys, new_side)
+
 (* Rule 8 [Pointer Join]:
    (R1 →L R3) ⋈_{R3.B=R2.A} R2  =  (R1 ⋈_{R1.L=R2.L'} R2) →L R3 *)
+let pointer_join m =
+  let fl = m.follow in
+  (* R2's attributes must be disjoint from the navigation side's:
+     guaranteed by unique aliases. Link values joined directly. *)
+  let joined = Join ([ (fl.link, m.other_link_attr) ], fl.src, m.other) in
+  m.rebuild (with_residual m (m.follow_rb (Follow { fl with src = joined })))
+
 let rule8 (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.filter_map
-    (fun m ->
-      let fl = m.follow in
-      (* R2's attributes must be disjoint from the navigation side's:
-         guaranteed by unique aliases. Link values joined directly. *)
-      let joined =
-        Join ([ (fl.link, m.other_link_attr) ], fl.src, m.other)
-      in
-      let new_side = m.follow_rb (Follow { fl with src = joined }) in
-      let replacement =
-        match m.residual_keys with
-        | [] -> new_side
-        | keys ->
-          Select (List.map (fun (a, b) -> Pred.eq_attrs a b) keys, new_side)
-      in
-      Some (m.rebuild replacement))
-    (pointer_matches schema root)
+  List.map pointer_join (pointer_matches schema root)
 
 (* Rule 9 [Pointer Chase]:
    π_X((R1 →L R3) ⋈_{R3.B=R2.A} R2) = π_X(R2 →L' R3)
@@ -397,37 +406,35 @@ let rec pure_navigation = function
      a link attribute's full extent — rule 9's inclusion does not apply *)
   | Select _ | Join _ | Project _ | External _ | Call _ -> false
 
-let rule9 (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.filter_map
-    (fun m ->
-      let fl = m.follow in
-      if not (pure_navigation fl.src) then None
+let pointer_chase (schema : Adm.Schema.t) m =
+  let fl = m.follow in
+  if not (pure_navigation fl.src) then None
+  else
+    match constraint_path_of_attr fl.src fl.link with
+    | None -> None
+    | Some (sup_path, _) ->
+      if not (Adm.Schema.inclusion_holds schema ~sub:m.other_link_path ~sup:sup_path)
+      then None
       else
-      match constraint_path_of_attr fl.src fl.link with
-      | None -> None
-      | Some (sup_path, _) ->
-        if not (Adm.Schema.inclusion_holds schema ~sub:m.other_link_path ~sup:sup_path)
-        then None
-        else
-          let new_follow =
-            Follow { src = m.other; link = m.other_link_attr; scheme = fl.scheme; alias = fl.alias }
-          in
-          let new_side = m.follow_rb new_follow in
-          let replacement =
-            match m.residual_keys with
-            | [] -> new_side
-            | keys -> Select (List.map (fun (a, b) -> Pred.eq_attrs a b) keys, new_side)
-          in
-          let candidate = m.rebuild replacement in
-          (* side condition: the dropped prefix R1's aliases must not
-             be referenced anywhere in the rewritten plan *)
-          let dropped =
-            List.filter
-              (fun a -> not (List.mem a (aliases candidate)))
-              (aliases fl.src)
-          in
-          if references_any_alias candidate dropped then None else Some candidate)
-    (pointer_matches schema root)
+        let new_follow =
+          Follow { src = m.other; link = m.other_link_attr; scheme = fl.scheme; alias = fl.alias }
+        in
+        let candidate = m.rebuild (with_residual m (m.follow_rb new_follow)) in
+        (* side condition: the dropped prefix R1's aliases must not
+           be referenced anywhere in the rewritten plan *)
+        let kept = aliases candidate in
+        let dropped = List.filter (fun a -> not (List.mem a kept)) (aliases fl.src) in
+        if references_any_alias candidate dropped then None else Some candidate
+
+let rule9 (schema : Adm.Schema.t) (root : expr) : expr list =
+  List.filter_map (pointer_chase schema) (pointer_matches schema root)
+
+(* Rules 8 and 9 over one shared match pass: rule 8's rewritings,
+   then rule 9's — the order the two rules produce one after the
+   other. *)
+let rules8_9 (schema : Adm.Schema.t) (root : expr) : expr list =
+  let ms = pointer_matches schema root in
+  List.map pointer_join ms @ List.filter_map (pointer_chase schema) ms
 
 (* ------------------------------------------------------------------ *)
 (* Rule 6: moving selections across link constraints                   *)

@@ -39,6 +39,10 @@ val rule9 : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
     [π_X((R1 →L R3) ⋈_{R3.B=R2.A} R2) = π_X(R2 →L' R3)] given the
     inclusion [R2.L' ⊆ R1.L] and that nothing references [R1]. *)
 
+val rules8_9 : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
+(** [rule8] followed by [rule9], in that order, from one shared search
+    for pointer-join/chase matches. *)
+
 val join_commute : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
 val join_rotate : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
 (** Join associativity/commutativity: expose repeated or joinable

@@ -365,6 +365,163 @@ let test_planner_figure2_query () =
   in
   check int_t "figure 2 rows" (List.length expected) (Adm.Relation.cardinality result)
 
+(* ------------------------------------------------------------------ *)
+(* Plan pins                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* What the planner decides for a fixed set of queries, pinned in
+   planner_pins.txt: the best plan, every candidate's cost in order,
+   the explored and merged counts and the diagnostic codes (W0401
+   included). A change that only makes planning cheaper must leave
+   all of it unchanged. The queries are the five join families of the
+   planning benchmark on a 20-dept/400-prof/800-course/4-session
+   university, two constant sets each, and every query the examples
+   plan. *)
+
+let pin_site build schema registry =
+  lazy
+    (let site = build () in
+     let http = Websim.Http.connect site in
+     (schema, registry, Stats.of_instance (Websim.Crawler.crawl schema http)))
+
+let pin_join_site =
+  let config =
+    {
+      Sitegen.University.default_config with
+      Sitegen.University.n_depts = 20;
+      n_profs = 400;
+      n_courses = 800;
+      n_sessions = 4;
+    }
+  in
+  pin_site
+    (fun () -> Sitegen.University.site (Sitegen.University.build ~config ()))
+    Sitegen.University.schema Sitegen.University.view
+
+let pin_uni_site =
+  pin_site
+    (fun () -> Sitegen.University.site (Sitegen.University.build ()))
+    Sitegen.University.schema Sitegen.University.view
+
+let pin_catalog_site =
+  pin_site
+    (fun () -> Sitegen.Catalog.site (Sitegen.Catalog.build ()))
+    Sitegen.Catalog.schema Sitegen.Catalog.view
+
+let pin_dept_members dept =
+  Printf.sprintf
+    "SELECT p.PName, p.Email FROM Professor p, ProfDept d WHERE p.PName = \
+     d.PName AND d.DName = '%s'"
+    dept
+
+let pin_fig2 dept =
+  Printf.sprintf
+    "SELECT c.CName, c.Description FROM Course c, CourseInstructor ci, \
+     ProfDept pd WHERE c.CName = ci.CName AND ci.PName = pd.PName AND \
+     pd.DName = '%s'"
+    dept
+
+let pin_ex71 session rank =
+  Printf.sprintf
+    "SELECT c.CName, c.Description FROM Professor p, CourseInstructor ci, \
+     Course c WHERE p.PName = ci.PName AND ci.CName = c.CName AND c.Session \
+     = '%s' AND p.Rank = '%s'"
+    session rank
+
+let pin_ex72 dept ctype =
+  Printf.sprintf
+    "SELECT p.PName, p.Email FROM Course c, CourseInstructor ci, Professor p, \
+     ProfDept pd WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName \
+     = pd.PName AND pd.DName = '%s' AND c.Type = '%s'"
+    dept ctype
+
+let pin_ex72_session dept session =
+  Printf.sprintf
+    "SELECT c.CName, p.Email FROM Course c, CourseInstructor ci, Professor p, \
+     ProfDept pd WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName \
+     = pd.PName AND pd.DName = '%s' AND c.Session = '%s'"
+    dept session
+
+let pin_cases =
+  [
+    ("dept-members/cs", pin_join_site, pin_dept_members "Computer Science");
+    ("dept-members/d16", pin_join_site, pin_dept_members "Department 16");
+    ("fig2/cs", pin_join_site, pin_fig2 "Computer Science");
+    ("fig2/d12", pin_join_site, pin_fig2 "Department 12");
+    ("ex7.1/fall-full", pin_join_site, pin_ex71 "Fall" "Full");
+    ("ex7.1/summer-assistant", pin_join_site, pin_ex71 "Summer" "Assistant");
+    ("ex7.2/cs-graduate", pin_join_site, pin_ex72 "Computer Science" "Graduate");
+    ("ex7.2/physics-undergraduate", pin_join_site, pin_ex72 "Physics" "Undergraduate");
+    ("ex7.2-session/cs-fall", pin_join_site, pin_ex72_session "Computer Science" "Fall");
+    ("ex7.2-session/d20-winter", pin_join_site, pin_ex72_session "Department 20" "Winter");
+    ("examples/quickstart", pin_uni_site, pin_dept_members "Computer Science");
+    ("examples/optimizer_tour", pin_uni_site, pin_ex71 "Fall" "Full");
+    ( "examples/materialized_views/cs-ranks",
+      pin_uni_site,
+      "SELECT p.PName, p.Rank FROM Professor p, ProfDept d WHERE p.PName = \
+       d.PName AND d.DName = 'Computer Science'" );
+    ("examples/materialized_views/all", pin_uni_site, "SELECT p.PName FROM Professor p");
+    ( "examples/catalog_shopping/brand",
+      pin_catalog_site,
+      "SELECT p.PName, p.Price FROM Product p WHERE p.Brand = 'Acme' AND \
+       p.Price < 50" );
+    ( "examples/catalog_shopping/category",
+      pin_catalog_site,
+      "SELECT p.PName, p.Brand FROM Product p WHERE p.Category = 'Audio' AND \
+       p.Price >= 400" );
+    ( "examples/catalog_shopping/price",
+      pin_catalog_site,
+      "SELECT p.PName FROM Product p WHERE p.Price > 495" );
+  ]
+
+(* One pin block: the case's name and query, then the outcome. Plans
+   print on one line (line breaks escaped). *)
+let pin_block (name, site, sql) =
+  let schema, registry, stats = Lazy.force site in
+  let o = Planner.plan_sql schema stats registry sql in
+  let one_line s = String.concat "\\n" (String.split_on_char '\n' s) in
+  String.concat "\n"
+    [
+      "query " ^ name;
+      "sql " ^ sql;
+      "best " ^ one_line (Nalg.to_string o.Planner.best.Planner.expr);
+      "costs "
+      ^ String.concat " "
+          (List.map
+             (fun (p : Planner.plan) -> Printf.sprintf "%.17g" p.Planner.cost)
+             o.Planner.candidates);
+      Printf.sprintf "explored %d merged %d" o.Planner.explored o.Planner.merged;
+      "diagnostics "
+      ^ String.concat ","
+          (List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) o.Planner.diagnostics);
+    ]
+
+(* The pinned blocks, keyed by case name. *)
+let pinned =
+  lazy
+    (In_channel.with_open_text "planner_pins.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.fold_left
+         (fun acc line ->
+           match acc with
+           | _ when String.length line > 6 && String.sub line 0 6 = "query " ->
+             (String.sub line 6 (String.length line - 6), [ line ]) :: acc
+           | (name, lines) :: rest when line <> "" -> (name, line :: lines) :: rest
+           | _ -> acc)
+         []
+    |> List.rev_map (fun (name, lines) -> (name, String.concat "\n" (List.rev lines))))
+
+let test_plan_pins () =
+  let pinned = Lazy.force pinned in
+  check
+    Alcotest.(list string_t)
+    "pinned cases" (List.map fst pinned)
+    (List.map (fun (name, _, _) -> name) pin_cases);
+  List.iter
+    (fun ((name, _, _) as case) ->
+      check string_t name (List.assoc name pinned) (pin_block case))
+    pin_cases
+
 let suite =
   ( "planner",
     [
@@ -391,4 +548,5 @@ let suite =
       Alcotest.test_case "planner cost vs measured" `Quick test_planner_cost_orders_match_measured;
       Alcotest.test_case "planner rejects unknown" `Quick test_planner_rejects_unknown;
       Alcotest.test_case "planner figure 2 query" `Quick test_planner_figure2_query;
+      Alcotest.test_case "plan pins unchanged" `Quick test_plan_pins;
     ] )
