@@ -141,14 +141,28 @@ let site_arg =
                behind a parameterized entry point, answered through the \
                binding-pattern rewriting search).")
 
+(* Site sizes the generators can build: at least one department and
+   one professor (courses draw both), zero or more courses. A bad size
+   is a usage error (exit 124) naming its flag. *)
+let size_conv ~min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected an integer >= %d, got %S" min s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let depts_arg =
-  Arg.(value & opt int 3 & info [ "depts" ] ~docv:"N" ~doc:"Number of departments.")
+  Arg.(value & opt (size_conv ~min:1) 3 & info [ "depts" ] ~docv:"N"
+         ~doc:"Number of departments (at least 1).")
 
 let profs_arg =
-  Arg.(value & opt int 20 & info [ "profs" ] ~docv:"N" ~doc:"Number of professors.")
+  Arg.(value & opt (size_conv ~min:1) 20 & info [ "profs" ] ~docv:"N"
+         ~doc:"Number of professors (at least 1).")
 
 let courses_arg =
-  Arg.(value & opt int 50 & info [ "courses" ] ~docv:"N" ~doc:"Number of courses.")
+  Arg.(value & opt (size_conv ~min:0) 50 & info [ "courses" ] ~docv:"N"
+         ~doc:"Number of courses.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
@@ -174,15 +188,51 @@ let with_site f site depts profs courses seed =
 
 (* The static lint gate of the commands that plan a query: a query
    with an error-severity finding (syntax E0308, unknown relation,
-   alias or attribute E0301-E0304, ...) is reported as coded
-   diagnostics and exits 2 before planning, instead of escaping as a
-   parser exception. *)
-let lint_gate loaded sql =
+   alias or attribute E0301-E0304, a form-only query no composition
+   of forms answers E0111, ...) is reported as coded diagnostics and
+   exits 2 before planning, instead of escaping as an exception. *)
+let gate_diagnostics loaded sql =
   let ds = Typecheck.lint_sql loaded.schema loaded.registry sql in
-  if Diagnostic.has_errors ds then begin
-    List.iter (fun d -> Fmt.epr "%a@." Diagnostic.pp d) (List.sort Diagnostic.compare ds);
+  if Diagnostic.has_errors ds || loaded.registry = [] then ds
+  else ds @ binding_lint loaded (Sql_parser.parse loaded.registry sql)
+
+let fail_gate ds =
+  List.iter (fun d -> Fmt.epr "%a@." Diagnostic.pp d) (List.sort Diagnostic.compare ds);
+  exit 2
+
+let lint_gate loaded sql =
+  let ds = gate_diagnostics loaded sql in
+  if Diagnostic.has_errors ds then fail_gate ds
+
+(* An empty plan space the gate did not foresee is still a coded
+   diagnostic (E0309, as in [check]) with exit 2. *)
+let or_e0309 plan =
+  match plan () with
+  | planned -> planned
+  | exception Invalid_argument msg ->
+    fail_gate [ Diagnostic.error ~code:"E0309" "planning failed: %s" msg ]
+
+let plan_query ?cap ?views loaded stats sql =
+  or_e0309 (fun () ->
+      Planner.plan_sql ?cap ?views ?bindings:(bindings_of loaded) loaded.schema
+        stats loaded.registry sql)
+
+(* A workload file passes the same gate line by line: each error is
+   printed after its file and line number, then the command exits 2. *)
+let load_workload loaded path =
+  let numbered = Server.Workload.load path in
+  let errors =
+    List.concat_map
+      (fun (line, (e : Server.Workload.entry)) ->
+        List.map (fun d -> (line, d))
+          (Diagnostic.errors (gate_diagnostics loaded e.Server.Workload.sql)))
+      numbered
+  in
+  if errors <> [] then begin
+    List.iter (fun (line, d) -> Fmt.epr "%s:%d: %a@." path line Diagnostic.pp d) errors;
     exit 2
-  end
+  end;
+  List.map snd numbered
 
 let site_args f =
   Term.(const (with_site f) $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg)
@@ -221,10 +271,7 @@ let plan_cmd =
     else begin
       lint_gate loaded sql;
       let stats = stats_of loaded in
-      let outcome =
-        Planner.plan_sql ?cap ?bindings:(bindings_of loaded) loaded.schema stats
-          loaded.registry sql
-      in
+      let outcome = plan_query ?cap loaded stats sql in
       if dot then Fmt.pr "%s@." (Explain.to_dot outcome.Planner.best.Planner.expr)
       else begin
         Fmt.pr "%a@." Explain.pp_outcome outcome;
@@ -263,32 +310,27 @@ let explain_cmd =
     let vs = if use_views then Some (viewstore_of loaded) else None in
     let econ = Option.map Viewstore.econ vs in
     let outcome =
-      Planner.plan_sql ?cap
-        ?views:(Option.map Viewstore.context vs)
-        ?bindings:(bindings_of loaded) loaded.schema stats loaded.registry sql
+      plan_query ?cap ?views:(Option.map Viewstore.context vs) loaded stats sql
     in
     let best = outcome.Planner.best.Planner.expr in
     Fmt.pr "%a@.@." Explain.pp_outcome outcome;
     if physical then begin
-      match Cost.lower ?views:econ ~window loaded.schema stats best with
-      | plan ->
-        List.iter
-          (fun d -> Fmt.pr "%a@." Diagnostic.pp d)
-          (Typecheck.check_plan loaded.schema ~parent:best plan);
-        (* execute over the live site so the tree shows estimated vs
-           actual rows and page accesses side by side *)
-        let http = Websim.Http.connect loaded.site in
-        let config = Websim.Fetcher.config ~window () in
-        let fetcher = Websim.Fetcher.create ~config http in
-        let source = Eval.fetcher_source loaded.schema fetcher in
-        let _result, metrics =
-          Exec.run_metrics
-            ?views:(Option.map Viewstore.answerer vs)
-            loaded.schema source plan
-        in
-        Fmt.pr "%a@." (Explain.pp_physical ~metrics ()) plan
-      | exception Physplan.Not_streamable msg ->
-        Fmt.pr "no streaming physical form (%s); the legacy evaluator would run@." msg
+      let plan = Cost.lower ?views:econ ~window loaded.schema stats best in
+      List.iter
+        (fun d -> Fmt.pr "%a@." Diagnostic.pp d)
+        (Typecheck.check_plan loaded.schema ~parent:best plan);
+      (* execute over the live site so the tree shows estimated vs
+         actual rows and page accesses side by side *)
+      let http = Websim.Http.connect loaded.site in
+      let config = Websim.Fetcher.config ~window () in
+      let fetcher = Websim.Fetcher.create ~config http in
+      let source = Eval.fetcher_source loaded.schema fetcher in
+      let _result, metrics =
+        Exec.run_metrics
+          ?views:(Option.map Viewstore.answerer vs)
+          loaded.schema source plan
+      in
+      Fmt.pr "%a@." (Explain.pp_physical ~metrics ()) plan
     end
     else Fmt.pr "%a@." (Explain.pp_annotated ?views:econ loaded.schema stats) best
   in
@@ -324,12 +366,14 @@ let query_cmd =
     let vs = if use_views then Some (viewstore_of loaded) else None in
     let http = Websim.Http.connect loaded.site in
     let source = Eval.live_source loaded.schema http in
-    let outcome, result =
-      Planner.run ?cap
-        ?views:(Option.map Viewstore.context vs)
-        ?exec_views:(Option.map Viewstore.answerer vs)
-        ?bindings:(bindings_of loaded) loaded.schema stats loaded.registry
-        source sql
+    let outcome =
+      plan_query ?cap ?views:(Option.map Viewstore.context vs) loaded stats sql
+    in
+    let result =
+      Planner.rename_output outcome
+        (Eval.eval
+           ?views:(Option.map Viewstore.answerer vs)
+           loaded.schema source outcome.Planner.best.Planner.expr)
     in
     Fmt.pr "%a@." Explain.pp_outcome outcome;
     Fmt.pr "plan (cost %.2f):@.%a@.@." outcome.Planner.best.Planner.cost Nalg.pp_plan
@@ -368,10 +412,7 @@ let run_cmd =
     in
     let config = Websim.Fetcher.config ~window ~retries () in
     let fetcher = Websim.Fetcher.create ~config ?netmodel http in
-    let outcome =
-      Planner.plan_sql ?cap ?bindings:(bindings_of loaded) loaded.schema stats
-        loaded.registry sql
-    in
+    let outcome = plan_query ?cap loaded stats sql in
     let best = outcome.Planner.best.Planner.expr in
     Fmt.pr "plan (cost %.2f, predicted %.0f ms at window %d):@.%a@.@."
       outcome.Planner.best.Planner.cost
@@ -439,7 +480,7 @@ let matview_cmd =
     let http = Websim.Http.connect loaded.site in
     let mv = Matview.materialize loaded.schema http in
     Fmt.pr "materialized %d pages@.@." (Matview.total_pages mv);
-    let outcome = Planner.plan_sql loaded.schema stats loaded.registry sql in
+    let outcome = plan_query loaded stats sql in
     let report = Matview.query_counted mv outcome.Planner.best.Planner.expr in
     Fmt.pr "%a@.@." Adm.Relation.pp
       (Planner.rename_output outcome report.Matview.result);
@@ -890,7 +931,7 @@ let churn_cmd =
       wseed concurrency quantum domains json fail_on_violation site_kind loaded =
     let entries =
       match workload with
-      | Some path -> Server.Workload.load path
+      | Some path -> load_workload loaded path
       | None ->
         Server.Workload.generate ~templates:(templates_for site_kind) ~seed:wseed
           ~n ()
@@ -993,7 +1034,7 @@ let serve_cmd =
       budget max_age json site_kind loaded =
     let entries =
       match workload with
-      | Some path -> Server.Workload.load path
+      | Some path -> load_workload loaded path
       | None ->
         Server.Workload.generate ~templates:(templates_for site_kind) ~seed:wseed
           ~n ()
@@ -1023,8 +1064,9 @@ let serve_cmd =
     begin
       let stats = stats_of loaded in
       let specs =
-        Server.Sched.plan_workload ?bindings:(bindings_of loaded) loaded.schema
-          stats loaded.registry entries
+        or_e0309 (fun () ->
+            Server.Sched.plan_workload ?bindings:(bindings_of loaded)
+              loaded.schema stats loaded.registry entries)
       in
       let netmodel =
         (* deadlines are measured on the simulated clock, which only

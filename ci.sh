@@ -32,8 +32,8 @@ dune exec --profile ci bin/webviews_cli.exe -- churn \
 
 echo "== smoke views: one view-substituted query end to end =="
 dune exec --profile ci bin/webviews_cli.exe -- query --views \
-  "SELECT p.PName, p.Email FROM Professor p" \
-  | tee /tmp/ci_views_smoke.$$ | head -n 4
+  "SELECT p.PName, p.Email FROM Professor p" > /tmp/ci_views_smoke.$$
+head -n 4 /tmp/ci_views_smoke.$$
 grep -q "view Professor" /tmp/ci_views_smoke.$$ \
   || { echo "view substitution missing from query --views"; rm -f /tmp/ci_views_smoke.$$; exit 1; }
 rm -f /tmp/ci_views_smoke.$$
@@ -41,7 +41,10 @@ rm -f /tmp/ci_views_smoke.$$
 echo "== smoke bindings: form-only query planned and executed via a composition of forms =="
 dune exec --profile ci bin/webviews_cli.exe -- query --site formsite \
   "SELECT P.PName, P.Office FROM Course C, Professor P WHERE C.Dept = 'cs' AND C.Instructor = P.PName" \
-  | tee /tmp/ci_bindings_smoke.$$ | head -n 10
+  > /tmp/ci_bindings_smoke.$$
+# (written to the file first: `tee | head` lets head's early exit kill
+# tee before the result rows reach the file)
+head -n 10 /tmp/ci_bindings_smoke.$$
 # the plan must reach the data through parameterized calls (no
 # navigation exists on the form-only site) ...
 grep -q "⇒ DeptPage" /tmp/ci_bindings_smoke.$$ \
@@ -76,6 +79,32 @@ dune exec --profile ci bin/webviews_cli.exe -- query "SELEC p.PName FROM Profess
   > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
 [ "$status" -eq 2 ] && grep -q "E0308" /tmp/ci_lint_gate.$$ \
   || { echo "syntax error not reported as E0308 with exit 2"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
+# a form-only query no composition of forms answers: E0111 (or, past
+# the lint, an empty plan space E0309), exit 2, never an exception
+for cmd in query plan explain run; do
+  status=0
+  dune exec --profile ci bin/webviews_cli.exe -- $cmd --site formsite \
+    "SELECT P.PName FROM Professor P" > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
+  [ "$status" -eq 2 ] \
+    || { echo "$cmd exited $status on a form-only query (want 2)"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
+  grep -q "E0111\|E0309" /tmp/ci_lint_gate.$$ \
+    || { echo "E0111/E0309 missing from $cmd"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
+done
+# a bad workload line is a coded diagnostic with its line number
+printf 'SELECT p.PName FROM Professor p\nSELECT p.Nope FROM Professor p\n' \
+  > /tmp/ci_lint_workload.$$
+status=0
+dune exec --profile ci bin/webviews_cli.exe -- serve --workload /tmp/ci_lint_workload.$$ \
+  > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
+[ "$status" -eq 2 ] && grep -q ":2: error\[E0304\]" /tmp/ci_lint_gate.$$ \
+  || { echo "bad serve --workload line not reported as E0304 with exit 2"; rm -f /tmp/ci_lint_gate.$$ /tmp/ci_lint_workload.$$; exit 1; }
+rm -f /tmp/ci_lint_workload.$$
+# a site size the generators cannot build is a usage error (exit 124)
+status=0
+dune exec --profile ci bin/webviews_cli.exe -- query --depts 0 \
+  "SELECT p.PName FROM Professor p" > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
+[ "$status" -eq 124 ] \
+  || { echo "--depts 0 exited $status (want 124)"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
 rm -f /tmp/ci_lint_gate.$$
 
 echo "== ci: all green =="

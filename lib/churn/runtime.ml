@@ -186,7 +186,6 @@ let run ?(sched = Server.Sched.default_config) ?pool ?bindings (cfg : config)
       {
         Webviews.Eval.fetch = (fun ~scheme ~url -> churn_fetch obs ~scheme ~url);
         prefetch = (fun ~scheme:_ _ -> ()) (* freshness work is per-entry *);
-        describe = Fmt.str "churn/q%d" spec.Server.Sched.qid;
         window = 32;
       }
   in

@@ -237,42 +237,11 @@ let lower ?(views = no_views) ?window (schema : Adm.Schema.t) (stats : Stats.t)
    fetch engine: a navigation submits its URL set in prefetch windows
    whose latencies overlap, so a Follow costs ceil(navigations /
    window) sequential rounds of the per-page latency instead of one
-   round per page. Local operators stay free. Since the physical-plan
-   layer this is computed from the plan actually executed — a fold
-   over the lowered operators, page-fetching ones only — with the
-   logical recursion kept as [elapsed_aux] for plans that have no
-   streaming form. *)
+   round per page. Local operators stay free. It is computed from the
+   plan actually executed: a fold over the lowered operators,
+   page-fetching ones only. *)
 let rounds ~window n =
   Float.of_int (int_of_float (Float.ceil (n /. float_of_int (max 1 window))))
-
-let rec elapsed_aux ~views (schema : Adm.Schema.t) (stats : Stats.t)
-    (root : Nalg.expr) ~window ~get_ms ~head_ms (e : Nalg.expr) : float =
-  let elapsed_aux = elapsed_aux ~views in
-  match e with
-  | Nalg.External { name; _ } -> (
-    match views.view name with
-    | Some vc ->
-      let heads = vc.view_pages *. vc.view_stale in
-      (rounds ~window heads *. head_ms)
-      +. (heads *. vc.view_change *. get_ms)
-    | None -> infinity)
-  | Nalg.Entry _ -> get_ms
-  | Nalg.Select (_, e1) | Nalg.Project (_, e1) | Nalg.Unnest (e1, _) ->
-    elapsed_aux schema stats root ~window ~get_ms ~head_ms e1
-  | Nalg.Join (_, e1, e2) ->
-    elapsed_aux schema stats root ~window ~get_ms ~head_ms e1
-    +. elapsed_aux schema stats root ~window ~get_ms ~head_ms e2
-  | Nalg.Follow { src; link; scheme = _; alias = _ } ->
-    let { card; _ } = estimate ~views schema stats root src in
-    let navigations = distinct_in stats root link card in
-    elapsed_aux schema stats root ~window ~get_ms ~head_ms src
-    +. (rounds ~window navigations *. get_ms)
-  | Nalg.Call { c_src = None; _ } -> get_ms
-  | Nalg.Call ({ c_src = Some src; _ } as c) ->
-    let { card; _ } = estimate ~views schema stats root src in
-    let navigations = call_navigations stats root c card in
-    elapsed_aux schema stats root ~window ~get_ms ~head_ms src
-    +. (rounds ~window navigations *. get_ms)
 
 let elapsed_estimate ?(views = no_views) ?(window = 1) ?(get_ms = 40.0) ?head_ms
     schema stats e =
@@ -297,5 +266,3 @@ let elapsed_estimate ?(views = no_views) ?(window = 1) ?(get_ms = 40.0) ?head_ms
           | Physplan.Stream_unnest _), _ -> acc)
       0.0 plan
   | exception Physplan.Not_computable _ -> infinity
-  | exception Physplan.Not_streamable _ ->
-    elapsed_aux ~views schema stats e ~window ~get_ms ~head_ms e

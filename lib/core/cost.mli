@@ -70,9 +70,9 @@ val elapsed_estimate :
     round-trip), each navigation [ceil(navigations / window)] rounds,
     and each view scan [ceil(expected HEADs / window)] rounds of
     [head_ms] — which defaults to [get_ms / 10], the Function-2
-    HEAD:GET ratio that {!Churn.Budget} charges. Non-computable
-    expressions estimate [infinity]; non-streamable ones fall back to
-    the logical recursion. *)
+    HEAD:GET ratio that {!Churn.Budget} charges. Lowering is total on
+    well-typed expressions; an expression {!Physplan.lower} rejects
+    as not computable estimates [infinity]. *)
 
 val distinct_of : Stats.t -> Nalg.expr -> string -> int option
 (** c_A for an attribute of the plan, resolved through its alias. *)

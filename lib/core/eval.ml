@@ -2,22 +2,19 @@
 
    Pages are obtained through a page source, which abstracts where
    tuples come from: the live site over (simulated) HTTP, or the local
-   materialized store of Section 8. Since the physical-plan layer,
-   evaluation is lower-then-run: the logical tree is compiled by
-   {!Physplan.lower} into a streaming plan and executed by
-   {!Exec.run} with pull-based cursors — same results, same distinct
-   page accesses, but pipelined fetching and bounded intermediate
-   state. Expressions with no streaming form (an unnest whose inner
-   header cannot be inferred statically) fall back to [eval_legacy],
-   the original relation-at-a-time interpreter, which is also kept as
-   the differential-testing oracle. *)
+   materialized store of Section 8. Evaluation is lower-then-run: the
+   logical tree is compiled by {!Physplan.lower} into a streaming plan
+   and executed by {!Exec.run} with pull-based cursors. Lowering is
+   total on well-typed expressions, so there is one evaluator on the
+   production path. [eval_legacy], the original relation-at-a-time
+   interpreter, has no production caller: it is kept only as the
+   differential-testing oracle. *)
 
 exception Not_computable = Physplan.Not_computable
 
 type source = Exec.source = {
   fetch : scheme:string -> url:string -> Adm.Value.tuple option;
   prefetch : scheme:string -> string list -> unit;
-  describe : string;
   window : int;
 }
 
@@ -37,7 +34,6 @@ let fetcher_source (schema : Adm.Schema.t) (fetcher : Websim.Fetcher.t) =
   {
     fetch;
     prefetch = (fun ~scheme:_ urls -> Websim.Fetcher.prefetch fetcher urls);
-    describe = "fetcher";
     window = Websim.Fetcher.window fetcher;
   }
 
@@ -51,15 +47,13 @@ let live_source ?(cache = true) (schema : Adm.Schema.t) (http : Websim.Http.t) =
     if cache then Websim.Fetcher.default_config
     else Websim.Fetcher.config ~cache_capacity:0 ()
   in
-  let source = fetcher_source schema (Websim.Fetcher.create ~config http) in
-  { source with describe = (if cache then "live" else "live/nocache") }
+  fetcher_source schema (Websim.Fetcher.create ~config http)
 
 (* A source reading a crawled instance (no network): used in tests. *)
 let instance_source (instance : Websim.Crawler.instance) =
   {
     fetch = (fun ~scheme ~url -> Websim.Crawler.tuple_of_url instance ~scheme ~url);
     prefetch = (fun ~scheme:_ _ -> ());
-    describe = "instance";
     window = 32;
   }
 
@@ -72,8 +66,8 @@ let pages_relation = Exec.pages_relation
 (* Kept verbatim in spirit: a navigation [P1 →L P2] collects the
    distinct values of link attribute L across the fully materialized
    source, fetches those pages and hash-joins on [P1.L = P2.URL].
-   Used as the fallback for non-streamable expressions and as the
-   oracle the streaming executor is differentially tested against. *)
+   Only the oracle the streaming executor is differentially tested
+   against; no production path calls it. *)
 let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
     Adm.Relation.t =
   let attrs_of = Nalg.output_attrs_memo schema in
@@ -195,18 +189,6 @@ let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
 (* Lower-then-run                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let truncate limit r =
-  match limit with
-  | None -> r
-  | Some l ->
-    let rec take n = function
-      | [] -> []
-      | _ when n <= 0 -> []
-      | x :: tl -> x :: take (n - 1) tl
-    in
-    Adm.Relation.of_arrays (Adm.Relation.attrs r)
-      (take l (Adm.Relation.rows_arrays r))
-
 let eval ?limit ?views (schema : Adm.Schema.t) (source : source)
     (e : Nalg.expr) : Adm.Relation.t =
   let view_attrs =
@@ -214,10 +196,8 @@ let eval ?limit ?views (schema : Adm.Schema.t) (source : source)
     | Some (v : Exec.views) -> v.Exec.view_attrs
     | None -> fun _ -> None
   in
-  match Physplan.lower ~view_attrs ~window:source.window schema e with
-  | plan -> Exec.run ?limit ?views schema source plan
-  | exception Physplan.Not_streamable _ ->
-    truncate limit (eval_legacy schema source e)
+  Exec.run ?limit ?views schema source
+    (Physplan.lower ~view_attrs ~window:source.window schema e)
 
 (* Evaluate and report the network work done, as (relation, stats
    delta). Only meaningful with a live source. *)

@@ -5,7 +5,9 @@
     {!Exec.run} executes it with pull-based cursors (same results and
     distinct page accesses as relation-at-a-time evaluation, but
     pipelined fetching, incremental link dedup and bounded intermediate
-    state). Non-streamable expressions fall back to {!eval_legacy}. *)
+    state). Lowering is total on well-typed expressions, so this is
+    the only evaluator on the production path; {!eval_legacy} is a
+    test oracle. *)
 
 exception Not_computable of string
 
@@ -14,7 +16,6 @@ type source = Exec.source = {
       (** the page tuple for a URL, or [None] when the page is gone *)
   prefetch : scheme:string -> string list -> unit;
       (** batch hint: a navigation is about to fetch these URLs *)
-  describe : string;
   window : int;
       (** prefetch window the streaming executor hands to [prefetch] *)
 }
@@ -45,15 +46,16 @@ val eval :
 (** Lower and run. With [limit], the executor stops pulling (and
     fetching pages) once that many rows are produced — the early-exit
     protocol. [views] lets [External] leaves that name a registered
-    materialized view lower to [View_scan] and answer from the store;
-    without it, raises {!Not_computable} on [External] leaves or
-    non-entry-point [Entry] leaves. *)
+    materialized view lower to [View_scan] and answer from the store.
+    Raises {!Not_computable} like {!Physplan.lower}: on [External]
+    leaves naming no registered view, non-entry-point [Entry] leaves,
+    and unnests of an attribute that is not a declared list. *)
 
 val eval_legacy : Adm.Schema.t -> source -> Nalg.expr -> Adm.Relation.t
 (** The original relation-at-a-time interpreter: every operator
     materializes its input, a navigation collects the distinct link
-    values of the whole source before fetching. Fallback for
-    non-streamable plans and the oracle for differential tests. *)
+    values of the whole source before fetching. No production caller:
+    kept only as the oracle for differential tests. *)
 
 val eval_counted :
   ?limit:int -> Adm.Schema.t -> Websim.Http.t -> source -> Nalg.expr ->

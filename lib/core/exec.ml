@@ -36,7 +36,6 @@ type source = {
       (* the page tuple for a URL, or None when the page is gone *)
   prefetch : scheme:string -> string list -> unit;
       (* batch hint: a navigation is about to fetch these URLs *)
-  describe : string;
   window : int; (* prefetch window the executor hands to [prefetch] *)
 }
 

@@ -297,7 +297,6 @@ let source t : Eval.source =
   {
     Eval.fetch = (fun ~scheme ~url -> url_check t ~scheme ~url);
     prefetch = (fun ~scheme:_ _ -> ()) (* URLCheck is per-tuple: HEADs, not page batches *);
-    describe = "materialized";
     window = 32 (* batching granularity only: URLCheck work is per-tuple *);
   }
 

@@ -288,16 +288,20 @@ and scheme_attrs schema ~scheme ~alias =
 (* Attributes exposed by unnesting [attr]: resolve its type through
    the alias environment. *)
 and unnested_attrs schema e1 attr =
-  match constraint_path_of_attr e1 attr with
+  match list_fields schema e1 attr with
+  | Some fields -> List.map (fun (a, _) -> attr ^ "." ^ a) fields
   | None -> []
+
+and list_fields schema e1 attr =
+  match constraint_path_of_attr e1 attr with
+  | None -> None
   | Some (path, _alias) -> (
     match Adm.Schema.find_scheme schema path.Adm.Constraints.scheme with
-    | None -> []
+    | None -> None
     | Some ps -> (
       match Adm.Page_scheme.resolve_path ps path.Adm.Constraints.steps with
-      | Some (Adm.Webtype.List fields) ->
-        List.map (fun (a, _) -> attr ^ "." ^ a) fields
-      | Some _ | None -> []))
+      | Some (Adm.Webtype.List fields) -> Some fields
+      | Some _ | None -> None))
 
 (* Memoized variant for callers that query output attributes of many
    overlapping subexpressions (selection sinking, pruning, the

@@ -111,6 +111,15 @@ val constraint_path_in :
 val output_attrs : Adm.Schema.t -> expr -> string list
 (** Statically computed output attribute names. *)
 
+val list_fields :
+  Adm.Schema.t -> expr -> string -> (string * Adm.Webtype.t) list option
+(** [list_fields schema e attr] is the declared tuple type of the list
+    attribute [attr] of [e] (resolved through its alias to the
+    page-scheme's ADM declaration), or [None] when [attr] does not
+    resolve to a declared list type. Every unnest of a well-typed
+    expression has [Some] fields: the inner header is known before
+    any page is fetched. *)
+
 val output_attrs_memo : Adm.Schema.t -> expr -> string list
 (** Like {!output_attrs}, but each application shares one memo table
     keyed on subexpressions (structural equality), so repeated queries

@@ -10,21 +10,22 @@
      with the larger) — the legacy evaluator always built the right
      input;
    - [Stream_unnest] expands nested lists row by row against the
-     statically inferred inner header, so unnesting never materializes
-     its input;
+     declared inner header, so unnesting never materializes its
+     input;
    - [Follow_links] is the pipelined navigation [R →L P]: it dedupes
      link values incrementally (one URL table per operator, mirroring
      the paper's distinct-access cost model) and hands the fetch
      engine prefetch windows of [window] URLs while probing pages
      already fetched.
 
-   Lowering refuses two situations. [Not_computable] (re-exported by
-   {!Eval}, with the exact legacy messages) is raised for [External]
-   leaves and non-entry-point entries. [Not_streamable] is raised when
-   an unnest's inner header cannot be inferred statically — the data
-   would have to dictate the header, which a fixed-width pipeline
-   cannot do — and {!Eval.eval} falls back to the materializing
-   evaluator for the whole expression. *)
+   Lowering is total on well-typed expressions. In ADM every list
+   attribute has a declared tuple type, so the inner header of every
+   unnest is known before any page is fetched, and a streaming plan
+   always exists. [Not_computable] (re-exported by {!Eval}) is raised
+   only for what {!Typecheck} rejects: [External] leaves that name no
+   registered view (E0107), non-entry-point entries (E0102), calls to
+   unparameterized schemes (E0111), and unnests of an attribute that
+   is not a declared list (E0103/E0104). *)
 
 type est = {
   est_rows : float; (* estimated output cardinality of the operator *)
@@ -70,13 +71,8 @@ type plan = { root : op; n_ops : int; window : int }
 exception Not_computable of string
 exception Not_streamable of string
 
-let prefixed prefix a =
-  String.length a > String.length prefix
-  && String.sub a 0 (String.length prefix) = prefix
-
 let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
     (schema : Adm.Schema.t) (e : Nalg.expr) : plan =
-  let attrs_of = Nalg.output_attrs_memo schema in
   let counter = ref 0 in
   let mk node est =
     let id = !counter in
@@ -139,15 +135,16 @@ let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
         | _ -> false
       in
       mk (Hash_join { keys; left; right; build_left }) (est_of e)
-    | Nalg.Unnest (e1, attr) ->
-      let input = go e1 in
-      let expect = List.filter (prefixed (attr ^ ".")) (attrs_of e) in
-      if expect = [] then
+    | Nalg.Unnest (e1, attr) -> (
+      match Nalg.list_fields schema e1 attr with
+      | None ->
         raise
-          (Not_streamable
-             (Fmt.str "unnest of %s exposes no statically-known nested attributes"
-                attr));
-      mk (Stream_unnest { attr; expect; input }) (est_of e)
+          (Not_computable
+             (Fmt.str "unnest of %s: not a declared list attribute" attr))
+      | Some fields ->
+        let input = go e1 in
+        let expect = List.map (fun (f, _) -> attr ^ "." ^ f) fields in
+        mk (Stream_unnest { attr; expect; input }) (est_of e))
     | Nalg.Follow { src; link; scheme; alias } ->
       let src_op = go src in
       mk

@@ -4,7 +4,7 @@
     physical plan says {e how}: selections fused into the scans and
     navigations that produce their input, hash joins with an explicit
     build side chosen from cardinality estimates, streaming unnest
-    against the statically inferred inner header, and a pipelined
+    against the declared inner header, and a pipelined
     [Follow] that dedupes link values incrementally and prefetches in
     windows. {!Exec} runs these plans with pull-based cursors. *)
 
@@ -39,7 +39,7 @@ type node =
     }
   | Stream_unnest of { attr : string; expect : string list; input : op }
       (** row-by-row expansion of a nested attribute against the
-          statically inferred inner header [expect] *)
+          declared inner header [expect] *)
   | Follow_links of {
       src : op;
       link : string;
@@ -67,13 +67,16 @@ and op = { id : int; node : node; est : est option }
 type plan = { root : op; n_ops : int; window : int }
 
 exception Not_computable of string
-(** Same meaning (and messages) as the legacy evaluator: [External]
-    leaves and non-entry-point [Entry] leaves have no physical form. *)
+(** The expression has no physical form: an [External] leaf that names
+    no registered view, a non-entry-point [Entry] leaf, a call to a
+    scheme without parameters, or an unnest of an attribute that is
+    not a declared list. These are exactly the expressions
+    {!Typecheck} rejects (E0107, E0102, E0111, E0103/E0104). *)
 
 exception Not_streamable of string
-(** The expression is computable but has no streaming form (an unnest
-    whose inner header cannot be inferred statically); callers fall
-    back to the materializing evaluator. *)
+(** Never raised: lowering is total on well-typed expressions. Kept
+    only because the end-to-end benchmark ([bench/e2e]) still matches
+    on it. *)
 
 val lower :
   ?card:(Nalg.expr -> float) ->
@@ -91,7 +94,9 @@ val lower :
     materialized view by name; when it returns [Some attrs] an
     [External] leaf lowers to {!View_scan} instead of raising.
     [window] (default 8) is the prefetch window handed to the fetch
-    engine. Raises {!Not_computable} or {!Not_streamable}. *)
+    engine. Total on well-typed expressions: every unnest streams
+    against the declared tuple type of its list attribute
+    ({!Nalg.list_fields}). Raises {!Not_computable} otherwise. *)
 
 val to_nalg : plan -> Nalg.expr
 (** Reconstruct the logical expression a plan computes (fused filters

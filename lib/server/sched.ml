@@ -145,19 +145,12 @@ type result = {
   steps : int;
 }
 
-(* Streamable plans run on the resumable cursor API; the rare
-   non-streamable expression falls back to the materializing evaluator
-   as a single indivisible step (it cannot yield mid-way, so it also
-   cannot honor a deadline mid-way — documented degradation). *)
-type engine =
-  | Streaming of Webviews.Exec.run
-  | Eager of Webviews.Nalg.expr
-  | Eager_done of Adm.Relation.t
-
+(* Every plan runs on the resumable cursor API: lowering is total on
+   well-typed expressions, so each job holds its executor run and can
+   yield, or be cut at its deadline, between any two steps. *)
 type job = {
   spec : spec;
-  source : Webviews.Eval.source;
-  mutable engine : engine;
+  run : Webviews.Exec.run;
   mutable last_turn : int; (* scheduler turn this job last ran in *)
   mutable steps : int;
   mutable stale_pages : int;
@@ -169,32 +162,8 @@ type job = {
   mutable service_ms : float; (* lane time charged to this query *)
 }
 
-let job_finished j =
-  match j.engine with
-  | Streaming r -> Webviews.Exec.finished r
-  | Eager _ -> false
-  | Eager_done _ -> true
-
-let job_buffered j =
-  match j.engine with
-  | Streaming r -> Webviews.Exec.buffered_rows r
-  | Eager _ -> 0
-  | Eager_done r -> Adm.Relation.cardinality r
-
-(* One cooperative step. *)
-let job_step (schema : Adm.Schema.t) j =
-  j.steps <- j.steps + 1;
-  match j.engine with
-  | Streaming r -> ignore (Webviews.Exec.step r)
-  | Eager e ->
-    j.engine <- Eager_done (Webviews.Eval.eval_legacy schema j.source e)
-  | Eager_done _ -> ()
-
-let job_rows j =
-  match j.engine with
-  | Streaming r -> Webviews.Exec.snapshot r
-  | Eager _ -> Adm.Relation.empty []
-  | Eager_done r -> r
+let job_finished j = Webviews.Exec.finished j.run
+let job_buffered j = Webviews.Exec.buffered_rows j.run
 
 (* The per-query page source: the shared cache with this query's
    identity attached — pages arrive through the extracted-tuple tier,
@@ -228,7 +197,6 @@ let job_source cache ~qid ?stale (schema : Adm.Schema.t) counters :
     Webviews.Eval.fetch;
     prefetch =
       (fun ~scheme urls -> Shared_cache.prefetch_extract cache ~query:qid schema ~scheme urls);
-    describe = Fmt.str "shared/q%d" qid;
     window = Websim.Fetcher.window (Shared_cache.fetcher cache);
   }
 
@@ -305,12 +273,10 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
       ~deadline_hit =
     j.stale_pages <- !stale_c;
     j.missing_pages <- !missing_c;
-    let rows = job_rows j in
+    let rows = Webviews.Exec.snapshot j.run in
     let exhausted =
-      match j.engine with
-      | Streaming r -> Webviews.Exec.finished r && (Webviews.Exec.metrics_of r).Webviews.Exec.exhausted
-      | Eager _ -> false
-      | Eager_done _ -> true
+      Webviews.Exec.finished j.run
+      && (Webviews.Exec.metrics_of j.run).Webviews.Exec.exhausted
     in
     let completeness =
       {
@@ -416,14 +382,10 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
         Option.map (fun (v : Webviews.Exec.views) -> v.Webviews.Exec.view_attrs)
           exec_views
       in
-      let engine =
-        match
-          Webviews.Physplan.lower ?view_attrs
-            ~window:source.Webviews.Eval.window schema spec.expr
-        with
-        | plan ->
-          Streaming (Webviews.Exec.start ?views:exec_views schema source plan)
-        | exception Webviews.Physplan.Not_streamable _ -> Eager spec.expr
+      let run =
+        Webviews.Exec.start ?views:exec_views schema source
+          (Webviews.Physplan.lower ?view_attrs
+             ~window:source.Webviews.Eval.window schema spec.expr)
       in
       (* The admission stamp is the earliest lane frontier: the first
          moment any domain could have picked the query up. *)
@@ -432,8 +394,7 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
       let job =
         {
           spec;
-          source;
-          engine;
+          run;
           last_turn = -1;
           steps = 0;
           stale_pages = 0;
@@ -494,7 +455,8 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
         let k = ref cfg.quantum in
         let before = now () in
         while !k > 0 && (not (job_finished j)) && not (deadline_passed j) do
-          job_step schema j;
+          j.steps <- j.steps + 1;
+          ignore (Webviews.Exec.step j.run);
           decr k
         done;
         (* Greedy list scheduling: charge the quantum's simulated

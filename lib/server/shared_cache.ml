@@ -315,7 +315,6 @@ let source t ~query (schema : Adm.Schema.t) : Webviews.Eval.source =
   {
     Webviews.Eval.fetch;
     prefetch = (fun ~scheme urls -> prefetch_extract t ~query schema ~scheme urls);
-    describe = Fmt.str "shared/q%d" query;
     window = Websim.Fetcher.window t.fetcher;
   }
 

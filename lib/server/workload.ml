@@ -76,13 +76,6 @@ let formsite_templates =
      WHERE C.Dept = 'math' AND C.Instructor = P.PName";
   ]
 
-let templates_for = function
-  | "university" -> Some university_templates
-  | "bibliography" -> Some bibliography_templates
-  | "catalog" -> Some catalog_templates
-  | "formsite" -> Some formsite_templates
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Seeded generation                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -128,13 +121,17 @@ let parse_line line =
 
 let of_lines lines = List.filter_map parse_line lines
 
+(* [of_lines] over a file, each entry paired with its 1-based line
+   number so a caller can point at a bad query. *)
 let load path =
   let ic = open_in path in
-  let rec read acc =
+  let rec read n acc =
     match input_line ic with
-    | line -> read (line :: acc)
+    | line ->
+      let acc = match parse_line line with Some e -> (n, e) :: acc | None -> acc in
+      read (n + 1) acc
     | exception End_of_file -> List.rev acc
   in
-  let lines = read [] in
+  let entries = read 1 [] in
   close_in ic;
-  of_lines lines
+  entries

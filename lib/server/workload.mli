@@ -19,10 +19,6 @@ val formsite_templates : string list
     (a department name) that seeds the binding-pattern rewriting
     search — no other access path exists there. *)
 
-val templates_for : string -> string list option
-(** The pool for a site name
-    ([university]/[bibliography]/[catalog]/[formsite]). *)
-
 val generate :
   ?templates:string list -> ?deadline_ms:float -> seed:int -> n:int -> unit ->
   entry list
@@ -35,5 +31,6 @@ val of_lines : string list -> entry list
 (** Parse workload-file lines: one query per line, blank lines and
     [#] comments skipped, optional [PRIO|SELECT ...] priority prefix. *)
 
-val load : string -> entry list
-(** [of_lines] over a file. *)
+val load : string -> (int * entry) list
+(** [of_lines] over a file, each entry paired with its 1-based line
+    number. *)

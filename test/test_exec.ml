@@ -1,6 +1,6 @@
 (* The physical plan layer's master invariants, checked differentially
-   against the legacy relation-at-a-time evaluator (kept in Eval as the
-   oracle): the streaming executor computes exactly the same relation
+   against the legacy relation-at-a-time evaluator (kept in Eval only
+   as this oracle): the streaming executor computes exactly the same relation
    on every planner candidate over every generated site, and on a
    perfect network it issues exactly the same distinct page accesses —
    the paper's cost ledger is untouched by the pipelined runtime. *)
@@ -385,6 +385,38 @@ let test_build_side_follows_estimates () =
       | _ -> Alcotest.fail "cost-lowered join children carry estimates")
     joins
 
+(* Lowering is total on well-typed expressions, so there is no
+   fallback: an unnest of an attribute that is not a declared list is
+   not computable, in the lowering, the evaluator and the elapsed-time
+   estimate alike, exactly where the typechecker reports E0103
+   (unknown attribute) or E0104 (not a list). *)
+let test_bad_unnest_not_computable () =
+  let profs =
+    Nalg.follow
+      (Nalg.unnest (Nalg.entry "ProfListPage") "ProfListPage.ProfList")
+      "ProfListPage.ProfList.ToProf" ~scheme:"ProfPage"
+  in
+  let source = Eval.instance_source (Lazy.force instance) in
+  let not_computable what f =
+    match f () with
+    | _ -> Alcotest.failf "%s did not raise Not_computable" what
+    | exception Physplan.Not_computable _ -> ()
+  in
+  List.iter
+    (fun (attr, code) ->
+      let e = Nalg.unnest profs attr in
+      not_computable ("lower " ^ attr) (fun () -> Physplan.lower schema e);
+      not_computable ("eval " ^ attr) (fun () -> Eval.eval schema source e);
+      check bool_t ("elapsed estimate of " ^ attr ^ " is infinite") true
+        (Cost.elapsed_estimate schema (Lazy.force stats) e = infinity);
+      check bool_t
+        (Fmt.str "typecheck reports %s on %s" code attr)
+        true
+        (List.exists
+           (fun (d : Diagnostic.t) -> String.equal d.Diagnostic.code code)
+           (Typecheck.check schema e)))
+    [ ("ProfPage.Nope", "E0103"); ("ProfPage.Rank", "E0104") ]
+
 let suite =
   ( "exec",
     [
@@ -405,4 +437,6 @@ let suite =
         test_metrics_and_early_exit_flag;
       Alcotest.test_case "join build side follows estimates" `Quick
         test_build_side_follows_estimates;
+      Alcotest.test_case "unnest of a non-list is not computable" `Quick
+        test_bad_unnest_not_computable;
     ] )

@@ -522,6 +522,48 @@ let test_plan_pins () =
       check string_t name (List.assoc name pinned) (pin_block case))
     pin_cases
 
+(* Lowering is total: every candidate the planner returns for a pinned
+   query lowers to a physical plan without raising, and so does every
+   candidate for the server workload templates of the two sites the
+   pins do not cover (bibliography, and the form-only site, whose
+   plans unnest the lists of call-fetched pages). *)
+let test_candidates_lower () =
+  let lowers name schema stats (o : Planner.outcome) =
+    List.iter
+      (fun (p : Planner.plan) ->
+        match Cost.lower schema stats p.Planner.expr with
+        | _ -> ()
+        | exception e ->
+          Alcotest.failf "%s: %a raised %s" name Nalg.pp p.Planner.expr
+            (Printexc.to_string e))
+      o.Planner.candidates
+  in
+  List.iter
+    (fun (name, site, sql) ->
+      let schema, registry, stats = Lazy.force site in
+      lowers name schema stats (Planner.plan_sql schema stats registry sql))
+    pin_cases;
+  let bib_schema, bib_registry, bib_stats =
+    Lazy.force
+      (pin_site
+         (fun () -> Sitegen.Bibliography.site (Sitegen.Bibliography.build ()))
+         Sitegen.Bibliography.schema
+         (View.auto_registry Sitegen.Bibliography.schema))
+  in
+  List.iter
+    (fun sql ->
+      lowers sql bib_schema bib_stats
+        (Planner.plan_sql bib_schema bib_stats bib_registry sql))
+    Server.Workload.bibliography_templates;
+  let fs_schema = Sitegen.Formsite.schema in
+  let fs_stats = Sitegen.Formsite.stats (Sitegen.Formsite.build ()) in
+  let bindings = Bindings.planner_hook Sitegen.Formsite.binding_config fs_schema in
+  List.iter
+    (fun sql ->
+      lowers sql fs_schema fs_stats
+        (Planner.plan_sql ~bindings fs_schema fs_stats Sitegen.Formsite.view sql))
+    Server.Workload.formsite_templates
+
 let suite =
   ( "planner",
     [
@@ -549,4 +591,5 @@ let suite =
       Alcotest.test_case "planner rejects unknown" `Quick test_planner_rejects_unknown;
       Alcotest.test_case "planner figure 2 query" `Quick test_planner_figure2_query;
       Alcotest.test_case "plan pins unchanged" `Quick test_plan_pins;
+      Alcotest.test_case "every candidate lowers" `Quick test_candidates_lower;
     ] )
