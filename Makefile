@@ -7,7 +7,7 @@ test:
 	dune runtest
 
 # Strict gate: warning-clean build, full test suite, and the static
-# analyzer over every generated site (schema + view lint plus sample
+# analyzer over every site in the site table (schema + view lint plus sample
 # queries — including every SQL query the examples/ programs run;
 # nonzero exit on any error-severity diagnostic).
 check:
@@ -25,6 +25,8 @@ check:
 	  "SELECT p.PName, p.Brand FROM Product p WHERE p.Category = 'Audio' AND p.Price >= 400" \
 	  "SELECT p.PName FROM Product p WHERE p.Price > 495"
 	dune exec --profile ci bin/webviews_cli.exe -- check --site bibliography
+	dune exec --profile ci bin/webviews_cli.exe -- check --site formsite \
+	  "SELECT P.PName, P.Office FROM Course C, Professor P WHERE C.Dept = 'cs' AND C.Instructor = P.PName"
 
 # Semantic analyzer gate: `webviews analyze --format=json` over the
 # same query set the examples/ programs run (mirrored above in
@@ -46,6 +48,8 @@ analyze:
 	  "SELECT p.PName, p.Brand FROM Product p WHERE p.Category = 'Audio' AND p.Price >= 400" \
 	  "SELECT p.PName FROM Product p WHERE p.Price > 495"
 	dune exec --profile ci bin/webviews_cli.exe -- analyze --site bibliography --format=json
+	dune exec --profile ci bin/webviews_cli.exe -- analyze --site formsite --format=json \
+	  "SELECT P.PName, P.Office FROM Course C, Professor P WHERE C.Dept = 'cs' AND C.Instructor = P.PName"
 
 # Regenerate every experiment of the paper plus bechamel timings.
 bench:

@@ -7,6 +7,7 @@
    Default: all experiments followed by timings. *)
 
 open Webviews
+module Sites = Sitegen.Sites
 
 let banner title =
   Fmt.pr "@.%s@.%s@." title (String.make (String.length title) '=')
@@ -46,8 +47,8 @@ let measure_plan schema site expr =
 let exp1 () =
   banner "EXP-1  Intro: four access paths to 'authors in the last 3 VLDBs'";
   let bib = Sitegen.Bibliography.build () in
-  let schema = Sitegen.Bibliography.schema in
-  let site = Sitegen.Bibliography.site bib in
+  let s = Sites.of_bibliography bib in
+  let schema = s.schema and site = s.site in
   let paths =
     [
       ("1. home → all conferences → VLDB", Sitegen.Bibliography.path1_all_conferences ());
@@ -75,8 +76,7 @@ let exp1 () =
   Fmt.pr "than path 1 (same page count, fewer bytes).@.@.";
   (* ablation: the refined byte-based cost model (footnote 8) breaks
      the tie between paths 1 and 2 that page counting cannot see *)
-  let http = Websim.Http.connect site in
-  let stats = Stats.of_instance (Websim.Crawler.crawl schema http) in
+  let stats = Sites.stats s in
   Fmt.pr "byte-based cost model (footnote 8) on the same four plans:@.";
   print_table
     [ "access path"; "predicted pages"; "predicted bytes" ]
@@ -93,13 +93,7 @@ let exp1 () =
 (* Shared university machinery for EXP-2/3/4/6/7                       *)
 (* ------------------------------------------------------------------ *)
 
-let university_setup config =
-  let uni = Sitegen.University.build ~config () in
-  let schema = Sitegen.University.schema in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let instance = Websim.Crawler.crawl schema http in
-  let stats = Stats.of_instance instance in
-  (uni, schema, stats)
+let university config = Sites.of_university (Sitegen.University.build ~config ())
 
 let sql_71 =
   "SELECT c.CName, c.Description FROM Professor p, CourseInstructor ci, Course c \
@@ -116,23 +110,21 @@ let sql_fig2 =
 
 (* For one query, the cheapest pointer-join and pointer-chase plans
    with predicted and measured costs. *)
-let strategy_report uni schema stats sql =
-  let outcome = Planner.plan_sql schema stats Sitegen.University.view sql in
-  let site = Sitegen.University.site uni in
+let strategy_report (site : Sites.t) sql =
+  let outcome = Planner.plan_sql site.schema (Sites.stats site) site.registry sql in
   List.filter_map
     (fun s ->
       match Explain.best_of_strategy outcome s with
       | None -> None
       | Some p ->
-        let result, gets, _ = measure_plan schema site p.Planner.expr in
+        let result, gets, _ = measure_plan site.schema site.site p.Planner.expr in
         Some (s, p, gets, Adm.Relation.cardinality result))
     [ Explain.Pointer_join; Explain.Pointer_chase ]
 
 let exp2 () =
   banner "EXP-2  Example 7.1 / Figure 3: pointer-join vs pointer-chase";
-  let uni, schema, stats = university_setup Sitegen.University.default_config in
   Fmt.pr "query: %s@.@." sql_71;
-  let report = strategy_report uni schema stats sql_71 in
+  let report = strategy_report (Sites.load University) sql_71 in
   print_table
     [ "strategy"; "predicted cost"; "measured pages"; "answer rows" ]
     (List.map
@@ -147,8 +139,7 @@ let exp2 () =
     List.map
       (fun frac ->
         let config = { Sitegen.University.default_config with full_fraction = frac } in
-        let uni, schema, stats = university_setup config in
-        let report = strategy_report uni schema stats sql_71 in
+        let report = strategy_report (university config) sql_71 in
         let cell s =
           match List.find_opt (fun (s', _, _, _) -> s' = s) report with
           | Some (_, p, gets, _) -> Fmt.str "%s / %d" (f1 p.Planner.cost) gets
@@ -222,16 +213,14 @@ let literal_chase_plan_72 () =
 (* Measure the two literal plans on a configured site; answers differ
    in shape (plan 2 keeps one row per course) so we compare the
    professor sets. *)
-let literal_plans_report config =
-  let uni, schema, stats = university_setup config in
-  let site = Sitegen.University.site uni in
+let literal_plans_report (site : Sites.t) =
   List.map
     (fun (name, plan) ->
-      let result, gets, _ = measure_plan schema site plan in
+      let result, gets, _ = measure_plan site.schema site.site plan in
       let profs =
         Adm.Relation.cardinality (Adm.Relation.project [ "ProfPage.PName" ] result)
       in
-      (name, Cost.cost schema stats plan, gets, profs))
+      (name, Cost.cost site.schema (Sites.stats site) plan, gets, profs))
     [
       ("plan (1) pointer-join", literal_join_plan_72 ());
       ("plan (2) pointer-chase", literal_chase_plan_72 ());
@@ -239,7 +228,8 @@ let literal_plans_report config =
 
 let exp3 () =
   banner "EXP-3  Example 7.2 / Figure 4: pointer chase wins";
-  let uni, schema, stats = university_setup Sitegen.University.default_config in
+  let site = Sites.load University in
+  let schema = site.schema and stats = Sites.stats site in
   Fmt.pr "query: %s@." sql_72;
   Fmt.pr "site: 50 courses, 20 professors, 3 departments (the paper's numbers)@.@.";
   Fmt.pr "the paper's two literal plans (Figure 4):@.@.";
@@ -248,12 +238,12 @@ let exp3 () =
     (List.map
        (fun (name, cost, gets, profs) ->
          [ name; f1 cost; string_of_int gets; string_of_int profs ])
-       (literal_plans_report Sitegen.University.default_config));
+       (literal_plans_report site));
   Fmt.pr
     "@.paper claim: with 50 courses / 20 professors / 3 departments the chase@.";
   Fmt.pr "plan costs about 23 while the join plan is well over 50.@.@.";
   Fmt.pr "the optimizer's own best plans per strategy class:@.@.";
-  let report = strategy_report uni schema stats sql_72 in
+  let report = strategy_report site sql_72 in
   print_table
     [ "strategy"; "predicted cost"; "measured pages"; "answer rows" ]
     (List.map
@@ -261,7 +251,7 @@ let exp3 () =
          [ Explain.strategy_name s; f1 p.Planner.cost; string_of_int gets;
            string_of_int rows ])
        report);
-  let outcome = Planner.plan_sql schema stats Sitegen.University.view sql_72 in
+  let outcome = Planner.plan_sql schema stats site.registry sql_72 in
   Fmt.pr "@.chosen plan (annotated):@.%a@."
     (Explain.pp_annotated schema stats)
     outcome.Planner.best.Planner.expr;
@@ -271,11 +261,9 @@ let exp3 () =
   let variant name ?pointer_rules ?constraint_selections () =
     let o =
       Planner.plan_sql ?pointer_rules ?constraint_selections schema stats
-        Sitegen.University.view sql_72
+        site.registry sql_72
     in
-    let _, gets, _ =
-      measure_plan schema (Sitegen.University.site uni) o.Planner.best.Planner.expr
-    in
+    let _, gets, _ = measure_plan schema site.site o.Planner.best.Planner.expr in
     [ name; f1 o.Planner.best.Planner.cost; string_of_int gets;
       string_of_int (List.length o.Planner.candidates) ]
   in
@@ -290,14 +278,13 @@ let exp3 () =
 
 let exp4 () =
   banner "EXP-4  Figure 2: courses held by members of the CS department";
-  let uni, schema, stats = university_setup Sitegen.University.default_config in
+  let site = Sites.load University in
+  let schema = site.schema and stats = Sites.stats site in
   Fmt.pr "query: %s@.@." sql_fig2;
-  let outcome = Planner.plan_sql schema stats Sitegen.University.view sql_fig2 in
+  let outcome = Planner.plan_sql schema stats site.registry sql_fig2 in
   Fmt.pr "%a@.@." Explain.pp_outcome outcome;
   Fmt.pr "best plan:@.%a@." (Explain.pp_annotated schema stats) outcome.Planner.best.Planner.expr;
-  let result, gets, _ =
-    measure_plan schema (Sitegen.University.site uni) outcome.Planner.best.Planner.expr
-  in
+  let result, gets, _ = measure_plan schema site.site outcome.Planner.best.Planner.expr in
   Fmt.pr "@.measured: %d pages downloaded, %d answer rows@." gets
     (Adm.Relation.cardinality result);
   Fmt.pr "top candidates:%a@." Explain.pp_candidates
@@ -320,15 +307,13 @@ let exp5 () =
     List.map
       (fun update_pct ->
         let uni = Sitegen.University.build () in
-        let schema = Sitegen.University.schema in
-        let http = Websim.Http.connect (Sitegen.University.site uni) in
-        let instance = Websim.Crawler.crawl schema http in
-        let stats = Stats.of_instance instance in
-        let outcome = Planner.plan_sql schema stats Sitegen.University.view sql in
+        let site = Sites.of_university uni in
+        let schema = site.schema in
+        let outcome = Planner.plan_sql schema (Sites.stats site) site.registry sql in
         let plan = outcome.Planner.best.Planner.expr in
-        let mv = Matview.materialize schema http in
+        let mv = Matview.materialize schema (Websim.Http.connect site.site) in
         (* virtual cost, measured fresh *)
-        let _, virtual_gets, _ = measure_plan schema (Sitegen.University.site uni) plan in
+        let _, virtual_gets, _ = measure_plan schema site.site plan in
         (* revise update_pct of the courses *)
         let courses = Sitegen.University.courses uni in
         let k = List.length courses * update_pct / 100 in
@@ -360,7 +345,8 @@ let exp5 () =
 
 let exp6 () =
   banner "EXP-6  Cost model: predicted vs measured page accesses";
-  let uni, schema, stats = university_setup Sitegen.University.default_config in
+  let site = Sites.load University in
+  let schema = site.schema and stats = Sites.stats site in
   let queries =
     [
       ("all departments", "SELECT d.DName, d.Address FROM Dept d");
@@ -378,11 +364,9 @@ let exp6 () =
   let rows =
     List.map
       (fun (name, sql) ->
-        let outcome = Planner.plan_sql schema stats Sitegen.University.view sql in
+        let outcome = Planner.plan_sql schema stats site.registry sql in
         let best = outcome.Planner.best in
-        let _, gets, _ =
-          measure_plan schema (Sitegen.University.site uni) best.Planner.expr
-        in
+        let _, gets, _ = measure_plan schema site.site best.Planner.expr in
         let ratio = best.Planner.cost /. float_of_int (max 1 gets) in
         [ name; f1 best.Planner.cost; string_of_int gets; Fmt.str "%.2f" ratio ])
       queries
@@ -393,10 +377,10 @@ let exp6 () =
   (* ablation: the per-query URL cache implements the cost model's
      "distinct accesses"; without it repeated links re-download *)
   Fmt.pr "per-query URL cache ablation (example 7.2 best plan):@.";
-  let outcome = Planner.plan_sql schema stats Sitegen.University.view sql_72 in
+  let outcome = Planner.plan_sql schema stats site.registry sql_72 in
   let plan = outcome.Planner.best.Planner.expr in
   let measured ~cache =
-    let http = Websim.Http.connect (Sitegen.University.site uni) in
+    let http = Websim.Http.connect site.site in
     let source = Eval.live_source ~cache schema http in
     let _ = Eval.eval schema source plan in
     (Websim.Http.stats http).Websim.Http.gets
@@ -418,7 +402,7 @@ let exp7 () =
     List.map
       (fun n_depts ->
         let config = { Sitegen.University.default_config with n_depts } in
-        let report = literal_plans_report config in
+        let report = literal_plans_report (university config) in
         let cell name =
           match List.find_opt (fun (n, _, _, _) -> String.equal n name) report with
           | Some (_, cost, gets, _) -> Fmt.str "%s / %d" (f1 cost) gets
@@ -454,27 +438,24 @@ let exp7 () =
 let exp8 () =
   banner "EXP-8  Section 8: deletions, CheckMissing and the off-line sweep";
   let uni = Sitegen.University.build () in
-  let schema = Sitegen.University.schema in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let instance = Websim.Crawler.crawl schema http in
-  let stats = Stats.of_instance instance in
+  let site = Sites.of_university uni in
+  let schema = site.schema in
   let outcome =
-    Planner.plan_sql schema stats Sitegen.University.view
+    Planner.plan_sql schema (Sites.stats site) site.registry
       "SELECT p.PName, p.Rank FROM Professor p"
   in
   let plan = outcome.Planner.best.Planner.expr in
-  let mv = Matview.materialize schema http in
+  let mv = Matview.materialize schema (Websim.Http.connect site.site) in
   let r0 = Matview.query_counted mv plan in
   Fmt.pr "initial query: %d professors, %d light connections, %d downloads@."
     (Adm.Relation.cardinality r0.Matview.result)
     r0.Matview.light_connections r0.Matview.downloads;
   (* the site manager deletes two professor pages without warning *)
   let victims = List.filteri (fun i _ -> i < 2) (Sitegen.University.profs uni) in
-  Websim.Site.tick (Sitegen.University.site uni);
+  Websim.Site.tick site.site;
   List.iter
     (fun (p : Sitegen.University.prof) ->
-      Websim.Site.delete (Sitegen.University.site uni)
-        (Sitegen.University.prof_url p.Sitegen.University.p_name))
+      Websim.Site.delete site.site (Sitegen.University.prof_url p.Sitegen.University.p_name))
     victims;
   let r1 = Matview.query_counted mv plan in
   Fmt.pr "after deleting 2 pages: %d professors, CheckMissing backlog = %d@."
@@ -496,10 +477,8 @@ let exp8 () =
 
 let exp9 () =
   banner "EXP-9  Catalog: symmetric paths, range selections, entry choice";
-  let cat = Sitegen.Catalog.build () in
-  let schema = Sitegen.Catalog.schema in
-  let http = Websim.Http.connect (Sitegen.Catalog.site cat) in
-  let stats = Stats.of_instance (Websim.Crawler.crawl schema http) in
+  let site = Sites.load Catalog in
+  let schema = site.schema and stats = Sites.stats site in
   Fmt.pr "every product is reachable through its category AND its brand (an@.";
   Fmt.pr "equivalence); the optimizer must enter through whichever side the@.";
   Fmt.pr "selection makes cheap:@.@.";
@@ -515,11 +494,9 @@ let exp9 () =
   let rows =
     List.map
       (fun (name, sql) ->
-        let outcome = Planner.plan_sql schema stats Sitegen.Catalog.view sql in
+        let outcome = Planner.plan_sql schema stats site.registry sql in
         let best = outcome.Planner.best in
-        let result, gets, _ =
-          measure_plan schema (Sitegen.Catalog.site cat) best.Planner.expr
-        in
+        let result, gets, _ = measure_plan schema site.site best.Planner.expr in
         let entry =
           List.find_opt
             (fun a -> Filename.check_suffix a "ListPage")
@@ -555,19 +532,17 @@ let exp10 () =
             n_courses = 50 * scale;
           }
         in
-        let uni, schema, stats = university_setup config in
+        let site = university config in
+        let schema = site.schema and stats = Sites.stats site in
         let t0 = Unix.gettimeofday () in
-        let outcome = Planner.plan_sql schema stats Sitegen.University.view sql_72 in
+        let outcome = Planner.plan_sql schema stats site.registry sql_72 in
         let plan_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
         let best = outcome.Planner.best in
         let t1 = Unix.gettimeofday () in
-        let result, gets, _ =
-          measure_plan schema (Sitegen.University.site uni) best.Planner.expr
-        in
+        let result, gets, _ = measure_plan schema site.site best.Planner.expr in
         let exec_ms = (Unix.gettimeofday () -. t1) *. 1000.0 in
         [
-          Fmt.str "%dx (%d pages)" scale
-            (Websim.Site.page_count (Sitegen.University.site uni));
+          Fmt.str "%dx (%d pages)" scale (Websim.Site.page_count site.site);
           Explain.strategy_name (Explain.strategy best.Planner.expr);
           f1 best.Planner.cost;
           string_of_int gets;
@@ -731,8 +706,7 @@ let fetch_scenario schema site plan ~window ~fault_rate =
 
 let fetch () =
   banner "Fetch engine: batched windows and fault resilience (example 7.2)";
-  let uni, schema, _stats = university_setup Sitegen.University.default_config in
-  let site = Sitegen.University.site uni in
+  let { Sites.schema; site; _ } = Sites.load University in
   let plans =
     [
       ("pointer-join", literal_join_plan_72 ());
@@ -839,8 +813,8 @@ let mat_peak_rows schema source e =
 
 let exec_bench () =
   banner "Exec: streaming pipeline vs materializing evaluator (example 7.2)";
-  let uni, schema, stats = university_setup Sitegen.University.default_config in
-  let site = Sitegen.University.site uni in
+  let uni = Sites.load University in
+  let schema = uni.schema and stats = Sites.stats uni and site = uni.site in
   let window = 8 in
   let latency_fetcher () =
     let http = Websim.Http.connect site in
@@ -873,7 +847,7 @@ let exec_bench () =
         let legacy = Eval.eval_legacy schema source2 plan in
         let m_gets = (Websim.Http.stats (Websim.Fetcher.http fetcher2)).Websim.Http.gets in
         let m_elapsed = Websim.Fetcher.elapsed_ms fetcher2 in
-        let m_peak = mat_peak_rows schema (Eval.instance_source (Websim.Crawler.crawl schema (Websim.Http.connect site))) plan in
+        let m_peak = mat_peak_rows schema (Eval.instance_source (Sites.crawl uni)) plan in
         let identical = Adm.Relation.equal result legacy in
         (name, plan, m, s_gets, s_elapsed, m_gets, m_elapsed, m_peak, identical))
       plans
@@ -893,13 +867,10 @@ let exec_bench () =
   (* LIMIT 1 on the pointer chase: the early-exit protocol stops after
      the first prefetch window instead of chasing every pointer. A
      larger university makes the skipped tail visible. *)
-  let big =
-    Sitegen.University.build
-      ~config:
-        { Sitegen.University.default_config with n_profs = 60; n_courses = 150 }
-      ()
+  let big_site =
+    (university { Sitegen.University.default_config with n_profs = 60; n_courses = 150 })
+      .site
   in
-  let big_site = Sitegen.University.site big in
   let chase = literal_chase_plan_72 () in
   let full_gets =
     let _, gets, _ = measure_plan schema big_site chase in
@@ -948,9 +919,9 @@ let exec_bench () =
    between the two GET totals; results must stay byte-identical. *)
 let server_bench () =
   banner "Concurrent server: cross-query coalescing, makespan, fairness";
-  let uni, schema, stats = university_setup Sitegen.University.default_config in
-  let registry = Sitegen.University.view in
-  let site = Sitegen.University.site uni in
+  let uni = Sites.load University in
+  let schema = uni.schema and registry = uni.registry and site = uni.site in
+  let stats = Sites.stats uni in
   let net_seed = 42 in
   let netmodel () =
     Websim.Netmodel.create (Websim.Netmodel.config ~seed:net_seed ())
@@ -1069,8 +1040,10 @@ let server_bench () =
       n_sessions = 4;
     }
   in
-  let scale_uni, scale_schema, scale_stats = university_setup scale_config in
-  let scale_site = Sitegen.University.site scale_uni in
+  let scale_uni = Sitegen.University.build ~config:scale_config () in
+  let scale = Sites.of_university scale_uni in
+  let scale_schema = scale.schema and scale_site = scale.site in
+  let scale_stats = Sites.stats scale in
   let scale_pages = Websim.Site.page_count scale_site in
   let n_queries = 1000 in
   (* A realistic mixed workload: the 12 standard templates (whole-site
@@ -1267,13 +1240,12 @@ let server_bench () =
    Results go to stdout and BENCH_analyze.json. *)
 
 (* A synthetic registry of [n] distinct views derived from the
-   university view's navigations: round-robin over the base external
+   navigations of [bases] (the university view): round-robin over the base external
    relations, varying the projected attributes and adding per-view
    selections so the filter tree has both real bucket diversity and
    genuine subsumption hits (projection-only variants of the same
    navigation). *)
-let synthetic_views n =
-  let bases = Sitegen.University.view in
+let synthetic_views bases n =
   List.init n (fun i ->
       let base = List.nth bases (i mod List.length bases) in
       let nav = List.hd base.View.navigations in
@@ -1303,7 +1275,8 @@ let synthetic_views n =
 
 let analyze_bench () =
   banner "Analyze: filter-tree view matching and minimized planning";
-  let _, schema, stats = university_setup Sitegen.University.default_config in
+  let uni = Sites.load University in
+  let schema = uni.schema and stats = Sites.stats uni in
   let ms f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -1314,7 +1287,7 @@ let analyze_bench () =
   let scaling =
     List.map
       (fun n ->
-        let views = synthetic_views n in
+        let views = synthetic_views uni.registry n in
         let index, build_ms = ms (fun () -> Viewmatch.make views) in
         let probes =
           (* a fixed sample (~25) so work per probe, not probe count,
@@ -1377,7 +1350,7 @@ let analyze_bench () =
   let planning =
     List.map
       (fun n ->
-        let registry = Sitegen.University.view @ synthetic_views n in
+        let registry = uni.registry @ synthetic_views uni.registry n in
         let q = Sql_parser.parse registry sql_72 in
         let (q_min, _), analyze_ms =
           ms (fun () -> Contain.analyze_query registry q)
@@ -1398,37 +1371,31 @@ let analyze_bench () =
            string_of_int merged ])
        planning);
   (* --- minimized vs raw plans on the three sites --------------------- *)
-  let run_pair site_schema view site sql =
-    let http = Websim.Http.connect site in
-    let st = Stats.of_instance (Websim.Crawler.crawl site_schema http) in
-    let q = Sql_parser.parse view sql in
-    let raw = Planner.enumerate ~minimize:false site_schema st view q in
-    let minimized = Planner.enumerate site_schema st view q in
+  let run_pair (site : Sites.t) sql =
+    let st = Sites.stats site in
+    let q = Sql_parser.parse site.registry sql in
+    let raw = Planner.enumerate ~minimize:false site.schema st site.registry q in
+    let minimized = Planner.enumerate site.schema st site.registry q in
     let gets (o : Planner.outcome) =
-      let _, g, _ = measure_plan site_schema site o.Planner.best.Planner.expr in
+      let _, g, _ = measure_plan site.schema site.site o.Planner.best.Planner.expr in
       g
     in
     (raw, minimized, gets raw, gets minimized)
   in
   let sites =
-    [
-      ( "university",
-        run_pair Sitegen.University.schema Sitegen.University.view
-          (Sitegen.University.site (Sitegen.University.build ()))
+    List.map
+      (fun (kind, sql) -> (Sites.name kind, run_pair (Sites.load kind) sql))
+      [
+        ( Sites.University,
           "SELECT p.PName, p.Rank FROM Professor p, Professor q WHERE p.PName \
            = q.PName AND q.Rank = 'Full'" );
-      ( "catalog",
-        run_pair Sitegen.Catalog.schema Sitegen.Catalog.view
-          (Sitegen.Catalog.site (Sitegen.Catalog.build ()))
+        ( Catalog,
           "SELECT p.PName, p.Price FROM Product p, Product q WHERE p.PName = \
            q.PName AND q.Price > 250" );
-      ( "bibliography",
-        (let view = View.auto_registry Sitegen.Bibliography.schema in
-         run_pair Sitegen.Bibliography.schema view
-           (Sitegen.Bibliography.site (Sitegen.Bibliography.build ()))
-           "SELECT e.CName, e.Year FROM EditionPage e, ConfPage c WHERE \
-            e.CName = c.CName") );
-    ]
+        ( Bibliography,
+          "SELECT e.CName, e.Year FROM EditionPage e, ConfPage c WHERE \
+           e.CName = c.CName" );
+      ]
   in
   print_table
     [ "site"; "raw cands"; "raw gets"; "min cands"; "min gets"; "merged" ]
@@ -1492,19 +1459,16 @@ let timings () =
   let open Bechamel in
   let open Toolkit in
   let uni = Sitegen.University.build () in
-  let schema = Sitegen.University.schema in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let instance = Websim.Crawler.crawl schema http in
-  let stats = Stats.of_instance instance in
-  let registry = Sitegen.University.view in
-  let source = Eval.instance_source instance in
+  let site = Sites.of_university uni in
+  let schema = site.schema and registry = site.registry in
+  let stats = Sites.stats site in
+  let source = Eval.instance_source (Sites.crawl site) in
   let outcome71 = Planner.plan_sql schema stats registry sql_71 in
   let outcome72 = Planner.plan_sql schema stats registry sql_72 in
   let any_prof_page =
     let p = List.hd (Sitegen.University.profs uni) in
     (Option.get
-       (Websim.Site.find (Sitegen.University.site uni)
-          (Sitegen.University.prof_url p.Sitegen.University.p_name)))
+       (Websim.Site.find site.site (Sitegen.University.prof_url p.Sitegen.University.p_name)))
       .Websim.Site.body
   in
   let prof_scheme = Adm.Schema.find_scheme_exn schema "ProfPage" in
@@ -1512,12 +1476,9 @@ let timings () =
     [
       Test.make ~name:"exp1: four-path eval (bibliography)"
         (Staged.stage (fun () ->
-             let bib = Sitegen.Bibliography.build () in
-             let http = Websim.Http.connect (Sitegen.Bibliography.site bib) in
-             let src = Eval.live_source Sitegen.Bibliography.schema http in
-             ignore
-               (Eval.eval Sitegen.Bibliography.schema src
-                  (Sitegen.Bibliography.path3_direct_link ()))));
+             let bib = Sites.load Bibliography in
+             let src = Eval.live_source bib.schema (Websim.Http.connect bib.site) in
+             ignore (Eval.eval bib.schema src (Sitegen.Bibliography.path3_direct_link ()))));
       Test.make ~name:"exp2: plan enumeration (example 7.1)"
         (Staged.stage (fun () -> ignore (Planner.plan_sql schema stats registry sql_71)));
       Test.make ~name:"exp3: plan enumeration (example 7.2)"
@@ -1531,9 +1492,7 @@ let timings () =
         (Staged.stage (fun () ->
              ignore (Eval.eval schema source outcome72.Planner.best.Planner.expr)));
       Test.make ~name:"full crawl (80-page university)"
-        (Staged.stage (fun () ->
-             let http = Websim.Http.connect (Sitegen.University.site uni) in
-             ignore (Websim.Crawler.crawl schema http)));
+        (Staged.stage (fun () -> ignore (Sites.crawl site)));
       Test.make ~name:"wrapper extract (one professor page)"
         (Staged.stage (fun () ->
              ignore (Websim.Wrapper.extract prof_scheme ~url:"/p" any_prof_page)));
@@ -1571,8 +1530,6 @@ let timings () =
 
 let churn_bench () =
   banner "bench-churn  Wire budget vs answer staleness under live churn";
-  let schema = Sitegen.University.schema in
-  let registry = Sitegen.University.view in
   (* a compact site so every policy gets to act inside the run: a
      full-refresh pass costs ~pages x 10 units and must accrue several
      times within the workload's scheduler turns *)
@@ -1592,11 +1549,8 @@ let churn_bench () =
   let workload = Server.Workload.generate ~seed:wseed ~n:n_queries () in
   let site_pages = ref 0 in
   let run ?(domains = 1) ~rate ~budget ~policy () =
-    let uni = Sitegen.University.build ~config:site_config () in
-    let site = Sitegen.University.site uni in
-    site_pages := Websim.Site.page_count site;
-    let http = Websim.Http.connect site in
-    let stats = Stats.of_instance (Websim.Crawler.crawl schema http) in
+    let site = university site_config in
+    site_pages := Websim.Site.page_count site.site;
     let cfg =
       Churn.Runtime.config
         ~profile:(Churn.Profile.make ~rate ())
@@ -1604,8 +1558,8 @@ let churn_bench () =
         ~sla:(Churn.Sla.create ~default_max_age:max_age ())
         ~budget_per_turn:budget ~policy ()
     in
-    Churn.Runtime.run ~sched:(sched_config ~domains ()) cfg schema stats registry
-      http workload
+    Churn.Runtime.run ~sched:(sched_config ~domains ()) cfg site.schema (Sites.stats site)
+      site.registry (Websim.Http.connect site.site) workload
   in
   let rates = [ ("zero", 0.0); ("low", 0.05); ("high", 0.3) ] in
   let budgets = [ 2.0; 8.0; 32.0 ] in
@@ -1792,21 +1746,20 @@ let views_bench () =
   let wire_units gets heads = (10 * gets) + heads in
   let sorted_rows rel = List.sort compare (Adm.Relation.rows_arrays rel) in
   (* --- wire economics: both ways on one site ----------------------- *)
-  let views_case name site_schema site_registry site sql =
-    let http = Websim.Http.connect site in
-    let stats = Stats.of_instance (Websim.Crawler.crawl site_schema http) in
-    let store_http = Websim.Http.connect site in
-    let store = Matview.materialize site_schema store_http in
-    let vs = Viewstore.create site_schema site_registry store in
+  let views_case (site : Sites.t) sql =
+    let site_schema = site.schema and site_registry = site.registry in
+    let stats = Sites.stats site in
+    let vs = Sites.viewstore site in
+    let store_http = Websim.Fetcher.http (Matview.fetcher (Viewstore.store vs)) in
     let s0 = Websim.Http.stats store_http in
     let g0 = s0.Websim.Http.gets and h0 = s0.Websim.Http.heads in
-    let nav_http = Websim.Http.connect site in
+    let nav_http = Websim.Http.connect site.site in
     let _, nav_rel =
       Planner.run site_schema stats site_registry
         (Eval.live_source site_schema nav_http) sql
     in
     let nav = Websim.Http.stats nav_http in
-    let v_http = Websim.Http.connect site in
+    let v_http = Websim.Http.connect site.site in
     let view_outcome, view_rel =
       Planner.run
         ~views:(Viewstore.context vs)
@@ -1822,27 +1775,24 @@ let views_bench () =
       Adm.Relation.attrs nav_rel = Adm.Relation.attrs view_rel
       && sorted_rows nav_rel = sorted_rows view_rel
     in
-    ( name, sql,
+    ( Sites.name site.kind, sql,
       view_outcome.Planner.view_used <> [],
       nav.Websim.Http.gets, nav.Websim.Http.heads,
       view_gets, view_heads, identical )
   in
-  let bib_registry = View.auto_registry Sitegen.Bibliography.schema in
-  let bib_rel = List.hd bib_registry in
   let wire =
-    [
-      views_case "university" Sitegen.University.schema Sitegen.University.view
-        (Sitegen.University.site (Sitegen.University.build ()))
-        "SELECT p.PName, p.Email FROM Professor p";
-      views_case "catalog" Sitegen.Catalog.schema Sitegen.Catalog.view
-        (Sitegen.Catalog.site (Sitegen.Catalog.build ()))
-        "SELECT p.PName, p.Price FROM Product p";
-      views_case "bibliography" Sitegen.Bibliography.schema bib_registry
-        (Sitegen.Bibliography.site (Sitegen.Bibliography.build ()))
-        (Fmt.str "SELECT x.%s FROM %s x"
-           (List.hd bib_rel.View.rel_attrs)
-           bib_rel.View.rel_name);
-    ]
+    List.map
+      (fun (kind, sql) ->
+        let site = Sites.load kind in
+        views_case site (sql site.registry))
+      [
+        (Sites.University, fun _ -> "SELECT p.PName, p.Email FROM Professor p");
+        (Catalog, fun _ -> "SELECT p.PName, p.Price FROM Product p");
+        ( Bibliography,
+          fun registry ->
+            let rel = List.hd registry in
+            Fmt.str "SELECT x.%s FROM %s x" (List.hd rel.View.rel_attrs) rel.View.rel_name );
+      ]
   in
   print_table
     [ "site"; "view chosen"; "nav GETs"; "view GETs"; "view HEADs";
@@ -1857,16 +1807,11 @@ let views_bench () =
          ])
        wire);
   (* --- the stale half: churny schemes price the view out ------------ *)
-  let schema = Sitegen.University.schema in
-  let registry = Sitegen.University.view in
   let stale_rejected =
-    let uni = Sitegen.University.build () in
-    let site = Sitegen.University.site uni in
-    let http = Websim.Http.connect site in
-    let stats = Stats.of_instance (Websim.Crawler.crawl schema http) in
-    let store = Matview.materialize schema (Websim.Http.connect site) in
-    let vs = Viewstore.create schema registry store in
-    Websim.Site.tick site;
+    let site = Sites.load University in
+    let stats = Sites.stats site in
+    let vs = Sites.viewstore site in
+    Websim.Site.tick site.site;
     List.iter
       (fun scheme ->
         for _ = 1 to 20 do
@@ -1874,7 +1819,7 @@ let views_bench () =
         done)
       [ "DeptListPage"; "DeptPage"; "ProfPage" ];
     let outcome =
-      Planner.plan_sql ~views:(Viewstore.context vs) schema stats registry
+      Planner.plan_sql ~views:(Viewstore.context vs) site.schema stats site.registry
         "SELECT p.PName, p.Email FROM Professor p"
     in
     outcome.Planner.view_used = []
@@ -1891,8 +1836,10 @@ let views_bench () =
      constrained by a constant unique to the view: real registry bulk
      that subsumes nothing the workload names, so the filter tree's
      predicate-signature level prunes it before any semantic check *)
+  let uni = Sites.load University in
+  let schema = uni.schema and registry = uni.registry in
   let stress_views n =
-    let bases = Sitegen.University.view in
+    let bases = registry in
     List.init n (fun i ->
         let base = List.nth bases (i mod List.length bases) in
         let nav = List.hd base.View.navigations in
@@ -1909,10 +1856,8 @@ let views_bench () =
             ]
           ())
   in
-  let uni = Sitegen.University.build () in
-  let site = Sitegen.University.site uni in
-  let stats = Stats.of_instance (Websim.Crawler.crawl schema (Websim.Http.connect site)) in
-  let store = Matview.materialize schema (Websim.Http.connect site) in
+  let stats = Sites.stats uni in
+  let store = Matview.materialize schema (Websim.Http.connect uni.site) in
   let plan_scale =
     List.map
       (fun n ->
@@ -2024,9 +1969,9 @@ let views_bench () =
 let bindings_bench () =
   banner "Bindings: rewriting search scaling and the form-only wire";
   let fs = Sitegen.Formsite.build () in
-  let schema = Sitegen.Formsite.schema in
-  let registry = Sitegen.Formsite.view in
-  let stats = Sitegen.Formsite.stats fs in
+  let site = Sites.of_formsite fs in
+  let schema = site.schema and registry = site.registry and stats = Sites.stats site in
+  let binding_config = Option.get site.binding_config in
   let sql = Sitegen.Formsite.staff_query "cs" in
   let q = Sql_parser.parse registry sql in
   let ms f =
@@ -2042,7 +1987,7 @@ let bindings_bench () =
     List.map
       (fun n ->
         let cfg =
-          Bindings.add_views Sitegen.Formsite.binding_config
+          Bindings.add_views binding_config
             (Bindings.decoys ~hooks ~seed:n ~n:(n - real) ())
         in
         (* min of 5 runs: the search allocates, so the first run pays
@@ -2067,13 +2012,10 @@ let bindings_bench () =
            string_of_int rw; string_of_bool tr ])
        scaling);
   (* --- the wire: discovered composition vs full materialization ------ *)
-  let bindings = Bindings.planner_hook Sitegen.Formsite.binding_config schema in
   let outcome, plan_ms =
-    ms (fun () -> Planner.plan_sql ~bindings schema stats registry sql)
+    ms (fun () -> Planner.plan_sql ?bindings:(Sites.bindings site) schema stats registry sql)
   in
-  let result, gets, _ =
-    measure_plan schema (Sitegen.Formsite.site fs) outcome.Planner.best.Planner.expr
-  in
+  let result, gets, _ = measure_plan schema site.site outcome.Planner.best.Planner.expr in
   let rows =
     List.map
       (function

@@ -26,116 +26,18 @@
 open Cmdliner
 open Webviews
 
-type site_kind = University | Bibliography | Catalog | Formsite
-
-type loaded = {
-  schema : Adm.Schema.t;
-  registry : View.registry;
-  site : Websim.Site.t;
-  declared_stats : Stats.t option;
-      (* form-only sites cannot be crawled: statistics are declared *)
-  binding_config : Bindings.config option;
-      (* path views + vocabulary of a form-only site: feeds the
-         planner's [?bindings] hook and the E0111 lint *)
-}
-
-let load kind ~depts ~profs ~courses ~seed =
-  let plain schema registry site =
-    { schema; registry; site; declared_stats = None; binding_config = None }
-  in
-  match kind with
-  | University ->
-    let config =
-      {
-        Sitegen.University.default_config with
-        n_depts = depts;
-        n_profs = profs;
-        n_courses = courses;
-        seed;
-      }
-    in
-    let uni = Sitegen.University.build ~config () in
-    plain Sitegen.University.schema Sitegen.University.view
-      (Sitegen.University.site uni)
-  | Bibliography ->
-    (* no hand-written view for this site: derive one automatically *)
-    let bib = Sitegen.Bibliography.build () in
-    plain Sitegen.Bibliography.schema
-      (View.auto_registry Sitegen.Bibliography.schema)
-      (Sitegen.Bibliography.site bib)
-  | Catalog ->
-    let cat = Sitegen.Catalog.build () in
-    plain Sitegen.Catalog.schema Sitegen.Catalog.view (Sitegen.Catalog.site cat)
-  | Formsite ->
-    let config =
-      {
-        Sitegen.Formsite.seed;
-        n_depts = depts;
-        n_profs = profs;
-        n_courses = courses;
-      }
-    in
-    let fs = Sitegen.Formsite.build ~config () in
-    {
-      schema = Sitegen.Formsite.schema;
-      registry = Sitegen.Formsite.view;
-      site = Sitegen.Formsite.site fs;
-      declared_stats = Some (Sitegen.Formsite.stats fs);
-      binding_config = Some Sitegen.Formsite.binding_config;
-    }
-
-let stats_of loaded =
-  match loaded.declared_stats with
-  | Some stats -> stats
-  | None ->
-    let http = Websim.Http.connect loaded.site in
-    Stats.of_instance (Websim.Crawler.crawl loaded.schema http)
-
-(* The rewriting-search hook handed to the planner ([?bindings]), and
-   the matching lint for [check]/[analyze]: E0111 when the vocabulary
-   covers a query but no executable composition of forms answers it. *)
-let bindings_of loaded =
-  Option.map
-    (fun c -> Bindings.planner_hook c loaded.schema)
-    loaded.binding_config
-
-let binding_lint loaded q =
-  match loaded.binding_config with
-  | None -> []
-  | Some c -> Bindings.lint c loaded.schema q
-
-(* Materialize the site (own connection) and put the registered views
-   behind a view store, so the planner can price them as access
-   paths. *)
-let viewstore_of loaded =
-  Viewstore.create loaded.schema loaded.registry
-    (Matview.materialize loaded.schema (Websim.Http.connect loaded.site))
+module Sites = Sitegen.Sites
 
 (* ------------------------------------------------------------------ *)
 (* Common options                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let site_conv =
-  let parse = function
-    | "university" -> Ok University
-    | "bibliography" -> Ok Bibliography
-    | "catalog" -> Ok Catalog
-    | "formsite" -> Ok Formsite
-    | s ->
-      Error
-        (`Msg
-          (Fmt.str "unknown site %S (university|bibliography|catalog|formsite)" s))
-  in
-  let print ppf = function
-    | University -> Fmt.string ppf "university"
-    | Bibliography -> Fmt.string ppf "bibliography"
-    | Catalog -> Fmt.string ppf "catalog"
-    | Formsite -> Fmt.string ppf "formsite"
-  in
-  Arg.conv (parse, print)
+  let parse s = Result.map_error (fun e -> `Msg e) (Sites.of_name s) in
+  Arg.conv (parse, fun ppf k -> Fmt.string ppf (Sites.name k))
 
 let site_arg =
-  Arg.(value & opt site_conv University & info [ "s"; "site" ] ~docv:"SITE"
+  Arg.(value & opt site_conv Sites.University & info [ "s"; "site" ] ~docv:"SITE"
          ~doc:"Generated site to use: $(b,university), $(b,bibliography), \
                $(b,catalog), or $(b,formsite) (form-only: every data page \
                behind a parameterized entry point, answered through the \
@@ -184,17 +86,17 @@ let views_arg =
                reported with its residual predicate and HEAD/GET split.")
 
 let with_site f site depts profs courses seed =
-  f (load site ~depts ~profs ~courses ~seed)
+  f (Sites.load ~size:{ Sites.depts; profs; courses; seed } site)
 
 (* The static lint gate of the commands that plan a query: a query
    with an error-severity finding (syntax E0308, unknown relation,
    alias or attribute E0301-E0304, a form-only query no composition
    of forms answers E0111, ...) is reported as coded diagnostics and
    exits 2 before planning, instead of escaping as an exception. *)
-let gate_diagnostics loaded sql =
+let gate_diagnostics (loaded : Sites.t) sql =
   let ds = Typecheck.lint_sql loaded.schema loaded.registry sql in
   if Diagnostic.has_errors ds || loaded.registry = [] then ds
-  else ds @ binding_lint loaded (Sql_parser.parse loaded.registry sql)
+  else ds @ Sites.binding_lint loaded (Sql_parser.parse loaded.registry sql)
 
 let fail_gate ds =
   List.iter (fun d -> Fmt.epr "%a@." Diagnostic.pp d) (List.sort Diagnostic.compare ds);
@@ -212,14 +114,14 @@ let or_e0309 plan =
   | exception Invalid_argument msg ->
     fail_gate [ Diagnostic.error ~code:"E0309" "planning failed: %s" msg ]
 
-let plan_query ?cap ?views loaded stats sql =
+let plan_query ?cap ?views (loaded : Sites.t) stats sql =
   or_e0309 (fun () ->
-      Planner.plan_sql ?cap ?views ?bindings:(bindings_of loaded) loaded.schema
+      Planner.plan_sql ?cap ?views ?bindings:(Sites.bindings loaded) loaded.schema
         stats loaded.registry sql)
 
 (* A workload file passes the same gate line by line: each error is
    printed after its file and line number, then the command exits 2. *)
-let load_workload loaded path =
+let load_workload (loaded : Sites.t) path =
   let numbered = Server.Workload.load path in
   let errors =
     List.concat_map
@@ -242,11 +144,11 @@ let site_args f =
 (* ------------------------------------------------------------------ *)
 
 let scheme_cmd =
-  let run loaded = Fmt.pr "%a@." Adm.Schema.pp loaded.schema in
+  let run (loaded : Sites.t) = Fmt.pr "%a@." Adm.Schema.pp loaded.schema in
   Cmd.v (Cmd.info "scheme" ~doc:"Print the ADM web scheme of a site.") (site_args run)
 
 let crawl_cmd =
-  let run loaded =
+  let run (loaded : Sites.t) =
     let http = Websim.Http.connect loaded.site in
     let instance = Websim.Crawler.crawl loaded.schema http in
     Fmt.pr "crawled %d pages (%a)@.@." instance.Websim.Crawler.fetched
@@ -266,11 +168,11 @@ let crawl_cmd =
     (site_args run)
 
 let plan_cmd =
-  let run cap n dot sql loaded =
+  let run cap n dot sql (loaded : Sites.t) =
     if loaded.registry = [] then Fmt.epr "this site has no external view@."
     else begin
       lint_gate loaded sql;
-      let stats = stats_of loaded in
+      let stats = Sites.stats loaded in
       let outcome = plan_query ?cap loaded stats sql in
       if dot then Fmt.pr "%s@." (Explain.to_dot outcome.Planner.best.Planner.expr)
       else begin
@@ -304,10 +206,10 @@ let plan_cmd =
           $ dot_arg $ sql_arg)
 
 let explain_cmd =
-  let run cap physical window use_views sql loaded =
+  let run cap physical window use_views sql (loaded : Sites.t) =
     lint_gate loaded sql;
-    let stats = stats_of loaded in
-    let vs = if use_views then Some (viewstore_of loaded) else None in
+    let stats = Sites.stats loaded in
+    let vs = if use_views then Some (Sites.viewstore loaded) else None in
     let econ = Option.map Viewstore.econ vs in
     let outcome =
       plan_query ?cap ?views:(Option.map Viewstore.context vs) loaded stats sql
@@ -360,10 +262,10 @@ let explain_cmd =
           $ physical_arg $ window_arg $ views_arg $ sql_arg)
 
 let query_cmd =
-  let run cap use_views sql loaded =
+  let run cap use_views sql (loaded : Sites.t) =
     lint_gate loaded sql;
-    let stats = stats_of loaded in
-    let vs = if use_views then Some (viewstore_of loaded) else None in
+    let stats = Sites.stats loaded in
+    let vs = if use_views then Some (Sites.viewstore loaded) else None in
     let http = Websim.Http.connect loaded.site in
     let source = Eval.live_source loaded.schema http in
     let outcome =
@@ -399,9 +301,9 @@ let query_cmd =
           $ views_arg $ sql_arg)
 
 let run_cmd =
-  let run faults latency window retries net_seed cap limit sql loaded =
+  let run faults latency window retries net_seed cap limit sql (loaded : Sites.t) =
     lint_gate loaded sql;
-    let stats = stats_of loaded in
+    let stats = Sites.stats loaded in
     let http = Websim.Http.connect loaded.site in
     let netmodel =
       if faults > 0.0 || latency then
@@ -469,14 +371,14 @@ let run_cmd =
           $ limit_arg $ sql_arg)
 
 let matview_cmd =
-  let run sql loaded =
-    if loaded.declared_stats <> None then begin
+  let run sql (loaded : Sites.t) =
+    if Option.is_some loaded.binding_config then begin
       (* materialization crawls; a form-only site has nothing to crawl *)
       Fmt.epr "this site cannot be crawled (form-only); use query/run instead@.";
       exit 2
     end;
     lint_gate loaded sql;
-    let stats = stats_of loaded in
+    let stats = Sites.stats loaded in
     let http = Websim.Http.connect loaded.site in
     let mv = Matview.materialize loaded.schema http in
     Fmt.pr "materialized %d pages@.@." (Matview.total_pages mv);
@@ -495,7 +397,7 @@ let matview_cmd =
           $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ sql_arg)
 
 let navigations_cmd =
-  let run loaded =
+  let run (loaded : Sites.t) =
     List.iter
       (fun ps ->
         let name = Adm.Page_scheme.name ps in
@@ -515,10 +417,8 @@ let navigations_cmd =
     (site_args run)
 
 let discover_cmd =
-  let run loaded =
-    let http = Websim.Http.connect loaded.site in
-    let instance = Websim.Crawler.crawl loaded.schema http in
-    let audit = Discover.audit loaded.schema instance in
+  let run (loaded : Sites.t) =
+    let audit = Discover.audit loaded.schema (Sites.crawl loaded) in
     let section title (items : string list) =
       Fmt.pr "@.%s (%d):@." title (List.length items);
       List.iter (Fmt.pr "  %s@.") items
@@ -548,7 +448,7 @@ let strict_arg =
                (errors always exit 2).")
 
 let check_cmd =
-  let run cap strict sqls loaded =
+  let run cap strict sqls (loaded : Sites.t) =
     let section title = function
       | [] -> Fmt.pr "%s: ok@." title
       | ds ->
@@ -566,7 +466,7 @@ let check_cmd =
     in
     section "view registry" registry_diags;
     (* crawl lazily: pure lint runs offline, planning needs stats *)
-    let stats = lazy (stats_of loaded) in
+    let stats = loaded.Sites.stats in
     let query_diags =
       List.concat_map
         (fun sql ->
@@ -576,13 +476,13 @@ let check_cmd =
             else
               let q = Sql_parser.parse loaded.registry sql in
               let _, ds = Contain.analyze_query loaded.registry q in
-              (ds, binding_lint loaded q)
+              (ds, Sites.binding_lint loaded q)
           in
           let planner =
             if Diagnostic.has_errors lint || loaded.registry = [] then []
             else
               match
-                Planner.plan_sql ?cap ?bindings:(bindings_of loaded)
+                Planner.plan_sql ?cap ?bindings:(Sites.bindings loaded)
                   loaded.schema (Lazy.force stats) loaded.registry sql
               with
               | outcome -> outcome.Planner.diagnostics
@@ -642,12 +542,12 @@ let json_of_diag (d : Diagnostic.t) =
     (json_escape d.Diagnostic.message)
 
 let analyze_cmd =
-  let run cap strict format use_views sqls loaded =
+  let run cap strict format use_views sqls (loaded : Sites.t) =
     let json = format = "json" in
     let index = Viewmatch.make loaded.registry in
     let registry_diags = Diagnostic.dedup (Viewmatch.registry_lint index) in
-    let stats = lazy (stats_of loaded) in
-    let vs = if use_views then Some (viewstore_of loaded) else None in
+    let stats = loaded.Sites.stats in
+    let vs = if use_views then Some (Sites.viewstore loaded) else None in
     (* per query: lint, minimize, semantic findings, then plan the
        minimized query to report candidate dedup (with --views, view
        access paths compete and substitutions are reported) *)
@@ -663,12 +563,12 @@ let analyze_cmd =
             (* binding-violation lint (E0111) participates in the
                per-query diagnostics and therefore in the exit-code
                accounting below: errors -> 2, JSON "errors" included *)
-            let bindings_lint = binding_lint loaded q in
+            let bindings_lint = Sites.binding_lint loaded q in
             let planned =
               match
                 Planner.plan_sql ?cap
                   ?views:(Option.map Viewstore.context vs)
-                  ?bindings:(bindings_of loaded) loaded.schema
+                  ?bindings:(Sites.bindings loaded) loaded.schema
                   (Lazy.force stats) loaded.registry sql
               with
               | outcome -> Some outcome
@@ -881,13 +781,13 @@ let json_of_churn_report (r : Churn.Runtime.report) =
     (json_of_sched_report r.Churn.Runtime.sched)
 
 let templates_for = function
-  | University -> Server.Workload.university_templates
+  | Sites.University -> Server.Workload.university_templates
   | Bibliography -> Server.Workload.bibliography_templates
   | Catalog -> Server.Workload.catalog_templates
   | Formsite -> Server.Workload.formsite_templates
 
 let run_churn ~rate ~churn_seed ~budget ~max_age ~maintenance ~query_check
-    ~entries ~concurrency ~quantum ~domains ~json ~fail_on_violation loaded =
+    ~entries ~concurrency ~quantum ~domains ~json ~fail_on_violation (loaded : Sites.t) =
   if loaded.registry = [] then begin
     Fmt.epr "this site has no external view@.";
     exit 2
@@ -900,11 +800,11 @@ let run_churn ~rate ~churn_seed ~budget ~max_age ~maintenance ~query_check
       ~sla:(Churn.Sla.create ~default_max_age:max_age ())
       ~budget_per_turn:budget ~policy:maintenance ~query_check ()
   in
-  let stats = stats_of loaded in
+  let stats = Sites.stats loaded in
   let http = Websim.Http.connect loaded.site in
   let sched = Server.Sched.config ~concurrency ~quantum ~domains () in
   let report =
-    Churn.Runtime.run ~sched ?pool ?bindings:(bindings_of loaded) cfg
+    Churn.Runtime.run ~sched ?pool ?bindings:(Sites.bindings loaded) cfg
       loaded.schema stats loaded.registry http entries
   in
   Option.iter Server.Pool.shutdown pool;
@@ -928,12 +828,12 @@ let maintenance_conv =
 
 let churn_cmd =
   let run rate churn_seed budget max_age maintenance no_query_check workload n
-      wseed concurrency quantum domains json fail_on_violation site_kind loaded =
+      wseed concurrency quantum domains json fail_on_violation (loaded : Sites.t) =
     let entries =
       match workload with
       | Some path -> load_workload loaded path
       | None ->
-        Server.Workload.generate ~templates:(templates_for site_kind) ~seed:wseed
+        Server.Workload.generate ~templates:(templates_for loaded.kind) ~seed:wseed
           ~n ()
     in
     run_churn ~rate ~churn_seed ~budget ~max_age ~maintenance
@@ -1021,7 +921,7 @@ let churn_cmd =
               with_site
                 (run rate churn_seed budget max_age maintenance no_query_check
                    workload n wseed concurrency quantum domains json
-                   fail_on_violation site)
+                   fail_on_violation)
                 site depts profs courses seed)
           $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ rate_arg
           $ churn_seed_arg $ budget_arg $ max_age_arg $ maintenance_arg
@@ -1031,12 +931,12 @@ let churn_cmd =
 let serve_cmd =
   let run workload n wseed concurrency quantum policy deadline faults latency
       window retries net_seed use_stale max_resident domains churn churn_seed
-      budget max_age json site_kind loaded =
+      budget max_age json (loaded : Sites.t) =
     let entries =
       match workload with
       | Some path -> load_workload loaded path
       | None ->
-        Server.Workload.generate ~templates:(templates_for site_kind) ~seed:wseed
+        Server.Workload.generate ~templates:(templates_for loaded.kind) ~seed:wseed
           ~n ()
     in
     let entries =
@@ -1062,10 +962,10 @@ let serve_cmd =
           ~concurrency ~quantum ~domains ~json ~fail_on_violation:false loaded
       | None ->
     begin
-      let stats = stats_of loaded in
+      let stats = Sites.stats loaded in
       let specs =
         or_e0309 (fun () ->
-            Server.Sched.plan_workload ?bindings:(bindings_of loaded)
+            Server.Sched.plan_workload ?bindings:(Sites.bindings loaded)
               loaded.schema stats loaded.registry entries)
       in
       let netmodel =
@@ -1232,7 +1132,7 @@ let serve_cmd =
               with_site
                 (run workload n wseed concurrency quantum policy deadline faults
                    latency window retries net_seed use_stale max_resident domains
-                   churn churn_seed budget max_age json site)
+                   churn churn_seed budget max_age json)
                 site depts profs courses seed)
           $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg
           $ workload_arg $ n_arg $ wseed_arg $ concurrency_arg $ quantum_arg

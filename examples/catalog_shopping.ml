@@ -10,9 +10,7 @@ open Webviews
 
 let () =
   let cat = Sitegen.Catalog.build () in
-  let schema = Sitegen.Catalog.schema in
-  let registry = Sitegen.Catalog.view in
-  let site = Sitegen.Catalog.site cat in
+  let { Sitegen.Sites.schema; registry; site; _ } as catalog = Sitegen.Sites.of_catalog cat in
   Fmt.pr "Catalog: %d pages, %d products, %d categories, %d brands.@.@."
     (Websim.Site.page_count site)
     (List.length (Sitegen.Catalog.products cat))
@@ -20,7 +18,7 @@ let () =
     (List.length (Sitegen.Catalog.brands cat));
 
   let http = Websim.Http.connect site in
-  let stats = Stats.of_instance (Websim.Crawler.crawl schema http) in
+  let stats = Sitegen.Sites.stats catalog in
 
   let run sql =
     Fmt.pr "Query: %s@." sql;

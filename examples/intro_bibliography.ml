@@ -28,15 +28,15 @@ let regulars pairs years =
 
 let () =
   let bib = Sitegen.Bibliography.build () in
-  let schema = Sitegen.Bibliography.schema in
+  let { Sitegen.Sites.schema; site; _ } = Sitegen.Sites.of_bibliography bib in
   let years = Sitegen.Bibliography.last_vldb_years bib 3 in
   Fmt.pr "Site: %d pages. Last three VLDB editions: %a@.@."
-    (Websim.Site.page_count (Sitegen.Bibliography.site bib))
+    (Websim.Site.page_count site)
     Fmt.(list ~sep:comma int)
     years;
 
   let run name expr ~name_attr ~year_attr =
-    let http = Websim.Http.connect (Sitegen.Bibliography.site bib) in
+    let http = Websim.Http.connect site in
     let source = Eval.live_source schema http in
     let rel = Eval.eval schema source expr in
     let pairs = authors_by_year rel ~name_attr ~year_attr in

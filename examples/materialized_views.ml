@@ -7,9 +7,6 @@
 
 open Webviews
 
-let schema = Sitegen.University.schema
-let registry = Sitegen.University.view
-
 let report label (r : Matview.query_report) =
   Fmt.pr "%-38s %3d rows, %3d light connections, %2d downloads, %3d local hits@."
     label
@@ -18,11 +15,11 @@ let report label (r : Matview.query_report) =
 
 let () =
   let uni = Sitegen.University.build () in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let stats = Stats.of_instance (Websim.Crawler.crawl schema http) in
+  let { Sitegen.Sites.schema; registry; site; _ } as bundle = Sitegen.Sites.of_university uni in
+  let stats = Sitegen.Sites.stats bundle in
 
   (* Materialize the whole ADM representation of the site locally. *)
-  let mv = Matview.materialize schema http in
+  let mv = Matview.materialize schema (Websim.Http.connect site) in
   Fmt.pr "Materialized %d pages as nested tuples with access dates.@.@."
     (Matview.total_pages mv);
 
@@ -61,9 +58,8 @@ let () =
   in
   let plan_all = all_profs.Planner.best.Planner.expr in
   let gone = List.nth (Sitegen.University.profs uni) 3 in
-  Websim.Site.tick (Sitegen.University.site uni);
-  Websim.Site.delete (Sitegen.University.site uni)
-    (Sitegen.University.prof_url gone.Sitegen.University.p_name);
+  Websim.Site.tick site;
+  Websim.Site.delete site (Sitegen.University.prof_url gone.Sitegen.University.p_name);
   Fmt.pr "@.site change: page of %S deleted without notice@."
     gone.Sitegen.University.p_name;
   report "all-professors query" (Matview.query_counted mv plan_all);

@@ -6,16 +6,13 @@
 
 open Webviews
 
-let schema = Sitegen.University.schema
-let registry = Sitegen.University.view
-
 let show title e =
   Fmt.pr "@.--- %s ---@.%a@." title Nalg.pp_plan e
 
 let () =
-  let uni = Sitegen.University.build () in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let stats = Stats.of_instance (Websim.Crawler.crawl schema http) in
+  let uni = Sitegen.Sites.load University in
+  let schema = uni.schema and registry = uni.registry in
+  let stats = Sitegen.Sites.stats uni in
 
   (* The query of Example 7.1: name and description of courses taught
      by full professors in the Fall session. *)

@@ -6,23 +6,19 @@
 open Webviews
 
 let () =
-  (* 1. A web site. [Sitegen.University.build] generates the paper's
-     Figure-1 university site as real HTML pages on a simulated web
-     server. *)
-  let uni = Sitegen.University.build () in
-  let site = Sitegen.University.site uni in
-  Fmt.pr "The university site has %d HTML pages.@.@." (Websim.Site.page_count site);
+  (* 1. A web site. The site table builds the paper's Figure-1
+     university site as real HTML pages on a simulated web server. *)
+  let uni = Sitegen.Sites.load University in
+  Fmt.pr "The university site has %d HTML pages.@.@." (Websim.Site.page_count uni.site);
 
   (* 2. Its ADM web scheme: page-schemes, entry points, link and
      inclusion constraints. *)
-  let schema = Sitegen.University.schema in
+  let schema = uni.schema in
   Fmt.pr "%a@.@." Adm.Schema.pp schema;
 
   (* 3. Site statistics for the cost model, collected by crawling the
      site once (the paper assumes a WebSQL-style exploration). *)
-  let http = Websim.Http.connect site in
-  let instance = Websim.Crawler.crawl schema http in
-  let stats = Stats.of_instance instance in
+  let stats = Sitegen.Sites.stats uni in
 
   (* 4. A SQL query against the external view of Section 5. *)
   let sql =
@@ -34,14 +30,14 @@ let () =
   (* 5. Plan it: Algorithm 1 enumerates candidate navigation plans via
      the rewrite rules and picks the cheapest under the page-access
      cost model. *)
-  let outcome = Planner.plan_sql schema stats Sitegen.University.view sql in
+  let outcome = Planner.plan_sql schema stats uni.registry sql in
   Fmt.pr "The optimizer considered %d candidate plans; chosen plan:@.@.%a@."
     (List.length outcome.Planner.candidates)
     (Explain.pp_annotated schema stats)
     outcome.Planner.best.Planner.expr;
 
   (* 6. Execute it against the live site and count network accesses. *)
-  Websim.Http.reset_stats http;
+  let http = Websim.Http.connect uni.site in
   let source = Eval.live_source schema http in
   let result =
     Planner.rename_output outcome (Eval.eval schema source outcome.Planner.best.Planner.expr)

@@ -98,13 +98,6 @@ let run ?(sched = Server.Sched.default_config) ?pool ?bindings (cfg : config)
      recrawl (view HEADs would drain it), and no-maintenance measures
      raw decay. *)
   let vs = Webviews.Viewstore.create schema registry store in
-  if cfg.policy = Incremental then
-    Server.Shared_cache.attach_views cache vs
-      ~answerer:
-        (Webviews.Viewstore.answerer
-           ~admit_head:(fun () -> Budget.admit budget cfg.costs.Budget.head)
-           ~charge_get:(fun () -> Budget.force budget cfg.costs.Budget.get)
-           vs);
   let full_refreshes = ref 0 in
   let now () = Websim.Site.clock site in
   (* oracle truth, report-only: has the live page changed since we
@@ -124,11 +117,15 @@ let run ?(sched = Server.Sched.default_config) ?pool ?bindings (cfg : config)
       o
   in
   (* ---- the store-backed per-query page source ---- *)
-  let serve_stored obs ~scheme ~url ~access_date =
-    let age = now () - access_date in
+  let observe_served obs ~now ~max_age ~url ~access_date =
+    let age = now - access_date in
     Sla.observe obs ~age
       ~stale:(oracle_stale ~url ~access_date)
-      ~within_sla:(age <= Sla.max_age cfg.sla ~scheme);
+      ~within_sla:(age <= max_age)
+  in
+  let serve_stored obs ~scheme ~url ~access_date =
+    observe_served obs ~now:(now ()) ~max_age:(Sla.max_age cfg.sla ~scheme) ~url
+      ~access_date;
     Webviews.Matview.stored_tuple store ~scheme ~url
   in
   let churn_fetch obs ~scheme ~url =
@@ -180,8 +177,39 @@ let run ?(sched = Server.Sched.default_config) ?pool ?bindings (cfg : config)
         None
       end
   in
+  (* A [View_scan] answers from the same store: every stored page under
+     the view is served, and observed like a page the source above
+     serves. *)
+  let scan_answerer obs =
+    let gated =
+      Webviews.Viewstore.answerer
+        ~admit_head:(fun () -> Budget.admit budget cfg.costs.Budget.head)
+        ~charge_get:(fun () -> Budget.force budget cfg.costs.Budget.get)
+        vs
+    in
+    let answer ~view =
+      let answered = gated.Webviews.Exec.answer ~view in
+      if Option.is_some answered then begin
+        let now = now () in
+        List.iter
+          (fun scheme ->
+            let max_age = Sla.max_age cfg.sla ~scheme in
+            Webviews.Matview.iter_scheme store scheme (fun ~url ~access_date ->
+                observe_served obs ~now ~max_age ~url ~access_date))
+          (Webviews.Viewstore.view_schemes vs view)
+      end;
+      answered
+    in
+    { gated with Webviews.Exec.answer }
+  in
   let source_for (spec : Server.Sched.spec) =
     let obs = obs_for spec.Server.Sched.qid in
+    (* The scheduler starts the query's plan against the cache's view
+       answerer right after asking for its source: attaching a
+       per-query answerer here routes this query's view scans into its
+       own observation. *)
+    if cfg.policy = Incremental then
+      Server.Shared_cache.attach_views cache vs ~answerer:(scan_answerer obs);
     Some
       {
         Webviews.Eval.fetch = (fun ~scheme ~url -> churn_fetch obs ~scheme ~url);

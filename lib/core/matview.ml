@@ -174,6 +174,11 @@ let iter_entries t f =
       Hashtbl.iter (fun url entry -> f ~scheme ~url ~access_date:entry.access_date) tbl)
     t.tables
 
+let iter_scheme t scheme f =
+  Option.iter
+    (Hashtbl.iter (fun url entry -> f ~url ~access_date:entry.access_date))
+    (Hashtbl.find_opt t.tables scheme)
+
 (* Maintenance-side URLCheck: revalidate one stored entry with a light
    connection, re-downloading only on a proven change. Unlike
    {!url_check} this ignores the per-query status flags (maintenance

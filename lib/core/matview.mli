@@ -53,6 +53,9 @@ val iter_entries : t -> (scheme:string -> url:string -> access_date:int -> unit)
 (** Iterate every stored entry (unspecified order — sort before acting
     when determinism matters). *)
 
+val iter_scheme : t -> string -> (url:string -> access_date:int -> unit) -> unit
+(** {!iter_entries} over one page-scheme's entries. *)
+
 val revalidate :
   t -> scheme:string -> url:string -> [ `Current | `Refreshed | `Gone | `Unreachable | `Unknown ]
 (** Maintenance-side URLCheck on one stored entry: a light connection,

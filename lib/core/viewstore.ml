@@ -294,19 +294,16 @@ let chosen_views t =
   Hashtbl.fold (fun name n acc -> (name, n) :: acc) t.chosen []
   |> List.sort (fun (n1, _) (n2, _) -> String.compare n1 n2)
 
+let view_schemes t name =
+  match Option.bind (find_view t name) first_nav with
+  | None -> []
+  | Some nav -> nav_schemes nav
+
 (* Schemes the maintenance lane should keep fresh because a resident
    plan answers from a view over them. *)
 let relevant_schemes t =
   Hashtbl.fold
-    (fun name n acc ->
-      if n <= 0 then acc
-      else
-        match find_view t name with
-        | None -> acc
-        | Some rel -> (
-          match first_nav rel with
-          | None -> acc
-          | Some nav -> nav_schemes nav @ acc))
+    (fun name n acc -> if n <= 0 then acc else view_schemes t name @ acc)
     t.chosen []
   |> List.sort_uniq String.compare
 

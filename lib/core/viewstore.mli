@@ -64,6 +64,10 @@ val note_plan : t -> Nalg.expr -> unit
 val chosen_views : t -> (string * int) list
 (** Views used by noted plans, with use counts, sorted by name. *)
 
+val view_schemes : t -> string -> string list
+(** Page-schemes under a view's navigation: the stored pages a scan of
+    it revalidates and answers from ([[]] for an unknown view). *)
+
 val relevant_schemes : t -> string list
 (** Schemes under views that noted plans actually chose — the churn
     runtime's maintenance lane prioritizes these. *)

@@ -156,7 +156,10 @@ val run :
     is domain-count-invariant); mutation traffic and the maintenance
     lane run here. [source_for] substitutes a per-query page source
     (e.g. one backed by a maintained store) — when it returns [None]
-    the ordinary shared-cache source is used. [probe] is asked for a
+    the ordinary shared-cache source is used. It is called as the
+    query is admitted, just before its plan starts against the
+    cache's {!Shared_cache.view_answerer}, so it may attach a
+    per-query answerer there. [probe] is asked for a
     {!freshness} record when a query finalizes. *)
 
 val percentile : float -> float list -> float

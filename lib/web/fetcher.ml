@@ -60,7 +60,6 @@ type counters = {
   mutable requests : int; (* logical get/head calls *)
   mutable attempts : int; (* exchanges tried on the wire *)
   mutable retries : int; (* attempts beyond the first *)
-  mutable failures : int; (* attempts that died (5xx/timeout/truncated) *)
   mutable gave_up : int; (* requests that exhausted their retries *)
   mutable breaker_trips : int;
   mutable breaker_fastfails : int; (* requests rejected while open *)
@@ -78,7 +77,6 @@ let fresh_counters () =
     requests = 0;
     attempts = 0;
     retries = 0;
-    failures = 0;
     gave_up = 0;
     breaker_trips = 0;
     breaker_fastfails = 0;
@@ -99,7 +97,6 @@ let counters_diff ~(before : counters) ~(after : counters) =
     requests = after.requests - before.requests;
     attempts = after.attempts - before.attempts;
     retries = after.retries - before.retries;
-    failures = after.failures - before.failures;
     gave_up = after.gave_up - before.gave_up;
     breaker_trips = after.breaker_trips - before.breaker_trips;
     breaker_fastfails = after.breaker_fastfails - before.breaker_fastfails;
@@ -112,24 +109,12 @@ let counters_diff ~(before : counters) ~(after : counters) =
     elapsed_ms = after.elapsed_ms -. before.elapsed_ms;
   }
 
-let pp_counters ppf (c : counters) =
-  Fmt.pf ppf
-    "attempts=%d retries=%d failures=%d gave_up=%d cache=%d/%d (evict %d, reval %d) \
-     batches=%d coalesced=%d breaker=%d trips (%d fastfails) elapsed=%.1fms"
-    c.attempts c.retries c.failures c.gave_up c.cache_hits
-    (c.cache_hits + c.cache_misses)
-    c.cache_evictions c.revalidations c.batches c.coalesced c.breaker_trips
-    c.breaker_fastfails c.elapsed_ms
-
 (* ---- the merged fetch report ---- *)
 
-(* Historically the wire ledger ({!Http.stats}) and the engine ledger
-   ([counters]) were reported side by side, and they overlap:
-   [counters.failures] and [Http.stats.failed] count the very same
-   events, and [counters.attempts] is the engine-side view of the
-   wire's GET/HEAD totals. [report] merges both into one record with a
-   single [failed] field; the duplicated per-ledger fields stay for
-   compatibility but are deprecated in favour of this view. *)
+(* The wire ledger ({!Http.stats}) and the engine ledger ([counters])
+   overlap: [counters.attempts] is the engine-side view of the wire's
+   GET/HEAD totals. [report] merges both into one record; exchanges
+   that died on the wire are counted once, in [Http.stats.failed]. *)
 
 type report = {
   (* wire (what crossed the network, from Http.stats) *)
@@ -165,7 +150,7 @@ let merge_report (s : Http.stats) (c : counters) : report =
     requests = c.requests;
     attempts = c.attempts;
     retries = c.retries;
-    failed = s.Http.failed (* = c.failures: same events, one field *);
+    failed = s.Http.failed;
     gave_up = c.gave_up;
     breaker_trips = c.breaker_trips;
     breaker_fastfails = c.breaker_fastfails;
@@ -294,7 +279,6 @@ let reset_counters t =
   t.counters.requests <- z.requests;
   t.counters.attempts <- z.attempts;
   t.counters.retries <- z.retries;
-  t.counters.failures <- z.failures;
   t.counters.gave_up <- z.gave_up;
   t.counters.breaker_trips <- z.breaker_trips;
   t.counters.breaker_fastfails <- z.breaker_fastfails;
@@ -330,7 +314,6 @@ let run_get t url : page fetched * float =
       if attempt > 1 then t.counters.retries <- t.counters.retries + 1;
       let fail outcome dur =
         Http.record_failed t.http;
-        t.counters.failures <- t.counters.failures + 1;
         if attempt > t.cfg.retries then begin
           t.counters.gave_up <- t.counters.gave_up + 1;
           (Unreachable, dur)
@@ -384,7 +367,6 @@ let run_head t url : int fetched * float =
       | (Netmodel.Server_error _ | Netmodel.Timed_out | Netmodel.Truncated _) as o ->
         (* a header either arrives or it does not: any fault kills it *)
         Http.record_failed t.http;
-        t.counters.failures <- t.counters.failures + 1;
         if attempt > t.cfg.retries then begin
           t.counters.gave_up <- t.counters.gave_up + 1;
           (Unreachable, dur +. Netmodel.penalty_ms nm ~url ~attempt o)

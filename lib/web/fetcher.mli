@@ -40,10 +40,6 @@ type counters = {
   mutable requests : int;  (** logical get/head calls *)
   mutable attempts : int;  (** exchanges tried on the wire *)
   mutable retries : int;  (** attempts beyond the first *)
-  mutable failures : int;
-      (** @deprecated duplicates {!Http.stats}[.failed] (the same
-          events, counted in both ledgers); read {!report}[.failed]
-          instead. *)
   mutable gave_up : int;  (** requests that exhausted their retries *)
   mutable breaker_trips : int;
   mutable breaker_fastfails : int;  (** requests rejected while open *)
@@ -58,14 +54,12 @@ type counters = {
 
 val counters_snapshot : counters -> counters
 val counters_diff : before:counters -> after:counters -> counters
-val pp_counters : counters Fmt.t
 
 (** {1 The merged fetch report}
 
     One ledger instead of two: the wire side ({!Http.stats}) and the
-    engine side ({!counters}) merged into a single record, with the
-    duplicated failure count collapsed into one [failed] field.
-    Prefer this over reading the two underlying ledgers separately. *)
+    engine side ({!counters}) merged into a single record. Prefer this
+    over reading the two underlying ledgers separately. *)
 
 type report = {
   gets : int;  (** full page downloads that reached the server *)

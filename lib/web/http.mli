@@ -12,10 +12,8 @@ type stats = {
   mutable bytes : int;  (** GET payload bytes *)
   mutable head_bytes : int;  (** light-connection header bytes *)
   mutable failed : int;
-      (** exchanges that died on the wire.
-          @deprecated as a standalone ledger entry: the same events are
-          counted by {!Fetcher}'s engine ledger; read the merged
-          [Fetcher.report.failed] instead of correlating the two. *)
+      (** exchanges that died on the wire; {!Fetcher.report} carries
+          it as [failed] *)
 }
 
 type t

@@ -23,17 +23,21 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-let schema = Sitegen.Formsite.schema
-let registry = Sitegen.Formsite.view
+let formsite = Sitegen.Sites.of_formsite (Sitegen.Formsite.build ())
+let schema = formsite.schema
+let registry = formsite.registry
+let binding_config = Option.get formsite.binding_config
+let hook = Option.get (Sitegen.Sites.bindings formsite)
 
 let conj sql = Sql_parser.parse registry sql
 
+(* A fresh form-only site: its generator (ground truth), declared
+   statistics, a connection and a live source over it. *)
 let build_and_source () =
   let fs = Sitegen.Formsite.build () in
-  let http = Websim.Http.connect (Sitegen.Formsite.site fs) in
-  (fs, http, Eval.live_source schema http)
-
-let hook = Bindings.planner_hook Sitegen.Formsite.binding_config schema
+  let site = Sitegen.Sites.of_formsite fs in
+  let http = Websim.Http.connect site.site in
+  (fs, Sitegen.Sites.stats site, http, Eval.live_source schema http)
 
 (* --- typechecking binding patterns --------------------------------- *)
 
@@ -77,20 +81,20 @@ let test_well_formed_chain_typechecks () =
 
 let test_search_finds_composition () =
   let q = conj (Sitegen.Formsite.staff_query "cs") in
-  let r = Bindings.search Sitegen.Formsite.binding_config schema q in
+  let r = Bindings.search binding_config schema q in
   check bool_t "at least one rewriting" true (r.Bindings.rewritings <> []);
   check bool_t "not truncated" false r.Bindings.truncated
 
 let test_search_needs_a_constant () =
   (* no equality constant: nothing seeds the binding states *)
   let q = conj "SELECT P.PName FROM Professor P" in
-  let r = Bindings.search Sitegen.Formsite.binding_config schema q in
+  let r = Bindings.search binding_config schema q in
   check bool_t "no rewriting without a seed constant" true
     (r.Bindings.rewritings = [])
 
 let test_decoys_never_emitted () =
   let cfg =
-    Bindings.add_views Sitegen.Formsite.binding_config
+    Bindings.add_views binding_config
       (Bindings.decoys ~hooks:[ "dept"; "course" ] ~seed:3 ~n:100 ())
   in
   let q = conj (Sitegen.Formsite.staff_query "cs") in
@@ -115,8 +119,7 @@ let test_decoys_never_emitted () =
 (* --- end to end through planner and executor ------------------------ *)
 
 let test_no_navigation_plan () =
-  let fs, _, source = build_and_source () in
-  let stats = Sitegen.Formsite.stats fs in
+  let _, stats, _, source = build_and_source () in
   check bool_t "without the hook the planner has no plan" true
     (match
        Planner.run schema stats registry source (Sitegen.Formsite.staff_query "cs")
@@ -125,8 +128,7 @@ let test_no_navigation_plan () =
     | _ -> false)
 
 let test_staff_query_end_to_end () =
-  let fs, http, source = build_and_source () in
-  let stats = Sitegen.Formsite.stats fs in
+  let fs, stats, http, source = build_and_source () in
   let before = Websim.Http.snapshot http in
   let outcome, rel =
     Planner.run ~bindings:hook schema stats registry source
@@ -161,10 +163,9 @@ let test_staff_query_end_to_end () =
        false outcome.Planner.best.Planner.expr)
 
 let test_streaming_matches_legacy () =
-  let fs, _, source = build_and_source () in
+  let _, stats, _, source = build_and_source () in
   let q = conj (Sitegen.Formsite.staff_query "math") in
-  let r = Bindings.search Sitegen.Formsite.binding_config schema q in
-  let stats = Sitegen.Formsite.stats fs in
+  let r = Bindings.search binding_config schema q in
   List.iter
     (fun e ->
       let plan = Cost.lower schema stats e in
@@ -181,7 +182,7 @@ let test_lint_reports_e0111 () =
   (* ask for a phone by office: no path view takes an office as input,
      so no composition exists *)
   let q = conj "SELECT P.Phone FROM Professor P WHERE P.Office = 'Bldg A, room 100'" in
-  let ds = Bindings.lint Sitegen.Formsite.binding_config schema q in
+  let ds = Bindings.lint binding_config schema q in
   check (Alcotest.list Alcotest.string) "exactly E0111" [ "E0111" ]
     (codes (Diagnostic.errors ds));
   (* the accounting `webviews analyze` relies on: errors drive the
@@ -192,10 +193,10 @@ let test_lint_reports_e0111 () =
 let test_lint_quiet_when_answerable () =
   let q = conj (Sitegen.Formsite.staff_query "cs") in
   check (Alcotest.list Alcotest.string) "no diagnostics" []
-    (codes (Bindings.lint Sitegen.Formsite.binding_config schema q));
+    (codes (Bindings.lint binding_config schema q));
   check int_t "exit code 0" 0
     (Diagnostic.exit_code ~strict:true
-       (Bindings.lint Sitegen.Formsite.binding_config schema q))
+       (Bindings.lint binding_config schema q))
 
 (* --- the property: emitted rewritings execute and agree ------------- *)
 
@@ -212,9 +213,10 @@ let rewritings_sound =
       let fs = Sitegen.Formsite.build ~config () in
       let dept = List.nth (Sitegen.Formsite.depts fs) dept_idx in
       let q = conj (Sitegen.Formsite.staff_query dept) in
-      let r = Bindings.search Sitegen.Formsite.binding_config schema q in
+      let r = Bindings.search binding_config schema q in
       let source =
-        Eval.live_source schema (Websim.Http.connect (Sitegen.Formsite.site fs))
+        Eval.live_source schema
+          (Websim.Http.connect (Sitegen.Sites.of_formsite fs).site)
       in
       let expected =
         List.sort compare (Sitegen.Formsite.expected_staff fs ~dept)

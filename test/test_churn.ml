@@ -13,16 +13,19 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-let schema = Sitegen.University.schema
-let registry = Sitegen.University.view
+let schema = (Sitegen.Sites.load University).schema
 
+(* A fresh university site — most tests mutate it — beside its
+   generator's records and one connection. *)
 let setup () =
   let uni = Sitegen.University.build () in
-  let site = Sitegen.University.site uni in
-  let http = Websim.Http.connect site in
-  (uni, site, http)
+  let site = (Sitegen.Sites.of_university uni).site in
+  (uni, site, Websim.Http.connect site)
 
-let stats_of http = Stats.of_instance (Websim.Crawler.crawl schema http)
+(* The churn runtime over its own connection to [site]. *)
+let run_on ?sched cfg (site : Sitegen.Sites.t) workload =
+  Churn.Runtime.run ?sched cfg site.schema (Sitegen.Sites.stats site) site.registry
+    (Websim.Http.connect site.site) workload
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: bare site mutation semantics                             *)
@@ -240,9 +243,8 @@ let runtime_config ?(profile = Churn.Profile.high) ?(policy = Churn.Runtime.Incr
     ~budget_per_turn:budget ~policy ()
 
 let run_runtime ?sched ?(cfg = runtime_config ()) ~wseed ~n () =
-  let _, _, http = setup () in
-  let workload = Server.Workload.generate ~seed:wseed ~n () in
-  Churn.Runtime.run ?sched cfg schema (stats_of http) registry http workload
+  run_on ?sched cfg (Sitegen.Sites.load University)
+    (Server.Workload.generate ~seed:wseed ~n ())
 
 let test_runtime_generous_budget_no_violations () =
   let rep = run_runtime ~wseed:7 ~n:16 () in
@@ -276,33 +278,33 @@ let test_runtime_starved_budget_degrades_not_fails () =
     (List.length rep.Churn.Runtime.sched.Server.Sched.results);
   check bool_t "denials recorded" true (rep.Churn.Runtime.budget_denied > 0)
 
+(* A small site for long, tight runs. *)
+let small_university () =
+  Sitegen.Sites.of_university
+    (Sitegen.University.build
+       ~config:
+         {
+           Sitegen.University.default_config with
+           Sitegen.University.n_depts = 2;
+           n_profs = 6;
+           n_courses = 10;
+           n_sessions = 2;
+         }
+       ())
+
 let test_runtime_incremental_beats_full_refresh () =
   (* a small site and a long, tight run: the policies must actually
      get to act (ages crossing max_age; the full-refresh bucket
      accruing a whole recrawl several times) before being compared *)
   let run policy =
-    let uni =
-      Sitegen.University.build
-        ~config:
-          {
-            Sitegen.University.default_config with
-            Sitegen.University.n_depts = 2;
-            n_profs = 6;
-            n_courses = 10;
-            n_sessions = 2;
-          }
-        ()
-    in
-    let http = Websim.Http.connect (Sitegen.University.site uni) in
     let cfg =
       Churn.Runtime.config ~profile:Churn.Profile.high ~churn_seed:5
         ~sla:(Churn.Sla.create ~default_max_age:6 ())
         ~budget_per_turn:8.0 ~policy ()
     in
-    let workload = Server.Workload.generate ~seed:7 ~n:96 () in
-    Churn.Runtime.run
-      ~sched:(Server.Sched.config ~concurrency:4 ~quantum:1 ())
-      cfg schema (stats_of http) registry http workload
+    run_on ~sched:(Server.Sched.config ~concurrency:4 ~quantum:1 ()) cfg
+      (small_university ())
+      (Server.Workload.generate ~seed:7 ~n:96 ())
   in
   let inc = run Churn.Runtime.Incremental in
   let full = run Churn.Runtime.Full_refresh in
@@ -313,6 +315,36 @@ let test_runtime_incremental_beats_full_refresh () =
        inc.Churn.Runtime.mean_staleness full.Churn.Runtime.mean_staleness)
     true
     (inc.Churn.Runtime.mean_staleness < full.Churn.Runtime.mean_staleness)
+
+let test_runtime_view_scans_observed () =
+  (* every plan answers from the Professor view: the pages its scans
+     serve must reach each query's freshness observation, at a starved
+     budget as much as at a generous one *)
+  let n = 12 in
+  let cfg =
+    Churn.Runtime.config ~profile:Churn.Profile.high ~churn_seed:5
+      ~sla:(Churn.Sla.create ~default_max_age:6 ())
+      ~budget_per_turn:2.0 ()
+  in
+  let rep =
+    run_on ~sched:(Server.Sched.config ~concurrency:4 ~quantum:1 ()) cfg
+      (small_university ())
+      (Server.Workload.generate
+         ~templates:[ "SELECT p.PName, p.Email FROM Professor p" ]
+         ~seed:7 ~n ())
+  in
+  check (Alcotest.list (Alcotest.pair Alcotest.string int_t))
+    "every plan is view-answered" [ ("Professor", n) ] rep.Churn.Runtime.views_chosen;
+  List.iter
+    (fun (r : Server.Sched.result) ->
+      let served =
+        match r.Server.Sched.freshness with
+        | Some f -> f.Server.Sched.pages_served
+        | None -> 0
+      in
+      check bool_t (Fmt.str "q%d: SLA observer counts served pages" r.Server.Sched.qid)
+        true (served > 0))
+    rep.Churn.Runtime.sched.Server.Sched.results
 
 let test_runtime_sweep_drains_backlog () =
   let profile =
@@ -428,4 +460,6 @@ let suite =
       Alcotest.test_case "runtime: sweep drains the backlog" `Quick
         test_runtime_sweep_drains_backlog;
       QCheck_alcotest.to_alcotest prop_rate_zero_is_frozen;
+      Alcotest.test_case "runtime: view scans reach the SLA observer" `Quick
+        test_runtime_view_scans_observed;
     ] )

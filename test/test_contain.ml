@@ -6,18 +6,11 @@
 
 open Webviews
 
-let schema = Sitegen.University.schema
-let registry = Sitegen.University.view
-
-let uni = lazy (Sitegen.University.build ())
-
-let instance =
-  lazy
-    (let u = Lazy.force uni in
-     let http = Websim.Http.connect (Sitegen.University.site u) in
-     Websim.Crawler.crawl schema http)
-
-let stats = lazy (Stats.of_instance (Lazy.force instance))
+let uni = Sitegen.Sites.load University
+let schema = uni.schema
+let registry = uni.registry
+let instance = lazy (Sitegen.Sites.crawl uni)
+let stats = uni.stats
 
 let parse sql = Sql_parser.parse registry sql
 let algebra sql = Conjunctive.to_algebra (parse sql)
@@ -335,8 +328,7 @@ let prop_minimize_preserves_gets =
     ~count:12 query_arb (fun sql ->
       let raw, minimized = plan_pair sql in
       let run (o : Planner.outcome) =
-        let u = Lazy.force uni in
-        let http = Websim.Http.connect (Sitegen.University.site u) in
+        let http = Websim.Http.connect uni.site in
         let src, urls = logged_source schema http in
         let rel =
           Planner.rename_output o (Eval.eval schema src o.Planner.best.Planner.expr)
@@ -412,11 +404,11 @@ let prop_restriction_contained =
 
 let seeds = [ 7; 21; 42 ]
 
-let check_site name site_schema view ~build_site ~queries seed =
-  let site = build_site seed in
-  let http = Websim.Http.connect site in
-  let inst = Websim.Crawler.crawl site_schema http in
-  let st = Stats.of_instance inst in
+let check_site name ~build ~queries seed =
+  let ({ schema = site_schema; registry = view; site; _ } as bundle : Sitegen.Sites.t) =
+    build seed
+  in
+  let st = Sitegen.Sites.stats bundle in
   List.iter
     (fun sql ->
       let q = Sql_parser.parse view sql in
@@ -454,12 +446,9 @@ let check_site name site_schema view ~build_site ~queries seed =
 
 let test_seeded_university () =
   List.iter
-    (check_site "university" schema registry
-       ~build_site:(fun seed ->
-         Sitegen.University.site
-           (Sitegen.University.build
-              ~config:{ Sitegen.University.default_config with seed }
-              ()))
+    (check_site "university"
+       ~build:(fun seed ->
+         Sitegen.Sites.load ~size:{ Sitegen.Sites.default_size with seed } University)
        ~queries:
          [
            fold_sql;
@@ -471,12 +460,10 @@ let test_seeded_university () =
 
 let test_seeded_catalog () =
   List.iter
-    (check_site "catalog" Sitegen.Catalog.schema Sitegen.Catalog.view
-       ~build_site:(fun seed ->
-         Sitegen.Catalog.site
-           (Sitegen.Catalog.build
-              ~config:{ Sitegen.Catalog.default_config with seed }
-              ()))
+    (check_site "catalog"
+       ~build:(fun seed ->
+         Sitegen.Sites.of_catalog
+           (Sitegen.Catalog.build ~config:{ Sitegen.Catalog.default_config with seed } ()))
        ~queries:
          [
            "SELECT p.PName, p.Price FROM Product p, Product q WHERE p.PName = \
@@ -487,11 +474,10 @@ let test_seeded_catalog () =
     seeds
 
 let test_seeded_bibliography () =
-  let view = View.auto_registry Sitegen.Bibliography.schema in
   List.iter
-    (check_site "bibliography" Sitegen.Bibliography.schema view
-       ~build_site:(fun seed ->
-         Sitegen.Bibliography.site
+    (check_site "bibliography"
+       ~build:(fun seed ->
+         Sitegen.Sites.of_bibliography
            (Sitegen.Bibliography.build
               ~config:{ Sitegen.Bibliography.default_config with seed }
               ()))

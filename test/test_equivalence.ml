@@ -6,18 +6,11 @@
 
 open Webviews
 
-let schema = Sitegen.University.schema
-let registry = Sitegen.University.view
-
-let uni = lazy (Sitegen.University.build ())
-
-let instance =
-  lazy
-    (let u = Lazy.force uni in
-     let http = Websim.Http.connect (Sitegen.University.site u) in
-     Websim.Crawler.crawl schema http)
-
-let stats = lazy (Stats.of_instance (Lazy.force instance))
+let uni = Sitegen.Sites.load University
+let schema = uni.schema
+let registry = uni.registry
+let instance = lazy (Sitegen.Sites.crawl uni)
+let stats = uni.stats
 
 (* --- a small generator of valid conjunctive queries ---------------- *)
 
@@ -132,8 +125,7 @@ let prop_best_not_worse_than_worst =
     ~count:25 query_arb (fun sql ->
       let outcome = Planner.plan_sql schema (Lazy.force stats) registry sql in
       let measure (p : Planner.plan) =
-        let u = Lazy.force uni in
-        let http = Websim.Http.connect (Sitegen.University.site u) in
+        let http = Websim.Http.connect uni.site in
         let source = Eval.live_source schema http in
         let _ = Eval.eval schema source p.Planner.expr in
         (Websim.Http.stats http).Websim.Http.gets
@@ -166,14 +158,11 @@ let prop_matview_agrees_with_live =
   QCheck.Test.make ~name:"materialized view answers = live answers" ~count:15
     query_arb (fun sql ->
       (* fresh site per sample: matview mutates statuses *)
-      let u = Sitegen.University.build () in
-      let http = Websim.Http.connect (Sitegen.University.site u) in
-      let inst = Websim.Crawler.crawl schema http in
-      let stats = Stats.of_instance inst in
-      let outcome = Planner.plan_sql schema stats registry sql in
+      let u = Sitegen.Sites.load University in
+      let outcome = Planner.plan_sql schema (Sitegen.Sites.stats u) registry sql in
       let plan = outcome.Planner.best.Planner.expr in
-      let live = rows_of (Eval.eval schema (Eval.instance_source inst) plan) in
-      let mv = Matview.materialize schema http in
+      let live = rows_of (Eval.eval schema (Eval.instance_source (Sitegen.Sites.crawl u)) plan) in
+      let mv = Matview.materialize schema (Websim.Http.connect u.site) in
       let mat = rows_of (Matview.query mv plan) in
       live = mat)
 

@@ -11,38 +11,19 @@ let check = Alcotest.check
 let int_t = Alcotest.int
 let bool_t = Alcotest.bool
 
-let schema = Sitegen.University.schema
-let registry = Sitegen.University.view
+let uni = Sitegen.Sites.load University
+let schema = uni.schema
+let registry = uni.registry
+let instance = lazy (Sitegen.Sites.crawl uni)
+let stats = uni.stats
 
-let uni = lazy (Sitegen.University.build ())
-
-let instance =
-  lazy
-    (let u = Lazy.force uni in
-     let http = Websim.Http.connect (Sitegen.University.site u) in
-     Websim.Crawler.crawl schema http)
-
-let stats = lazy (Stats.of_instance (Lazy.force instance))
-
-let bib = lazy (Sitegen.Bibliography.build ())
-
-let bib_instance =
-  lazy
-    (let b = Lazy.force bib in
-     let http = Websim.Http.connect (Sitegen.Bibliography.site b) in
-     Websim.Crawler.crawl Sitegen.Bibliography.schema http)
-
-let bib_stats = lazy (Stats.of_instance (Lazy.force bib_instance))
-
-let catalog = lazy (Sitegen.Catalog.build ())
-
-let catalog_instance =
-  lazy
-    (let c = Lazy.force catalog in
-     let http = Websim.Http.connect (Sitegen.Catalog.site c) in
-     Websim.Crawler.crawl Sitegen.Catalog.schema http)
-
-let catalog_stats = lazy (Stats.of_instance (Lazy.force catalog_instance))
+let bib = Sitegen.Sites.load Bibliography
+let bib_instance = lazy (Sitegen.Sites.crawl bib)
+let bib_stats = bib.stats
+let catalog_records = Sitegen.Catalog.build ()
+let catalog = Sitegen.Sites.of_catalog catalog_records
+let catalog_instance = lazy (Sitegen.Sites.crawl catalog)
+let catalog_stats = catalog.stats
 
 (* Run an expression through the physical layer: lower with cost
    annotations, execute with pull-based cursors. *)
@@ -85,7 +66,7 @@ let prop_exec_same_pages =
     ~count:15 Test_equivalence.query_arb (fun sql ->
       let outcome = Planner.plan_sql schema (Lazy.force stats) registry sql in
       let e = outcome.Planner.best.Planner.expr in
-      let site = Sitegen.University.site (Lazy.force uni) in
+      let site = uni.site in
       let _, g1, h1, b1 = net_profile (exec_eval schema (Lazy.force stats)) site schema e in
       let _, g2, h2, b2 = net_profile (Eval.eval_legacy schema) site schema e in
       (g1, h1, b1) = (g2, h2, b2))
@@ -123,14 +104,13 @@ let test_seeded_university_candidates () =
           outcome.Planner.candidates;
         check_page_identity
           (Fmt.str "uni seed %d query %d best" seed i)
-          (Sitegen.University.site (Lazy.force uni))
+          (uni.site)
           schema (Lazy.force stats) outcome.Planner.best.Planner.expr
       done)
     seeds
 
 let test_seeded_catalog_candidates () =
-  let c = Lazy.force catalog in
-  let products = Sitegen.Catalog.products c in
+  let products = Sitegen.Catalog.products catalog_records in
   List.iter
     (fun seed ->
       let st = Random.State.make [| seed |] in
@@ -147,8 +127,8 @@ let test_seeded_catalog_candidates () =
       List.iteri
         (fun i sql ->
           let outcome =
-            Planner.plan_sql Sitegen.Catalog.schema (Lazy.force catalog_stats)
-              Sitegen.Catalog.view sql
+            Planner.plan_sql catalog.schema (Lazy.force catalog_stats)
+              catalog.registry sql
           in
           let source = Eval.instance_source (Lazy.force catalog_instance) in
           List.iteri
@@ -157,19 +137,18 @@ let test_seeded_catalog_candidates () =
                 (Fmt.str "catalog seed %d query %d candidate %d" seed i j)
                 true
                 (Adm.Relation.equal
-                   (exec_eval Sitegen.Catalog.schema (Lazy.force catalog_stats)
+                   (exec_eval catalog.schema (Lazy.force catalog_stats)
                       source pl.Planner.expr)
-                   (Eval.eval_legacy Sitegen.Catalog.schema source pl.Planner.expr)))
+                   (Eval.eval_legacy catalog.schema source pl.Planner.expr)))
             outcome.Planner.candidates;
           check_page_identity
             (Fmt.str "catalog seed %d query %d best" seed i)
-            (Sitegen.Catalog.site c) Sitegen.Catalog.schema
+            catalog.site catalog.schema
             (Lazy.force catalog_stats) outcome.Planner.best.Planner.expr)
         queries)
     seeds
 
 let test_bibliography_paths () =
-  let b = Lazy.force bib in
   let paths =
     [
       ("path1 all conferences", Sitegen.Bibliography.path1_all_conferences ());
@@ -183,10 +162,9 @@ let test_bibliography_paths () =
     (fun (name, e) ->
       check bool_t (name ^ " relation") true
         (Adm.Relation.equal
-           (exec_eval Sitegen.Bibliography.schema (Lazy.force bib_stats) source e)
-           (Eval.eval_legacy Sitegen.Bibliography.schema source e));
-      check_page_identity name (Sitegen.Bibliography.site b)
-        Sitegen.Bibliography.schema (Lazy.force bib_stats) e)
+           (exec_eval bib.schema (Lazy.force bib_stats) source e)
+           (Eval.eval_legacy bib.schema source e));
+      check_page_identity name bib.site bib.schema (Lazy.force bib_stats) e)
     paths
 
 (* --- pinned page-access counters (Example 7.2 literal plans) ------- *)
@@ -247,7 +225,7 @@ let chase_plan_72 () =
           "ProfPage.CourseList.ToCourse" ~scheme:"CoursePage"))
 
 let test_pinned_literal_72_counters () =
-  let site = Sitegen.University.site (Lazy.force uni) in
+  let site = uni.site in
   let gets_of e =
     let _, g, _, _ = net_profile (exec_eval schema (Lazy.force stats)) site schema e in
     g
@@ -269,7 +247,7 @@ let prof_names_plan () =
     |> keep [ "PName" ] |> finish)
 
 let test_limit_stops_fetching () =
-  let site = Sitegen.University.site (Lazy.force uni) in
+  let site = uni.site in
   let gets limit =
     let http = Websim.Http.connect site in
     let source = Eval.live_source schema http in

@@ -12,13 +12,9 @@ let int_t = Alcotest.int
 (* DSL                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let uni_schema = Sitegen.University.schema
-
-let uni_instance =
-  lazy
-    (let uni = Sitegen.University.build () in
-     let http = Websim.Http.connect (Sitegen.University.site uni) in
-     Websim.Crawler.crawl uni_schema http)
+let uni = Sitegen.Sites.load University
+let uni_schema = uni.schema
+let uni_instance = lazy (Sitegen.Sites.crawl uni)
 
 let test_dsl_matches_raw_nalg () =
   let via_dsl =
@@ -155,11 +151,8 @@ let test_discovery_audit_refutes_broken_constraint () =
 (* ------------------------------------------------------------------ *)
 
 let test_byte_cost_distinguishes_intro_paths () =
-  let bib = Sitegen.Bibliography.build () in
-  let http = Websim.Http.connect (Sitegen.Bibliography.site bib) in
-  let instance = Websim.Crawler.crawl Sitegen.Bibliography.schema http in
-  let stats = Stats.of_instance instance in
-  let cost e = Cost.byte_cost Sitegen.Bibliography.schema stats e in
+  let bib = Sitegen.Sites.load Bibliography in
+  let cost e = Cost.byte_cost bib.schema (Sitegen.Sites.stats bib) e in
   let c1 = cost (Sitegen.Bibliography.path1_all_conferences ()) in
   let c2 = cost (Sitegen.Bibliography.path2_db_conferences ()) in
   let c4 = cost (Sitegen.Bibliography.path4_via_authors ()) in
@@ -168,15 +161,11 @@ let test_byte_cost_distinguishes_intro_paths () =
   check bool_t "author path far worse in bytes" true (c4 > 5.0 *. c1)
 
 let test_byte_cost_tracks_measured_bytes () =
-  let bib = Sitegen.Bibliography.build () in
-  let http = Websim.Http.connect (Sitegen.Bibliography.site bib) in
-  let instance = Websim.Crawler.crawl Sitegen.Bibliography.schema http in
-  let stats = Stats.of_instance instance in
+  let bib = Sitegen.Sites.load Bibliography in
   let plan = Sitegen.Bibliography.path3_direct_link () in
-  let predicted = Cost.byte_cost Sitegen.Bibliography.schema stats plan in
-  Websim.Http.reset_stats http;
-  let source = Eval.live_source Sitegen.Bibliography.schema http in
-  let _ = Eval.eval Sitegen.Bibliography.schema source plan in
+  let predicted = Cost.byte_cost bib.schema (Sitegen.Sites.stats bib) plan in
+  let http = Websim.Http.connect bib.site in
+  let _ = Eval.eval bib.schema (Eval.live_source bib.schema http) plan in
   let measured = float_of_int (Websim.Http.stats http).Websim.Http.bytes in
   check bool_t "within 2x of measured" true
     (predicted > measured /. 2.0 && predicted < measured *. 2.0)
@@ -186,9 +175,8 @@ let test_byte_cost_tracks_measured_bytes () =
 (* ------------------------------------------------------------------ *)
 
 let test_max_age_skips_checks () =
-  let uni = Sitegen.University.build () in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let mv = Matview.materialize Sitegen.University.schema http in
+  let uni = Sitegen.Sites.load University in
+  let mv = Matview.materialize uni.schema (Websim.Http.connect uni.site) in
   let plan =
     Dsl.(
       start "ProfListPage" |> dive "ProfList" |> follow "ToProf" ~scheme:"ProfPage"
@@ -203,8 +191,8 @@ let test_max_age_skips_checks () =
 
 let test_max_age_serves_stale () =
   let uni = Sitegen.University.build () in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let mv = Matview.materialize Sitegen.University.schema http in
+  let site = Sitegen.Sites.of_university uni in
+  let mv = Matview.materialize site.schema (Websim.Http.connect site.site) in
   let plan =
     Dsl.(
       start "ProfListPage" |> dive "ProfList" |> follow "ToProf" ~scheme:"ProfPage"
@@ -223,23 +211,19 @@ let test_max_age_serves_stale () =
 (* Catalog site                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let catalog = lazy (Sitegen.Catalog.build ())
-
-let catalog_instance =
-  lazy
-    (let c = Lazy.force catalog in
-     let http = Websim.Http.connect (Sitegen.Catalog.site c) in
-     Websim.Crawler.crawl Sitegen.Catalog.schema http)
+let catalog_records = Sitegen.Catalog.build ()
+let catalog = Sitegen.Sites.of_catalog catalog_records
+let catalog_instance = lazy (Sitegen.Sites.crawl catalog)
 
 let test_catalog_constraints () =
   check Alcotest.(list string) "schema well-formed" []
-    (Adm.Schema.validate Sitegen.Catalog.schema);
+    (Adm.Schema.validate catalog.schema);
   check Alcotest.(list string) "instance satisfies constraints" []
-    (Websim.Crawler.validate Sitegen.Catalog.schema (Lazy.force catalog_instance))
+    (Websim.Crawler.validate catalog.schema (Lazy.force catalog_instance))
 
 let test_catalog_two_paths_equivalent () =
   let source = Eval.instance_source (Lazy.force catalog_instance) in
-  let eval = Eval.eval Sitegen.Catalog.schema source in
+  let eval = Eval.eval catalog.schema source in
   let names nav_expr =
     Adm.Relation.column "ProductPage.PName" (eval nav_expr)
     |> List.map Adm.Value.to_string |> List.sort_uniq compare
@@ -258,14 +242,11 @@ let test_catalog_two_paths_equivalent () =
   check int_t "all products" 120 (List.length (names by_cat))
 
 let test_catalog_planner_picks_matching_entry () =
-  let c = Lazy.force catalog in
-  let stats = Stats.of_instance (Lazy.force catalog_instance) in
   let plan_of sql =
-    (Planner.plan_sql Sitegen.Catalog.schema stats Sitegen.Catalog.view sql)
+    (Planner.plan_sql catalog.schema (Sitegen.Sites.stats catalog) catalog.registry sql)
       .Planner.best
       .Planner.expr
   in
-  ignore c;
   let brand_plan = plan_of "SELECT p.PName FROM Product p WHERE p.Brand = 'Acme'" in
   check bool_t "brand query enters through brands" true
     (List.mem "BrandListPage" (Nalg.aliases brand_plan));
@@ -274,18 +255,16 @@ let test_catalog_planner_picks_matching_entry () =
     (List.mem "CategoryListPage" (Nalg.aliases cat_plan))
 
 let test_catalog_range_query_correct () =
-  let c = Lazy.force catalog in
-  let stats = Stats.of_instance (Lazy.force catalog_instance) in
   let source = Eval.instance_source (Lazy.force catalog_instance) in
   let _, result =
-    Planner.run Sitegen.Catalog.schema stats Sitegen.Catalog.view source
+    Planner.run catalog.schema (Sitegen.Sites.stats catalog) catalog.registry source
       "SELECT p.PName FROM Product p WHERE p.Brand = 'Acme' AND p.Price < 50"
   in
   let expected =
     List.filter
       (fun (p : Sitegen.Catalog.product) ->
         String.equal p.Sitegen.Catalog.brand "Acme" && p.Sitegen.Catalog.price < 50)
-      (Sitegen.Catalog.products c)
+      (Sitegen.Catalog.products catalog_records)
   in
   check int_t "range query matches ground truth" (List.length expected)
     (Adm.Relation.cardinality result)
@@ -295,13 +274,12 @@ let test_catalog_reprice () =
   let p = List.hd (Sitegen.Catalog.products c) in
   check bool_t "reprice ok" true
     (Sitegen.Catalog.reprice c ~p_name:p.Sitegen.Catalog.p_name ~price:1);
-  let http = Websim.Http.connect (Sitegen.Catalog.site c) in
-  let instance = Websim.Crawler.crawl Sitegen.Catalog.schema http in
+  let instance = Sitegen.Sites.crawl (Sitegen.Sites.of_catalog c) in
   check Alcotest.(list string) "constraints still hold" []
-    (Websim.Crawler.validate Sitegen.Catalog.schema instance)
+    (Websim.Crawler.validate catalog.schema instance)
 
 let test_catalog_discovery_finds_equivalence () =
-  let report = Discover.discover Sitegen.Catalog.schema (Lazy.force catalog_instance) in
+  let report = Discover.discover catalog.schema (Lazy.force catalog_instance) in
   let has sub sup =
     List.exists
       (fun (c : Adm.Constraints.inclusion) ->
@@ -319,17 +297,17 @@ let test_catalog_discovery_finds_equivalence () =
 (* ------------------------------------------------------------------ *)
 
 let test_ablation_pointer_rules () =
-  let stats = Stats.of_instance (Lazy.force uni_instance) in
+  let stats = Sitegen.Sites.stats uni in
   let sql =
     "SELECT p.PName FROM Course c, CourseInstructor ci, Professor p, ProfDept pd \
      WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName = pd.PName \
      AND pd.DName = 'Computer Science' AND c.Type = 'Graduate'"
   in
   let full =
-    Planner.plan_sql uni_schema stats Sitegen.University.view sql
+    Planner.plan_sql uni_schema stats uni.registry sql
   in
   let ablated =
-    Planner.plan_sql ~pointer_rules:false uni_schema stats Sitegen.University.view sql
+    Planner.plan_sql ~pointer_rules:false uni_schema stats uni.registry sql
   in
   check bool_t "pointer rules reduce best cost" true
     (full.Planner.best.Planner.cost < ablated.Planner.best.Planner.cost);
@@ -344,9 +322,9 @@ let test_ablation_pointer_rules () =
   check bool_t "ablated planner still correct" true (rows full = rows ablated)
 
 let test_to_dot_well_formed () =
-  let stats = Stats.of_instance (Lazy.force uni_instance) in
+  let stats = Sitegen.Sites.stats uni in
   let outcome =
-    Planner.plan_sql uni_schema stats Sitegen.University.view
+    Planner.plan_sql uni_schema stats uni.registry
       "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'"
   in
   let dot = Explain.to_dot outcome.Planner.best.Planner.expr in
@@ -372,7 +350,7 @@ let test_infer_matches_declared_view () =
   (* the inferred navigation for ProfPage is exactly the Professor
      default navigation of Section 5 *)
   let declared =
-    (View.find_exn Sitegen.University.view "Professor").View.navigations
+    (View.find_exn uni.registry "Professor").View.navigations
     |> List.map (fun n -> Nalg.canonical n.View.nav_expr)
   in
   let inferred =
@@ -395,7 +373,7 @@ let test_infer_course_via_sessions () =
 let test_infer_catalog_equivalence_gives_two () =
   (* products are reachable via two equivalent maximal paths: both are
      inferred *)
-  let navs = View.infer_navigations Sitegen.Catalog.schema ~scheme:"ProductPage" in
+  let navs = View.infer_navigations catalog.schema ~scheme:"ProductPage" in
   check int_t "two navigations" 2 (List.length navs);
   let entries = List.concat_map Nalg.aliases navs in
   check bool_t "one per hierarchy" true

@@ -8,48 +8,41 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-let schema = Sitegen.University.schema
-let registry = Sitegen.University.view
-
 (* Fresh site + materialized view per test (tests mutate the site). *)
 let setup () =
   let uni = Sitegen.University.build () in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let mv = Matview.materialize schema http in
-  (uni, http, mv)
+  let site = Sitegen.Sites.of_university uni in
+  (uni, site, Matview.materialize site.schema (Websim.Http.connect site.site))
 
-let cs_profs_plan (uni : Sitegen.University.t) http =
-  let instance = Websim.Crawler.crawl schema http in
-  ignore uni;
-  let stats = Stats.of_instance instance in
+let cs_profs_plan (site : Sitegen.Sites.t) =
   (* Email is not replicated on the department page, so the plan must
      actually navigate to the professor pages (with PName alone,
      rule 7 would answer from DeptPage.ProfList and follow nothing) *)
   let outcome =
-    Planner.plan_sql schema stats registry
+    Planner.plan_sql site.schema (Sitegen.Sites.stats site) site.registry
       "SELECT p.PName, p.Email FROM Professor p, ProfDept d WHERE p.PName = d.PName \
        AND d.DName = 'Computer Science'"
   in
   outcome.Planner.best.Planner.expr
 
 let test_materialize_stores_all () =
-  let uni, _, mv = setup () in
+  let _, site, mv = setup () in
   check int_t "all pages stored"
-    (Websim.Site.page_count (Sitegen.University.site uni))
+    (Websim.Site.page_count site.site)
     (Matview.total_pages mv);
   check int_t "professors table" 20 (Matview.stored_pages mv "ProfPage")
 
 let test_fresh_query_uses_light_connections_only () =
-  let uni, http, mv = setup () in
-  let plan = cs_profs_plan uni http in
+  let _, site, mv = setup () in
+  let plan = cs_profs_plan site in
   let report = Matview.query_counted mv plan in
   check bool_t "rows returned" true (Adm.Relation.cardinality report.Matview.result > 0);
   check int_t "no downloads on a fresh view" 0 report.Matview.downloads;
   check bool_t "light connections used" true (report.Matview.light_connections > 0)
 
 let test_query_detects_update () =
-  let uni, http, mv = setup () in
-  let plan = cs_profs_plan uni http in
+  let uni, site, mv = setup () in
+  let plan = cs_profs_plan site in
   let before = Matview.query_counted mv plan in
   (* hire into CS: DeptPage and the new ProfPage change *)
   let _p = Sitegen.University.hire_professor uni ~dept_name:"Computer Science" in
@@ -60,8 +53,8 @@ let test_query_detects_update () =
   check int_t "exactly the changed pages downloaded" 2 after.Matview.downloads
 
 let test_update_not_on_path_is_invisible () =
-  let uni, http, mv = setup () in
-  let plan = cs_profs_plan uni http in
+  let uni, site, mv = setup () in
+  let plan = cs_profs_plan site in
   (* revising a course touches no page the plan visits *)
   let c = List.hd (Sitegen.University.courses uni) in
   check bool_t "revision applied" true
@@ -70,16 +63,16 @@ let test_update_not_on_path_is_invisible () =
   check int_t "no downloads for unrelated update" 0 report.Matview.downloads
 
 let test_unchanged_page_not_downloaded () =
-  let uni, http, mv = setup () in
-  let plan = cs_profs_plan uni http in
+  let _, site, mv = setup () in
+  let plan = cs_profs_plan site in
   let _ = Matview.query_counted mv plan in
   (* second run: still only light connections *)
   let again = Matview.query_counted mv plan in
   check int_t "no downloads on repeat" 0 again.Matview.downloads
 
 let test_status_checked_within_query () =
-  let uni, http, mv = setup () in
-  let plan = cs_profs_plan uni http in
+  let _, site, mv = setup () in
+  let plan = cs_profs_plan site in
   let report = Matview.query_counted mv plan in
   (* within one query, each URL is checked at most once even though
      the evaluator touches the entry point for each navigation *)
@@ -87,20 +80,18 @@ let test_status_checked_within_query () =
     (report.Matview.light_connections <= Matview.total_pages mv)
 
 let test_deleted_page_detected () =
-  let uni, http, mv = setup () in
+  let uni, site, mv = setup () in
   (* build a plan touching all professors *)
-  let instance = Websim.Crawler.crawl schema http in
-  let stats = Stats.of_instance instance in
   let outcome =
-    Planner.plan_sql schema stats registry "SELECT p.PName, p.Rank FROM Professor p"
+    Planner.plan_sql site.schema (Sitegen.Sites.stats site) site.registry
+      "SELECT p.PName, p.Rank FROM Professor p"
   in
   let plan = outcome.Planner.best.Planner.expr in
   let before = Matview.query_counted mv plan in
   (* the site manager deletes a professor page without fixing links *)
   let victim = List.hd (Sitegen.University.profs uni) in
-  Websim.Site.tick (Sitegen.University.site uni);
-  Websim.Site.delete (Sitegen.University.site uni)
-    (Sitegen.University.prof_url victim.Sitegen.University.p_name);
+  Websim.Site.tick site.site;
+  Websim.Site.delete site.site (Sitegen.University.prof_url victim.Sitegen.University.p_name);
   let after = Matview.query_counted mv plan in
   check int_t "one fewer professor"
     (Adm.Relation.cardinality before.Matview.result - 1)
@@ -112,8 +103,8 @@ let test_deleted_page_detected () =
   check int_t "backlog drained" 0 (Matview.check_missing_backlog mv)
 
 let test_new_link_downloads_new_page () =
-  let uni, http, mv = setup () in
-  let plan = cs_profs_plan uni http in
+  let uni, site, mv = setup () in
+  let plan = cs_profs_plan site in
   let _ = Matview.query_counted mv plan in
   let p = Sitegen.University.hire_professor uni ~dept_name:"Computer Science" in
   let after = Matview.query_counted mv plan in
@@ -135,8 +126,8 @@ let test_lazy_anomaly_and_full_refresh () =
   (* the paper's consistency caveat: a page updated on one path is not
      refreshed via other paths until they are navigated; full_refresh
      restores global consistency *)
-  let uni, http, mv = setup () in
-  let plan = cs_profs_plan uni http in
+  let uni, site, mv = setup () in
+  let plan = cs_profs_plan site in
   let _ = Matview.query_counted mv plan in
   let _p = Sitegen.University.hire_professor uni ~dept_name:"Mathematics" in
   (* CS query does not navigate Mathematics: view still stale there *)
@@ -145,17 +136,16 @@ let test_lazy_anomaly_and_full_refresh () =
   check int_t "refresh catches up" 21 (Matview.stored_pages mv "ProfPage")
 
 let test_matview_agrees_with_virtual () =
-  let uni, http, mv = setup () in
-  let plan = cs_profs_plan uni http in
-  ignore uni;
-  let virt = Eval.eval schema (Eval.live_source schema http) plan in
+  let _, site, mv = setup () in
+  let plan = cs_profs_plan site in
+  let virt = Eval.eval site.schema (Eval.live_source site.schema (Websim.Http.connect site.site)) plan in
   let mat = Matview.query mv plan in
   check bool_t "same answer as the virtual view" true
     (Adm.Relation.equal (Adm.Relation.sort_rows virt) (Adm.Relation.sort_rows mat))
 
 let test_counters_reset () =
-  let uni, http, mv = setup () in
-  let plan = cs_profs_plan uni http in
+  let _, site, mv = setup () in
+  let plan = cs_profs_plan site in
   let r1 = Matview.query_counted mv plan in
   let r2 = Matview.query_counted mv plan in
   check int_t "counters are per query" r1.Matview.light_connections

@@ -7,16 +7,12 @@ let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 let string_t = Alcotest.string
 
-let uni_schema = Sitegen.University.schema
-
-(* Shared fixture: one university site and a crawled instance. *)
-let uni = lazy (Sitegen.University.build ())
-
-let instance =
-  lazy
-    (let u = Lazy.force uni in
-     let http = Websim.Http.connect (Sitegen.University.site u) in
-     Websim.Crawler.crawl uni_schema http)
+(* Shared fixture: one university site, its generator's records and a
+   crawled instance. *)
+let uni_records = Sitegen.University.build ()
+let uni = Sitegen.Sites.of_university uni_records
+let uni_schema = uni.schema
+let instance = lazy (Sitegen.Sites.crawl uni)
 
 let eval_instance expr =
   Eval.eval uni_schema (Eval.instance_source (Lazy.force instance)) expr
@@ -178,7 +174,7 @@ let test_eval_select_project () =
   let full_profs =
     List.filter
       (fun (p : Sitegen.University.prof) -> String.equal p.Sitegen.University.rank "Full")
-      (Sitegen.University.profs (Lazy.force uni))
+      (Sitegen.University.profs uni_records)
   in
   check int_t "full professors" (List.length full_profs) (Adm.Relation.cardinality r)
 
@@ -196,11 +192,10 @@ let test_eval_join () =
 
 let test_eval_deep_nesting () =
   (* bibliography: two-level unnest of papers then authors *)
-  let bib = Sitegen.Bibliography.build () in
-  let http = Websim.Http.connect (Sitegen.Bibliography.site bib) in
-  let inst = Websim.Crawler.crawl Sitegen.Bibliography.schema http in
+  let bib = Sitegen.Sites.load Bibliography in
   let r =
-    Eval.eval Sitegen.Bibliography.schema (Eval.instance_source inst)
+    Eval.eval bib.schema
+      (Eval.instance_source (Sitegen.Sites.crawl bib))
       (Sitegen.Bibliography.path3_direct_link ())
   in
   check bool_t "author names exposed" true
@@ -208,8 +203,7 @@ let test_eval_deep_nesting () =
   check bool_t "non-empty" true (Adm.Relation.cardinality r > 0)
 
 let test_eval_live_cache () =
-  let u = Lazy.force uni in
-  let http = Websim.Http.connect (Sitegen.University.site u) in
+  let http = Websim.Http.connect uni.site in
   (* navigating professors twice within one query must fetch each page
      once (distinct network accesses, as the cost model counts) *)
   let e =
@@ -227,8 +221,7 @@ let test_eval_live_cache () =
   check int_t "21 distinct pages fetched" 21 (Websim.Http.stats http).Websim.Http.gets
 
 let test_eval_nocache () =
-  let u = Lazy.force uni in
-  let http = Websim.Http.connect (Sitegen.University.site u) in
+  let http = Websim.Http.connect uni.site in
   Websim.Http.reset_stats http;
   let source = Eval.live_source ~cache:false uni_schema http in
   let _ = Eval.eval uni_schema source profs_nav in

@@ -11,22 +11,21 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-let uni_schema = Sitegen.University.schema
-let uni_registry = Sitegen.University.view
+let uni_schema = (Sitegen.Sites.load University).schema
 
+(* A fresh university: its generator's records, its site and its
+   site-table bundle. *)
 let uni_setup () =
   let u = Sitegen.University.build () in
-  (u, Sitegen.University.site u)
+  let uni = Sitegen.Sites.of_university u in
+  (u, uni.site, uni)
 
 let prof_url_at u i =
   Sitegen.University.prof_url
     (List.nth (Sitegen.University.profs u) i).Sitegen.University.p_name
 
-let uni_stats site =
-  Stats.of_instance (Websim.Crawler.crawl uni_schema (Websim.Http.connect site))
-
-let best_plan site sql =
-  let outcome = Planner.plan_sql uni_schema (uni_stats site) uni_registry sql in
+let best_plan (uni : Sitegen.Sites.t) sql =
+  let outcome = Planner.plan_sql uni.schema (Sitegen.Sites.stats uni) uni.registry sql in
   outcome.Planner.best.Planner.expr
 
 let rows_sorted rel = Adm.Relation.sort_rows rel
@@ -98,19 +97,16 @@ let test_passthrough_crawl_identity () =
       check int_t (name ^ ": HEADs") 0 s.Websim.Http.heads;
       check int_t (name ^ ": head bytes") 0 s.Websim.Http.head_bytes;
       check int_t (name ^ ": failed") 0 s.Websim.Http.failed)
-    [
-      ( "university", uni_schema,
-        Sitegen.University.site (Sitegen.University.build ()), 80, 60365 );
-      ( "bibliography", Sitegen.Bibliography.schema,
-        Sitegen.Bibliography.site (Sitegen.Bibliography.build ()), 208, 424995 );
-      ( "catalog", Sitegen.Catalog.schema,
-        Sitegen.Catalog.site (Sitegen.Catalog.build ()), 134, 119426 );
-    ]
+    (List.map
+       (fun (kind, gets, bytes) ->
+         let s = Sitegen.Sites.load kind in
+         (Sitegen.Sites.name kind, s.schema, s.site, gets, bytes))
+       [ (University, 80, 60365); (Bibliography, 208, 424995); (Catalog, 134, 119426) ])
 
 let test_passthrough_query_identity () =
-  let _, site = uni_setup () in
+  let _, site, uni = uni_setup () in
   let plan =
-    best_plan site
+    best_plan uni
       "SELECT p.PName, p.Email FROM Professor p, ProfDept pd \
        WHERE p.PName = pd.PName AND pd.DName = 'Computer Science'"
   in
@@ -154,8 +150,8 @@ let eval_faulty schema site plan =
 let prop_faulty_eval_exact =
   QCheck.Test.make ~name:"faulty evaluation with retries is exact" ~count:30
     Test_equivalence.query_arb (fun sql ->
-      let _, site = uni_setup () in
-      let plan = best_plan site sql in
+      let _, site, uni = uni_setup () in
+      let plan = best_plan uni sql in
       let clean = eval_clean uni_schema site plan in
       let faulty, _ = eval_faulty uni_schema site plan in
       Adm.Relation.equal (rows_sorted clean) (rows_sorted faulty))
@@ -163,24 +159,18 @@ let prop_faulty_eval_exact =
 (* The same exactness on the other two generated sites, on their
    canonical plans, with the retry overhead visible in the counters. *)
 let test_faulty_eval_exact_all_sites () =
+  let bib = Sitegen.Sites.load Bibliography and catalog = Sitegen.Sites.load Catalog in
   let cases =
     [
-      ( "bibliography", Sitegen.Bibliography.schema,
-        Sitegen.Bibliography.site (Sitegen.Bibliography.build ()),
+      ( "bibliography", bib.schema, bib.site,
         [
           Sitegen.Bibliography.path1_all_conferences ();
           Sitegen.Bibliography.path3_direct_link ();
           Sitegen.Bibliography.path4_via_authors ();
         ] );
-      ( "catalog", Sitegen.Catalog.schema,
-        Sitegen.Catalog.site (Sitegen.Catalog.build ()),
-        (let site = Sitegen.Catalog.site (Sitegen.Catalog.build ()) in
-         let stats =
-           Stats.of_instance
-             (Websim.Crawler.crawl Sitegen.Catalog.schema (Websim.Http.connect site))
-         in
-         let outcome =
-           Planner.plan_sql Sitegen.Catalog.schema stats Sitegen.Catalog.view
+      ( "catalog", catalog.schema, catalog.site,
+        (let outcome =
+           Planner.plan_sql catalog.schema (Sitegen.Sites.stats catalog) catalog.registry
              "SELECT p.PName, p.Price FROM Product p WHERE p.Category = 'Audio'"
          in
          [ outcome.Planner.best.Planner.expr ]) );
@@ -207,7 +197,7 @@ let test_faulty_eval_exact_all_sites () =
 (* ------------------------------------------------------------------ *)
 
 let test_dangling_skipped_identically () =
-  let u, site = uni_setup () in
+  let u, site, _ = uni_setup () in
   let mv = Matview.materialize uni_schema (Websim.Http.connect site) in
   let victim_url = prof_url_at u 0 and other_url = prof_url_at u 1 in
   Websim.Site.tick site;
@@ -225,7 +215,7 @@ let test_dangling_skipped_identically () =
     (Matview.url_check mv ~scheme:"ProfPage" ~url:other_url <> None)
 
 let test_matview_serves_stale_when_unreachable () =
-  let u, site = uni_setup () in
+  let u, site, uni = uni_setup () in
   (* everything is down and the retry budget is zero: URLCheck cannot
      even ask, so it must serve the stored tuples rather than drop rows *)
   let dead =
@@ -239,7 +229,7 @@ let test_matview_serves_stale_when_unreachable () =
       (Websim.Http.connect site)
   in
   let mv = Matview.materialize uni_schema (Websim.Http.connect site) in
-  let plan = best_plan site "SELECT p.PName, p.Rank FROM Professor p" in
+  let plan = best_plan uni "SELECT p.PName, p.Rank FROM Professor p" in
   let clean = Matview.query mv plan in
   let mv_dead =
     Matview.materialize ~fetcher:dead_fetcher uni_schema (Websim.Http.connect site)
@@ -258,9 +248,9 @@ let test_matview_serves_stale_when_unreachable () =
     (Adm.Relation.equal (rows_sorted clean) (rows_sorted report2.Matview.result))
 
 let test_offline_sweep_under_faults () =
-  let u, site = uni_setup () in
+  let u, site, uni = uni_setup () in
   let mv = Matview.materialize uni_schema (Websim.Http.connect site) in
-  let plan = best_plan site "SELECT p.PName, p.Rank FROM Professor p" in
+  let plan = best_plan uni "SELECT p.PName, p.Rank FROM Professor p" in
   Websim.Site.tick site;
   Websim.Site.delete site (prof_url_at u 0);
   let _ = Matview.query_counted mv plan in
@@ -307,7 +297,7 @@ let test_offline_sweep_under_faults () =
    tuples are served stale — same rows as a clean query, zero network
    downloads, only fast-fails in the ledger. *)
 let test_matview_stale_serve_breaker_open () =
-  let _, site = uni_setup () in
+  let _, site, uni = uni_setup () in
   let nm = Websim.Netmodel.create (Websim.Netmodel.config ~seed:6 ()) in
   let fetcher =
     Websim.Fetcher.create
@@ -316,7 +306,7 @@ let test_matview_stale_serve_breaker_open () =
       (Websim.Http.connect site)
   in
   let mv = Matview.materialize ~fetcher uni_schema (Websim.Http.connect site) in
-  let plan = best_plan site "SELECT p.PName, p.Rank FROM Professor p" in
+  let plan = best_plan uni "SELECT p.PName, p.Rank FROM Professor p" in
   let clean = Matview.query mv plan in
   Websim.Fetcher.open_breaker fetcher ~for_ms:1e6;
   let fastfails_before =
@@ -337,7 +327,7 @@ let test_matview_stale_serve_breaker_open () =
    Unreachable), and once the cooldown elapses the half-open probe
    goes through and the sweep tells gone from down again. *)
 let test_sweep_keeps_backlog_across_breaker_states () =
-  let u, site = uni_setup () in
+  let u, site, uni = uni_setup () in
   let nm = Websim.Netmodel.create (Websim.Netmodel.config ~seed:6 ()) in
   let fetcher =
     Websim.Fetcher.create
@@ -347,7 +337,7 @@ let test_sweep_keeps_backlog_across_breaker_states () =
       (Websim.Http.connect site)
   in
   let mv = Matview.materialize ~fetcher uni_schema (Websim.Http.connect site) in
-  let plan = best_plan site "SELECT p.PName, p.Rank FROM Professor p" in
+  let plan = best_plan uni "SELECT p.PName, p.Rank FROM Professor p" in
   Websim.Site.tick site;
   Websim.Site.delete site (prof_url_at u 0);
   let _ = Matview.query_counted mv plan in
@@ -375,7 +365,7 @@ let test_sweep_keeps_backlog_across_breaker_states () =
 (* ------------------------------------------------------------------ *)
 
 let test_breaker_trips_and_fastfails () =
-  let u, site = uni_setup () in
+  let u, site, _ = uni_setup () in
   let nm =
     Websim.Netmodel.create
       (Websim.Netmodel.config ~seed:1 ~fault_rate:1.0 ~max_consecutive:6 ())
@@ -401,7 +391,7 @@ let test_breaker_trips_and_fastfails () =
   check bool_t "fast-fails counted" true (c.Websim.Fetcher.breaker_fastfails >= 1)
 
 let test_lru_eviction () =
-  let u, site = uni_setup () in
+  let u, site, _ = uni_setup () in
   let http = Websim.Http.connect site in
   let f =
     Websim.Fetcher.create ~config:(Websim.Fetcher.config ~cache_capacity:2 ()) http
@@ -417,7 +407,7 @@ let test_lru_eviction () =
   check bool_t "evictions happened" true (c.Websim.Fetcher.cache_evictions >= 1)
 
 let test_head_revalidation () =
-  let u, site = uni_setup () in
+  let u, site, _ = uni_setup () in
   let http = Websim.Http.connect site in
   let f =
     Websim.Fetcher.create
@@ -445,7 +435,7 @@ let test_head_revalidation () =
   check int_t "changed page re-downloaded" 2 (Websim.Http.stats http).Websim.Http.gets
 
 let test_batch_overlap_and_coalescing () =
-  let u, site = uni_setup () in
+  let u, site, _ = uni_setup () in
   let urls = List.init 8 (prof_url_at u) in
   let mk window =
     let nm = Websim.Netmodel.create (Websim.Netmodel.config ~seed:9 ()) in
@@ -471,7 +461,7 @@ let test_batch_overlap_and_coalescing () =
 (* ------------------------------------------------------------------ *)
 
 let test_http_extended_stats () =
-  let _, site = uni_setup () in
+  let _, site, _ = uni_setup () in
   let http = Websim.Http.connect site in
   let before = Websim.Http.snapshot http in
   ignore (Websim.Http.head http Sitegen.University.home_url);

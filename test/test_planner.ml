@@ -11,18 +11,14 @@ let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 let string_t = Alcotest.string
 
-let schema = Sitegen.University.schema
-let registry = Sitegen.University.view
-
-let uni = lazy (Sitegen.University.build ())
-
-let instance =
-  lazy
-    (let u = Lazy.force uni in
-     let http = Websim.Http.connect (Sitegen.University.site u) in
-     Websim.Crawler.crawl schema http)
-
-let stats = lazy (Stats.of_instance (Lazy.force instance))
+(* The default university: its generator's ground truth and its
+   site-table bundle. *)
+let u = Sitegen.University.build ()
+let uni = Sitegen.Sites.of_university u
+let schema = uni.schema
+let registry = uni.registry
+let instance = lazy (Sitegen.Sites.crawl uni)
+let stats = uni.stats
 
 let eval e = Eval.eval schema (Eval.instance_source (Lazy.force instance)) e
 
@@ -57,14 +53,10 @@ let test_stats_repetition () =
 let test_stats_page_bytes () =
   let s = Lazy.force stats in
   (* exact average page size collected from the crawl *)
-  let u = Lazy.force uni in
   let total, n =
     List.fold_left
       (fun (total, n) (p : Sitegen.University.prof) ->
-        match
-          Websim.Site.find (Sitegen.University.site u)
-            (Sitegen.University.prof_url p.Sitegen.University.p_name)
-        with
+        match Websim.Site.find uni.site (Sitegen.University.prof_url p.Sitegen.University.p_name) with
         | Some page -> (total + String.length page.Websim.Site.body, n + 1)
         | None -> (total, n))
       (0, 0) (Sitegen.University.profs u)
@@ -273,7 +265,6 @@ let test_planner_example_71 () =
   in
   check bool_t "pointer join wins 7.1" true is_pointer_join;
   (* sanity: correct answer against ground truth *)
-  let u = Lazy.force uni in
   let expected =
     List.filter
       (fun (c : Sitegen.University.course) ->
@@ -302,7 +293,6 @@ let test_planner_example_72 () =
        true best);
   check bool_t "chase starts from the dept list" true
     (List.mem "DeptListPage" (Nalg.aliases best));
-  let u = Lazy.force uni in
   let expected =
     List.filter
       (fun (p : Sitegen.University.prof) ->
@@ -324,9 +314,8 @@ let test_planner_cost_orders_match_measured () =
      AND pd.DName = 'Computer Science'"
   in
   let outcome = Planner.plan_sql schema (Lazy.force stats) registry sql in
-  let u = Lazy.force uni in
   let measured (p : Planner.plan) =
-    let http = Websim.Http.connect (Sitegen.University.site u) in
+    let http = Websim.Http.connect uni.site in
     let source = Eval.live_source schema http in
     let _ = Eval.eval schema source p.Planner.expr in
     (Websim.Http.stats http).Websim.Http.gets
@@ -352,7 +341,6 @@ let test_planner_figure2_query () =
      WHERE c.CName = ci.CName AND ci.PName = pd.PName AND pd.DName = 'Computer Science'"
   in
   let _, result = all_plans_agree sql in
-  let u = Lazy.force uni in
   let expected =
     List.filter
       (fun (c : Sitegen.University.course) ->
@@ -378,35 +366,27 @@ let test_planner_figure2_query () =
    university, two constant sets each, and every query the examples
    plan. *)
 
-let pin_site build schema registry =
-  lazy
-    (let site = build () in
-     let http = Websim.Http.connect site in
-     (schema, registry, Stats.of_instance (Websim.Crawler.crawl schema http)))
-
 let pin_join_site =
-  let config =
-    {
-      Sitegen.University.default_config with
-      Sitegen.University.n_depts = 20;
-      n_profs = 400;
-      n_courses = 800;
-      n_sessions = 4;
-    }
-  in
-  pin_site
-    (fun () -> Sitegen.University.site (Sitegen.University.build ~config ()))
-    Sitegen.University.schema Sitegen.University.view
+  lazy
+    (Sitegen.Sites.of_university
+       (Sitegen.University.build
+          ~config:
+            {
+              Sitegen.University.default_config with
+              Sitegen.University.n_depts = 20;
+              n_profs = 400;
+              n_courses = 800;
+              n_sessions = 4;
+            }
+          ()))
 
-let pin_uni_site =
-  pin_site
-    (fun () -> Sitegen.University.site (Sitegen.University.build ()))
-    Sitegen.University.schema Sitegen.University.view
+let pin_uni_site = lazy (Sitegen.Sites.load University)
+let pin_catalog_site = lazy (Sitegen.Sites.load Catalog)
 
-let pin_catalog_site =
-  pin_site
-    (fun () -> Sitegen.Catalog.site (Sitegen.Catalog.build ()))
-    Sitegen.Catalog.schema Sitegen.Catalog.view
+(* Schema, registry and crawled statistics of a pinned site. *)
+let pin_parts site =
+  let (s : Sitegen.Sites.t) = Lazy.force site in
+  (s.schema, s.registry, Sitegen.Sites.stats s)
 
 let pin_dept_members dept =
   Printf.sprintf
@@ -477,7 +457,7 @@ let pin_cases =
 (* One pin block: the case's name and query, then the outcome. Plans
    print on one line (line breaks escaped). *)
 let pin_block (name, site, sql) =
-  let schema, registry, stats = Lazy.force site in
+  let schema, registry, stats = pin_parts site in
   let o = Planner.plan_sql schema stats registry sql in
   let one_line s = String.concat "\\n" (String.split_on_char '\n' s) in
   String.concat "\n"
@@ -540,28 +520,24 @@ let test_candidates_lower () =
   in
   List.iter
     (fun (name, site, sql) ->
-      let schema, registry, stats = Lazy.force site in
+      let schema, registry, stats = pin_parts site in
       lowers name schema stats (Planner.plan_sql schema stats registry sql))
     pin_cases;
   let bib_schema, bib_registry, bib_stats =
-    Lazy.force
-      (pin_site
-         (fun () -> Sitegen.Bibliography.site (Sitegen.Bibliography.build ()))
-         Sitegen.Bibliography.schema
-         (View.auto_registry Sitegen.Bibliography.schema))
+    pin_parts (lazy (Sitegen.Sites.load Bibliography))
   in
   List.iter
     (fun sql ->
       lowers sql bib_schema bib_stats
         (Planner.plan_sql bib_schema bib_stats bib_registry sql))
     Server.Workload.bibliography_templates;
-  let fs_schema = Sitegen.Formsite.schema in
-  let fs_stats = Sitegen.Formsite.stats (Sitegen.Formsite.build ()) in
-  let bindings = Bindings.planner_hook Sitegen.Formsite.binding_config fs_schema in
+  let fs = Sitegen.Sites.of_formsite (Sitegen.Formsite.build ()) in
+  let fs_stats = Sitegen.Sites.stats fs in
   List.iter
     (fun sql ->
-      lowers sql fs_schema fs_stats
-        (Planner.plan_sql ~bindings fs_schema fs_stats Sitegen.Formsite.view sql))
+      lowers sql fs.schema fs_stats
+        (Planner.plan_sql ?bindings:(Sitegen.Sites.bindings fs) fs.schema fs_stats
+           fs.registry sql))
     Server.Workload.formsite_templates
 
 let suite =

@@ -9,15 +9,9 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-let schema = Sitegen.University.schema
-
-let uni = lazy (Sitegen.University.build ())
-
-let instance =
-  lazy
-    (let u = Lazy.force uni in
-     let http = Websim.Http.connect (Sitegen.University.site u) in
-     Websim.Crawler.crawl schema http)
+let uni = Sitegen.Sites.load University
+let schema = uni.schema
+let instance = lazy (Sitegen.Sites.crawl uni)
 
 let eval e = Eval.eval schema (Eval.instance_source (Lazy.force instance)) e
 
@@ -159,7 +153,7 @@ let test_rule6_then_sink_reduces_cost () =
       [ Pred.eq_const "CoursePage.Session" (Adm.Value.text "Fall") ]
       (courses_nav ())
   in
-  let stats = Stats.of_instance (Lazy.force instance) in
+  let stats = Sitegen.Sites.stats uni in
   let baseline = Cost.cost schema stats e in
   let improved =
     Rewrite.rule6 schema e

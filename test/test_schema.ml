@@ -7,7 +7,7 @@ let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 let string_t = Alcotest.string
 
-let uni = Sitegen.University.schema
+let uni = (Sitegen.Sites.load University).schema
 
 let test_webtype_accepts () =
   check bool_t "text ok" true (Webtype.accepts Webtype.Text (Value.text "x"));
@@ -79,7 +79,7 @@ let test_schema_validates () =
   check Alcotest.(list string_t) "university scheme well-formed" []
     (Schema.validate uni);
   check Alcotest.(list string_t) "bibliography scheme well-formed" []
-    (Schema.validate Sitegen.Bibliography.schema)
+    (Schema.validate (Sitegen.Sites.load Bibliography).schema)
 
 let test_entry_points () =
   let names = List.map Page_scheme.name (Schema.entry_points uni) in

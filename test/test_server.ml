@@ -13,52 +13,39 @@ let int_t = Alcotest.int
 
 let sites =
   [
-    ( "university", Sitegen.University.schema,
-      (fun () -> Sitegen.University.site (Sitegen.University.build ())),
-      (fun _ -> Sitegen.University.view),
-      Server.Workload.university_templates );
-    ( "bibliography", Sitegen.Bibliography.schema,
-      (fun () -> Sitegen.Bibliography.site (Sitegen.Bibliography.build ())),
-      (fun schema -> View.auto_registry schema),
-      Server.Workload.bibliography_templates );
-    ( "catalog", Sitegen.Catalog.schema,
-      (fun () -> Sitegen.Catalog.site (Sitegen.Catalog.build ())),
-      (fun _ -> Sitegen.Catalog.view),
-      Server.Workload.catalog_templates );
+    (Sitegen.Sites.University, Server.Workload.university_templates);
+    (Bibliography, Server.Workload.bibliography_templates);
+    (Catalog, Server.Workload.catalog_templates);
   ]
-
-let stats_of schema site =
-  Stats.of_instance (Websim.Crawler.crawl schema (Websim.Http.connect site))
 
 (* A server-sized LRU: big enough that the workload's page set never
    evicts, so the single-flight table is the whole wire set. *)
 let server_config = Websim.Fetcher.config ~cache_capacity:8192 ()
 
-let shared_cache ?netmodel site =
+let shared_cache ?netmodel (site : Sitegen.Sites.t) =
   Server.Shared_cache.create ~config:server_config ?netmodel
-    (Websim.Http.connect site)
+    (Websim.Http.connect site.site)
 
-let specs_of schema site registry entries =
-  Server.Sched.plan_workload schema (stats_of schema site) registry entries
+let specs_of (site : Sitegen.Sites.t) entries =
+  Server.Sched.plan_workload site.schema (Sitegen.Sites.stats site) site.registry entries
 
 let run_workload ?netmodel ?stale ?(config = Server.Sched.default_config)
-    schema site registry entries =
+    (site : Sitegen.Sites.t) entries =
   let cache = shared_cache ?netmodel site in
-  (cache, Server.Sched.run ?stale config cache schema
-            (specs_of schema site registry entries))
+  (cache, Server.Sched.run ?stale config cache site.schema (specs_of site entries))
 
 (* Isolated baseline: each query on its own fresh single-query cache
    over the same site (and the same netmodel seed when given). *)
-let isolated ?seed schema site registry (e : Server.Workload.entry) =
+let isolated ?seed (site : Sitegen.Sites.t) (e : Server.Workload.entry) =
   let netmodel =
     Option.map
       (fun seed -> Websim.Netmodel.create (Websim.Netmodel.config ~seed ()))
       seed
   in
   let cache = shared_cache ?netmodel site in
-  let spec = List.hd (specs_of schema site registry [ e ]) in
-  let source = Server.Shared_cache.source cache ~query:0 schema in
-  let rows = Eval.eval schema source spec.Server.Sched.expr in
+  let spec = List.hd (specs_of site [ e ]) in
+  let source = Server.Shared_cache.source cache ~query:0 site.schema in
+  let rows = Eval.eval site.schema source spec.Server.Sched.expr in
   (rows, Server.Shared_cache.query_get_set cache ~query:0)
 
 (* ------------------------------------------------------------------ *)
@@ -66,16 +53,13 @@ let isolated ?seed schema site registry (e : Server.Workload.entry) =
 (* ------------------------------------------------------------------ *)
 
 let test_deterministic_replay () =
-  let schema = Sitegen.University.schema and registry = Sitegen.University.view in
   let entries =
     Server.Workload.generate ~seed:9 ~n:12 ()
   in
   let run () =
     let netmodel = Websim.Netmodel.create (Websim.Netmodel.config ~seed:3 ()) in
     let _, rep =
-      run_workload ~netmodel schema
-        (Sitegen.University.site (Sitegen.University.build ()))
-        registry entries
+      run_workload ~netmodel (Sitegen.Sites.load University) entries
     in
     rep
   in
@@ -99,12 +83,9 @@ let test_deterministic_replay () =
 (* ------------------------------------------------------------------ *)
 
 let test_ledger_invariant () =
-  let schema = Sitegen.University.schema and registry = Sitegen.University.view in
   let entries = Server.Workload.generate ~seed:4 ~n:16 () in
   let _, rep =
-    run_workload schema
-      (Sitegen.University.site (Sitegen.University.build ()))
-      registry entries
+    run_workload (Sitegen.Sites.load University) entries
   in
   let l = rep.Server.Sched.ledger in
   check int_t "cross hits = sum - distinct"
@@ -123,10 +104,10 @@ let test_ledger_invariant () =
 let union_sorted sets =
   List.concat sets |> List.sort_uniq String.compare
 
-let check_workload_exact name schema site registry entries =
-  let cache, rep = run_workload schema site registry entries in
+let check_workload_exact name site entries =
+  let cache, rep = run_workload site entries in
   let isolated_rows, isolated_sets =
-    List.split (List.map (isolated schema site registry) entries)
+    List.split (List.map (isolated site) entries)
   in
   List.iteri
     (fun i (r : Server.Sched.result) ->
@@ -143,14 +124,13 @@ let check_workload_exact name schema site registry entries =
 
 let test_exact_all_sites_seeded () =
   List.iter
-    (fun (name, schema, mk_site, mk_registry, templates) ->
-      let registry = mk_registry schema in
+    (fun (kind, templates) ->
       List.iter
         (fun seed ->
           let entries = Server.Workload.generate ~templates ~seed ~n:8 () in
           check_workload_exact
-            (Fmt.str "%s/seed%d" name seed)
-            schema (mk_site ()) registry entries)
+            (Fmt.str "%s/seed%d" (Sitegen.Sites.name kind) seed)
+            (Sitegen.Sites.load kind) entries)
         [ 7; 21; 42 ])
     sites
 
@@ -160,13 +140,11 @@ let prop_concurrent_equals_isolated =
   QCheck.Test.make ~name:"concurrent = isolated (rows and GET sets)" ~count:12
     QCheck.(pair (int_bound 1000) (int_range 1 10))
     (fun (seed, n) ->
-      let schema = Sitegen.University.schema in
-      let registry = Sitegen.University.view in
-      let site = Sitegen.University.site (Sitegen.University.build ()) in
+      let site = Sitegen.Sites.load University in
       let entries = Server.Workload.generate ~seed ~n () in
-      let cache, rep = run_workload schema site registry entries in
+      let cache, rep = run_workload site entries in
       let isolated_rows, isolated_sets =
-        List.split (List.map (isolated schema site registry) entries)
+        List.split (List.map (isolated site) entries)
       in
       List.for_all
         (fun (r : Server.Sched.result) ->
@@ -181,8 +159,7 @@ let prop_concurrent_equals_isolated =
 (* ------------------------------------------------------------------ *)
 
 let test_exact_under_faults () =
-  let schema = Sitegen.University.schema and registry = Sitegen.University.view in
-  let site = Sitegen.University.site (Sitegen.University.build ()) in
+  let site = Sitegen.Sites.load University in
   let entries = Server.Workload.generate ~seed:13 ~n:8 () in
   let netmodel =
     Websim.Netmodel.create
@@ -191,13 +168,13 @@ let test_exact_under_faults () =
   let cache =
     Server.Shared_cache.create
       ~config:(Websim.Fetcher.config ~cache_capacity:8192 ~retries:3 ())
-      ~netmodel (Websim.Http.connect site)
+      ~netmodel (Websim.Http.connect site.site)
   in
   let rep =
-    Server.Sched.run Server.Sched.default_config cache schema
-      (specs_of schema site registry entries)
+    Server.Sched.run Server.Sched.default_config cache site.schema
+      (specs_of site entries)
   in
-  let isolated_rows = List.map (fun e -> fst (isolated schema site registry e)) entries in
+  let isolated_rows = List.map (fun e -> fst (isolated site e)) entries in
   List.iteri
     (fun i (r : Server.Sched.result) ->
       check bool_t (Fmt.str "q%d complete under faults" i) true
@@ -213,8 +190,7 @@ let test_exact_under_faults () =
 (* ------------------------------------------------------------------ *)
 
 let test_deadline_partial () =
-  let schema = Sitegen.University.schema and registry = Sitegen.University.view in
-  let site = Sitegen.University.site (Sitegen.University.build ()) in
+  let site = Sitegen.Sites.load University in
   (* slow network, tiny budget: deadlines must fire *)
   let netmodel = Websim.Netmodel.create (Websim.Netmodel.config ~seed:5 ()) in
   let entries =
@@ -223,7 +199,7 @@ let test_deadline_partial () =
         { e with Server.Workload.deadline_ms = Some 1.0 })
       (Server.Workload.generate ~seed:2 ~n:6 ())
   in
-  let _, rep = run_workload ~netmodel schema site registry entries in
+  let _, rep = run_workload ~netmodel site entries in
   check int_t "every query reports" 6 (List.length rep.Server.Sched.results);
   let hit =
     List.filter
@@ -243,17 +219,16 @@ let test_deadline_partial () =
 (* ------------------------------------------------------------------ *)
 
 let test_breaker_open_stale_serve () =
-  let schema = Sitegen.University.schema and registry = Sitegen.University.view in
-  let site = Sitegen.University.site (Sitegen.University.build ()) in
-  let store = Matview.materialize schema (Websim.Http.connect site) in
+  let site = Sitegen.Sites.load University in
+  let store = Matview.materialize site.schema (Websim.Http.connect site.site) in
   let netmodel = Websim.Netmodel.create (Websim.Netmodel.config ~seed:8 ()) in
   let entries = Server.Workload.generate ~seed:3 ~n:4 () in
-  let isolated_rows = List.map (fun e -> fst (isolated schema site registry e)) entries in
+  let isolated_rows = List.map (fun e -> fst (isolated site e)) entries in
   let cache = shared_cache ~netmodel site in
   Websim.Fetcher.open_breaker (Server.Shared_cache.fetcher cache) ~for_ms:1e9;
   let rep =
-    Server.Sched.run ~stale:store Server.Sched.default_config cache schema
-      (specs_of schema site registry entries)
+    Server.Sched.run ~stale:store Server.Sched.default_config cache site.schema
+      (specs_of site entries)
   in
   List.iteri
     (fun i (r : Server.Sched.result) ->
@@ -275,23 +250,21 @@ let test_breaker_open_stale_serve () =
 (* ------------------------------------------------------------------ *)
 
 let test_admission_bounds () =
-  let schema = Sitegen.University.schema and registry = Sitegen.University.view in
-  let site = Sitegen.University.site (Sitegen.University.build ()) in
+  let site = Sitegen.Sites.load University in
   let entries = Server.Workload.generate ~seed:6 ~n:10 () in
   let config = Server.Sched.config ~concurrency:2 () in
-  let _, rep = run_workload ~config schema site registry entries in
+  let _, rep = run_workload ~config site entries in
   check bool_t "peak residents bounded by concurrency" true
     (rep.Server.Sched.peak_resident_queries <= 2);
   check int_t "all queries finished" 10 (List.length rep.Server.Sched.results);
   (* a one-row budget forces near-serial residency but must not stall *)
   let config = Server.Sched.config ~concurrency:8 ~max_resident_rows:1 () in
-  let _, rep = run_workload ~config schema site registry entries in
+  let _, rep = run_workload ~config site entries in
   check int_t "tiny row budget still finishes" 10
     (List.length rep.Server.Sched.results)
 
 let test_priority_first () =
-  let schema = Sitegen.University.schema and registry = Sitegen.University.view in
-  let site = Sitegen.University.site (Sitegen.University.build ()) in
+  let site = Sitegen.Sites.load University in
   let netmodel = Websim.Netmodel.create (Websim.Netmodel.config ~seed:4 ()) in
   let sql = "SELECT p.PName, p.Rank FROM Professor p" in
   let entries =
@@ -302,7 +275,7 @@ let test_priority_first () =
     ]
   in
   let config = Server.Sched.config ~policy:Server.Sched.Priority () in
-  let _, rep = run_workload ~netmodel ~config schema site registry entries in
+  let _, rep = run_workload ~netmodel ~config site entries in
   let elapsed qid =
     (List.find
        (fun (r : Server.Sched.result) -> r.Server.Sched.qid = qid)
@@ -324,17 +297,17 @@ let test_priority_first () =
    extraction tier, returning everything an observer could compare:
    per-query rows/completeness/steps, the distinct-GET set in
    first-request order, and the sharing ledger. *)
-let observe_run ~domains ~seed schema site registry templates =
+let observe_run ~domains ~seed site templates =
   let entries = Server.Workload.generate ~templates ~seed ~n:8 () in
-  let specs = specs_of schema site registry entries in
+  let specs = specs_of site entries in
   let pool = if domains > 1 then Some (Server.Pool.create ~domains) else None in
   let netmodel = Websim.Netmodel.create (Websim.Netmodel.config ~seed ()) in
   let cache =
     Server.Shared_cache.create ?pool ~config:server_config ~netmodel
-      (Websim.Http.connect site)
+      (Websim.Http.connect site.site)
   in
   let rep =
-    Server.Sched.run (Server.Sched.config ~domains ()) cache schema specs
+    Server.Sched.run (Server.Sched.config ~domains ()) cache site.schema specs
   in
   Option.iter Server.Pool.shutdown pool;
   ( List.map
@@ -375,11 +348,10 @@ let prop_domains_invariant =
        ~print:(fun (i, seed, d) -> Fmt.str "site=%d seed=%d domains=%d" i seed d)
        (QCheck.Gen.oneofl cases))
     (fun (site_ix, seed, domains) ->
-      let _, schema, mk_site, mk_registry, templates = List.nth sites site_ix in
-      let registry = mk_registry schema in
-      let site = mk_site () in
-      let base = observe_run ~domains:1 ~seed schema site registry templates in
-      let multi = observe_run ~domains ~seed schema site registry templates in
+      let kind, templates = List.nth sites site_ix in
+      let site = Sitegen.Sites.load kind in
+      let base = observe_run ~domains:1 ~seed site templates in
+      let multi = observe_run ~domains ~seed site templates in
       same_observation base multi)
 
 (* Lane accounting at D > 1: makespan covers every lane's charged
@@ -387,10 +359,9 @@ let prop_domains_invariant =
    query's elapsed decomposes as service + wait, and the lane busy
    times sum to the total charged service. *)
 let test_lane_accounting () =
-  let schema = Sitegen.University.schema and registry = Sitegen.University.view in
-  let site = Sitegen.University.site (Sitegen.University.build ()) in
+  let site = Sitegen.Sites.load University in
   let _, _, _, rep =
-    observe_run ~domains:4 ~seed:7 schema site registry
+    observe_run ~domains:4 ~seed:7 site
       Server.Workload.university_templates
   in
   check int_t "domains recorded" 4 rep.Server.Sched.domains;
@@ -459,14 +430,13 @@ let test_pool () =
 (* ------------------------------------------------------------------ *)
 
 let test_shard_contention_report () =
-  let schema = Sitegen.University.schema and registry = Sitegen.University.view in
-  let site = Sitegen.University.site (Sitegen.University.build ()) in
+  let site = Sitegen.Sites.load University in
   let cache = shared_cache site in
   check int_t "default shard count" 16 (Server.Shared_cache.shard_count cache);
   let entries = Server.Workload.generate ~seed:11 ~n:6 () in
   let _ =
-    Server.Sched.run Server.Sched.default_config cache schema
-      (specs_of schema site registry entries)
+    Server.Sched.run Server.Sched.default_config cache site.schema
+      (specs_of site entries)
   in
   let c = Server.Shared_cache.contention cache in
   check int_t "shards" 16 c.Server.Shared_cache.shards;

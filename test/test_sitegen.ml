@@ -12,9 +12,10 @@ let int_t = Alcotest.int
 let test_university_deterministic () =
   let u1 = Sitegen.University.build () in
   let u2 = Sitegen.University.build () in
-  let urls t = Websim.Site.urls (Sitegen.University.site t) in
+  let site t = (Sitegen.Sites.of_university t).site in
+  let urls t = Websim.Site.urls (site t) in
   check Alcotest.(list string) "same URLs" (urls u1) (urls u2);
-  let body t u = (Option.get (Websim.Site.find (Sitegen.University.site t) u)).Websim.Site.body in
+  let body t u = (Option.get (Websim.Site.find (site t) u)).Websim.Site.body in
   List.iter (fun u -> check Alcotest.string u (body u1 u) (body u2 u)) (urls u1)
 
 let test_university_scaling () =
@@ -26,7 +27,7 @@ let test_university_scaling () =
   check int_t "courses scaled" 100 (List.length (Sitegen.University.courses u));
   (* pages: 1 home + 3 entry lists + depts + profs + sessions + courses *)
   check int_t "page count" (4 + 5 + 40 + 3 + 100)
-    (Websim.Site.page_count (Sitegen.University.site u))
+    (Websim.Site.page_count (Sitegen.Sites.of_university u).site)
 
 let test_university_constraints_hold_after_mutations () =
   let u = Sitegen.University.build () in
@@ -35,14 +36,13 @@ let test_university_constraints_hold_after_mutations () =
   let _ = Sitegen.University.drop_course u ~c_name:c.Sitegen.University.c_name in
   let p = List.hd (Sitegen.University.profs u) in
   let _ = Sitegen.University.promote_professor u ~p_name:p.Sitegen.University.p_name in
-  let http = Websim.Http.connect (Sitegen.University.site u) in
-  let instance = Websim.Crawler.crawl Sitegen.University.schema http in
+  let site = Sitegen.Sites.of_university u in
   check Alcotest.(list string) "constraints hold after mutations" []
-    (Websim.Crawler.validate Sitegen.University.schema instance)
+    (Websim.Crawler.validate site.schema (Sitegen.Sites.crawl site))
 
 let test_university_mutations_bump_dates () =
   let u = Sitegen.University.build () in
-  let site = Sitegen.University.site u in
+  let site = (Sitegen.Sites.of_university u).site in
   let date url = (Option.get (Websim.Site.find site url)).Websim.Site.last_modified in
   let before = date Sitegen.University.prof_list_url in
   let _ = Sitegen.University.hire_professor u ~dept_name:"Computer Science" in
@@ -61,23 +61,16 @@ let test_full_fraction_config () =
 (* Bibliography                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let bib = lazy (Sitegen.Bibliography.build ())
-
-let bib_instance =
-  lazy
-    (let b = Lazy.force bib in
-     let http = Websim.Http.connect (Sitegen.Bibliography.site b) in
-     Websim.Crawler.crawl Sitegen.Bibliography.schema http)
+let bib_records = Sitegen.Bibliography.build ()
+let bib = Sitegen.Sites.of_bibliography bib_records
 
 let test_bibliography_constraints () =
   check Alcotest.(list string) "constraints hold" []
-    (Websim.Crawler.validate Sitegen.Bibliography.schema (Lazy.force bib_instance))
+    (Websim.Crawler.validate bib.schema (Sitegen.Sites.crawl bib))
 
 let test_four_paths_same_answer () =
-  let b = Lazy.force bib in
-  let http = Websim.Http.connect (Sitegen.Bibliography.site b) in
-  let source = Webviews.Eval.live_source Sitegen.Bibliography.schema http in
-  let eval = Webviews.Eval.eval Sitegen.Bibliography.schema source in
+  let source = Webviews.Eval.live_source bib.schema (Websim.Http.connect bib.site) in
+  let eval = Webviews.Eval.eval bib.schema source in
   let authors_of expr name_attr year_attr =
     Adm.Relation.rows (eval expr)
     |> List.map (fun t ->
@@ -99,11 +92,10 @@ let test_four_paths_same_answer () =
   check bool_t "paths 3 = 4" true (p3 = p4)
 
 let test_path4_orders_of_magnitude_worse () =
-  let b = Lazy.force bib in
   let cost expr =
-    let http = Websim.Http.connect (Sitegen.Bibliography.site b) in
-    let source = Webviews.Eval.live_source Sitegen.Bibliography.schema http in
-    let _ = Webviews.Eval.eval Sitegen.Bibliography.schema source expr in
+    let http = Websim.Http.connect bib.site in
+    let source = Webviews.Eval.live_source bib.schema http in
+    let _ = Webviews.Eval.eval bib.schema source expr in
     (Websim.Http.stats http).Websim.Http.gets
   in
   let c3 = cost (Sitegen.Bibliography.path3_direct_link ()) in
@@ -111,11 +103,10 @@ let test_path4_orders_of_magnitude_worse () =
   check bool_t "author path ≥ 10x worse" true (c4 >= 10 * c3)
 
 let test_vldb_regulars_ground_truth () =
-  let b = Lazy.force bib in
-  let regs = Sitegen.Bibliography.vldb_regulars b 3 in
+  let regs = Sitegen.Bibliography.vldb_regulars bib_records 3 in
   check bool_t "some regulars exist" true (regs <> []);
   (* each regular genuinely appears in each of the last 3 years *)
-  let years = Sitegen.Bibliography.last_vldb_years b 3 in
+  let years = Sitegen.Bibliography.last_vldb_years bib_records 3 in
   check int_t "three years" 3 (List.length years);
   List.iter
     (fun author ->
@@ -130,11 +121,65 @@ let test_vldb_regulars_ground_truth () =
                      (fun (p : Sitegen.Bibliography.paper) ->
                        List.mem author p.Sitegen.Bibliography.authors)
                      e.Sitegen.Bibliography.papers)
-              (Sitegen.Bibliography.editions b)
+              (Sitegen.Bibliography.editions bib_records)
           in
           check bool_t (Fmt.str "%s in %d" author year) true present)
         years)
     regs
+
+(* ------------------------------------------------------------------ *)
+(* The site table                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Pins the table against the setup it replaced: for every site,
+   [of_name] round-trips, [load] builds at the default size, the view
+   registry lints clean, and the per-page-scheme cardinalities equal a
+   hand-rolled build → connect → crawl → of_instance over the same
+   generator (the declared statistics on the form-only site). *)
+let test_site_table () =
+  let crawled schema site =
+    Webviews.Stats.of_instance (Websim.Crawler.crawl schema (Websim.Http.connect site))
+  in
+  List.iter
+    (fun name ->
+      let kind =
+        match Sitegen.Sites.of_name name with
+        | Ok kind -> kind
+        | Error msg -> Alcotest.fail msg
+      in
+      check Alcotest.string "of_name round-trips" name (Sitegen.Sites.name kind);
+      let site = Sitegen.Sites.load kind in
+      check Alcotest.(list string) (name ^ ": registry lint clean") []
+        (List.map
+           (fun (d : Webviews.Diagnostic.t) -> d.Webviews.Diagnostic.code)
+           (Webviews.Typecheck.lint_registry site.schema site.registry));
+      let expected =
+        match kind with
+        | University ->
+          crawled Sitegen.University.schema
+            (Sitegen.University.site (Sitegen.University.build ()))
+        | Bibliography ->
+          crawled Sitegen.Bibliography.schema
+            (Sitegen.Bibliography.site (Sitegen.Bibliography.build ()))
+        | Catalog ->
+          crawled Sitegen.Catalog.schema (Sitegen.Catalog.site (Sitegen.Catalog.build ()))
+        | Formsite ->
+          Sitegen.Formsite.stats
+            (Sitegen.Formsite.build
+               ~config:{ seed = 42; n_depts = 3; n_profs = 20; n_courses = 50 }
+               ())
+      in
+      List.iter
+        (fun ps ->
+          let scheme = Adm.Page_scheme.name ps in
+          check int_t
+            (Fmt.str "%s: %s cardinality" name scheme)
+            (Webviews.Stats.cardinality expected scheme)
+            (Webviews.Stats.cardinality (Sitegen.Sites.stats site) scheme))
+        (Adm.Schema.schemes site.schema))
+    Sitegen.Sites.names;
+  check bool_t "unknown name rejected" true
+    (Result.is_error (Sitegen.Sites.of_name "nope"))
 
 let suite =
   ( "sitegen",
@@ -149,4 +194,5 @@ let suite =
       Alcotest.test_case "four paths same answer" `Quick test_four_paths_same_answer;
       Alcotest.test_case "path 4 much worse" `Quick test_path4_orders_of_magnitude_worse;
       Alcotest.test_case "vldb regulars ground truth" `Quick test_vldb_regulars_ground_truth;
+      Alcotest.test_case "site table" `Quick test_site_table;
     ] )

@@ -9,24 +9,20 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-let registry = Sitegen.Catalog.view
-
-let catalog = lazy (Sitegen.Catalog.build ())
-
-let instance =
-  lazy
-    (let c = Lazy.force catalog in
-     let http = Websim.Http.connect (Sitegen.Catalog.site c) in
-     Websim.Crawler.crawl Sitegen.Catalog.schema http)
+let catalog_records = Sitegen.Catalog.build ()
+let catalog = Sitegen.Sites.of_catalog catalog_records
+let registry = catalog.registry
+let instance = lazy (Sitegen.Sites.crawl catalog)
 
 let run sql =
-  let stats = Stats.of_instance (Lazy.force instance) in
   let source = Eval.instance_source (Lazy.force instance) in
-  let _, result = Planner.run Sitegen.Catalog.schema stats registry source sql in
+  let _, result =
+    Planner.run catalog.schema (Sitegen.Sites.stats catalog) registry source sql
+  in
   result
 
 let ground_truth pred =
-  List.length (List.filter pred (Sitegen.Catalog.products (Lazy.force catalog)))
+  List.length (List.filter pred (Sitegen.Catalog.products catalog_records))
 
 let test_every_comparison_operator () =
   let price op (p : Sitegen.Catalog.product) = op p.Sitegen.Catalog.price 100 in

@@ -6,12 +6,9 @@
 
 open Webviews
 
-let uni_schema = Sitegen.University.schema
-let uni_view = Sitegen.University.view
-let cat_schema = Sitegen.Catalog.schema
-let cat_view = Sitegen.Catalog.view
-let bib_schema = Sitegen.Bibliography.schema
-let bib_view = View.auto_registry Sitegen.Bibliography.schema
+let { Sitegen.Sites.schema = uni_schema; registry = uni_view; _ } = Sitegen.Sites.load University
+let { Sitegen.Sites.schema = cat_schema; registry = cat_view; _ } = Sitegen.Sites.load Catalog
+let { Sitegen.Sites.schema = bib_schema; registry = bib_view; _ } = Sitegen.Sites.load Bibliography
 
 let codes ds =
   List.sort_uniq String.compare

@@ -13,8 +13,7 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-let schema = Sitegen.University.schema
-let registry = Sitegen.University.view
+let registry = (Sitegen.Sites.load University).registry
 let seeds = [ 7; 21; 42 ]
 
 (* Row-set equality: plan families order rows differently, so compare
@@ -27,36 +26,30 @@ let same_rows name r1 r2 =
     [ Adm.Relation.attrs r2 ];
   check bool_t (name ^ ": rows") true (sorted_rows r1 = sorted_rows r2)
 
-(* One site under test: a live connection for navigation plans and a
-   materialized store (own connection, same site) behind a view
-   store. *)
-let setup_store site_schema site_registry site =
-  let http = Websim.Http.connect site in
-  let stats = Stats.of_instance (Websim.Crawler.crawl site_schema http) in
-  let store = Matview.materialize site_schema (Websim.Http.connect site) in
-  let vs = Viewstore.create site_schema site_registry store in
-  (http, stats, vs)
+(* One site under test: its statistics, a live connection for
+   navigation plans and a materialized store (own connection, same
+   site) behind a view store. *)
+let setup_store (site : Sitegen.Sites.t) =
+  let stats = Sitegen.Sites.stats site in
+  (site, stats, Websim.Http.connect site.site, Sitegen.Sites.viewstore site)
 
 (* Plan and run [sql] both ways over the same site; return both
    outcomes and both results. *)
-let both_ways site_schema site_registry http stats vs sql =
-  let source = Eval.live_source site_schema http in
-  let nav = Planner.run site_schema stats site_registry source sql in
+let both_ways ((site : Sitegen.Sites.t), stats, http, vs) sql =
+  let source = Eval.live_source site.schema http in
+  let nav = Planner.run site.schema stats site.registry source sql in
   let viewed =
     Planner.run
       ~views:(Viewstore.context vs)
       ~exec_views:(Viewstore.answerer vs)
-      site_schema stats site_registry source sql
+      site.schema stats site.registry source sql
   in
   (nav, viewed)
 
 (* --- the fresh-view race, pinned on the university site ------------ *)
 
 let test_fresh_view_wins () =
-  let uni = Sitegen.University.build () in
-  let http, stats, vs =
-    setup_store schema registry (Sitegen.University.site uni)
-  in
+  let ((_, _, _, vs) as env) = setup_store (Sitegen.Sites.load University) in
   (* Email is not replicated on the department page, so the navigation
      plan must download every professor page; the fresh store answers
      without touching the wire at all. *)
@@ -64,7 +57,7 @@ let test_fresh_view_wins () =
   let store_http = Matview.fetcher (Viewstore.store vs) |> Websim.Fetcher.http in
   let before = (Websim.Http.stats store_http).Websim.Http.gets in
   let (nav_outcome, nav_rel), (view_outcome, view_rel) =
-    both_ways schema registry http stats vs sql
+    both_ways env sql
   in
   let store_gets = (Websim.Http.stats store_http).Websim.Http.gets - before in
   check bool_t "fresh view is chosen" true
@@ -88,15 +81,14 @@ let test_fresh_view_wins () =
 (* --- the stale race: churny schemes price the view out ------------- *)
 
 let test_stale_view_loses_until_revalidated () =
-  let uni = Sitegen.University.build () in
-  let site = Sitegen.University.site uni in
-  let http, stats, vs = setup_store schema registry site in
+  let site = Sitegen.Sites.load University in
+  let ((_, _, _, vs) as env) = setup_store site in
   let sql = "SELECT p.PName, p.Email FROM Professor p" in
   (* Age the whole store by one tick and teach the change-rate
      observations that these schemes churn on every check: the view
      now prices at pages × (HEAD + ~1 GET) > pages × GET of pure
      navigation, and must lose. *)
-  Websim.Site.tick site;
+  Websim.Site.tick site.site;
   List.iter
     (fun scheme ->
       for _ = 1 to 20 do
@@ -104,7 +96,7 @@ let test_stale_view_loses_until_revalidated () =
       done)
     [ "DeptListPage"; "DeptPage"; "ProfPage" ];
   let _, (stale_outcome, stale_rel) =
-    both_ways schema registry http stats vs sql
+    both_ways env sql
   in
   check bool_t "stale churny view loses the race" true
     (stale_outcome.Planner.view_used = []);
@@ -115,7 +107,7 @@ let test_stale_view_loses_until_revalidated () =
   | None -> Alcotest.fail "Professor view must be scannable"
   | Some a -> check bool_t "revalidation issued HEADs" true (a.Exec.va_heads > 0));
   let _, (fresh_outcome, fresh_rel) =
-    both_ways schema registry http stats vs sql
+    both_ways env sql
   in
   check bool_t "revalidated view wins again" true
     (fresh_outcome.Planner.view_used <> []);
@@ -146,17 +138,10 @@ let test_dead_view_lint () =
 
 (* --- property: view-substituted best = navigation best -------------- *)
 
-let uni_site = lazy (Sitegen.University.build ())
+let uni_env = lazy (setup_store (Sitegen.Sites.load University))
 
-let uni_env =
-  lazy
-    (let u = Lazy.force uni_site in
-     setup_store schema registry (Sitegen.University.site u))
-
-let agree_on name site_schema site_registry (http, stats, vs) sql =
-  let (_, nav_rel), (_, view_rel) =
-    both_ways site_schema site_registry http stats vs sql
-  in
+let agree_on name env sql =
+  let (_, nav_rel), (_, view_rel) = both_ways env sql in
   same_rows name nav_rel view_rel
 
 let test_seeded_university_agreement () =
@@ -166,26 +151,20 @@ let test_seeded_university_agreement () =
       let st = Random.State.make [| seed |] in
       for i = 1 to 5 do
         let sql = Test_equivalence.query_gen st in
-        agree_on (Fmt.str "uni seed %d query %d" seed i) schema registry env sql
+        agree_on (Fmt.str "uni seed %d query %d" seed i) env sql
       done)
     seeds
 
 let prop_university_agreement =
   QCheck.Test.make ~name:"fresh views: substituted best = navigation best"
     ~count:25 Test_equivalence.query_arb (fun sql ->
-      let http, stats, vs = Lazy.force uni_env in
-      let (_, nav_rel), (_, view_rel) =
-        both_ways schema registry http stats vs sql
-      in
+      let (_, nav_rel), (_, view_rel) = both_ways (Lazy.force uni_env) sql in
       Adm.Relation.attrs nav_rel = Adm.Relation.attrs view_rel
       && sorted_rows nav_rel = sorted_rows view_rel)
 
 let test_seeded_catalog_agreement () =
   let c = Sitegen.Catalog.build () in
-  let env =
-    setup_store Sitegen.Catalog.schema Sitegen.Catalog.view
-      (Sitegen.Catalog.site c)
-  in
+  let env = setup_store (Sitegen.Sites.of_catalog c) in
   let products = Sitegen.Catalog.products c in
   List.iter
     (fun seed ->
@@ -202,16 +181,13 @@ let test_seeded_catalog_agreement () =
       |> List.iteri (fun i sql ->
              agree_on
                (Fmt.str "catalog seed %d query %d" seed i)
-               Sitegen.Catalog.schema Sitegen.Catalog.view env sql))
+               env sql))
     seeds
 
 let test_seeded_bibliography_agreement () =
-  let b = Sitegen.Bibliography.build () in
-  let bib_schema = Sitegen.Bibliography.schema in
   (* the bibliography site ships no hand-written external view: the
      inferred automatic registry is the view under test *)
-  let bib_registry = View.auto_registry bib_schema in
-  let env = setup_store bib_schema bib_registry (Sitegen.Bibliography.site b) in
+  let ((bib, _, _, _) as env) = setup_store (Sitegen.Sites.load Bibliography) in
   List.iter
     (fun seed ->
       ignore seed;
@@ -221,10 +197,10 @@ let test_seeded_bibliography_agreement () =
           | a :: _ ->
             agree_on
               (Fmt.str "bib seed %d rel %d" seed i)
-              bib_schema bib_registry env
+              env
               (Fmt.str "SELECT x.%s FROM %s x" a rel.View.rel_name)
           | [] -> ())
-        bib_registry)
+        bib.registry)
     seeds
 
 let suite =

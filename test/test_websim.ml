@@ -190,9 +190,8 @@ let prop_wrapper_roundtrip =
 (* ------------------------------------------------------------------ *)
 
 let test_crawl_university () =
-  let uni = Sitegen.University.build () in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let instance = Websim.Crawler.crawl Sitegen.University.schema http in
+  let uni = Sitegen.Sites.load University in
+  let instance = Sitegen.Sites.crawl uni in
   let card name =
     Relation.cardinality (Websim.Crawler.find_relation_exn instance name)
   in
@@ -200,25 +199,23 @@ let test_crawl_university () =
   check int_t "profs" 20 (card "ProfPage");
   check int_t "courses" 50 (card "CoursePage");
   check int_t "entry pages" 1 (card "HomePage");
-  check int_t "pages fetched = site size" (Websim.Site.page_count (Sitegen.University.site uni))
+  check int_t "pages fetched = site size" (Websim.Site.page_count uni.site)
     instance.Websim.Crawler.fetched;
   check Alcotest.(list string_t) "instance satisfies constraints" []
-    (Websim.Crawler.validate Sitegen.University.schema instance)
+    (Websim.Crawler.validate uni.schema instance)
 
 let test_crawl_counts_each_page_once () =
-  let uni = Sitegen.University.build () in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let _ = Websim.Crawler.crawl Sitegen.University.schema http in
+  let uni = Sitegen.Sites.load University in
+  let http = Websim.Http.connect uni.site in
+  let _ = Websim.Crawler.crawl uni.schema http in
   let s = Websim.Http.stats http in
-  check int_t "GET per page exactly once"
-    (Websim.Site.page_count (Sitegen.University.site uni))
+  check int_t "GET per page exactly once" (Websim.Site.page_count uni.site)
     s.Websim.Http.gets
 
 let test_outlinks () =
-  let uni = Sitegen.University.build () in
-  let http = Websim.Http.connect (Sitegen.University.site uni) in
-  let instance = Websim.Crawler.crawl Sitegen.University.schema http in
-  let ps = Schema.find_scheme_exn Sitegen.University.schema "ProfPage" in
+  let uni = Sitegen.Sites.load University in
+  let instance = Sitegen.Sites.crawl uni in
+  let ps = Schema.find_scheme_exn uni.schema "ProfPage" in
   let prof_rel = Websim.Crawler.find_relation_exn instance "ProfPage" in
   match Relation.rows prof_rel with
   | tuple :: _ ->
@@ -229,13 +226,12 @@ let test_outlinks () =
 
 let test_crawl_tolerates_dangling () =
   let uni = Sitegen.University.build () in
-  let site = Sitegen.University.site uni in
+  let site = Sitegen.Sites.of_university uni in
   (* break the site: remove one course page but not the links to it *)
   let any_course = List.hd (Sitegen.University.courses uni) in
-  Websim.Site.delete site
+  Websim.Site.delete site.site
     (Sitegen.University.course_url any_course.Sitegen.University.c_name);
-  let http = Websim.Http.connect site in
-  let instance = Websim.Crawler.crawl Sitegen.University.schema http in
+  let instance = Sitegen.Sites.crawl site in
   check bool_t "crawl completes" true (instance.Websim.Crawler.fetched > 0)
 
 let suite =
