@@ -86,8 +86,8 @@ bench-exec:
 # deadline-under-faults degradation scenario, plus the multicore
 # domain sweep (a ~10^5-page site, 10^3 mixed scan/selective
 # queries, 1/2/4/8 domains:
-# makespan speedup curve, queue-wait vs service percentiles, stripe
-# contention, byte-identity across domain counts). Writes
+# makespan speedup curve, queue-wait vs service percentiles, stored
+# tuples, byte-identity across domain counts). Writes
 # BENCH_server.json in the current directory; commit it so the
 # trajectory is tracked across PRs.
 bench-server:

@@ -1203,8 +1203,7 @@ let server_bench () =
         \        \"p50_ms\": %.1f, \"p95_ms\": %.1f, \"p50_service_ms\": %.1f, \
          \"p95_service_ms\": %.1f, \"p50_wait_ms\": %.1f, \"p95_wait_ms\": %.1f,\n\
         \        \"distinct_gets\": %d, \"cross_query_hits\": %d, \
-         \"tuples_cached\": %d, \"lock_acquisitions\": %d, \
-         \"lock_contested\": %d }%s\n"
+         \"tuples_cached\": %d }%s\n"
         d rep.Server.Sched.makespan_ms speedup identical rep.Server.Sched.p50_ms
         rep.Server.Sched.p95_ms rep.Server.Sched.p50_service_ms
         rep.Server.Sched.p95_service_ms rep.Server.Sched.p50_wait_ms
@@ -1212,8 +1211,6 @@ let server_bench () =
         rep.Server.Sched.ledger.Server.Shared_cache.distinct_gets
         rep.Server.Sched.ledger.Server.Shared_cache.cross_query_hits
         c.Server.Shared_cache.tuples_cached
-        c.Server.Shared_cache.lock_acquisitions
-        c.Server.Shared_cache.lock_contested
         (if i = n_points - 1 then "" else ","))
     sweep_rows;
   Printf.fprintf oc "    ]\n  }\n}\n";

@@ -24,6 +24,19 @@ dune exec --profile ci bin/webviews_cli.exe -- serve \
   --profs 300 --courses 600 --queries 32 --domains 2 --latency \
   | tail -n 12
 
+echo "== no re-downloads: working set beyond the LRU, every page fetched once =="
+# 12,087 distinct pages against the 8,192-entry LRU: a page whose tuple
+# is stored must never go back to the wire, so GETs = distinct URLs
+dune exec --profile ci bin/webviews_cli.exe -- serve \
+  --depts 100 --profs 8000 --courses 12000 --queries 24 --domains 2 --latency \
+  > /tmp/ci_redownload.$$
+gets=$(sed -n 's/^wire: \([0-9]*\) GETs.*/\1/p' /tmp/ci_redownload.$$)
+distinct=$(sed -n 's/^distinct URLs on the wire: \([0-9]*\)$/\1/p' /tmp/ci_redownload.$$)
+rm -f /tmp/ci_redownload.$$
+echo "wire GETs: $gets, distinct URLs on the wire: $distinct"
+[ -n "$gets" ] && [ "$gets" = "$distinct" ] \
+  || { echo "pages downloaded more than once ($gets GETs for $distinct distinct URLs)"; exit 1; }
+
 echo "== smoke churn: live mutations, generous budget, zero SLA violations =="
 dune exec --profile ci bin/webviews_cli.exe -- churn \
   --depts 2 --profs 6 --courses 10 --churn-rate 0.2 --budget 500 \

@@ -9,29 +9,31 @@
 
     {[ cross_query_hits = sum_per_query - distinct_gets ]}
 
-    and (2) an extracted-tuple cache sharded by URL hash with one
-    mutex per shard: wrapping a page is paid once per distinct
-    (scheme, url), and prefetched windows are extracted in parallel on
-    the {!Pool} with each worker publishing into its shard under the
-    stripe lock. Per-query request sets are bitsets over a dense URL
-    interning, so 10^3-query ledgers over 10^5-page sites stay small. *)
+    and (2) an extracted-tuple store indexed by a dense URL id: wrapping
+    a page is paid once per distinct (scheme, url), and every read
+    looks in the store first, so a page whose tuple is stored is never
+    downloaded again, whatever the LRU has evicted. Prefetched windows
+    send only their missing pages to the wire and are extracted in
+    parallel on the {!Pool}; the scheduler thread, the only one that
+    touches the store, publishes the results, so nothing is locked.
+    Per-query request sets are bitsets over the same URL ids, so
+    10^3-query ledgers over 10^5-page sites stay small. *)
 
 type t
 
-val wrap : ?shards:int -> ?pool:Pool.t -> Websim.Fetcher.t -> t
-(** Share an existing fetch engine. Its cache should be large enough
-    to hold the workload's page set ([cache_capacity]), or sharing
-    degrades to whatever survives eviction. [shards] (default 16,
-    rounded up to a power of two) stripes the tuple cache; [pool]
+val wrap : ?pool:Pool.t -> Websim.Fetcher.t -> t
+(** Share an existing fetch engine. Its LRU only has to hold a
+    prefetched window until it is extracted: stored tuples outlive
+    eviction. Failed pages are never stored: a 404 is shared only
+    while the LRU keeps it, and an unreachable page is retried. [pool]
     enables parallel extraction of prefetched windows. *)
 
 val create :
-  ?shards:int -> ?pool:Pool.t -> ?config:Websim.Fetcher.config ->
+  ?pool:Pool.t -> ?config:Websim.Fetcher.config ->
   ?netmodel:Websim.Netmodel.t -> Websim.Http.t -> t
 (** [wrap] over a fresh fetcher ({!Websim.Fetcher.create}). *)
 
 val fetcher : t -> Websim.Fetcher.t
-val shard_count : t -> int
 
 val attach_views : ?answerer:Webviews.Exec.views -> t -> Webviews.Viewstore.t -> unit
 (** Expose a registered-view store to resident queries: the scheduler
@@ -50,15 +52,8 @@ val view_answerer : t -> Webviews.Exec.views option
 val report : t -> Websim.Fetcher.report
 (** The shared engine's merged cost ledger (wire + engine). *)
 
-val get : t -> query:int -> string -> Websim.Fetcher.page Websim.Fetcher.fetched
-(** One page download on behalf of [query], recorded in its request
-    set. Single-flight across queries is the shared cache itself. *)
-
-val prefetch : t -> query:int -> string list -> unit
-(** Batch warm-up on behalf of [query] ({!Websim.Fetcher.prefetch}). *)
-
 val invalidate : t -> scheme:string -> url:string -> unit
-(** Drop one (scheme, url) from the tuple tier {e and} the shared page
+(** Drop one (scheme, url) from the tuple store {e and} the shared page
     LRU, so the next fetch re-downloads and re-extracts. Called by the
     maintenance lane once a revalidation proves the cached copy out of
     date. *)
@@ -70,17 +65,19 @@ type tuple_fetched =
 
 val fetch_tuple :
   t -> query:int -> Adm.Schema.t -> scheme:string -> url:string -> tuple_fetched
-(** Fetch + wrap through the sharded tuple cache: a cached tuple skips
-    both the network and the HTML parse (the page access still counts
-    in the ledger). Failures are not cached — they re-consult the
-    fetch engine exactly as a cache-less run would. *)
+(** Fetch + wrap, tuple store first: a stored tuple skips both the
+    network and the HTML parse (the page access still counts in the
+    ledger). Failures are not stored — they re-consult the fetch
+    engine exactly as a cache-less run would. *)
 
 val prefetch_extract :
   t -> query:int -> Adm.Schema.t -> scheme:string -> string list -> unit
-(** {!prefetch} the window, then extract the fresh page bodies into
-    the tuple cache — in parallel on the pool when one is attached.
-    Bodies are read with {!Websim.Fetcher.cached_body} (read-only), so
-    a pooled run perturbs neither clock nor fetch sequence. *)
+(** Record the window in [query]'s request set, fetch the pages whose
+    tuple is not stored as one batch ({!Websim.Fetcher.get_batch}; a
+    no-op on a cache-less fetcher) and store their extracted tuples —
+    extracted in parallel on the pool when one is attached. Extraction
+    is pure and the tuples are stored in window order, so a pooled run
+    perturbs neither clock nor fetch sequence. *)
 
 val source : t -> query:int -> Adm.Schema.t -> Webviews.Eval.source
 (** The page source query [query] evaluates over: same wrapper
@@ -110,15 +107,16 @@ type ledger = {
 val ledger : t -> ledger
 val pp_ledger : ledger Fmt.t
 
-(** Stripe-lock measurements: how hard each shard mutex was worked and
-    whether anything ever waited on one. *)
+(** The tuple store's size, in the shape of the former striped
+    cache's report. There is one store and no lock, so [shards] is
+    always 1, [lock_acquisitions] and [lock_contested] are always 0,
+    and [max_shard_tuples] equals [tuples_cached]. *)
 type contention = {
   shards : int;
   lock_acquisitions : int;
-  lock_contested : int;  (** takes that found the lock already held *)
-  tuples_cached : int;
-  max_shard_tuples : int;  (** occupancy of the fullest shard *)
+  lock_contested : int;
+  tuples_cached : int;  (** stored (scheme, url) tuples *)
+  max_shard_tuples : int;
 }
 
 val contention : t -> contention
-val pp_contention : contention Fmt.t

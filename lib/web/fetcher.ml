@@ -57,7 +57,7 @@ let config ?(window = 8) ?(retries = 3) ?(backoff_ms = 50.0) ?(backoff_factor = 
 let default_config = config ()
 
 type counters = {
-  mutable requests : int; (* logical get/head calls *)
+  mutable requests : int; (* logical get/head calls, one per distinct URL of a batch *)
   mutable attempts : int; (* exchanges tried on the wire *)
   mutable retries : int; (* attempts beyond the first *)
   mutable gave_up : int; (* requests that exhausted their retries *)
@@ -538,15 +538,23 @@ let distinct_urls urls =
       end)
     urls
 
+(* One batch of [urls]: one logical request per distinct URL, the
+   duplicates counted as coalesced. *)
+let batch_distinct t urls =
+  let distinct = distinct_urls urls in
+  let n = List.length distinct in
+  t.counters.batches <- t.counters.batches + 1;
+  t.counters.requests <- t.counters.requests + n;
+  t.counters.coalesced <- t.counters.coalesced + (List.length urls - n);
+  distinct
+
 (* Batched fetch: the distinct URLs are submitted together and their
    simulated latencies overlap under the configured in-flight width —
    list scheduling onto [window] slots, each request (including its
    retries and backoff waits) occupying one slot. The batch costs its
    makespan, not the sum of its latencies. *)
 let get_batch t urls : (string * page fetched) list =
-  let distinct = distinct_urls urls in
-  t.counters.batches <- t.counters.batches + 1;
-  t.counters.coalesced <- t.counters.coalesced + (List.length urls - List.length distinct);
+  let distinct = batch_distinct t urls in
   let slots = Array.make t.cfg.window 0.0 in
   let slot_of () =
     let best = ref 0 in
@@ -580,9 +588,7 @@ let get_batch t urls : (string * page fetched) list =
    materialized store's maintenance revalidation sweeps through
    this. *)
 let head_batch t urls : (string * int fetched) list =
-  let distinct = distinct_urls urls in
-  t.counters.batches <- t.counters.batches + 1;
-  t.counters.coalesced <- t.counters.coalesced + (List.length urls - List.length distinct);
+  let distinct = batch_distinct t urls in
   let slots = Array.make t.cfg.window 0.0 in
   let slot_of () =
     let best = ref 0 in
@@ -608,15 +614,6 @@ let head_batch t urls : (string * int fetched) list =
 (* Warm the cache for an upcoming navigation. A no-op without a cache:
    prefetching would only duplicate the per-URL fetches. *)
 let prefetch t urls = if caching t && urls <> [] then ignore (get_batch t urls)
-
-(* Read-only peek at the cached body of [url]: no counters, no LRU
-   touch, no network, no retries. The parallel extraction tier reads
-   prefetched bodies through this so that a pooled run perturbs
-   neither the clock nor the fetch sequence of the sequential run. *)
-let cached_body t url =
-  match Hashtbl.find_opt t.cache.table url with
-  | Some { entry = Live page; _ } -> Some page.body
-  | Some { entry = Gone; _ } | None -> None
 
 (* Drop [url] from the page cache so the next access goes to the wire.
    Needed by the materialized store: once a HEAD has proved the page

@@ -37,7 +37,8 @@ val config :
 val default_config : config
 
 type counters = {
-  mutable requests : int;  (** logical get/head calls *)
+  mutable requests : int;
+      (** logical get/head calls; a batch counts one per distinct URL *)
   mutable attempts : int;  (** exchanges tried on the wire *)
   mutable retries : int;  (** attempts beyond the first *)
   mutable gave_up : int;  (** requests that exhausted their retries *)
@@ -67,7 +68,7 @@ type report = {
   not_found : int;
   bytes : int;  (** GET payload bytes *)
   head_bytes : int;  (** light-connection header bytes *)
-  requests : int;  (** logical get/head calls *)
+  requests : int;  (** logical get/head calls, one per distinct URL of a batch *)
   attempts : int;  (** exchanges tried on the wire *)
   retries : int;  (** attempts beyond the first *)
   failed : int;  (** exchanges that died (5xx/timeout/truncated) *)
@@ -143,11 +144,6 @@ val head_batch : t -> string list -> (string * int fetched) list
 val prefetch : t -> string list -> unit
 (** Warm the cache for an upcoming navigation ([get_batch], results
     dropped). A no-op on a cache-less fetcher. *)
-
-val cached_body : t -> string -> string option
-(** Read-only peek at the cached body of a URL: no counters, no LRU
-    reordering, no network. For the parallel extraction tier, which
-    must not perturb the deterministic fetch sequence. *)
 
 val invalidate : t -> string -> unit
 (** Drop [url] from the page cache (positive or negative entry alike)

@@ -456,6 +456,25 @@ let test_batch_overlap_and_coalescing () =
   check int_t "one GET per distinct URL" 8
     (Websim.Http.stats (Websim.Fetcher.http f)).Websim.Http.gets
 
+(* Batched traffic under faults: each batch counts one request per
+   distinct URL (duplicates are coalesced, not requested), so the
+   attempts bound of the evaluation test above holds for windows that
+   never go through [get] too. *)
+let test_batch_requests_under_faults () =
+  let u, site, _ = uni_setup () in
+  let urls = List.init 12 (prof_url_at u) in
+  let fetcher = faulty_fetcher site in
+  Websim.Fetcher.prefetch fetcher (urls @ [ List.hd urls ]);
+  ignore (Websim.Fetcher.get_batch fetcher (List.filteri (fun i _ -> i < 4) urls));
+  ignore (Websim.Fetcher.head_batch fetcher (urls @ urls));
+  let r = Websim.Fetcher.report fetcher in
+  check int_t "one request per distinct URL of each batch" (12 + 4 + 12)
+    r.Websim.Fetcher.requests;
+  check int_t "duplicates coalesced" (1 + 12) r.Websim.Fetcher.coalesced;
+  check bool_t "faults forced retries" true (r.Websim.Fetcher.retries > 0);
+  check bool_t "attempts bounded by requests * (retries + 1)" true
+    (r.Websim.Fetcher.attempts <= r.Websim.Fetcher.requests * 4)
+
 (* ------------------------------------------------------------------ *)
 (* Extended HTTP stats (HEAD bytes, failures, truncated transfers)     *)
 (* ------------------------------------------------------------------ *)
@@ -524,4 +543,6 @@ let suite =
         test_batch_overlap_and_coalescing;
       Alcotest.test_case "http: HEAD bytes, failures, truncation" `Quick
         test_http_extended_stats;
+      Alcotest.test_case "batch: requests counted under faults" `Quick
+        test_batch_requests_under_faults;
     ] )

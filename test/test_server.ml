@@ -426,28 +426,110 @@ let test_pool () =
   Server.Pool.shutdown p (* idempotent *)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded tuple cache: stripe accounting                              *)
+(* The tuple store                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_shard_contention_report () =
+(* A per-query source that records every (scheme, url) the executor
+   reads or prefetches through the shared cache. *)
+let recording_source cache (site : Sitegen.Sites.t) seen (spec : Server.Sched.spec) =
+  let src = Server.Shared_cache.source cache ~query:spec.Server.Sched.qid site.schema in
+  let record scheme url = Hashtbl.replace seen (scheme, url) () in
+  Some
+    {
+      src with
+      Eval.fetch =
+        (fun ~scheme ~url ->
+          record scheme url;
+          src.Eval.fetch ~scheme ~url);
+      prefetch =
+        (fun ~scheme urls ->
+          List.iter (record scheme) urls;
+          src.Eval.prefetch ~scheme urls);
+    }
+
+let gets cache = (Server.Shared_cache.report cache).Websim.Fetcher.gets
+
+(* One entry per extracted (scheme, url); [invalidate] drops exactly
+   that entry, and the next read pays exactly one GET to re-extract. *)
+let test_tuple_store () =
   let site = Sitegen.Sites.load University in
   let cache = shared_cache site in
-  check int_t "default shard count" 16 (Server.Shared_cache.shard_count cache);
+  let seen = Hashtbl.create 256 in
   let entries = Server.Workload.generate ~seed:11 ~n:6 () in
   let _ =
-    Server.Sched.run Server.Sched.default_config cache site.schema
-      (specs_of site entries)
+    Server.Sched.run ~source_for:(recording_source cache site seen)
+      Server.Sched.default_config cache site.schema (specs_of site entries)
+  in
+  let cached () =
+    (Server.Shared_cache.contention cache).Server.Shared_cache.tuples_cached
   in
   let c = Server.Shared_cache.contention cache in
-  check int_t "shards" 16 c.Server.Shared_cache.shards;
-  check bool_t "tuples cached" true (c.Server.Shared_cache.tuples_cached > 0);
-  check bool_t "locks were taken" true
-    (c.Server.Shared_cache.lock_acquisitions
-    >= c.Server.Shared_cache.tuples_cached);
-  check bool_t "fullest shard is plausible" true
-    (c.Server.Shared_cache.max_shard_tuples > 0
-    && c.Server.Shared_cache.max_shard_tuples
-       <= c.Server.Shared_cache.tuples_cached)
+  check int_t "one store" 1 c.Server.Shared_cache.shards;
+  check int_t "no locks" 0
+    (c.Server.Shared_cache.lock_acquisitions + c.Server.Shared_cache.lock_contested);
+  (* the generated site has no dangling links: every page read is extracted *)
+  check int_t "one tuple per distinct (scheme, url) read" (Hashtbl.length seen) (cached ());
+  let read ~scheme ~url =
+    match Server.Shared_cache.fetch_tuple cache ~query:0 site.schema ~scheme ~url with
+    | Server.Shared_cache.Tuple tuple -> tuple
+    | Absent | Unreachable -> Alcotest.fail ("no tuple for " ^ url)
+  in
+  let pairs = List.of_seq (Hashtbl.to_seq_keys seen) in
+  let (scheme, url), (other_scheme, other_url) = (List.nth pairs 0, List.nth pairs 1) in
+  let before = read ~scheme ~url in
+  let g0 = gets cache in
+  ignore (read ~scheme:other_scheme ~url:other_url);
+  check int_t "a stored tuple costs no GET" g0 (gets cache);
+  Server.Shared_cache.invalidate cache ~scheme ~url;
+  check int_t "invalidate drops exactly one entry" (Hashtbl.length seen - 1) (cached ());
+  ignore (read ~scheme:other_scheme ~url:other_url);
+  check int_t "other entries survive" g0 (gets cache);
+  let after = read ~scheme ~url in
+  check int_t "the next read costs one GET" (g0 + 1) (gets cache);
+  check int_t "and re-extracts" (Hashtbl.length seen) (cached ());
+  check bool_t "same tuple from the unchanged page" true (Adm.Value.equal_tuple before after);
+  ignore (read ~scheme ~url);
+  check int_t "then it is stored again" (g0 + 1) (gets cache)
+
+(* An LRU far smaller than the page set must not cost re-downloads: a
+   page whose tuple is stored is never fetched again, so the wire GETs
+   equal the distinct URLs requested. Answers match a run whose LRU
+   holds everything, with and without a 2-domain pool. *)
+let test_no_redownload_past_lru () =
+  let site = Sitegen.Sites.load University in
+  let entries = Server.Workload.generate ~seed:5 ~n:16 () in
+  let specs = specs_of site entries in
+  let run ?pool capacity =
+    let cache =
+      Server.Shared_cache.create ?pool
+        ~config:(Websim.Fetcher.config ~cache_capacity:capacity ())
+        (Websim.Http.connect site.site)
+    in
+    let rep = Server.Sched.run Server.Sched.default_config cache site.schema specs in
+    (cache, rep)
+  in
+  let rows (rep : Server.Sched.report) =
+    List.map (fun (r : Server.Sched.result) -> r.Server.Sched.rows) rep.Server.Sched.results
+  in
+  let same a b = List.for_all2 Adm.Relation.equal (rows a) (rows b) in
+  let small_cache, small = run 8 in
+  let ledger = Server.Shared_cache.ledger small_cache in
+  check bool_t "the workload shares pages across queries" true
+    (ledger.Server.Shared_cache.cross_query_hits > 0);
+  check bool_t "the page set exceeds the LRU" true
+    (ledger.Server.Shared_cache.distinct_gets > 8);
+  check int_t "no page downloaded twice" ledger.Server.Shared_cache.distinct_gets
+    small.Server.Sched.fetch.Websim.Fetcher.gets;
+  let _, large = run 8192 in
+  check bool_t "answers as with an LRU that holds everything" true (same small large);
+  let pool = Server.Pool.create ~domains:2 in
+  let pooled_cache, pooled = run ~pool 8 in
+  Server.Pool.shutdown pool;
+  check bool_t "2-domain pool answers as the pool-less run" true (same small pooled);
+  check int_t "2-domain pool GETs" small.Server.Sched.fetch.Websim.Fetcher.gets
+    pooled.Server.Sched.fetch.Websim.Fetcher.gets;
+  check bool_t "2-domain pool ledger" true
+    (Server.Shared_cache.ledger pooled_cache = ledger)
 
 let test_workload_parsing () =
   let entries =
@@ -501,9 +583,11 @@ let suite =
         test_lane_accounting;
       Alcotest.test_case "domain pool: order, failures, reuse" `Quick
         test_pool;
-      Alcotest.test_case "sharded tuple cache: stripe accounting" `Quick
-        test_shard_contention_report;
+      Alcotest.test_case "tuple store: count and invalidate" `Quick
+        test_tuple_store;
       Alcotest.test_case "workload files parse" `Quick test_workload_parsing;
       Alcotest.test_case "workload generator is seeded" `Quick
         test_generator_deterministic;
+      Alcotest.test_case "tuple store: no page downloaded twice past the LRU"
+        `Quick test_no_redownload_past_lru;
     ] )
