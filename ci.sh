@@ -37,6 +37,16 @@ echo "wire GETs: $gets, distinct URLs on the wire: $distinct"
 [ -n "$gets" ] && [ "$gets" = "$distinct" ] \
   || { echo "pages downloaded more than once ($gets GETs for $distinct distinct URLs)"; exit 1; }
 
+echo "== crawl at scale: 20,107 pages, every count as expected =="
+# every per-attribute count in the output comes from extracted tuples,
+# so any divergence in extraction at scale changes the text
+dune exec --profile ci bin/webviews_cli.exe -- crawl \
+  --depts 100 --profs 8000 --courses 12000 > /tmp/ci_crawl_scale.$$
+head -n 1 /tmp/ci_crawl_scale.$$
+diff test/crawl_scale.expected /tmp/ci_crawl_scale.$$ \
+  || { echo "crawl at scale diverged from test/crawl_scale.expected"; rm -f /tmp/ci_crawl_scale.$$; exit 1; }
+rm -f /tmp/ci_crawl_scale.$$
+
 echo "== smoke churn: live mutations, generous budget, zero SLA violations =="
 dune exec --profile ci bin/webviews_cli.exe -- churn \
   --depts 2 --profs 6 --courses 10 --churn-rate 0.2 --budget 500 \

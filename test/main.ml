@@ -7,6 +7,7 @@ let () =
       Test_relation.suite;
       Test_kernel_oracle.suite;
       Test_html.suite;
+      Test_wrapper.suite;
       Test_schema.suite;
       Test_websim.suite;
       Test_nalg.suite;

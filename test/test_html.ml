@@ -49,6 +49,56 @@ let test_parse_implicit_close () =
   let text = String.concat "" (List.map Html.inner_text doc) in
   check string_t "text survives" "ab" text
 
+let test_parse_li_closes_li () =
+  (* </li> is optional: an li start tag closes the open li of its list *)
+  let li text = Html.Element ("li", [], [ Html.Text text ]) in
+  check bool_t "siblings, not nested" true
+    (Html.parse "<ul class=\"l-L\"><li>1<li>2</ul>"
+    = [ Html.Element ("ul", [ ("class", "l-L") ], [ li "1"; li "2" ]) ]);
+  (* only up to the nearest enclosing list: an inner list's items stay inside *)
+  check bool_t "nested lists" true
+    (Html.parse "<ul><li>a<ul><li>b<li>c</ul><li>d</ul>"
+    = [
+        Html.Element
+          ( "ul",
+            [],
+            [
+              Html.Element ("li", [], [ Html.Text "a"; Html.Element ("ul", [], [ li "b"; li "c" ]) ]);
+              li "d";
+            ] );
+      ]);
+  (* open elements inside the li close with it *)
+  check bool_t "closes through a div" true
+    (Html.parse "<ol><li><div>x<li>y</ol>"
+    = [ Html.Element ("ol", [], [ Html.Element ("li", [], [ Html.Element ("div", [], [ Html.Text "x" ]) ]); li "y" ]) ])
+
+let test_tokenize_uppercase () =
+  match Html.tokenize "<DIV Class=\"A&amp;B\">x</Div>" with
+  | [ Html.Tok_open ("div", [ ("class", "A&B") ], false); Html.Tok_text "x"; Html.Tok_close "div" ] -> ()
+  | _ -> Alcotest.fail "names not lowercased or value not unescaped"
+
+let test_negative_entity () =
+  (* a negative character reference is not an entity; it stays literal *)
+  check string_t "kept" "&#-5;" (Html.unescape "&#-5;")
+
+(* The scanner's events are balanced and walk the tree parse builds,
+   whatever the recovery rules had to do. *)
+let test_scan_balanced () =
+  let body = "</p><div><ul><li>a<li>b</span></div><br><img src=x/>c<p>d" in
+  let depth = ref 0 and enters = ref 0 and texts = Buffer.create 8 in
+  Html.scan
+    {
+      Html.enter = (fun _ _ -> incr depth; incr enters);
+      leave = (fun () -> decr depth);
+      text = (fun s pos len -> Buffer.add_string texts (String.sub s pos len));
+      comment = (fun _ _ _ -> ());
+    }
+    body;
+  check int_t "balanced" 0 !depth;
+  let doc = Html.parse body in
+  check int_t "one enter per element" (List.length (Html.find_all (fun n -> Html.tag n <> None) doc)) !enters;
+  check string_t "text in order" (String.concat "" (List.map Html.inner_text doc)) (Buffer.contents texts)
+
 let test_parse_stray_close () =
   let doc = Html.parse "</div><p>ok</p>" in
   check int_t "stray close ignored" 1 (List.length (Html.by_tag "p" doc))
@@ -91,21 +141,28 @@ let test_node_count () =
 
 (* Properties: printing then parsing a generated tree is stable. *)
 
+(* Trees HTML can express: an [li] start tag closes an open [li] up to
+   the nearest [ul]/[ol], so no [li] sits inside another [li] without a
+   list between them. *)
 let tree_gen =
   let open QCheck.Gen in
   let text = map (fun s -> Html.Text s) (string_size ~gen:(char_range 'a' 'z') (int_range 1 8)) in
-  sized_size (int_bound 3) @@ fix (fun self n ->
+  sized_size (int_bound 3) @@ fun size ->
+  fix (fun self (n, li_ok) ->
       if n = 0 then text
       else
         frequency
           [
             (2, text);
             ( 3,
-              map2
-                (fun name children -> Html.Element (name, [], children))
-                (oneofl [ "div"; "span"; "p"; "ul"; "li" ])
-                (list_size (int_bound 4) (self (n - 1))) );
+              oneofl ([ "div"; "span"; "p"; "ul" ] @ if li_ok then [ "li" ] else [])
+              >>= fun name ->
+              let li_ok = match name with "ul" -> true | "li" -> false | _ -> li_ok in
+              map
+                (fun children -> Html.Element (name, [], children))
+                (list_size (int_bound 4) (self (n - 1, li_ok))) );
           ])
+    (size, true)
 
 let tree_arb = QCheck.make ~print:(fun n -> Html.to_string [ n ]) tree_gen
 
@@ -134,6 +191,10 @@ let suite =
       Alcotest.test_case "parse void elements" `Quick test_parse_void_elements;
       Alcotest.test_case "parse implicit close" `Quick test_parse_implicit_close;
       Alcotest.test_case "parse stray close" `Quick test_parse_stray_close;
+      Alcotest.test_case "parse li closes open li" `Quick test_parse_li_closes_li;
+      Alcotest.test_case "tokenize uppercase names" `Quick test_tokenize_uppercase;
+      Alcotest.test_case "negative entity literal" `Quick test_negative_entity;
+      Alcotest.test_case "scan events balanced" `Quick test_scan_balanced;
       Alcotest.test_case "print/parse roundtrip" `Quick test_roundtrip_print_parse;
       Alcotest.test_case "queries" `Quick test_queries;
       Alcotest.test_case "inner text deep" `Quick test_inner_text_deep;
