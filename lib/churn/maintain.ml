@@ -30,18 +30,16 @@ type t = {
   sla : Sla.t;
   budget : Budget.t;
   costs : Budget.costs;
-  shared : Server.Shared_cache.t option;
   store : Webviews.Matview.t;
   counters : counters;
 }
 
-let create ?(config = default_config) ~sla ~budget ~costs ?shared store =
+let create ?(config = default_config) ~sla ~budget ~costs store =
   {
     cfg = config;
     sla;
     budget;
     costs;
-    shared;
     store;
     counters =
       {
@@ -57,14 +55,6 @@ let create ?(config = default_config) ~sla ~budget ~costs ?shared store =
   }
 
 let counters t = t.counters
-
-let store_now t =
-  Websim.Site.clock (Websim.Http.site (Websim.Fetcher.http (Webviews.Matview.fetcher t.store)))
-
-let invalidate_shared t ~scheme ~url =
-  match t.shared with
-  | Some cache -> Server.Shared_cache.invalidate cache ~scheme ~url
-  | None -> ()
 
 (* Drain a bounded, budgeted slice of the CheckMissing backlog. *)
 let sweep_slice t =
@@ -91,7 +81,7 @@ let sweep_slice t =
 (* Candidate entries ordered by (relevance, staleness debt, scheme,
    url): deterministic regardless of store iteration order. *)
 let candidates t ~relevant =
-  let now = store_now t in
+  let now = Webviews.Matview.now t.store in
   let acc = ref [] in
   Webviews.Matview.iter_entries t.store (fun ~scheme ~url ~access_date ->
       let age = now - access_date in
@@ -131,13 +121,11 @@ let slice t ~relevant =
             (* the HEAD proved a change: the GET is committed, even
                into overdraft *)
             Budget.force t.budget t.costs.Budget.get;
-            t.counters.gets_refreshed <- t.counters.gets_refreshed + 1;
-            invalidate_shared t ~scheme ~url
+            t.counters.gets_refreshed <- t.counters.gets_refreshed + 1
           | `Gone ->
             (* entry dropped and deferred to CheckMissing; the sweep
                confirms and counts the purge *)
-            t.counters.gone <- t.counters.gone + 1;
-            invalidate_shared t ~scheme ~url
+            t.counters.gone <- t.counters.gone + 1
           | `Unreachable | `Unknown -> ());
           go (n + 1) rest
         end

@@ -43,10 +43,11 @@ type t
 
 val create :
   ?config:config -> sla:Sla.t -> budget:Budget.t -> costs:Budget.costs ->
-  ?shared:Server.Shared_cache.t -> Webviews.Matview.t -> t
-(** [shared] — when the store sits behind a shared page/tuple cache,
-    refreshes and purges also invalidate the corresponding cache
-    entries so queries cannot keep reading the proven-stale copy. *)
+  Webviews.Matview.t -> t
+(** The engine acts on the store alone: its HEAD-then-GET protocol
+    ({!Webviews.Matview.revalidate}) is the only freshness layer, and
+    churn queries read the store, never a page or tuple cache, so
+    there is nothing else to invalidate. *)
 
 val slice : t -> relevant:(string -> bool) -> unit
 (** One maintenance slice. [relevant scheme] says whether any resident

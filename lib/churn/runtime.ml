@@ -75,6 +75,9 @@ let run ?(sched = Server.Sched.default_config) ?pool ?bindings (cfg : config)
   let fetcher =
     Websim.Fetcher.create ~config:(Websim.Fetcher.config ~cache_capacity:0 ()) http
   in
+  (* The scheduler's shared cache carries the fetch engine and the
+     view answerer only: every read goes through [source_for] below,
+     so its tuple tier stays empty and needs no invalidation. *)
   let cache = Server.Shared_cache.wrap ?pool fetcher in
   let store = Webviews.Matview.materialize ~fetcher schema http in
   let entry_urls =
@@ -85,8 +88,7 @@ let run ?(sched = Server.Sched.default_config) ?pool ?bindings (cfg : config)
   in
   let budget = Budget.create ~per_turn:cfg.budget_per_turn () in
   let engine =
-    Maintain.create ~config:cfg.maintain ~sla:cfg.sla ~budget ~costs:cfg.costs
-      ~shared:cache store
+    Maintain.create ~config:cfg.maintain ~sla:cfg.sla ~budget ~costs:cfg.costs store
   in
   (* Under the incremental policy the registered views over the same
      store become cost-priced access paths for the workload. A
@@ -146,10 +148,8 @@ let run ?(sched = Server.Sched.default_config) ?pool ?bindings (cfg : config)
             None)
         | `Refreshed ->
           Budget.force budget cfg.costs.Budget.get;
-          Server.Shared_cache.invalidate cache ~scheme ~url;
           serve_stored obs ~scheme ~url ~access_date:(now ())
         | `Gone ->
-          Server.Shared_cache.invalidate cache ~scheme ~url;
           Sla.observe_missing obs;
           None
         | `Unreachable -> serve_stored obs ~scheme ~url ~access_date

@@ -199,14 +199,6 @@ let eval ?limit ?views (schema : Adm.Schema.t) (source : source)
   Exec.run ?limit ?views schema source
     (Physplan.lower ~view_attrs ~window:source.window schema e)
 
-(* Evaluate and report the network work done, as (relation, stats
-   delta). Only meaningful with a live source. *)
-let eval_counted ?limit schema http source e =
-  let before = Websim.Http.snapshot http in
-  let result = eval ?limit schema source e in
-  let after = Websim.Http.snapshot http in
-  (result, Websim.Http.diff ~before ~after)
-
 (* Evaluate through the fetch engine and report the merged cost
    ledger: the paper's page accesses and the runtime's fetch work
    (attempts, retries, cache traffic, simulated elapsed time) in one

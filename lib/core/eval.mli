@@ -57,11 +57,6 @@ val eval_legacy : Adm.Schema.t -> source -> Nalg.expr -> Adm.Relation.t
     values of the whole source before fetching. No production caller:
     kept only as the oracle for differential tests. *)
 
-val eval_counted :
-  ?limit:int -> Adm.Schema.t -> Websim.Http.t -> source -> Nalg.expr ->
-  Adm.Relation.t * Websim.Http.stats
-(** Evaluate and report the network work done. *)
-
 type fetch_report = {
   result : Adm.Relation.t;
   fetch : Websim.Fetcher.report;

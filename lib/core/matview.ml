@@ -69,31 +69,14 @@ let total_pages t = Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.t
 
 let check_missing_backlog t = List.length t.check_missing
 
-(* Materialize the whole site: navigate it once, wrap the pages, and
-   store them as nested tuples with their access date. *)
-let materialize ?fetcher (schema : Adm.Schema.t) (http : Websim.Http.t) : t =
-  let fetcher =
-    match fetcher with
-    | Some f -> f
-    | None ->
-      Websim.Fetcher.create ~config:(Websim.Fetcher.config ~cache_capacity:0 ()) http
-  in
-  let http = Websim.Fetcher.http fetcher in
-  let t =
-    {
-      schema;
-      http;
-      fetcher;
-      tables = Hashtbl.create 16;
-      status = Hashtbl.create 256;
-      check_missing = [];
-      max_age = None;
-      counters =
-        { light_connections = 0; downloads = 0; local_hits = 0; new_pages = 0; missing_pages = 0 };
-    }
-  in
-  let now = Websim.Site.clock (Websim.Http.site http) in
-  let instance = Websim.Crawler.crawl_via fetcher schema in
+let now t = Websim.Site.clock (Websim.Http.site t.http)
+
+(* Navigate the whole site once through the store's fetcher, wrap the
+   pages, and store them as nested tuples dated now: the initial
+   materialization and the paper's periodic whole-view pass alike. *)
+let load t =
+  let now = now t in
+  let instance = Websim.Crawler.crawl_via t.fetcher t.schema in
   List.iter
     (fun (scheme, rel) ->
       let tbl = table t scheme in
@@ -104,7 +87,29 @@ let materialize ?fetcher (schema : Adm.Schema.t) (http : Websim.Http.t) : t =
             Hashtbl.replace tbl (Adm.Value.Atom.str url) { tuple; access_date = now }
           | _ -> ())
         (Adm.Relation.rows rel))
-    instance.Websim.Crawler.relations;
+    instance.Websim.Crawler.relations
+
+let materialize ?fetcher (schema : Adm.Schema.t) (http : Websim.Http.t) : t =
+  let fetcher =
+    match fetcher with
+    | Some f -> f
+    | None ->
+      Websim.Fetcher.create ~config:(Websim.Fetcher.config ~cache_capacity:0 ()) http
+  in
+  let t =
+    {
+      schema;
+      http = Websim.Fetcher.http fetcher;
+      fetcher;
+      tables = Hashtbl.create 16;
+      status = Hashtbl.create 256;
+      check_missing = [];
+      max_age = None;
+      counters =
+        { light_connections = 0; downloads = 0; local_hits = 0; new_pages = 0; missing_pages = 0 };
+    }
+  in
+  load t;
   t
 
 let status_of t url =
@@ -140,28 +145,24 @@ let diff_outlinks t ps ~old_tuple ~new_tuple =
 
 let fetcher t = t.fetcher
 
-let download t ~scheme ~url =
+(* Re-download one page, wrap it and store the tuple dated now. A
+   failed GET leaves the store as it was. *)
+let download t ~scheme ~url : Adm.Value.tuple Websim.Fetcher.fetched =
   (* drop any cached copy first: a caching fetcher would otherwise
      answer the re-download with the very body the preceding HEAD
      just proved out of date *)
   Websim.Fetcher.invalidate t.fetcher url;
   match Websim.Fetcher.get t.fetcher url with
-  | Websim.Fetcher.Absent -> None
-  | Websim.Fetcher.Unreachable ->
-    (* transport down after retries: serve the stored tuple, stale,
-       rather than drop the row — the page is not known to be gone *)
-    stored_tuple t ~scheme ~url
+  | Websim.Fetcher.Absent -> Websim.Fetcher.Absent
+  | Websim.Fetcher.Unreachable -> Websim.Fetcher.Unreachable
   | Websim.Fetcher.Fetched { Websim.Fetcher.body; last_modified = _ } ->
     t.counters.downloads <- t.counters.downloads + 1;
     let ps = Adm.Schema.find_scheme_exn t.schema scheme in
     let tuple = Websim.Wrapper.extract ps ~url body in
     let old_tuple = stored_tuple t ~scheme ~url in
     diff_outlinks t ps ~old_tuple ~new_tuple:tuple;
-    let now = Websim.Site.clock (Websim.Http.site t.http) in
-    Hashtbl.replace (table t scheme) url { tuple; access_date = now };
-    Some tuple
-
-let now t = Websim.Site.clock (Websim.Http.site t.http)
+    Hashtbl.replace (table t scheme) url { tuple; access_date = now t };
+    Websim.Fetcher.Fetched tuple
 
 let entry_date t ~scheme ~url =
   match Hashtbl.find_opt (table t scheme) url with
@@ -179,34 +180,40 @@ let iter_scheme t scheme f =
     (Hashtbl.iter (fun url entry -> f ~url ~access_date:entry.access_date))
     (Hashtbl.find_opt t.tables scheme)
 
-(* Maintenance-side URLCheck: revalidate one stored entry with a light
-   connection, re-downloading only on a proven change. Unlike
-   {!url_check} this ignores the per-query status flags (maintenance
-   runs between queries, against the shared store) and treats a 404 as
-   definitive — the HEAD itself is the sweep. *)
+(* The one handler of a light connection's outcome on a stored entry,
+   shared by query-time URLCheck and maintenance: a 404 drops the
+   entry and defers the definitive purge to the CheckMissing sweep; a
+   newer Last-Modified forces the re-download; an unchanged page gets
+   its access date bumped to now. [`Refreshed] means a GET really
+   fetched the new page: when the transport fails it the outcome is
+   [`Unreachable] and the entry keeps its old tuple and date. *)
 let apply_head t ~scheme ~url head =
   match Hashtbl.find_opt (table t scheme) url with
   | None -> `Unknown
   | Some entry -> (
     t.counters.light_connections <- t.counters.light_connections + 1;
-    match head with
-    | Websim.Fetcher.Absent ->
-      (* same flow as url_check: drop the entry now, defer the
-         definitive purge to the CheckMissing sweep *)
+    let gone () =
       Hashtbl.remove (table t scheme) url;
       t.counters.missing_pages <- t.counters.missing_pages + 1;
       if not (List.mem_assoc url t.check_missing) then
         t.check_missing <- (url, scheme) :: t.check_missing;
       `Gone
+    in
+    match head with
+    | Websim.Fetcher.Absent -> gone ()
     | Websim.Fetcher.Unreachable -> `Unreachable
-    | Websim.Fetcher.Fetched last_modified ->
-      if entry.access_date < last_modified then
-        match download t ~scheme ~url with Some _ -> `Refreshed | None -> `Gone
-      else begin
-        Hashtbl.replace (table t scheme) url { entry with access_date = now t };
-        `Current
-      end)
+    | Websim.Fetcher.Fetched last_modified when entry.access_date < last_modified -> (
+      match download t ~scheme ~url with
+      | Websim.Fetcher.Fetched _ -> `Refreshed
+      | Websim.Fetcher.Absent -> gone ()
+      | Websim.Fetcher.Unreachable -> `Unreachable)
+    | Websim.Fetcher.Fetched _ ->
+      Hashtbl.replace (table t scheme) url { entry with access_date = now t };
+      `Current)
 
+(* Maintenance-side URLCheck: unlike {!url_check} this ignores the
+   per-query status flags (maintenance runs between queries, against
+   the shared store). *)
 let revalidate t ~scheme ~url =
   match Hashtbl.find_opt (table t scheme) url with
   | None -> `Unknown
@@ -233,8 +240,14 @@ let revalidate_batch t (keys : (string * string) list) =
 
 (* Force-refresh one page regardless of the stored copy: a wire GET
    (the fetcher cache is bypassed), wrap, store. Also how a page not
-   yet in the store enters it. *)
-let download_entry t ~scheme ~url = download t ~scheme ~url
+   yet in the store enters it. When the GET cannot get through, the
+   stored tuple (if any) is served stale: the page is not known to be
+   gone. *)
+let download_entry t ~scheme ~url =
+  match download t ~scheme ~url with
+  | Websim.Fetcher.Fetched tuple -> Some tuple
+  | Websim.Fetcher.Absent -> None
+  | Websim.Fetcher.Unreachable -> stored_tuple t ~scheme ~url
 
 (* Function 2: URLCheck. Returns the up-to-date tuple for [url], or
    None when the page is gone. *)
@@ -249,51 +262,37 @@ let url_check t ~scheme ~url =
       t.check_missing <- (url, scheme) :: t.check_missing;
     None
   | New ->
-    let result = download t ~scheme ~url in
+    let result = download_entry t ~scheme ~url in
     set_status t url Checked;
     result
   | Unchecked -> (
     match Hashtbl.find_opt (table t scheme) url with
     | None ->
       (* never seen: behave as new *)
-      let result = download t ~scheme ~url in
+      let result = download_entry t ~scheme ~url in
       set_status t url Checked;
       result
     | Some entry
       when (match t.max_age with
-           | Some age ->
-             Websim.Site.clock (Websim.Http.site t.http) - entry.access_date <= age
+           | Some age -> now t - entry.access_date <= age
            | None -> false) ->
       (* within the staleness tolerance: no connection at all *)
       t.counters.local_hits <- t.counters.local_hits + 1;
       set_status t url Checked;
       Some entry.tuple
     | Some entry -> (
-      t.counters.light_connections <- t.counters.light_connections + 1;
-      match Websim.Fetcher.head t.fetcher url with
-      | Websim.Fetcher.Absent ->
-        (* page deleted on the site *)
-        Hashtbl.remove (table t scheme) url;
+      match apply_head t ~scheme ~url (Websim.Fetcher.head t.fetcher url) with
+      | `Gone ->
         set_status t url Missing;
-        t.counters.missing_pages <- t.counters.missing_pages + 1;
-        t.check_missing <- (url, scheme) :: t.check_missing;
         None
-      | Websim.Fetcher.Unreachable ->
-        (* could not even ask: serve the stored tuple, stale *)
+      | `Refreshed ->
+        set_status t url Checked;
+        stored_tuple t ~scheme ~url
+      | `Current | `Unreachable | `Unknown ->
+        (* unchanged, or could not even ask: serve the stored tuple *)
         t.counters.local_hits <- t.counters.local_hits + 1;
         set_status t url Checked;
-        Some entry.tuple
-      | Websim.Fetcher.Fetched last_modified ->
-        if entry.access_date < last_modified then begin
-          let result = download t ~scheme ~url in
-          set_status t url Checked;
-          result
-        end
-        else begin
-          t.counters.local_hits <- t.counters.local_hits + 1;
-          set_status t url Checked;
-          Some entry.tuple
-        end))
+        Some entry.tuple))
 
 (* The page source backed by the materialized store: Algorithm 3's
    evaluation loop is the shared evaluator running over this source,
@@ -336,8 +335,7 @@ let query_counted ?max_age t plan =
 (* Off-line processing of CheckMissing: URLs whose page is actually
    gone are purged from the store; the others were false alarms
    (pages still exist, merely no longer linked from where we looked). *)
-let sweep_limited ?via t ~limit =
-  let fetcher = Option.value via ~default:t.fetcher in
+let sweep_limited t ~limit =
   let deleted = ref 0 and processed = ref 0 in
   let backlog =
     List.filter
@@ -345,7 +343,7 @@ let sweep_limited ?via t ~limit =
         if !processed >= limit then true (* over budget: keep for later *)
         else begin
           incr processed;
-          match Websim.Fetcher.head fetcher url with
+          match Websim.Fetcher.head t.fetcher url with
           | Websim.Fetcher.Absent ->
             Hashtbl.remove (table t scheme) url;
             incr deleted;
@@ -363,7 +361,7 @@ let sweep_limited ?via t ~limit =
   t.check_missing <- backlog;
   (!deleted, !processed)
 
-let offline_sweep ?via t = fst (sweep_limited ?via t ~limit:max_int)
+let offline_sweep t = fst (sweep_limited t ~limit:max_int)
 
 (* Full consistency pass: recrawl the site and replace the store
    (the paper's "periodically check the whole view"). *)
@@ -371,16 +369,4 @@ let full_refresh t =
   Hashtbl.reset t.tables;
   Hashtbl.reset t.status;
   t.check_missing <- [];
-  let now = Websim.Site.clock (Websim.Http.site t.http) in
-  let instance = Websim.Crawler.crawl_via t.fetcher t.schema in
-  List.iter
-    (fun (scheme, rel) ->
-      let tbl = table t scheme in
-      List.iter
-        (fun tuple ->
-          match Adm.Value.find tuple Adm.Page_scheme.url_attr with
-          | Some (Adm.Value.Link url) ->
-            Hashtbl.replace tbl (Adm.Value.Atom.str url) { tuple; access_date = now }
-          | _ -> ())
-        (Adm.Relation.rows rel))
-    instance.Websim.Crawler.relations
+  load t

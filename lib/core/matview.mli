@@ -41,7 +41,10 @@ val status_of : t -> string -> status
 val url_check : t -> scheme:string -> url:string -> Adm.Value.tuple option
 (** Function 2: return the up-to-date tuple, downloading only when the
     light connection reports a change; [None] when the page is gone or
-    flagged missing. *)
+    flagged missing. The light connection's outcome is handled exactly
+    as {!revalidate} handles it — a HEAD proving the entry current
+    bumps its access date — and the per-query status flag records the
+    result. *)
 
 val now : t -> int
 (** The site clock the store's access dates are measured against. *)
@@ -59,11 +62,13 @@ val iter_scheme : t -> string -> (url:string -> access_date:int -> unit) -> unit
 val revalidate :
   t -> scheme:string -> url:string -> [ `Current | `Refreshed | `Gone | `Unreachable | `Unknown ]
 (** Maintenance-side URLCheck on one stored entry: a light connection,
-    then a re-download only on a proven change ([`Refreshed]).
-    [`Current] bumps the access date; [`Gone] (404) drops the entry
-    and enqueues it on CheckMissing for the sweep, exactly as
-    {!url_check} does; [`Unknown] = nothing stored under that key.
-    Per-query status flags are untouched. *)
+    then a re-download only on a proven change ([`Refreshed], returned
+    only when the GET really fetched the page). [`Current] bumps the
+    access date; [`Gone] (404) drops the entry and enqueues it on
+    CheckMissing for the sweep, exactly as {!url_check} does;
+    [`Unreachable] = the HEAD, or the GET a change forced, could not
+    get through, and the entry is kept as it was; [`Unknown] = nothing
+    stored under that key. Per-query status flags are untouched. *)
 
 val revalidate_batch :
   t ->
@@ -78,10 +83,8 @@ val revalidate_batch :
 val download_entry : t -> scheme:string -> url:string -> Adm.Value.tuple option
 (** Force-refresh one page: a wire GET (any fetcher-cached copy is
     invalidated first), wrap, store. Also admits a page not yet in the
-    store. [None] when the page is definitively gone. *)
-
-val source : t -> Eval.source
-(** The page source backed by the store (URLCheck per fetch). *)
+    store. [None] when the page is definitively gone; when the GET
+    cannot get through, the stored tuple (if any) is returned stale. *)
 
 val query : ?max_age:int -> t -> Nalg.expr -> Adm.Relation.t
 (** Algorithm 3: reset the per-query status flags and evaluate.
@@ -98,17 +101,16 @@ type query_report = {
 
 val query_counted : ?max_age:int -> t -> Nalg.expr -> query_report
 
-val sweep_limited : ?via:Websim.Fetcher.t -> t -> limit:int -> int * int
+val sweep_limited : t -> limit:int -> int * int
 (** Process at most [limit] CheckMissing entries (oldest kept at the
     back of the backlog list); returns [(purged, processed)]. The
     budgeted form of {!offline_sweep} used by the maintenance lane. *)
 
-val offline_sweep : ?via:Websim.Fetcher.t -> t -> int
+val offline_sweep : t -> int
 (** Process CheckMissing off-line; returns the number of pages that
-    were actually gone and got purged. Pages the [via] fetcher
-    (default: the store's own) reports [Unreachable] cannot be told
-    gone from down: they are kept in the backlog for the next sweep
-    instead of being purged. *)
+    were actually gone and got purged. Pages the store's fetcher
+    reports [Unreachable] cannot be told gone from down: they are kept
+    in the backlog for the next sweep instead of being purged. *)
 
 val full_refresh : t -> unit
 (** Recrawl the site and replace the store (the paper's periodic

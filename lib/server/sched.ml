@@ -15,8 +15,9 @@
    finalized with whatever rows it has pulled (graceful degradation,
    not an error). The same degradation path serves circuit-open
    periods: when the shared engine's breaker fast-fails a page and a
-   materialized store is available, the query uses the stale stored
-   tuple and the staleness is counted in its completeness report.
+   materialized store is available, the query's page source
+   ({!Shared_cache.source}) serves the stale stored tuple, and the
+   cache's count of it lands in the query's completeness report.
 
    Domains and lanes. With [config.domains = D] the scheduler models a
    D-domain server by greedy list scheduling at quantum granularity:
@@ -153,8 +154,9 @@ type job = {
   run : Webviews.Exec.run;
   mutable last_turn : int; (* scheduler turn this job last ran in *)
   mutable steps : int;
-  mutable stale_pages : int;
-  mutable missing_pages : int;
+  degraded_before : int * int;
+      (* the cache's (stale, missing) counts for this qid at admission:
+         a reused cache still holds an earlier run's counts *)
   mutable lane : int; (* lane of the latest charged quantum *)
   admitted_ms : float; (* lane-model (virtual) time at admission *)
   clock_admitted : float; (* global fetch clock at admission: deadlines *)
@@ -164,41 +166,6 @@ type job = {
 
 let job_finished j = Webviews.Exec.finished j.run
 let job_buffered j = Webviews.Exec.buffered_rows j.run
-
-(* The per-query page source: the shared cache with this query's
-   identity attached — pages arrive through the extracted-tuple tier,
-   so wrapping is paid once per distinct (scheme, url) — degraded to
-   the materialized store's stale tuple when the network (or the open
-   breaker) makes a page unreachable. *)
-let job_source cache ~qid ?stale (schema : Adm.Schema.t) counters :
-    Webviews.Eval.source =
-  let stale_count, missing_count = counters in
-  let fetch ~scheme ~url =
-    match Shared_cache.fetch_tuple cache ~query:qid schema ~scheme ~url with
-    | Shared_cache.Tuple tuple -> Some tuple
-    | Shared_cache.Absent ->
-      incr missing_count;
-      None
-    | Shared_cache.Unreachable -> (
-      match stale with
-      | None ->
-        incr missing_count;
-        None
-      | Some store -> (
-        match Webviews.Matview.stored_tuple store ~scheme ~url with
-        | Some tuple ->
-          incr stale_count;
-          Some tuple
-        | None ->
-          incr missing_count;
-          None))
-  in
-  {
-    Webviews.Eval.fetch;
-    prefetch =
-      (fun ~scheme urls -> Shared_cache.prefetch_extract cache ~query:qid schema ~scheme urls);
-    window = Websim.Fetcher.window (Shared_cache.fetcher cache);
-  }
 
 (* ------------------------------------------------------------------ *)
 (* The report                                                          *)
@@ -262,17 +229,17 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
   in
   let pending = Queue.create () in
   List.iter (fun s -> Queue.add s pending) specs;
-  (* Each resident entry carries the job and the counter cells its
-     page source writes stale/missing tallies into. *)
-  let resident : (job * int ref * int ref) list ref = ref [] in
+  let resident : job list ref = ref [] in
   let finished : result list ref = ref [] in
   let turn = ref 0 in
   let peak_queries = ref 0 in
   let peak_rows = ref 0 in
-  let finalize ((j, stale_c, missing_c) : job * int ref * int ref)
-      ~deadline_hit =
-    j.stale_pages <- !stale_c;
-    j.missing_pages <- !missing_c;
+  let finalize j ~deadline_hit =
+    let stale_pages, missing_pages =
+      let stale, missing = Shared_cache.degraded cache ~query:j.spec.qid in
+      let stale0, missing0 = j.degraded_before in
+      (stale - stale0, missing - missing0)
+    in
     let rows = Webviews.Exec.snapshot j.run in
     let exhausted =
       Webviews.Exec.finished j.run
@@ -280,12 +247,10 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
     in
     let completeness =
       {
-        complete =
-          exhausted && (not deadline_hit) && j.stale_pages = 0
-          && j.missing_pages = 0;
+        complete = exhausted && (not deadline_hit) && stale_pages = 0 && missing_pages = 0;
         deadline_hit;
-        stale_pages = j.stale_pages;
-        missing_pages = j.missing_pages;
+        stale_pages;
+        missing_pages;
       }
     in
     (* Normal completion: the chain's end is the finish time. A
@@ -337,8 +302,7 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
     | jobs ->
       Some
         (List.fold_left
-           (fun best cand ->
-             let (bj, _, _) = best and (cj, _, _) = cand in
+           (fun bj cj ->
              let cmp =
                match Int.compare (weight bj) (weight cj) with
                | 0 -> (
@@ -347,29 +311,27 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
                  | c -> c)
                | c -> c
              in
-             if cmp > 0 then best else cand)
+             if cmp > 0 then bj else cj)
            (List.hd jobs) (List.tl jobs))
   in
-  let remove (j, _, _) =
-    resident := List.filter (fun (j', _, _) -> j' != j) !resident
-  in
+  let remove j = resident := List.filter (fun j' -> j' != j) !resident in
   let admit () =
     while
       (not (Queue.is_empty pending))
       && List.length !resident < cfg.concurrency
       && (!resident = []
-         || List.fold_left (fun acc (j, _, _) -> acc + job_buffered j) 0 !resident
+         || List.fold_left (fun acc j -> acc + job_buffered j) 0 !resident
             <= cfg.max_resident_rows)
     do
       let spec = Queue.pop pending in
-      let stale_c = ref 0 and missing_c = ref 0 in
       (* A churn runtime substitutes its own store-backed source per
-         query; the stale/missing cells then stay at 0 and the story
-         moves into the [freshness] record instead. *)
+         query; the cache's stale/missing counts for the query then
+         stay put and the story moves into the [freshness] record
+         instead. *)
       let source =
         match (match source_for with Some f -> f spec | None -> None) with
         | Some s -> s
-        | None -> job_source cache ~qid:spec.qid ?stale schema (stale_c, missing_c)
+        | None -> Shared_cache.source ?stale cache ~query:spec.qid schema
       in
       (* A plan that answers an occurrence from a registered view
          carries an [External] leaf; lowering resolves it to a
@@ -397,8 +359,7 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
           run;
           last_turn = -1;
           steps = 0;
-          stale_pages = 0;
-          missing_pages = 0;
+          degraded_before = Shared_cache.degraded cache ~query:spec.qid;
           lane;
           admitted_ms;
           clock_admitted = now ();
@@ -406,7 +367,7 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
           service_ms = 0.0;
         }
       in
-      resident := !resident @ [ (job, stale_c, missing_c) ]
+      resident := !resident @ [ job ]
     done
   in
   (* Leadership rotation. In a fixed round-robin cycle the same
@@ -426,7 +387,7 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
   let rotate () =
     if cfg.policy = Round_robin && !turn mod cfg.quantum = 0 then
       match pick () with
-      | Some (j, _, _) when List.length !resident > 1 ->
+      | Some j when List.length !resident > 1 ->
         incr turn;
         j.last_turn <- !turn
       | _ -> ()
@@ -439,17 +400,17 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
        turn sequence is the same at every domain count, so everything
        the hook does is domain-count-invariant by construction. *)
     (match on_turn with
-    | Some f -> f ~turn:!turn ~resident:(List.map (fun (j, _, _) -> j.spec) !resident)
+    | Some f -> f ~turn:!turn ~resident:(List.map (fun j -> j.spec) !resident)
     | None -> ());
     rotate ();
     match pick () with
     | None -> ()
-    | Some ((j, _, _) as entry) ->
+    | Some j ->
       incr turn;
       j.last_turn <- !turn;
       if deadline_passed j then begin
-        finalize entry ~deadline_hit:true;
-        remove entry
+        finalize j ~deadline_hit:true;
+        remove j
       end
       else begin
         let k = ref cfg.quantum in
@@ -483,14 +444,14 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
             Float.max j.chain_end lane_clock.(least_loaded ());
         peak_rows :=
           max !peak_rows
-            (List.fold_left (fun acc (j', _, _) -> acc + job_buffered j') 0 !resident);
+            (List.fold_left (fun acc j' -> acc + job_buffered j') 0 !resident);
         if job_finished j then begin
-          finalize entry ~deadline_hit:false;
-          remove entry
+          finalize j ~deadline_hit:false;
+          remove j
         end
         else if deadline_passed j then begin
-          finalize entry ~deadline_hit:true;
-          remove entry
+          finalize j ~deadline_hit:true;
+          remove j
         end
       end;
       loop ()

@@ -1,8 +1,9 @@
 (** The cooperative multi-query scheduler of the concurrent server.
 
     Admitted queries interleave as batch-sized quanta over the
-    resumable cursors of {!Webviews.Exec}, all fetching through one
-    {!Shared_cache}. The interleaving is a deterministic function of
+    resumable cursors of {!Webviews.Exec}, all reading through the one
+    page source of a {!Shared_cache} ({!Shared_cache.source}). The
+    interleaving is a deterministic function of
     the workload, the config and the netmodel seed — no wall-clock
     reads, no OS threads — so every run replays exactly.
 
@@ -12,8 +13,9 @@
     the rows it has pulled so far — graceful degradation, not an
     error — and when the network (or the open circuit breaker) makes a
     page unreachable, a materialized store passed as [stale] serves
-    the stored tuple instead, with the staleness counted in the
-    query's completeness report.
+    the stored tuple instead. The cache counts each query's stale and
+    missing pages; the scheduler reads those counts into the query's
+    completeness report when it finalizes the query.
 
     Domains and lanes. With [config.domains = D] the scheduler models
     a D-domain server by greedy list scheduling at quantum
@@ -142,8 +144,10 @@ val run :
   ?probe:(qid:int -> freshness option) ->
   config -> Shared_cache.t -> Adm.Schema.t -> spec list -> report
 (** Run the workload to completion (every query finishes or hits its
-    deadline). [stale] enables degradation to stored tuples for
-    unreachable pages. [on_result] observes each result at
+    deadline). Each query reads through
+    [Shared_cache.source ?stale cache ~query:qid schema]: [stale]
+    enables degradation to stored tuples for unreachable pages.
+    [on_result] observes each result at
     finalization time (digesting, streaming out); with
     [keep_rows:false] the report then stores each result with an empty
     relation (header preserved) so 10^3-query runs do not retain 10^7
@@ -156,7 +160,9 @@ val run :
     is domain-count-invariant); mutation traffic and the maintenance
     lane run here. [source_for] substitutes a per-query page source
     (e.g. one backed by a maintained store) — when it returns [None]
-    the ordinary shared-cache source is used. It is called as the
+    the shared-cache source above is used. The completeness report
+    counts only what the cache's source served, so a substitute that
+    is that same source reports exactly what the default does. It is called as the
     query is admitted, just before its plan starts against the
     cache's {!Shared_cache.view_answerer}, so it may attach a
     per-query answerer there. [probe] is asked for a

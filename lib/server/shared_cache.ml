@@ -29,6 +29,20 @@
      scheduler thread storing them. Only the scheduler thread touches
      the store, so it takes no lock.
 
+   Every read of a resident query comes through [source], the one page
+   source over the cache: tuple store, then the shared engine, then —
+   for a page the wire cannot deliver — the stale tuple of a
+   materialized store when the caller passes one. Next to each query's
+   URL set the cache counts the pages it served that query stale and
+   the pages it lost, which the scheduler reads into the query's
+   completeness report.
+
+   Nothing in the cache is ever invalidated: a stored tuple is trusted
+   for the cache's lifetime, like the LRU's bodies beneath it. Reads
+   over a changing site go through the materialized store's
+   HEAD-then-GET protocol instead ({!Webviews.Matview}), which is the
+   only freshness layer.
+
    Scale note: per-query URL sets are bitsets over the URL ids, not
    string hash tables — at 10^3 queries over a 10^5-page site that is
    ~12 KiB per query instead of megabytes of string buckets. Ids are
@@ -74,6 +88,10 @@ module Bitset = struct
     done
 end
 
+(* One query's share of the cache: the URLs it requested, and the
+   pages its source served from the stale store or could not serve. *)
+type query = { requested : Bitset.t; mutable stale : int; mutable missing : int }
+
 type t = {
   fetcher : Websim.Fetcher.t;
   pool : Pool.t option; (* parallel window extraction when present *)
@@ -84,7 +102,7 @@ type t = {
          transient (retries, breaker) and re-consult the fetch engine *)
   mutable n_urls : int;
   mutable tuples_cached : int;
-  queries : (int, Bitset.t) Hashtbl.t;
+  queries : (int, query) Hashtbl.t;
   mutable cross_hits : int;
   mutable views : Webviews.Viewstore.t option;
       (* registered-view store resident queries may answer from *)
@@ -145,13 +163,13 @@ let intern t url =
   Hashtbl.replace t.url_ids url id;
   id
 
-let query_set t qid =
+let query_state t qid =
   match Hashtbl.find_opt t.queries qid with
-  | Some set -> set
+  | Some q -> q
   | None ->
-    let set = Bitset.create () in
-    Hashtbl.replace t.queries qid set;
-    set
+    let q = { requested = Bitset.create (); stale = 0; missing = 0 } in
+    Hashtbl.replace t.queries qid q;
+    q
 
 (* Record that [query] needs [url] and return the URL's id.
    Distinctness is per query: a query re-requesting its own URL is
@@ -163,7 +181,7 @@ let note t ~query url =
     | Some id -> (id, true)
     | None -> (intern t url, false)
   in
-  if Bitset.add (query_set t query) id && on_wire then t.cross_hits <- t.cross_hits + 1;
+  if Bitset.add (query_state t query).requested id && on_wire then t.cross_hits <- t.cross_hits + 1;
   id
 
 (* ------------------------------------------------------------------ *)
@@ -181,46 +199,13 @@ let store_tuple t id ~scheme tuple =
   t.tuples.(id) <- (scheme, tuple) :: t.tuples.(id);
   t.tuples_cached <- t.tuples_cached + 1
 
-(* Drop one (scheme, url) from the tuple store and the page LRU, so the
-   next fetch re-downloads and re-extracts. The maintenance lane calls
-   this when it proves a cached page changed or vanished. *)
-let invalidate t ~scheme ~url =
-  (match Hashtbl.find_opt t.url_ids url with
-  | None -> ()
-  | Some id ->
-    let kept = List.filter (fun (s, _) -> not (String.equal s scheme)) t.tuples.(id) in
-    t.tuples_cached <- t.tuples_cached - (List.length t.tuples.(id) - List.length kept);
-    t.tuples.(id) <- kept);
-  Websim.Fetcher.invalidate t.fetcher url
-
-type tuple_fetched =
-  | Tuple of Adm.Value.tuple
-  | Absent (* the page does not exist *)
-  | Unreachable (* transport failed after retries, or breaker open *)
-
-(* Fetch + wrap, tuple store first. The network half must run on the
-   scheduler thread (it advances the simulated clock). *)
-let fetch_tuple t ~query (schema : Adm.Schema.t) ~scheme ~url =
-  let id = note t ~query url in
-  match find_tuple t id ~scheme with
-  | Some cached -> Tuple cached
-  | None -> (
-    match Websim.Fetcher.get t.fetcher url with
-    | Websim.Fetcher.Fetched page ->
-      let ps = Adm.Schema.find_scheme_exn schema scheme in
-      let tuple = Websim.Wrapper.extract ps ~url page.Websim.Fetcher.body in
-      store_tuple t id ~scheme tuple;
-      Tuple tuple
-    | Websim.Fetcher.Absent -> Absent
-    | Websim.Fetcher.Unreachable -> Unreachable)
-
 (* Prefetch a window: every URL counts for the ledger, but only the
    pages whose tuple is not stored go to the fetch engine, as one
    batch. The batch's fresh bodies are extracted — on the pool when
    one is attached; extraction is pure, so the workers only return
    tuples and this (scheduler) thread stores them. Failed pages are
-   left for [fetch_tuple], which charges them exactly as a cache-less
-   read would. *)
+   left for the per-page read, which charges them exactly as a
+   cache-less read would. *)
 let prefetch_extract t ~query (schema : Adm.Schema.t) ~scheme urls =
   let missing =
     List.filter (fun url -> Option.is_none (find_tuple t (note t ~query url) ~scheme)) urls
@@ -245,12 +230,38 @@ let prefetch_extract t ~query (schema : Adm.Schema.t) ~scheme urls =
 
 (* The per-query page source: same wrapper protocol as
    [Eval.fetcher_source], routed through the shared engine with the
-   query's identity attached for the ledger. *)
-let source t ~query (schema : Adm.Schema.t) : Webviews.Eval.source =
+   query's identity attached for the ledger. A read looks in the tuple
+   store first; the network half must run on the scheduler thread (it
+   advances the simulated clock). A page the wire cannot deliver is
+   served from the [stale] store when it holds the tuple; the query's
+   stale and missing counts record each degraded read. *)
+let source ?stale t ~query (schema : Adm.Schema.t) : Webviews.Eval.source =
   let fetch ~scheme ~url =
-    match fetch_tuple t ~query schema ~scheme ~url with
-    | Tuple tuple -> Some tuple
-    | Absent | Unreachable -> None
+    let id = note t ~query url in
+    match find_tuple t id ~scheme with
+    | Some tuple -> Some tuple
+    | None -> (
+      match Websim.Fetcher.get t.fetcher url with
+      | Websim.Fetcher.Fetched page ->
+        let ps = Adm.Schema.find_scheme_exn schema scheme in
+        let tuple = Websim.Wrapper.extract ps ~url page.Websim.Fetcher.body in
+        store_tuple t id ~scheme tuple;
+        Some tuple
+      | failed -> (
+        let q = query_state t query in
+        let stored =
+          match (failed, stale) with
+          | Websim.Fetcher.Unreachable, Some store ->
+            Webviews.Matview.stored_tuple store ~scheme ~url
+          | _ -> None
+        in
+        match stored with
+        | Some tuple ->
+          q.stale <- q.stale + 1;
+          Some tuple
+        | None ->
+          q.missing <- q.missing + 1;
+          None))
   in
   {
     Webviews.Eval.fetch;
@@ -258,15 +269,20 @@ let source t ~query (schema : Adm.Schema.t) : Webviews.Eval.source =
     window = Websim.Fetcher.window t.fetcher;
   }
 
+let degraded t ~query =
+  match Hashtbl.find_opt t.queries query with
+  | Some q -> (q.stale, q.missing)
+  | None -> (0, 0)
+
 let distinct_gets t = t.n_urls
 let distinct_get_set t = List.init t.n_urls (fun id -> t.urls.(id))
 
 let query_get_set t ~query =
   match Hashtbl.find_opt t.queries query with
   | None -> []
-  | Some set ->
+  | Some q ->
     let acc = ref [] in
-    Bitset.iter (fun id -> acc := t.urls.(id) :: !acc) set;
+    Bitset.iter (fun id -> acc := t.urls.(id) :: !acc) q.requested;
     List.sort String.compare !acc
 
 (* ------------------------------------------------------------------ *)
@@ -283,7 +299,7 @@ type ledger = {
 
 let ledger t =
   let per_query =
-    Hashtbl.fold (fun qid set acc -> (qid, Bitset.cardinal set) :: acc) t.queries []
+    Hashtbl.fold (fun qid q acc -> (qid, Bitset.cardinal q.requested) :: acc) t.queries []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   let sum_per_query = List.fold_left (fun acc (_, n) -> acc + n) 0 per_query in

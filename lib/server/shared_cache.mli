@@ -17,7 +17,16 @@
     parallel on the {!Pool}; the scheduler thread, the only one that
     touches the store, publishes the results, so nothing is locked.
     Per-query request sets are bitsets over the same URL ids, so
-    10^3-query ledgers over 10^5-page sites stay small. *)
+    10^3-query ledgers over 10^5-page sites stay small.
+
+    Resident queries read through {!source}, the one page source over
+    the cache; beside each query's request set the cache counts the
+    pages that query was served stale or lost ({!degraded}). Nothing
+    is ever invalidated: a stored tuple is trusted for the cache's
+    lifetime, so the cache belongs over a site that does not change
+    while it serves. Over a changing site queries read the
+    materialized store instead, whose HEAD-then-GET protocol
+    ({!Webviews.Matview}) is the only freshness layer. *)
 
 type t
 
@@ -52,37 +61,30 @@ val view_answerer : t -> Webviews.Exec.views option
 val report : t -> Websim.Fetcher.report
 (** The shared engine's merged cost ledger (wire + engine). *)
 
-val invalidate : t -> scheme:string -> url:string -> unit
-(** Drop one (scheme, url) from the tuple store {e and} the shared page
-    LRU, so the next fetch re-downloads and re-extracts. Called by the
-    maintenance lane once a revalidation proves the cached copy out of
-    date. *)
-
-type tuple_fetched =
-  | Tuple of Adm.Value.tuple
-  | Absent  (** the page does not exist *)
-  | Unreachable  (** transport failed after retries, or breaker open *)
-
-val fetch_tuple :
-  t -> query:int -> Adm.Schema.t -> scheme:string -> url:string -> tuple_fetched
-(** Fetch + wrap, tuple store first: a stored tuple skips both the
-    network and the HTML parse (the page access still counts in the
-    ledger). Failures are not stored — they re-consult the fetch
-    engine exactly as a cache-less run would. *)
-
-val prefetch_extract :
-  t -> query:int -> Adm.Schema.t -> scheme:string -> string list -> unit
-(** Record the window in [query]'s request set, fetch the pages whose
-    tuple is not stored as one batch ({!Websim.Fetcher.get_batch}; a
-    no-op on a cache-less fetcher) and store their extracted tuples —
-    extracted in parallel on the pool when one is attached. Extraction
-    is pure and the tuples are stored in window order, so a pooled run
-    perturbs neither clock nor fetch sequence. *)
-
-val source : t -> query:int -> Adm.Schema.t -> Webviews.Eval.source
+val source :
+  ?stale:Webviews.Matview.t -> t -> query:int -> Adm.Schema.t -> Webviews.Eval.source
 (** The page source query [query] evaluates over: same wrapper
     protocol as [Eval.fetcher_source], routed through the shared
-    engine and tuple tier with the query's identity attached. *)
+    engine and tuple tier with the query's identity attached. A read
+    looks in the tuple store first (a stored tuple skips both the
+    network and the HTML parse; the page access still counts in the
+    ledger), then fetches and wraps. Failures are not stored: they
+    re-consult the fetch engine exactly as a cache-less run would. A
+    page the wire cannot deliver (retries exhausted, breaker open) is
+    served from [stale]'s stored tuple when there is one and counted
+    stale; any other failed read is counted missing.
+
+    Prefetching records the window in [query]'s request set, fetches
+    the pages whose tuple is not stored as one batch
+    ({!Websim.Fetcher.get_batch}; a no-op on a cache-less fetcher) and
+    stores their extracted tuples — extracted in parallel on the pool
+    when one is attached. Extraction is pure and the tuples are stored
+    in window order, so a pooled run perturbs neither clock nor fetch
+    sequence. *)
+
+val degraded : t -> query:int -> int * int
+(** [(stale, missing)]: the pages {!source} has so far served [query]
+    from the stale store, and the pages it could not serve at all. *)
 
 val distinct_gets : t -> int
 (** Distinct URLs requested across all queries — the wire set size. *)

@@ -11,8 +11,9 @@
    - request deduplication/coalescing within a batch;
    - retry with exponential backoff and deterministic jitter;
    - a per-site circuit breaker that fails fast during an outage;
-   - a bounded LRU page cache with optional HEAD-based revalidation,
-     replacing the evaluator's old unbounded per-source cache.
+   - a bounded LRU page cache that deduplicates downloads and never
+     revalidates: the materialized store's HEAD protocol
+     ([Webviews.Matview]) is the only freshness layer.
 
    Every decision is driven by the seeded model, so runs replay
    exactly; structured counters expose the work done. *)
@@ -33,15 +34,11 @@ type config = {
   breaker_threshold : int; (* consecutive dead requests to trip; 0 = off *)
   breaker_cooldown_ms : float; (* open-state duration before a probe *)
   cache_capacity : int; (* LRU entries; 0 = no cache *)
-  revalidate_after : int option;
-      (* cached entries older than this many site-clock ticks are
-         revalidated with a light connection before reuse;
-         None = a cached page is trusted for the fetcher's lifetime *)
 }
 
 let config ?(window = 8) ?(retries = 3) ?(backoff_ms = 50.0) ?(backoff_factor = 2.0)
     ?(backoff_jitter = 0.25) ?(breaker_threshold = 8) ?(breaker_cooldown_ms = 5000.0)
-    ?(cache_capacity = 1024) ?revalidate_after () =
+    ?(cache_capacity = 1024) () =
   {
     window = max 1 window;
     retries = max 0 retries;
@@ -51,7 +48,6 @@ let config ?(window = 8) ?(retries = 3) ?(backoff_ms = 50.0) ?(backoff_factor = 
     breaker_threshold;
     breaker_cooldown_ms;
     cache_capacity = max 0 cache_capacity;
-    revalidate_after;
   }
 
 let default_config = config ()
@@ -66,7 +62,6 @@ type counters = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_evictions : int;
-  mutable revalidations : int; (* cache hits confirmed by a HEAD *)
   mutable batches : int;
   mutable coalesced : int; (* duplicate URLs removed from batches *)
   mutable elapsed_ms : float; (* simulated wall-clock spent fetching *)
@@ -83,30 +78,9 @@ let fresh_counters () =
     cache_hits = 0;
     cache_misses = 0;
     cache_evictions = 0;
-    revalidations = 0;
     batches = 0;
     coalesced = 0;
     elapsed_ms = 0.0;
-  }
-
-let counters_snapshot (c : counters) =
-  { c with requests = c.requests } (* copy of a mutable record *)
-
-let counters_diff ~(before : counters) ~(after : counters) =
-  {
-    requests = after.requests - before.requests;
-    attempts = after.attempts - before.attempts;
-    retries = after.retries - before.retries;
-    gave_up = after.gave_up - before.gave_up;
-    breaker_trips = after.breaker_trips - before.breaker_trips;
-    breaker_fastfails = after.breaker_fastfails - before.breaker_fastfails;
-    cache_hits = after.cache_hits - before.cache_hits;
-    cache_misses = after.cache_misses - before.cache_misses;
-    cache_evictions = after.cache_evictions - before.cache_evictions;
-    revalidations = after.revalidations - before.revalidations;
-    batches = after.batches - before.batches;
-    coalesced = after.coalesced - before.coalesced;
-    elapsed_ms = after.elapsed_ms -. before.elapsed_ms;
   }
 
 (* ---- the merged fetch report ---- *)
@@ -134,7 +108,6 @@ type report = {
   cache_hits : int;
   cache_misses : int;
   cache_evictions : int;
-  revalidations : int;
   batches : int;
   coalesced : int;
   elapsed_ms : float;
@@ -157,7 +130,6 @@ let merge_report (s : Http.stats) (c : counters) : report =
     cache_hits = c.cache_hits;
     cache_misses = c.cache_misses;
     cache_evictions = c.cache_evictions;
-    revalidations = c.revalidations;
     batches = c.batches;
     coalesced = c.coalesced;
     elapsed_ms = c.elapsed_ms;
@@ -180,7 +152,6 @@ let report_diff ~(before : report) ~(after : report) : report =
     cache_hits = after.cache_hits - before.cache_hits;
     cache_misses = after.cache_misses - before.cache_misses;
     cache_evictions = after.cache_evictions - before.cache_evictions;
-    revalidations = after.revalidations - before.revalidations;
     batches = after.batches - before.batches;
     coalesced = after.coalesced - before.coalesced;
     elapsed_ms = after.elapsed_ms -. before.elapsed_ms;
@@ -190,12 +161,12 @@ let pp_report ppf (r : report) =
   Fmt.pf ppf
     "wire: %d GETs, %d HEADs, %d 404s, %d+%d bytes, %d failed@,\
      engine: %d requests, %d attempts (%d retries, %d gave up), cache %d/%d \
-     (evict %d, reval %d), %d batches (%d coalesced), breaker %d trips \
+     (evict %d), %d batches (%d coalesced), breaker %d trips \
      (%d fastfails)@,elapsed: %.1f ms"
     r.gets r.heads r.not_found r.bytes r.head_bytes r.failed r.requests
     r.attempts r.retries r.gave_up r.cache_hits
     (r.cache_hits + r.cache_misses)
-    r.cache_evictions r.revalidations r.batches r.coalesced r.breaker_trips
+    r.cache_evictions r.batches r.coalesced r.breaker_trips
     r.breaker_fastfails r.elapsed_ms
 
 (* ------------------------------------------------------------------ *)
@@ -207,7 +178,6 @@ type entry = Live of page | Gone (* negative entries cache 404s too *)
 type node = {
   n_url : string;
   mutable entry : entry;
-  mutable stored_at : int; (* site clock at store/validation time *)
   mutable prev : node option;
   mutable next : node option;
 }
@@ -268,28 +238,9 @@ let http t = t.http
 let netmodel t = t.net
 let fetcher_config t = t.cfg
 let window t = t.cfg.window
-let counters t = t.counters
 let caching t = t.cfg.cache_capacity > 0
 let elapsed_ms t = t.counters.elapsed_ms
 let now_ms t = match t.net with Some nm -> Netmodel.now_ms nm | None -> 0.0
-let site_clock t = Site.clock (Http.site t.http)
-
-let reset_counters t =
-  let z = fresh_counters () in
-  t.counters.requests <- z.requests;
-  t.counters.attempts <- z.attempts;
-  t.counters.retries <- z.retries;
-  t.counters.gave_up <- z.gave_up;
-  t.counters.breaker_trips <- z.breaker_trips;
-  t.counters.breaker_fastfails <- z.breaker_fastfails;
-  t.counters.cache_hits <- z.cache_hits;
-  t.counters.cache_misses <- z.cache_misses;
-  t.counters.cache_evictions <- z.cache_evictions;
-  t.counters.revalidations <- z.revalidations;
-  t.counters.batches <- z.batches;
-  t.counters.coalesced <- z.coalesced;
-  t.counters.elapsed_ms <- z.elapsed_ms
-
 (* ---- retry loop (pure in simulated time: returns its duration) ---- *)
 
 let backoff_delay t nm ~url ~attempt =
@@ -425,12 +376,9 @@ let cache_store t url value =
     (match Hashtbl.find_opt c.table url with
     | Some n ->
       n.entry <- value;
-      n.stored_at <- site_clock t;
       cache_touch c n
     | None ->
-      let n =
-        { n_url = url; entry = value; stored_at = site_clock t; prev = None; next = None }
-      in
+      let n = { n_url = url; entry = value; prev = None; next = None } in
       Hashtbl.replace c.table url n;
       cache_push_front c n);
     while Hashtbl.length c.table > c.capacity do
@@ -449,83 +397,58 @@ let spend t ms =
   (match t.net with Some nm -> Netmodel.advance nm ms | None -> ());
   t.counters.elapsed_ms <- t.counters.elapsed_ms +. ms
 
-(* A network GET with breaker accounting; advances the clock unless
-   the caller schedules the duration itself (batches). *)
-let network_get ?(advance = true) t url =
-  if not (breaker_allows t) then (Unreachable, 0.0)
-  else begin
-    let result, dur = run_get t url in
-    breaker_record t ~dead:(result = Unreachable);
-    if advance then spend t dur;
-    (result, dur)
-  end
-
-(* Serve [url] from the cache: [None] = not cached (or stale and in
-   need of the full miss path). Revalidation is the materialized-view
-   protocol in miniature: a light connection compares Last-Modified,
-   and only a change forces the re-download. *)
+(* Serve [url] from the cache: [None] = not cached. A cached page,
+   live or 404, is trusted for the fetcher's lifetime. *)
 let cache_lookup t url =
   if not (caching t) then None
   else
     match Hashtbl.find_opt t.cache.table url with
     | None -> None
-    | Some n -> (
+    | Some n ->
       cache_touch t.cache n;
-      let stale =
-        match t.cfg.revalidate_after with
-        | Some age -> site_clock t - n.stored_at > age
-        | None -> false
-      in
-      if not stale then begin
-        t.counters.cache_hits <- t.counters.cache_hits + 1;
-        Some (entry_result n.entry)
-      end
-      else
-        let verdict, dur = run_head t url in
-        spend t dur;
-        match verdict, n.entry with
-        | Fetched lm, Live p when lm = p.last_modified ->
-          t.counters.cache_hits <- t.counters.cache_hits + 1;
-          t.counters.revalidations <- t.counters.revalidations + 1;
-          n.stored_at <- site_clock t;
-          Some (Fetched p)
-        | Absent, _ ->
-          (* gone on the site: cache the 404 *)
-          n.entry <- Gone;
-          n.stored_at <- site_clock t;
-          Some Absent
-        | Unreachable, _ ->
-          (* can't confirm: serve the stale copy rather than nothing *)
-          t.counters.cache_hits <- t.counters.cache_hits + 1;
-          Some (entry_result n.entry)
-        | Fetched _, _ -> None (* changed (or reappeared): full miss path *))
+      t.counters.cache_hits <- t.counters.cache_hits + 1;
+      Some (entry_result n.entry)
+
+(* One page download through cache, breaker and retries: the result
+   and its simulated duration (0 when served without the wire). The
+   caller advances the clock. *)
+let request_get t url : page fetched * float =
+  match cache_lookup t url with
+  | Some r -> (r, 0.0)
+  | None ->
+    if caching t then t.counters.cache_misses <- t.counters.cache_misses + 1;
+    if not (breaker_allows t) then (Unreachable, 0.0)
+    else begin
+      let result, dur = run_get t url in
+      breaker_record t ~dead:(result = Unreachable);
+      (match result with
+      | Fetched p -> cache_store t url (Live p)
+      | Absent -> cache_store t url Gone
+      | Unreachable -> ());
+      (result, dur)
+    end
+
+(* One light connection through breaker and retries (never cached). *)
+let request_head t url : int fetched * float =
+  if not (breaker_allows t) then (Unreachable, 0.0)
+  else begin
+    let result, dur = run_head t url in
+    breaker_record t ~dead:(result = Unreachable);
+    (result, dur)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Public fetch operations                                             *)
 (* ------------------------------------------------------------------ *)
 
-let get t url : page fetched =
+let single t request url =
   t.counters.requests <- t.counters.requests + 1;
-  match cache_lookup t url with
-  | Some r -> r
-  | None ->
-    if caching t then t.counters.cache_misses <- t.counters.cache_misses + 1;
-    let result, _dur = network_get t url in
-    (match result with
-    | Fetched p -> cache_store t url (Live p)
-    | Absent -> cache_store t url Gone
-    | Unreachable -> ());
-    result
+  let result, dur = request t url in
+  spend t dur;
+  result
 
-let head t url : int fetched =
-  t.counters.requests <- t.counters.requests + 1;
-  if not (breaker_allows t) then Unreachable
-  else begin
-    let result, dur = run_head t url in
-    breaker_record t ~dead:(result = Unreachable);
-    spend t dur;
-    result
-  end
+let get t url = single t request_get url
+let head t url = single t request_head url
 
 let distinct_urls urls =
   let seen = Hashtbl.create 16 in
@@ -539,77 +462,39 @@ let distinct_urls urls =
     urls
 
 (* One batch of [urls]: one logical request per distinct URL, the
-   duplicates counted as coalesced. *)
-let batch_distinct t urls =
+   duplicates counted as coalesced. The distinct URLs are submitted
+   together and their simulated latencies overlap under the
+   configured in-flight width — list scheduling onto [window] slots,
+   each request (including its retries and backoff waits) occupying
+   one slot. The batch costs its makespan, not the sum of its
+   latencies. Results are keyed by URL in first-seen order. *)
+let batch t request urls =
   let distinct = distinct_urls urls in
   let n = List.length distinct in
   t.counters.batches <- t.counters.batches + 1;
   t.counters.requests <- t.counters.requests + n;
   t.counters.coalesced <- t.counters.coalesced + (List.length urls - n);
-  distinct
-
-(* Batched fetch: the distinct URLs are submitted together and their
-   simulated latencies overlap under the configured in-flight width —
-   list scheduling onto [window] slots, each request (including its
-   retries and backoff waits) occupying one slot. The batch costs its
-   makespan, not the sum of its latencies. *)
-let get_batch t urls : (string * page fetched) list =
-  let distinct = batch_distinct t urls in
   let slots = Array.make t.cfg.window 0.0 in
-  let slot_of () =
-    let best = ref 0 in
-    Array.iteri (fun i v -> if v < slots.(!best) then best := i) slots;
-    !best
-  in
   let results =
     List.map
       (fun url ->
-        match cache_lookup t url with
-        | Some r -> (url, r)
-        | None ->
-          if caching t then t.counters.cache_misses <- t.counters.cache_misses + 1;
-          let result, dur = network_get ~advance:false t url in
-          let s = slot_of () in
-          slots.(s) <- slots.(s) +. dur;
-          (match result with
-          | Fetched p -> cache_store t url (Live p)
-          | Absent -> cache_store t url Gone
-          | Unreachable -> ());
-          (url, result))
+        let result, dur = request t url in
+        let s = ref 0 in
+        Array.iteri (fun i v -> if v < slots.(!s) then s := i) slots;
+        slots.(!s) <- slots.(!s) +. dur;
+        (url, result))
       distinct
   in
   spend t (Array.fold_left Float.max 0.0 slots);
   results
 
-(* Batched light connections: the distinct URLs' HEAD latencies
-   overlap under the configured window, exactly as [get_batch]'s
-   downloads do. HEADs are never cached; each request passes the
-   breaker individually, so a mid-batch trip fast-fails the rest. The
+let get_batch t urls = batch t request_get urls
+
+(* HEADs are never cached; each request passes the breaker
+   individually, so a mid-batch trip fast-fails the rest. The
    materialized store's maintenance revalidation sweeps through
    this. *)
-let head_batch t urls : (string * int fetched) list =
-  let distinct = batch_distinct t urls in
-  let slots = Array.make t.cfg.window 0.0 in
-  let slot_of () =
-    let best = ref 0 in
-    Array.iteri (fun i v -> if v < slots.(!best) then best := i) slots;
-    !best
-  in
-  let results =
-    List.map
-      (fun url ->
-        if not (breaker_allows t) then (url, Unreachable)
-        else begin
-          let result, dur = run_head t url in
-          breaker_record t ~dead:(result = Unreachable);
-          let s = slot_of () in
-          slots.(s) <- slots.(s) +. dur;
-          (url, result)
-        end)
-      distinct
-  in
-  spend t (Array.fold_left Float.max 0.0 slots);
-  results
+let head_batch t urls = batch t request_head urls
 
 (* Warm the cache for an upcoming navigation. A no-op without a cache:
    prefetching would only duplicate the per-URL fetches. *)
@@ -626,4 +511,4 @@ let invalidate t url =
     cache_unlink t.cache n;
     Hashtbl.remove t.cache.table url
 
-let report t : report = merge_report (Http.snapshot t.http) (counters_snapshot t.counters)
+let report t : report = merge_report (Http.snapshot t.http) t.counters

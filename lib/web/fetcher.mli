@@ -4,9 +4,15 @@
     {!Netmodel} it adds batched fetch windows (latencies of a
     navigation's URL batch overlap under a bounded in-flight width),
     request deduplication, retry with exponential backoff and seeded
-    jitter, a per-site circuit breaker, and a bounded LRU page cache
-    with optional HEAD-based revalidation. All decisions replay
-    deterministically from the model's seed. *)
+    jitter, a per-site circuit breaker, and a bounded LRU page cache.
+    All decisions replay deterministically from the model's seed.
+
+    The cache deduplicates downloads and never revalidates: a cached
+    page (or 404) is trusted for the fetcher's lifetime, so a caching
+    fetcher belongs over a site that does not change while it runs.
+    Freshness over a changing site is the materialized store's job
+    (the HEAD-then-GET protocol of [Webviews.Matview]), over a cache-less
+    fetcher. *)
 
 type page = { body : string; last_modified : int }
 
@@ -24,43 +30,19 @@ type config = {
   breaker_threshold : int;  (** consecutive dead requests to trip; 0 = off *)
   breaker_cooldown_ms : float;  (** open-state duration before a probe *)
   cache_capacity : int;  (** LRU entries; 0 = no cache *)
-  revalidate_after : int option;
-      (** revalidate cached entries older than this many site-clock
-          ticks with a light connection; [None] = trust for life *)
 }
 
 val config :
   ?window:int -> ?retries:int -> ?backoff_ms:float -> ?backoff_factor:float ->
   ?backoff_jitter:float -> ?breaker_threshold:int -> ?breaker_cooldown_ms:float ->
-  ?cache_capacity:int -> ?revalidate_after:int -> unit -> config
+  ?cache_capacity:int -> unit -> config
 
 val default_config : config
 
-type counters = {
-  mutable requests : int;
-      (** logical get/head calls; a batch counts one per distinct URL *)
-  mutable attempts : int;  (** exchanges tried on the wire *)
-  mutable retries : int;  (** attempts beyond the first *)
-  mutable gave_up : int;  (** requests that exhausted their retries *)
-  mutable breaker_trips : int;
-  mutable breaker_fastfails : int;  (** requests rejected while open *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_evictions : int;
-  mutable revalidations : int;  (** cache hits confirmed by a HEAD *)
-  mutable batches : int;
-  mutable coalesced : int;  (** duplicate URLs removed from batches *)
-  mutable elapsed_ms : float;  (** simulated wall-clock spent fetching *)
-}
-
-val counters_snapshot : counters -> counters
-val counters_diff : before:counters -> after:counters -> counters
-
 (** {1 The merged fetch report}
 
-    One ledger instead of two: the wire side ({!Http.stats}) and the
-    engine side ({!counters}) merged into a single record. Prefer this
-    over reading the two underlying ledgers separately. *)
+    One ledger: the wire side ({!Http.stats}) and the engine's own
+    counters merged into a single record. *)
 
 type report = {
   gets : int;  (** full page downloads that reached the server *)
@@ -78,7 +60,6 @@ type report = {
   cache_hits : int;
   cache_misses : int;
   cache_evictions : int;
-  revalidations : int;
   batches : int;
   coalesced : int;
   elapsed_ms : float;  (** simulated wall-clock spent fetching *)
@@ -101,8 +82,6 @@ val window : t -> int
 (** The configured in-flight width — the prefetch window size the
     streaming executor hands to {!prefetch}. *)
 
-val counters : t -> counters
-val reset_counters : t -> unit
 val caching : t -> bool
 val elapsed_ms : t -> float
 val now_ms : t -> float
@@ -147,6 +126,7 @@ val prefetch : t -> string list -> unit
 
 val invalidate : t -> string -> unit
 (** Drop [url] from the page cache (positive or negative entry alike)
-    so the next access goes to the wire. Used after a HEAD has proved
-    the cached copy out of date: a refresh through a caching fetcher
-    must not be answered by the very entry the HEAD invalidated. *)
+    so the next access goes to the wire. The materialized store's
+    re-download calls this after a HEAD has proved its copy out of
+    date: a refresh through a caching fetcher must not be answered by
+    the very entry the HEAD invalidated. *)

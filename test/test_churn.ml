@@ -71,6 +71,26 @@ let test_touch_observed_by_urlcheck () =
   check int_t "URLCheck HEAD saw the change" 1 c.Matview.light_connections;
   check int_t "and re-downloaded" 1 c.Matview.downloads
 
+(* A HEAD that proves an entry current refreshes its access date, at
+   query time as in maintenance: URLCheck hands the light connection's
+   outcome to the same handler as [Matview.revalidate]. *)
+let test_urlcheck_current_bumps_access_date () =
+  let uni, site, http = setup () in
+  let mv = Matview.materialize schema http in
+  let url = Sitegen.University.prof_url (List.hd (Sitegen.University.profs uni)).Sitegen.University.p_name in
+  let materialized = Websim.Site.clock site in
+  check bool_t "dated at materialization" true
+    (Matview.entry_date mv ~scheme:"ProfPage" ~url = Some materialized);
+  Websim.Site.tick ~by:5 site;
+  Matview.reset_counters mv;
+  check bool_t "tuple served" true (Matview.url_check mv ~scheme:"ProfPage" ~url <> None);
+  let c = Matview.counters mv in
+  check int_t "one light connection" 1 c.Matview.light_connections;
+  check int_t "no download" 0 c.Matview.downloads;
+  check int_t "served as a local hit" 1 c.Matview.local_hits;
+  check bool_t "access date refreshed to now" true
+    (Matview.entry_date mv ~scheme:"ProfPage" ~url = Some (materialized + 5))
+
 let test_insert_discoverable_by_recrawl () =
   let uni, site, http = setup () in
   let url = Sitegen.University.prof_url (List.hd (Sitegen.University.profs uni)).Sitegen.University.p_name in
@@ -92,44 +112,19 @@ let test_insert_discoverable_by_recrawl () =
 (* Satellite: fetcher-cache coherence under mutation                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_revalidating_cache_sees_touch () =
+(* The fetcher's LRU caches 404s too: the second read of a deleted
+   page is answered from the negative entry, without the wire. *)
+let test_negative_cache_serves_404 () =
   let uni, site, http = setup () in
   let fetcher =
-    Websim.Fetcher.create
-      ~config:(Websim.Fetcher.config ~cache_capacity:64 ~revalidate_after:0 ())
-      http
+    Websim.Fetcher.create ~config:(Websim.Fetcher.config ~cache_capacity:64 ()) http
   in
   let url = Sitegen.University.prof_url (List.hd (Sitegen.University.profs uni)).Sitegen.University.p_name in
-  (match Websim.Fetcher.get fetcher url with
-  | Websim.Fetcher.Fetched _ -> ()
-  | _ -> Alcotest.fail "first fetch");
-  Websim.Site.tick site;
-  ignore (Websim.Site.edit site url (fun b -> b ^ "<!-- v2 -->"));
-  match Websim.Fetcher.get fetcher url with
-  | Websim.Fetcher.Fetched p ->
-    check bool_t "revalidated body is the new one" true
-      (String.length p.Websim.Fetcher.body > 0
-      && p.Websim.Fetcher.last_modified = Websim.Site.clock site)
-  | _ -> Alcotest.fail "second fetch"
-
-let test_negative_cache_clears_on_reinsert () =
-  let uni, site, http = setup () in
-  let fetcher =
-    Websim.Fetcher.create
-      ~config:(Websim.Fetcher.config ~cache_capacity:64 ~revalidate_after:0 ())
-      http
-  in
-  let url = Sitegen.University.prof_url (List.hd (Sitegen.University.profs uni)).Sitegen.University.p_name in
-  let body = (Option.get (Websim.Site.find site url)).Websim.Site.body in
   Websim.Site.delete site url;
   check bool_t "404 cached" true (Websim.Fetcher.get fetcher url = Websim.Fetcher.Absent);
   check bool_t "negative entry served" true
     (Websim.Fetcher.get fetcher url = Websim.Fetcher.Absent);
-  Websim.Site.tick site;
-  Websim.Site.put site ~url ~body;
-  match Websim.Fetcher.get fetcher url with
-  | Websim.Fetcher.Fetched _ -> ()
-  | _ -> Alcotest.fail "re-inserted page still served as Absent"
+  check int_t "one 404 on the wire" 1 (Websim.Http.stats http).Websim.Http.not_found
 
 (* The regression of the issue: a materialized store sharing a caching
    fetcher must re-download through the wire once its HEAD proved the
@@ -277,6 +272,28 @@ let test_runtime_starved_budget_degrades_not_fails () =
   check int_t "all queries answered" 16
     (List.length rep.Churn.Runtime.sched.Server.Sched.results);
   check bool_t "denials recorded" true (rep.Churn.Runtime.budget_denied > 0)
+
+(* Churn queries read the materialized store through the runtime's
+   own page source, never through the shared cache's: under every
+   policy and churn profile its tuple tier and sharing ledger stay
+   empty, so there is nothing there for a refresh to invalidate. *)
+let test_runtime_reads_skip_the_tuple_tier () =
+  List.iter
+    (fun (profile, pname) ->
+      List.iter
+        (fun policy ->
+          let cfg = runtime_config ~profile ~policy () in
+          let rep = run_runtime ~cfg ~wseed:7 ~n:12 () in
+          let ledger = rep.Churn.Runtime.sched.Server.Sched.ledger in
+          let label what =
+            Fmt.str "%s, %s: %s" pname (Churn.Runtime.policy_to_string policy) what
+          in
+          check int_t (label "no URL on the shared tier") 0
+            ledger.Server.Shared_cache.distinct_gets;
+          check int_t (label "no per-query request") 0
+            ledger.Server.Shared_cache.sum_per_query)
+        [ Churn.Runtime.Incremental; Churn.Runtime.Full_refresh; Churn.Runtime.No_maintenance ])
+    [ (Churn.Profile.low, "low"); (Churn.Profile.high, "high") ]
 
 (* A small site for long, tight runs. *)
 let small_university () =
@@ -434,12 +451,12 @@ let suite =
       Alcotest.test_case "site: delete is a definitive 404" `Quick test_delete_is_definitive_404;
       Alcotest.test_case "site: delete purged on sweep" `Quick test_delete_purged_on_sweep;
       Alcotest.test_case "site: touch observed by URLCheck" `Quick test_touch_observed_by_urlcheck;
+      Alcotest.test_case "url_check: a current HEAD refreshes the access date" `Quick
+        test_urlcheck_current_bumps_access_date;
       Alcotest.test_case "site: insert discoverable by re-crawl" `Quick
         test_insert_discoverable_by_recrawl;
-      Alcotest.test_case "fetcher: revalidating cache sees a touch" `Quick
-        test_revalidating_cache_sees_touch;
-      Alcotest.test_case "fetcher: negative cache clears on re-insert" `Quick
-        test_negative_cache_clears_on_reinsert;
+      Alcotest.test_case "fetcher: negative cache serves the 404" `Quick
+        test_negative_cache_serves_404;
       Alcotest.test_case "fetcher: matview over caching fetcher coherent" `Quick
         test_matview_over_caching_fetcher_is_coherent;
       Alcotest.test_case "traffic: deterministic from seed" `Quick test_traffic_deterministic;
@@ -460,6 +477,8 @@ let suite =
       Alcotest.test_case "runtime: sweep drains the backlog" `Quick
         test_runtime_sweep_drains_backlog;
       QCheck_alcotest.to_alcotest prop_rate_zero_is_frozen;
+      Alcotest.test_case "runtime: reads never touch the shared tuple tier" `Quick
+        test_runtime_reads_skip_the_tuple_tier;
       Alcotest.test_case "runtime: view scans reach the SLA observer" `Quick
         test_runtime_view_scans_observed;
     ] )

@@ -111,8 +111,8 @@ let test_passthrough_query_identity () =
        WHERE p.PName = pd.PName AND pd.DName = 'Computer Science'"
   in
   let http = Websim.Http.connect site in
-  let source = Eval.live_source uni_schema http in
-  let _, stats = Eval.eval_counted uni_schema http source plan in
+  ignore (Eval.eval uni_schema (Eval.live_source uni_schema http) plan);
+  let stats = Websim.Http.stats http in
   check int_t "GETs as before the runtime" 6 stats.Websim.Http.gets;
   check int_t "bytes as before the runtime" 4849 stats.Websim.Http.bytes;
   let mv = Matview.materialize uni_schema (Websim.Http.connect site) in
@@ -249,7 +249,19 @@ let test_matview_serves_stale_when_unreachable () =
 
 let test_offline_sweep_under_faults () =
   let u, site, uni = uni_setup () in
-  let mv = Matview.materialize uni_schema (Websim.Http.connect site) in
+  (* a flaky network: every page fails its first attempt or two, and
+     three retries always get through *)
+  let flaky =
+    Websim.Netmodel.create
+      (Websim.Netmodel.config ~seed:3 ~fault_rate:1.0 ~max_consecutive:2 ())
+  in
+  let fetcher =
+    Websim.Fetcher.create
+      ~config:(Websim.Fetcher.config ~retries:3 ~cache_capacity:0 ())
+      ~netmodel:flaky
+      (Websim.Http.connect site)
+  in
+  let mv = Matview.materialize ~fetcher uni_schema (Websim.Http.connect site) in
   let plan = best_plan uni "SELECT p.PName, p.Rank FROM Professor p" in
   Websim.Site.tick site;
   Websim.Site.delete site (prof_url_at u 0);
@@ -257,40 +269,23 @@ let test_offline_sweep_under_faults () =
   let backlog = Matview.check_missing_backlog mv in
   check bool_t "backlog populated by the deletion" true (backlog > 0);
   let stored_before = Matview.total_pages mv in
-  (* a sweep over a dead network cannot tell gone from down: nothing
-     is purged and the backlog is kept for the next sweep *)
-  let dead =
-    Websim.Netmodel.create
-      (Websim.Netmodel.config ~seed:3 ~fault_rate:1.0 ~max_consecutive:4 ())
-  in
-  let dead_fetcher =
-    Websim.Fetcher.create
-      ~config:(Websim.Fetcher.config ~retries:0 ~breaker_threshold:0 ())
-      ~netmodel:dead
-      (Websim.Http.connect site)
-  in
-  check int_t "nothing purged over a dead network" 0
-    (Matview.offline_sweep ~via:dead_fetcher mv);
+  (* a sweep while the site is unreachable cannot tell gone from down:
+     nothing is purged and the backlog is kept for the next sweep *)
+  Websim.Fetcher.open_breaker fetcher ~for_ms:1000.0;
+  check int_t "nothing purged over a dead network" 0 (Matview.offline_sweep mv);
   check int_t "backlog kept for the next sweep" backlog
     (Matview.check_missing_backlog mv);
   check int_t "store intact" stored_before (Matview.total_pages mv);
-  (* a merely flaky network retries its way to the truth: the
+  (* back but flaky, the sweep retries its way to the truth: the
      genuinely deleted page is purged, false alarms are dropped *)
-  let flaky =
-    Websim.Netmodel.create
-      (Websim.Netmodel.config ~seed:3 ~fault_rate:1.0 ~max_consecutive:2 ())
-  in
-  let flaky_fetcher =
-    Websim.Fetcher.create
-      ~config:(Websim.Fetcher.config ~retries:3 ())
-      ~netmodel:flaky
-      (Websim.Http.connect site)
-  in
-  let purged = Matview.offline_sweep ~via:flaky_fetcher mv in
+  Websim.Netmodel.advance flaky 2000.0;
+  let before = Websim.Fetcher.report fetcher in
+  let purged = Matview.offline_sweep mv in
   check bool_t "genuinely deleted page purged" true (purged >= 1);
   check int_t "backlog drained" 0 (Matview.check_missing_backlog mv);
   check bool_t "the sweep needed retries" true
-    ((Websim.Fetcher.counters flaky_fetcher).Websim.Fetcher.retries > 0)
+    ((Websim.Fetcher.report_diff ~before ~after:(Websim.Fetcher.report fetcher))
+       .Websim.Fetcher.retries > 0)
 
 (* The store keeps answering while its fetcher's circuit breaker is
    Open: every URLCheck HEAD fast-fails as Unreachable, so the stored
@@ -309,17 +304,14 @@ let test_matview_stale_serve_breaker_open () =
   let plan = best_plan uni "SELECT p.PName, p.Rank FROM Professor p" in
   let clean = Matview.query mv plan in
   Websim.Fetcher.open_breaker fetcher ~for_ms:1e6;
-  let fastfails_before =
-    (Websim.Fetcher.counters fetcher).Websim.Fetcher.breaker_fastfails
-  in
+  let fastfails_before = (Websim.Fetcher.report fetcher).Websim.Fetcher.breaker_fastfails in
   let report = Matview.query_counted mv plan in
   check bool_t "stale rows = clean rows" true
     (Adm.Relation.equal (rows_sorted clean) (rows_sorted report.Matview.result));
   check int_t "no downloads through an open breaker" 0
     report.Matview.downloads;
   check bool_t "the checks fast-failed" true
-    ((Websim.Fetcher.counters fetcher).Websim.Fetcher.breaker_fastfails
-    > fastfails_before);
+    ((Websim.Fetcher.report fetcher).Websim.Fetcher.breaker_fastfails > fastfails_before);
   check bool_t "breaker still open" true (Websim.Fetcher.breaker_open fetcher)
 
 (* Backlogged pages survive an Open -> Half-open transition: a sweep
@@ -360,6 +352,65 @@ let test_sweep_keeps_backlog_across_breaker_states () =
   check bool_t "breaker closed by the successful probe" false
     (Websim.Fetcher.breaker_open fetcher)
 
+(* A HEAD that proves a change commits the store to a GET; when that
+   GET cannot get through, the revalidation is [`Unreachable], not
+   [`Refreshed], and the entry keeps its old tuple and access date.
+   The scenario: a store materialized over a fault-free epoch; in the
+   next epoch a professor page is edited, and a revalidation batch
+   HEADs it first, then a stored page whose HEAD faults, which trips a
+   one-failure breaker, so the GET the change forces fast-fails. The
+   seed is searched for: the first whose fault pattern gives exactly
+   that. *)
+let test_revalidate_unreachable_get_is_not_refreshed () =
+  let scenario seed =
+    let u, site, _ = uni_setup () in
+    let nm =
+      Websim.Netmodel.create
+        (Websim.Netmodel.config ~seed ~fault_rate:0.02 ~max_consecutive:1 ())
+    in
+    let fetcher =
+      Websim.Fetcher.create
+        ~config:
+          (Websim.Fetcher.config ~retries:0 ~breaker_threshold:1 ~cache_capacity:0 ())
+        ~netmodel:nm
+        (Websim.Http.connect site)
+    in
+    let mv = Matview.materialize ~fetcher uni_schema (Websim.Http.connect site) in
+    Websim.Netmodel.next_epoch nm;
+    let changed = ("ProfPage", prof_url_at u 0) in
+    let ok (_, url) = Websim.Netmodel.fault nm ~url ~attempt:1 = Websim.Netmodel.Ok_response in
+    let keys = ref [] in
+    Matview.iter_entries mv (fun ~scheme ~url ~access_date:_ -> keys := (scheme, url) :: !keys);
+    let faulty = List.find_opt (fun k -> not (ok k)) (List.sort compare !keys) in
+    match faulty with
+    | Some faulty
+      when (Websim.Fetcher.report fetcher).Websim.Fetcher.failed = 0
+           && List.mem changed !keys && ok changed ->
+      Some (site, fetcher, mv, changed, faulty)
+    | _ -> None
+  in
+  let rec search seed =
+    if seed > 2000 then Alcotest.fail "no seed gives the fault pattern"
+    else match scenario seed with Some s -> s | None -> search (seed + 1)
+  in
+  let site, fetcher, mv, (scheme, url), faulty = search 0 in
+  let date_before = Matview.entry_date mv ~scheme ~url in
+  let tuple_before = Matview.stored_tuple mv ~scheme ~url in
+  Websim.Site.tick site;
+  check bool_t "page edited" true (Websim.Site.edit site url (fun b -> b ^ "<!-- v2 -->"));
+  let before = Websim.Fetcher.report fetcher in
+  let outcomes = Matview.revalidate_batch mv [ (scheme, url); faulty ] in
+  let d = Websim.Fetcher.report_diff ~before ~after:(Websim.Fetcher.report fetcher) in
+  check int_t "no GET got through" 0 d.Websim.Fetcher.gets;
+  check bool_t "the forced GET fast-failed" true (d.Websim.Fetcher.breaker_fastfails >= 1);
+  check bool_t "the changed page is unreachable, not refreshed" true
+    (List.assoc_opt url (List.map (fun (_, u, o) -> (u, o)) outcomes) = Some `Unreachable);
+  check bool_t "the faulty HEAD is unreachable" true
+    (List.exists (fun (_, u, o) -> u = snd faulty && o = `Unreachable) outcomes);
+  check bool_t "entry keeps its access date" true (Matview.entry_date mv ~scheme ~url = date_before);
+  check bool_t "entry keeps its tuple" true
+    (Option.equal Adm.Value.equal_tuple (Matview.stored_tuple mv ~scheme ~url) tuple_before)
+
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker, cache, batching                                    *)
 (* ------------------------------------------------------------------ *)
@@ -382,13 +433,14 @@ let test_breaker_trips_and_fastfails () =
   check bool_t "2nd request dead" true
     (Websim.Fetcher.get f (prof_url_at u 1) = Websim.Fetcher.Unreachable);
   check bool_t "breaker open after threshold" true (Websim.Fetcher.breaker_open f);
-  let c = Websim.Fetcher.counters f in
-  check int_t "tripped once" 1 c.Websim.Fetcher.breaker_trips;
-  let attempts_before = c.Websim.Fetcher.attempts in
+  let before = Websim.Fetcher.report f in
+  check int_t "tripped once" 1 before.Websim.Fetcher.breaker_trips;
   check bool_t "open breaker fast-fails" true
     (Websim.Fetcher.get f (prof_url_at u 2) = Websim.Fetcher.Unreachable);
-  check int_t "no wire attempt while open" attempts_before c.Websim.Fetcher.attempts;
-  check bool_t "fast-fails counted" true (c.Websim.Fetcher.breaker_fastfails >= 1)
+  let after = Websim.Fetcher.report f in
+  check int_t "no wire attempt while open" before.Websim.Fetcher.attempts
+    after.Websim.Fetcher.attempts;
+  check bool_t "fast-fails counted" true (after.Websim.Fetcher.breaker_fastfails >= 1)
 
 let test_lru_eviction () =
   let u, site, _ = uni_setup () in
@@ -401,38 +453,10 @@ let test_lru_eviction () =
   ignore (Websim.Fetcher.get f (prof_url_at u 0)); (* hit, touches 0 *)
   ignore (Websim.Fetcher.get f (prof_url_at u 2)); (* evicts 1, the LRU *)
   ignore (Websim.Fetcher.get f (prof_url_at u 1)); (* miss again *)
-  let c = Websim.Fetcher.counters f in
-  check int_t "wire GETs" 4 (Websim.Http.stats http).Websim.Http.gets;
+  let c = Websim.Fetcher.report f in
+  check int_t "wire GETs" 4 c.Websim.Fetcher.gets;
   check int_t "one cache hit" 1 c.Websim.Fetcher.cache_hits;
   check bool_t "evictions happened" true (c.Websim.Fetcher.cache_evictions >= 1)
-
-let test_head_revalidation () =
-  let u, site, _ = uni_setup () in
-  let http = Websim.Http.connect site in
-  let f =
-    Websim.Fetcher.create
-      ~config:(Websim.Fetcher.config ~cache_capacity:8 ~revalidate_after:0 ())
-      http
-  in
-  let url = prof_url_at u 0 in
-  ignore (Websim.Fetcher.get f url);
-  Websim.Site.tick site;
-  ignore (Websim.Fetcher.get f url);
-  let s = Websim.Http.stats http in
-  check int_t "one GET: unchanged page served from cache" 1 s.Websim.Http.gets;
-  check int_t "one revalidating HEAD" 1 s.Websim.Http.heads;
-  check int_t "one revalidation counted" 1
-    (Websim.Fetcher.counters f).Websim.Fetcher.revalidations;
-  (* the page changes: the next revalidation must re-download *)
-  Websim.Site.tick site;
-  let promoted =
-    Sitegen.University.promote_professor u
-      ~p_name:(List.nth (Sitegen.University.profs u) 0).Sitegen.University.p_name
-  in
-  check bool_t "promotion applied" true promoted;
-  Websim.Site.tick site;
-  ignore (Websim.Fetcher.get f url);
-  check int_t "changed page re-downloaded" 2 (Websim.Http.stats http).Websim.Http.gets
 
 let test_batch_overlap_and_coalescing () =
   let u, site, _ = uni_setup () in
@@ -452,7 +476,7 @@ let test_batch_overlap_and_coalescing () =
   let f = mk 8 in
   ignore (Websim.Fetcher.get_batch f (urls @ urls));
   check int_t "duplicates coalesced" 8
-    (Websim.Fetcher.counters f).Websim.Fetcher.coalesced;
+    (Websim.Fetcher.report f).Websim.Fetcher.coalesced;
   check int_t "one GET per distinct URL" 8
     (Websim.Http.stats (Websim.Fetcher.http f)).Websim.Http.gets
 
@@ -535,10 +559,11 @@ let suite =
         test_matview_stale_serve_breaker_open;
       Alcotest.test_case "matview: sweep backlog across open/half-open" `Quick
         test_sweep_keeps_backlog_across_breaker_states;
+      Alcotest.test_case "matview: unreachable GET is not a refresh" `Quick
+        test_revalidate_unreachable_get_is_not_refreshed;
       Alcotest.test_case "breaker: trips and fast-fails" `Quick
         test_breaker_trips_and_fastfails;
       Alcotest.test_case "cache: bounded LRU eviction" `Quick test_lru_eviction;
-      Alcotest.test_case "cache: HEAD revalidation" `Quick test_head_revalidation;
       Alcotest.test_case "batch: window overlap and coalescing" `Quick
         test_batch_overlap_and_coalescing;
       Alcotest.test_case "http: HEAD bytes, failures, truncation" `Quick
