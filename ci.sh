@@ -53,21 +53,23 @@ dune exec --profile ci bin/webviews_cli.exe -- churn \
   --max-age 30 --queries 24 --fail-on-violation \
   | tail -n 8
 
-echo "== freshness layer: the churn and fetch benches reproduce their committed JSON =="
+echo "== read path: the churn, fetch and exec benches reproduce their committed JSON =="
 # The churn bench drives the materialized store's HEAD-then-GET
 # revalidation, the maintenance lane and view-store answers; the fetch
-# bench drives the fetch engine's retries, windows and cache. Both are
+# bench drives the fetch engine's retries, windows and cache; the exec
+# bench pins the GETs, state rows and peak rows of the two Example 7.2
+# plans through the executor's page-fetch operator. All three are
 # deterministic, so any behaviour change on the read path shows up as
 # a byte difference from the committed files.
 bench_dir=$(mktemp -d)
-for bench in churn fetch; do
+for bench in churn fetch exec; do
   (cd "$bench_dir" && "$OLDPWD/_build/default/bench/main.exe" $bench > /dev/null) \
     || { echo "bench $bench failed"; rm -rf "$bench_dir"; exit 1; }
   diff "BENCH_$bench.json" "$bench_dir/BENCH_$bench.json" \
     || { echo "BENCH_$bench.json diverged from the committed file"; rm -rf "$bench_dir"; exit 1; }
 done
 rm -rf "$bench_dir"
-echo "BENCH_churn.json and BENCH_fetch.json reproduced byte for byte"
+echo "BENCH_churn.json, BENCH_fetch.json and BENCH_exec.json reproduced byte for byte"
 
 echo "== smoke views: one view-substituted query end to end =="
 dune exec --profile ci bin/webviews_cli.exe -- query --views \

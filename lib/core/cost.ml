@@ -253,15 +253,12 @@ let elapsed_estimate ?(views = no_views) ?(window = 1) ?(get_ms = 40.0) ?head_ms
     Physplan.fold
       (fun acc (o : Physplan.op) ->
         match o.Physplan.node, o.Physplan.est with
-        | Physplan.Scan _, _ -> acc +. get_ms
+        | Physplan.Fetch _, Some { est_pages; _ } ->
+          acc +. (rounds ~window est_pages *. get_ms)
+        | Physplan.Fetch _, None -> acc +. get_ms
         | Physplan.View_scan _, Some { est_pages; _ } ->
           acc +. (rounds ~window est_pages *. head_ms)
         | Physplan.View_scan _, None -> acc +. head_ms
-        | Physplan.Follow_links _, Some { est_pages; _ }
-        | Physplan.Call_fetch _, Some { est_pages; _ } ->
-          acc +. (rounds ~window est_pages *. get_ms)
-        | Physplan.Follow_links _, None | Physplan.Call_fetch _, None ->
-          acc +. get_ms
         | (Physplan.Filter _ | Physplan.Project _ | Physplan.Hash_join _
           | Physplan.Stream_unnest _), _ -> acc)
       0.0 plan

@@ -4,7 +4,7 @@
    next non-empty batch of positional rows, or [None] once exhausted.
    The consumer pulls from the root, so a [LIMIT] (or an emptiness
    check) simply stops pulling — upstream operators never do the work,
-   and in particular [Follow_links] never fetches pages the answer
+   and in particular a page fetch never downloads pages the answer
    does not need (the early-exit protocol).
 
    The operators reproduce the legacy relation-at-a-time semantics of
@@ -12,11 +12,13 @@
    on a perfect network the same distinct page accesses — they just
    never materialize intermediate relations:
 
-   - [Follow_links] holds a queue of pending source rows and processes
-     them in groups of at most [window], deduping link values against
-     a per-operator URL table (each distinct URL is fetched once per
-     navigation, exactly the paper's distinct-access count) and handing
-     the fetch engine one prefetch window per group;
+   - [Fetch], the one page-reading operator (entry point, followed
+     link or form call), holds a queue of pending input rows and
+     processes them in groups of at most [window], deduping their URLs
+     against a per-operator URL table (each distinct URL is fetched
+     once per operator, exactly the paper's distinct-access count) and
+     handing the fetch engine one prefetch window per group; without
+     an input it fetches its one URL once;
    - [Hash_join] drains only its build side (chosen by the planner)
      into a hash table and streams the probe side through it;
    - [Stream_unnest] expands each batch against the statically
@@ -67,7 +69,7 @@ type op_metrics = {
 type metrics = {
   ops : op_metrics array; (* indexed by Physplan op id *)
   mutable max_batch_rows : int;
-  mutable peak_queue_rows : int; (* pending rows queued inside Follow_links *)
+  mutable peak_queue_rows : int; (* input rows queued inside page fetches *)
   mutable state_rows : int; (* rows retained in build tables / dedup sets / page tables *)
   mutable result_rows : int;
   mutable exhausted : bool; (* false when a limit stopped the pull early *)
@@ -147,7 +149,7 @@ module Rowbuf = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Page-scheme helpers (shared with the legacy evaluator)              *)
+(* Page-scheme helpers                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let scheme_attr_names (schema : Adm.Schema.t) scheme =
@@ -279,27 +281,6 @@ let compile ?views (schema : Adm.Schema.t) (source : source)
     let m = metrics.ops.(o.Physplan.id) in
     let c =
       match o.Physplan.node with
-      | Physplan.Scan { scheme; alias; url; filter } ->
-        let names = scheme_attr_names schema scheme in
-        let attrs = List.map (fun n -> alias ^ "." ^ n) names in
-        let build = page_row_builder names in
-        let tbl = index_of attrs in
-        let pred = Pred.compile ~offset:(Hashtbl.find_opt tbl) filter in
-        let spent = ref false in
-        let next () =
-          if !spent then None
-          else begin
-            spent := true;
-            source.prefetch ~scheme [ url ];
-            m.pages <- m.pages + 1;
-            match source.fetch ~scheme ~url with
-            | None -> None
-            | Some tuple ->
-              let row = build tuple in
-              if pred row then Some [| row |] else None
-          end
-        in
-        { attrs; next }
       | Physplan.View_scan { view; alias; ext_attrs; filter } ->
         let attrs = List.map (fun a -> alias ^ "." ^ a) ext_attrs in
         let tbl = index_of attrs in
@@ -503,30 +484,72 @@ let compile ?views (schema : Adm.Schema.t) (source : source)
             match Rowbuf.contents buf with [||] -> next () | out -> Some out)
         in
         { attrs = out_attrs; next }
-      | Physplan.Follow_links { src; link; scheme; alias; filter } ->
-        let src_c = go src in
-        let names = scheme_attr_names schema scheme in
-        let target_attrs = List.map (fun n -> alias ^ "." ^ n) names in
-        let build_target = page_row_builder names in
-        let url_key = alias ^ "." ^ Adm.Page_scheme.url_attr in
-        let stbl = index_of src_c.attrs in
-        let link_off = offset_exn "follow" src_c.attrs stbl link in
-        let keep2, out_attrs =
-          join_header [ (link, url_key) ] src_c.attrs target_attrs
+      | Physplan.Fetch { input; target; scheme; alias; filter } ->
+        (* one cursor for every page read: URLs come off the input rows
+           (or, without input, the node's one URL); the rows wait in a
+           queue and are processed in groups of at most [window], each
+           group's distinct unseen URLs forming one prefetch window *)
+        let src = Option.map go input in
+        let one_shot = Option.is_none src in
+        let src_attrs = match src with Some c -> c.attrs | None -> [] in
+        let stbl = index_of src_attrs in
+        (* a followed link joins on the target's URL attribute, so the
+           header check treats the pair as a join key *)
+        let (url_of : Adm.Relation.row -> string option), keys =
+          match target with
+          | Physplan.Entry_url url | Physplan.Form { url = Some url; _ } ->
+            ((fun _ -> Some url), [])
+          | Physplan.Link link ->
+            let off = offset_exn "follow" src_attrs stbl link in
+            ( (fun row -> Adm.Value.as_link row.(off)),
+              [ (link, alias ^ "." ^ Adm.Page_scheme.url_attr) ] )
+          | Physplan.Form { args; url = None } ->
+            let ps = Adm.Schema.find_scheme_exn schema scheme in
+            let args =
+              List.map
+                (fun (p, arg) ->
+                  match arg with
+                  | Nalg.Arg_const v -> (p, `Const v)
+                  | Nalg.Arg_attr a ->
+                    (p, `Off (offset_exn "call" src_attrs stbl a)))
+                args
+            in
+            let url_of row =
+              let rec build acc = function
+                | [] -> Adm.Page_scheme.bound_url ps (List.rev acc)
+                | (p, `Const v) :: tl -> build ((p, v) :: acc) tl
+                | (p, `Off i) :: tl -> (
+                  match param_string row.(i) with
+                  | Some s -> build ((p, s) :: acc) tl
+                  | None -> None)
+              in
+              build [] args
+            in
+            (url_of, [])
         in
-        let w1 = List.length src_c.attrs in
+        let names = scheme_attr_names schema scheme in
+        let build_target = page_row_builder names in
+        let keep2, out_attrs =
+          join_header keys src_attrs (List.map (fun n -> alias ^ "." ^ n) names)
+        in
+        let w1 = List.length src_attrs in
         let otbl = index_of out_attrs in
         let pred = Pred.compile ~offset:(Hashtbl.find_opt otbl) filter in
-        (* one URL table per navigation: each distinct link value is
-           fetched at most once, the paper's distinct-access count *)
+        (* one URL table per operator: each distinct URL is fetched at
+           most once, the paper's distinct-access count *)
         let pages : (string, Adm.Relation.row option) Hashtbl.t =
           Hashtbl.create 64
         in
+        (* without input, one empty row stands for the node's one URL:
+           a one-shot fetch that holds no state row and counts no
+           queued row *)
         let pending : Adm.Relation.row Queue.t = Queue.create () in
+        if one_shot then Queue.add [||] pending;
+        let src_next = match src with Some c -> c.next | None -> fun () -> None in
         let src_done = ref false in
         let refill () =
           while Queue.is_empty pending && not !src_done do
-            match src_c.next () with
+            match src_next () with
             | None -> src_done := true
             | Some batch ->
               Array.iter (fun r -> Queue.add r pending) batch;
@@ -534,216 +557,49 @@ let compile ?views (schema : Adm.Schema.t) (source : source)
               if q > metrics.peak_queue_rows then metrics.peak_queue_rows <- q
           done
         in
-        let take_group () =
-          let k = min window (Queue.length pending) in
-          let g = Array.make k (Queue.peek pending) in
-          for i = 0 to k - 1 do
-            g.(i) <- Queue.pop pending
-          done;
-          g
-        in
         let rec next () =
           refill ();
           if Queue.is_empty pending then None
           else begin
-            let group = take_group () in
+            let group =
+              Array.init (min window (Queue.length pending)) (fun _ ->
+                  Queue.pop pending)
+            in
             (* distinct unseen URLs of this group, first-appearance
                order: one prefetch window for the fetch engine *)
             let fresh = Hashtbl.create 16 in
             let want =
-              let acc = ref [] in
-              Array.iter
-                (fun row ->
-                  match Adm.Value.as_link row.(link_off) with
+              Array.fold_left
+                (fun acc row ->
+                  match url_of row with
                   | Some url
                     when (not (Hashtbl.mem pages url)) && not (Hashtbl.mem fresh url)
                     ->
                     Hashtbl.add fresh url ();
-                    acc := url :: !acc
-                  | Some _ | None -> ())
-                group;
-              List.rev !acc
+                    url :: acc
+                  | Some _ | None -> acc)
+                [] group
+              |> List.rev
             in
             if want <> [] then begin
               source.prefetch ~scheme want;
               List.iter
                 (fun url ->
-                  let target =
-                    Option.map build_target (source.fetch ~scheme ~url)
-                  in
-                  Hashtbl.add pages url target;
+                  Hashtbl.add pages url
+                    (Option.map build_target (source.fetch ~scheme ~url));
                   m.pages <- m.pages + 1;
-                  metrics.state_rows <- metrics.state_rows + 1)
+                  if not one_shot then metrics.state_rows <- metrics.state_rows + 1)
                 want
             end;
             let out =
               afilter_map
                 (fun row ->
-                  match Adm.Value.as_link row.(link_off) with
+                  match url_of row with
                   | None -> None
                   | Some url -> (
                     match Hashtbl.find_opt pages url with
                     | Some (Some target) ->
                       let joined = combine w1 keep2 row target in
-                      if pred joined then Some joined else None
-                    | Some None | None -> None))
-                group
-            in
-            match out with [||] -> next () | _ -> Some out
-          end
-        in
-        { attrs = out_attrs; next }
-      | Physplan.Call_fetch { src = None; scheme; alias; args; filter } ->
-        (* all-constant call: a single templated GET, like Scan *)
-        let ps = Adm.Schema.find_scheme_exn schema scheme in
-        let names = scheme_attr_names schema scheme in
-        let attrs = List.map (fun n -> alias ^ "." ^ n) names in
-        let build = page_row_builder names in
-        let tbl = index_of attrs in
-        let pred = Pred.compile ~offset:(Hashtbl.find_opt tbl) filter in
-        let bindings =
-          List.map
-            (fun (p, arg) ->
-              match arg with
-              | Nalg.Arg_const v -> (p, v)
-              | Nalg.Arg_attr a ->
-                raise
-                  (Physplan.Not_computable
-                     (Fmt.str "call argument %s := %s has no source relation" p
-                        a)))
-            args
-        in
-        let url =
-          match Adm.Page_scheme.bound_url ps bindings with
-          | Some url -> url
-          | None ->
-            raise
-              (Physplan.Not_computable
-                 (Fmt.str "call to %s does not bind every parameter" scheme))
-        in
-        let spent = ref false in
-        let next () =
-          if !spent then None
-          else begin
-            spent := true;
-            source.prefetch ~scheme [ url ];
-            m.pages <- m.pages + 1;
-            match source.fetch ~scheme ~url with
-            | None -> None
-            | Some tuple ->
-              let row = build tuple in
-              if pred row then Some [| row |] else None
-          end
-        in
-        { attrs; next }
-      | Physplan.Call_fetch { src = Some src; scheme; alias; args; filter } ->
-        (* parameterized fetch: like Follow_links, but the URL of each
-           source row is computed from its bound arguments instead of
-           read off a link attribute *)
-        let src_c = go src in
-        let ps = Adm.Schema.find_scheme_exn schema scheme in
-        let names = scheme_attr_names schema scheme in
-        let target_attrs = List.map (fun n -> alias ^ "." ^ n) names in
-        let build_target = page_row_builder names in
-        let stbl = index_of src_c.attrs in
-        let compiled_args =
-          List.map
-            (fun (p, arg) ->
-              match arg with
-              | Nalg.Arg_const v -> (p, `Const v)
-              | Nalg.Arg_attr a ->
-                (p, `Off (offset_exn "call_fetch" src_c.attrs stbl a)))
-            args
-        in
-        let url_of row =
-          let rec build acc = function
-            | [] -> Adm.Page_scheme.bound_url ps (List.rev acc)
-            | (p, `Const v) :: tl -> build ((p, v) :: acc) tl
-            | (p, `Off i) :: tl -> (
-              match param_string row.(i) with
-              | Some s -> build ((p, s) :: acc) tl
-              | None -> None)
-          in
-          build [] compiled_args
-        in
-        let w1 = List.length src_c.attrs in
-        let wt = List.length target_attrs in
-        let out_attrs = src_c.attrs @ target_attrs in
-        let otbl = index_of out_attrs in
-        let pred = Pred.compile ~offset:(Hashtbl.find_opt otbl) filter in
-        (* one URL table per call operator: each distinct argument
-           combination is fetched at most once, mirroring the
-           distinct-access cost model *)
-        let pages : (string, Adm.Relation.row option) Hashtbl.t =
-          Hashtbl.create 64
-        in
-        let pending : Adm.Relation.row Queue.t = Queue.create () in
-        let src_done = ref false in
-        let refill () =
-          while Queue.is_empty pending && not !src_done do
-            match src_c.next () with
-            | None -> src_done := true
-            | Some batch ->
-              Array.iter (fun r -> Queue.add r pending) batch;
-              let q = Queue.length pending in
-              if q > metrics.peak_queue_rows then metrics.peak_queue_rows <- q
-          done
-        in
-        let take_group () =
-          let k = min window (Queue.length pending) in
-          let g = Array.make k (Queue.peek pending) in
-          for i = 0 to k - 1 do
-            g.(i) <- Queue.pop pending
-          done;
-          g
-        in
-        let combine row target =
-          let out = Array.make (w1 + wt) Adm.Value.Null in
-          Array.blit row 0 out 0 w1;
-          Array.blit target 0 out w1 wt;
-          out
-        in
-        let rec next () =
-          refill ();
-          if Queue.is_empty pending then None
-          else begin
-            let group = take_group () in
-            let fresh = Hashtbl.create 16 in
-            let want =
-              let acc = ref [] in
-              Array.iter
-                (fun row ->
-                  match url_of row with
-                  | Some url
-                    when (not (Hashtbl.mem pages url))
-                         && not (Hashtbl.mem fresh url) ->
-                    Hashtbl.add fresh url ();
-                    acc := url :: !acc
-                  | Some _ | None -> ())
-                group;
-              List.rev !acc
-            in
-            if want <> [] then begin
-              source.prefetch ~scheme want;
-              List.iter
-                (fun url ->
-                  let target =
-                    Option.map build_target (source.fetch ~scheme ~url)
-                  in
-                  Hashtbl.add pages url target;
-                  m.pages <- m.pages + 1;
-                  metrics.state_rows <- metrics.state_rows + 1)
-                want
-            end;
-            let out =
-              afilter_map
-                (fun row ->
-                  match url_of row with
-                  | None -> None
-                  | Some url -> (
-                    match Hashtbl.find_opt pages url with
-                    | Some (Some target) ->
-                      let joined = combine row target in
                       if pred joined then Some joined else None
                     | Some None | None -> None))
                 group

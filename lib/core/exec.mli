@@ -45,7 +45,7 @@ type metrics = {
   ops : op_metrics array;  (** indexed by {!Physplan.op} id *)
   mutable max_batch_rows : int;
   mutable peak_queue_rows : int;
-      (** pending rows queued inside [Follow_links] *)
+      (** input rows queued inside page-fetch operators *)
   mutable state_rows : int;
       (** rows retained in build tables, dedup sets and page tables *)
   mutable result_rows : int;
@@ -115,11 +115,8 @@ val metrics_of : run -> metrics
 
 (** {1 Page-scheme helpers}
 
-    Shared with the legacy evaluator in {!Eval}. *)
-
-val scheme_attr_names : Adm.Schema.t -> string -> string list
-(** URL attribute followed by the scheme attributes in declaration
-    order — the header of a page relation before alias qualification. *)
+    For the legacy evaluator in {!Eval}; the binding-pattern search
+    also renders call arguments with {!param_string}. *)
 
 val pages_relation :
   Adm.Schema.t -> source -> scheme:string -> alias:string -> string list ->

@@ -77,22 +77,7 @@ let pp_physical ?metrics () ppf (plan : Physplan.plan) =
     | e, "" | "", e -> Fmt.str "  {%s}" e
     | e, a -> Fmt.str "  {%s | %s}" e a
   in
-  let rec go indent ppf (o : Physplan.op) =
-    let pad = String.make indent ' ' in
-    Fmt.pf ppf "%s%s%s@," pad (Physplan.node_label o) (note o);
-    match o.Physplan.node with
-    | Physplan.Scan _ | Physplan.View_scan _ -> ()
-    | Physplan.Filter { input; _ }
-    | Physplan.Project { input; _ }
-    | Physplan.Stream_unnest { input; _ } -> go (indent + 2) ppf input
-    | Physplan.Follow_links { src; _ } -> go (indent + 2) ppf src
-    | Physplan.Call_fetch { src = None; _ } -> ()
-    | Physplan.Call_fetch { src = Some src; _ } -> go (indent + 2) ppf src
-    | Physplan.Hash_join { left; right; _ } ->
-      go (indent + 2) ppf left;
-      go (indent + 2) ppf right
-  in
-  Fmt.pf ppf "@[<v>%a@]" (go 0) plan.Physplan.root
+  Physplan.pp_noted note ppf plan
 
 (* Graphviz rendering of a query plan, one node per operator, in the
    visual style of the paper's figures (page relations as boxes, link

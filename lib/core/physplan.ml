@@ -3,37 +3,59 @@
    Logical NALG (Section 4) says what a navigation computes; this IR
    says how the executor computes it, one physical operator per node:
 
-   - [Scan] fuses an entry-point page access with any selection sunk
-     onto it (a filtered scan, not a scan-then-filter);
+   - [Fetch] is the one page-reading operator. The paper reads pages
+     by entry-point access and by following links ([R →L P]); binding
+     patterns add form calls ([R ⇒[args] P]). All three are priced by
+     the same rule (distinct page accesses, Section 6.2) and run the
+     same steps, so they are one node with an optional input and a
+     [target] saying where each URL comes from: the entry point's URL,
+     a link attribute of the input row, or a form template over
+     constants and input attributes. The executor dedupes the URLs
+     incrementally (one URL table per operator, mirroring the
+     distinct-access cost model), hands the fetch engine prefetch
+     windows of [window] URLs, and applies any selection sunk onto the
+     node to the joined output (a filtered fetch, not fetch-then-filter);
    - [Hash_join] carries an explicit build side, chosen from the cost
      model's cardinality estimates (build the smaller input, probe
      with the larger) — the legacy evaluator always built the right
      input;
    - [Stream_unnest] expands nested lists row by row against the
      declared inner header, so unnesting never materializes its
-     input;
-   - [Follow_links] is the pipelined navigation [R →L P]: it dedupes
-     link values incrementally (one URL table per operator, mirroring
-     the paper's distinct-access cost model) and hands the fetch
-     engine prefetch windows of [window] URLs while probing pages
-     already fetched.
+     input.
 
    Lowering is total on well-typed expressions. In ADM every list
    attribute has a declared tuple type, so the inner header of every
    unnest is known before any page is fetched, and a streaming plan
-   always exists. [Not_computable] (re-exported by {!Eval}) is raised
-   only for what {!Typecheck} rejects: [External] leaves that name no
-   registered view (E0107), non-entry-point entries (E0102), calls to
-   unparameterized schemes (E0111), and unnests of an attribute that
-   is not a declared list (E0103/E0104). *)
+   always exists. An all-constant call works out its URL here, as an
+   entry point does, so execution never fails to find one.
+   [Not_computable] (re-exported by {!Eval}) is raised only for what
+   {!Typecheck} rejects: [External] leaves that name no registered view
+   (E0107), non-entry-point entries (E0102), calls to unparameterized
+   schemes or all-constant calls that do not bind every parameter
+   (E0111), and unnests of an attribute that is not a declared list
+   (E0103/E0104). *)
 
 type est = {
   est_rows : float; (* estimated output cardinality of the operator *)
   est_pages : float; (* estimated page accesses the operator itself issues *)
 }
 
+type target =
+  | Entry_url of string (* the entry point's URL *)
+  | Link of string (* a link attribute of the input row *)
+  | Form of {
+      args : (string * Nalg.arg) list; (* form template *)
+      url : string option; (* all-constant call without input: its URL *)
+    }
+
 type node =
-  | Scan of { scheme : string; alias : string; url : string; filter : Pred.t }
+  | Fetch of {
+      input : op option;
+      target : target;
+      scheme : string;
+      alias : string;
+      filter : Pred.t; (* selection fused over the joined output *)
+    }
   | View_scan of {
       view : string; (* registered relation answered from the matview store *)
       alias : string;
@@ -49,20 +71,6 @@ type node =
       build_left : bool; (* hash the left input, probe with the right *)
     }
   | Stream_unnest of { attr : string; expect : string list; input : op }
-  | Follow_links of {
-      src : op;
-      link : string;
-      scheme : string;
-      alias : string;
-      filter : Pred.t; (* selection fused over the joined output *)
-    }
-  | Call_fetch of {
-      src : op option; (* None: all-constant root call, a 1-page scan *)
-      scheme : string; (* parameterized target page-scheme *)
-      alias : string;
-      args : (string * Nalg.arg) list;
-      filter : Pred.t; (* selection fused over the joined output *)
-    }
 
 and op = { id : int; node : node; est : est option }
 
@@ -70,6 +78,27 @@ type plan = { root : op; n_ops : int; window : int }
 
 exception Not_computable of string
 exception Not_streamable of string
+
+(* The URL of an all-constant call: every argument a constant, every
+   parameter bound. *)
+let constant_url schema scheme args =
+  let ps = Adm.Schema.find_scheme_exn schema scheme in
+  let bindings =
+    List.map
+      (fun (p, arg) ->
+        match arg with
+        | Nalg.Arg_const v -> (p, v)
+        | Nalg.Arg_attr a ->
+          raise
+            (Not_computable
+               (Fmt.str "call argument %s := %s has no source relation" p a)))
+      args
+  in
+  match Adm.Page_scheme.bound_url ps bindings with
+  | Some url -> url
+  | None ->
+    raise
+      (Not_computable (Fmt.str "call to %s does not bind every parameter" scheme))
 
 let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
     (schema : Adm.Schema.t) (e : Nalg.expr) : plan =
@@ -84,6 +113,11 @@ let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
     Option.map (fun f -> { est_rows = f e; est_pages = own_pages }) card
   in
   let rec go (e : Nalg.expr) : op =
+    let fetch input target scheme alias =
+      mk
+        (Fetch { input; target; scheme; alias; filter = [] })
+        (est_of ~own_pages:(pages_of e) e)
+    in
     match e with
     | Nalg.External { name; alias } -> (
       match view_attrs name with
@@ -102,8 +136,7 @@ let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
       match Adm.Page_scheme.entry_url ps with
       | None ->
         raise (Not_computable (Fmt.str "page-scheme %s is not an entry point" scheme))
-      | Some url ->
-        mk (Scan { scheme; alias; url; filter = [] }) (est_of ~own_pages:(pages_of e) e))
+      | Some url -> fetch None (Entry_url url) scheme alias)
     | Nalg.Select (p, e1) -> (
       (* fuse the selection into the producing operator when it has a
          filter slot; page estimates are the producer's own *)
@@ -113,13 +146,9 @@ let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
       in
       let est = est_of ~own_pages e in
       match inner.node with
-      | Scan s -> { inner with node = Scan { s with filter = s.filter @ p }; est }
+      | Fetch f -> { inner with node = Fetch { f with filter = f.filter @ p }; est }
       | View_scan v ->
         { inner with node = View_scan { v with filter = v.filter @ p }; est }
-      | Follow_links f ->
-        { inner with node = Follow_links { f with filter = f.filter @ p }; est }
-      | Call_fetch c ->
-        { inner with node = Call_fetch { c with filter = c.filter @ p }; est }
       | Filter f -> { inner with node = Filter { f with pred = f.pred @ p }; est }
       | Project _ | Hash_join _ | Stream_unnest _ ->
         mk (Filter { pred = p; input = inner }) est)
@@ -146,21 +175,19 @@ let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
         let expect = List.map (fun (f, _) -> attr ^ "." ^ f) fields in
         mk (Stream_unnest { attr; expect; input }) (est_of e))
     | Nalg.Follow { src; link; scheme; alias } ->
-      let src_op = go src in
-      mk
-        (Follow_links { src = src_op; link; scheme; alias; filter = [] })
-        (est_of ~own_pages:(pages_of e) e)
+      fetch (Some (go src)) (Link link) scheme alias
     | Nalg.Call { c_src; c_scheme; c_alias; c_args } ->
       let ps = Adm.Schema.find_scheme_exn schema c_scheme in
       if not (Adm.Page_scheme.is_parameterized ps) then
         raise
           (Not_computable (Fmt.str "page-scheme %s takes no parameters" c_scheme));
-      let src_op = Option.map go c_src in
-      mk
-        (Call_fetch
-           { src = src_op; scheme = c_scheme; alias = c_alias; args = c_args;
-             filter = [] })
-        (est_of ~own_pages:(pages_of e) e)
+      let input = Option.map go c_src in
+      let url =
+        match input with
+        | None -> Some (constant_url schema c_scheme c_args)
+        | Some _ -> None
+      in
+      fetch input (Form { args = c_args; url }) c_scheme c_alias
   in
   let root = go e in
   { root; n_ops = !counter; window = max 1 window }
@@ -170,28 +197,23 @@ let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
 (* ------------------------------------------------------------------ *)
 
 let rec op_to_nalg (o : op) : Nalg.expr =
+  let filtered filter base = if filter = [] then base else Nalg.Select (filter, base) in
   match o.node with
-  | Scan { scheme; alias; url = _; filter } ->
-    let base = Nalg.Entry { scheme; alias } in
-    if filter = [] then base else Nalg.Select (filter, base)
+  | Fetch { input; target; scheme; alias; filter } ->
+    let src = Option.map op_to_nalg input in
+    filtered filter
+      (match target with
+      | Entry_url _ -> Nalg.Entry { scheme; alias }
+      | Link link -> Nalg.Follow { src = Option.get src; link; scheme; alias }
+      | Form { args; url = _ } ->
+        Nalg.Call { c_src = src; c_scheme = scheme; c_alias = alias; c_args = args })
   | View_scan { view; alias; ext_attrs = _; filter } ->
-    let base = Nalg.External { name = view; alias } in
-    if filter = [] then base else Nalg.Select (filter, base)
+    filtered filter (Nalg.External { name = view; alias })
   | Filter { pred; input } -> Nalg.Select (pred, op_to_nalg input)
   | Project { attrs; input } -> Nalg.Project (attrs, op_to_nalg input)
   | Hash_join { keys; left; right; build_left = _ } ->
     Nalg.Join (keys, op_to_nalg left, op_to_nalg right)
   | Stream_unnest { attr; expect = _; input } -> Nalg.Unnest (op_to_nalg input, attr)
-  | Follow_links { src; link; scheme; alias; filter } ->
-    let base = Nalg.Follow { src = op_to_nalg src; link; scheme; alias } in
-    if filter = [] then base else Nalg.Select (filter, base)
-  | Call_fetch { src; scheme; alias; args; filter } ->
-    let base =
-      Nalg.Call
-        { c_src = Option.map op_to_nalg src; c_scheme = scheme;
-          c_alias = alias; c_args = args }
-    in
-    if filter = [] then base else Nalg.Select (filter, base)
 
 let to_nalg plan = op_to_nalg plan.root
 
@@ -199,24 +221,31 @@ let to_nalg plan = op_to_nalg plan.root
 (* Traversal and printing                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec fold_op f acc o =
-  let acc = f acc o in
+let children (o : op) =
   match o.node with
-  | Scan _ | View_scan _ | Call_fetch { src = None; _ } -> acc
+  | View_scan _ -> []
+  | Fetch { input; _ } -> Option.to_list input
   | Filter { input; _ } | Project { input; _ } | Stream_unnest { input; _ } ->
-    fold_op f acc input
-  | Follow_links { src; _ } | Call_fetch { src = Some src; _ } ->
-    fold_op f acc src
-  | Hash_join { left; right; _ } -> fold_op f (fold_op f acc left) right
+    [ input ]
+  | Hash_join { left; right; _ } -> [ left; right ]
 
-let fold f acc plan = fold_op f acc plan.root
+let fold f acc plan =
+  let rec go acc o = List.fold_left go (f acc o) (children o) in
+  go acc plan.root
 
 let node_label (o : op) =
   let aka scheme alias = if String.equal scheme alias then "" else " as " ^ alias in
   let filtered = function [] -> "" | p -> Fmt.str " σ[%s]" (Pred.to_string p) in
   match o.node with
-  | Scan { scheme; alias; filter; _ } ->
-    Fmt.str "scan %s%s%s" scheme (aka scheme alias) (filtered filter)
+  | Fetch { target; scheme; alias; filter; _ } ->
+    let head =
+      match target with
+      | Entry_url _ -> "scan " ^ scheme
+      | Link link -> Fmt.str "follow → %s [via %s]" scheme link
+      | Form { args; _ } ->
+        Fmt.str "call ⇒ %s [%s]" scheme (Fmt.str "%a" Nalg.pp_args args)
+    in
+    head ^ aka scheme alias ^ filtered filter
   | View_scan { view; alias; filter; _ } ->
     Fmt.str "view-scan %s%s%s" view (aka view alias) (filtered filter)
   | Filter { pred; _ } -> Fmt.str "filter σ[%s]" (Pred.to_string pred)
@@ -226,26 +255,12 @@ let node_label (o : op) =
       (String.concat ", " (List.map (fun (a, b) -> Fmt.str "%s=%s" a b) keys))
       (if build_left then "left" else "right")
   | Stream_unnest { attr; _ } -> Fmt.str "stream-unnest ◦ %s" attr
-  | Follow_links { link; scheme; alias; filter; _ } ->
-    Fmt.str "follow → %s [via %s]%s%s" scheme link (aka scheme alias)
-      (filtered filter)
-  | Call_fetch { scheme; alias; args; filter; _ } ->
-    Fmt.str "call ⇒ %s [%s]%s%s" scheme
-      (Fmt.str "%a" Nalg.pp_args args)
-      (aka scheme alias) (filtered filter)
 
-let pp ppf (plan : plan) =
+let pp_noted note ppf (plan : plan) =
   let rec go indent ppf o =
-    let pad = String.make indent ' ' in
-    Fmt.pf ppf "%s%s@," pad (node_label o);
-    match o.node with
-    | Scan _ | View_scan _ | Call_fetch { src = None; _ } -> ()
-    | Filter { input; _ } | Project { input; _ } | Stream_unnest { input; _ } ->
-      go (indent + 2) ppf input
-    | Follow_links { src; _ } | Call_fetch { src = Some src; _ } ->
-      go (indent + 2) ppf src
-    | Hash_join { left; right; _ } ->
-      go (indent + 2) ppf left;
-      go (indent + 2) ppf right
+    Fmt.pf ppf "%s%s%s@," (String.make indent ' ') (node_label o) (note o);
+    List.iter (go (indent + 2) ppf) (children o)
   in
   Fmt.pf ppf "@[<v>%a@]" (go 0) plan.root
+
+let pp = pp_noted (fun _ -> "")

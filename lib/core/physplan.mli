@@ -1,21 +1,42 @@
 (** Physical operator plans — the executable form of a NALG expression.
 
     Logical NALG (Section 4) says {e what} a navigation computes; a
-    physical plan says {e how}: selections fused into the scans and
-    navigations that produce their input, hash joins with an explicit
-    build side chosen from cardinality estimates, streaming unnest
-    against the declared inner header, and a pipelined
-    [Follow] that dedupes link values incrementally and prefetches in
-    windows. {!Exec} runs these plans with pull-based cursors. *)
+    physical plan says {e how}: one page-fetch operator for every way a
+    plan reads pages (entry point, followed link, form call), with
+    incremental URL dedup, windowed prefetch and any selection fused
+    into it; hash joins with an explicit build side chosen from
+    cardinality estimates; and streaming unnest against the declared
+    inner header. {!Exec} runs these plans with pull-based cursors. *)
 
 type est = {
   est_rows : float;  (** estimated output cardinality of the operator *)
   est_pages : float;  (** estimated page accesses the operator issues *)
 }
 
+(** Where a page-fetch operator takes each URL from. *)
+type target =
+  | Entry_url of string  (** the entry point's URL; the node has no input *)
+  | Link of string  (** a link attribute of the input row: [R →L P] *)
+  | Form of {
+      args : (string * Nalg.arg) list;
+      url : string option;
+          (** [Some] exactly when the node has no input: the
+              all-constant call's URL, worked out at lowering *)
+    }
+      (** a form template over constants and input attributes:
+          [R ⇒\[args\] P] *)
+
 type node =
-  | Scan of { scheme : string; alias : string; url : string; filter : Pred.t }
-      (** entry-point page access with any fused selection *)
+  | Fetch of {
+      input : op option;
+      target : target;
+      scheme : string;
+      alias : string;
+      filter : Pred.t;  (** selection fused over the joined output *)
+    }
+      (** the page-fetch operator: each distinct URL of the input rows
+          (or the one URL of a node without input) fetched once, in
+          prefetch windows, each page joined to the rows that name it *)
   | View_scan of {
       view : string;
       alias : string;
@@ -40,25 +61,6 @@ type node =
   | Stream_unnest of { attr : string; expect : string list; input : op }
       (** row-by-row expansion of a nested attribute against the
           declared inner header [expect] *)
-  | Follow_links of {
-      src : op;
-      link : string;
-      scheme : string;
-      alias : string;
-      filter : Pred.t;  (** selection fused over the joined output *)
-    }
-      (** pipelined [R →L P]: incremental URL dedup, windowed prefetch *)
-  | Call_fetch of {
-      src : op option;
-      scheme : string;
-      alias : string;
-      args : (string * Nalg.arg) list;
-      filter : Pred.t;  (** selection fused over the joined output *)
-    }
-      (** pipelined parameterized-entry access [R ⇒\[args\] P]: one
-          templated GET per distinct bound-argument combination
-          (incremental URL dedup, windowed prefetch); [src = None] is
-          an all-constant root call, a single-page scan *)
 
 and op = { id : int; node : node; est : est option }
 (** [id] is a dense post-order index in [0 .. n_ops-1]; {!Exec} uses it
@@ -69,9 +71,10 @@ type plan = { root : op; n_ops : int; window : int }
 exception Not_computable of string
 (** The expression has no physical form: an [External] leaf that names
     no registered view, a non-entry-point [Entry] leaf, a call to a
-    scheme without parameters, or an unnest of an attribute that is
-    not a declared list. These are exactly the expressions
-    {!Typecheck} rejects (E0107, E0102, E0111, E0103/E0104). *)
+    scheme without parameters or an all-constant call that does not
+    bind every parameter, or an unnest of an attribute that is not a
+    declared list. These are exactly the expressions {!Typecheck}
+    rejects (E0107, E0102, E0111, E0103/E0104). *)
 
 exception Not_streamable of string
 (** Never raised: lowering is total on well-typed expressions. Kept
@@ -111,3 +114,6 @@ val node_label : op -> string
 
 val pp : plan Fmt.t
 (** The operator tree, indented. *)
+
+val pp_noted : (op -> string) -> plan Fmt.t
+(** {!pp} with a note appended to each operator's label. *)

@@ -27,5 +27,6 @@ let () =
       Test_server.suite;
       Test_churn.suite;
       Test_bindings.suite;
+      Test_exec_trace.suite;
       Test_cli.suite;
     ]

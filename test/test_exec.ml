@@ -246,26 +246,44 @@ let prof_names_plan () =
     start "ProfListPage" |> dive "ProfList" |> follow "ToProf" ~scheme:"ProfPage"
     |> keep [ "PName" ] |> finish)
 
+(* A form-site call chain: one all-constant call, then one templated
+   call per course of the department. *)
+let math_course_instructors () =
+  Nalg.project
+    [ "CoursePage.CName"; "CoursePage.Instructor" ]
+    (Nalg.call "CoursePage"
+       ~args:[ ("course", Nalg.Arg_attr "DeptPage.Courses.CName") ]
+       ~src:
+         (Nalg.unnest
+            (Nalg.call "DeptPage" ~args:[ ("dept", Nalg.Arg_const "math") ])
+            "DeptPage.Courses"))
+
 let test_limit_stops_fetching () =
-  let site = uni.site in
-  let gets limit =
-    let http = Websim.Http.connect site in
-    let source = Eval.live_source schema http in
-    let r = Eval.eval ?limit schema source (prof_names_plan ()) in
-    (Adm.Relation.cardinality r, (Websim.Http.stats http).Websim.Http.gets)
-  in
-  let full_rows, full_gets = gets None in
-  let one_rows, one_gets = gets (Some 1) in
-  check int_t "one row under LIMIT 1" 1 one_rows;
-  check bool_t "full run visits every professor" true (full_gets > 10);
-  (* the entry page plus at most one prefetch window, not all 20 profs *)
-  check bool_t
-    (Fmt.str "LIMIT 1 fetches strictly fewer pages (%d < %d)" one_gets full_gets)
-    true
-    (one_gets < full_gets);
-  check bool_t "LIMIT 1 stays within one prefetch window" true
-    (one_gets <= 1 + Websim.Fetcher.default_config.Websim.Fetcher.window);
-  ignore full_rows
+  let formsite = Sitegen.Sites.of_formsite (Sitegen.Formsite.build ()) in
+  List.iter
+    (fun (name, (site : Sitegen.Sites.t), e) ->
+      let gets limit =
+        let http = Websim.Http.connect site.site in
+        let source = Eval.live_source site.schema http in
+        let r = Eval.eval ?limit site.schema source e in
+        (Adm.Relation.cardinality r, (Websim.Http.stats http).Websim.Http.gets)
+      in
+      let _, full_gets = gets None in
+      let one_rows, one_gets = gets (Some 1) in
+      check int_t (name ^ ": one row under LIMIT 1") 1 one_rows;
+      check bool_t (name ^ ": full run visits every page") true (full_gets > 10);
+      (* the root page plus at most one prefetch window, not every page *)
+      check bool_t
+        (Fmt.str "%s: LIMIT 1 fetches strictly fewer pages (%d < %d)" name one_gets
+           full_gets)
+        true
+        (one_gets < full_gets);
+      check bool_t (name ^ ": LIMIT 1 stays within one prefetch window") true
+        (one_gets <= 1 + Websim.Fetcher.default_config.Websim.Fetcher.window))
+    [
+      ("professor names", uni, prof_names_plan ());
+      ("math course instructors", formsite, math_course_instructors ());
+    ]
 
 let test_limit_truncates_exact () =
   let source = Eval.instance_source (Lazy.force instance) in
@@ -347,9 +365,8 @@ let test_build_side_follows_estimates () =
         match o.Physplan.node with
         | Physplan.Hash_join { left; right; build_left; _ } ->
           (left.Physplan.est, right.Physplan.est, build_left) :: acc
-        | Physplan.Scan _ | Physplan.View_scan _ | Physplan.Filter _
-        | Physplan.Project _ | Physplan.Stream_unnest _
-        | Physplan.Follow_links _ | Physplan.Call_fetch _ -> acc)
+        | Physplan.Fetch _ | Physplan.View_scan _ | Physplan.Filter _
+        | Physplan.Project _ | Physplan.Stream_unnest _ -> acc)
       [] plan
   in
   check bool_t "the pointer-join plan has a hash join" true (joins <> []);
