@@ -53,6 +53,23 @@ dune exec --profile ci bin/webviews_cli.exe -- churn \
   --max-age 30 --queries 24 --fail-on-violation \
   | tail -n 8
 
+echo "== churn budget: every wire request is charged exactly once =="
+# pages get deleted, so view scans meet links whose target the store
+# dropped; they skip them instead of fetching them unpaid, and the
+# units spent are exactly HEADs x 1 + GETs x 10 (the default costs)
+dune exec --profile ci bin/webviews_cli.exe -- churn \
+  --depts 10 --profs 200 --courses 400 --churn-rate 0.3 --budget 4 \
+  --max-age 6 --queries 400 > /tmp/ci_churn_budget.$$
+gets=$(sed -n 's/^wire: \([0-9]*\) GETs, [0-9]* HEADs.*/\1/p' /tmp/ci_churn_budget.$$)
+heads=$(sed -n 's/^wire: [0-9]* GETs, \([0-9]*\) HEADs.*/\1/p' /tmp/ci_churn_budget.$$)
+spent=$(sed -n 's/^budget: \([0-9.]*\) units spent.*/\1/p' /tmp/ci_churn_budget.$$)
+deletes=$(sed -n 's/^policy: .* delete \([0-9]*\),.*/\1/p' /tmp/ci_churn_budget.$$)
+rm -f /tmp/ci_churn_budget.$$
+echo "wire: $gets GETs, $heads HEADs; budget: $spent units spent; $deletes pages deleted"
+[ -n "$gets" ] && [ -n "$heads" ] && [ "${deletes:-0}" -gt 0 ] \
+  && [ "$spent" = "$((heads + 10 * gets)).0" ] \
+  || { echo "budget spent ($spent) is not HEADs + 10 x GETs ($heads + 10 x $gets)"; exit 1; }
+
 echo "== read path: the churn, fetch and exec benches reproduce their committed JSON =="
 # The churn bench drives the materialized store's HEAD-then-GET
 # revalidation, the maintenance lane and view-store answers; the fetch

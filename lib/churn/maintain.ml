@@ -78,29 +78,52 @@ let sweep_slice t =
     end
   end
 
-(* Candidate entries ordered by (relevance, staleness debt, scheme,
-   url): deterministic regardless of store iteration order. *)
+(* The most urgent candidates first: relevant before irrelevant, then
+   higher staleness debt, then (scheme, url) — a total order, so the
+   pick never depends on store iteration order. *)
+let more_urgent (r1, d1, s1, u1) (r2, d2, s2, u2) =
+  match Bool.compare r2 r1 with
+  | 0 -> (
+    match Float.compare d2 d1 with
+    | 0 -> ( match String.compare s1 s2 with 0 -> String.compare u1 u2 | c -> c)
+    | c -> c)
+  | c -> c
+
+(* Insert into a list kept least urgent first. *)
+let rec insert c = function
+  | c' :: rest when more_urgent c c' < 0 -> c' :: insert c rest
+  | l -> c :: l
+
+(* The [max_actions_per_slice] most urgent entries over the debt
+   threshold, most urgent first, in one pass over the store: relevance
+   and the SLA's [max_age] are looked up once per scheme, and an entry
+   is kept only while it beats the least urgent one kept so far. *)
 let candidates t ~relevant =
+  let k = t.cfg.max_actions_per_slice in
   let now = Webviews.Matview.now t.store in
-  let acc = ref [] in
-  Webviews.Matview.iter_entries t.store (fun ~scheme ~url ~access_date ->
-      let age = now - access_date in
-      let max_age = Sla.max_age t.sla ~scheme in
-      let debt =
-        if max_age <= 0 then float_of_int age
-        else float_of_int age /. float_of_int max_age
-      in
-      if debt >= t.cfg.debt_threshold then
-        acc := (relevant scheme, debt, scheme, url) :: !acc);
-  List.sort
-    (fun (r1, d1, s1, u1) (r2, d2, s2, u2) ->
-      match Bool.compare r2 r1 with
-      | 0 -> (
-        match Float.compare d2 d1 with
-        | 0 -> ( match String.compare s1 s2 with 0 -> String.compare u1 u2 | c -> c)
-        | c -> c)
-      | c -> c)
-    !acc
+  let kept = ref [] and size = ref 0 in
+  let consider c =
+    match !kept with
+    | worst :: rest when !size >= k ->
+      if more_urgent c worst < 0 then kept := insert c rest
+    | l ->
+      kept := insert c l;
+      incr size
+  in
+  if k > 0 then
+    List.iter
+      (fun scheme ->
+        let r = relevant scheme in
+        let max_age = Sla.max_age t.sla ~scheme in
+        Webviews.Matview.iter_scheme t.store scheme (fun ~url ~access_date ->
+            let age = now - access_date in
+            let debt =
+              if max_age <= 0 then float_of_int age
+              else float_of_int age /. float_of_int max_age
+            in
+            if debt >= t.cfg.debt_threshold then consider (r, debt, scheme, url)))
+      (Webviews.Matview.schemes t.store);
+  List.rev_map (fun (_, _, scheme, url) -> (scheme, url)) !kept
 
 let slice t ~relevant =
   t.counters.slices <- t.counters.slices + 1;
@@ -110,7 +133,7 @@ let slice t ~relevant =
     let rec go n = function
       | [] -> ()
       | _ when n >= t.cfg.max_actions_per_slice -> ()
-      | (_, _, scheme, url) :: rest ->
+      | (scheme, url) :: rest ->
         if not (Budget.admit t.budget t.costs.Budget.head) then
           t.counters.denied <- t.counters.denied + 1 (* dry: stop the slice *)
         else begin

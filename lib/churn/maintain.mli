@@ -55,5 +55,10 @@ val slice : t -> relevant:(string -> bool) -> unit
     outrank irrelevant ones at equal debt, and candidates are ordered
     by (relevance, debt, scheme, url) so slices are deterministic. *)
 
+val candidates : t -> relevant:(string -> bool) -> (string * string) list
+(** The [(scheme, url)] entries the next slice would revalidate, most
+    urgent first: the [max_actions_per_slice] first entries whose debt
+    reaches [debt_threshold], in (relevance, debt, scheme, url) order. *)
+
 val counters : t -> counters
 val pp_counters : counters Fmt.t

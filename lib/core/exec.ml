@@ -441,11 +441,11 @@ let compile ?views (schema : Adm.Schema.t) (source : source)
         let w = n_outer + List.length expect in
         let prefix = attr ^ "." in
         let plen = String.length prefix in
-        let locals : (string, int) Hashtbl.t = Hashtbl.create 16 in
+        let locals : int Adm.String_tbl.t = Adm.String_tbl.create 16 in
         List.iteri
           (fun j full ->
             let local = String.sub full plen (String.length full - plen) in
-            Hashtbl.add locals local (n_outer + j))
+            Adm.String_tbl.add locals local (n_outer + j))
           expect;
         let out_attrs =
           Array.to_list (Array.map (fun i -> in_arr.(i)) outer_offs) @ expect
@@ -459,7 +459,7 @@ let compile ?views (schema : Adm.Schema.t) (source : source)
                 Array.iteri (fun j i -> out.(j) <- row.(i)) outer_offs;
                 List.iter
                   (fun (a, v) ->
-                    match Hashtbl.find_opt locals a with
+                    match Adm.String_tbl.find_opt locals a with
                     | Some off -> out.(off) <- v
                     | None ->
                       invalid_arg
@@ -537,8 +537,8 @@ let compile ?views (schema : Adm.Schema.t) (source : source)
         let pred = Pred.compile ~offset:(Hashtbl.find_opt otbl) filter in
         (* one URL table per operator: each distinct URL is fetched at
            most once, the paper's distinct-access count *)
-        let pages : (string, Adm.Relation.row option) Hashtbl.t =
-          Hashtbl.create 64
+        let pages : Adm.Relation.row option Adm.String_tbl.t =
+          Adm.String_tbl.create 64
         in
         (* without input, one empty row stands for the node's one URL:
            a one-shot fetch that holds no state row and counts no
@@ -567,15 +567,15 @@ let compile ?views (schema : Adm.Schema.t) (source : source)
             in
             (* distinct unseen URLs of this group, first-appearance
                order: one prefetch window for the fetch engine *)
-            let fresh = Hashtbl.create 16 in
+            let fresh = Adm.String_tbl.create 16 in
             let want =
               Array.fold_left
                 (fun acc row ->
                   match url_of row with
                   | Some url
-                    when (not (Hashtbl.mem pages url)) && not (Hashtbl.mem fresh url)
-                    ->
-                    Hashtbl.add fresh url ();
+                    when (not (Adm.String_tbl.mem pages url))
+                         && not (Adm.String_tbl.mem fresh url) ->
+                    Adm.String_tbl.add fresh url ();
                     url :: acc
                   | Some _ | None -> acc)
                 [] group
@@ -585,7 +585,7 @@ let compile ?views (schema : Adm.Schema.t) (source : source)
               source.prefetch ~scheme want;
               List.iter
                 (fun url ->
-                  Hashtbl.add pages url
+                  Adm.String_tbl.add pages url
                     (Option.map build_target (source.fetch ~scheme ~url));
                   m.pages <- m.pages + 1;
                   if not one_shot then metrics.state_rows <- metrics.state_rows + 1)
@@ -597,7 +597,7 @@ let compile ?views (schema : Adm.Schema.t) (source : source)
                   match url_of row with
                   | None -> None
                   | Some url -> (
-                    match Hashtbl.find_opt pages url with
+                    match Adm.String_tbl.find_opt pages url with
                     | Some (Some target) ->
                       let joined = combine w1 keep2 row target in
                       if pred joined then Some joined else None

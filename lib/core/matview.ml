@@ -12,6 +12,8 @@
    Links that disappeared are deferred to the CheckMissing structure
    and processed by an off-line sweep. *)
 
+module Tbl = Adm.String_tbl
+
 type status = Unchecked | Checked | New | Missing
 
 type entry = { tuple : Adm.Value.tuple; access_date : int }
@@ -31,8 +33,12 @@ type t = {
       (* all network traffic goes through the fetch engine; the
          default is a cache-less pass-through, so the store's own
          HEAD protocol stays the only freshness layer *)
-  tables : (string, (string, entry) Hashtbl.t) Hashtbl.t; (* scheme -> url -> entry *)
-  status : (string, status) Hashtbl.t; (* url -> per-query flag *)
+  tables : entry Tbl.t Tbl.t; (* scheme -> url -> entry *)
+  versions : int Tbl.t;
+      (* scheme -> tuple version: bumped when a tuple is added,
+         removed or replaced by a different one, never when only an
+         access date moves *)
+  status : status Tbl.t; (* url -> per-query flag *)
   mutable check_missing : (string * string) list; (* (url, scheme) *)
   mutable max_age : int option;
       (* staleness tolerance: entries younger than this (in simulated
@@ -51,21 +57,45 @@ let reset_counters t =
   t.counters.missing_pages <- 0
 
 let table t scheme =
-  match Hashtbl.find_opt t.tables scheme with
+  match Tbl.find_opt t.tables scheme with
   | Some tbl -> tbl
   | None ->
-    let tbl = Hashtbl.create 64 in
-    Hashtbl.add t.tables scheme tbl;
+    let tbl = Tbl.create 64 in
+    Tbl.add t.tables scheme tbl;
     tbl
 
+let tuple_version t scheme = Option.value (Tbl.find_opt t.versions scheme) ~default:0
+let bump t scheme = Tbl.replace t.versions scheme (tuple_version t scheme + 1)
+
+(* Every change to the stored tuples goes through these two. A
+   re-download that extracts the very tuple already stored (a page
+   touched, or edited outside its extracted attributes) only moves the
+   access date, so it leaves the version alone. *)
+let store_tuple t ~scheme ~url tuple ~access_date =
+  let tbl = table t scheme in
+  let unchanged =
+    match Tbl.find_opt tbl url with
+    | Some e -> Adm.Value.equal_tuple e.tuple tuple
+    | None -> false
+  in
+  Tbl.replace tbl url { tuple; access_date };
+  if not unchanged then bump t scheme
+
+let remove_tuple t ~scheme ~url =
+  let tbl = table t scheme in
+  if Tbl.mem tbl url then begin
+    Tbl.remove tbl url;
+    bump t scheme
+  end
+
 let stored_tuple t ~scheme ~url =
-  match Hashtbl.find_opt (table t scheme) url with
+  match Tbl.find_opt (table t scheme) url with
   | Some e -> Some e.tuple
   | None -> None
 
-let stored_pages t scheme = Hashtbl.length (table t scheme)
+let stored_pages t scheme = Tbl.length (table t scheme)
 
-let total_pages t = Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.tables 0
+let total_pages t = Tbl.fold (fun _ tbl acc -> acc + Tbl.length tbl) t.tables 0
 
 let check_missing_backlog t = List.length t.check_missing
 
@@ -79,12 +109,11 @@ let load t =
   let instance = Websim.Crawler.crawl_via t.fetcher t.schema in
   List.iter
     (fun (scheme, rel) ->
-      let tbl = table t scheme in
       List.iter
         (fun tuple ->
           match Adm.Value.find tuple Adm.Page_scheme.url_attr with
           | Some (Adm.Value.Link url) ->
-            Hashtbl.replace tbl (Adm.Value.Atom.str url) { tuple; access_date = now }
+            store_tuple t ~scheme ~url:(Adm.Value.Atom.str url) tuple ~access_date:now
           | _ -> ())
         (Adm.Relation.rows rel))
     instance.Websim.Crawler.relations
@@ -101,8 +130,9 @@ let materialize ?fetcher (schema : Adm.Schema.t) (http : Websim.Http.t) : t =
       schema;
       http = Websim.Fetcher.http fetcher;
       fetcher;
-      tables = Hashtbl.create 16;
-      status = Hashtbl.create 256;
+      tables = Tbl.create 16;
+      versions = Tbl.create 16;
+      status = Tbl.create 256;
       check_missing = [];
       max_age = None;
       counters =
@@ -113,9 +143,9 @@ let materialize ?fetcher (schema : Adm.Schema.t) (http : Websim.Http.t) : t =
   t
 
 let status_of t url =
-  match Hashtbl.find_opt t.status url with Some s -> s | None -> Unchecked
+  match Tbl.find_opt t.status url with Some s -> s | None -> Unchecked
 
-let set_status t url s = Hashtbl.replace t.status url s
+let set_status t url s = Tbl.replace t.status url s
 
 (* Mark the outgoing-link differences between the stored tuple and a
    freshly downloaded one: links that appeared are [New], links that
@@ -161,24 +191,26 @@ let download t ~scheme ~url : Adm.Value.tuple Websim.Fetcher.fetched =
     let tuple = Websim.Wrapper.extract ps ~url body in
     let old_tuple = stored_tuple t ~scheme ~url in
     diff_outlinks t ps ~old_tuple ~new_tuple:tuple;
-    Hashtbl.replace (table t scheme) url { tuple; access_date = now t };
+    store_tuple t ~scheme ~url tuple ~access_date:(now t);
     Websim.Fetcher.Fetched tuple
 
 let entry_date t ~scheme ~url =
-  match Hashtbl.find_opt (table t scheme) url with
+  match Tbl.find_opt (table t scheme) url with
   | Some e -> Some e.access_date
   | None -> None
 
 let iter_entries t f =
-  Hashtbl.iter
+  Tbl.iter
     (fun scheme tbl ->
-      Hashtbl.iter (fun url entry -> f ~scheme ~url ~access_date:entry.access_date) tbl)
+      Tbl.iter (fun url entry -> f ~scheme ~url ~access_date:entry.access_date) tbl)
     t.tables
+
+let schemes t = Tbl.fold (fun scheme _ acc -> scheme :: acc) t.tables []
 
 let iter_scheme t scheme f =
   Option.iter
-    (Hashtbl.iter (fun url entry -> f ~url ~access_date:entry.access_date))
-    (Hashtbl.find_opt t.tables scheme)
+    (Tbl.iter (fun url entry -> f ~url ~access_date:entry.access_date))
+    (Tbl.find_opt t.tables scheme)
 
 (* The one handler of a light connection's outcome on a stored entry,
    shared by query-time URLCheck and maintenance: a 404 drops the
@@ -188,12 +220,12 @@ let iter_scheme t scheme f =
    fetched the new page: when the transport fails it the outcome is
    [`Unreachable] and the entry keeps its old tuple and date. *)
 let apply_head t ~scheme ~url head =
-  match Hashtbl.find_opt (table t scheme) url with
+  match Tbl.find_opt (table t scheme) url with
   | None -> `Unknown
   | Some entry -> (
     t.counters.light_connections <- t.counters.light_connections + 1;
     let gone () =
-      Hashtbl.remove (table t scheme) url;
+      remove_tuple t ~scheme ~url;
       t.counters.missing_pages <- t.counters.missing_pages + 1;
       if not (List.mem_assoc url t.check_missing) then
         t.check_missing <- (url, scheme) :: t.check_missing;
@@ -208,14 +240,14 @@ let apply_head t ~scheme ~url head =
       | Websim.Fetcher.Absent -> gone ()
       | Websim.Fetcher.Unreachable -> `Unreachable)
     | Websim.Fetcher.Fetched _ ->
-      Hashtbl.replace (table t scheme) url { entry with access_date = now t };
+      Tbl.replace (table t scheme) url { entry with access_date = now t };
       `Current)
 
 (* Maintenance-side URLCheck: unlike {!url_check} this ignores the
    per-query status flags (maintenance runs between queries, against
    the shared store). *)
 let revalidate t ~scheme ~url =
-  match Hashtbl.find_opt (table t scheme) url with
+  match Tbl.find_opt (table t scheme) url with
   | None -> `Unknown
   | Some _ -> apply_head t ~scheme ~url (Websim.Fetcher.head t.fetcher url)
 
@@ -225,7 +257,7 @@ let revalidate t ~scheme ~url =
    traffic. *)
 let revalidate_batch t (keys : (string * string) list) =
   let known =
-    List.filter (fun (scheme, url) -> Hashtbl.mem (table t scheme) url) keys
+    List.filter (fun (scheme, url) -> Tbl.mem (table t scheme) url) keys
   in
   let heads = Websim.Fetcher.head_batch t.fetcher (List.map snd known) in
   List.map
@@ -266,7 +298,7 @@ let url_check t ~scheme ~url =
     set_status t url Checked;
     result
   | Unchecked -> (
-    match Hashtbl.find_opt (table t scheme) url with
+    match Tbl.find_opt (table t scheme) url with
     | None ->
       (* never seen: behave as new *)
       let result = download_entry t ~scheme ~url in
@@ -309,11 +341,27 @@ let source t : Eval.source =
    to none). [max_age] is the staleness tolerance in simulated clock
    ticks: entries younger than it are used without any connection. *)
 let query ?max_age t (plan : Nalg.expr) : Adm.Relation.t =
-  Hashtbl.reset t.status;
+  Tbl.reset t.status;
   t.max_age <- max_age;
   Fun.protect
     ~finally:(fun () -> t.max_age <- None)
     (fun () -> Eval.eval t.schema (source t) plan)
+
+(* Evaluate a plan over the stored tuples alone: no connection and no
+   status flag, so a link whose target is not stored is skipped. Each
+   stored page read counts as a local hit. *)
+let eval_stored t (plan : Nalg.expr) =
+  let pages = ref 0 in
+  let fetch ~scheme ~url =
+    let tuple = stored_tuple t ~scheme ~url in
+    if Option.is_some tuple then incr pages;
+    tuple
+  in
+  let result =
+    Eval.eval t.schema { Eval.fetch; prefetch = (fun ~scheme:_ _ -> ()); window = 32 } plan
+  in
+  t.counters.local_hits <- t.counters.local_hits + !pages;
+  (result, !pages)
 
 type query_report = {
   result : Adm.Relation.t;
@@ -345,7 +393,7 @@ let sweep_limited t ~limit =
           incr processed;
           match Websim.Fetcher.head t.fetcher url with
           | Websim.Fetcher.Absent ->
-            Hashtbl.remove (table t scheme) url;
+            remove_tuple t ~scheme ~url;
             incr deleted;
             false
           | Websim.Fetcher.Fetched _ ->
@@ -366,7 +414,8 @@ let offline_sweep t = fst (sweep_limited t ~limit:max_int)
 (* Full consistency pass: recrawl the site and replace the store
    (the paper's "periodically check the whole view"). *)
 let full_refresh t =
-  Hashtbl.reset t.tables;
-  Hashtbl.reset t.status;
+  Tbl.iter (fun scheme _ -> bump t scheme) t.tables;
+  Tbl.reset t.tables;
+  Tbl.reset t.status;
   t.check_missing <- [];
   load t

@@ -59,6 +59,17 @@ val iter_entries : t -> (scheme:string -> url:string -> access_date:int -> unit)
 val iter_scheme : t -> string -> (url:string -> access_date:int -> unit) -> unit
 (** {!iter_entries} over one page-scheme's entries. *)
 
+val schemes : t -> string list
+(** The page-schemes the store holds a table for (unspecified order). *)
+
+val tuple_version : t -> string -> int
+(** A counter per page-scheme, bumped whenever a tuple of that scheme
+    is added, removed or replaced by a different tuple — never when
+    only an access date moves (a current HEAD, or a re-download that
+    extracts the tuple already stored). Anything computed from a
+    scheme's stored tuples is still exact while its version is
+    unchanged. *)
+
 val revalidate :
   t -> scheme:string -> url:string -> [ `Current | `Refreshed | `Gone | `Unreachable | `Unknown ]
 (** Maintenance-side URLCheck on one stored entry: a light connection,
@@ -91,6 +102,12 @@ val query : ?max_age:int -> t -> Nalg.expr -> Adm.Relation.t
     [max_age] is a staleness tolerance in simulated clock ticks —
     entries younger than it are used without any connection (the
     paper's "controlled level of obsolescence"). *)
+
+val eval_stored : t -> Nalg.expr -> Adm.Relation.t * int
+(** Evaluate a plan over the stored tuples alone: no connection, no
+    per-query status flag, and a link whose target is not stored is
+    skipped. Returns the result and the number of stored pages read;
+    each of them also counts as a local hit. *)
 
 type query_report = {
   result : Adm.Relation.t;

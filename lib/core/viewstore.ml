@@ -10,7 +10,8 @@
    sees it as an {!Exec.views} answerer: a [View_scan] triggers a
    bounded HEAD-revalidation pass over the stalest pages under the
    view (budgeted, so a badly stale view cannot stampede the wire)
-   and then answers from the store.
+   and then answers from the store's tuples alone, reusing the view's
+   cached extent while the tuples under it are unchanged.
 
    Each revalidation outcome feeds a per-scheme change-rate
    observation, so the cost snapshot learns how churny each region of
@@ -22,6 +23,19 @@
 
 type obs = { mutable checked : int; mutable changed : int }
 
+(* One registered view's scan, compiled on first use, with its extent:
+   the rows and stored-page count of the last evaluation, tagged with
+   the tuple versions they were computed from. *)
+type extent = {
+  attrs : string list; (* the view's declared attributes *)
+  plan : Nalg.expr; (* its navigation, projected on them *)
+  schemes : string list; (* the stored pages a scan revalidates *)
+  reads : string list; (* every scheme the navigation reads a page of *)
+  mutable tag : int list option; (* versions of [reads] behind [rows] *)
+  mutable rows : Adm.Relation.row array;
+  mutable pages : int;
+}
+
 type t = {
   schema : Adm.Schema.t;
   registry : View.registry;
@@ -31,6 +45,7 @@ type t = {
   head_budget : int; (* default HEAD allowance per view scan *)
   obs : (string, obs) Hashtbl.t; (* scheme -> revalidation outcomes *)
   chosen : (string, int) Hashtbl.t; (* view -> times a best plan used it *)
+  extents : extent Adm.String_tbl.t; (* view -> compiled scan and extent *)
 }
 
 let create ?(max_age = 0) ?(head_budget = 64) (schema : Adm.Schema.t)
@@ -44,6 +59,7 @@ let create ?(max_age = 0) ?(head_budget = 64) (schema : Adm.Schema.t)
     head_budget;
     obs = Hashtbl.create 16;
     chosen = Hashtbl.create 16;
+    extents = Adm.String_tbl.create 16;
   }
 
 let store t = t.store
@@ -190,9 +206,12 @@ let revalidate_stale ?(head_budget = max_int) ?(admit_head = fun () -> true)
     ?(charge_get = fun () -> ()) t (schemes : string list) =
   let now = Matview.now t.store in
   let stale = ref [] in
-  Matview.iter_entries t.store (fun ~scheme ~url ~access_date ->
-      if List.mem scheme schemes && now - access_date > t.max_age then
-        stale := (access_date, scheme, url) :: !stale);
+  List.iter
+    (fun scheme ->
+      Matview.iter_scheme t.store scheme (fun ~url ~access_date ->
+          if now - access_date > t.max_age then
+            stale := (access_date, scheme, url) :: !stale))
+    schemes;
   let ordered =
     List.sort
       (fun (d1, s1, u1) (d2, s2, u2) ->
@@ -233,42 +252,78 @@ let revalidate_stale ?(head_budget = max_int) ?(admit_head = fun () -> true)
     (Matview.revalidate_batch t.store (List.rev !admitted));
   (heads, !gets)
 
+(* Every scheme whose pages the navigation reads — calls included —
+   so the extent's tag covers every tuple its evaluation can touch. *)
+let read_schemes (e : Nalg.expr) =
+  Nalg.fold
+    (fun acc e ->
+      match e with
+      | Nalg.Entry { scheme; _ } | Nalg.Follow { scheme; _ } -> scheme :: acc
+      | Nalg.Call { c_scheme; _ } -> c_scheme :: acc
+      | _ -> acc)
+    [] e
+  |> List.sort_uniq String.compare
+
+let extent_of t view =
+  match Adm.String_tbl.find_opt t.extents view with
+  | Some x -> Some x
+  | None ->
+    let compiled =
+      Option.bind (find_view t view) (fun rel ->
+          Option.bind (first_nav rel) (fun nav ->
+              Option.map
+                (fun projected ->
+                  {
+                    attrs = rel.View.rel_attrs;
+                    plan = Nalg.project projected nav.View.nav_expr;
+                    schemes = nav_schemes nav;
+                    reads = read_schemes nav.View.nav_expr;
+                    tag = None;
+                    rows = [||];
+                    pages = 0;
+                  })
+                (plan_attrs rel nav)))
+    in
+    Option.iter (Adm.String_tbl.replace t.extents view) compiled;
+    compiled
+
 let scan ?head_budget ?admit_head ?charge_get t ~view :
     Exec.view_answer option =
-  match find_view t view with
+  match extent_of t view with
   | None -> None
-  | Some rel -> (
-    match first_nav rel with
-    | None -> None
-    | Some nav -> (
-      match plan_attrs rel nav with
-      | None -> None
-      | Some attrs ->
-        let head_budget =
-          match head_budget with Some b -> b | None -> t.head_budget
-        in
-        let heads, gets =
-          revalidate_stale ~head_budget ?admit_head ?charge_get t
-            (nav_schemes nav)
-        in
-        (* Serve from the store without further connections: the
-           budgeted pass above is this scan's freshness work, and what
-           it could not afford is accepted obsolescence (the cost
-           model already priced that staleness in). *)
-        let before = (Matview.counters t.store).Matview.local_hits in
-        let result =
-          Matview.query ~max_age:max_int t.store
-            (Nalg.project attrs nav.View.nav_expr)
-        in
-        let pages = (Matview.counters t.store).Matview.local_hits - before in
-        Some
-          {
-            Exec.va_attrs = rel.View.rel_attrs;
-            va_rows = Array.of_list (Adm.Relation.rows_arrays result);
-            va_heads = heads;
-            va_gets = gets;
-            va_pages = max 0 pages;
-          }))
+  | Some x ->
+    let head_budget =
+      match head_budget with Some b -> b | None -> t.head_budget
+    in
+    let heads, gets =
+      revalidate_stale ~head_budget ?admit_head ?charge_get t x.schemes
+    in
+    (* Serve from the stored tuples without further connections: the
+       budgeted pass above is this scan's whole wire work, and what it
+       could not afford is accepted obsolescence (the cost model
+       already priced that staleness in). While no tuple under the
+       view was added, replaced or removed since the extent was
+       evaluated, it is the evaluation's answer: reuse it, counting
+       its pages as local hits as a re-evaluation would. *)
+    let tag = List.map (Matview.tuple_version t.store) x.reads in
+    if x.tag = Some tag then begin
+      let c = Matview.counters t.store in
+      c.Matview.local_hits <- c.Matview.local_hits + x.pages
+    end
+    else begin
+      let result, pages = Matview.eval_stored t.store x.plan in
+      x.rows <- Array.of_list (Adm.Relation.rows_arrays result);
+      x.pages <- pages;
+      x.tag <- Some tag
+    end;
+    Some
+      {
+        Exec.va_attrs = x.attrs;
+        va_rows = x.rows;
+        va_heads = heads;
+        va_gets = gets;
+        va_pages = x.pages;
+      }
 
 let answerer ?head_budget ?admit_head ?charge_get t : Exec.views =
   {

@@ -38,10 +38,19 @@ val answerer :
 (** The executor's view of the store. A scan revalidates the stalest
     pages under the view oldest-first — at most [head_budget] HEADs
     (default: the store-wide budget), each gated by [admit_head] (the
-    churn runtime's wire budget) — then answers entirely from local
-    tuples; [charge_get] fires for each revalidation that had to
-    re-download. Staleness beyond the budget is accepted obsolescence:
-    the cost model already priced it. *)
+    churn runtime's wire budget) — then evaluates the view's
+    navigation over the stored tuples alone: a link whose target is
+    not stored is skipped, so the revalidation pass is the scan's
+    whole wire work ([va_heads + va_gets] requests). [charge_get]
+    fires for each revalidation that had to re-download. Staleness
+    beyond the budget is accepted obsolescence: the cost model already
+    priced it.
+
+    Each view keeps one extent — its rows and stored-page count —
+    tagged with the {!Matview.tuple_version}s of the schemes its
+    navigation reads. While those match, a scan reuses the extent
+    instead of re-evaluating, and adds its page count to the store's
+    [local_hits] as the evaluation would. *)
 
 val scan :
   ?head_budget:int -> ?admit_head:(unit -> bool) -> ?charge_get:(unit -> unit) ->

@@ -5,7 +5,11 @@
    Includes the issue's QCheck property: at churn rate 0 the
    maintenance engine performs no GET refreshes and serve results are
    byte-identical to a no-churn run across seeds 7/21/42 and 1 vs 4
-   domains. *)
+   domains. The last block pins the wire accounting (every request
+   paid once, a view scan's only requests its revalidations) and
+   checks the view store's cached extents and the maintenance lane's
+   one-pass selection against the evaluation and the full sort they
+   replace. *)
 
 open Webviews
 
@@ -445,6 +449,245 @@ let prop_rate_zero_is_frozen =
       (* across domain counts everything is byte-identical *)
       && digest_results live = digest_results one_domain)
 
+(* ------------------------------------------------------------------ *)
+(* Wire accounting, the extent cache and the one-pass selection        *)
+(* ------------------------------------------------------------------ *)
+
+(* Churn that deletes and resurrects pages, so view scans meet links
+   whose target the store has dropped. *)
+let deleting = Churn.Profile.make ~rate:0.5 ~tombstone_rate:0.3 ~insert_rate:0.2 ()
+
+(* The churn runtime's pieces driven by hand over the small site: each
+   tick churns the site, lets [mutate] change it and the store further,
+   refills the budget, runs one maintenance slice and scans every
+   registered view through the runtime's budget gates. [on_scan] gets
+   each answer with the wire requests the scan made. *)
+let drive ?(mutate = fun _ _ -> ()) ~seed ~budget ~ticks on_scan =
+  let site = small_university () in
+  let store = Matview.materialize site.schema (Websim.Http.connect site.site) in
+  let vs = Viewstore.create site.schema site.registry store in
+  let traffic =
+    Churn.Traffic.create ~seed
+      ~protect:
+        (List.filter_map Adm.Page_scheme.entry_url (Adm.Schema.entry_points site.schema))
+      ~profile:deleting site.site
+  in
+  let costs = Churn.Budget.default_costs in
+  let b = Churn.Budget.create ~per_turn:budget () in
+  let engine =
+    Churn.Maintain.create ~sla:(Churn.Sla.create ~default_max_age:6 ()) ~budget:b ~costs
+      store
+  in
+  let fetcher = Matview.fetcher store in
+  for _ = 1 to ticks do
+    ignore (Churn.Traffic.tick traffic);
+    mutate site.site store;
+    Churn.Budget.refill b;
+    Churn.Maintain.slice engine ~relevant:(fun _ -> true);
+    List.iter
+      (fun (rel : View.relation) ->
+        let before = Websim.Fetcher.report fetcher in
+        Option.iter
+          (fun va ->
+            let wire =
+              Websim.Fetcher.report_diff ~before ~after:(Websim.Fetcher.report fetcher)
+            in
+            on_scan ~store ~rel ~wire va)
+          (Viewstore.scan
+             ~admit_head:(fun () -> Churn.Budget.admit b costs.Churn.Budget.head)
+             ~charge_get:(fun () -> Churn.Budget.force b costs.Churn.Budget.get)
+             vs ~view:rel.View.rel_name))
+      site.registry
+  done
+
+(* Every wire request of a churn run is paid for exactly once: the
+   budget spent is the wire HEADs and GETs at their unit costs, and a
+   view scan's only requests are its budgeted revalidations. *)
+let test_runtime_wire_charged_once () =
+  let costs = Churn.Budget.default_costs in
+  let deletes = ref 0 and scan_heads = ref 0 in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun budget ->
+          let label what = Fmt.str "seed %d, budget %.0f: %s" seed budget what in
+          let cfg =
+            Churn.Runtime.config ~profile:deleting ~churn_seed:seed
+              ~sla:(Churn.Sla.create ~default_max_age:6 ())
+              ~budget_per_turn:budget ()
+          in
+          let rep =
+            run_on ~sched:(Server.Sched.config ~concurrency:4 ~quantum:1 ()) cfg
+              (small_university ())
+              (Server.Workload.generate ~seed ~n:96 ())
+          in
+          let w = rep.Churn.Runtime.wire in
+          deletes := !deletes + List.assoc Churn.Traffic.Delete rep.Churn.Runtime.mutations;
+          check (Alcotest.float 0.0)
+            (label (Fmt.str "%d HEADs and %d GETs paid once" w.Websim.Fetcher.heads
+                      w.Websim.Fetcher.gets))
+            ((float_of_int w.Websim.Fetcher.heads *. costs.Churn.Budget.head)
+            +. (float_of_int w.Websim.Fetcher.gets *. costs.Churn.Budget.get))
+            rep.Churn.Runtime.budget_spent;
+          drive ~seed ~budget ~ticks:60 (fun ~store:_ ~rel ~wire va ->
+              scan_heads := !scan_heads + va.Exec.va_heads;
+              check int_t
+                (label (rel.View.rel_name ^ " scan: wire = its revalidations"))
+                (va.Exec.va_heads + va.Exec.va_gets)
+                (wire.Websim.Fetcher.heads + wire.Websim.Fetcher.gets)))
+        [ 2.0; 4.0; 8.0 ])
+    [ 7; 21; 42 ];
+  check bool_t "pages were deleted" true (!deletes > 0);
+  check bool_t "view scans revalidated" true (!scan_heads > 0)
+
+(* The view over the stored tuples, evaluated without the view store:
+   its rows and the stored pages it read. *)
+let evaluate_stored store (rel : View.relation) =
+  let nav = List.hd rel.View.navigations in
+  let attrs = List.map (fun a -> List.assoc a nav.View.bindings) rel.View.rel_attrs in
+  let pages = ref 0 in
+  let fetch ~scheme ~url =
+    let tuple = Matview.stored_tuple store ~scheme ~url in
+    if Option.is_some tuple then incr pages;
+    tuple
+  in
+  let result =
+    Eval.eval schema
+      { Eval.fetch; prefetch = (fun ~scheme:_ _ -> ()); window = 32 }
+      (Nalg.project attrs nav.View.nav_expr)
+  in
+  (Array.of_list (Adm.Relation.rows_arrays result), !pages)
+
+(* Traffic leaves extracted attributes alone and never re-adds a page
+   to the store, so the property also changes tuples: a page takes the
+   body of another page of its scheme (maintenance re-downloads it once
+   its HEAD shows the change), and a page the store lacks is
+   downloaded, as a query discovering it would. *)
+let rewrite_and_discover rand =
+  let scheme_of = Hashtbl.create 64 in
+  fun site store ->
+    let stored = ref [] in
+    Matview.iter_entries store (fun ~scheme ~url ~access_date:_ ->
+        Hashtbl.replace scheme_of url scheme;
+        stored := (scheme, url) :: !stored);
+    let stored = Array.of_list (List.sort compare !stored) in
+    let pick () = stored.(Random.State.int rand (Array.length stored)) in
+    if Array.length stored > 1 && Random.State.int rand 3 = 0 then begin
+      let scheme, url = pick () and scheme', url' = pick () in
+      match Websim.Site.find site url' with
+      | Some page when String.equal scheme scheme' ->
+        Websim.Site.put site ~url ~body:page.Websim.Site.body
+      | _ -> ()
+    end;
+    let missing =
+      List.filter_map
+        (fun url ->
+          match Hashtbl.find_opt scheme_of url with
+          | Some scheme when Matview.stored_tuple store ~scheme ~url = None ->
+            Some (scheme, url)
+          | _ -> None)
+        (Websim.Site.urls site)
+    in
+    if missing <> [] && Random.State.int rand 3 = 0 then begin
+      let scheme, url = List.nth missing (Random.State.int rand (List.length missing)) in
+      ignore (Matview.download_entry store ~scheme ~url)
+    end
+
+let prop_extent_is_reevaluation seed =
+  QCheck.Test.make
+    ~name:(Fmt.str "view scans, seed %d: cached extent = re-evaluation" seed)
+    ~count:4
+    QCheck.(triple (int_range 1 12) (int_range 10 40) (int_bound 1_000_000))
+    (fun (budget, ticks, mutation_seed) ->
+      let scans = ref 0 in
+      let rand = Random.State.make [| mutation_seed |] in
+      drive ~mutate:(rewrite_and_discover rand) ~seed ~budget:(float_of_int budget) ~ticks
+        (fun ~store ~rel ~wire:_ va ->
+          incr scans;
+          let rows, pages = evaluate_stored store rel in
+          if va.Exec.va_rows <> rows || va.Exec.va_pages <> pages then
+            QCheck.Test.fail_reportf "%s after %d scans: %d rows / %d pages, re-evaluation %d / %d"
+              rel.View.rel_name !scans (Array.length va.Exec.va_rows) va.Exec.va_pages
+              (Array.length rows) pages);
+      !scans > 0)
+
+(* The full sort the one-pass selection replaced: every entry over the
+   debt threshold in (relevance, debt, scheme, url) order, cut to the
+   first [k]. *)
+let full_sort_candidates store sla ~threshold ~k ~relevant =
+  let now = Matview.now store in
+  let acc = ref [] in
+  Matview.iter_entries store (fun ~scheme ~url ~access_date ->
+      let age = now - access_date in
+      let max_age = Churn.Sla.max_age sla ~scheme in
+      let debt =
+        if max_age <= 0 then float_of_int age
+        else float_of_int age /. float_of_int max_age
+      in
+      if debt >= threshold then acc := (relevant scheme, debt, scheme, url) :: !acc);
+  List.sort
+    (fun (r1, d1, s1, u1) (r2, d2, s2, u2) ->
+      match Bool.compare r2 r1 with
+      | 0 -> (
+        match Float.compare d2 d1 with
+        | 0 -> ( match String.compare s1 s2 with 0 -> String.compare u1 u2 | c -> c)
+        | c -> c)
+      | c -> c)
+    !acc
+  |> List.filteri (fun i _ -> i < k)
+  |> List.map (fun (_, _, scheme, url) -> (scheme, url))
+
+(* A store whose entries carry varied access dates: the clock moves
+   on, random entries get revalidated (their date jumps to now), and
+   some of them are deleted first (the 404 drops the entry). *)
+let random_store rand =
+  let site = small_university () in
+  let store = Matview.materialize site.schema (Websim.Http.connect site.site) in
+  for _ = 1 to Random.State.int rand 60 do
+    Websim.Site.tick ~by:(Random.State.int rand 4) site.site;
+    let entries = ref [] in
+    Matview.iter_entries store (fun ~scheme ~url ~access_date:_ ->
+        entries := (scheme, url) :: !entries);
+    let entries = List.sort compare !entries in
+    if entries <> [] then begin
+      let scheme, url = List.nth entries (Random.State.int rand (List.length entries)) in
+      if Random.State.int rand 8 = 0 then Websim.Site.delete site.site url;
+      ignore (Matview.revalidate store ~scheme ~url)
+    end
+  done;
+  store
+
+let prop_candidates_are_full_sort_prefix =
+  QCheck.Test.make ~name:"maintain: one-pass candidates = first k of the full sort"
+    ~count:60
+    QCheck.(
+      quad (int_bound 1_000_000) (int_range 0 8)
+        (make ~print:string_of_float Gen.(oneofl [ 0.0; 0.5; 1.0; 2.0 ]))
+        (int_bound 1_000_000))
+    (fun (store_seed, k, threshold, map_seed) ->
+      let store = random_store (Random.State.make [| store_seed |]) in
+      let rand = Random.State.make [| map_seed |] in
+      let schemes = List.sort String.compare (Matview.schemes store) in
+      let relevant_set = List.filter (fun _ -> Random.State.bool rand) schemes in
+      let relevant scheme = List.mem scheme relevant_set in
+      let sla =
+        Churn.Sla.create ~default_max_age:(Random.State.int rand 8)
+          ~per_view:
+            (List.filter_map
+               (fun scheme ->
+                 if Random.State.bool rand then Some (scheme, Random.State.int rand 8)
+                 else None)
+               schemes)
+          ()
+      in
+      let engine =
+        Churn.Maintain.create
+          ~config:(Churn.Maintain.config ~max_actions_per_slice:k ~debt_threshold:threshold ())
+          ~sla ~budget:(Churn.Budget.unlimited ()) ~costs:Churn.Budget.default_costs store
+      in
+      Churn.Maintain.candidates engine ~relevant
+      = full_sort_candidates store sla ~threshold ~k ~relevant)
+
 let suite =
   ( "churn",
     [
@@ -481,4 +724,15 @@ let suite =
         test_runtime_reads_skip_the_tuple_tier;
       Alcotest.test_case "runtime: view scans reach the SLA observer" `Quick
         test_runtime_view_scans_observed;
-    ] )
+      Alcotest.test_case "runtime: every wire request charged once (seeds 7/21/42, budgets 2/4/8)"
+        `Quick test_runtime_wire_charged_once;
+    ]
+    @ List.map
+        (fun seed ->
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+            (prop_extent_is_reevaluation seed))
+        [ 7; 21; 42 ]
+    @ [
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |])
+          prop_candidates_are_full_sort_prefix;
+      ] )
