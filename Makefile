@@ -56,7 +56,7 @@ bench:
 	dune exec bench/main.exe -- all
 
 # Microbenchmarks of the in-memory relational kernel (equi_join,
-# distinct, unnest, nest at 1k/10k/100k rows). Writes BENCH_kernel.json
+# distinct, unnest at 1k/10k/100k rows). Writes BENCH_kernel.json
 # in the current directory; commit it so the perf trajectory is
 # tracked across PRs.
 bench-kernel:

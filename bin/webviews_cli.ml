@@ -226,12 +226,11 @@ let explain_cmd =
       let http = Websim.Http.connect loaded.site in
       let config = Websim.Fetcher.config ~window () in
       let fetcher = Websim.Fetcher.create ~config http in
-      let source = Eval.fetcher_source loaded.schema fetcher in
-      let _result, metrics =
-        Exec.run_metrics
-          ?views:(Option.map Viewstore.answerer vs)
-          loaded.schema source plan
+      let source =
+        { (Eval.fetcher_source loaded.schema fetcher) with
+          views = Option.map Viewstore.answerer vs }
       in
+      let _result, metrics = Exec.run_metrics loaded.schema source plan in
       Fmt.pr "%a@." (Explain.pp_physical ~metrics ()) plan
     end
     else Fmt.pr "%a@." (Explain.pp_annotated ?views:econ loaded.schema stats) best
@@ -267,15 +266,15 @@ let query_cmd =
     let stats = Sites.stats loaded in
     let vs = if use_views then Some (Sites.viewstore loaded) else None in
     let http = Websim.Http.connect loaded.site in
-    let source = Eval.live_source loaded.schema http in
+    let source =
+      { (Eval.live_source loaded.schema http) with views = Option.map Viewstore.answerer vs }
+    in
     let outcome =
       plan_query ?cap ?views:(Option.map Viewstore.context vs) loaded stats sql
     in
     let result =
       Planner.rename_output outcome
-        (Eval.eval
-           ?views:(Option.map Viewstore.answerer vs)
-           loaded.schema source outcome.Planner.best.Planner.expr)
+        (Eval.eval loaded.schema source outcome.Planner.best.Planner.expr)
     in
     Fmt.pr "%a@." Explain.pp_outcome outcome;
     Fmt.pr "plan (cost %.2f):@.%a@.@." outcome.Planner.best.Planner.cost Nalg.pp_plan
@@ -986,16 +985,21 @@ let serve_cmd =
           ?netmodel
           (Websim.Http.connect loaded.site)
       in
-      let stale =
+      let source_for =
         if use_stale then
-          Some (Matview.materialize loaded.schema (Websim.Http.connect loaded.site))
+          let stale = Matview.materialize loaded.schema (Websim.Http.connect loaded.site) in
+          Some
+            (fun (spec : Server.Sched.spec) ->
+              Some
+                (Server.Shared_cache.source ~stale cache ~query:spec.Server.Sched.qid
+                   loaded.schema))
         else None
       in
       let config =
         Server.Sched.config ~concurrency ~quantum ~policy
           ~max_resident_rows:max_resident ~domains ()
       in
-      let report = Server.Sched.run ?stale config cache loaded.schema specs in
+      let report = Server.Sched.run ?source_for config cache loaded.schema specs in
       Option.iter Server.Pool.shutdown pool;
       if json then Fmt.pr "%s@." (json_of_sched_report report)
       else begin

@@ -140,12 +140,6 @@ let link_paths ps =
   in
   walk [] (List.map (fun (d : attr_decl) -> (d.name, d.ty)) ps.attrs)
 
-(* Top-level multi-valued attributes (the ones unnest can reach first). *)
-let list_attrs ps =
-  List.filter_map
-    (fun (d : attr_decl) -> match d.ty with Webtype.List _ -> Some d.name | _ -> None)
-    ps.attrs
-
 let is_optional_path ps path =
   (* Only top-level optionality is tracked; nested attributes inherit
      their list's presence. *)

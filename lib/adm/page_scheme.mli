@@ -67,7 +67,6 @@ val link_paths : t -> (string list * string) list
 (** All link attributes as (dotted path from page root, target
     page-scheme name). *)
 
-val list_attrs : t -> string list
 val is_optional_path : t -> string list -> bool
 
 val is_nonempty_path : t -> string list -> bool

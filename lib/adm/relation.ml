@@ -5,10 +5,10 @@
    slot per header position. Operators resolve each attribute name
    once per call into an integer offset and then index arrays per row,
    so per-row work never scans the header. Set-semantics operators
-   (distinct, union, difference, equi_join, nest) key their hash
-   tables on the row arrays themselves with structural
-   [Value.hash]/[Value.equal] — no string rendering, and no confusion
-   between values of different types that print alike.
+   (distinct, equi_join) key their hash tables on the row arrays
+   themselves with structural [Value.hash]/[Value.equal] — no string
+   rendering, and no confusion between values of different types that
+   print alike.
 
    Invariant: every row has exactly [Array.length header.names] slots,
    in header order (missing values are padded with Null by [make]).
@@ -102,22 +102,6 @@ let of_seq attrs rows =
 
 let to_seq r = List.to_seq r.rows
 
-let row_batches n r =
-  if n <= 0 then invalid_arg "Relation.row_batches: batch size must be positive";
-  let rec take k acc = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: tl -> take (k - 1) (x :: acc) tl
-  in
-  let rec chunks rows () =
-    match rows with
-    | [] -> Seq.Nil
-    | _ ->
-      let batch, rest = take n [] rows in
-      Seq.Cons (batch, chunks rest)
-  in
-  chunks r.rows
-
 let attrs r = Array.to_list r.header.names
 let rows r = List.map (row_to_tuple r.header) r.rows
 let rows_arrays r = r.rows
@@ -156,13 +140,6 @@ end
 
 module Row_tbl = Hashtbl.Make (Row_key)
 
-module Value_tbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
 let distinct r =
   let seen = Row_tbl.create (max 16 (List.length r.rows)) in
   let keep row =
@@ -180,32 +157,11 @@ let project ?(distinct_rows = true) names r =
   let projected = { header = header_of_names names; rows = List.map take r.rows } in
   if distinct_rows then distinct projected else projected
 
-let select pred r =
-  { r with rows = List.filter (fun row -> pred (row_to_tuple r.header row)) r.rows }
-
 let filter_rows pred r = { r with rows = List.filter pred r.rows }
 
-(* Renamings touch only the header: rows are positional and shared. *)
-
-let rename_attr ~from ~into r =
-  check_attr r from;
-  let rename a = if String.equal a from then into else a in
-  { r with header = header_of_names (List.map rename (attrs r)) }
-
+(* Renaming touches only the header: rows are positional and shared. *)
 let prefix_attrs prefix r =
   { r with header = header_of_names (List.map (fun a -> prefix ^ "." ^ a) (attrs r)) }
-
-let union r1 r2 =
-  if not (headers_equal r1.header r2.header) then
-    invalid_arg "Relation.union: incompatible headers";
-  distinct { r1 with rows = r1.rows @ r2.rows }
-
-let difference r1 r2 =
-  if not (headers_equal r1.header r2.header) then
-    invalid_arg "Relation.difference: incompatible headers";
-  let seen = Row_tbl.create (max 16 (List.length r2.rows)) in
-  List.iter (fun row -> Row_tbl.replace seen row ()) r2.rows;
-  { r1 with rows = List.filter (fun row -> not (Row_tbl.mem seen row)) r1.rows }
 
 (* Hash equi-join on pairs of attributes [(a1, a2)] where [a1] belongs
    to the left input and [a2] to the right. Output header is left
@@ -256,20 +212,6 @@ let equi_join keys r1 r2 =
     attrs r1 @ List.map (fun i -> r2.header.names.(i)) (Array.to_list keep2)
   in
   { header = header_of_names out_names; rows = List.concat_map extend r1.rows }
-
-let cross r1 r2 =
-  Array.iter
-    (fun a ->
-      if has_attr r1 a then
-        invalid_arg (Fmt.str "Relation.cross: ambiguous attribute %S" a))
-    r2.header.names;
-  {
-    header = header_of_names (attrs r1 @ attrs r2);
-    rows =
-      List.concat_map
-        (fun row1 -> List.map (fun row2 -> Array.append row1 row2) r2.rows)
-        r1.rows;
-  }
 
 (* Unnest a multi-valued attribute: the nested tuples' local attribute
    names are qualified with the full path of the nested attribute.
@@ -347,61 +289,6 @@ let unnest ?(expect = []) attr r =
     @ List.rev !inner_names
   in
   { header = header_of_names names; rows = List.concat_map expand r.rows }
-
-(* Nest — the inverse of unnest (the ν operator): all attributes
-   prefixed by [into ^ "."] are folded back into a multi-valued
-   attribute [into], grouping on the remaining attributes. Restores
-   Partitioned Normal Form after an unnest (up to row order; rows
-   whose nested list was empty cannot be recovered, as usual). *)
-let nest ~into r =
-  let prefix = into ^ "." in
-  let plen = String.length prefix in
-  let is_nested a = String.length a > plen && String.sub a 0 plen = prefix in
-  let nested = ref [] and outer = ref [] in
-  Array.iteri
-    (fun i a ->
-      if is_nested a then
-        nested := (i, String.sub a plen (String.length a - plen)) :: !nested
-      else outer := i :: !outer)
-    r.header.names;
-  let nested = Array.of_list (List.rev !nested) in
-  if Array.length nested = 0 then invalid_arg "Relation.nest: no attributes to nest";
-  let outer_offs = Array.of_list (List.rev !outer) in
-  let inner_tuple row =
-    Array.to_list (Array.map (fun (i, local) -> (local, row.(i))) nested)
-  in
-  let groups : Value.tuple list ref Row_tbl.t = Row_tbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun row ->
-      let key = Array.map (fun i -> row.(i)) outer_offs in
-      match Row_tbl.find_opt groups key with
-      | Some bucket -> bucket := inner_tuple row :: !bucket
-      | None ->
-        Row_tbl.add groups key (ref [ inner_tuple row ]);
-        order := key :: !order)
-    r.rows;
-  let n_outer = Array.length outer_offs in
-  let rows =
-    List.rev_map
-      (fun key ->
-        let bucket = Row_tbl.find groups key in
-        let out = Array.make (n_outer + 1) Value.Null in
-        Array.blit key 0 out 0 n_outer;
-        out.(n_outer) <- Value.Rows (List.rev !bucket);
-        out)
-      !order
-  in
-  let names =
-    Array.to_list (Array.map (fun i -> r.header.names.(i)) outer_offs) @ [ into ]
-  in
-  { header = header_of_names names; rows }
-
-let distinct_count attr r =
-  let off = offset_exn r attr in
-  let seen = Value_tbl.create 64 in
-  List.iter (fun row -> Value_tbl.replace seen row.(off) ()) r.rows;
-  Value_tbl.length seen
 
 let column attr r =
   let off = offset_exn r attr in

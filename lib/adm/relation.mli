@@ -30,11 +30,6 @@ val to_seq : t -> row Seq.t
 (** The positional rows as a sequence, in relation order. Shared with
     the relation: do not mutate the arrays. *)
 
-val row_batches : int -> t -> row list Seq.t
-(** [row_batches n r] chops the rows of [r] into consecutive batches
-    of at most [n] rows (the last may be shorter) — the batch view a
-    pull-based operator consumes. Raises on [n <= 0]. *)
-
 module Row_tbl : Hashtbl.S with type key = row
 (** Hash tables keyed on rows (or key sub-rows), hashed and compared
     structurally with {!Value.hash}/{!Value.equal} — the same tables
@@ -61,25 +56,15 @@ val offset_opt : t -> string -> int option
 val distinct : t -> t
 val project : ?distinct_rows:bool -> string list -> t -> t
 
-val select : (Value.tuple -> bool) -> t -> t
-(** Compatibility selection: converts each row to a tuple before
-    applying the predicate. Hot paths should compile the predicate to
-    offsets and use {!filter_rows}. *)
-
 val filter_rows : (row -> bool) -> t -> t
 (** Positional selection: no per-row conversion. *)
 
-val rename_attr : from:string -> into:string -> t -> t
 val prefix_attrs : string -> t -> t
-val union : t -> t -> t
-val difference : t -> t -> t
 
 val equi_join : (string * string) list -> t -> t -> t
 (** [equi_join [(a1, b1); ...] r1 r2] hash-joins [r1] and [r2] on the
     given attribute pairs (left attribute, right attribute). Null keys
     never match. *)
-
-val cross : t -> t -> t
 
 val unnest : ?expect:string list -> string -> t -> t
 (** [unnest l r] unnests multi-valued attribute [l]; nested attributes
@@ -87,13 +72,6 @@ val unnest : ?expect:string list -> string -> t -> t
     [expect] lists inner attribute names to keep in the header even
     when the input is empty. *)
 
-val nest : into:string -> t -> t
-(** The ν operator, inverse of {!unnest}: folds every attribute
-    prefixed by [into ^ "."] back into multi-valued attribute [into],
-    grouping on the remaining attributes. Rows whose nested list was
-    empty are not recovered (standard nest/unnest asymmetry). *)
-
-val distinct_count : string -> t -> int
 val column : string -> t -> Value.t list
 val compare_rows : row -> row -> int
 val sort_rows : t -> t

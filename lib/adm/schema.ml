@@ -75,15 +75,6 @@ let all_link_paths s =
         (Page_scheme.link_paths ps))
     s.schemes
 
-(* Supersets of a link path under the inclusion closure (excluding the
-   path itself): candidate broader navigations to the same target. *)
-let supersets_of s (link : Constraints.path) =
-  List.filter
-    (fun (p, _) ->
-      (not (Constraints.path_equal p link))
-      && inclusion_holds s ~sub:link ~sup:p)
-    (all_link_paths s)
-
 (* Well-formedness: every path in every constraint resolves, link
    constraints live on actual link attributes and bind mono-valued
    attributes, inclusions relate links with the same target. Returns

@@ -32,7 +32,6 @@ val inclusion_holds : t -> sub:Constraints.path -> sup:Constraints.path -> bool
 (** Reflexive-transitive closure of the declared inclusions. *)
 
 val all_link_paths : t -> (Constraints.path * string) list
-val supersets_of : t -> Constraints.path -> (Constraints.path * string) list
 
 val validate : t -> string list
 (** Well-formedness problems of the scheme itself (empty = valid). *)

@@ -161,7 +161,6 @@ let as_int = function
   | Null | Bool _ | Link _ | Rows _ -> None
 
 let as_link = function Link u -> Some (Atom.str u) | _ -> None
-let as_rows = function Rows r -> Some r | _ -> None
 
 (* Tuple helpers. Attribute lookup is by exact name. *)
 

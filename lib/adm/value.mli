@@ -74,7 +74,6 @@ val rows : tuple list -> t
 val as_text : t -> string option
 val as_int : t -> int option
 val as_link : t -> string option
-val as_rows : t -> tuple list option
 
 (** Tuple helpers. *)
 

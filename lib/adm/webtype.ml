@@ -21,7 +21,6 @@ let to_string ty = Fmt.str "%a" pp ty
 
 let is_mono = function Text | Int | Image | Link _ -> true | List _ -> false
 let is_multi ty = not (is_mono ty)
-let is_link = function Link _ -> true | Text | Int | Image | List _ -> false
 
 let link_target = function Link p -> Some p | Text | Int | Image | List _ -> None
 

@@ -13,7 +13,6 @@ val to_string : t -> string
 
 val is_mono : t -> bool
 val is_multi : t -> bool
-val is_link : t -> bool
 val link_target : t -> string option
 
 val equal : t -> t -> bool

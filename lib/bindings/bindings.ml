@@ -49,34 +49,6 @@ let path_view ?(unnest = []) ?(outputs = []) ~name ~scheme ~inputs () =
   { pv_name = name; pv_scheme = scheme; pv_inputs = inputs;
     pv_unnest = unnest; pv_outputs = outputs }
 
-(* ------------------------------------------------------------------ *)
-(* Derivation from a schema                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* One path view per parameterized page-scheme: inputs are the param
-   names, outputs its mono-valued attributes under their own names.
-   Richer views (nested unnests, renamed vocabulary) are declared by
-   hand next to the site. *)
-let of_schema (schema : Adm.Schema.t) : path_view list =
-  List.filter_map
-    (fun ps ->
-      if not (Adm.Page_scheme.is_parameterized ps) then None
-      else
-        let name = Adm.Page_scheme.name ps in
-        let inputs =
-          List.map (fun p -> p.Adm.Page_scheme.p_name) (Adm.Page_scheme.params ps)
-        in
-        let outputs =
-          List.filter_map
-            (fun (d : Adm.Page_scheme.attr_decl) ->
-              if Adm.Webtype.is_mono d.Adm.Page_scheme.ty then
-                Some (d.Adm.Page_scheme.name, d.Adm.Page_scheme.name)
-              else None)
-            (Adm.Page_scheme.attrs ps)
-        in
-        Some (path_view ~name ~scheme:name ~inputs ~outputs ()))
-    (Adm.Schema.schemes schema)
-
 (* Synthetic decoy views for scaling experiments: a vocabulary of
    [width] synthetic entity names, and [n] one-step services chaining
    them (view i maps one synthetic name to another; a [hooks] fraction
@@ -460,10 +432,3 @@ let lint ?max_states (t : config) (schema : Adm.Schema.t) (q : Conjunctive.t) :
           (List.length t.views) r.explored
           (if r.truncated then ", truncated" else "");
       ]
-
-let pp_path_view ppf pv =
-  Fmt.pf ppf "%s: %s(%a) -> %a" pv.pv_name pv.pv_scheme
-    Fmt.(list ~sep:comma string)
-    pv.pv_inputs
-    Fmt.(list ~sep:comma (fun ppf (n, a) -> Fmt.pf ppf "%s:=%s" n a))
-    pv.pv_outputs

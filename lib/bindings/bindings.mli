@@ -33,10 +33,6 @@ val path_view :
   ?outputs:(string * string) list ->
   name:string -> scheme:string -> inputs:string list -> unit -> path_view
 
-val of_schema : Adm.Schema.t -> path_view list
-(** One path view per parameterized page-scheme: inputs are its param
-    names, outputs its mono-valued attributes under their own names. *)
-
 val decoys :
   ?width:int -> ?hooks:string list -> seed:int -> n:int -> unit ->
   path_view list
@@ -88,5 +84,3 @@ val lint :
 (** [E0111] when the vocabulary covers the query but no executable
     composition answers it; empty when a rewriting exists or the
     query is outside the vocabulary. *)
-
-val pp_path_view : path_view Fmt.t

@@ -75,8 +75,8 @@ let run ?(sched = Server.Sched.default_config) ?pool ?bindings (cfg : config)
   let fetcher =
     Websim.Fetcher.create ~config:(Websim.Fetcher.config ~cache_capacity:0 ()) http
   in
-  (* The scheduler's shared cache carries the fetch engine and the
-     view answerer only: every read goes through [source_for] below,
+  (* The scheduler's shared cache carries the fetch engine only:
+     every read, view scans included, goes through [source_for] below,
      so its tuple tier stays empty and needs no invalidation. *)
   let cache = Server.Shared_cache.wrap ?pool fetcher in
   let store = Webviews.Matview.materialize ~fetcher schema http in
@@ -204,17 +204,15 @@ let run ?(sched = Server.Sched.default_config) ?pool ?bindings (cfg : config)
   in
   let source_for (spec : Server.Sched.spec) =
     let obs = obs_for spec.Server.Sched.qid in
-    (* The scheduler starts the query's plan against the cache's view
-       answerer right after asking for its source: attaching a
-       per-query answerer here routes this query's view scans into its
-       own observation. *)
-    if cfg.policy = Incremental then
-      Server.Shared_cache.attach_views cache vs ~answerer:(scan_answerer obs);
+    (* The query's view scans go through its own answerer, so they feed
+       this query's observation; only the incremental policy plans
+       view scans at all. *)
     Some
       {
         Webviews.Eval.fetch = (fun ~scheme ~url -> churn_fetch obs ~scheme ~url);
         prefetch = (fun ~scheme:_ _ -> ()) (* freshness work is per-entry *);
         window = 32;
+        views = (if cfg.policy = Incremental then Some (scan_answerer obs) else None);
       }
   in
   (* ---- the churn hook: one turn = one site tick ---- *)

@@ -62,8 +62,6 @@ type tableau = {
   unsat : bool;
 }
 
-let tableau_unsat t = t.unsat
-
 (* ------------------------------------------------------------------ *)
 (* Constraint engine: union-find over terms with per-class constants  *)
 (* ------------------------------------------------------------------ *)

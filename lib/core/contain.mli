@@ -70,8 +70,6 @@ val of_expr : Nalg.expr -> tableau option
     output list: {!contains} cannot relate them and {!plan_key} falls
     back to the structural key. *)
 
-val tableau_unsat : tableau -> bool
-
 val unsat_expr : Nalg.expr -> bool
 (** Static emptiness: the plan provably returns no rows on every
     instance (conflicting constant bindings, empty ranges, or an

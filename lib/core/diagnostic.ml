@@ -51,7 +51,6 @@ let pp ppf d =
   Fmt.pf ppf "%a[%s]%a: %s" pp_severity d.severity d.code pp_path d.path
     d.message
 
-let pp_list ppf ds = Fmt.(list ~sep:cut pp) ppf ds
 let to_string d = Fmt.str "%a" pp d
 
 let summary ds =

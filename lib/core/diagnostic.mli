@@ -37,7 +37,6 @@ val pp_severity : severity Fmt.t
 val pp : t Fmt.t
 (** Renders as [error[E0104] at select/unnest: message]. *)
 
-val pp_list : t list Fmt.t
 val to_string : t -> string
 
 val summary : t list -> string

@@ -56,9 +56,6 @@ let where atoms nav =
 
 let where_eq name value nav = where [ Pred.eq_const name value ] nav
 
-let where_cmp name cmp value nav =
-  where [ Pred.atom (Pred.Attr name) cmp (Pred.Const value) ] nav
-
 (* π over cursor-relative (or fully-qualified) names. *)
 let keep names nav =
   { nav with expr = Nalg.project (List.map (resolve nav) names) nav.expr }

@@ -26,7 +26,6 @@ val where : Pred.atom list -> t -> t
 (** σ; attribute names may be cursor-relative. *)
 
 val where_eq : string -> Adm.Value.t -> t -> t
-val where_cmp : string -> Pred.cmp -> Adm.Value.t -> t -> t
 
 val keep : string list -> t -> t
 (** π over cursor-relative (or fully-qualified) names. *)

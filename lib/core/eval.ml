@@ -2,13 +2,15 @@
 
    Pages are obtained through a page source, which abstracts where
    tuples come from: the live site over (simulated) HTTP, or the local
-   materialized store of Section 8. Evaluation is lower-then-run: the
-   logical tree is compiled by {!Physplan.lower} into a streaming plan
-   and executed by {!Exec.run} with pull-based cursors. Lowering is
-   total on well-typed expressions, so there is one evaluator on the
-   production path. [eval_legacy], the original relation-at-a-time
-   interpreter, has no production caller: it is kept only as the
-   differential-testing oracle. *)
+   materialized store of Section 8. The same record carries the
+   answerer for view scans when the plan may read a registered view.
+   Evaluation is lower-then-run: the logical tree is compiled by
+   {!Physplan.lower} into a streaming plan and executed by {!Exec.run}
+   with pull-based cursors. Lowering is total on well-typed
+   expressions, so there is one evaluator on the production path.
+   [eval_legacy], the original relation-at-a-time interpreter, has no
+   production caller: it is kept only as the differential-testing
+   oracle. *)
 
 exception Not_computable = Physplan.Not_computable
 
@@ -16,6 +18,7 @@ type source = Exec.source = {
   fetch : scheme:string -> url:string -> Adm.Value.tuple option;
   prefetch : scheme:string -> string list -> unit;
   window : int;
+  views : Exec.views option;
 }
 
 (* A source over the resilient fetch engine: pages are downloaded
@@ -35,6 +38,7 @@ let fetcher_source (schema : Adm.Schema.t) (fetcher : Websim.Fetcher.t) =
     fetch;
     prefetch = (fun ~scheme:_ urls -> Websim.Fetcher.prefetch fetcher urls);
     window = Websim.Fetcher.window fetcher;
+    views = None;
   }
 
 (* A live source downloads pages with GET and wraps them. With
@@ -55,6 +59,7 @@ let instance_source (instance : Websim.Crawler.instance) =
     fetch = (fun ~scheme ~url -> Websim.Crawler.tuple_of_url instance ~scheme ~url);
     prefetch = (fun ~scheme:_ _ -> ());
     window = 32;
+    views = None;
   }
 
 let pages_relation = Exec.pages_relation
@@ -189,15 +194,7 @@ let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
 (* Lower-then-run                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let eval ?limit ?views (schema : Adm.Schema.t) (source : source)
-    (e : Nalg.expr) : Adm.Relation.t =
-  let view_attrs =
-    match views with
-    | Some (v : Exec.views) -> v.Exec.view_attrs
-    | None -> fun _ -> None
-  in
-  Exec.run ?limit ?views schema source
-    (Physplan.lower ~view_attrs ~window:source.window schema e)
+let eval ?limit schema source e = Exec.run ?limit schema source (Exec.lower schema source e)
 
 (* Evaluate through the fetch engine and report the merged cost
    ledger: the paper's page accesses and the runtime's fetch work

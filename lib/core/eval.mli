@@ -1,6 +1,8 @@
 (** Evaluation of computable NALG expressions over a {e page source} —
     the live site over HTTP, a crawled instance, or the materialized
-    store of Section 8. Evaluation is lower-then-run: {!Physplan.lower}
+    store of Section 8. A source carries everything a query reads: its
+    pages and, when the plan may scan a registered view, the answerer
+    for those scans. Evaluation is lower-then-run: {!Physplan.lower}
     compiles the logical tree into a streaming physical plan and
     {!Exec.run} executes it with pull-based cursors (same results and
     distinct page accesses as relation-at-a-time evaluation, but
@@ -18,6 +20,9 @@ type source = Exec.source = {
       (** batch hint: a navigation is about to fetch these URLs *)
   window : int;
       (** prefetch window the streaming executor hands to [prefetch] *)
+  views : Exec.views option;
+      (** resolves view scans against a matview store; [None] on every
+          constructor below (extend one with [{ s with views }]) *)
 }
 
 val fetcher_source : Adm.Schema.t -> Websim.Fetcher.t -> source
@@ -40,13 +45,12 @@ val pages_relation :
 (** The page relation of a URL set, attributes qualified by [alias].
     URLs whose page is gone are skipped (dangling links tolerated). *)
 
-val eval :
-  ?limit:int -> ?views:Exec.views -> Adm.Schema.t -> source -> Nalg.expr ->
-  Adm.Relation.t
+val eval : ?limit:int -> Adm.Schema.t -> source -> Nalg.expr -> Adm.Relation.t
 (** Lower and run. With [limit], the executor stops pulling (and
     fetching pages) once that many rows are produced — the early-exit
-    protocol. [views] lets [External] leaves that name a registered
-    materialized view lower to [View_scan] and answer from the store.
+    protocol. A source that carries [views] lets [External] leaves that
+    name a registered materialized view lower to [View_scan] and answer
+    from the store.
     Raises {!Not_computable} like {!Physplan.lower}: on [External]
     leaves naming no registered view, non-entry-point [Entry] leaves,
     and unnests of an attribute that is not a declared list. *)

@@ -33,14 +33,6 @@
    Per-operator counters (rows, batches, page accesses) feed
    [explain --physical] and the exec benchmark. *)
 
-type source = {
-  fetch : scheme:string -> url:string -> Adm.Value.tuple option;
-      (* the page tuple for a URL, or None when the page is gone *)
-  prefetch : scheme:string -> string list -> unit;
-      (* batch hint: a navigation is about to fetch these URLs *)
-  window : int; (* prefetch window the executor hands to [prefetch] *)
-}
-
 (* A materialized answer for one [View_scan]: the store (through
    {!Viewstore}) resolves the view with bounded HEAD revalidation and
    reports the wire work it spent, so the per-query ledger stays
@@ -58,6 +50,17 @@ type views = {
       (* declared attributes of a registered view, for lowering *)
   answer : view:string -> view_answer option;
       (* resolve a view scan against the matview store *)
+}
+
+(* Everything a query reads: pages, and — when the plan may scan a
+   registered view — the answerer that resolves those scans. *)
+type source = {
+  fetch : scheme:string -> url:string -> Adm.Value.tuple option;
+      (* the page tuple for a URL, or None when the page is gone *)
+  prefetch : scheme:string -> string list -> unit;
+      (* batch hint: a navigation is about to fetch these URLs *)
+  window : int; (* prefetch window the executor hands to [prefetch] *)
+  views : views option; (* resolves [View_scan]s; None = no view store *)
 }
 
 type op_metrics = {
@@ -258,7 +261,7 @@ let combine w1 keep2 row1 row2 =
 (* Compilation to cursors                                              *)
 (* ------------------------------------------------------------------ *)
 
-let compile ?views (schema : Adm.Schema.t) (source : source)
+let compile (schema : Adm.Schema.t) (source : source)
     (metrics : metrics) (plan : Physplan.plan) : cursor =
   let window = max 1 plan.Physplan.window in
   let instrument (o : Physplan.op) (c : cursor) =
@@ -286,12 +289,12 @@ let compile ?views (schema : Adm.Schema.t) (source : source)
         let tbl = index_of attrs in
         let pred = Pred.compile ~offset:(Hashtbl.find_opt tbl) filter in
         let answer =
-          match views with
+          match source.views with
           | Some { answer; _ } -> answer
           | None ->
             raise
               (Physplan.Not_computable
-                 (Fmt.str "view scan of %s: no view store attached" view))
+                 (Fmt.str "view scan of %s: the source carries no view store" view))
         in
         let spent = ref false in
         let next () =
@@ -655,10 +658,10 @@ type run = {
 
 type progress = [ `Pulled of int | `Done ]
 
-let start ?limit ?views (schema : Adm.Schema.t) (source : source)
+let start ?limit (schema : Adm.Schema.t) (source : source)
     (plan : Physplan.plan) : run =
   let metrics = fresh_metrics plan in
-  let root = compile ?views schema source metrics plan in
+  let root = compile schema source metrics plan in
   { r_root = root; r_metrics = metrics; r_limit = limit; r_buf = [];
     r_count = 0; r_done = false }
 
@@ -702,12 +705,15 @@ let snapshot (r : run) : Adm.Relation.t =
 (* Running a plan to completion                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_metrics ?limit ?views (schema : Adm.Schema.t) (source : source)
+let run_metrics ?limit (schema : Adm.Schema.t) (source : source)
     (plan : Physplan.plan) : Adm.Relation.t * metrics =
-  let r = start ?limit ?views schema source plan in
+  let r = start ?limit schema source plan in
   let rec drive () = match step r with `Pulled _ -> drive () | `Done -> () in
   drive ();
   (snapshot r, metrics_of r)
 
-let run ?limit ?views schema source plan =
-  fst (run_metrics ?limit ?views schema source plan)
+let run ?limit schema source plan = fst (run_metrics ?limit schema source plan)
+
+let lower (schema : Adm.Schema.t) (source : source) e =
+  let view_attrs = Option.map (fun v -> v.view_attrs) source.views in
+  Physplan.lower ?view_attrs ~window:source.window schema e

@@ -6,15 +6,9 @@
     page-fetching ones — never do the skipped work (the early-exit
     protocol). Results are the same headers and row multisets as the
     legacy relation-at-a-time evaluator, and on a perfect network the
-    same distinct page accesses. *)
-
-type source = {
-  fetch : scheme:string -> url:string -> Adm.Value.tuple option;
-      (** the page tuple for a URL, or [None] when the page is gone *)
-  prefetch : scheme:string -> string list -> unit;
-      (** batch hint: a navigation is about to fetch these URLs *)
-  window : int;  (** prefetch window the executor hands to [prefetch] *)
-}
+    same distinct page accesses. A run reads everything through one
+    {!source}: pages through its [fetch]/[prefetch], view scans
+    through its [views]. *)
 
 type view_answer = {
   va_attrs : string list;  (** unqualified column names, row order *)
@@ -34,6 +28,18 @@ type views = {
   answer : view:string -> view_answer option;
       (** resolve a view scan against the matview store *)
 }
+
+type source = {
+  fetch : scheme:string -> url:string -> Adm.Value.tuple option;
+      (** the page tuple for a URL, or [None] when the page is gone *)
+  prefetch : scheme:string -> string list -> unit;
+      (** batch hint: a navigation is about to fetch these URLs *)
+  window : int;  (** prefetch window the executor hands to [prefetch] *)
+  views : views option;
+      (** resolves [View_scan]s; without it one raises
+          {!Physplan.Not_computable} *)
+}
+(** Everything a query reads, pages and view scans alike. *)
 
 type op_metrics = {
   mutable rows_out : int;
@@ -58,22 +64,17 @@ val peak_resident_rows : metrics -> int
     (separately counted) operator state — [max max_batch_rows
     peak_queue_rows]. *)
 
-val run :
-  ?limit:int -> ?views:views -> Adm.Schema.t -> source -> Physplan.plan ->
-  Adm.Relation.t
+val run : ?limit:int -> Adm.Schema.t -> source -> Physplan.plan -> Adm.Relation.t
 (** Execute a plan. With [limit], stop pulling (and fetching) once that
-    many rows are produced. [views] resolves [View_scan] operators
-    against a matview store; executing such an operator without it
-    raises {!Physplan.Not_computable}. *)
+    many rows are produced. *)
 
 val run_metrics :
-  ?limit:int ->
-  ?views:views ->
-  Adm.Schema.t ->
-  source ->
-  Physplan.plan ->
-  Adm.Relation.t * metrics
+  ?limit:int -> Adm.Schema.t -> source -> Physplan.plan -> Adm.Relation.t * metrics
 (** {!run} plus the per-operator and pipeline counters. *)
+
+val lower : Adm.Schema.t -> source -> Nalg.expr -> Physplan.plan
+(** {!Physplan.lower} against a source: its prefetch window, and the
+    declared attributes of the views its [views] answers. *)
 
 (** {1 Resumable runs}
 
@@ -89,8 +90,7 @@ type run
 type progress = [ `Pulled of int  (** rows in the batch just pulled *)
                 | `Done ]
 
-val start :
-  ?limit:int -> ?views:views -> Adm.Schema.t -> source -> Physplan.plan -> run
+val start : ?limit:int -> Adm.Schema.t -> source -> Physplan.plan -> run
 (** Compile the plan into a paused run; no rows are pulled yet. *)
 
 val step : run -> progress

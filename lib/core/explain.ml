@@ -175,14 +175,6 @@ let node_label (e : Nalg.expr) =
   | Nalg.Call { c_scheme; c_args; _ } ->
     Fmt.str "⇒ %s [%s]" c_scheme (Fmt.str "%a" Nalg.pp_args c_args)
 
-(* A diagnostic with its location resolved against the plan it was
-   reported on: "error[E0104] at select/unnest (◦ ProfPage.Rank): …" *)
-let pp_located root ppf (d : Diagnostic.t) =
-  match locate root d.Diagnostic.path with
-  | Some node when d.Diagnostic.path <> [] ->
-    Fmt.pf ppf "%a (%s)" Diagnostic.pp d (node_label node)
-  | Some _ | None -> Diagnostic.pp ppf d
-
 (* Strategy classification for the Section 7 experiments: a plan that
    joins link sets follows the pointer-join approach; a pure
    navigation plan is a pointer chase. *)

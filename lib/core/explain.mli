@@ -26,10 +26,6 @@ val locate : Nalg.expr -> string list -> Nalg.expr option
 val node_label : Nalg.expr -> string
 (** One-line label of an operator (no subtrees). *)
 
-val pp_located : Nalg.expr -> Diagnostic.t Fmt.t
-(** Render a diagnostic with its path resolved against the plan it was
-    reported on, appending the offending operator's label. *)
-
 type strategy = Pointer_join | Pointer_chase
 
 val strategy : Nalg.expr -> strategy

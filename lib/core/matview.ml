@@ -125,6 +125,10 @@ let materialize ?fetcher (schema : Adm.Schema.t) (http : Websim.Http.t) : t =
     | None ->
       Websim.Fetcher.create ~config:(Websim.Fetcher.config ~cache_capacity:0 ()) http
   in
+  (* a page cache under the store would answer a re-download with the
+     very body the preceding HEAD proved out of date *)
+  if Websim.Fetcher.caching fetcher then
+    invalid_arg "Matview.materialize: the fetcher caches pages";
   let t =
     {
       schema;
@@ -178,10 +182,6 @@ let fetcher t = t.fetcher
 (* Re-download one page, wrap it and store the tuple dated now. A
    failed GET leaves the store as it was. *)
 let download t ~scheme ~url : Adm.Value.tuple Websim.Fetcher.fetched =
-  (* drop any cached copy first: a caching fetcher would otherwise
-     answer the re-download with the very body the preceding HEAD
-     just proved out of date *)
-  Websim.Fetcher.invalidate t.fetcher url;
   match Websim.Fetcher.get t.fetcher url with
   | Websim.Fetcher.Absent -> Websim.Fetcher.Absent
   | Websim.Fetcher.Unreachable -> Websim.Fetcher.Unreachable
@@ -334,6 +334,7 @@ let source t : Eval.source =
     Eval.fetch = (fun ~scheme ~url -> url_check t ~scheme ~url);
     prefetch = (fun ~scheme:_ _ -> ()) (* URLCheck is per-tuple: HEADs, not page batches *);
     window = 32 (* batching granularity only: URLCheck work is per-tuple *);
+    views = None;
   }
 
 (* Evaluate a plan over the materialized view. Status flags are valid
@@ -358,7 +359,9 @@ let eval_stored t (plan : Nalg.expr) =
     tuple
   in
   let result =
-    Eval.eval t.schema { Eval.fetch; prefetch = (fun ~scheme:_ _ -> ()); window = 32 } plan
+    Eval.eval t.schema
+      { Eval.fetch; prefetch = (fun ~scheme:_ _ -> ()); window = 32; views = None }
+      plan
   in
   t.counters.local_hits <- t.counters.local_hits + !pages;
   (result, !pages)

@@ -5,7 +5,9 @@
     checked with a light connection (HEAD) before its tuple is used,
     and re-downloaded only when it changed — Function 2 (URLCheck) and
     Algorithm 3 of the paper. Vanished links are deferred to the
-    CheckMissing structure and purged by an off-line sweep. *)
+    CheckMissing structure and purged by an off-line sweep. The HEAD
+    protocol is the store's only freshness layer: it never runs over a
+    caching fetcher. *)
 
 type status = Unchecked | Checked | New | Missing
 
@@ -22,8 +24,9 @@ type t
 val materialize : ?fetcher:Websim.Fetcher.t -> Adm.Schema.t -> Websim.Http.t -> t
 (** Navigate the whole site once and store every page tuple. All
     network traffic goes through [fetcher] (default: a cache-less
-    pass-through over [http] — the store's own HEAD protocol is the
-    only freshness layer). Pass a fetcher layered on a {!Websim.Netmodel}
+    pass-through over [http]). The store's own HEAD protocol is the
+    only freshness layer, so a caching [fetcher]
+    ({!Websim.Fetcher.caching}) raises [Invalid_argument]. Pass a fetcher layered on a {!Websim.Netmodel}
     to run the store over a faulty network: transient failures are
     retried, and when retries are exhausted the store serves its stale
     tuple instead of dropping the row, defers purging, and keeps
@@ -92,10 +95,10 @@ val revalidate_batch :
     traffic. *)
 
 val download_entry : t -> scheme:string -> url:string -> Adm.Value.tuple option
-(** Force-refresh one page: a wire GET (any fetcher-cached copy is
-    invalidated first), wrap, store. Also admits a page not yet in the
-    store. [None] when the page is definitively gone; when the GET
-    cannot get through, the stored tuple (if any) is returned stale. *)
+(** Force-refresh one page: a wire GET, wrap, store. Also admits a
+    page not yet in the store. [None] when the page is definitively
+    gone; when the GET cannot get through, the stored tuple (if any)
+    is returned stale. *)
 
 val query : ?max_age:int -> t -> Nalg.expr -> Adm.Relation.t
 (** Algorithm 3: reset the per-query status flags and evaluate.

@@ -380,15 +380,11 @@ let plan_sql ?cap ?pointer_rules ?constraint_selections ?minimize ?views
 
 (* Plan and execute a SQL query against a page source. Returns the
    chosen plan and the result. [views] opens registered-view access
-   paths to the enumeration; [exec_views] is the store-backed answerer
-   the executor needs when the chosen plan scans a view. *)
-let run ?cap ?views ?bindings ?exec_views schema stats registry source sql =
+   paths to the enumeration; a chosen view scan is answered by the
+   source's own view answerer. *)
+let run ?cap ?views ?bindings schema stats registry source sql =
   let outcome = plan_sql ?cap ?views ?bindings schema stats registry sql in
-  let result =
-    rename_output outcome
-      (Eval.eval ?views:exec_views schema source outcome.best.expr)
-  in
-  (outcome, result)
+  (outcome, rename_output outcome (Eval.eval schema source outcome.best.expr))
 
 let pp_plan ppf p =
   Fmt.pf ppf "@[<v>cost=%.2f est_card=%.2f@,%a@]" p.cost p.card Nalg.pp_plan p.expr

@@ -117,13 +117,12 @@ val run :
   ?cap:int ->
   ?views:view_context ->
   ?bindings:(Conjunctive.t -> Nalg.expr list) ->
-  ?exec_views:Exec.views ->
   Adm.Schema.t -> Stats.t -> View.registry -> Eval.source -> string ->
   outcome * Adm.Relation.t
 (** Plan, execute the best plan, rename the output columns. [views]
-    opens view access paths to the planner; [exec_views] (typically
-    {!Viewstore.answerer}) lets the executor answer a chosen view scan
-    from the store. *)
+    opens view access paths to the planner; the source's [views]
+    (typically {!Viewstore.answerer}) answers a chosen view scan from
+    the store. *)
 
 val substitutions_of : view_context option -> Nalg.expr -> substitution list
 (** The view substitutions a plan answers from — one per [External]

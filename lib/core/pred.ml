@@ -83,8 +83,6 @@ let eval (p : t) tuple = List.for_all (fun a -> eval_atom a tuple) p
    constant comparison. *)
 let falsum = { left = Const (Adm.Value.Bool true); cmp = Eq; right = Const (Adm.Value.Bool false) }
 
-let is_falsum (p : t) = match p with [ a ] -> atom_equal a falsum | _ -> false
-
 let flip_cmp = function Eq -> Eq | Neq -> Neq | Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le
 
 (* Canonical atom orientation. Truth is preserved because

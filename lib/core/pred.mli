@@ -24,8 +24,6 @@ val falsum : atom
 (** The canonical always-false atom ([true = false]); {!normalize}
     collapses a statically refuted conjunction to [[falsum]]. *)
 
-val is_falsum : t -> bool
-
 val orient : atom -> atom
 (** Canonical orientation: attributes left of constants, symmetric
     comparisons with sorted operands, strict orders written Lt/Le.

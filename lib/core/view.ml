@@ -256,10 +256,3 @@ let auto_registry (schema : Adm.Schema.t) : registry =
                ~navigations:(List.map (fun nav -> navigation ~bindings nav) navs)
                ()))
     (Adm.Schema.schemes schema)
-
-let pp_relation ppf r =
-  Fmt.pf ppf "@[<v 2>%s(%a):%a@]" r.rel_name
-    Fmt.(list ~sep:comma string)
-    r.rel_attrs
-    (Fmt.list (fun ppf nav -> Fmt.pf ppf "@,%a" Nalg.pp nav.nav_expr))
-    r.navigations

@@ -67,5 +67,3 @@ val auto_registry : Adm.Schema.t -> registry
 (** An automatic relational view over a whole web scheme: one external
     relation per page-scheme (its mono-valued attributes) with
     inferred default navigations. *)
-
-val pp_relation : relation Fmt.t

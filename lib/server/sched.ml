@@ -14,10 +14,10 @@
    against it before every step; a query past its deadline is
    finalized with whatever rows it has pulled (graceful degradation,
    not an error). The same degradation path serves circuit-open
-   periods: when the shared engine's breaker fast-fails a page and a
-   materialized store is available, the query's page source
-   ({!Shared_cache.source}) serves the stale stored tuple, and the
-   cache's count of it lands in the query's completeness report.
+   periods: when the shared engine's breaker fast-fails a page and the
+   query's page source (given through [source_for]) keeps a stale
+   store, it serves the stored tuple, and the cache's count of it
+   lands in the query's completeness report.
 
    Domains and lanes. With [config.domains = D] the scheduler models a
    D-domain server by greedy list scheduling at quantum granularity:
@@ -207,7 +207,7 @@ let percentile q xs =
 (* The scheduler loop                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
+let run ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
     (cfg : config) (cache : Shared_cache.t) (schema : Adm.Schema.t)
     (specs : spec list) : report =
   let fetcher = Shared_cache.fetcher cache in
@@ -324,30 +324,22 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
             <= cfg.max_resident_rows)
     do
       let spec = Queue.pop pending in
-      (* A churn runtime substitutes its own store-backed source per
-         query; the cache's stale/missing counts for the query then
-         stay put and the story moves into the [freshness] record
-         instead. *)
+      (* [source_for] is the one way to give a query another source: a
+         stale-serving server passes the cache's source over a stale
+         store, a churn runtime its own store-backed source (whose
+         stale story goes into the [freshness] record instead). *)
       let source =
-        match (match source_for with Some f -> f spec | None -> None) with
+        match Option.bind source_for (fun f -> f spec) with
         | Some s -> s
-        | None -> Shared_cache.source ?stale cache ~query:spec.qid schema
+        | None -> Shared_cache.source cache ~query:spec.qid schema
       in
       (* A plan that answers an occurrence from a registered view
          carries an [External] leaf; lowering resolves it to a
-         [View_scan] against the cache's attached view store. Without
-         an attached store such a plan could not run — plan_workload
-         only emits one when a view context (built over that same
-         store) was supplied, so the two are wired together. *)
-      let exec_views = Shared_cache.view_answerer cache in
-      let view_attrs =
-        Option.map (fun (v : Webviews.Exec.views) -> v.Webviews.Exec.view_attrs)
-          exec_views
-      in
+         [View_scan] against the source's view answerer, which only a
+         [source_for] supplies — plan_workload emits such a plan only
+         when given a view context over that store. *)
       let run =
-        Webviews.Exec.start ?views:exec_views schema source
-          (Webviews.Physplan.lower ?view_attrs
-             ~window:source.Webviews.Eval.window schema spec.expr)
+        Webviews.Exec.start schema source (Webviews.Exec.lower schema source spec.expr)
       in
       (* The admission stamp is the earliest lane frontier: the first
          moment any domain could have picked the query up. *)

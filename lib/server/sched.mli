@@ -1,8 +1,8 @@
 (** The cooperative multi-query scheduler of the concurrent server.
 
     Admitted queries interleave as batch-sized quanta over the
-    resumable cursors of {!Webviews.Exec}, all reading through the one
-    page source of a {!Shared_cache} ({!Shared_cache.source}). The
+    resumable cursors of {!Webviews.Exec}, each reading through one
+    page source, by default {!Shared_cache.source}. The
     interleaving is a deterministic function of
     the workload, the config and the netmodel seed — no wall-clock
     reads, no OS threads — so every run replays exactly.
@@ -12,10 +12,10 @@
     deadlines never fire). A query past its deadline is finalized with
     the rows it has pulled so far — graceful degradation, not an
     error — and when the network (or the open circuit breaker) makes a
-    page unreachable, a materialized store passed as [stale] serves
-    the stored tuple instead. The cache counts each query's stale and
-    missing pages; the scheduler reads those counts into the query's
-    completeness report when it finalizes the query.
+    page unreachable, a source built with [Shared_cache.source ~stale]
+    serves the stored tuple instead. The cache counts each query's
+    stale and missing pages; the scheduler reads those counts into the
+    query's completeness report when it finalizes the query.
 
     Domains and lanes. With [config.domains = D] the scheduler models
     a D-domain server by greedy list scheduling at quantum
@@ -71,8 +71,8 @@ val plan_workload :
     (workloads draw from small template pools); the distinct texts
     plan in parallel when a pool is given. With [views], registered
     materialized views compete as access paths, and a winning spec
-    carries the view occurrence in its [expr] — run such specs against
-    a cache with the same store {!Shared_cache.attach_views}ed. With
+    carries the view occurrence in its [expr] — run such specs with a
+    [source_for] whose sources carry that store's answerer. With
     [bindings] (see {!Webviews.Planner.enumerate}), rewritings over
     parameterized entry points compete too — the only access path on
     form-only sites. *)
@@ -136,7 +136,6 @@ type report = {
 }
 
 val run :
-  ?stale:Webviews.Matview.t ->
   ?on_result:(result -> unit) ->
   ?keep_rows:bool ->
   ?on_turn:(turn:int -> resident:spec list -> unit) ->
@@ -145,9 +144,8 @@ val run :
   config -> Shared_cache.t -> Adm.Schema.t -> spec list -> report
 (** Run the workload to completion (every query finishes or hits its
     deadline). Each query reads through
-    [Shared_cache.source ?stale cache ~query:qid schema]: [stale]
-    enables degradation to stored tuples for unreachable pages.
-    [on_result] observes each result at
+    [Shared_cache.source cache ~query:qid schema] unless [source_for]
+    gives it another source. [on_result] observes each result at
     finalization time (digesting, streaming out); with
     [keep_rows:false] the report then stores each result with an empty
     relation (header preserved) so 10^3-query runs do not retain 10^7
@@ -158,14 +156,14 @@ val run :
     every scheduler turn, keyed by the turn counter alone (the turn
     sequence is identical at every domain count, so anything it does
     is domain-count-invariant); mutation traffic and the maintenance
-    lane run here. [source_for] substitutes a per-query page source
-    (e.g. one backed by a maintained store) — when it returns [None]
-    the shared-cache source above is used. The completeness report
-    counts only what the cache's source served, so a substitute that
-    is that same source reports exactly what the default does. It is called as the
-    query is admitted, just before its plan starts against the
-    cache's {!Shared_cache.view_answerer}, so it may attach a
-    per-query answerer there. [probe] is asked for a
+    lane run here. [source_for] is the one way to give a query another
+    source ([Shared_cache.source ~stale], or one backed by a maintained
+    store); on [None] the default above is used. It is called as the
+    query is admitted, and the plan is lowered and started against the
+    returned source, whose [views] answers its view scans. The
+    completeness report counts only what the cache's source served, so
+    a substitute that is a cache source reports what the default does.
+    [probe] is asked for a
     {!freshness} record when a query finalizes. *)
 
 val percentile : float -> float list -> float

@@ -35,7 +35,8 @@
    materialized store when the caller passes one. Next to each query's
    URL set the cache counts the pages it served that query stale and
    the pages it lost, which the scheduler reads into the query's
-   completeness report.
+   completeness report. The cache holds pages only: a query that scans
+   a registered view carries the answerer on its own source.
 
    Nothing in the cache is ever invalidated: a stored tuple is trusted
    for the cache's lifetime, like the LRU's bodies beneath it. Reads
@@ -104,10 +105,6 @@ type t = {
   mutable tuples_cached : int;
   queries : (int, query) Hashtbl.t;
   mutable cross_hits : int;
-  mutable views : Webviews.Viewstore.t option;
-      (* registered-view store resident queries may answer from *)
-  mutable view_answerer : Webviews.Exec.views option;
-      (* the executor-facing lens over [views] (may carry wire gates) *)
 }
 
 let wrap ?pool fetcher =
@@ -121,8 +118,6 @@ let wrap ?pool fetcher =
     tuples_cached = 0;
     queries = Hashtbl.create 16;
     cross_hits = 0;
-    views = None;
-    view_answerer = None;
   }
 
 let create ?pool ?config ?netmodel http =
@@ -130,22 +125,6 @@ let create ?pool ?config ?netmodel http =
 
 let fetcher t = t.fetcher
 let report t = Websim.Fetcher.report t.fetcher
-
-(* Attach a registered-view store so resident queries can answer from
-   it: the scheduler lowers [External] view occurrences to [View_scan]
-   and resolves them through [answerer]. The caller may pass an
-   answerer wrapped with its own wire gates (a churn runtime's budget);
-   by default scans revalidate under the store's own head budget. *)
-let attach_views ?answerer t vs =
-  t.views <- Some vs;
-  t.view_answerer <-
-    Some
-      (match answerer with
-      | Some a -> a
-      | None -> Webviews.Viewstore.answerer vs)
-
-let views t = t.views
-let view_answerer t = t.view_answerer
 
 (* Assign the next dense id to a URL seen for the first time. *)
 let intern t url =
@@ -267,6 +246,7 @@ let source ?stale t ~query (schema : Adm.Schema.t) : Webviews.Eval.source =
     Webviews.Eval.fetch;
     prefetch = (fun ~scheme urls -> prefetch_extract t ~query schema ~scheme urls);
     window = Websim.Fetcher.window t.fetcher;
+    views = None;
   }
 
 let degraded t ~query =

@@ -44,20 +44,6 @@ val create :
 
 val fetcher : t -> Websim.Fetcher.t
 
-val attach_views : ?answerer:Webviews.Exec.views -> t -> Webviews.Viewstore.t -> unit
-(** Expose a registered-view store to resident queries: the scheduler
-    lowers view occurrences in admitted plans to [View_scan] and
-    resolves them through [answerer] (default
-    {!Webviews.Viewstore.answerer}, i.e. scans revalidate under the
-    store's own HEAD budget — pass an answerer wrapped with wire gates
-    to put a maintenance budget in charge instead). *)
-
-val views : t -> Webviews.Viewstore.t option
-(** The attached registered-view store, if any. *)
-
-val view_answerer : t -> Webviews.Exec.views option
-(** The executor-facing lens over {!views}. *)
-
 val report : t -> Websim.Fetcher.report
 (** The shared engine's merged cost ledger (wire + engine). *)
 
@@ -80,7 +66,8 @@ val source :
     stores their extracted tuples — extracted in parallel on the pool
     when one is attached. Extraction is pure and the tuples are stored
     in window order, so a pooled run perturbs neither clock nor fetch
-    sequence. *)
+    sequence. The cache holds pages only: the source has [views = None],
+    and a query that scans a registered view extends it with one. *)
 
 val degraded : t -> query:int -> int * int
 (** [(stale, missing)]: the pages {!source} has so far served [query]

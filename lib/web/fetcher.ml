@@ -236,7 +236,6 @@ let create ?(config = default_config) ?netmodel http =
 
 let http t = t.http
 let netmodel t = t.net
-let fetcher_config t = t.cfg
 let window t = t.cfg.window
 let caching t = t.cfg.cache_capacity > 0
 let elapsed_ms t = t.counters.elapsed_ms
@@ -499,16 +498,5 @@ let head_batch t urls = batch t request_head urls
 (* Warm the cache for an upcoming navigation. A no-op without a cache:
    prefetching would only duplicate the per-URL fetches. *)
 let prefetch t urls = if caching t && urls <> [] then ignore (get_batch t urls)
-
-(* Drop [url] from the page cache so the next access goes to the wire.
-   Needed by the materialized store: once a HEAD has proved the page
-   changed, re-downloading through a caching fetcher must not serve
-   the very copy the HEAD just invalidated. *)
-let invalidate t url =
-  match Hashtbl.find_opt t.cache.table url with
-  | None -> ()
-  | Some n ->
-    cache_unlink t.cache n;
-    Hashtbl.remove t.cache.table url
 
 let report t : report = merge_report (Http.snapshot t.http) t.counters

@@ -76,7 +76,6 @@ val create : ?config:config -> ?netmodel:Netmodel.t -> Http.t -> t
 
 val http : t -> Http.t
 val netmodel : t -> Netmodel.t option
-val fetcher_config : t -> config
 
 val window : t -> int
 (** The configured in-flight width — the prefetch window size the
@@ -124,9 +123,3 @@ val prefetch : t -> string list -> unit
 (** Warm the cache for an upcoming navigation ([get_batch], results
     dropped). A no-op on a cache-less fetcher. *)
 
-val invalidate : t -> string -> unit
-(** Drop [url] from the page cache (positive or negative entry alike)
-    so the next access goes to the wire. The materialized store's
-    re-download calls this after a HEAD has proved its copy out of
-    date: a refresh through a caching fetcher must not be answered by
-    the very entry the HEAD invalidated. *)

@@ -54,7 +54,4 @@ let edit site url f =
     true
   | None -> false
 
-let total_bytes site =
-  Tbl.fold (fun _ page acc -> acc + String.length page.body) site.pages 0
-
 let revision site = site.revision

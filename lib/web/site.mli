@@ -23,5 +23,4 @@ val touch : t -> string -> unit
 val edit : t -> string -> (string -> string) -> bool
 (** Rewrite a page body in place, bumping Last-Modified. *)
 
-val total_bytes : t -> int
 val revision : t -> int

@@ -59,6 +59,45 @@ let test_unbuildable_site_sizes () =
       Alcotest.(check bool) ("usage error names " ^ flag) true (contains stderr flag))
     [ ("--depts", "0"); ("--profs", "0"); ("--courses", "-1") ]
 
+(* The CLI paths that route a query's source through the scheduler's
+   [source_for] and carry view answerers on the source: their stdout is
+   pinned byte for byte in cli_pins.expected. On a mismatch the current
+   text is written to cli_pins.actual beside the test binary. *)
+let pinned_commands =
+  let q = "SELECT p.PName, p.Email FROM Professor p" in
+  [
+    [ "serve"; "--stale"; "--faults"; "0.6"; "--retries"; "0"; "--queries"; "16"; "--json" ];
+    [ "query"; "--views"; q ];
+    [ "explain"; "--physical"; "--views"; q ];
+    [ "churn"; "--depts"; "4"; "--profs"; "30"; "--courses"; "60"; "--churn-rate"; "0.2";
+      "--budget"; "8"; "--queries"; "60"; "--json" ];
+  ]
+
+let run_stdout args =
+  let out = Filename.temp_file "webviews_cli" ".out" in
+  let cmd =
+    String.concat " " (cli :: List.map Filename.quote args) ^ " > " ^ Filename.quote out
+  in
+  let code = Sys.command cmd in
+  let stdout = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) (String.concat " " args ^ " exits 0") 0 code;
+  stdout
+
+let test_pinned_outputs () =
+  let actual =
+    String.concat ""
+      (List.map
+         (fun args -> "$ webviews " ^ String.concat " " args ^ "\n" ^ run_stdout args)
+         pinned_commands)
+  in
+  let expected = In_channel.with_open_text "cli_pins.expected" In_channel.input_all in
+  if not (String.equal expected actual) then begin
+    Out_channel.with_open_text "cli_pins.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    Alcotest.fail "CLI output diverged from cli_pins.expected (see cli_pins.actual)"
+  end
+
 let suite =
   ( "cli",
     [
@@ -68,4 +107,6 @@ let suite =
         test_bad_workload_line;
       Alcotest.test_case "unbuildable site size is a usage error" `Quick
         test_unbuildable_site_sizes;
+      Alcotest.test_case "stale serve, views and churn output pinned" `Quick
+        test_pinned_outputs;
     ] )

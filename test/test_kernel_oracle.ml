@@ -21,11 +21,6 @@ let oracle_distinct rows =
   List.fold_left (fun acc t -> if mem_tuple t acc then acc else t :: acc) [] rows
   |> List.rev
 
-let oracle_union r1 r2 = oracle_distinct (r1 @ r2)
-
-let oracle_difference r1 r2 =
-  List.filter (fun t -> not (mem_tuple t r2)) r1
-
 (* Nested-loop join on [keys = [(a1, a2); ...]]; Null keys never
    match; right attributes not present on the left are appended. *)
 let oracle_join keys left_attrs r1 r2 =
@@ -90,22 +85,6 @@ let prop_distinct =
     (fun rows ->
       same_rows (Relation.distinct (Relation.make abc rows)) (oracle_distinct rows))
 
-let prop_union =
-  QCheck.Test.make ~name:"union agrees with oracle" ~count:300
-    (QCheck.pair (rel_arb abc) (rel_arb abc))
-    (fun (r1, r2) ->
-      same_rows
-        (Relation.union (Relation.make abc r1) (Relation.make abc r2))
-        (oracle_union r1 r2))
-
-let prop_difference =
-  QCheck.Test.make ~name:"difference agrees with oracle" ~count:300
-    (QCheck.pair (rel_arb abc) (rel_arb abc))
-    (fun (r1, r2) ->
-      same_rows
-        (Relation.difference (Relation.make abc r1) (Relation.make abc r2))
-        (oracle_difference r1 r2))
-
 let left_attrs = [ "K"; "A" ]
 let right_attrs = [ "K2"; "B" ]
 
@@ -128,39 +107,10 @@ let prop_project =
               (fun t -> [ ("B", Value.find_exn t "B"); ("A", Value.find_exn t "A") ])
               rows)))
 
-(* nest then unnest restores the flat relation exactly (as a multiset:
-   nest buckets keep duplicate inner tuples, so nothing is lost). *)
-let flat_attrs = [ "G"; "N.X"; "N.Y" ]
-
-let prop_nest_unnest_roundtrip =
-  QCheck.Test.make ~name:"unnest ∘ nest = id on flat relations" ~count:300
-    (rel_arb flat_attrs)
-    (fun rows ->
-      let flat = Relation.make flat_attrs rows in
-      let roundtrip = Relation.unnest "N" (Relation.nest ~into:"N" flat) in
-      QCheck.assume (rows <> []);
-      List.equal String.equal (Relation.attrs roundtrip) flat_attrs
-      && same_rows roundtrip (Relation.rows flat))
-
-(* distinct of the nested side: grouping must key on outer attributes
-   structurally, so e.g. outer Int 1 and Text "1" form two groups. *)
-let prop_nest_group_count =
-  QCheck.Test.make ~name:"nest groups = distinct outer rows" ~count:300
-    (rel_arb flat_attrs)
-    (fun rows ->
-      QCheck.assume (rows <> []);
-      let flat = Relation.make flat_attrs rows in
-      Relation.cardinality (Relation.nest ~into:"N" flat)
-      = Relation.cardinality (Relation.project [ "G" ] flat))
-
 let suite =
   ( "kernel-oracle",
     [
       QCheck_alcotest.to_alcotest prop_distinct;
-      QCheck_alcotest.to_alcotest prop_union;
-      QCheck_alcotest.to_alcotest prop_difference;
       QCheck_alcotest.to_alcotest prop_join;
       QCheck_alcotest.to_alcotest prop_project;
-      QCheck_alcotest.to_alcotest prop_nest_unnest_roundtrip;
-      QCheck_alcotest.to_alcotest prop_nest_group_count;
     ] )

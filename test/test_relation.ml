@@ -56,11 +56,8 @@ let test_project_unknown () =
     (fun () -> ignore (Relation.project [ "Zed" ] people))
 
 let test_select () =
-  let r =
-    Relation.select
-      (fun t -> Value.find t "City" = Some (v_t "london"))
-      people
-  in
+  let city = Option.get (Relation.offset_opt people "City") in
+  let r = Relation.filter_rows (fun row -> Value.equal row.(city) (v_t "london")) people in
   check int_t "two londoners" 2 (Relation.cardinality r)
 
 let test_equi_join () =
@@ -131,74 +128,19 @@ let test_unnest_non_list () =
     (Invalid_argument "Relation.unnest: attribute \"Name\" is text, not nested rows")
     (fun () -> ignore (Relation.unnest "Name" people))
 
-let test_union_difference () =
-  let r1 = Relation.project [ "City" ] people in
-  let r2 = Relation.make [ "City" ] [ [ ("City", v_t "paris") ] ] in
-  let u = Relation.union r1 r2 in
-  check int_t "union" 3 (Relation.cardinality u);
-  let d = Relation.difference u r2 in
-  check int_t "difference" 2 (Relation.cardinality d);
-  let u2 = Relation.union u u in
-  check int_t "union is idempotent" 3 (Relation.cardinality u2)
-
 let test_rename_prefix () =
-  let r = Relation.rename_attr ~from:"Name" ~into:"N" people in
-  check bool_t "renamed" true (Relation.has_attr r "N");
   let p = Relation.prefix_attrs "P" people in
   check Alcotest.(list string) "prefixed" [ "P.Name"; "P.Age"; "P.City" ]
     (Relation.attrs p)
 
 let test_distinct_count_column () =
-  check int_t "distinct cities" 2 (Relation.distinct_count "City" people);
+  check int_t "distinct cities" 2 (Relation.cardinality (Relation.project [ "City" ] people));
   check int_t "column length" 3 (List.length (Relation.column "Age" people))
-
-let test_nest_inverts_unnest () =
-  let flat = Relation.unnest "Profs" nested in
-  let renested = Relation.nest ~into:"Profs" flat in
-  (* rows with empty nested lists are lost by unnest, as usual *)
-  let without_empty =
-    Relation.select
-      (fun t -> Value.find t "Profs" <> Some (Value.Rows []))
-      nested
-  in
-  check bool_t "nest ∘ unnest = id (minus empties)" true
-    (Relation.equal (Relation.sort_rows renested) (Relation.sort_rows without_empty))
-
-let test_nest_groups () =
-  let r =
-    Relation.make [ "City"; "P.Name" ]
-      [
-        [ ("City", v_t "london"); ("P.Name", v_t "ada") ];
-        [ ("City", v_t "london"); ("P.Name", v_t "alan") ];
-        [ ("City", v_t "arlington"); ("P.Name", v_t "grace") ];
-      ]
-  in
-  let nested = Relation.nest ~into:"P" r in
-  check int_t "two groups" 2 (Relation.cardinality nested);
-  match
-    List.find_opt
-      (fun t -> Value.find t "City" = Some (v_t "london"))
-      (Relation.rows nested)
-  with
-  | Some t -> (
-    match Value.find t "P" with
-    | Some (Value.Rows inner) -> check int_t "london has two" 2 (List.length inner)
-    | _ -> Alcotest.fail "nested attribute missing")
-  | None -> Alcotest.fail "london group missing"
-
-let test_nest_requires_prefix () =
-  Alcotest.check_raises "no matching attributes"
-    (Invalid_argument "Relation.nest: no attributes to nest") (fun () ->
-      ignore (Relation.nest ~into:"Zed" people))
 
 let test_unnest_expect_keeps_header () =
   let empty = Relation.make [ "Dept"; "Profs" ] [] in
   let r = Relation.unnest ~expect:[ "Profs.P" ] "Profs" empty in
   check bool_t "expected attr in header" true (Relation.has_attr r "Profs.P")
-
-let test_cross () =
-  let r = Relation.cross people cities in
-  check int_t "cartesian" 9 (Relation.cardinality r)
 
 let test_equal_modulo_order () =
   let r1 = Relation.make [ "A" ] [ [ ("A", v_i 1) ]; [ ("A", v_i 2) ] ] in
@@ -216,15 +158,6 @@ let test_of_seq_empty_keeps_header () =
   let r = Relation.of_seq [ "A"; "B" ] Seq.empty in
   check int_t "no rows" 0 (Relation.cardinality r);
   check bool_t "header kept" true (Relation.has_attr r "B")
-
-let test_row_batches () =
-  let batches = List.of_seq (Relation.row_batches 2 people) in
-  check int_t "3 rows in batches of 2" 2 (List.length batches);
-  check bool_t "every batch non-empty and within size" true
-    (List.for_all (fun b -> b <> [] && List.length b <= 2) batches);
-  let back = Relation.of_seq (Relation.attrs people) (List.to_seq (List.concat batches)) in
-  check bool_t "concatenated batches rebuild the relation" true
-    (Relation.equal people back)
 
 (* Properties. *)
 
@@ -249,16 +182,14 @@ let prop_join_self_key =
   QCheck.Test.make ~name:"self equi-join on key superset of distinct" ~count:200
     small_rel_arb (fun r ->
       let d = Relation.distinct r in
-      let renamed =
-        Relation.rename_attr ~from:"A" ~into:"A2"
-          (Relation.rename_attr ~from:"B" ~into:"B2" d)
+      let j =
+        Relation.equi_join [ ("A", "R.A"); ("B", "R.B") ] d (Relation.prefix_attrs "R" d)
       in
-      let j = Relation.equi_join [ ("A", "A2"); ("B", "B2") ] d renamed in
       Relation.cardinality j = Relation.cardinality d)
 
 let prop_select_monotone =
   QCheck.Test.make ~name:"selection never grows" ~count:200 small_rel_arb (fun r ->
-      Relation.cardinality (Relation.select (fun t -> Value.find t "A" = Some (Value.Int 1)) r)
+      Relation.cardinality (Relation.filter_rows (fun row -> Value.equal row.(0) (Value.Int 1)) r)
       <= Relation.cardinality r)
 
 let suite =
@@ -275,18 +206,12 @@ let suite =
       Alcotest.test_case "join ambiguous" `Quick test_join_ambiguous;
       Alcotest.test_case "unnest" `Quick test_unnest;
       Alcotest.test_case "unnest non-list" `Quick test_unnest_non_list;
-      Alcotest.test_case "union/difference" `Quick test_union_difference;
       Alcotest.test_case "rename/prefix" `Quick test_rename_prefix;
       Alcotest.test_case "distinct count/column" `Quick test_distinct_count_column;
-      Alcotest.test_case "nest inverts unnest" `Quick test_nest_inverts_unnest;
-      Alcotest.test_case "nest groups" `Quick test_nest_groups;
-      Alcotest.test_case "nest requires prefix" `Quick test_nest_requires_prefix;
       Alcotest.test_case "unnest expect" `Quick test_unnest_expect_keeps_header;
-      Alcotest.test_case "cross" `Quick test_cross;
       Alcotest.test_case "equal modulo order" `Quick test_equal_modulo_order;
       Alcotest.test_case "seq roundtrip" `Quick test_seq_roundtrip;
       Alcotest.test_case "of_seq empty header" `Quick test_of_seq_empty_keeps_header;
-      Alcotest.test_case "row batches" `Quick test_row_batches;
       QCheck_alcotest.to_alcotest prop_distinct_idempotent;
       QCheck_alcotest.to_alcotest prop_project_shrinks;
       QCheck_alcotest.to_alcotest prop_join_self_key;

@@ -29,10 +29,10 @@ let shared_cache ?netmodel (site : Sitegen.Sites.t) =
 let specs_of (site : Sitegen.Sites.t) entries =
   Server.Sched.plan_workload site.schema (Sitegen.Sites.stats site) site.registry entries
 
-let run_workload ?netmodel ?stale ?(config = Server.Sched.default_config)
+let run_workload ?netmodel ?(config = Server.Sched.default_config)
     (site : Sitegen.Sites.t) entries =
   let cache = shared_cache ?netmodel site in
-  (cache, Server.Sched.run ?stale config cache site.schema (specs_of site entries))
+  (cache, Server.Sched.run config cache site.schema (specs_of site entries))
 
 (* Isolated baseline: each query on its own fresh single-query cache
    over the same site (and the same netmodel seed when given). *)
@@ -226,8 +226,11 @@ let test_breaker_open_stale_serve () =
   let isolated_rows = List.map (fun e -> fst (isolated site e)) entries in
   let cache = shared_cache ~netmodel site in
   Websim.Fetcher.open_breaker (Server.Shared_cache.fetcher cache) ~for_ms:1e9;
+  let source_for (s : Server.Sched.spec) =
+    Some (Server.Shared_cache.source ~stale:store cache ~query:s.Server.Sched.qid site.schema)
+  in
   let rep =
-    Server.Sched.run ~stale:store Server.Sched.default_config cache site.schema
+    Server.Sched.run ~source_for Server.Sched.default_config cache site.schema
       (specs_of site entries)
   in
   List.iteri
@@ -247,11 +250,10 @@ let test_breaker_open_stale_serve () =
 
 (* Substituting the cache's own page source through [source_for]
    changes nothing: the default reads through [Shared_cache.source]
-   too, and the stale and missing counts live in the cache. Pinned on
-   the stale-serve scenario above, where every read degrades. *)
+   too, and the missing counts live in the cache. Pinned with the
+   breaker open, where every read degrades. *)
 let test_source_for_own_source_is_default () =
   let site = Sitegen.Sites.load University in
-  let store = Matview.materialize site.schema (Websim.Http.connect site.site) in
   let entries = Server.Workload.generate ~seed:3 ~n:4 () in
   let run own_source =
     let netmodel = Websim.Netmodel.create (Websim.Netmodel.config ~seed:8 ()) in
@@ -261,13 +263,11 @@ let test_source_for_own_source_is_default () =
       if own_source then
         Some
           (fun (s : Server.Sched.spec) ->
-            Some
-              (Server.Shared_cache.source ~stale:store cache ~query:s.Server.Sched.qid
-                 site.schema))
+            Some (Server.Shared_cache.source cache ~query:s.Server.Sched.qid site.schema))
       else None
     in
-    Server.Sched.run ~stale:store ?source_for Server.Sched.default_config cache
-      site.schema (specs_of site entries)
+    Server.Sched.run ?source_for Server.Sched.default_config cache site.schema
+      (specs_of site entries)
   in
   let default = run false and own = run true in
   List.iter2
@@ -277,8 +277,8 @@ let test_source_for_own_source_is_default () =
         (Adm.Relation.equal d.Server.Sched.rows o.Server.Sched.rows);
       check bool_t (Fmt.str "q%d same completeness" q) true
         (d.Server.Sched.completeness = o.Server.Sched.completeness);
-      check bool_t (Fmt.str "q%d served stale" q) true
-        (d.Server.Sched.completeness.Server.Sched.stale_pages > 0))
+      check bool_t (Fmt.str "q%d lost pages" q) true
+        (d.Server.Sched.completeness.Server.Sched.missing_pages > 0))
     default.Server.Sched.results own.Server.Sched.results;
   check bool_t "same ledger" true (default.Server.Sched.ledger = own.Server.Sched.ledger);
   check bool_t "same fetch report" true (default.Server.Sched.fetch = own.Server.Sched.fetch)

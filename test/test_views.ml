@@ -39,10 +39,9 @@ let both_ways ((site : Sitegen.Sites.t), stats, http, vs) sql =
   let source = Eval.live_source site.schema http in
   let nav = Planner.run site.schema stats site.registry source sql in
   let viewed =
-    Planner.run
-      ~views:(Viewstore.context vs)
-      ~exec_views:(Viewstore.answerer vs)
-      site.schema stats site.registry source sql
+    Planner.run ~views:(Viewstore.context vs) site.schema stats site.registry
+      { source with views = Some (Viewstore.answerer vs) }
+      sql
   in
   (nav, viewed)
 
