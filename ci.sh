@@ -88,6 +88,27 @@ done
 rm -rf "$bench_dir"
 echo "BENCH_churn.json, BENCH_fetch.json and BENCH_exec.json reproduced byte for byte"
 
+echo "== views bench: every counter of BENCH_views.json reproduces =="
+# plan_ms is a wall time, and planning_ratio_500_over_10 and within_2x
+# are computed from it, so those three are masked; everything else
+# (GETs, HEADs and units per access path, the view choice, identical
+# rows, the stale-store verdict, filter-tree and naive check counts)
+# is deterministic and must match the committed file
+mask_views() {
+  sed -e 's/"plan_ms": [0-9.]*/"plan_ms": _/g' \
+      -e 's/"planning_ratio_500_over_10": [0-9.]*/"planning_ratio_500_over_10": _/' \
+      -e 's/"within_2x": [a-z]*/"within_2x": _/' "$1"
+}
+bench_dir=$(mktemp -d)
+(cd "$bench_dir" && "$OLDPWD/_build/default/bench/main.exe" views > /dev/null) \
+  || { echo "bench views failed"; rm -rf "$bench_dir"; exit 1; }
+mask_views BENCH_views.json > "$bench_dir/committed.json"
+mask_views "$bench_dir/BENCH_views.json" > "$bench_dir/fresh.json"
+diff "$bench_dir/committed.json" "$bench_dir/fresh.json" \
+  || { echo "BENCH_views.json counters diverged from the committed file"; rm -rf "$bench_dir"; exit 1; }
+rm -rf "$bench_dir"
+echo "BENCH_views.json counters reproduced (wall times masked)"
+
 echo "== smoke views: one view-substituted query end to end =="
 dune exec --profile ci bin/webviews_cli.exe -- query --views \
   "SELECT p.PName, p.Email FROM Professor p" > /tmp/ci_views_smoke.$$

@@ -109,6 +109,16 @@ val plan_key : Nalg.expr -> string
     coarse as structural identity and never merges plans it cannot
     analyze. *)
 
+val plan_key_memo : unit -> Nalg.expr -> string
+(** {!plan_key} behind a cache keyed by a syntactic pre-key (the
+    occurrences by alias, the sorted navigation, unnest and atom
+    items, the top projection): plans sharing a pre-key build the
+    same tableau up to occurrence numbering, which ["T:"] keys do not
+    depend on, so only those are stored. Plans with a call or a
+    residual attribute-attribute comparison bypass the cache. Each
+    application has its own table; the function always returns what
+    {!plan_key} returns. *)
+
 val minimize_query :
   View.registry -> Conjunctive.t -> Conjunctive.t * Diagnostic.t list
 (** Semantic minimization of a conjunctive query, sound under bag

@@ -41,21 +41,23 @@ let no_views = { head_unit = 0.1; view = (fun _ -> None) }
 let view_scan_cost (econ : view_econ) (vc : view_cost) =
   vc.view_pages *. vc.view_stale *. (econ.head_unit +. vc.view_change)
 
-let attr_path (e : Nalg.expr) attr =
-  match Nalg.constraint_path_of_attr e attr with
+(* Attributes resolve against the alias environment of the plan being
+   estimated ([Nalg.alias_env root]), computed once per estimate. *)
+let attr_path env attr =
+  match Nalg.constraint_path_in env attr with
   | Some (path, _alias) -> Some path
   | None -> None
 
 (* c_A for an attribute of the current expression, resolved through
    the alias environment; None when the statistics don't know it. *)
-let distinct_of (stats : Stats.t) (root : Nalg.expr) attr =
-  match attr_path root attr with
+let distinct_of (stats : Stats.t) env attr =
+  match attr_path env attr with
   | None -> None
   | Some p ->
     let k = Stats.key p.Adm.Constraints.scheme p.Adm.Constraints.steps in
     if Stats.has_distinct stats k then Some (Stats.distinct stats k) else None
 
-let selectivity_of_atom stats root (a : Pred.atom) =
+let selectivity_of_atom stats env (a : Pred.atom) =
   let attr_side =
     match a.Pred.left, a.Pred.right with
     | Pred.Attr attr, Pred.Const _ | Pred.Const _, Pred.Attr attr -> Some attr
@@ -65,7 +67,7 @@ let selectivity_of_atom stats root (a : Pred.atom) =
   | Pred.Eq -> (
     match attr_side with
     | Some attr -> (
-      match distinct_of stats root attr with
+      match distinct_of stats env attr with
       | Some c -> 1.0 /. float_of_int (max 1 c)
       | None -> 0.1)
     | None -> 0.1)
@@ -75,18 +77,18 @@ let selectivity_of_atom stats root (a : Pred.atom) =
 (* Estimated number of distinct values of [attr] within an
    intermediate result of cardinality [card]: bounded by the global
    distinct count c_A. This is |π_attr(R)| = |R| / r_A capped at c_A. *)
-let distinct_in stats root attr card =
-  match distinct_of stats root attr with
+let distinct_in stats env attr card =
+  match distinct_of stats env attr with
   | Some c -> Float.min card (float_of_int c)
   | None -> card
 
 (* Join selectivity: 1 / max(c_A, c_B), the System-R uniform estimate
    (the paper treats it as a given parameter). *)
-let join_selectivity stats root keys =
+let join_selectivity stats env keys =
   List.fold_left
     (fun acc (a, b) ->
-      let ca = match distinct_of stats root a with Some c -> c | None -> 10 in
-      let cb = match distinct_of stats root b with Some c -> c | None -> 10 in
+      let ca = match distinct_of stats env a with Some c -> c | None -> 10 in
+      let cb = match distinct_of stats env b with Some c -> c | None -> 10 in
       acc /. float_of_int (max 1 (max ca cb)))
     1.0 keys
 
@@ -95,7 +97,7 @@ let join_selectivity stats root keys =
    the source (constant-only calls fetch a single page). The product
    of per-attribute distinct counts, capped by the source cardinality
    — the same shape as the Follow estimate. *)
-let call_navigations stats root (c : Nalg.call) src_card =
+let call_navigations stats env (c : Nalg.call) src_card =
   let attr_args =
     List.filter_map
       (function _, Nalg.Arg_attr a -> Some a | _, Nalg.Arg_const _ -> None)
@@ -105,13 +107,14 @@ let call_navigations stats root (c : Nalg.call) src_card =
   | [] -> 1.0
   | args ->
     let product =
-      List.fold_left (fun acc a -> acc *. distinct_in stats root a src_card) 1.0 args
+      List.fold_left (fun acc a -> acc *. distinct_in stats env a src_card) 1.0 args
     in
     Float.max 1.0 (Float.min src_card product)
 
-let rec estimate ?(views = no_views) (schema : Adm.Schema.t) (stats : Stats.t)
-    (root : Nalg.expr) (e : Nalg.expr) : estimate =
-  let estimate = estimate ~views in
+(* [estimate] over the alias environment [env] of the root. *)
+let rec estimate_in ~views (schema : Adm.Schema.t) (stats : Stats.t) env
+    (e : Nalg.expr) : estimate =
+  let estimate = estimate_in ~views schema stats env in
   match e with
   | Nalg.External { name; _ } -> (
     match views.view name with
@@ -125,51 +128,54 @@ let rec estimate ?(views = no_views) (schema : Adm.Schema.t) (stats : Stats.t)
     in
     { cost = 1.0; card }
   | Nalg.Select (p, e1) ->
-    let { cost; card } = estimate schema stats root e1 in
+    let { cost; card } = estimate e1 in
     let sel =
-      List.fold_left (fun acc a -> acc *. selectivity_of_atom stats root a) 1.0 p
+      List.fold_left (fun acc a -> acc *. selectivity_of_atom stats env a) 1.0 p
     in
     { cost; card = card *. sel }
   | Nalg.Project (attrs, e1) ->
-    let { cost; card } = estimate schema stats root e1 in
+    let { cost; card } = estimate e1 in
     (* |π_X(R)| capped by the product of the attribute domains *)
     let cap =
       List.fold_left
         (fun acc a ->
-          match distinct_of stats root a with
+          match distinct_of stats env a with
           | Some c -> acc *. float_of_int c
           | None -> acc *. card)
         1.0 attrs
     in
     { cost; card = Float.max 1.0 (Float.min card cap) }
   | Nalg.Join (keys, e1, e2) ->
-    let est1 = estimate schema stats root e1 in
-    let est2 = estimate schema stats root e2 in
-    let sel = join_selectivity stats root keys in
+    let est1 = estimate e1 in
+    let est2 = estimate e2 in
+    let sel = join_selectivity stats env keys in
     {
       cost = est1.cost +. est2.cost;
       card = Float.max 0.0 (est1.card *. est2.card *. sel);
     }
   | Nalg.Unnest (e1, attr) ->
-    let { cost; card } = estimate schema stats root e1 in
+    let { cost; card } = estimate e1 in
     let fanout =
-      match attr_path root attr with
+      match attr_path env attr with
       | Some p -> Stats.fanout stats (Stats.key p.Adm.Constraints.scheme p.Adm.Constraints.steps)
       | None -> 1.0
     in
     { cost; card = card *. fanout }
   | Nalg.Follow { src; link; scheme = _; alias = _ } ->
-    let { cost; card } = estimate schema stats root src in
-    let navigations = distinct_in stats root link card in
+    let { cost; card } = estimate src in
+    let navigations = distinct_in stats env link card in
     { cost = cost +. navigations; card }
   | Nalg.Call { c_src = None; _ } ->
     (* a constant-bound call is a single templated GET yielding the
        one page its arguments select, like an entry point *)
     { cost = 1.0; card = 1.0 }
   | Nalg.Call ({ c_src = Some src; _ } as c) ->
-    let { cost; card } = estimate schema stats root src in
-    let navigations = call_navigations stats root c card in
+    let { cost; card } = estimate src in
+    let navigations = call_navigations stats env c card in
     { cost = cost +. navigations; card }
+
+let estimate ?(views = no_views) schema stats root e =
+  estimate_in ~views schema stats (Nalg.alias_env root) e
 
 let cost ?views schema stats e = (estimate ?views schema stats e e).cost
 let cardinality ?views schema stats e = (estimate ?views schema stats e e).card
@@ -179,32 +185,31 @@ let cardinality ?views schema stats e = (estimate ?views schema stats e e).card
    page size of the target scheme. Distinguishes plans that tie on
    page count — e.g. the intro's path through the (smaller) list of
    database conferences versus the list of all conferences. *)
-let rec byte_estimate ?(views = no_views) (schema : Adm.Schema.t)
-    (stats : Stats.t) (root : Nalg.expr) (e : Nalg.expr) : float =
-  let byte_estimate = byte_estimate ~views in
-  match e with
-  | Nalg.External { name; _ } -> (
-    match views.view name with
-    (* ~1KiB per GET-equivalent wire unit: a HEAD moves headers only *)
-    | Some vc -> view_scan_cost views vc *. 1024.0
-    | None -> infinity)
-  | Nalg.Entry { scheme; alias = _ } -> Stats.page_bytes stats scheme
-  | Nalg.Select (_, e1) | Nalg.Project (_, e1) | Nalg.Unnest (e1, _) ->
-    byte_estimate schema stats root e1
-  | Nalg.Join (_, e1, e2) ->
-    byte_estimate schema stats root e1 +. byte_estimate schema stats root e2
-  | Nalg.Follow { src; link; scheme; alias = _ } ->
-    let { card; _ } = estimate ~views schema stats root src in
-    let navigations = distinct_in stats root link card in
-    byte_estimate schema stats root src +. (navigations *. Stats.page_bytes stats scheme)
-  | Nalg.Call { c_src = None; c_scheme; _ } -> Stats.page_bytes stats c_scheme
-  | Nalg.Call ({ c_src = Some src; c_scheme; _ } as c) ->
-    let { card; _ } = estimate ~views schema stats root src in
-    let navigations = call_navigations stats root c card in
-    byte_estimate schema stats root src
-    +. (navigations *. Stats.page_bytes stats c_scheme)
+let byte_estimate ~views (schema : Adm.Schema.t) (stats : Stats.t)
+    (root : Nalg.expr) : float =
+  let env = Nalg.alias_env root in
+  let card e = (estimate_in ~views schema stats env e).card in
+  let rec bytes (e : Nalg.expr) =
+    match e with
+    | Nalg.External { name; _ } -> (
+      match views.view name with
+      (* ~1KiB per GET-equivalent wire unit: a HEAD moves headers only *)
+      | Some vc -> view_scan_cost views vc *. 1024.0
+      | None -> infinity)
+    | Nalg.Entry { scheme; alias = _ } -> Stats.page_bytes stats scheme
+    | Nalg.Select (_, e1) | Nalg.Project (_, e1) | Nalg.Unnest (e1, _) -> bytes e1
+    | Nalg.Join (_, e1, e2) -> bytes e1 +. bytes e2
+    | Nalg.Follow { src; link; scheme; alias = _ } ->
+      let navigations = distinct_in stats env link (card src) in
+      bytes src +. (navigations *. Stats.page_bytes stats scheme)
+    | Nalg.Call { c_src = None; c_scheme; _ } -> Stats.page_bytes stats c_scheme
+    | Nalg.Call ({ c_src = Some src; c_scheme; _ } as c) ->
+      let navigations = call_navigations stats env c (card src) in
+      bytes src +. (navigations *. Stats.page_bytes stats c_scheme)
+  in
+  bytes root
 
-let byte_cost ?views schema stats e = byte_estimate ?views schema stats e e
+let byte_cost ?(views = no_views) schema stats e = byte_estimate ~views schema stats e
 
 (* Lowering with cost annotations: the physical plan carries, per
    operator, the estimated output cardinality and the page accesses
@@ -214,15 +219,15 @@ let byte_cost ?views schema stats e = byte_estimate ?views schema stats e e
    annotation matches the worked examples exactly. *)
 let lower ?(views = no_views) ?window (schema : Adm.Schema.t) (stats : Stats.t)
     (e : Nalg.expr) : Physplan.plan =
-  let card sub = (estimate ~views schema stats e sub).card in
+  let env = Nalg.alias_env e in
+  let card sub = (estimate_in ~views schema stats env sub).card in
   let pages sub =
     match sub with
     | Nalg.Entry _ -> 1.0
-    | Nalg.Follow { src; link; _ } ->
-      distinct_in stats e link (estimate ~views schema stats e src).card
+    | Nalg.Follow { src; link; _ } -> distinct_in stats env link (card src)
     | Nalg.Call { c_src = None; _ } -> 1.0
     | Nalg.Call ({ c_src = Some src; _ } as c) ->
-      call_navigations stats e c (estimate ~views schema stats e src).card
+      call_navigations stats env c (card src)
     | Nalg.External { name; _ } -> (
       (* expected light connections: every stale page costs one HEAD *)
       match views.view name with

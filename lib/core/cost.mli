@@ -74,8 +74,3 @@ val elapsed_estimate :
     well-typed expressions; an expression {!Physplan.lower} rejects
     as not computable estimates [infinity]. *)
 
-val distinct_of : Stats.t -> Nalg.expr -> string -> int option
-(** c_A for an attribute of the plan, resolved through its alias. *)
-
-val join_selectivity : Stats.t -> Nalg.expr -> (string * string) list -> float
-(** 1 / max(c_A, c_B) per key pair (System-R uniform estimate). *)

@@ -153,6 +153,32 @@ let substitutions_of (views : view_context option) (e : Nalg.expr) :
             })
       (Nalg.externals e)
 
+(* The planning context: the memos one [enumerate] call shares across
+   its stages. Each wraps the one context-free function and returns
+   exactly what it returns: output attributes and available links per
+   distinct subexpression, the typed environment per plan (with the
+   occurrences' environments built once per scheme and alias), and
+   plan keys behind their syntactic pre-key. A context is built by
+   each call and dropped with it, so no planner state outlives a
+   query. *)
+type context = {
+  attrs : Nalg.expr -> string list;
+  links : Nalg.expr -> Rewrite.link list;
+  infer : Nalg.expr -> Typecheck.env * Diagnostic.t list;
+  key : Nalg.expr -> string;
+}
+
+let context ?views schema =
+  let tc_views name =
+    match views with None -> None | Some vc -> vc.vc_env name
+  in
+  {
+    attrs = Nalg.output_attrs_memo schema;
+    links = Rewrite.links_memo schema;
+    infer = Typecheck.infer_memo ~views:tc_views schema;
+    key = Contain.plan_key_memo ();
+  }
+
 let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     ?(minimize = true) ?views ?bindings (schema : Adm.Schema.t)
     (stats : Stats.t) (registry : View.registry) (q : Conjunctive.t) : outcome =
@@ -171,28 +197,16 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     match views with Some vc -> vc.vc_econ | None -> Cost.no_views
   in
   let known name = econ.Cost.view name <> None in
-  let tc_views name =
-    match views with None -> None | Some vc -> vc.vc_env name
-  in
-  (* Rewrite soundness (E0402/E0403), with type inference memoized by
-     plan — each distinct plan of the closure is inferred once — and
-     at most one report per offending child plan. *)
-  let inferred = Nalg.Tbl.create 256 in
-  let infer_cached e =
-    match Nalg.Tbl.find_opt inferred e with
-    | Some r -> r
-    | None ->
-      let r = Typecheck.infer ~views:tc_views schema e in
-      Nalg.Tbl.add inferred e r;
-      r
-  in
+  let ctx = context ?views schema in
+  (* Rewrite soundness (E0402/E0403), each distinct plan of the closure
+     inferred once through the context, and at most one report per
+     offending child plan. *)
   let judged = Nalg.Tbl.create 256 in
   let on_rewrite ~parent ~child =
     if not (Nalg.Tbl.mem judged child) then begin
       Nalg.Tbl.add judged child ();
       List.iter diag
-        (Typecheck.judge ~parent:(infer_cached parent)
-           ~child:(infer_cached child))
+        (Typecheck.judge ~parent:(ctx.infer parent) ~child:(ctx.infer child))
     end
   in
   let closure_phase ~phase ~cap rules seeds =
@@ -264,7 +278,10 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     ]
     @
     if pointer_rules then
-      [ Rewrite.rules8_9 schema; Rewrite.rule2 schema ]
+      [
+        Rewrite.rules8_9 ~links:ctx.links schema;
+        Rewrite.rule2 ~links:ctx.links schema;
+      ]
     else []
   in
   let with_joins = closure_phase ~phase:"join" ~cap:join_cap join_rules merged in
@@ -274,7 +291,7 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
        closure_phase ~phase:"selection" ~cap:other_cap
          [ Rewrite.rule6 schema ] with_joins
      else with_joins)
-    |> List.map (Rewrite.sink_selections schema)
+    |> List.map (Rewrite.sink_selections ~attrs:ctx.attrs schema)
   in
   (* Steps 6/7: move projected attributes to the source side of link
      constraints (rule 7), then prune unneeded unnests and navigations
@@ -316,7 +333,7 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     |> List.filter (fun e ->
            List.for_all (fun (name, _) -> known name) (Nalg.externals e))
     |> List.filter (fun e ->
-           let _, ds = infer_cached e in
+           let _, ds = ctx.infer e in
            if Diagnostic.has_errors ds then begin
              diag
                (Diagnostic.error ~code:"E0404"
@@ -339,7 +356,7 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let candidates =
     List.filter
       (fun p ->
-        let k = Contain.plan_key p.expr in
+        let k = ctx.key p.expr in
         if Hashtbl.mem keyed k then begin
           incr merged;
           false

@@ -4,7 +4,15 @@
     (rule 4), push and prune joins (rules 8/9 with join reordering),
     push selections (rule 6 + commutation) and projections (rules
     3/5/7 via pruning), then cost every candidate and keep the
-    cheapest. *)
+    cheapest.
+
+    Every stage of one {!enumerate} call reads its plans' logical
+    properties through one planning {!context}: output attributes and
+    available links per distinct subexpression, typed environments
+    per plan, and plan keys behind a syntactic pre-key, each computed
+    once per query. The context lives exactly as long as the call; the
+    plan space, costs and diagnostics are those of the context-free
+    functions. *)
 
 type plan = { expr : Nalg.expr; cost : float; card : float }
 
@@ -55,6 +63,25 @@ val rename_output : outcome -> Adm.Relation.t -> Adm.Relation.t
 (** Rename a result header positionally back to the query's SELECT
     names (plans name columns after the page occurrences they
     navigate, which differ between candidates). *)
+
+type context = {
+  attrs : Nalg.expr -> string list;  (** {!Nalg.output_attrs} *)
+  links : Nalg.expr -> Rewrite.link list;  (** {!Rewrite.available_links} *)
+  infer : Nalg.expr -> Typecheck.env * Diagnostic.t list;
+      (** {!Typecheck.infer}, with the views' typed environments *)
+  key : Nalg.expr -> string;  (** {!Contain.plan_key} *)
+}
+(** The planning context: the memos one {!enumerate} call shares
+    across its stages — output attributes and available links per
+    distinct subexpression ({!Nalg.output_attrs_memo},
+    {!Rewrite.links_memo}), typed environments per plan
+    ({!Typecheck.infer_memo}) and plan keys behind a syntactic
+    pre-key ({!Contain.plan_key_memo}). Each field returns exactly
+    what the context-free function in its comment returns. *)
+
+val context : ?views:view_context -> Adm.Schema.t -> context
+(** A fresh context with empty memos. {!enumerate} builds one per call
+    and drops it on return: no planner state outlives a query. *)
 
 val closure :
   ?cap:int ->

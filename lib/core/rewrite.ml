@@ -22,22 +22,27 @@
 open Nalg
 
 (* Every subexpression paired with the function that rebuilds the root
-   with that subexpression replaced. *)
-let rec contexts (e : expr) : (expr * (expr -> expr)) list =
-  let wrap f rest = List.map (fun (sub, rb) -> (sub, fun x -> f (rb x))) rest in
-  (e, fun x -> x)
-  ::
-  (match e with
-  | Entry _ | External _ | Call { c_src = None; _ } -> []
-  | Select (p, e1) -> wrap (fun x -> Select (p, x)) (contexts e1)
-  | Project (attrs, e1) -> wrap (fun x -> Project (attrs, x)) (contexts e1)
-  | Unnest (e1, a) -> wrap (fun x -> Unnest (x, a)) (contexts e1)
-  | Follow fl -> wrap (fun x -> Follow { fl with src = x }) (contexts fl.src)
-  | Call ({ c_src = Some src; _ } as c) ->
-    wrap (fun x -> Call { c with c_src = Some x }) (contexts src)
-  | Join (keys, e1, e2) ->
-    wrap (fun x -> Join (keys, x, e2)) (contexts e1)
-    @ wrap (fun x -> Join (keys, e1, x)) (contexts e2))
+   with that subexpression replaced, in pre-order (left operand before
+   right). Each node's rebuild extends its parent's, so the list costs
+   one closure per node. *)
+let contexts (e : expr) : (expr * (expr -> expr)) list =
+  let acc = ref [] in
+  let rec go e rb =
+    acc := (e, rb) :: !acc;
+    match e with
+    | Entry _ | External _ | Call { c_src = None; _ } -> ()
+    | Select (p, e1) -> go e1 (fun x -> rb (Select (p, x)))
+    | Project (attrs, e1) -> go e1 (fun x -> rb (Project (attrs, x)))
+    | Unnest (e1, a) -> go e1 (fun x -> rb (Unnest (x, a)))
+    | Follow fl -> go fl.src (fun x -> rb (Follow { fl with src = x }))
+    | Call ({ c_src = Some src; _ } as c) ->
+      go src (fun x -> rb (Call { c with c_src = Some x }))
+    | Join (keys, e1, e2) ->
+      go e1 (fun x -> rb (Join (keys, x, e2)));
+      go e2 (fun x -> rb (Join (keys, e1, x)))
+  in
+  go e Fun.id;
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Attribute name helpers                                              *)
@@ -48,9 +53,11 @@ let rec contexts (e : expr) : (expr * (expr -> expr)) list =
 let attr_of_path alias (p : Adm.Constraints.path) =
   String.concat "." (alias :: p.Adm.Constraints.steps)
 
+type link = string * Adm.Constraints.path * string * string
+
 (* All link attributes available in [e]'s output (after the necessary
    unnests), with their constraint path and target scheme. *)
-let available_links (schema : Adm.Schema.t) (e : expr) =
+let available_links (schema : Adm.Schema.t) (e : expr) : link list =
   let out = output_attrs schema e in
   let env = alias_env e in
   List.filter_map
@@ -62,6 +69,22 @@ let available_links (schema : Adm.Schema.t) (e : expr) =
         | Some target -> Some (attr, path, alias, target)
         | None -> None))
     out
+
+(* [available_links] memoized by subexpression: rules 2, 8 and 9 ask
+   for the links of the same join operands across many plans. *)
+let links_memo (schema : Adm.Schema.t) : expr -> link list =
+  let tbl = Tbl.create 256 in
+  fun e ->
+    match Tbl.find_opt tbl e with
+    | Some links -> links
+    | None ->
+      let links = available_links schema e in
+      Tbl.add tbl e links;
+      links
+
+(* [s] extends [prefix] by at least one character. *)
+let extends ~prefix s =
+  String.length s > String.length prefix && String.starts_with ~prefix s
 
 (* Every attribute name referenced by operators of [e]. *)
 let referenced_attrs e =
@@ -87,9 +110,7 @@ let referenced_attrs e =
 let references_any_alias e aliases =
   let prefixes = List.map (fun a -> a ^ ".") aliases in
   List.exists
-    (fun attr -> List.exists (fun p -> String.length attr > String.length p
-                                       && String.sub attr 0 (String.length p) = p)
-                   prefixes)
+    (fun attr -> List.exists (fun prefix -> extends ~prefix attr) prefixes)
     (referenced_attrs e)
 
 (* ------------------------------------------------------------------ *)
@@ -100,7 +121,8 @@ let references_any_alias e aliases =
    with associated constraint A = B, becomes e1 →L P2. The paper
    states the rule for any page relation; in plans only entry points
    appear as bare page relations. *)
-let rule2 (schema : Adm.Schema.t) (root : expr) : expr list =
+let rule2 ?links (schema : Adm.Schema.t) (root : expr) : expr list =
+  let links = Option.value links ~default:(available_links schema) in
   List.concat_map
     (fun (sub, rb) ->
       match sub with
@@ -120,7 +142,7 @@ let rule2 (schema : Adm.Schema.t) (root : expr) : expr list =
               match matching with
               | Some _ -> Some (rb (Follow { src = e1; link = link_attr; scheme; alias }))
               | None -> None)
-          (available_links schema e1)
+          (links e1)
       | _ -> [])
     (contexts root)
 
@@ -299,7 +321,8 @@ type pointer_match = {
   rebuild : expr -> expr; (* rebuilds the root around the Join *)
 }
 
-let pointer_matches (schema : Adm.Schema.t) (root : expr) : pointer_match list =
+let pointer_matches ~links (schema : Adm.Schema.t) (root : expr) :
+    pointer_match list =
   List.concat_map
     (fun (sub, rb) ->
       match sub with
@@ -307,7 +330,7 @@ let pointer_matches (schema : Adm.Schema.t) (root : expr) : pointer_match list =
         let sided nav_side other ~nav_is_left =
           (* R2's links, resolved once per side and only when some
              join key names a follow's target *)
-          let links = lazy (available_links schema other) in
+          let links = lazy (links other) in
           List.concat_map
             (fun (fsub, frb) ->
               match fsub with
@@ -317,10 +340,7 @@ let pointer_matches (schema : Adm.Schema.t) (root : expr) : pointer_match list =
                 List.concat_map
                   (fun (ka, kb) ->
                     let nav_key, other_key = if nav_is_left then (ka, kb) else (kb, ka) in
-                    if
-                      String.length nav_key > String.length prefix
-                      && String.sub nav_key 0 (String.length prefix) = prefix
-                    then
+                    if extends ~prefix nav_key then
                       let b =
                         String.sub nav_key (String.length prefix)
                           (String.length nav_key - String.length prefix)
@@ -385,7 +405,8 @@ let pointer_join m =
   m.rebuild (with_residual m (m.follow_rb (Follow { fl with src = joined })))
 
 let rule8 (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.map pointer_join (pointer_matches schema root)
+  List.map pointer_join
+    (pointer_matches ~links:(available_links schema) schema root)
 
 (* Rule 9 [Pointer Chase]:
    π_X((R1 →L R3) ⋈_{R3.B=R2.A} R2) = π_X(R2 →L' R3)
@@ -427,13 +448,15 @@ let pointer_chase (schema : Adm.Schema.t) m =
         if references_any_alias candidate dropped then None else Some candidate
 
 let rule9 (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.filter_map (pointer_chase schema) (pointer_matches schema root)
+  List.filter_map (pointer_chase schema)
+    (pointer_matches ~links:(available_links schema) schema root)
 
 (* Rules 8 and 9 over one shared match pass: rule 8's rewritings,
    then rule 9's — the order the two rules produce one after the
    other. *)
-let rules8_9 (schema : Adm.Schema.t) (root : expr) : expr list =
-  let ms = pointer_matches schema root in
+let rules8_9 ?links (schema : Adm.Schema.t) (root : expr) : expr list =
+  let links = Option.value links ~default:(available_links schema) in
+  let ms = pointer_matches ~links schema root in
   List.map pointer_join ms @ List.filter_map (pointer_chase schema) ms
 
 (* ------------------------------------------------------------------ *)
@@ -467,9 +490,7 @@ let rule6 (schema : Adm.Schema.t) (root : expr) : expr list =
                 (fun (fsub, _) ->
                   match fsub with
                   | Follow fl
-                    when String.length attr > String.length fl.alias + 1
-                         && String.sub attr 0 (String.length fl.alias + 1)
-                            = fl.alias ^ "." -> (
+                    when extends ~prefix:(fl.alias ^ ".") attr -> (
                     let b =
                       String.sub attr
                         (String.length fl.alias + 1)
@@ -513,10 +534,13 @@ let subset attrs available = List.for_all (fun a -> List.mem a available) attrs
 (* Push every selection atom to the lowest operator that provides its
    attributes. Equalities implied by link constraints are not used
    here — that is rule 6's job; this is plain commutation. *)
-let sink_selections (schema : Adm.Schema.t) (e : expr) : expr =
-  (* one memo table per invocation: the same subtrees are queried at
-     every enclosing operator on the way down *)
-  let out = output_attrs_memo schema in
+let sink_selections ?attrs (schema : Adm.Schema.t) (e : expr) : expr =
+  (* a memo table (one per invocation unless the caller shares one):
+     the same subtrees are queried at every enclosing operator on the
+     way down *)
+  let out =
+    match attrs with Some out -> out | None -> output_attrs_memo schema
+  in
   let rec place (atoms : Pred.atom list) e =
     match e with
     | Select (p, e1) -> place (atoms @ p) e1
@@ -575,11 +599,8 @@ let prune (schema : Adm.Schema.t) (root : expr) : expr =
       Join (keys, go needed e1, go needed e2)
     | Unnest (e1, a) ->
       let contributes =
-        List.exists
-          (fun n ->
-            String.length n > String.length a + 1
-            && String.sub n 0 (String.length a + 1) = a ^ ".")
-          needed
+        let prefix = a ^ "." in
+        List.exists (extends ~prefix) needed
       in
       (* Rule 3 is licensed by a declared non-emptiness constraint:
          without it, a page with an empty list would survive the
@@ -596,13 +617,7 @@ let prune (schema : Adm.Schema.t) (root : expr) : expr =
       else go needed e1
     | Follow fl ->
       let prefix = fl.alias ^ "." in
-      let contributes =
-        List.exists
-          (fun n ->
-            String.length n > String.length prefix
-            && String.sub n 0 (String.length prefix) = prefix)
-          needed
-      in
+      let contributes = List.exists (extends ~prefix) needed in
       let optional =
         match constraint_path_of_attr fl.src fl.link with
         | Some (p, _) -> (
@@ -646,9 +661,7 @@ let rule7_replace (schema : Adm.Schema.t) (root : expr) : expr list =
               (fun (fsub, _) ->
                 match fsub with
                 | Follow fl
-                  when String.length attr > String.length fl.alias + 1
-                       && String.sub attr 0 (String.length fl.alias + 1)
-                          = fl.alias ^ "." -> (
+                  when extends ~prefix:(fl.alias ^ ".") attr -> (
                   let b =
                     String.sub attr
                       (String.length fl.alias + 1)
@@ -687,10 +700,7 @@ let rule7_literal (schema : Adm.Schema.t) (root : expr) : expr list =
         | None -> []
         | Some (link_path, link_alias) ->
           let prefix = fl.alias ^ "." in
-          if
-            String.length b_attr > String.length prefix
-            && String.sub b_attr 0 (String.length prefix) = prefix
-          then
+          if extends ~prefix b_attr then
             let b =
               String.sub b_attr (String.length prefix)
                 (String.length b_attr - String.length prefix)

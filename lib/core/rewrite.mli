@@ -9,17 +9,24 @@ val contexts : Nalg.expr -> (Nalg.expr * (Nalg.expr -> Nalg.expr)) list
     replacement. *)
 
 val attr_of_path : string -> Adm.Constraints.path -> string
-val available_links :
-  Adm.Schema.t -> Nalg.expr ->
-  (string * Adm.Constraints.path * string * string) list
-(** Link attributes in an expression's output, as
-    (attribute, constraint path, alias, target scheme). *)
+type link = string * Adm.Constraints.path * string * string
+(** A link attribute of an expression's output, as (attribute,
+    constraint path, alias, target scheme). *)
+
+val available_links : Adm.Schema.t -> Nalg.expr -> link list
+(** Link attributes in an expression's output. *)
+
+val links_memo : Adm.Schema.t -> Nalg.expr -> link list
+(** {!available_links} memoized by subexpression (structural
+    equality); each application has its own table. *)
 
 val referenced_attrs : Nalg.expr -> string list
 val references_any_alias : Nalg.expr -> string list -> bool
 
-val rule2 : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
-(** A join whose predicate is a link constraint is a follow. *)
+val rule2 :
+  ?links:(Nalg.expr -> link list) -> Adm.Schema.t -> Nalg.expr -> Nalg.expr list
+(** A join whose predicate is a link constraint is a follow. [links]
+    (default {!available_links}) may be a {!links_memo}. *)
 
 val rule4 : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
 (** Eliminate repeated navigations: [(R ◦ A) ⋈_Y R = R ◦ A]. The
@@ -39,18 +46,22 @@ val rule9 : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
     [π_X((R1 →L R3) ⋈_{R3.B=R2.A} R2) = π_X(R2 →L' R3)] given the
     inclusion [R2.L' ⊆ R1.L] and that nothing references [R1]. *)
 
-val rules8_9 : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
+val rules8_9 :
+  ?links:(Nalg.expr -> link list) -> Adm.Schema.t -> Nalg.expr -> Nalg.expr list
 (** [rule8] followed by [rule9], in that order, from one shared search
-    for pointer-join/chase matches. *)
+    for pointer-join/chase matches. [links] as for {!rule2}. *)
 
 val join_commute : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
 val join_rotate : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
 (** Join associativity/commutativity: expose repeated or joinable
     navigations hidden by the FROM-order left-deep tree. *)
 
-val sink_selections : Adm.Schema.t -> Nalg.expr -> Nalg.expr
+val sink_selections :
+  ?attrs:(Nalg.expr -> string list) -> Adm.Schema.t -> Nalg.expr -> Nalg.expr
 (** Push every selection atom to the lowest operator providing its
-    attributes (plain commutation; constraint moves are {!rule6}). *)
+    attributes (plain commutation; constraint moves are {!rule6}).
+    [attrs] defaults to a fresh {!Nalg.output_attrs_memo}; pass a
+    shared one to reuse it across plans. *)
 
 val prune : Adm.Schema.t -> Nalg.expr -> Nalg.expr
 (** Rules 3 and 5 by neededness analysis: drop unnests and navigations

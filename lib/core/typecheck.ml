@@ -32,14 +32,31 @@ let scheme_env (schema : Adm.Schema.t) ~scheme ~alias : env =
 (* Typed NALG inference (E01xx)                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Names of an environment mapped to their first binding's type. *)
+module Names = Hashtbl.Make (String)
+
+let add_names idx (env : env) =
+  List.iter (fun (a, ty) -> if not (Names.mem idx a) then Names.add idx a ty) env
+
+let names_of (env : env) =
+  let idx = Names.create 32 in
+  add_names idx env;
+  idx
+
 (* Bottom-up inference of the ordered output environment of every
    subexpression. The environment mirrors [Nalg.output_attrs] name for
    name (same order), adding the web type of each attribute. [rev] is
    the reversed step path from the root to the current node; each
    diagnostic carries the forward path so {!Explain.locate} can point
-   back at the operator. *)
-let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
-    (root : Nalg.expr) : env * Diagnostic.t list =
+   back at the operator.
+
+   Every node also returns an index of its environment's names (first
+   binding wins, as [List.assoc] would), which its parent takes over
+   and extends in place: each lookup and ambiguity check is one hash
+   probe, and each name is indexed once, by the node that introduces
+   it. [scheme_env] supplies the occurrences' environments. *)
+let infer_with ~scheme_env ~views (schema : Adm.Schema.t) (root : Nalg.expr) :
+    env * Diagnostic.t list =
   let diags = ref [] in
   let report rev severity code fmt =
     Fmt.kstr
@@ -48,20 +65,20 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
   in
   let err rev code fmt = report rev Diagnostic.Error code fmt in
   let warn rev code fmt = report rev Diagnostic.Warning code fmt in
-  let operand_ty (env : env) = function
+  let operand_ty idx = function
     | Pred.Const v -> Adm.Webtype.of_value v
-    | Pred.Attr a -> List.assoc_opt a env
+    | Pred.Attr a -> Names.find_opt idx a
   in
-  let check_operand rev where env = function
+  let check_operand rev where idx = function
     | Pred.Const _ -> ()
     | Pred.Attr a ->
-      if not (List.mem_assoc a env) then
+      if not (Names.mem idx a) then
         err rev "E0103" "%s references unavailable attribute %s" where a
   in
-  let check_atom rev where env (a : Pred.atom) =
-    check_operand rev where env a.Pred.left;
-    check_operand rev where env a.Pred.right;
-    match operand_ty env a.Pred.left, operand_ty env a.Pred.right with
+  let check_atom rev where idx (a : Pred.atom) =
+    check_operand rev where idx a.Pred.left;
+    check_operand rev where idx a.Pred.right;
+    match operand_ty idx a.Pred.left, operand_ty idx a.Pred.right with
     | Some t1, Some t2 ->
       if Adm.Webtype.is_multi t1 || Adm.Webtype.is_multi t2 then
         err rev "E0106" "%s compares a multi-valued attribute in %a" where
@@ -71,7 +88,18 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
           Adm.Webtype.pp t1 Adm.Webtype.pp t2
     | (Some _ | None), _ -> ()
   in
-  let rec go rev (e : Nalg.expr) : env =
+  (* [tgt]'s names already bound by the source are ambiguous; then the
+     source's index takes [tgt] in *)
+  let append rev what (env_src, idx) (tgt : env) =
+    List.iter
+      (fun (a, _) ->
+        if Names.mem idx a then
+          err rev "E0105" "%s produces ambiguous attribute %s" what a)
+      tgt;
+    add_names idx tgt;
+    (env_src @ tgt, idx)
+  in
+  let rec go rev (e : Nalg.expr) : env * Adm.Webtype.t Names.t =
     match e with
     | Nalg.Entry { scheme; alias } ->
       (match Adm.Schema.find_scheme schema scheme with
@@ -85,49 +113,56 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
             (Adm.Page_scheme.adornment ps)
         else if not (Adm.Page_scheme.is_entry_point ps) then
           err rev "E0102" "page-scheme %s is not an entry point" scheme);
-      scheme_env schema ~scheme ~alias
-    | Nalg.External { name; alias } -> (
-      match views name with
-      | Some (attrs : (string * Adm.Webtype.t) list) ->
-        (* A registered materialized view: the occurrence is an access
-           path (answered by [View_scan]), typed like a base scheme. *)
-        List.map (fun (a, ty) -> (alias ^ "." ^ a, ty)) attrs
-      | None ->
-        err rev "E0107" "external relation %s remains (not computable)" name;
-        (* placeholder matching [Nalg.output_attrs]'s arity *)
-        [ (alias ^ ".*" ^ name, Adm.Webtype.Text) ])
+      let env = scheme_env ~scheme ~alias in
+      (env, names_of env)
+    | Nalg.External { name; alias } ->
+      let env =
+        match views name with
+        | Some (attrs : (string * Adm.Webtype.t) list) ->
+          (* A registered materialized view: the occurrence is an access
+             path (answered by [View_scan]), typed like a base scheme. *)
+          List.map (fun (a, ty) -> (alias ^ "." ^ a, ty)) attrs
+        | None ->
+          err rev "E0107" "external relation %s remains (not computable)" name;
+          (* placeholder matching [Nalg.output_attrs]'s arity *)
+          [ (alias ^ ".*" ^ name, Adm.Webtype.Text) ]
+      in
+      (env, names_of env)
     | Nalg.Select (p, e1) ->
-      let env1 = go ("select" :: rev) e1 in
-      List.iter (check_atom rev "selection" env1) p;
-      env1
+      let ((_, idx1) as r1) = go ("select" :: rev) e1 in
+      List.iter (check_atom rev "selection" idx1) p;
+      r1
     | Nalg.Project (attrs, e1) ->
-      let env1 = go ("project" :: rev) e1 in
+      let _, idx1 = go ("project" :: rev) e1 in
       let rec dups seen = function
         | [] -> ()
         | a :: rest ->
           (* Selecting the same column twice is legal (the result is
              positional), merely suspicious — unlike a join clash. *)
-          if List.mem a seen then
+          if List.exists (String.equal a) seen then
             warn rev "W0110" "projection duplicates attribute %s" a
-          else if not (List.mem_assoc a env1) then
+          else if not (Names.mem idx1 a) then
             err rev "E0103" "projection references unavailable attribute %s" a;
           dups (a :: seen) rest
       in
       dups [] attrs;
-      List.map
-        (fun a ->
-          (a, Option.value (List.assoc_opt a env1) ~default:Adm.Webtype.Text))
-        attrs
+      let env =
+        List.map
+          (fun a ->
+            (a, Option.value (Names.find_opt idx1 a) ~default:Adm.Webtype.Text))
+          attrs
+      in
+      (env, names_of env)
     | Nalg.Join (keys, e1, e2) ->
-      let env1 = go ("join.left" :: rev) e1 in
-      let env2 = go ("join.right" :: rev) e2 in
+      let env1, idx1 = go ("join.left" :: rev) e1 in
+      let env2, idx2 = go ("join.right" :: rev) e2 in
       List.iter
         (fun (l, r) ->
-          if not (List.mem_assoc l env1) then
+          if not (Names.mem idx1 l) then
             err rev "E0103" "join (left) references unavailable attribute %s" l;
-          if not (List.mem_assoc r env2) then
+          if not (Names.mem idx2 r) then
             err rev "E0103" "join (right) references unavailable attribute %s" r;
-          match List.assoc_opt l env1, List.assoc_opt r env2 with
+          match Names.find_opt idx1 l, Names.find_opt idx2 r with
           | Some t1, Some t2 ->
             if Adm.Webtype.is_multi t1 || Adm.Webtype.is_multi t2 then
               err rev "E0106" "join key %s=%s binds a multi-valued attribute" l r
@@ -136,16 +171,11 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
                 Adm.Webtype.pp t1 Adm.Webtype.pp t2
           | (Some _ | None), _ -> ())
         keys;
-      List.iter
-        (fun (a, _) ->
-          if List.mem_assoc a env1 then
-            err rev "E0105" "join produces ambiguous attribute %s" a)
-        env2;
-      env1 @ env2
+      append rev "join" (env1, idx1) env2
     | Nalg.Unnest (e1, attr) ->
-      let env1 = go ("unnest" :: rev) e1 in
+      let env1, idx1 = go ("unnest" :: rev) e1 in
       let fields =
-        match List.assoc_opt attr env1 with
+        match Names.find_opt idx1 attr with
         | Some (Adm.Webtype.List fields) -> fields
         | Some ty ->
           err rev "E0104" "unnest of %s: not a list attribute (%a)" attr
@@ -155,11 +185,13 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
           err rev "E0103" "unnest references unavailable attribute %s" attr;
           []
       in
-      List.filter (fun (a, _) -> not (String.equal a attr)) env1
-      @ List.map (fun (f, ty) -> (attr ^ "." ^ f, ty)) fields
+      let inner = List.map (fun (f, ty) -> (attr ^ "." ^ f, ty)) fields in
+      Names.remove idx1 attr;
+      add_names idx1 inner;
+      (List.filter (fun (a, _) -> not (String.equal a attr)) env1 @ inner, idx1)
     | Nalg.Follow { src; link; scheme; alias } ->
-      let env_src = go ("follow" :: rev) src in
-      (match List.assoc_opt link env_src with
+      let ((_, idx_src) as r_src) = go ("follow" :: rev) src in
+      (match Names.find_opt idx_src link with
       | Some (Adm.Webtype.Link target) ->
         if not (String.equal target scheme) then
           err rev "E0109" "follow of %s reaches %s, plan says %s" link target
@@ -171,16 +203,12 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
       (match Adm.Schema.find_scheme schema scheme with
       | None -> err rev "E0101" "unknown page-scheme %s" scheme
       | Some _ -> ());
-      let tgt = scheme_env schema ~scheme ~alias in
-      List.iter
-        (fun (a, _) ->
-          if List.mem_assoc a env_src then
-            err rev "E0105" "follow produces ambiguous attribute %s" a)
-        tgt;
-      env_src @ tgt
+      append rev "follow" r_src (scheme_env ~scheme ~alias)
     | Nalg.Call { c_src; c_scheme; c_alias; c_args } ->
-      let env_src =
-        match c_src with None -> [] | Some src -> go ("call" :: rev) src
+      let ((_, idx_src) as r_src) =
+        match c_src with
+        | None -> ([], Names.create 16)
+        | Some src -> go ("call" :: rev) src
       in
       (match Adm.Schema.find_scheme schema c_scheme with
       | None -> err rev "E0101" "unknown page-scheme %s" c_scheme
@@ -218,7 +246,7 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
                 match arg with
                 | Nalg.Arg_const _ -> ()
                 | Nalg.Arg_attr a -> (
-                  match List.assoc_opt a env_src with
+                  match Names.find_opt idx_src a with
                   | None ->
                     err rev "E0111"
                       "call argument %s := %s references an attribute the \
@@ -238,16 +266,35 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
                         ty)))
             c_args
         end);
-      let tgt = scheme_env schema ~scheme:c_scheme ~alias:c_alias in
-      List.iter
-        (fun (a, _) ->
-          if List.mem_assoc a env_src then
-            err rev "E0105" "call produces ambiguous attribute %s" a)
-        tgt;
-      env_src @ tgt
+      append rev "call" r_src (scheme_env ~scheme:c_scheme ~alias:c_alias)
   in
-  let env = go [] root in
+  let env, _ = go [] root in
   (env, List.rev !diags)
+
+let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t) root =
+  infer_with ~scheme_env:(scheme_env schema) ~views schema root
+
+(* [infer] memoized by plan, with the occurrences' environments built
+   once per (scheme, alias) across every plan it is applied to. *)
+let infer_memo ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t) :
+    Nalg.expr -> env * Diagnostic.t list =
+  let occs = Hashtbl.create 16 in
+  let scheme_env ~scheme ~alias =
+    match Hashtbl.find_opt occs (scheme, alias) with
+    | Some env -> env
+    | None ->
+      let env = scheme_env schema ~scheme ~alias in
+      Hashtbl.add occs (scheme, alias) env;
+      env
+  in
+  let plans = Nalg.Tbl.create 256 in
+  fun e ->
+    match Nalg.Tbl.find_opt plans e with
+    | Some r -> r
+    | None ->
+      let r = infer_with ~scheme_env ~views schema e in
+      Nalg.Tbl.add plans e r;
+      r
 
 let check schema e = snd (infer schema e)
 

@@ -39,6 +39,16 @@ val infer :
     (each attribute qualified by the alias) instead of raising [E0107]
     — views become first-class access paths to the type system. *)
 
+val infer_memo :
+  ?views:(string -> (string * Adm.Webtype.t) list option) ->
+  Adm.Schema.t ->
+  Nalg.expr ->
+  env * Diagnostic.t list
+(** {!infer} memoized by plan (structural equality), the occurrences'
+    {!scheme_env}s built once per (scheme, alias) across every plan.
+    Apply once per planning run and reuse the closure; it returns
+    exactly what {!infer} returns. *)
+
 val check : Adm.Schema.t -> Nalg.expr -> Diagnostic.t list
 (** [check schema e = snd (infer schema e)]. *)
 

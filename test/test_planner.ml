@@ -360,8 +360,10 @@ let test_planner_figure2_query () =
 (* What the planner decides for a fixed set of queries, pinned in
    planner_pins.txt: the best plan, every candidate's cost in order,
    the explored and merged counts and the diagnostic codes (W0401
-   included). A change that only makes planning cheaper must leave
-   all of it unchanged. The queries are the five join families of the
+   included), then the whole plan space — every candidate's cost,
+   cardinality and plan text in order, and every diagnostic with its
+   code, path and message. A change that only makes planning cheaper
+   must leave all of it unchanged. The queries are the five join families of the
    planning benchmark on a 20-dept/400-prof/800-course/4-session
    university, two constant sets each, and every query the examples
    plan. *)
@@ -461,7 +463,7 @@ let pin_block (name, site, sql) =
   let o = Planner.plan_sql schema stats registry sql in
   let one_line s = String.concat "\\n" (String.split_on_char '\n' s) in
   String.concat "\n"
-    [
+    ([
       "query " ^ name;
       "sql " ^ sql;
       "best " ^ one_line (Nalg.to_string o.Planner.best.Planner.expr);
@@ -475,6 +477,17 @@ let pin_block (name, site, sql) =
       ^ String.concat ","
           (List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) o.Planner.diagnostics);
     ]
+    @ List.map
+        (fun (p : Planner.plan) ->
+          Printf.sprintf "candidate %.17g %.17g %s" p.Planner.cost p.Planner.card
+            (one_line (Nalg.to_string p.Planner.expr)))
+        o.Planner.candidates
+    @ List.map
+        (fun (d : Diagnostic.t) ->
+          Printf.sprintf "diagnostic %s [%s] %s" d.Diagnostic.code
+            (String.concat "/" d.Diagnostic.path)
+            (one_line d.Diagnostic.message))
+        o.Planner.diagnostics)
 
 (* The pinned blocks, keyed by case name. *)
 let pinned =
@@ -497,10 +510,170 @@ let test_plan_pins () =
     Alcotest.(list string_t)
     "pinned cases" (List.map fst pinned)
     (List.map (fun (name, _, _) -> name) pin_cases);
+  let blocks = List.map pin_block pin_cases in
+  (* on a mismatch, the current text goes to planner_pins.actual beside
+     the test binary *)
+  if List.exists2 (fun (_, b) b' -> not (String.equal b b')) pinned blocks then
+    Out_channel.with_open_text "planner_pins.actual" (fun oc ->
+        List.iter (fun b -> Out_channel.output_string oc (b ^ "\n\n")) blocks);
+  List.iter2
+    (fun (name, _, _) block -> check string_t name (List.assoc name pinned) block)
+    pin_cases blocks
+
+(* Planning is a function of the query alone: the pinned queries
+   planned forwards and then backwards in one process give the same
+   outcomes byte for byte, so no memo of the planning context survives
+   an [enumerate] call. *)
+let test_plan_order_independent () =
+  let forwards = List.map pin_block pin_cases in
+  let backwards = List.rev_map pin_block (List.rev pin_cases) in
+  List.iter2
+    (fun (name, _, _) (f, b) -> check string_t name f b)
+    pin_cases (List.combine forwards backwards)
+
+(* Every plan the closures of [enumerate] reach for a query, rebuilt
+   from the public rules phase by phase (join, selection, sinking,
+   projection, pruning), with the planner's caps. *)
+let closure_plans schema registry sql =
+  let q, _ = Contain.minimize_query registry (Sql_parser.parse registry sql) in
+  let seeds =
+    View.expand registry (Conjunctive.to_algebra q)
+    |> List.map (Planner.fixpoint (Rewrite.rule4 schema))
+  in
+  let joins, _ =
+    Planner.closure ~cap:1500
+      [
+        Rewrite.rule4 schema; Rewrite.join_commute schema; Rewrite.join_rotate schema;
+        Rewrite.rules8_9 schema; Rewrite.rule2 schema;
+      ]
+      seeds
+  in
+  let selections, _ = Planner.closure [ Rewrite.rule6 schema ] joins in
+  let sunk = List.map (Rewrite.sink_selections schema) selections in
+  let projections, _ = Planner.closure [ Rewrite.rule7_replace schema ] sunk in
+  joins @ selections @ sunk @ projections @ List.map (Rewrite.prune schema) projections
+
+(* The planning context's memoized properties equal the context-free
+   functions: output attributes and available links of every
+   subexpression, and the typed environment with its diagnostics, the
+   soundness verdict against the first plan and the plan key of every
+   plan. One context serves all plans of a query, so its memos are
+   read back as often as the planner reads them. *)
+let context_agrees ~what schema (plans : Nalg.expr list) =
+  let ctx = Planner.context schema in
+  let root = List.hd plans in
+  let outcome f x = match f x with v -> Ok v | exception ex -> Error (Printexc.to_string ex) in
+  let mismatches = ref [] in
+  let agree property e same =
+    if not same then mismatches := (property ^ " of " ^ Nalg.to_string e) :: !mismatches
+  in
   List.iter
-    (fun ((name, _, _) as case) ->
-      check string_t name (List.assoc name pinned) (pin_block case))
+    (fun e ->
+      List.iter
+        (fun (sub, _) ->
+          agree "attrs" sub (outcome (Nalg.output_attrs schema) sub = outcome ctx.Planner.attrs sub);
+          agree "links" sub
+            (outcome (Rewrite.available_links schema) sub = outcome ctx.Planner.links sub))
+        (Rewrite.contexts e);
+      let inferred = Typecheck.infer schema e in
+      agree "infer" e (inferred = ctx.Planner.infer e);
+      agree "judge" e
+        (Typecheck.judge ~parent:(Typecheck.infer schema root) ~child:inferred
+        = Typecheck.judge ~parent:(ctx.Planner.infer root) ~child:(ctx.Planner.infer e));
+      agree "key" e (String.equal (Contain.plan_key e) (ctx.Planner.key e)))
+    plans;
+  check Alcotest.(list string_t) (what ^ ": context disagreements") [] (List.rev !mismatches)
+
+let test_context_closure_plans () =
+  List.iter
+    (fun (name, site, sql) ->
+      let schema, registry, _ = pin_parts site in
+      context_agrees ~what:name schema (closure_plans schema registry sql))
     pin_cases
+
+(* Hand-made plans the closures never reach: ill-typed ones (their
+   diagnostics, paths and order included, and the E0402/E0403 verdicts
+   built from them), and plans whose key the pre-key cache must not
+   share — a call, a duplicate alias, more same-signature occurrences
+   than [perm_cap] admits renumberings, and a residual
+   attribute-attribute comparison. The last three come in pairs with
+   one pre-key and different keys. *)
+let test_context_hand_made_plans () =
+  let schema, _, _ = pin_parts pin_uni_site in
+  let e = Nalg.entry in
+  let profs = Nalg.unnest (e "ProfListPage") "ProfListPage.ProfList" in
+  let ill_typed =
+    [
+      Nalg.project [ "ProfListPage.URL"; "ProfListPage.ProfList.PName" ] profs;
+      Nalg.project [ "ProfListPage.Nope" ] (e "ProfListPage");
+      Nalg.unnest (e "ProfListPage") "ProfListPage.URL";
+      Nalg.join [ ("ProfListPage.URL", "ProfListPage.URL") ] (e "ProfListPage") (e "ProfListPage");
+      Nalg.follow profs "ProfListPage.ProfList.PName" ~scheme:"ProfPage";
+      Nalg.follow profs "ProfListPage.ProfList.ToProf" ~scheme:"CoursePage";
+      e "NoSuchPage";
+      e "ProfPage";
+      Nalg.external_ "Professor";
+      Nalg.select [ Pred.eq_const "ProfListPage.ProfList" (Adm.Value.Int 3) ] (e "ProfListPage");
+      Nalg.project [ "ProfListPage.URL" ] profs;
+    ]
+  in
+  context_agrees ~what:"ill-typed" schema ill_typed;
+  let codes =
+    List.concat_map
+      (fun p -> List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) (snd (Typecheck.infer schema p)))
+      ill_typed
+    @ List.map
+        (fun (d : Diagnostic.t) -> d.Diagnostic.code)
+        (List.concat_map
+           (fun child ->
+             Typecheck.judge
+               ~parent:(Typecheck.infer schema (List.hd ill_typed))
+               ~child:(Typecheck.infer schema child))
+           ill_typed)
+  in
+  List.iter
+    (fun code -> check bool_t ("reaches " ^ code) true (List.mem code codes))
+    [ "E0101"; "E0102"; "E0103"; "E0104"; "E0105"; "E0106"; "E0107"; "E0108"; "E0109";
+      "E0402"; "E0403" ];
+  let shared_pre_key ~what p1 p2 =
+    context_agrees ~what schema [ p1; p2 ];
+    check bool_t (what ^ ": different keys") false
+      (String.equal (Contain.plan_key p1) (Contain.plan_key p2))
+  in
+  let j = Nalg.join [] in
+  let top a = Nalg.project [ a ^ ".URL" ] in
+  shared_pre_key ~what:"duplicate alias"
+    (top "DeptListPage" (j (e "ProfListPage") (j (e "ProfListPage") (e "DeptListPage"))))
+    (top "DeptListPage" (j (j (e "ProfListPage") (e "ProfListPage")) (e "DeptListPage")));
+  let occs = List.init 7 (fun i -> e ~alias:(Printf.sprintf "P%d" i) "ProfListPage") in
+  let left_deep = List.fold_left j (List.hd occs) (List.tl occs) in
+  let right_deep = List.fold_right j (List.tl occs) (List.hd occs) in
+  shared_pre_key ~what:"beyond perm_cap" (top "P0" left_deep) (top "P0" right_deep);
+  (* the residual's left term sits in the class {A.URL, C.URL}, whose
+     root is whichever of A and C the plan numbers first; only A is
+     unnested, so the two numberings give different keys *)
+  let residual ~a_first =
+    let a = Nalg.unnest (e ~alias:"A" "ProfListPage") "A.ProfList" in
+    let b = e ~alias:"B" "ProfListPage" and c = e ~alias:"C" "ProfListPage" in
+    Nalg.project [ "A.URL" ]
+      (Nalg.select
+         [
+           Pred.eq_attrs "A.URL" "C.URL";
+           Pred.atom (Pred.Attr "A.URL") Pred.Lt (Pred.Attr "B.URL");
+         ]
+         (if a_first then j (j a b) c else j (j c b) a))
+  in
+  shared_pre_key ~what:"residual comparison" (residual ~a_first:true)
+    (residual ~a_first:false);
+  let fs = Sitegen.Sites.of_formsite (Sitegen.Formsite.build ()) in
+  let hook = Option.get (Sitegen.Sites.bindings fs) in
+  let calls =
+    List.concat_map
+      (fun sql -> hook (Sql_parser.parse fs.registry sql))
+      Server.Workload.formsite_templates
+  in
+  check bool_t "call plans" true (calls <> []);
+  context_agrees ~what:"call" fs.schema calls
 
 (* Lowering is total: every candidate the planner returns for a pinned
    query lowers to a physical plan without raising, and so does every
@@ -568,4 +741,7 @@ let suite =
       Alcotest.test_case "planner figure 2 query" `Quick test_planner_figure2_query;
       Alcotest.test_case "plan pins unchanged" `Quick test_plan_pins;
       Alcotest.test_case "every candidate lowers" `Quick test_candidates_lower;
+      Alcotest.test_case "planning is order-independent" `Quick test_plan_order_independent;
+      Alcotest.test_case "context agrees on closure plans" `Quick test_context_closure_plans;
+      Alcotest.test_case "context agrees on hand-made plans" `Quick test_context_hand_made_plans;
     ] )
