@@ -93,17 +93,12 @@ let with_site f site depts profs courses seed =
    alias or attribute E0301-E0304, a form-only query no composition
    of forms answers E0111, ...) is reported as coded diagnostics and
    exits 2 before planning, instead of escaping as an exception. *)
-let gate_diagnostics (loaded : Sites.t) sql =
-  let ds = Typecheck.lint_sql loaded.schema loaded.registry sql in
-  if Diagnostic.has_errors ds || loaded.registry = [] then ds
-  else ds @ Sites.binding_lint loaded (Sql_parser.parse loaded.registry sql)
-
 let fail_gate ds =
   List.iter (fun d -> Fmt.epr "%a@." Diagnostic.pp d) (List.sort Diagnostic.compare ds);
   exit 2
 
 let lint_gate loaded sql =
-  let ds = gate_diagnostics loaded sql in
+  let ds = Sites.lint_query loaded sql in
   if Diagnostic.has_errors ds then fail_gate ds
 
 (* An empty plan space the gate did not foresee is still a coded
@@ -127,7 +122,7 @@ let load_workload (loaded : Sites.t) path =
     List.concat_map
       (fun (line, (e : Server.Workload.entry)) ->
         List.map (fun d -> (line, d))
-          (Diagnostic.errors (gate_diagnostics loaded e.Server.Workload.sql)))
+          (Diagnostic.errors (Sites.lint_query loaded e.Server.Workload.sql)))
       numbered
   in
   if errors <> [] then begin

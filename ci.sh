@@ -109,6 +109,23 @@ diff "$bench_dir/committed.json" "$bench_dir/fresh.json" \
 rm -rf "$bench_dir"
 echo "BENCH_views.json counters reproduced (wall times masked)"
 
+echo "== paper experiments: EXP-1 to EXP-10 reproduce their committed output =="
+# every figure of the ten experiments is deterministic except EXP-10's
+# "plan ms" and "exec ms" columns (wall times), which are masked
+mask_experiments() {
+  sed -E '/^[0-9]+x \(/ s/\| [0-9]+ +\| [0-9]+ *$/| _ | _/' "$1"
+}
+bench_dir=$(mktemp -d)
+_build/default/bench/main.exe exp1 exp2 exp3 exp4 exp5 exp6 exp7 exp8 exp9 exp10 \
+  > "$bench_dir/experiments.txt" \
+  || { echo "paper experiments failed"; rm -rf "$bench_dir"; exit 1; }
+mask_experiments test/paper_experiments.expected > "$bench_dir/committed.txt"
+mask_experiments "$bench_dir/experiments.txt" > "$bench_dir/fresh.txt"
+diff "$bench_dir/committed.txt" "$bench_dir/fresh.txt" \
+  || { echo "paper experiments diverged from test/paper_experiments.expected"; rm -rf "$bench_dir"; exit 1; }
+rm -rf "$bench_dir"
+echo "EXP-1 to EXP-10 reproduced (EXP-10 wall times masked)"
+
 echo "== smoke views: one view-substituted query end to end =="
 dune exec --profile ci bin/webviews_cli.exe -- query --views \
   "SELECT p.PName, p.Email FROM Professor p" > /tmp/ci_views_smoke.$$
@@ -158,6 +175,15 @@ dune exec --profile ci bin/webviews_cli.exe -- query "SELEC p.PName FROM Profess
   > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
 [ "$status" -eq 2 ] && grep -q "E0308" /tmp/ci_lint_gate.$$ \
   || { echo "syntax error not reported as E0308 with exit 2"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
+# an integer literal beyond the native int range is a syntax error too
+for cmd in query explain plan run; do
+  status=0
+  dune exec --profile ci bin/webviews_cli.exe -- $cmd \
+    "SELECT p.PName FROM Professor p LIMIT 99999999999999999999" \
+    > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
+  [ "$status" -eq 2 ] && grep -q "E0308" /tmp/ci_lint_gate.$$ \
+    || { echo "$cmd: out-of-range integer not reported as E0308 with exit 2"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
+done
 # a form-only query no composition of forms answers: E0111 (or, past
 # the lint, an empty plan space E0309), exit 2, never an exception
 for cmd in query plan explain run; do
@@ -177,6 +203,13 @@ dune exec --profile ci bin/webviews_cli.exe -- serve --workload /tmp/ci_lint_wor
   > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
 [ "$status" -eq 2 ] && grep -q ":2: error\[E0304\]" /tmp/ci_lint_gate.$$ \
   || { echo "bad serve --workload line not reported as E0304 with exit 2"; rm -f /tmp/ci_lint_gate.$$ /tmp/ci_lint_workload.$$; exit 1; }
+printf 'SELECT p.PName FROM Professor p\nSELECT p.PName FROM Professor p LIMIT 99999999999999999999\n' \
+  > /tmp/ci_lint_workload.$$
+status=0
+dune exec --profile ci bin/webviews_cli.exe -- serve --workload /tmp/ci_lint_workload.$$ \
+  > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
+[ "$status" -eq 2 ] && grep -q ":2: error\[E0308\]" /tmp/ci_lint_gate.$$ \
+  || { echo "out-of-range integer in serve --workload not reported as E0308 with exit 2"; rm -f /tmp/ci_lint_gate.$$ /tmp/ci_lint_workload.$$; exit 1; }
 rm -f /tmp/ci_lint_workload.$$
 # a site size the generators cannot build is a usage error (exit 124)
 status=0

@@ -13,6 +13,10 @@ let () =
   let uni = Sitegen.Sites.load University in
   let schema = uni.schema and registry = uni.registry in
   let stats = Sitegen.Sites.stats uni in
+  (* the rules that read subexpression properties take the plan as a
+     node of a planning memo *)
+  let memo = Memo.create schema stats in
+  let on_memo rule e = rule memo (Memo.intern memo e) in
 
   (* The query of Example 7.1: name and description of courses taught
      by full professors in the Fall session. *)
@@ -45,7 +49,7 @@ let () =
   (* Rule 8: pointer join — intersect the two CourseList pointer sets
      before navigating to the course pages (the paper's plan (1c)). *)
   let pointer_join =
-    match Rewrite.rule8 schema merged with
+    match on_memo Rewrite.rule8 merged with
     | e :: _ -> e
     | [] -> merged
   in
@@ -57,16 +61,16 @@ let () =
     List.fold_left
       (fun e _ -> match Rewrite.rule6 schema e with e' :: _ -> e' | [] -> e)
       pointer_join [ 1; 2 ]
-    |> Rewrite.sink_selections schema
-    |> Rewrite.prune schema
+    |> on_memo Rewrite.sink_selections
+    |> on_memo Rewrite.prune
   in
   show "after rule 6 + selection sinking + pruning (plan 1d)" with_selections;
 
   (* Rule 9 would instead chase the links (the paper's plan (2c)). *)
-  (match Rewrite.rule9 schema merged with
+  (match on_memo Rewrite.rule9 merged with
   | chase :: _ ->
     let chase =
-      Rewrite.sink_selections schema (Rewrite.prune schema chase)
+      on_memo Rewrite.sink_selections (on_memo Rewrite.prune chase)
     in
     show "the rule-9 alternative (pointer chase, plan 2d)" chase;
     Fmt.pr "@.cost comparison (Section 6.2 cost function):@.";

@@ -942,119 +942,67 @@ let plan_key (e : Nalg.expr) : string =
     | None -> "S:" ^ Nalg.canonical e)
   | None -> "S:" ^ Nalg.canonical e
 
-(* A syntactic pre-key: everything [build] reads from a plan, with
-   each item kind sorted — the occurrences by alias, the navigation,
-   unnest and (oriented) atom items, and the top projection in order.
-   Plans that share a pre-key build the same tableau up to occurrence
-   numbering, and [plan_key]'s ["T:"] keys do not depend on that
-   numbering, so one computed key serves every plan with the pre-key.
-   ["S:"] keys render the exact expression, so they are never shared.
-   Two item kinds make the tableau depend on the numbering and get no
-   pre-key: residual attribute-attribute comparisons (rewritten to
-   class roots, the least term under the numbering) and calls (no
-   tableau form). Every string is written after its length and every
-   variant after a tag, so the encoding of the sorted item sequence is
-   injective: one pre-key means one multiset of items. *)
-exception No_prekey
+(* The items [build] reads from one node: its occurrence, navigation,
+   unnest and (oriented) atom items, each encoded as one string — a
+   tag per item kind, every string but the last after its length — so
+   one encoding means one item. Plans whose nodes carry the same
+   multiset of items and that share their top projection build the
+   same tableau up to occurrence numbering, and [plan_key]'s ["T:"]
+   keys do not depend on that numbering: one computed key serves every
+   such plan. Two item kinds make the tableau depend on the numbering
+   and get [None]: residual attribute-attribute comparisons (rewritten
+   to class roots, the least term under the numbering) and calls (no
+   tableau form); so do constants that are nested rows. *)
+exception No_items
 
-let pre_key (e : Nalg.expr) : string option =
-  let occs = ref [] and navs = ref [] and unnests = ref [] and atoms = ref [] in
+let items (e : Nalg.expr) : string list option =
+  let buf = Buffer.create 64 in
+  (* the length in base 128, low digits first, the last one < 128 *)
+  let rec len n =
+    if n < 128 then Buffer.add_char buf (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char buf (Char.unsafe_chr (128 lor (n land 127)));
+      len (n lsr 7)
+    end
+  in
+  let str s =
+    len (String.length s);
+    Buffer.add_string buf s
+  in
+  let tag = Buffer.add_char buf in
+  let item write =
+    Buffer.clear buf;
+    write ();
+    Buffer.contents buf
+  in
+  let operand = function
+    | Pred.Attr a ->
+      tag 'a';
+      str a
+    | Pred.Const v -> (
+      tag 'c';
+      match v with
+      | Adm.Value.Null -> tag 'n'
+      | Adm.Value.Bool b -> tag (if b then 'T' else 'F')
+      | Adm.Value.Int i ->
+        tag 'i';
+        str (string_of_int i)
+      | Adm.Value.Text a ->
+        tag 't';
+        str (Adm.Value.Atom.str a)
+      | Adm.Value.Link a ->
+        tag 'l';
+        str (Adm.Value.Atom.str a)
+      | Adm.Value.Rows _ -> raise No_items)
+  in
   let atom (a : Pred.atom) =
     let a = Pred.orient a in
     match a.Pred.left, a.Pred.cmp, a.Pred.right with
     | Pred.Attr _, (Pred.Neq | Pred.Lt | Pred.Le | Pred.Gt | Pred.Ge), Pred.Attr _ ->
-      raise No_prekey
-    | _ -> atoms := a :: !atoms
-  in
-  let rec go = function
-    | Nalg.Entry { scheme; alias } -> occs := (alias, 'E', scheme) :: !occs
-    | Nalg.External { name; alias } -> occs := (alias, 'X', name) :: !occs
-    | Nalg.Select (p, e) ->
-      List.iter atom p;
-      go e
-    | Nalg.Project (_, e) -> go e
-    | Nalg.Join (keys, e1, e2) ->
-      List.iter (fun (a, b) -> atom (Pred.eq_attrs a b)) keys;
-      go e1;
-      go e2
-    | Nalg.Unnest (e, attr) ->
-      unnests := attr :: !unnests;
-      go e
-    | Nalg.Follow { src; link; scheme; alias } ->
-      occs := (alias, 'F', scheme) :: !occs;
-      navs := (link, alias) :: !navs;
-      go src
-    | Nalg.Call _ -> raise No_prekey
-  in
-  let rec top = function
-    | Nalg.Select (_, e) -> top e
-    | Nalg.Project (attrs, _) -> Some attrs
-    | _ -> None
-  in
-  match go e with
-  | exception No_prekey -> None
-  | () ->
-    let buf = Buffer.create 512 in
-    (* the length in base 128, low digits first, the last one < 128 *)
-    let rec len n =
-      if n < 128 then Buffer.add_char buf (Char.unsafe_chr n)
-      else begin
-        Buffer.add_char buf (Char.unsafe_chr (128 lor (n land 127)));
-        len (n lsr 7)
-      end
-    in
-    let str s =
-      len (String.length s);
-      Buffer.add_string buf s
-    in
-    let tag c = Buffer.add_char buf c in
-    let operand = function
-      | Pred.Attr a ->
-        tag 'a';
-        str a
-      | Pred.Const v -> (
-        tag 'c';
-        match v with
-        | Adm.Value.Null -> tag 'n'
-        | Adm.Value.Bool b -> tag (if b then 'T' else 'F')
-        | Adm.Value.Int i ->
-          tag 'i';
-          str (string_of_int i)
-        | Adm.Value.Text a ->
-          tag 't';
-          str (Adm.Value.Atom.str a)
-        | Adm.Value.Link a ->
-          tag 'l';
-          str (Adm.Value.Atom.str a)
-        | Adm.Value.Rows _ -> raise No_prekey)
-    in
-    (* each group: its item count, then its sorted items *)
-    let group cmp write items =
-      len (List.length items);
-      List.iter write (List.sort cmp items)
-    in
-    match
-      group
-        (fun (a1, k1, n1) (a2, k2, n2) ->
-          match String.compare a1 a2 with
-          | 0 -> (
-            match Char.compare k1 k2 with 0 -> String.compare n1 n2 | c -> c)
-          | c -> c)
-        (fun (alias, kind, name) ->
-          str alias;
-          tag kind;
-          str name)
-        !occs;
-      group
-        (fun (l1, a1) (l2, a2) ->
-          match String.compare l1 l2 with 0 -> String.compare a1 a2 | c -> c)
-        (fun (link, alias) ->
-          str link;
-          str alias)
-        !navs;
-      group String.compare str !unnests;
-      group Pred.atom_compare
-        (fun (a : Pred.atom) ->
+      raise No_items
+    | _ ->
+      item (fun () ->
+          tag '=';
           operand a.Pred.left;
           tag
             (match a.Pred.cmp with
@@ -1065,31 +1013,34 @@ let pre_key (e : Nalg.expr) : string option =
             | Pred.Gt -> '>'
             | Pred.Ge -> 'g');
           operand a.Pred.right)
-        !atoms;
-      match top e with
-      | None -> tag '-'
-      | Some attrs ->
-        tag 'P';
-        len (List.length attrs);
-        List.iter str attrs
-    with
-    | () -> Some (Buffer.contents buf)
-    | exception No_prekey -> None
-
-(* [plan_key] behind the pre-key: a miss computes the key, and only a
-   ["T:"] key is stored. *)
-let plan_key_memo () : Nalg.expr -> string =
-  let tbl = Hashtbl.create 256 in
-  fun e ->
-    match pre_key e with
-    | None -> plan_key e
-    | Some pk -> (
-      match Hashtbl.find_opt tbl pk with
-      | Some k -> k
-      | None ->
-        let k = plan_key e in
-        if String.starts_with ~prefix:"T:" k then Hashtbl.add tbl pk k;
-        k)
+  in
+  let occ alias kind name =
+    item (fun () ->
+        tag 'o';
+        str alias;
+        tag kind;
+        Buffer.add_string buf name)
+  in
+  match
+    match e with
+    | Nalg.Entry { scheme; alias } -> [ occ alias 'E' scheme ]
+    | Nalg.External { name; alias } -> [ occ alias 'X' name ]
+    | Nalg.Select (p, _) -> List.map atom p
+    | Nalg.Project _ -> []
+    | Nalg.Join (keys, _, _) -> List.map (fun (a, b) -> atom (Pred.eq_attrs a b)) keys
+    | Nalg.Unnest (_, attr) -> [ "u" ^ attr ]
+    | Nalg.Follow { link; scheme; alias; _ } ->
+      [
+        occ alias 'F' scheme;
+        item (fun () ->
+            tag 'n';
+            str link;
+            Buffer.add_string buf alias);
+      ]
+    | Nalg.Call _ -> raise No_items
+  with
+  | items -> Some items
+  | exception No_items -> None
 
 (* ------------------------------------------------------------------ *)
 (* Conjunctive-query minimization                                     *)

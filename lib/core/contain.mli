@@ -109,15 +109,15 @@ val plan_key : Nalg.expr -> string
     coarse as structural identity and never merges plans it cannot
     analyze. *)
 
-val plan_key_memo : unit -> Nalg.expr -> string
-(** {!plan_key} behind a cache keyed by a syntactic pre-key (the
-    occurrences by alias, the sorted navigation, unnest and atom
-    items, the top projection): plans sharing a pre-key build the
-    same tableau up to occurrence numbering, which ["T:"] keys do not
-    depend on, so only those are stored. Plans with a call or a
-    residual attribute-attribute comparison bypass the cache. Each
-    application has its own table; the function always returns what
-    {!plan_key} returns. *)
+val items : Nalg.expr -> string list option
+(** The key items of one node (children excluded): its occurrence,
+    navigation, unnest and atom items, one string each, one encoding
+    per item. Plans whose nodes carry the same multiset of items and
+    that share their top projection (the projection under the top
+    selections) have the same {!plan_key} whenever that key starts
+    with ["T:"]. [None] for a node whose items make the tableau depend
+    on occurrence numbering — a call, or a residual attribute-attribute
+    comparison — and for constants that are nested rows. *)
 
 val minimize_query :
   View.registry -> Conjunctive.t -> Conjunctive.t * Diagnostic.t list

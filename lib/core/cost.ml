@@ -41,23 +41,53 @@ let no_views = { head_unit = 0.1; view = (fun _ -> None) }
 let view_scan_cost (econ : view_econ) (vc : view_cost) =
   vc.view_pages *. vc.view_stale *. (econ.head_unit +. vc.view_change)
 
-(* Attributes resolve against the alias environment of the plan being
-   estimated ([Nalg.alias_env root]), computed once per estimate. *)
-let attr_path env attr =
-  match Nalg.constraint_path_in env attr with
-  | Some (path, _alias) -> Some path
-  | None -> None
+(* ------------------------------------------------------------------ *)
+(* Attribute statistics                                                *)
+(* ------------------------------------------------------------------ *)
 
-(* c_A for an attribute of the current expression, resolved through
-   the alias environment; None when the statistics don't know it. *)
-let distinct_of (stats : Stats.t) env attr =
-  match attr_path env attr with
-  | None -> None
-  | Some p ->
-    let k = Stats.key p.Adm.Constraints.scheme p.Adm.Constraints.steps in
-    if Stats.has_distinct stats k then Some (Stats.distinct stats k) else None
+(* What the statistics say about one attribute: its distinct count
+   c_A, when known, and its fanout as a list. *)
+type attr_stats = { distinct : int option; fanout : float }
 
-let selectivity_of_atom stats env (a : Pred.atom) =
+(* Statistics entries already resolved, by attribute name and then by
+   the (alias length, scheme) qualifying it: each entry costs one key
+   and one lookup per table, however many plans read it. *)
+type stats_cache = {
+  c_stats : Stats.t;
+  entries : (string, (int * string * attr_stats) list) Hashtbl.t;
+}
+
+let stats_cache stats = { c_stats = stats; entries = Hashtbl.create 16 }
+
+(* The statistics of [attr] resolved through the alias environment
+   [env]; [None] when no alias in scope qualifies it. *)
+let attr_stats cache env attr =
+  match Nalg.qualifier env attr with
+  | None -> None
+  | Some (k, scheme) -> (
+    let known = Option.value (Hashtbl.find_opt cache.entries attr) ~default:[] in
+    match
+      List.find_opt (fun (k', scheme', _) -> k = k' && String.equal scheme scheme') known
+    with
+    | Some (_, _, s) -> Some s
+    | None ->
+      (* the dotted key [Stats.key scheme steps], steps after the alias *)
+      let key = scheme ^ String.sub attr k (String.length attr - k) in
+      let s =
+        {
+          distinct = Stats.find_distinct cache.c_stats key;
+          fanout = Stats.fanout cache.c_stats key;
+        }
+      in
+      Hashtbl.replace cache.entries attr ((k, scheme, s) :: known);
+      Some s)
+
+(* c_A for an attribute of the current expression; None when the
+   statistics don't know it. *)
+let distinct_of cache env attr =
+  match attr_stats cache env attr with Some s -> s.distinct | None -> None
+
+let selectivity_of_atom cache env (a : Pred.atom) =
   let attr_side =
     match a.Pred.left, a.Pred.right with
     | Pred.Attr attr, Pred.Const _ | Pred.Const _, Pred.Attr attr -> Some attr
@@ -67,7 +97,7 @@ let selectivity_of_atom stats env (a : Pred.atom) =
   | Pred.Eq -> (
     match attr_side with
     | Some attr -> (
-      match distinct_of stats env attr with
+      match distinct_of cache env attr with
       | Some c -> 1.0 /. float_of_int (max 1 c)
       | None -> 0.1)
     | None -> 0.1)
@@ -77,18 +107,18 @@ let selectivity_of_atom stats env (a : Pred.atom) =
 (* Estimated number of distinct values of [attr] within an
    intermediate result of cardinality [card]: bounded by the global
    distinct count c_A. This is |π_attr(R)| = |R| / r_A capped at c_A. *)
-let distinct_in stats env attr card =
-  match distinct_of stats env attr with
+let distinct_in cache env attr card =
+  match distinct_of cache env attr with
   | Some c -> Float.min card (float_of_int c)
   | None -> card
 
 (* Join selectivity: 1 / max(c_A, c_B), the System-R uniform estimate
    (the paper treats it as a given parameter). *)
-let join_selectivity stats env keys =
+let join_selectivity cache env keys =
   List.fold_left
     (fun acc (a, b) ->
-      let ca = match distinct_of stats env a with Some c -> c | None -> 10 in
-      let cb = match distinct_of stats env b with Some c -> c | None -> 10 in
+      let ca = match distinct_of cache env a with Some c -> c | None -> 10 in
+      let cb = match distinct_of cache env b with Some c -> c | None -> 10 in
       acc /. float_of_int (max 1 (max ca cb)))
     1.0 keys
 
@@ -97,7 +127,7 @@ let join_selectivity stats env keys =
    the source (constant-only calls fetch a single page). The product
    of per-attribute distinct counts, capped by the source cardinality
    — the same shape as the Follow estimate. *)
-let call_navigations stats env (c : Nalg.call) src_card =
+let call_navigations cache env (c : Nalg.call) src_card =
   let attr_args =
     List.filter_map
       (function _, Nalg.Arg_attr a -> Some a | _, Nalg.Arg_const _ -> None)
@@ -107,14 +137,16 @@ let call_navigations stats env (c : Nalg.call) src_card =
   | [] -> 1.0
   | args ->
     let product =
-      List.fold_left (fun acc a -> acc *. distinct_in stats env a src_card) 1.0 args
+      List.fold_left (fun acc a -> acc *. distinct_in cache env a src_card) 1.0 args
     in
     Float.max 1.0 (Float.min src_card product)
 
-(* [estimate] over the alias environment [env] of the root. *)
-let rec estimate_in ~views (schema : Adm.Schema.t) (stats : Stats.t) env
-    (e : Nalg.expr) : estimate =
-  let estimate = estimate_in ~views schema stats env in
+(* The estimate of one node from its children's ([kids], in
+   [Nalg.children] order), its attributes resolved through the alias
+   environment [env]. *)
+let estimate_node ~views (schema : Adm.Schema.t) cache env (e : Nalg.expr)
+    (kids : estimate list) : estimate =
+  let kid () = match kids with k :: _ -> k | [] -> invalid_arg "Cost.estimate_node" in
   match e with
   | Nalg.External { name; _ } -> (
     match views.view name with
@@ -124,58 +156,62 @@ let rec estimate_in ~views (schema : Adm.Schema.t) (stats : Stats.t) env
     let ps = Adm.Schema.find_scheme_exn schema scheme in
     let card =
       if Adm.Page_scheme.is_entry_point ps then 1.0
-      else float_of_int (Stats.cardinality stats scheme)
+      else float_of_int (Stats.cardinality cache.c_stats scheme)
     in
     { cost = 1.0; card }
-  | Nalg.Select (p, e1) ->
-    let { cost; card } = estimate e1 in
+  | Nalg.Select (p, _) ->
+    let { cost; card } = kid () in
     let sel =
-      List.fold_left (fun acc a -> acc *. selectivity_of_atom stats env a) 1.0 p
+      List.fold_left (fun acc a -> acc *. selectivity_of_atom cache env a) 1.0 p
     in
     { cost; card = card *. sel }
-  | Nalg.Project (attrs, e1) ->
-    let { cost; card } = estimate e1 in
+  | Nalg.Project (attrs, _) ->
+    let { cost; card } = kid () in
     (* |π_X(R)| capped by the product of the attribute domains *)
     let cap =
       List.fold_left
         (fun acc a ->
-          match distinct_of stats env a with
+          match distinct_of cache env a with
           | Some c -> acc *. float_of_int c
           | None -> acc *. card)
         1.0 attrs
     in
     { cost; card = Float.max 1.0 (Float.min card cap) }
-  | Nalg.Join (keys, e1, e2) ->
-    let est1 = estimate e1 in
-    let est2 = estimate e2 in
-    let sel = join_selectivity stats env keys in
+  | Nalg.Join (keys, _, _) ->
+    let est1, est2 =
+      match kids with [ e1; e2 ] -> (e1, e2) | _ -> invalid_arg "Cost.estimate_node"
+    in
+    let sel = join_selectivity cache env keys in
     {
       cost = est1.cost +. est2.cost;
       card = Float.max 0.0 (est1.card *. est2.card *. sel);
     }
-  | Nalg.Unnest (e1, attr) ->
-    let { cost; card } = estimate e1 in
+  | Nalg.Unnest (_, attr) ->
+    let { cost; card } = kid () in
     let fanout =
-      match attr_path env attr with
-      | Some p -> Stats.fanout stats (Stats.key p.Adm.Constraints.scheme p.Adm.Constraints.steps)
-      | None -> 1.0
+      match attr_stats cache env attr with Some s -> s.fanout | None -> 1.0
     in
     { cost; card = card *. fanout }
-  | Nalg.Follow { src; link; scheme = _; alias = _ } ->
-    let { cost; card } = estimate src in
-    let navigations = distinct_in stats env link card in
+  | Nalg.Follow { link; _ } ->
+    let { cost; card } = kid () in
+    let navigations = distinct_in cache env link card in
     { cost = cost +. navigations; card }
   | Nalg.Call { c_src = None; _ } ->
     (* a constant-bound call is a single templated GET yielding the
        one page its arguments select, like an entry point *)
     { cost = 1.0; card = 1.0 }
-  | Nalg.Call ({ c_src = Some src; _ } as c) ->
-    let { cost; card } = estimate src in
-    let navigations = call_navigations stats env c card in
+  | Nalg.Call c ->
+    let { cost; card } = kid () in
+    let navigations = call_navigations cache env c card in
     { cost = cost +. navigations; card }
 
+(* [estimate] over the alias environment [env] of the root. *)
+let rec estimate_in ~views schema cache env (e : Nalg.expr) : estimate =
+  estimate_node ~views schema cache env e
+    (List.map (estimate_in ~views schema cache env) (Nalg.children e))
+
 let estimate ?(views = no_views) schema stats root e =
-  estimate_in ~views schema stats (Nalg.alias_env root) e
+  estimate_in ~views schema (stats_cache stats) (Nalg.alias_env root) e
 
 let cost ?views schema stats e = (estimate ?views schema stats e e).cost
 let cardinality ?views schema stats e = (estimate ?views schema stats e e).card
@@ -188,7 +224,8 @@ let cardinality ?views schema stats e = (estimate ?views schema stats e e).card
 let byte_estimate ~views (schema : Adm.Schema.t) (stats : Stats.t)
     (root : Nalg.expr) : float =
   let env = Nalg.alias_env root in
-  let card e = (estimate_in ~views schema stats env e).card in
+  let cache = stats_cache stats in
+  let card e = (estimate_in ~views schema cache env e).card in
   let rec bytes (e : Nalg.expr) =
     match e with
     | Nalg.External { name; _ } -> (
@@ -200,11 +237,11 @@ let byte_estimate ~views (schema : Adm.Schema.t) (stats : Stats.t)
     | Nalg.Select (_, e1) | Nalg.Project (_, e1) | Nalg.Unnest (e1, _) -> bytes e1
     | Nalg.Join (_, e1, e2) -> bytes e1 +. bytes e2
     | Nalg.Follow { src; link; scheme; alias = _ } ->
-      let navigations = distinct_in stats env link (card src) in
+      let navigations = distinct_in cache env link (card src) in
       bytes src +. (navigations *. Stats.page_bytes stats scheme)
     | Nalg.Call { c_src = None; c_scheme; _ } -> Stats.page_bytes stats c_scheme
     | Nalg.Call ({ c_src = Some src; c_scheme; _ } as c) ->
-      let navigations = call_navigations stats env c (card src) in
+      let navigations = call_navigations cache env c (card src) in
       bytes src +. (navigations *. Stats.page_bytes stats c_scheme)
   in
   bytes root
@@ -220,14 +257,15 @@ let byte_cost ?(views = no_views) schema stats e = byte_estimate ~views schema s
 let lower ?(views = no_views) ?window (schema : Adm.Schema.t) (stats : Stats.t)
     (e : Nalg.expr) : Physplan.plan =
   let env = Nalg.alias_env e in
-  let card sub = (estimate_in ~views schema stats env sub).card in
+  let cache = stats_cache stats in
+  let card sub = (estimate_in ~views schema cache env sub).card in
   let pages sub =
     match sub with
     | Nalg.Entry _ -> 1.0
-    | Nalg.Follow { src; link; _ } -> distinct_in stats env link (card src)
+    | Nalg.Follow { src; link; _ } -> distinct_in cache env link (card src)
     | Nalg.Call { c_src = None; _ } -> 1.0
     | Nalg.Call ({ c_src = Some src; _ } as c) ->
-      call_navigations stats env c (card src)
+      call_navigations cache env c (card src)
     | Nalg.External { name; _ } -> (
       (* expected light connections: every stale page costs one HEAD *)
       match views.view name with

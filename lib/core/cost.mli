@@ -44,6 +44,27 @@ val estimate :
 (** [estimate schema stats root e]: estimate for subexpression [e] of
     plan [root] ([root] provides the alias environment). *)
 
+type stats_cache
+(** The statistics entries of the attributes resolved so far, each
+    looked up once: one cache serves every plan of one query. *)
+
+val stats_cache : Stats.t -> stats_cache
+
+val estimate_node :
+  views:view_econ ->
+  Adm.Schema.t ->
+  stats_cache ->
+  (string * string) list ->
+  Nalg.expr ->
+  estimate list ->
+  estimate
+(** One step of {!estimate}: the estimate of a node from its
+    children's (in {!Nalg.children} order), its attributes resolved
+    through an alias environment. {!estimate} applies it bottom-up
+    with the root's environment; the planner's memo ({!Memo}) applies
+    it once per distinct node with the node's own, which resolves
+    every attribute of a plan with unique aliases the same way. *)
+
 val cost : ?views:view_econ -> Adm.Schema.t -> Stats.t -> Nalg.expr -> float
 val cardinality : ?views:view_econ -> Adm.Schema.t -> Stats.t -> Nalg.expr -> float
 

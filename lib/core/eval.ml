@@ -75,7 +75,6 @@ let pages_relation = Exec.pages_relation
    against; no production path calls it. *)
 let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
     Adm.Relation.t =
-  let attrs_of = Nalg.output_attrs_memo schema in
   let rec go (e : Nalg.expr) : Adm.Relation.t =
     match e with
     | Nalg.External { name; _ } ->
@@ -95,15 +94,14 @@ let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
     | Nalg.Join (keys, e1, e2) -> Adm.Relation.equi_join keys (go e1) (go e2)
     | Nalg.Unnest (e1, attr) ->
       (* seed the unnested header with the statically-known nested
-         attributes so that empty inputs keep a full header; the
-         inference is memoized per (schema, expression) *)
+         attributes so that empty inputs keep a full header *)
       let prefix = attr ^ "." in
       let expect =
         List.filter
           (fun a ->
             String.length a > String.length prefix
             && String.sub a 0 (String.length prefix) = prefix)
-          (attrs_of e)
+          (Nalg.output_attrs schema e)
       in
       Adm.Relation.unnest ~expect attr (go e1)
     | Nalg.Follow { src; link; scheme; alias } ->

@@ -1,0 +1,359 @@
+(* The interned plan memo of one planning run.
+
+   Every distinct subtree the planner meets is interned once as a
+   node: its hash and its equality are shallow — the operator's own
+   fields plus the children's ids — so interning a rule output visits
+   only the nodes the rule rebuilt. A rule shares every untouched
+   subtree with the plan it rewrote; interning against that plan's
+   nodes finds those subtrees by physical identity, without hashing.
+
+   A node carries its logical properties, each computed at most once,
+   from its children's: output attributes, available links, typed
+   environment with its own diagnostics, cost estimate and plan key.
+   The memo is a value of one planning run: nothing outlives it. *)
+
+type node = {
+  id : int;
+  expr : Nalg.expr;  (** the first plan interned with this shape *)
+  kids : node array;  (** in [Nalg.children] order *)
+  mutable attrs : string list option;
+  mutable links : Nalg.link list option;
+  mutable ty : Typecheck.typed option;
+  mutable own : Diagnostic.t list;  (** the node's own findings, empty path *)
+  mutable findings : int;
+      (** twice the findings of the subtree, plus one when one of them
+          is an error; set with [ty] *)
+  mutable est : Cost.estimate option;
+  mutable bag : bag;  (** the key items of the subtree *)
+  mutable key : string option;
+  mutable mark : int;  (** the last {!visit} that met the node *)
+  mutable judged : bool;
+}
+
+(* The multiset of key items of a subtree, as the sorted ids of its
+   items; interned, so equal bags are one array. [No_items] when a node
+   of the subtree has none. *)
+and bag = Unknown | No_items | Bag of int array
+
+(* Nodes by shape: an expression's head and its children's nodes. *)
+module Shape = Hashtbl.Make (struct
+  type t = node
+
+  let equal n1 n2 =
+    Array.length n1.kids = Array.length n2.kids
+    && Array.for_all2 ( == ) n1.kids n2.kids
+    && Nalg.head_equal n1.expr n2.expr
+
+  let hash n =
+    Array.fold_left (fun acc k -> (acc * 65599) + k.id) (Nalg.head_hash n.expr) n.kids
+    land max_int
+end)
+
+let hash_ids a = Array.fold_left (fun acc i -> (acc * 65599) + i) 0 a land max_int
+
+(* Bags of key items, for interning them. *)
+module Bags = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = ( = )
+  let hash = hash_ids
+end)
+
+(* Interned bags with top projections, for sharing plan keys. *)
+module Keys = Hashtbl.Make (struct
+  type t = int array * string list option
+
+  let equal (a1, t1) (a2, t2) = a1 == a2 && Option.equal (List.equal String.equal) t1 t2
+  let hash (a, top) = Hashtbl.hash (hash_ids a, top)
+end)
+
+type t = {
+  schema : Adm.Schema.t;
+  views : string -> (string * Adm.Webtype.t) list option;
+  econ : Cost.view_econ;
+  stats : Cost.stats_cache;
+  shapes : node Shape.t;  (** every node, by shape *)
+  item_ids : (string, int) Hashtbl.t;
+  bags : int array Bags.t;
+  keys : string Keys.t;
+  occurrences : (string * string, Typecheck.typed) Hashtbl.t;
+      (** [Typecheck.occurrence] per (scheme, alias) *)
+  mutable visits : int;
+  mutable index : (node * Nalg.expr array * node array) option;
+      (** the last node indexed: the expressions of its plan's
+          subexpressions and their nodes, in pre-order *)
+}
+
+let create ?(views = fun (_ : string) -> None) ?(econ = Cost.no_views) schema stats =
+  {
+    schema;
+    views;
+    econ;
+    stats = Cost.stats_cache stats;
+    shapes = Shape.create 1024;
+    item_ids = Hashtbl.create 256;
+    bags = Bags.create 256;
+    keys = Keys.create 256;
+    occurrences = Hashtbl.create 16;
+    visits = 0;
+    index = None;
+  }
+
+let schema m = m.schema
+let expr n = n.expr
+let id n = n.id
+let kids n = Array.to_list n.kids
+let kid n i = n.kids.(i)
+let size m = Shape.length m.shapes
+
+(* ------------------------------------------------------------------ *)
+(* Interning                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The subexpressions of [n]'s plan with their nodes, in pre-order.
+   Only the last node asked for is kept: the planner asks for one
+   plan's index many times in a row (once per rule and rule output),
+   and never again once it moves on. *)
+let index m n =
+  match m.index with
+  | Some (n', exprs, nodes) when n' == n -> (exprs, nodes)
+  | _ ->
+    let acc = ref [] in
+    let rec go e n =
+      acc := (e, n) :: !acc;
+      List.iteri (fun i kid -> go kid n.kids.(i)) (Nalg.children e)
+    in
+    go n.expr n;
+    let pairs = Array.of_list (List.rev !acc) in
+    let exprs = Array.map fst pairs and nodes = Array.map snd pairs in
+    m.index <- Some (n, exprs, nodes);
+    (exprs, nodes)
+
+let intern ?hint m e =
+  let exprs, nodes = match hint with Some h -> index m h | None -> ([||], [||]) in
+  let rec find e i =
+    if i = Array.length exprs then None
+    else if exprs.(i) == e then Some nodes.(i)
+    else find e (i + 1)
+  in
+  let rec go e =
+    match find e 0 with
+    | Some n -> n
+    | None -> (
+      let n =
+        {
+          id = Shape.length m.shapes;
+          expr = e;
+          kids = Array.of_list (List.map go (Nalg.children e));
+          attrs = None;
+          links = None;
+          ty = None;
+          own = [];
+          findings = 0;
+          est = None;
+          bag = Unknown;
+          key = None;
+          mark = 0;
+          judged = false;
+        }
+      in
+      match Shape.find_opt m.shapes n with
+      | Some known -> known
+      | None ->
+        Shape.add m.shapes n n;
+        n)
+  in
+  go e
+
+(* ------------------------------------------------------------------ *)
+(* Dedup                                                               *)
+(* ------------------------------------------------------------------ *)
+
+type visit = { stamp : int; mutable count : int }
+
+let visit m =
+  m.visits <- m.visits + 1;
+  { stamp = m.visits; count = 0 }
+
+let first_visit v n =
+  if n.mark = v.stamp then false
+  else begin
+    n.mark <- v.stamp;
+    v.count <- v.count + 1;
+    true
+  end
+
+let visited v = v.count
+
+let first_judgment n =
+  if n.judged then false
+  else begin
+    n.judged <- true;
+    true
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Properties                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Cheap to derive and read once per node by each property that needs
+   it, so not kept. *)
+let alias_env n = Nalg.alias_env n.expr
+
+let rec attrs m n =
+  match n.attrs with
+  | Some a -> a
+  | None ->
+    let a =
+      Nalg.node_output_attrs m.schema n.expr
+        ~kid:(fun i -> attrs m n.kids.(i))
+        ~kid_env:(fun i -> alias_env n.kids.(i))
+    in
+    n.attrs <- Some a;
+    a
+
+let links m n =
+  match n.links with
+  | Some l -> l
+  | None ->
+    let l = Nalg.links_in m.schema (alias_env n) (attrs m n) in
+    n.links <- Some l;
+    l
+
+let rec typed m n =
+  match n.ty with
+  | Some ty -> ty
+  | None ->
+    let kid_types = List.map (typed m) (kids n) in
+    let occurrence ~scheme ~alias =
+      match Hashtbl.find_opt m.occurrences (scheme, alias) with
+      | Some t -> t
+      | None ->
+        let t = Typecheck.occurrence m.schema ~scheme ~alias in
+        Hashtbl.add m.occurrences (scheme, alias) t;
+        t
+    in
+    let ty, own =
+      Typecheck.type_node ~views:m.views ~occurrence m.schema n.expr kid_types
+    in
+    let count =
+      Array.fold_left (fun acc k -> acc + (k.findings asr 1)) (List.length own) n.kids
+    in
+    let error =
+      Array.exists (fun k -> k.findings land 1 = 1) n.kids
+      || List.exists Diagnostic.is_error own
+    in
+    n.own <- own;
+    n.findings <- (2 * count) + Bool.to_int error;
+    n.ty <- Some ty;
+    ty
+
+(* The subtree's findings with their paths from [n], children's
+   before the node's own, as [Typecheck.infer] reports them. *)
+let rec diagnostics m n =
+  ignore (typed m n);
+  if n.findings = 0 then []
+  else
+    List.concat
+      (List.map2
+         (fun step kid -> List.map (Typecheck.under step) (diagnostics m kid))
+         (Typecheck.steps n.expr) (kids n))
+    @ n.own
+
+let infer m n = (Typecheck.typed_env (typed m n), diagnostics m n)
+
+let has_errors m n =
+  ignore (typed m n);
+  n.findings land 1 = 1
+
+let rec estimate m n =
+  match n.est with
+  | Some est -> est
+  | None ->
+    let est =
+      Cost.estimate_node ~views:m.econ m.schema m.stats (alias_env n) n.expr
+        (List.map (estimate m) (kids n))
+    in
+    n.est <- Some est;
+    est
+
+(* Two sorted arrays merged into one. *)
+let merge a b =
+  let na = Array.length a and nb = Array.length b in
+  if na = 0 then b
+  else if nb = 0 then a
+  else begin
+    let out = Array.make (na + nb) 0 in
+    let i = ref 0 and j = ref 0 in
+    for k = 0 to na + nb - 1 do
+      if !j >= nb || (!i < na && a.(!i) <= b.(!j)) then begin
+        out.(k) <- a.(!i);
+        incr i
+      end
+      else begin
+        out.(k) <- b.(!j);
+        incr j
+      end
+    done;
+    out
+  end
+
+(* The bag of [n]'s subtree: the node's own items merged into its
+   children's bags. *)
+let rec bag m n =
+  match n.bag with
+  | Unknown ->
+    let b =
+      match Contain.items n.expr, Array.map (bag m) n.kids with
+      | Some own, kids when Array.for_all (function Bag _ -> true | _ -> false) kids ->
+        let id s =
+          match Hashtbl.find_opt m.item_ids s with
+          | Some i -> i
+          | None ->
+            let i = Hashtbl.length m.item_ids in
+            Hashtbl.add m.item_ids s i;
+            i
+        in
+        let ids =
+          Array.fold_left
+            (fun acc k -> match k with Bag a -> merge acc a | _ -> acc)
+            (Array.of_list (List.sort Int.compare (List.map id own)))
+            kids
+        in
+        Bag
+          (match Bags.find_opt m.bags ids with
+          | Some a -> a
+          | None ->
+            Bags.add m.bags ids ids;
+            ids)
+      | _ -> No_items
+    in
+    n.bag <- b;
+    b
+  | b -> b
+
+(* The projection under the top selections. *)
+let rec top n =
+  match n.expr with
+  | Nalg.Select _ -> top n.kids.(0)
+  | Nalg.Project (attrs, _) -> Some attrs
+  | _ -> None
+
+let key m n =
+  match n.key with
+  | Some k -> k
+  | None ->
+    let k =
+      match bag m n with
+      | Unknown | No_items -> Contain.plan_key n.expr
+      | Bag ids -> (
+        let shape = (ids, top n) in
+        match Keys.find_opt m.keys shape with
+        | Some k -> k
+        | None ->
+          let k = Contain.plan_key n.expr in
+          if String.starts_with ~prefix:"T:" k then Keys.add m.keys shape k;
+          k)
+    in
+    n.key <- Some k;
+    k

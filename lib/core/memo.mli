@@ -1,0 +1,85 @@
+(** The interned plan memo of one planning run (one
+    {!Planner.enumerate} call).
+
+    Every distinct subtree is interned once as a {!node} with an
+    integer id. Interning is shallow — a node's hash and equality are
+    its operator's own fields plus its children's ids — and, given the
+    node a plan was rewritten from ([?hint]), it finds the subtrees
+    the rewrite kept by physical identity, so a rule output costs only
+    the nodes the rule rebuilt. That one intern step is the planner's
+    dedup, and the node is the key of every logical property, each
+    computed at most once from the children's:
+
+    - {!attrs} and {!links} — {!Nalg.output_attrs} and
+      {!Nalg.available_links};
+    - {!infer} — {!Typecheck.infer}, with the views' environments;
+    - {!estimate} — [Cost.estimate schema stats e e];
+    - {!key} — {!Contain.plan_key}, shared by the plans with one
+      multiset of key items ({!Contain.items}) and one top projection.
+
+    Each returns exactly what its context-free function returns on
+    the node's expression; {!estimate} does so for plans with unique
+    aliases, which every candidate past the planner's typecheck gate
+    has. *)
+
+type t
+type node
+
+val create :
+  ?views:(string -> (string * Adm.Webtype.t) list option) ->
+  ?econ:Cost.view_econ ->
+  Adm.Schema.t ->
+  Stats.t ->
+  t
+(** An empty memo. [views] types registered views' [External]
+    occurrences ({!Typecheck.infer}'s [?views]); [econ] (default
+    {!Cost.no_views}) prices them. *)
+
+val schema : t -> Adm.Schema.t
+
+val intern : ?hint:node -> t -> Nalg.expr -> node
+(** The node of an expression. With [hint], the subtrees of [hint]'s
+    expression that the expression shares physically are found
+    without hashing. *)
+
+val expr : node -> Nalg.expr
+(** The expression first interned with this node's structure. *)
+
+val id : node -> int
+val kids : node -> node list
+(** The children's nodes, in {!Nalg.children} order. *)
+
+val kid : node -> int -> node
+(** [kid n i] is [List.nth (kids n) i]. *)
+
+val size : t -> int
+(** Distinct nodes interned so far. *)
+
+(** {1 Dedup} *)
+
+type visit
+(** A set of nodes, e.g. the plans of one closure; one is filled at a
+    time. *)
+
+val visit : t -> visit
+val first_visit : visit -> node -> bool
+(** Adds the node; [true] when it was not in the set yet. *)
+
+val visited : visit -> int
+val first_judgment : node -> bool
+(** [true] the first time it is asked for a node. *)
+
+(** {1 Properties} *)
+
+val alias_env : node -> (string * string) list
+(** {!Nalg.alias_env} of the node's expression. *)
+
+val attrs : t -> node -> string list
+val links : t -> node -> Nalg.link list
+val infer : t -> node -> Typecheck.env * Diagnostic.t list
+val has_errors : t -> node -> bool
+(** [Diagnostic.has_errors (snd (infer m n))], without building the
+    diagnostics. *)
+
+val estimate : t -> node -> Cost.estimate
+val key : t -> node -> string

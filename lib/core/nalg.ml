@@ -95,47 +95,57 @@ let rec fold f acc e =
   | Follow { src; _ } | Call { c_src = Some src; _ } -> fold f acc src
   | Join (_, e1, e2) -> fold f (fold f acc e1) e2
 
-(* Bottom-up rebuild. *)
-let rec map f e =
-  let e' =
-    match e with
-    | Entry _ | External _ -> e
-    | Select (p, e1) -> Select (p, map f e1)
-    | Project (attrs, e1) -> Project (attrs, map f e1)
-    | Join (keys, e1, e2) -> Join (keys, map f e1, map f e2)
-    | Unnest (e1, a) -> Unnest (map f e1, a)
-    | Follow fl -> Follow { fl with src = map f fl.src }
-    | Call c -> Call { c with c_src = Option.map (map f) c.c_src }
-  in
-  f e'
+let children = function
+  | Entry _ | External _ | Call { c_src = None; _ } -> []
+  | Select (_, e1) | Project (_, e1) | Unnest (e1, _) | Follow { src = e1; _ }
+  | Call { c_src = Some e1; _ } ->
+    [ e1 ]
+  | Join (_, e1, e2) -> [ e1; e2 ]
+
+(* [e] over the operands [kids] (in [children] order): [e] itself when
+   they are its own, so unchanged subtrees stay physically shared. *)
+let with_children e kids =
+  if List.equal ( == ) (children e) kids then e
+  else
+    match e, kids with
+    | Select (p, _), [ x ] -> Select (p, x)
+    | Project (attrs, _), [ x ] -> Project (attrs, x)
+    | Join (keys, _, _), [ x; y ] -> Join (keys, x, y)
+    | Unnest (_, a), [ x ] -> Unnest (x, a)
+    | Follow fl, [ x ] -> Follow { fl with src = x }
+    | Call c, [ x ] -> Call { c with c_src = Some x }
+    | _ -> invalid_arg "Nalg.with_children"
+
+(* Bottom-up rebuild: [f] is applied to every node after its children
+   have been rebuilt; a node whose children come back unchanged is
+   kept, so [f] returning its argument leaves a subtree intact. *)
+let rec map f e = f (with_children e (List.map (map f) (children e)))
 
 let size e = fold (fun n _ -> n + 1) 0 e
 
-(* Structural equality. Predicates compare atom-by-atom, so two plans
-   are equal exactly when they are the same tree — rewrites that only
-   reorder atoms produce distinct (if equivalent) plans, as before. *)
-let rec equal e1 e2 =
-  e1 == e2
-  ||
+(* The operator and its own fields, children excluded. Predicates
+   compare atom-by-atom, so two plans are equal exactly when they are
+   the same tree — rewrites that only reorder atoms produce distinct
+   (if equivalent) plans, as before. *)
+let head_equal e1 e2 =
   match e1, e2 with
   | Entry a, Entry b -> String.equal a.scheme b.scheme && String.equal a.alias b.alias
   | External a, External b -> String.equal a.name b.name && String.equal a.alias b.alias
-  | Select (p1, a), Select (p2, b) -> List.equal Pred.atom_equal p1 p2 && equal a b
-  | Project (attrs1, a), Project (attrs2, b) ->
-    List.equal String.equal attrs1 attrs2 && equal a b
-  | Join (k1, a1, a2), Join (k2, b1, b2) ->
+  | Select (p1, _), Select (p2, _) -> List.equal Pred.atom_equal p1 p2
+  | Project (attrs1, _), Project (attrs2, _) -> List.equal String.equal attrs1 attrs2
+  | Join (k1, _, _), Join (k2, _, _) ->
     List.equal
       (fun (l1, r1) (l2, r2) -> String.equal l1 l2 && String.equal r1 r2)
       k1 k2
-    && equal a1 b1 && equal a2 b2
-  | Unnest (a, x), Unnest (b, y) -> String.equal x y && equal a b
+  | Unnest (_, x), Unnest (_, y) -> String.equal x y
   | Follow f1, Follow f2 ->
     String.equal f1.link f2.link
     && String.equal f1.scheme f2.scheme
-    && String.equal f1.alias f2.alias && equal f1.src f2.src
+    && String.equal f1.alias f2.alias
   | Call c1, Call c2 ->
     String.equal c1.c_scheme c2.c_scheme
     && String.equal c1.c_alias c2.c_alias
+    && Option.is_some c1.c_src = Option.is_some c2.c_src
     && List.equal
          (fun (p1, a1) (p2, a2) ->
            String.equal p1 p2
@@ -144,15 +154,16 @@ let rec equal e1 e2 =
            | Arg_const x, Arg_const y | Arg_attr x, Arg_attr y -> String.equal x y
            | (Arg_const _ | Arg_attr _), _ -> false)
          c1.c_args c2.c_args
-    && Option.equal equal c1.c_src c2.c_src
   | ( Entry _ | External _ | Select _ | Project _ | Join _ | Unnest _ | Follow _
     | Call _ ), _ -> false
 
-(* Full-depth structural hash, consistent with [equal]: every node,
-   string and predicate atom feeds the hash (the polymorphic
-   [Hashtbl.hash] stops after a handful of words, so plans differing
-   deep in the tree would share a bucket). *)
-let hash e =
+(* Structural equality: same operators and fields, node by node. *)
+let rec equal e1 e2 =
+  e1 == e2 || (head_equal e1 e2 && List.equal equal (children e1) (children e2))
+
+(* A hash of the operator and its own fields, consistent with
+   [head_equal]: every string and predicate atom feeds it. *)
+let head_hash e =
   let mix acc h = (acc * 31) + h in
   let str acc s = mix acc (Hashtbl.hash s) in
   let operand acc = function
@@ -162,36 +173,25 @@ let hash e =
   let atom acc (a : Pred.atom) =
     operand (mix (operand acc a.Pred.left) (Hashtbl.hash a.Pred.cmp)) a.Pred.right
   in
-  let rec go acc = function
-    | Entry { scheme; alias } -> str (str (mix acc 3) scheme) alias
-    | External { name; alias } -> str (str (mix acc 5) name) alias
-    | Select (p, e1) -> go (List.fold_left atom (mix acc 7) p) e1
-    | Project (attrs, e1) -> go (List.fold_left str (mix acc 11) attrs) e1
-    | Join (keys, e1, e2) ->
-      go (go (List.fold_left (fun acc (a, b) -> str (str acc a) b) (mix acc 13) keys) e1) e2
-    | Unnest (e1, a) -> go (str (mix acc 17) a) e1
-    | Follow { src; link; scheme; alias } ->
-      go (str (str (str (mix acc 19) link) scheme) alias) src
+  let h =
+    match e with
+    | Entry { scheme; alias } -> str (str 3 scheme) alias
+    | External { name; alias } -> str (str 5 name) alias
+    | Select (p, _) -> List.fold_left atom 7 p
+    | Project (attrs, _) -> List.fold_left str 11 attrs
+    | Join (keys, _, _) -> List.fold_left (fun acc (a, b) -> str (str acc a) b) 13 keys
+    | Unnest (_, a) -> str 17 a
+    | Follow { link; scheme; alias; _ } -> str (str (str 19 link) scheme) alias
     | Call { c_src; c_scheme; c_alias; c_args } ->
-      let acc =
-        List.fold_left
-          (fun acc (p, a) ->
-            match a with
-            | Arg_const c -> str (str (mix acc 1) p) c
-            | Arg_attr x -> str (str (mix acc 2) p) x)
-          (str (str (mix acc 23) c_scheme) c_alias)
-          c_args
-      in
-      (match c_src with None -> acc | Some s -> go (mix acc 29) s)
+      List.fold_left
+        (fun acc (p, a) ->
+          match a with
+          | Arg_const c -> str (str (mix acc 1) p) c
+          | Arg_attr x -> str (str (mix acc 2) p) x)
+        (str (str (if Option.is_some c_src then 29 else 23) c_scheme) c_alias)
+        c_args
   in
-  go 0 e land max_int
-
-module Tbl = Hashtbl.Make (struct
-  type t = expr
-
-  let equal = equal
-  let hash = hash
-end)
+  h land max_int
 
 (* Aliases in scope: alias -> page-scheme name. External occurrences
    are reported with their relation name. *)
@@ -221,35 +221,41 @@ let externals e =
 
 let is_computable e = externals e = []
 
+(* The alias qualifying [attr] among the bindings [env]: the longest
+   alias that [attr] extends by a dot (aliases may themselves contain
+   no dots, but we match by longest prefix for safety), as its length
+   and the value of its first binding. *)
+let qualifier env attr =
+  let n = String.length attr in
+  List.fold_left
+    (fun best (alias, v) ->
+      let k = String.length alias in
+      if
+        k < n
+        && Char.equal attr.[k] '.'
+        && String.starts_with ~prefix:alias attr
+        && match best with Some (k', _) -> k > k' | None -> true
+      then Some (k, v)
+      else best)
+    None env
+
 (* Split an attribute name into its alias and the remaining dotted
-   steps, given the aliases in scope. Aliases may themselves contain
-   no dots, but we match by longest prefix for safety. *)
+   steps, given the aliases in scope. *)
 let split_attr known_aliases attr =
-  (* candidate prefixes end at each dot, scanned right to left *)
-  let rec try_dot i =
-    if i < 0 then None
-    else
-      match String.rindex_from_opt attr i '.' with
-      | None -> None
-      | Some j ->
-        let prefix = String.sub attr 0 j in
-        if List.mem prefix known_aliases then
-          Some
-            ( prefix,
-              String.split_on_char '.'
-                (String.sub attr (j + 1) (String.length attr - j - 1)) )
-        else try_dot (j - 1)
-  in
-  try_dot (String.length attr - 1)
+  match qualifier (List.map (fun a -> (a, ())) known_aliases) attr with
+  | Some (k, ()) ->
+    Some
+      ( String.sub attr 0 k,
+        String.split_on_char '.' (String.sub attr (k + 1) (String.length attr - k - 1)) )
+  | None -> None
 
 (* The dotted constraint path (scheme + steps) an attribute denotes,
    resolving its alias against an alias environment. *)
 let constraint_path_in env attr =
-  match split_attr (List.map fst env) attr with
-  | Some (alias, steps) -> (
-    match List.assoc_opt alias env with
-    | Some scheme -> Some (Adm.Constraints.path scheme steps, alias)
-    | None -> None)
+  match qualifier env attr with
+  | Some (k, scheme) ->
+    let steps = String.split_on_char '.' (String.sub attr (k + 1) (String.length attr - k - 1)) in
+    Some (Adm.Constraints.path scheme steps, String.sub attr 0 k)
   | None -> None
 
 let constraint_path_of_attr e attr = constraint_path_in (alias_env e) attr
@@ -258,24 +264,29 @@ let constraint_path_of_attr e attr = constraint_path_in (alias_env e) attr
 (* Output attributes                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Statically computed output attribute names of an expression; nested
-   (list) attributes are included with their type so unnest can be
-   checked. External relations contribute their attributes only after
-   binding, so here they contribute a placeholder. *)
-let rec output_attrs (schema : Adm.Schema.t) e : string list =
+(* Statically computed output attribute names of a node, from its
+   children's: [kid i] is child [i]'s attributes and [kid_env i] its
+   alias environment, each asked for only when the node needs it.
+   Nested (list) attributes are included with their type so unnest can
+   be checked. External relations contribute their attributes only
+   after binding, so here they contribute a placeholder. *)
+let rec node_output_attrs (schema : Adm.Schema.t) e ~kid ~kid_env : string list =
   match e with
   | Entry { scheme; alias } -> scheme_attrs schema ~scheme ~alias
   | External { name; alias } -> [ alias ^ ".*" ^ name ]
-  | Select (_, e1) -> output_attrs schema e1
+  | Select _ -> kid 0
   | Project (attrs, _) -> attrs
-  | Join (_, e1, e2) -> output_attrs schema e1 @ output_attrs schema e2
-  | Unnest (e1, attr) ->
-    let inner = unnested_attrs schema e1 attr in
-    List.filter (fun a -> not (String.equal a attr)) (output_attrs schema e1) @ inner
-  | Follow { src; scheme; alias; _ } ->
-    output_attrs schema src @ scheme_attrs schema ~scheme ~alias
+  | Join _ -> kid 0 @ kid 1
+  | Unnest (_, attr) ->
+    let inner =
+      match list_fields_in schema (kid_env 0) attr with
+      | Some fields -> List.map (fun (a, _) -> attr ^ "." ^ a) fields
+      | None -> []
+    in
+    List.filter (fun a -> not (String.equal a attr)) (kid 0) @ inner
+  | Follow { scheme; alias; _ } -> kid 0 @ scheme_attrs schema ~scheme ~alias
   | Call { c_src; c_scheme; c_alias; _ } ->
-    (match c_src with None -> [] | Some s -> output_attrs schema s)
+    (match c_src with None -> [] | Some _ -> kid 0)
     @ scheme_attrs schema ~scheme:c_scheme ~alias:c_alias
 
 and scheme_attrs schema ~scheme ~alias =
@@ -285,15 +296,10 @@ and scheme_attrs schema ~scheme ~alias =
        (fun (d : Adm.Page_scheme.attr_decl) -> alias ^ "." ^ d.Adm.Page_scheme.name)
        (Adm.Page_scheme.attrs ps)
 
-(* Attributes exposed by unnesting [attr]: resolve its type through
-   the alias environment. *)
-and unnested_attrs schema e1 attr =
-  match list_fields schema e1 attr with
-  | Some fields -> List.map (fun (a, _) -> attr ^ "." ^ a) fields
-  | None -> []
-
-and list_fields schema e1 attr =
-  match constraint_path_of_attr e1 attr with
+(* The declared tuple type of list attribute [attr], resolved through
+   the alias environment [env]. *)
+and list_fields_in schema env attr =
+  match constraint_path_in env attr with
   | None -> None
   | Some (path, _alias) -> (
     match Adm.Schema.find_scheme schema path.Adm.Constraints.scheme with
@@ -303,37 +309,33 @@ and list_fields schema e1 attr =
       | Some (Adm.Webtype.List fields) -> Some fields
       | Some _ | None -> None))
 
-(* Memoized variant for callers that query output attributes of many
-   overlapping subexpressions (selection sinking, pruning, the
-   typechecker's soundness pass): one table per invocation, keyed by
-   structural equality, turns the naive quadratic recomputation into a
-   single bottom-up pass. *)
-let output_attrs_memo (schema : Adm.Schema.t) : expr -> string list =
-  let tbl = Tbl.create 256 in
-  let rec go e =
-    match Tbl.find_opt tbl e with
-    | Some attrs -> attrs
-    | None ->
-      let attrs =
-        match e with
-        | Entry { scheme; alias } -> scheme_attrs schema ~scheme ~alias
-        | External { name; alias } -> [ alias ^ ".*" ^ name ]
-        | Select (_, e1) -> go e1
-        | Project (attrs, _) -> attrs
-        | Join (_, e1, e2) -> go e1 @ go e2
-        | Unnest (e1, attr) ->
-          let inner = unnested_attrs schema e1 attr in
-          List.filter (fun a -> not (String.equal a attr)) (go e1) @ inner
-        | Follow { src; scheme; alias; _ } ->
-          go src @ scheme_attrs schema ~scheme ~alias
-        | Call { c_src; c_scheme; c_alias; _ } ->
-          (match c_src with None -> [] | Some s -> go s)
-          @ scheme_attrs schema ~scheme:c_scheme ~alias:c_alias
-      in
-      Tbl.add tbl e attrs;
-      attrs
-  in
-  go
+let rec output_attrs (schema : Adm.Schema.t) e : string list =
+  let kids = children e in
+  node_output_attrs schema e
+    ~kid:(fun i -> output_attrs schema (List.nth kids i))
+    ~kid_env:(fun i -> alias_env (List.nth kids i))
+
+let list_fields schema e attr = list_fields_in schema (alias_env e) attr
+
+type link = string * Adm.Constraints.path * string * string
+
+(* The link attributes among output attributes [attrs], resolved
+   through the alias environment [env]: (attribute, constraint path,
+   alias, target scheme). *)
+let links_in (schema : Adm.Schema.t) env attrs : link list =
+  List.filter_map
+    (fun attr ->
+      match constraint_path_in env attr with
+      | None -> None
+      | Some (path, alias) -> (
+        match Adm.Schema.link_target schema path with
+        | Some target -> Some (attr, path, alias, target)
+        | None -> None))
+    attrs
+
+let available_links schema e =
+  let out = output_attrs schema e in
+  links_in schema (alias_env e) out
 
 (* ------------------------------------------------------------------ *)
 (* Attribute renaming                                                  *)
@@ -343,8 +345,16 @@ let output_attrs_memo (schema : Adm.Schema.t) : expr -> string list =
    projections, join keys, unnest and link attributes). Aliases are
    not touched; use [rename_alias] for that. *)
 let rename_attrs f e =
+  (* a node none of whose attributes [f] changes is kept as it is *)
+  let same = List.for_all (fun a -> f a == a) in
   map
-    (function
+    (fun node ->
+      match node with
+      | Select (p, _) when same (Pred.attrs p) -> node
+      | Project (attrs, _) when same attrs -> node
+      | Join (keys, _, _) when same (List.concat_map (fun (a, b) -> [ a; b ]) keys) -> node
+      | Unnest (_, a) when same [ a ] -> node
+      | Follow fl when same [ fl.link ] -> node
       | Select (p, e1) -> Select (Pred.map_attrs f p, e1)
       | Project (attrs, e1) -> Project (List.map f attrs, e1)
       | Join (keys, e1, e2) -> Join (List.map (fun (a, b) -> (f a, f b)) keys, e1, e2)

@@ -72,18 +72,33 @@ val call :
 val fold : ('a -> expr -> 'a) -> 'a -> expr -> 'a
 val map : (expr -> expr) -> expr -> expr
 (** Bottom-up rebuild: [f] is applied to every node after its children
-    have been rebuilt. *)
+    have been rebuilt. A node whose children come back physically
+    unchanged is kept, so [f] returning its argument leaves a subtree
+    intact. *)
 
 val size : expr -> int
+
+val children : expr -> expr list
+(** The operands, left before right: the source of a follow or call,
+    both sides of a join. *)
+
+val with_children : expr -> expr list -> expr
+(** [with_children e kids] is [e] over the operands [kids] (in
+    {!children} order); [e] itself when [kids] are its own operands,
+    physically. *)
 
 val equal : expr -> expr -> bool
 (** Structural equality: same tree, predicates compared atom-by-atom
     (atom order matters: two equivalent conjunctions written in a
     different order are different plans). *)
 
-module Tbl : Hashtbl.S with type key = expr
-(** Hash tables keyed by plans under {!equal} and a structural hash
-    over the whole tree: the planner's dedup and memo tables. *)
+val head_equal : expr -> expr -> bool
+(** {!equal} on the operators and their own fields only, children
+    excluded. *)
+
+val head_hash : expr -> int
+(** A hash of the operator and its own fields, consistent with
+    {!head_equal}. *)
 
 val alias_env : expr -> (string * string) list
 (** Aliases in scope, as [(alias, page-scheme name)]. *)
@@ -93,6 +108,11 @@ val aliases : expr -> string list
 val externals : expr -> (string * string) list
 val is_computable : expr -> bool
 (** No [External] leaves remain (all leaves are entry points). *)
+
+val qualifier : (string * 'a) list -> string -> (int * 'a) option
+(** [qualifier env attr]: the alias of [env] qualifying [attr] — the
+    longest one [attr] extends by a dot — as its length and the value
+    of its first binding. *)
 
 val split_attr : string list -> string -> (string * string list) option
 (** Split an attribute name into its (longest-prefix) alias and
@@ -109,7 +129,18 @@ val constraint_path_in :
     callers resolving many attributes of one expression. *)
 
 val output_attrs : Adm.Schema.t -> expr -> string list
-(** Statically computed output attribute names. *)
+(** Statically computed output attribute names. Full static
+    well-formedness checking lives in {!Typecheck}. *)
+
+val node_output_attrs :
+  Adm.Schema.t ->
+  expr ->
+  kid:(int -> string list) ->
+  kid_env:(int -> (string * string) list) ->
+  string list
+(** {!output_attrs} of a node from its children's: [kid i] and
+    [kid_env i] are child [i]'s output attributes and alias
+    environment, asked for only when the node needs them. *)
 
 val list_fields :
   Adm.Schema.t -> expr -> string -> (string * Adm.Webtype.t) list option
@@ -120,13 +151,16 @@ val list_fields :
     expression has [Some] fields: the inner header is known before
     any page is fetched. *)
 
-val output_attrs_memo : Adm.Schema.t -> expr -> string list
-(** Like {!output_attrs}, but each application shares one memo table
-    keyed on subexpressions (structural equality), so repeated queries
-    over overlapping subtrees cost a single bottom-up pass. Apply once
-    and reuse the closure.
+type link = string * Adm.Constraints.path * string * string
+(** A link attribute of an expression's output, as (attribute,
+    constraint path, alias, target scheme). *)
 
-    Full static well-formedness checking lives in {!Typecheck}. *)
+val links_in : Adm.Schema.t -> (string * string) list -> string list -> link list
+(** The link attributes among output attributes, resolved through an
+    alias environment. *)
+
+val available_links : Adm.Schema.t -> expr -> link list
+(** Link attributes in an expression's output. *)
 
 (** {1 Renaming} *)
 

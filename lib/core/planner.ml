@@ -67,34 +67,36 @@ let rename_output (o : outcome) rel =
     Adm.Relation.of_arrays o.select (Adm.Relation.rows_arrays rel)
   else rel
 
-(* Closure of a set of expressions under one-step rewritings, with
-   deduplication by structural identity and a safety cap. Returns the
-   plans plus whether the cap truncated the exploration (work left in
-   the queue when the loop stopped). [on_rewrite] fires on every rule
-   application, before deduplication — the planner hooks the
-   rewrite-soundness check here. *)
-let closure ?(cap = 400) ?(on_rewrite = fun ~parent:_ ~child:_ -> ())
-    (rules : (Nalg.expr -> Nalg.expr list) list) (seeds : Nalg.expr list) =
-  let seen = Nalg.Tbl.create 64 in
+(* Closure of a set of plans under one-step rewritings, deduplicated
+   by their memo nodes (structural identity), with a safety cap.
+   Returns the plans plus whether the cap truncated the exploration
+   (work left in the queue when the loop stopped). Each rule output is
+   interned against the plan it rewrote, so only its rebuilt nodes
+   are visited. [on_rewrite] fires on every rule application, before
+   deduplication — the planner hooks the rewrite-soundness check
+   here. *)
+let closure ?(cap = 400) ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
+    (rules : (Memo.node -> Nalg.expr list) list) (seeds : Memo.node list) =
+  let seen = Memo.visit memo in
   let out = ref [] in
   let queue = Queue.create () in
-  let add e =
-    if not (Nalg.Tbl.mem seen e) then begin
-      Nalg.Tbl.replace seen e ();
-      out := e :: !out;
-      Queue.add e queue
+  let add n =
+    if Memo.first_visit seen n then begin
+      out := n :: !out;
+      Queue.add n queue
     end
   in
   List.iter add seeds;
-  while (not (Queue.is_empty queue)) && Nalg.Tbl.length seen < cap do
-    let e = Queue.pop queue in
+  while (not (Queue.is_empty queue)) && Memo.visited seen < cap do
+    let n = Queue.pop queue in
     List.iter
       (fun rule ->
         List.iter
           (fun e' ->
-            on_rewrite ~parent:e ~child:e';
-            add e')
-          (rule e))
+            let n' = Memo.intern ~hint:n memo e' in
+            on_rewrite ~parent:n ~child:n';
+            add n')
+          (rule n))
       rules
   done;
   (List.rev !out, not (Queue.is_empty queue))
@@ -153,32 +155,6 @@ let substitutions_of (views : view_context option) (e : Nalg.expr) :
             })
       (Nalg.externals e)
 
-(* The planning context: the memos one [enumerate] call shares across
-   its stages. Each wraps the one context-free function and returns
-   exactly what it returns: output attributes and available links per
-   distinct subexpression, the typed environment per plan (with the
-   occurrences' environments built once per scheme and alias), and
-   plan keys behind their syntactic pre-key. A context is built by
-   each call and dropped with it, so no planner state outlives a
-   query. *)
-type context = {
-  attrs : Nalg.expr -> string list;
-  links : Nalg.expr -> Rewrite.link list;
-  infer : Nalg.expr -> Typecheck.env * Diagnostic.t list;
-  key : Nalg.expr -> string;
-}
-
-let context ?views schema =
-  let tc_views name =
-    match views with None -> None | Some vc -> vc.vc_env name
-  in
-  {
-    attrs = Nalg.output_attrs_memo schema;
-    links = Rewrite.links_memo schema;
-    infer = Typecheck.infer_memo ~views:tc_views schema;
-    key = Contain.plan_key_memo ();
-  }
-
 let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     ?(minimize = true) ?views ?bindings (schema : Adm.Schema.t)
     (stats : Stats.t) (registry : View.registry) (q : Conjunctive.t) : outcome =
@@ -197,20 +173,23 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     match views with Some vc -> vc.vc_econ | None -> Cost.no_views
   in
   let known name = econ.Cost.view name <> None in
-  let ctx = context ?views schema in
-  (* Rewrite soundness (E0402/E0403), each distinct plan of the closure
-     inferred once through the context, and at most one report per
-     offending child plan. *)
-  let judged = Nalg.Tbl.create 256 in
+  (* One interned memo per call: every plan's nodes and their
+     properties, dropped on return. *)
+  let memo =
+    Memo.create
+      ?views:(Option.map (fun vc -> vc.vc_env) views)
+      ~econ schema stats
+  in
+  (* Rewrite soundness (E0402/E0403): each distinct child plan judged
+     once, against the first plan rewritten into it. *)
   let on_rewrite ~parent ~child =
-    if not (Nalg.Tbl.mem judged child) then begin
-      Nalg.Tbl.add judged child ();
+    (* an ill-typed parent gets no verdict, as in [Typecheck.judge] *)
+    if Memo.first_judgment child && not (Memo.has_errors memo parent) then
       List.iter diag
-        (Typecheck.judge ~parent:(ctx.infer parent) ~child:(ctx.infer child))
-    end
+        (Typecheck.judge ~parent:(Memo.infer memo parent) ~child:(Memo.infer memo child))
   in
   let closure_phase ~phase ~cap rules seeds =
-    let plans, capped = closure ~cap ~on_rewrite rules seeds in
+    let plans, capped = closure ~cap ~on_rewrite memo rules seeds in
     if capped then
       diag
         (Diagnostic.warning ~code:"W0401"
@@ -266,32 +245,25 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
       |> List.filter (fun e -> Nalg.externals e <> [])
   in
   (* Step 3: rule 4 to fixpoint on each expansion (cheap first pass) *)
-  let merged = List.map (fixpoint (Rewrite.rule4 schema)) expanded in
+  let merged =
+    List.map (fun e -> Memo.intern memo (fixpoint (Rewrite.rule4 schema) e)) expanded
+  in
+  let on_expr rule n = rule schema (Memo.expr n) in
   (* Step 4: closure under join reordering and rules 4, 8, 9 (and 2);
      reordering exposes repeated / joinable navigations that the
      left-deep FROM-order tree hides *)
   let join_rules =
-    [
-      Rewrite.rule4 schema;
-      Rewrite.join_commute schema;
-      Rewrite.join_rotate schema;
-    ]
-    @
-    if pointer_rules then
-      [
-        Rewrite.rules8_9 ~links:ctx.links schema;
-        Rewrite.rule2 ~links:ctx.links schema;
-      ]
-    else []
+    [ on_expr Rewrite.rule4; on_expr Rewrite.join_commute; Rewrite.join_rotate memo ]
+    @ if pointer_rules then [ Rewrite.rules8_9 memo; Rewrite.rule2 memo ] else []
   in
   let with_joins = closure_phase ~phase:"join" ~cap:join_cap join_rules merged in
   (* Step 5: closure under rule 6, then sink selections *)
   let with_selections =
     (if constraint_selections then
        closure_phase ~phase:"selection" ~cap:other_cap
-         [ Rewrite.rule6 schema ] with_joins
+         [ on_expr Rewrite.rule6 ] with_joins
      else with_joins)
-    |> List.map (Rewrite.sink_selections ~attrs:ctx.attrs schema)
+    |> List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n))
   in
   (* Steps 6/7: move projected attributes to the source side of link
      constraints (rule 7), then prune unneeded unnests and navigations
@@ -300,9 +272,9 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let with_projections =
     (if constraint_selections then
        closure_phase ~phase:"projection" ~cap:other_cap
-         [ Rewrite.rule7_replace schema ] with_selections
+         [ on_expr Rewrite.rule7_replace ] with_selections
      else with_selections)
-    |> List.map (Rewrite.prune schema)
+    |> List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.prune memo n))
   in
   (* Step 2'': binding-pattern access paths — on sites whose data sits
      behind parameterized forms, an equivalent-rewriting search over
@@ -315,36 +287,30 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let binding_plans =
     match bindings with None -> [] | Some f -> f q_plan
   in
-  let pruned = with_projections @ view_plans @ binding_plans in
+  let pruned =
+    with_projections @ List.map (Memo.intern memo) (view_plans @ binding_plans)
+  in
   (* dedup once more; typecheck gate; estimate; sort. Computability is
      relaxed to access paths: a plan may keep External leaves when
      every one names a view the economics snapshot prices (the
      executor answers those from the store). *)
-  let seen = Nalg.Tbl.create 64 in
+  let seen = Memo.visit memo in
   let costed =
-    List.filter
-      (fun e ->
-        if Nalg.Tbl.mem seen e then false
-        else begin
-          Nalg.Tbl.replace seen e ();
-          true
-        end)
-      pruned
-    |> List.filter (fun e ->
-           List.for_all (fun (name, _) -> known name) (Nalg.externals e))
-    |> List.filter (fun e ->
-           let _, ds = ctx.infer e in
-           if Diagnostic.has_errors ds then begin
+    List.filter (Memo.first_visit seen) pruned
+    |> List.filter (fun n ->
+           List.for_all (fun (name, _) -> known name) (Nalg.externals (Memo.expr n)))
+    |> List.filter (fun n ->
+           if Memo.has_errors memo n then begin
              diag
                (Diagnostic.error ~code:"E0404"
-                  "rejected ill-typed candidate plan %s" (Nalg.to_string e));
+                  "rejected ill-typed candidate plan %s" (Nalg.to_string (Memo.expr n)));
              false
            end
            else true)
-    |> List.map (fun e ->
-           let est = Cost.estimate ~views:econ schema stats e e in
-           { expr = e; cost = est.Cost.cost; card = est.Cost.card })
-    |> List.sort (fun p1 p2 -> Float.compare p1.cost p2.cost)
+    |> List.map (fun n ->
+           let est = Memo.estimate memo n in
+           (n, { expr = Memo.expr n; cost = est.Cost.cost; card = est.Cost.card }))
+    |> List.stable_sort (fun (_, p1) (_, p2) -> Float.compare p1.cost p2.cost)
   in
   (* Semantic dedup: plans whose tableaux are isomorphic
      (Contain.plan_key) are the same query written differently — keep
@@ -354,16 +320,16 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let keyed = Hashtbl.create 64 in
   let merged = ref 0 in
   let candidates =
-    List.filter
-      (fun p ->
-        let k = ctx.key p.expr in
+    List.filter_map
+      (fun (n, p) ->
+        let k = Memo.key memo n in
         if Hashtbl.mem keyed k then begin
           incr merged;
-          false
+          None
         end
         else begin
           Hashtbl.replace keyed k ();
-          true
+          Some p
         end)
       costed
   in

@@ -6,11 +6,14 @@
     3/5/7 via pruning), then cost every candidate and keep the
     cheapest.
 
-    Every stage of one {!enumerate} call reads its plans' logical
-    properties through one planning {!context}: output attributes and
-    available links per distinct subexpression, typed environments
-    per plan, and plan keys behind a syntactic pre-key, each computed
-    once per query. The context lives exactly as long as the call; the
+    Every stage of one {!enumerate} call works on the nodes of one
+    interned plan memo ({!Memo}): each distinct subtree is hashed
+    once, shallowly, and a rule output is interned against the plan it
+    rewrote, so only its rebuilt nodes are visited. That intern step
+    is the closures' and the soundness check's dedup, and each node's
+    output attributes, links, typed environment, cost estimate and
+    plan key are computed once, from its children's, and reused by
+    every later stage. The memo lives exactly as long as the call; the
     plan space, costs and diagnostics are those of the context-free
     functions. *)
 
@@ -64,36 +67,19 @@ val rename_output : outcome -> Adm.Relation.t -> Adm.Relation.t
     names (plans name columns after the page occurrences they
     navigate, which differ between candidates). *)
 
-type context = {
-  attrs : Nalg.expr -> string list;  (** {!Nalg.output_attrs} *)
-  links : Nalg.expr -> Rewrite.link list;  (** {!Rewrite.available_links} *)
-  infer : Nalg.expr -> Typecheck.env * Diagnostic.t list;
-      (** {!Typecheck.infer}, with the views' typed environments *)
-  key : Nalg.expr -> string;  (** {!Contain.plan_key} *)
-}
-(** The planning context: the memos one {!enumerate} call shares
-    across its stages — output attributes and available links per
-    distinct subexpression ({!Nalg.output_attrs_memo},
-    {!Rewrite.links_memo}), typed environments per plan
-    ({!Typecheck.infer_memo}) and plan keys behind a syntactic
-    pre-key ({!Contain.plan_key_memo}). Each field returns exactly
-    what the context-free function in its comment returns. *)
-
-val context : ?views:view_context -> Adm.Schema.t -> context
-(** A fresh context with empty memos. {!enumerate} builds one per call
-    and drops it on return: no planner state outlives a query. *)
-
 val closure :
   ?cap:int ->
-  ?on_rewrite:(parent:Nalg.expr -> child:Nalg.expr -> unit) ->
-  (Nalg.expr -> Nalg.expr list) list ->
-  Nalg.expr list ->
-  Nalg.expr list * bool
+  ?on_rewrite:(parent:Memo.node -> child:Memo.node -> unit) ->
+  Memo.t ->
+  (Memo.node -> Nalg.expr list) list ->
+  Memo.node list ->
+  Memo.node list * bool
 (** Closure of a seed set under one-step rewritings, deduplicated by
-    structural identity ({!Nalg.equal}), with a safety cap. The
-    boolean is [true] when the cap truncated the exploration (work was
-    still queued). [on_rewrite] fires on every rule application,
-    before deduplication. *)
+    memo node (structural identity, {!Nalg.equal}), with a safety cap
+    on the plans of this closure. Each rule output is interned against
+    the plan it rewrote. The boolean is [true] when the cap truncated
+    the exploration (work was still queued). [on_rewrite] fires on
+    every rule application, before deduplication. *)
 
 val fixpoint :
   ?max_rounds:int -> (Nalg.expr -> Nalg.expr list) -> Nalg.expr -> Nalg.expr

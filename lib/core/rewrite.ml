@@ -53,34 +53,9 @@ let contexts (e : expr) : (expr * (expr -> expr)) list =
 let attr_of_path alias (p : Adm.Constraints.path) =
   String.concat "." (alias :: p.Adm.Constraints.steps)
 
-type link = string * Adm.Constraints.path * string * string
-
-(* All link attributes available in [e]'s output (after the necessary
-   unnests), with their constraint path and target scheme. *)
-let available_links (schema : Adm.Schema.t) (e : expr) : link list =
-  let out = output_attrs schema e in
-  let env = alias_env e in
-  List.filter_map
-    (fun attr ->
-      match constraint_path_in env attr with
-      | None -> None
-      | Some (path, alias) -> (
-        match Adm.Schema.link_target schema path with
-        | Some target -> Some (attr, path, alias, target)
-        | None -> None))
-    out
-
-(* [available_links] memoized by subexpression: rules 2, 8 and 9 ask
-   for the links of the same join operands across many plans. *)
-let links_memo (schema : Adm.Schema.t) : expr -> link list =
-  let tbl = Tbl.create 256 in
-  fun e ->
-    match Tbl.find_opt tbl e with
-    | Some links -> links
-    | None ->
-      let links = available_links schema e in
-      Tbl.add tbl e links;
-      links
+(* The memo node of [e], a subexpression of [root]'s plan: found by
+   physical identity among [root]'s nodes. *)
+let node_of m root e = Memo.intern ~hint:root m e
 
 (* [s] extends [prefix] by at least one character. *)
 let extends ~prefix s =
@@ -121,8 +96,8 @@ let references_any_alias e aliases =
    with associated constraint A = B, becomes e1 →L P2. The paper
    states the rule for any page relation; in plans only entry points
    appear as bare page relations. *)
-let rule2 ?links (schema : Adm.Schema.t) (root : expr) : expr list =
-  let links = Option.value links ~default:(available_links schema) in
+let rule2 (m : Memo.t) (root : Memo.node) : expr list =
+  let schema = Memo.schema m in
   List.concat_map
     (fun (sub, rb) ->
       match sub with
@@ -142,9 +117,9 @@ let rule2 ?links (schema : Adm.Schema.t) (root : expr) : expr list =
               match matching with
               | Some _ -> Some (rb (Follow { src = e1; link = link_attr; scheme; alias }))
               | None -> None)
-          (links e1)
+          (Memo.links m (node_of m root e1))
       | _ -> [])
-    (contexts root)
+    (contexts (Memo.expr root))
 
 (* ------------------------------------------------------------------ *)
 (* Rule 4: eliminate repeated navigations                              *)
@@ -280,26 +255,27 @@ let join_commute (_schema : Adm.Schema.t) (root : expr) : expr list =
       | _ -> None)
     (contexts root)
 
-let join_rotate (schema : Adm.Schema.t) (root : expr) : expr list =
+let join_rotate (m : Memo.t) (root : Memo.node) : expr list =
+  let attrs e = Memo.attrs m (node_of m root e) in
   List.concat_map
     (fun (sub, rb) ->
       match sub with
       | Join (k2, Join (k1, a, b), c) ->
         (* ((a ⋈ b) ⋈ c) = (a ⋈ (b ⋈ c)) when k2's left attributes all
            come from b *)
-        let b_attrs = output_attrs schema b in
+        let b_attrs = attrs b in
         if List.for_all (fun (x, _) -> List.mem x b_attrs) k2 then
           [ rb (Join (k1, a, Join (k2, b, c))) ]
         else []
       | Join (k2, a, Join (k1, b, c)) ->
         (* (a ⋈ (b ⋈ c)) = ((a ⋈ b) ⋈ c) when k2's right attributes all
            come from b *)
-        let b_attrs = output_attrs schema b in
+        let b_attrs = attrs b in
         if List.for_all (fun (_, y) -> List.mem y b_attrs) k2 then
           [ rb (Join (k1, Join (k2, a, b), c)) ]
         else []
       | _ -> [])
-    (contexts root)
+    (contexts (Memo.expr root))
 
 (* ------------------------------------------------------------------ *)
 (* Rules 8 and 9: pointer join and pointer chase                       *)
@@ -321,8 +297,8 @@ type pointer_match = {
   rebuild : expr -> expr; (* rebuilds the root around the Join *)
 }
 
-let pointer_matches ~links (schema : Adm.Schema.t) (root : expr) :
-    pointer_match list =
+let pointer_matches (m : Memo.t) (root : Memo.node) : pointer_match list =
+  let schema = Memo.schema m in
   List.concat_map
     (fun (sub, rb) ->
       match sub with
@@ -330,7 +306,7 @@ let pointer_matches ~links (schema : Adm.Schema.t) (root : expr) :
         let sided nav_side other ~nav_is_left =
           (* R2's links, resolved once per side and only when some
              join key names a follow's target *)
-          let links = lazy (links other) in
+          let links = lazy (Memo.links m (node_of m root other)) in
           List.concat_map
             (fun (fsub, frb) ->
               match fsub with
@@ -386,7 +362,7 @@ let pointer_matches ~links (schema : Adm.Schema.t) (root : expr) :
         in
         sided left right ~nav_is_left:true @ sided right left ~nav_is_left:false
       | _ -> [])
-    (contexts root)
+    (contexts (Memo.expr root))
 
 (* A pointer match with its residual join keys re-applied as a
    selection over the rewritten side. *)
@@ -404,9 +380,7 @@ let pointer_join m =
   let joined = Join ([ (fl.link, m.other_link_attr) ], fl.src, m.other) in
   m.rebuild (with_residual m (m.follow_rb (Follow { fl with src = joined })))
 
-let rule8 (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.map pointer_join
-    (pointer_matches ~links:(available_links schema) schema root)
+let rule8 m root = List.map pointer_join (pointer_matches m root)
 
 (* Rule 9 [Pointer Chase]:
    π_X((R1 →L R3) ⋈_{R3.B=R2.A} R2) = π_X(R2 →L' R3)
@@ -447,17 +421,14 @@ let pointer_chase (schema : Adm.Schema.t) m =
         let dropped = List.filter (fun a -> not (List.mem a kept)) (aliases fl.src) in
         if references_any_alias candidate dropped then None else Some candidate
 
-let rule9 (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.filter_map (pointer_chase schema)
-    (pointer_matches ~links:(available_links schema) schema root)
+let rule9 m root = List.filter_map (pointer_chase (Memo.schema m)) (pointer_matches m root)
 
 (* Rules 8 and 9 over one shared match pass: rule 8's rewritings,
    then rule 9's — the order the two rules produce one after the
    other. *)
-let rules8_9 ?links (schema : Adm.Schema.t) (root : expr) : expr list =
-  let links = Option.value links ~default:(available_links schema) in
-  let ms = pointer_matches ~links schema root in
-  List.map pointer_join ms @ List.filter_map (pointer_chase schema) ms
+let rules8_9 (m : Memo.t) (root : Memo.node) : expr list =
+  let ms = pointer_matches m root in
+  List.map pointer_join ms @ List.filter_map (pointer_chase (Memo.schema m)) ms
 
 (* ------------------------------------------------------------------ *)
 (* Rule 6: moving selections across link constraints                   *)
@@ -534,49 +505,35 @@ let subset attrs available = List.for_all (fun a -> List.mem a available) attrs
 (* Push every selection atom to the lowest operator that provides its
    attributes. Equalities implied by link constraints are not used
    here — that is rule 6's job; this is plain commutation. *)
-let sink_selections ?attrs (schema : Adm.Schema.t) (e : expr) : expr =
-  (* a memo table (one per invocation unless the caller shares one):
-     the same subtrees are queried at every enclosing operator on the
-     way down *)
-  let out =
-    match attrs with Some out -> out | None -> output_attrs_memo schema
+let sink_selections (m : Memo.t) (root : Memo.node) : expr =
+  (* the atoms child [i] of [n] provides every attribute of, and the
+     rest; the memo answers each child's attributes once *)
+  let split atoms n i =
+    match atoms with
+    | [] -> ([], [])
+    | _ ->
+      let avail = Memo.attrs m (Memo.kid n i) in
+      List.partition (fun at -> subset (Pred.atom_attrs at) avail) atoms
   in
-  let rec place (atoms : Pred.atom list) e =
+  let rec place (atoms : Pred.atom list) e n =
+    let kid i atoms e' = place atoms e' (Memo.kid n i) in
     match e with
-    | Select (p, e1) -> place (atoms @ p) e1
-    | Entry _ | External _ -> wrap atoms e
+    | Select (p, e1) -> kid 0 (atoms @ p) e1
+    | Entry _ | External _ | Call { c_src = None; _ } -> wrap atoms e
     | Project (attrs, e1) ->
       let inside, here =
         List.partition (fun a -> subset (Pred.atom_attrs a) attrs) atoms
       in
-      wrap here (Project (attrs, place inside e1))
-    | Unnest (e1, a) ->
-      let avail = out e1 in
-      let inside, here =
-        List.partition (fun at -> subset (Pred.atom_attrs at) avail) atoms
-      in
-      wrap here (Unnest (place inside e1, a))
-    | Follow fl ->
-      let avail = out fl.src in
-      let inside, here =
-        List.partition (fun at -> subset (Pred.atom_attrs at) avail) atoms
-      in
-      wrap here (Follow { fl with src = place inside fl.src })
-    | Call { c_src = None; _ } -> wrap atoms e
-    | Call ({ c_src = Some src; _ } as c) ->
-      let avail = out src in
-      let inside, here =
-        List.partition (fun at -> subset (Pred.atom_attrs at) avail) atoms
-      in
-      wrap here (Call { c with c_src = Some (place inside src) })
-    | Join (keys, e1, e2) ->
-      let a1 = out e1 in
-      let a2 = out e2 in
-      let left, rest = List.partition (fun at -> subset (Pred.atom_attrs at) a1) atoms in
-      let right, here = List.partition (fun at -> subset (Pred.atom_attrs at) a2) rest in
-      wrap here (Join (keys, place left e1, place right e2))
+      wrap here (with_children e [ kid 0 inside e1 ])
+    | Unnest (e1, _) | Follow { src = e1; _ } | Call { c_src = Some e1; _ } ->
+      let inside, here = split atoms n 0 in
+      wrap here (with_children e [ kid 0 inside e1 ])
+    | Join (_, e1, e2) ->
+      let left, rest = split atoms n 0 in
+      let right, here = split rest n 1 in
+      wrap here (with_children e [ kid 0 left e1; kid 1 right e2 ])
   and wrap atoms e = match atoms with [] -> e | p -> Select (p, e) in
-  place [] e
+  place [] (Memo.expr root) root
 
 (* ------------------------------------------------------------------ *)
 (* Rules 3, 5, 7: neededness pruning                                   *)
@@ -587,16 +544,17 @@ let sink_selections ?attrs (schema : Adm.Schema.t) (e : expr) : expr =
    done by analysis instead of by materializing π nodes. Neededness
    flows top-down: the root's projection, plus every predicate, join
    key, link and unnest attribute below. *)
-let prune (schema : Adm.Schema.t) (root : expr) : expr =
+let prune (m : Memo.t) (root : Memo.node) : expr =
+  let schema = Memo.schema m in
   let rec go (needed : string list) e =
     match e with
     | Entry _ | External _ -> e
-    | Project (attrs, e1) -> Project (attrs, go attrs e1)
-    | Select (p, e1) -> Select (p, go (Pred.attrs p @ needed) e1)
+    | Project (attrs, e1) -> with_children e [ go attrs e1 ]
+    | Select (p, e1) -> with_children e [ go (Pred.attrs p @ needed) e1 ]
     | Join (keys, e1, e2) ->
       let key_attrs = List.concat_map (fun (a, b) -> [ a; b ]) keys in
       let needed = key_attrs @ needed in
-      Join (keys, go needed e1, go needed e2)
+      with_children e [ go needed e1; go needed e2 ]
     | Unnest (e1, a) ->
       let contributes =
         let prefix = a ^ "." in
@@ -613,7 +571,7 @@ let prune (schema : Adm.Schema.t) (root : expr) : expr =
           | None -> false)
         | None -> false
       in
-      if contributes || not droppable then Unnest (go (a :: needed) e1, a)
+      if contributes || not droppable then with_children e [ go (a :: needed) e1 ]
       else go needed e1
     | Follow fl ->
       let prefix = fl.alias ^ "." in
@@ -626,9 +584,9 @@ let prune (schema : Adm.Schema.t) (root : expr) : expr =
           | None -> false)
         | None -> false
       in
-      if contributes || optional then Follow { fl with src = go (fl.link :: needed) fl.src }
+      if contributes || optional then with_children e [ go (fl.link :: needed) fl.src ]
       else go needed fl.src
-    | Call ({ c_src; c_args; _ } as c) ->
+    | Call { c_src; c_args; _ } ->
       (* never dropped: the bound arguments are the access path itself;
          the source must keep every attribute a call argument reads *)
       let arg_attrs =
@@ -638,9 +596,9 @@ let prune (schema : Adm.Schema.t) (root : expr) : expr =
       in
       (match c_src with
       | None -> e
-      | Some src -> Call { c with c_src = Some (go (arg_attrs @ needed) src) })
+      | Some src -> with_children e [ go (arg_attrs @ needed) src ])
   in
-  go (output_attrs schema root) root
+  go (Memo.attrs m root) (Memo.expr root)
 
 (* Rule 7 as a plan-space rewriting: a projected attribute P2.B whose
    page is reached over a link carrying the constraint A = B can be

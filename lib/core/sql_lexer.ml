@@ -101,7 +101,13 @@ let tokenize input =
       | c when is_digit c ->
         let rec stop j = if j < n && is_digit input.[j] then stop (j + 1) else j in
         let j = stop i in
-        emit (NUMBER (int_of_string (String.sub input i (j - i))));
+        let digits = String.sub input i (j - i) in
+        (match int_of_string_opt digits with
+        | Some v -> emit (NUMBER v)
+        | None ->
+          raise
+            (Lex_error
+               (Fmt.str "integer literal %s at offset %d is out of range" digits i)));
         go j
       | c when is_ident_start c ->
         let rec stop j = if j < n && is_ident_char input.[j] then stop (j + 1) else j in

@@ -40,7 +40,7 @@ let set_page_bytes t scheme n = Hashtbl.replace t.page_bytes scheme n
 let page_bytes t scheme =
   match Hashtbl.find_opt t.page_bytes scheme with Some b -> b | None -> 0.0
 
-let has_distinct t path = Hashtbl.mem t.distinct path
+let find_distinct t path = Hashtbl.find_opt t.distinct path
 
 (* Selectivity of an equality on attribute [path]: s_A = 1 / c_A. *)
 let selectivity t path = 1.0 /. float_of_int (max 1 (distinct t path))

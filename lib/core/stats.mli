@@ -15,7 +15,8 @@ val set_distinct : t -> string -> int -> unit
 val cardinality : t -> string -> int
 val fanout : t -> string -> float
 val distinct : t -> string -> int
-val has_distinct : t -> string -> bool
+val find_distinct : t -> string -> int option
+(** The distinct count of a path, when one is recorded. *)
 
 val selectivity : t -> string -> float
 (** s_A = 1 / c_A. *)

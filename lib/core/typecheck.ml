@@ -32,89 +32,137 @@ let scheme_env (schema : Adm.Schema.t) ~scheme ~alias : env =
 (* Typed NALG inference (E01xx)                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Names of an environment mapped to their first binding's type. *)
-module Names = Hashtbl.Make (String)
+(* An environment built from the children's without copying them:
+   bindings in order, a name resolving to its first binding
+   ([List.assoc]). [Without (b, a)] is [b] less every binding of [a]. *)
+type bindings = Flat of env | Cat of bindings * bindings | Without of bindings * string
 
-let add_names idx (env : env) =
-  List.iter (fun (a, ty) -> if not (Names.mem idx a) then Names.add idx a ty) env
+let rec find a = function
+  | Flat env -> List.assoc_opt a env
+  | Cat (b1, b2) -> ( match find a b1 with Some _ as ty -> ty | None -> find a b2)
+  | Without (b, x) -> if String.equal a x then None else find a b
 
-let names_of (env : env) =
-  let idx = Names.create 32 in
-  add_names idx env;
-  idx
+let mem a b = Option.is_some (find a b)
 
-(* Bottom-up inference of the ordered output environment of every
-   subexpression. The environment mirrors [Nalg.output_attrs] name for
-   name (same order), adding the web type of each attribute. [rev] is
-   the reversed step path from the root to the current node; each
-   diagnostic carries the forward path so {!Explain.locate} can point
-   back at the operator.
+let to_env b =
+  let rec go acc = function
+    | Flat env -> List.rev_append env acc
+    | Cat (b1, b2) -> go (go acc b1) b2
+    | Without (b, x) -> List.filter (fun (a, _) -> not (String.equal a x)) (go [] b) @ acc
+  in
+  List.rev (go [] b)
 
-   Every node also returns an index of its environment's names (first
-   binding wins, as [List.assoc] would), which its parent takes over
-   and extends in place: each lookup and ambiguity check is one hash
-   probe, and each name is indexed once, by the node that introduces
-   it. [scheme_env] supplies the occurrences' environments. *)
-let infer_with ~scheme_env ~views (schema : Adm.Schema.t) (root : Nalg.expr) :
-    env * Diagnostic.t list =
+(* A node's type: its bindings, and the heads of their names — each
+   name's prefix up to its first dot, one entry per distinct head. Two
+   environments with disjoint heads share no name, so most ambiguity
+   checks end there. Both are persistent: a node shares its children's
+   instead of copying them. *)
+type typed = { env : bindings; heads : string list }
+
+let head_len a = match String.index_opt a '.' with Some i -> i | None -> String.length a
+
+let add_heads heads (env : env) =
+  List.fold_left
+    (fun heads (a, _) ->
+      let k = head_len a in
+      if
+        List.exists
+          (fun h -> String.length h = k && String.starts_with ~prefix:h a)
+          heads
+      then heads
+      else String.sub a 0 k :: heads)
+    heads env
+
+let typed_of env = { env = Flat env; heads = add_heads [] env }
+
+let occurrence schema ~scheme ~alias = typed_of (scheme_env schema ~scheme ~alias)
+
+let typed_env t = to_env t.env
+
+(* The step each child of a node is reached by, in [Nalg.children]
+   order: the components of a diagnostic's path. *)
+let steps (e : Nalg.expr) =
+  match e with
+  | Nalg.Entry _ | Nalg.External _ | Nalg.Call { c_src = None; _ } -> []
+  | Nalg.Select _ -> [ "select" ]
+  | Nalg.Project _ -> [ "project" ]
+  | Nalg.Join _ -> [ "join.left"; "join.right" ]
+  | Nalg.Unnest _ -> [ "unnest" ]
+  | Nalg.Follow _ -> [ "follow" ]
+  | Nalg.Call { c_src = Some _; _ } -> [ "call" ]
+
+(* The type of one node from its children's ([kids], in
+   [Nalg.children] order), with the node's own findings in report
+   order, each with the empty path. The environment mirrors
+   [Nalg.output_attrs] name for name (same order), adding the web type
+   of each attribute; names resolve through the children's bindings. *)
+let type_node ?(views = fun (_ : string) -> None) ?occurrence:occ
+    (schema : Adm.Schema.t)
+    (e : Nalg.expr) (kids : typed list) : typed * Diagnostic.t list =
   let diags = ref [] in
-  let report rev severity code fmt =
-    Fmt.kstr
-      (fun m -> diags := Diagnostic.v ~path:(List.rev rev) severity code m :: !diags)
-      fmt
+  let report severity code fmt =
+    Fmt.kstr (fun m -> diags := Diagnostic.v severity code m :: !diags) fmt
   in
-  let err rev code fmt = report rev Diagnostic.Error code fmt in
-  let warn rev code fmt = report rev Diagnostic.Warning code fmt in
-  let operand_ty idx = function
+  let err code fmt = report Diagnostic.Error code fmt in
+  let warn code fmt = report Diagnostic.Warning code fmt in
+  (* an operand's type, reporting an unavailable attribute *)
+  let operand_ty where t = function
     | Pred.Const v -> Adm.Webtype.of_value v
-    | Pred.Attr a -> Names.find_opt idx a
-  in
-  let check_operand rev where idx = function
-    | Pred.Const _ -> ()
     | Pred.Attr a ->
-      if not (Names.mem idx a) then
-        err rev "E0103" "%s references unavailable attribute %s" where a
+      let ty = find a t.env in
+      if Option.is_none ty then
+        err "E0103" "%s references unavailable attribute %s" where a;
+      ty
   in
-  let check_atom rev where idx (a : Pred.atom) =
-    check_operand rev where idx a.Pred.left;
-    check_operand rev where idx a.Pred.right;
-    match operand_ty idx a.Pred.left, operand_ty idx a.Pred.right with
+  let check_atom where t (a : Pred.atom) =
+    let t1 = operand_ty where t a.Pred.left in
+    let t2 = operand_ty where t a.Pred.right in
+    match t1, t2 with
     | Some t1, Some t2 ->
       if Adm.Webtype.is_multi t1 || Adm.Webtype.is_multi t2 then
-        err rev "E0106" "%s compares a multi-valued attribute in %a" where
-          Pred.pp_atom a
+        err "E0106" "%s compares a multi-valued attribute in %a" where Pred.pp_atom a
       else if not (Adm.Webtype.compatible t1 t2) then
-        err rev "E0106" "type mismatch in %s %a: %a vs %a" where Pred.pp_atom a
+        err "E0106" "type mismatch in %s %a: %a vs %a" where Pred.pp_atom a
           Adm.Webtype.pp t1 Adm.Webtype.pp t2
     | (Some _ | None), _ -> ()
   in
-  (* [tgt]'s names already bound by the source are ambiguous; then the
-     source's index takes [tgt] in *)
-  let append rev what (env_src, idx) (tgt : env) =
-    List.iter
-      (fun (a, _) ->
-        if Names.mem idx a then
-          err rev "E0105" "%s produces ambiguous attribute %s" what a)
-      tgt;
-    add_names idx tgt;
-    (env_src @ tgt, idx)
+  (* [tgt]'s names already bound by the source are ambiguous (none can
+     be when their heads are disjoint); then the source's environment
+     takes [tgt] in *)
+  let append what src tgt =
+    let shared = List.filter (fun h -> List.mem h src.heads) tgt.heads in
+    if shared <> [] then
+      List.iter
+        (fun (a, _) ->
+          if mem a src.env then err "E0105" "%s produces ambiguous attribute %s" what a)
+        (to_env tgt.env);
+    {
+      env = Cat (src.env, tgt.env);
+      heads =
+        List.fold_left
+          (fun hs h -> if List.mem h shared then hs else h :: hs)
+          src.heads tgt.heads;
+    }
   in
-  let rec go rev (e : Nalg.expr) : env * Adm.Webtype.t Names.t =
+  let occurrence =
+    match occ with Some f -> f | None -> occurrence schema
+  in
+  let kid = function k :: _ -> k | [] -> invalid_arg "Typecheck.type_node" in
+  let typed =
     match e with
     | Nalg.Entry { scheme; alias } ->
       (match Adm.Schema.find_scheme schema scheme with
-      | None -> err rev "E0101" "unknown page-scheme %s" scheme
+      | None -> err "E0101" "unknown page-scheme %s" scheme
       | Some ps ->
         if Adm.Page_scheme.is_parameterized ps then
-          err rev "E0111"
+          err "E0111"
             "page-scheme %s is a parameterized entry (%s): every parameter \
              must be bound by a call"
             scheme
             (Adm.Page_scheme.adornment ps)
         else if not (Adm.Page_scheme.is_entry_point ps) then
-          err rev "E0102" "page-scheme %s is not an entry point" scheme);
-      let env = scheme_env ~scheme ~alias in
-      (env, names_of env)
+          err "E0102" "page-scheme %s is not an entry point" scheme);
+      occurrence ~scheme ~alias
     | Nalg.External { name; alias } ->
       let env =
         match views name with
@@ -123,99 +171,93 @@ let infer_with ~scheme_env ~views (schema : Adm.Schema.t) (root : Nalg.expr) :
              path (answered by [View_scan]), typed like a base scheme. *)
           List.map (fun (a, ty) -> (alias ^ "." ^ a, ty)) attrs
         | None ->
-          err rev "E0107" "external relation %s remains (not computable)" name;
+          err "E0107" "external relation %s remains (not computable)" name;
           (* placeholder matching [Nalg.output_attrs]'s arity *)
           [ (alias ^ ".*" ^ name, Adm.Webtype.Text) ]
       in
-      (env, names_of env)
-    | Nalg.Select (p, e1) ->
-      let ((_, idx1) as r1) = go ("select" :: rev) e1 in
-      List.iter (check_atom rev "selection" idx1) p;
+      typed_of env
+    | Nalg.Select (p, _) ->
+      let r1 = kid kids in
+      List.iter (check_atom "selection" r1) p;
       r1
-    | Nalg.Project (attrs, e1) ->
-      let _, idx1 = go ("project" :: rev) e1 in
+    | Nalg.Project (attrs, _) ->
+      let env1 = (kid kids).env in
       let rec dups seen = function
         | [] -> ()
         | a :: rest ->
           (* Selecting the same column twice is legal (the result is
              positional), merely suspicious — unlike a join clash. *)
           if List.exists (String.equal a) seen then
-            warn rev "W0110" "projection duplicates attribute %s" a
-          else if not (Names.mem idx1 a) then
-            err rev "E0103" "projection references unavailable attribute %s" a;
+            warn "W0110" "projection duplicates attribute %s" a
+          else if not (mem a env1) then
+            err "E0103" "projection references unavailable attribute %s" a;
           dups (a :: seen) rest
       in
       dups [] attrs;
       let env =
         List.map
-          (fun a ->
-            (a, Option.value (Names.find_opt idx1 a) ~default:Adm.Webtype.Text))
+          (fun a -> (a, Option.value (find a env1) ~default:Adm.Webtype.Text))
           attrs
       in
-      (env, names_of env)
-    | Nalg.Join (keys, e1, e2) ->
-      let env1, idx1 = go ("join.left" :: rev) e1 in
-      let env2, idx2 = go ("join.right" :: rev) e2 in
+      typed_of env
+    | Nalg.Join (keys, _, _) ->
+      let r1, r2 =
+        match kids with [ r1; r2 ] -> (r1, r2) | _ -> invalid_arg "Typecheck.type_node"
+      in
       List.iter
         (fun (l, r) ->
-          if not (Names.mem idx1 l) then
-            err rev "E0103" "join (left) references unavailable attribute %s" l;
-          if not (Names.mem idx2 r) then
-            err rev "E0103" "join (right) references unavailable attribute %s" r;
-          match Names.find_opt idx1 l, Names.find_opt idx2 r with
+          let t1 = find l r1.env and t2 = find r r2.env in
+          if Option.is_none t1 then
+            err "E0103" "join (left) references unavailable attribute %s" l;
+          if Option.is_none t2 then
+            err "E0103" "join (right) references unavailable attribute %s" r;
+          match t1, t2 with
           | Some t1, Some t2 ->
             if Adm.Webtype.is_multi t1 || Adm.Webtype.is_multi t2 then
-              err rev "E0106" "join key %s=%s binds a multi-valued attribute" l r
+              err "E0106" "join key %s=%s binds a multi-valued attribute" l r
             else if not (Adm.Webtype.compatible t1 t2) then
-              err rev "E0106" "join key type mismatch %s=%s: %a vs %a" l r
+              err "E0106" "join key type mismatch %s=%s: %a vs %a" l r
                 Adm.Webtype.pp t1 Adm.Webtype.pp t2
           | (Some _ | None), _ -> ())
         keys;
-      append rev "join" (env1, idx1) env2
-    | Nalg.Unnest (e1, attr) ->
-      let env1, idx1 = go ("unnest" :: rev) e1 in
+      append "join" r1 r2
+    | Nalg.Unnest (_, attr) ->
+      let r1 = kid kids in
       let fields =
-        match Names.find_opt idx1 attr with
+        match find attr r1.env with
         | Some (Adm.Webtype.List fields) -> fields
         | Some ty ->
-          err rev "E0104" "unnest of %s: not a list attribute (%a)" attr
-            Adm.Webtype.pp ty;
+          err "E0104" "unnest of %s: not a list attribute (%a)" attr Adm.Webtype.pp ty;
           []
         | None ->
-          err rev "E0103" "unnest references unavailable attribute %s" attr;
+          err "E0103" "unnest references unavailable attribute %s" attr;
           []
       in
       let inner = List.map (fun (f, ty) -> (attr ^ "." ^ f, ty)) fields in
-      Names.remove idx1 attr;
-      add_names idx1 inner;
-      (List.filter (fun (a, _) -> not (String.equal a attr)) env1 @ inner, idx1)
-    | Nalg.Follow { src; link; scheme; alias } ->
-      let ((_, idx_src) as r_src) = go ("follow" :: rev) src in
-      (match Names.find_opt idx_src link with
+      {
+        env = Cat (Without (r1.env, attr), Flat inner);
+        heads = add_heads r1.heads inner;
+      }
+    | Nalg.Follow { link; scheme; alias; _ } ->
+      let r_src = kid kids in
+      (match find link r_src.env with
       | Some (Adm.Webtype.Link target) ->
         if not (String.equal target scheme) then
-          err rev "E0109" "follow of %s reaches %s, plan says %s" link target
-            scheme
+          err "E0109" "follow of %s reaches %s, plan says %s" link target scheme
       | Some ty ->
-        err rev "E0108" "follow of %s: not a link attribute (%a)" link
-          Adm.Webtype.pp ty
-      | None -> err rev "E0103" "follow references unavailable attribute %s" link);
+        err "E0108" "follow of %s: not a link attribute (%a)" link Adm.Webtype.pp ty
+      | None -> err "E0103" "follow references unavailable attribute %s" link);
       (match Adm.Schema.find_scheme schema scheme with
-      | None -> err rev "E0101" "unknown page-scheme %s" scheme
+      | None -> err "E0101" "unknown page-scheme %s" scheme
       | Some _ -> ());
-      append rev "follow" r_src (scheme_env ~scheme ~alias)
-    | Nalg.Call { c_src; c_scheme; c_alias; c_args } ->
-      let ((_, idx_src) as r_src) =
-        match c_src with
-        | None -> ([], Names.create 16)
-        | Some src -> go ("call" :: rev) src
-      in
+      append "follow" r_src (occurrence ~scheme ~alias)
+    | Nalg.Call { c_scheme; c_alias; c_args; _ } ->
+      let r_src = match kids with [] -> typed_of [] | r :: _ -> r in
       (match Adm.Schema.find_scheme schema c_scheme with
-      | None -> err rev "E0101" "unknown page-scheme %s" c_scheme
+      | None -> err "E0101" "unknown page-scheme %s" c_scheme
       | Some ps ->
         if not (Adm.Page_scheme.is_parameterized ps) then
-          err rev "E0111" "call targets %s, which declares no parameters"
-            c_scheme
+          err "E0111" "call targets %s, which declares no parameters" c_scheme
         else begin
           (* binding-pattern discipline: every declared parameter bound
              exactly once, every argument a declared parameter, every
@@ -228,73 +270,60 @@ let infer_with ~scheme_env ~views (schema : Adm.Schema.t) (root : Nalg.expr) :
                   c_args
               with
               | [] ->
-                err rev "E0111"
-                  "call to %s leaves required parameter %s unbound" c_scheme
-                  p.Adm.Page_scheme.p_name
+                err "E0111" "call to %s leaves required parameter %s unbound"
+                  c_scheme p.Adm.Page_scheme.p_name
               | [ _ ] -> ()
               | _ ->
-                err rev "E0111" "call to %s binds parameter %s more than once"
+                err "E0111" "call to %s binds parameter %s more than once"
                   c_scheme p.Adm.Page_scheme.p_name)
             (Adm.Page_scheme.params ps);
           List.iter
             (fun (n, arg) ->
               match Adm.Page_scheme.find_param ps n with
               | None ->
-                err rev "E0111" "call to %s binds unknown parameter %s"
-                  c_scheme n
+                err "E0111" "call to %s binds unknown parameter %s" c_scheme n
               | Some p -> (
                 match arg with
                 | Nalg.Arg_const _ -> ()
                 | Nalg.Arg_attr a -> (
-                  match Names.find_opt idx_src a with
+                  match find a r_src.env with
                   | None ->
-                    err rev "E0111"
+                    err "E0111"
                       "call argument %s := %s references an attribute the \
                        enclosing plan does not bind"
                       n a
                   | Some ty ->
                     if Adm.Webtype.is_multi ty then
-                      err rev "E0106"
+                      err "E0106"
                         "call argument %s := %s feeds a multi-valued attribute"
                         n a
                     else if not (Adm.Webtype.compatible ty p.Adm.Page_scheme.p_ty)
                     then
-                      err rev "E0106"
+                      err "E0106"
                         "call argument %s type mismatch: parameter is %a, %s \
                          is %a"
                         n Adm.Webtype.pp p.Adm.Page_scheme.p_ty a Adm.Webtype.pp
                         ty)))
             c_args
         end);
-      append rev "call" r_src (scheme_env ~scheme:c_scheme ~alias:c_alias)
+      append "call" r_src (occurrence ~scheme:c_scheme ~alias:c_alias)
   in
-  let env, _ = go [] root in
-  (env, List.rev !diags)
+  (typed, List.rev !diags)
 
-let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t) root =
-  infer_with ~scheme_env:(scheme_env schema) ~views schema root
+(* [d] seen from [step]'s parent. *)
+let under step (d : Diagnostic.t) = { d with Diagnostic.path = step :: d.Diagnostic.path }
 
-(* [infer] memoized by plan, with the occurrences' environments built
-   once per (scheme, alias) across every plan it is applied to. *)
-let infer_memo ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t) :
-    Nalg.expr -> env * Diagnostic.t list =
-  let occs = Hashtbl.create 16 in
-  let scheme_env ~scheme ~alias =
-    match Hashtbl.find_opt occs (scheme, alias) with
-    | Some env -> env
-    | None ->
-      let env = scheme_env schema ~scheme ~alias in
-      Hashtbl.add occs (scheme, alias) env;
-      env
+(* Bottom-up inference over every subexpression: each node typed from
+   its children's, its children's findings (paths extended by the
+   step reaching them) before its own. *)
+let infer ?views (schema : Adm.Schema.t) root =
+  let rec go e =
+    let kids = List.map2 (fun step kid -> (step, go kid)) (steps e) (Nalg.children e) in
+    let typed, own = type_node ?views schema e (List.map (fun (_, (t, _)) -> t) kids) in
+    (typed, List.concat_map (fun (step, (_, ds)) -> List.map (under step) ds) kids @ own)
   in
-  let plans = Nalg.Tbl.create 256 in
-  fun e ->
-    match Nalg.Tbl.find_opt plans e with
-    | Some r -> r
-    | None ->
-      let r = infer_with ~scheme_env ~views schema e in
-      Nalg.Tbl.add plans e r;
-      r
+  let typed, diags = go root in
+  (to_env typed.env, diags)
 
 let check schema e = snd (infer schema e)
 

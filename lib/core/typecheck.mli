@@ -39,15 +39,36 @@ val infer :
     (each attribute qualified by the alias) instead of raising [E0107]
     — views become first-class access paths to the type system. *)
 
-val infer_memo :
+type typed
+(** A node's inferred type: its environment, whose names resolve to
+    their first binding, shared with the nodes built over it. *)
+
+val typed_env : typed -> env
+
+val occurrence : Adm.Schema.t -> scheme:string -> alias:string -> typed
+(** The type of a page-scheme occurrence: its {!scheme_env}. *)
+
+val type_node :
   ?views:(string -> (string * Adm.Webtype.t) list option) ->
+  ?occurrence:(scheme:string -> alias:string -> typed) ->
   Adm.Schema.t ->
   Nalg.expr ->
-  env * Diagnostic.t list
-(** {!infer} memoized by plan (structural equality), the occurrences'
-    {!scheme_env}s built once per (scheme, alias) across every plan.
-    Apply once per planning run and reuse the closure; it returns
-    exactly what {!infer} returns. *)
+  typed list ->
+  typed * Diagnostic.t list
+(** One step of {!infer}: the type of a node from its children's (in
+    {!Nalg.children} order), and the node's own diagnostics in report
+    order, each with the empty path. [occurrence] (default
+    {!occurrence} [schema]) types page-scheme occurrences.
+    {!infer} is this step applied bottom-up; the planner's memo
+    ({!Memo}) applies it once per distinct node. *)
+
+val steps : Nalg.expr -> string list
+(** The path step reaching each child of a node, in {!Nalg.children}
+    order (["select"], ["join.left"], ...). *)
+
+val under : string -> Diagnostic.t -> Diagnostic.t
+(** A child's diagnostic seen from its parent: [under step d] puts
+    [step] in front of [d]'s path. *)
 
 val check : Adm.Schema.t -> Nalg.expr -> Diagnostic.t list
 (** [check schema e = snd (infer schema e)]. *)

@@ -99,6 +99,13 @@ let binding_lint t q =
   | None -> []
   | Some c -> Bindings.lint c t.schema q
 
+(* The static lint gate of the commands that plan a query: the query
+   lint, then (when it passes) the binding-pattern lint. *)
+let lint_query t sql =
+  let ds = Webviews.Typecheck.lint_sql t.schema t.registry sql in
+  if Webviews.Diagnostic.has_errors ds || t.registry = [] then ds
+  else ds @ binding_lint t (Webviews.Sql_parser.parse t.registry sql)
+
 let viewstore t =
   Webviews.Viewstore.create t.schema t.registry
     (Webviews.Matview.materialize t.schema (Websim.Http.connect t.site))

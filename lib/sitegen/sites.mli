@@ -69,6 +69,13 @@ val binding_lint : t -> Webviews.Conjunctive.t -> Webviews.Diagnostic.t list
 (** E0111 when the vocabulary covers a query but no executable
     composition of forms answers it; empty on a site without forms. *)
 
+val lint_query : t -> string -> Webviews.Diagnostic.t list
+(** The lint gate of every command that plans a query: the query lint
+    ({!Webviews.Typecheck.lint_sql} — syntax E0308, unknown relation,
+    alias or attribute E0301-E0304, ...), then, when it finds no error
+    and the site has views, {!binding_lint}. A query without an
+    error-severity finding here can be planned. *)
+
 val viewstore : t -> Webviews.Viewstore.t
 (** Materialize the site (own connection) and put the registered views
     behind a view store, so the planner can price them as access

@@ -59,6 +59,39 @@ let test_unbuildable_site_sizes () =
       Alcotest.(check bool) ("usage error names " ^ flag) true (contains stderr flag))
     [ ("--depts", "0"); ("--profs", "0"); ("--courses", "-1") ]
 
+(* An integer literal beyond the native int range is a syntax error
+   (E0308, exit 2) wherever a query enters: LIMIT, a comparison, and a
+   workload line. *)
+let test_integer_overflow () =
+  let too_big = "99999999999999999999" in
+  let queries =
+    [
+      "SELECT p.PName FROM Professor p LIMIT " ^ too_big;
+      "SELECT p.PName FROM Professor p WHERE p.PName = " ^ too_big;
+    ]
+  in
+  List.iter
+    (fun sql ->
+      List.iter
+        (fun cmd ->
+          let ((_, stderr) as r) = run_cli [ cmd; sql ] in
+          expect_exit (cmd ^ " " ^ sql) 2 r;
+          Alcotest.(check bool) (cmd ^ " reports E0308") true (contains stderr "E0308"))
+        [ "query"; "plan"; "explain"; "run" ])
+    queries;
+  let path = Filename.temp_file "webviews_workload" ".sql" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc ("SELECT p.PName FROM Professor p\n" ^ List.hd queries ^ "\n"));
+  List.iter
+    (fun cmd ->
+      let ((_, stderr) as r) = run_cli [ cmd; "--workload"; path ] in
+      expect_exit cmd 2 r;
+      Alcotest.(check bool)
+        (cmd ^ " points at line 2 with E0308") true
+        (contains stderr (path ^ ":2: error[E0308]")))
+    [ "serve"; "churn" ];
+  Sys.remove path
+
 (* The CLI paths that route a query's source through the scheduler's
    [source_for] and carry view answerers on the source: their stdout is
    pinned byte for byte in cli_pins.expected. On a mismatch the current
@@ -109,4 +142,6 @@ let suite =
         test_unbuildable_site_sizes;
       Alcotest.test_case "stale serve, views and churn output pinned" `Quick
         test_pinned_outputs;
+      Alcotest.test_case "out-of-range integer literal is a coded error, exit 2" `Quick
+        test_integer_overflow;
     ] )

@@ -639,21 +639,25 @@ let join_family_gen =
 (* Plans of the planner's rewrite closures (joins, then selections,
    sunk and pruned), with small caps so each query stays cheap. *)
 let closure_plans sql =
+  let memo = Memo.create schema (Stats.create ()) in
+  let on_expr rule n = rule schema (Memo.expr n) in
   let rules =
     [
-      Rewrite.rule4 schema; Rewrite.join_commute schema; Rewrite.join_rotate schema;
-      Rewrite.rules8_9 schema; Rewrite.rule2 schema;
+      on_expr Rewrite.rule4; on_expr Rewrite.join_commute; Rewrite.join_rotate memo;
+      Rewrite.rules8_9 memo; Rewrite.rule2 memo;
     ]
   in
   let seeds =
     View.expand registry (Conjunctive.to_algebra (parse sql))
-    |> List.map (Planner.fixpoint (Rewrite.rule4 schema))
+    |> List.map (fun e -> Memo.intern memo (Planner.fixpoint (Rewrite.rule4 schema) e))
   in
-  let joins, _ = Planner.closure ~cap:80 rules seeds in
-  let selections, _ = Planner.closure ~cap:120 [ Rewrite.rule6 schema ] joins in
-  joins
+  let joins, _ = Planner.closure ~cap:80 memo rules seeds in
+  let selections, _ = Planner.closure ~cap:120 memo [ on_expr Rewrite.rule6 ] joins in
+  List.map Memo.expr joins
   @ List.map
-      (fun e -> Rewrite.prune schema (Rewrite.sink_selections schema e))
+      (fun n ->
+        let sunk = Memo.intern ~hint:n memo (Rewrite.sink_selections memo n) in
+        Rewrite.prune memo sunk)
       selections
 
 (* Each key is a function of the other over [plans]: the two induce

@@ -533,35 +533,40 @@ let test_plan_order_independent () =
 
 (* Every plan the closures of [enumerate] reach for a query, rebuilt
    from the public rules phase by phase (join, selection, sinking,
-   projection, pruning), with the planner's caps. *)
-let closure_plans schema registry sql =
+   projection, pruning) with the planner's caps, over one memo. *)
+let closure_plans memo schema registry sql =
   let q, _ = Contain.minimize_query registry (Sql_parser.parse registry sql) in
+  let on_expr rule n = rule schema (Memo.expr n) in
   let seeds =
     View.expand registry (Conjunctive.to_algebra q)
-    |> List.map (Planner.fixpoint (Rewrite.rule4 schema))
+    |> List.map (fun e -> Memo.intern memo (Planner.fixpoint (Rewrite.rule4 schema) e))
   in
   let joins, _ =
-    Planner.closure ~cap:1500
+    Planner.closure ~cap:1500 memo
       [
-        Rewrite.rule4 schema; Rewrite.join_commute schema; Rewrite.join_rotate schema;
-        Rewrite.rules8_9 schema; Rewrite.rule2 schema;
+        on_expr Rewrite.rule4; on_expr Rewrite.join_commute; Rewrite.join_rotate memo;
+        Rewrite.rules8_9 memo; Rewrite.rule2 memo;
       ]
       seeds
   in
-  let selections, _ = Planner.closure [ Rewrite.rule6 schema ] joins in
-  let sunk = List.map (Rewrite.sink_selections schema) selections in
-  let projections, _ = Planner.closure [ Rewrite.rule7_replace schema ] sunk in
-  joins @ selections @ sunk @ projections @ List.map (Rewrite.prune schema) projections
+  let selections, _ = Planner.closure memo [ on_expr Rewrite.rule6 ] joins in
+  let sunk =
+    List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n)) selections
+  in
+  let projections, _ = Planner.closure memo [ on_expr Rewrite.rule7_replace ] sunk in
+  List.map Memo.expr (joins @ selections @ sunk @ projections)
+  @ List.map (Rewrite.prune memo) projections
 
-(* The planning context's memoized properties equal the context-free
-   functions: output attributes and available links of every
-   subexpression, and the typed environment with its diagnostics, the
-   soundness verdict against the first plan and the plan key of every
-   plan. One context serves all plans of a query, so its memos are
-   read back as often as the planner reads them. *)
-let context_agrees ~what schema (plans : Nalg.expr list) =
-  let ctx = Planner.context schema in
-  let root = List.hd plans in
+(* The planning context — the interned memo — answers every property
+   as the context-free function does: output attributes, alias
+   environment, available links, the typed environment with its
+   diagnostics (full paths, in order), the soundness verdict against
+   the first plan, the cost estimate and the plan key, for every plan
+   and every subexpression. One memo serves all plans of a query, so
+   its nodes are read back as often as the planner reads them. *)
+let context_agrees ?memo ~what schema stats (plans : Nalg.expr list) =
+  let memo = match memo with Some m -> m | None -> Memo.create schema stats in
+  let root = Memo.intern memo (List.hd plans) in
   let outcome f x = match f x with v -> Ok v | exception ex -> Error (Printexc.to_string ex) in
   let mismatches = ref [] in
   let agree property e same =
@@ -571,35 +576,45 @@ let context_agrees ~what schema (plans : Nalg.expr list) =
     (fun e ->
       List.iter
         (fun (sub, _) ->
-          agree "attrs" sub (outcome (Nalg.output_attrs schema) sub = outcome ctx.Planner.attrs sub);
+          let n = Memo.intern memo sub in
+          agree "expr" sub (Nalg.equal sub (Memo.expr n));
+          agree "attrs" sub
+            (outcome (Nalg.output_attrs schema) sub = outcome (Memo.attrs memo) n);
+          agree "alias env" sub (Nalg.alias_env sub = Memo.alias_env n);
           agree "links" sub
-            (outcome (Rewrite.available_links schema) sub = outcome ctx.Planner.links sub))
+            (outcome (Nalg.available_links schema) sub = outcome (Memo.links memo) n);
+          let inferred = Typecheck.infer schema sub in
+          agree "infer" sub (inferred = Memo.infer memo n);
+          agree "errors" sub
+            (Diagnostic.has_errors (snd inferred) = Memo.has_errors memo n);
+          agree "estimate" sub
+            (outcome (Cost.estimate schema stats sub) sub = outcome (Memo.estimate memo) n);
+          agree "key" sub (String.equal (Contain.plan_key sub) (Memo.key memo n)))
         (Rewrite.contexts e);
-      let inferred = Typecheck.infer schema e in
-      agree "infer" e (inferred = ctx.Planner.infer e);
       agree "judge" e
-        (Typecheck.judge ~parent:(Typecheck.infer schema root) ~child:inferred
-        = Typecheck.judge ~parent:(ctx.Planner.infer root) ~child:(ctx.Planner.infer e));
-      agree "key" e (String.equal (Contain.plan_key e) (ctx.Planner.key e)))
+        (Typecheck.judge ~parent:(Typecheck.infer schema (Memo.expr root))
+           ~child:(Typecheck.infer schema e)
+        = Typecheck.judge ~parent:(Memo.infer memo root) ~child:(Memo.infer memo (Memo.intern memo e))))
     plans;
   check Alcotest.(list string_t) (what ^ ": context disagreements") [] (List.rev !mismatches)
 
 let test_context_closure_plans () =
   List.iter
     (fun (name, site, sql) ->
-      let schema, registry, _ = pin_parts site in
-      context_agrees ~what:name schema (closure_plans schema registry sql))
+      let schema, registry, stats = pin_parts site in
+      let memo = Memo.create schema stats in
+      context_agrees ~memo ~what:name schema stats (closure_plans memo schema registry sql))
     pin_cases
 
 (* Hand-made plans the closures never reach: ill-typed ones (their
    diagnostics, paths and order included, and the E0402/E0403 verdicts
-   built from them), and plans whose key the pre-key cache must not
-   share — a call, a duplicate alias, more same-signature occurrences
-   than [perm_cap] admits renumberings, and a residual
-   attribute-attribute comparison. The last three come in pairs with
-   one pre-key and different keys. *)
+   built from them), and plans whose key the memo must not share
+   between plans with one multiset of key items — a call, a duplicate
+   alias, more same-signature occurrences than [perm_cap] admits
+   renumberings, and a residual attribute-attribute comparison. The
+   last three come in pairs with one multiset and different keys. *)
 let test_context_hand_made_plans () =
-  let schema, _, _ = pin_parts pin_uni_site in
+  let schema, _, stats = pin_parts pin_uni_site in
   let e = Nalg.entry in
   let profs = Nalg.unnest (e "ProfListPage") "ProfListPage.ProfList" in
   let ill_typed =
@@ -617,7 +632,7 @@ let test_context_hand_made_plans () =
       Nalg.project [ "ProfListPage.URL" ] profs;
     ]
   in
-  context_agrees ~what:"ill-typed" schema ill_typed;
+  context_agrees ~what:"ill-typed" schema stats ill_typed;
   let codes =
     List.concat_map
       (fun p -> List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) (snd (Typecheck.infer schema p)))
@@ -635,20 +650,20 @@ let test_context_hand_made_plans () =
     (fun code -> check bool_t ("reaches " ^ code) true (List.mem code codes))
     [ "E0101"; "E0102"; "E0103"; "E0104"; "E0105"; "E0106"; "E0107"; "E0108"; "E0109";
       "E0402"; "E0403" ];
-  let shared_pre_key ~what p1 p2 =
-    context_agrees ~what schema [ p1; p2 ];
+  let shared_items ~what p1 p2 =
+    context_agrees ~what schema stats [ p1; p2 ];
     check bool_t (what ^ ": different keys") false
       (String.equal (Contain.plan_key p1) (Contain.plan_key p2))
   in
   let j = Nalg.join [] in
   let top a = Nalg.project [ a ^ ".URL" ] in
-  shared_pre_key ~what:"duplicate alias"
+  shared_items ~what:"duplicate alias"
     (top "DeptListPage" (j (e "ProfListPage") (j (e "ProfListPage") (e "DeptListPage"))))
     (top "DeptListPage" (j (j (e "ProfListPage") (e "ProfListPage")) (e "DeptListPage")));
   let occs = List.init 7 (fun i -> e ~alias:(Printf.sprintf "P%d" i) "ProfListPage") in
   let left_deep = List.fold_left j (List.hd occs) (List.tl occs) in
   let right_deep = List.fold_right j (List.tl occs) (List.hd occs) in
-  shared_pre_key ~what:"beyond perm_cap" (top "P0" left_deep) (top "P0" right_deep);
+  shared_items ~what:"beyond perm_cap" (top "P0" left_deep) (top "P0" right_deep);
   (* the residual's left term sits in the class {A.URL, C.URL}, whose
      root is whichever of A and C the plan numbers first; only A is
      unnested, so the two numberings give different keys *)
@@ -663,7 +678,7 @@ let test_context_hand_made_plans () =
          ]
          (if a_first then j (j a b) c else j (j c b) a))
   in
-  shared_pre_key ~what:"residual comparison" (residual ~a_first:true)
+  shared_items ~what:"residual comparison" (residual ~a_first:true)
     (residual ~a_first:false);
   let fs = Sitegen.Sites.of_formsite (Sitegen.Formsite.build ()) in
   let hook = Option.get (Sitegen.Sites.bindings fs) in
@@ -673,7 +688,44 @@ let test_context_hand_made_plans () =
       Server.Workload.formsite_templates
   in
   check bool_t "call plans" true (calls <> []);
-  context_agrees ~what:"call" fs.schema calls
+  context_agrees ~what:"call" fs.schema (Sitegen.Sites.stats fs) calls
+
+(* A rule output is interned against the plan it rewrote: the subtrees
+   the rule kept are the parent's nodes (same ids), and only the
+   rebuilt spine is new. *)
+let test_memo_shares_subtrees () =
+  let schema, registry, stats = pin_parts pin_uni_site in
+  let memo = Memo.create schema stats in
+  let q = Sql_parser.parse registry (pin_ex72 "Computer Science" "Graduate") in
+  let seeds = List.map (Memo.intern memo) (View.expand registry (Conjunctive.to_algebra q)) in
+  let ids n =
+    let rec go acc n = List.fold_left go (Memo.id n :: acc) (Memo.kids n) in
+    go [] n
+  in
+  let outputs = ref 0 in
+  List.iter
+    (fun parent ->
+      List.iter
+        (fun child ->
+          let parent_ids = ids parent in
+          let before = Memo.size memo in
+          let n = Memo.intern ~hint:parent memo child in
+          incr outputs;
+          check bool_t "same plan" true (Nalg.equal child (Memo.expr n));
+          (* every subtree of the output physically shared with the
+             parent's plan has the parent's node *)
+          let rec shared e n =
+            if List.exists (fun (sub, _) -> sub == e) (Rewrite.contexts (Memo.expr parent))
+            then check bool_t "kept subtree keeps its id" true (List.mem (Memo.id n) parent_ids)
+            else List.iter2 shared (Nalg.children e) (Memo.kids n)
+          in
+          shared child n;
+          (* the new nodes are at most the output's nodes not shared *)
+          let fresh = Memo.size memo - before in
+          check bool_t "only rebuilt nodes are new" true (fresh <= Nalg.size child))
+        (Rewrite.join_commute schema (Memo.expr parent) @ Rewrite.rules8_9 memo parent))
+    seeds;
+  check bool_t "rules applied" true (!outputs > 0)
 
 (* Lowering is total: every candidate the planner returns for a pinned
    query lowers to a physical plan without raising, and so does every
@@ -744,4 +796,6 @@ let suite =
       Alcotest.test_case "planning is order-independent" `Quick test_plan_order_independent;
       Alcotest.test_case "context agrees on closure plans" `Quick test_context_closure_plans;
       Alcotest.test_case "context agrees on hand-made plans" `Quick test_context_hand_made_plans;
+      Alcotest.test_case "memo shares a rule output's kept subtrees" `Quick
+        test_memo_shares_subtrees;
     ] )

@@ -9,6 +9,12 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
+(* Apply a rule that reads subexpression properties through a fresh
+   planning memo. *)
+let on_memo rule schema e =
+  let m = Memo.create schema (Stats.create ()) in
+  rule m (Memo.intern m e)
+
 let uni = Sitegen.Sites.load University
 let schema = uni.schema
 let instance = lazy (Sitegen.Sites.crawl uni)
@@ -67,7 +73,7 @@ let test_rule2_fires () =
       [ ("ProfPage.DName", "DeptListPage.Wrong") ]
       (profs_nav ()) (Nalg.entry "DeptListPage")
   in
-  check int_t "no spurious rule 2" 0 (List.length (Rewrite.rule2 schema e))
+  check int_t "no spurious rule 2" 0 (List.length (on_memo Rewrite.rule2 schema e))
 
 (* ------------------------------------------------------------------ *)
 (* Rule 4                                                              *)
@@ -157,7 +163,7 @@ let test_rule6_then_sink_reduces_cost () =
   let baseline = Cost.cost schema stats e in
   let improved =
     Rewrite.rule6 schema e
-    |> List.map (Rewrite.sink_selections schema)
+    |> List.map (on_memo Rewrite.sink_selections schema)
     |> List.map (Cost.cost schema stats)
     |> List.fold_left Float.min baseline
   in
@@ -173,7 +179,7 @@ let test_sink_selections () =
       [ Pred.eq_const "ProfListPage.ProfList.PName" (Adm.Value.text "nobody") ]
       (profs_nav ())
   in
-  let sunk = Rewrite.sink_selections schema e in
+  let sunk = on_memo Rewrite.sink_selections schema e in
   (* the selection must now sit below the Follow *)
   (match sunk with
   | Nalg.Follow { src = Nalg.Select _; _ } -> ()
@@ -185,7 +191,7 @@ let test_sink_respects_scope () =
   let e =
     Nalg.select [ Pred.eq_const "ProfPage.Rank" (Adm.Value.text "Full") ] (profs_nav ())
   in
-  let sunk = Rewrite.sink_selections schema e in
+  let sunk = on_memo Rewrite.sink_selections schema e in
   (* Rank only exists after the follow: selection must stay on top *)
   (match sunk with
   | Nalg.Select _ -> ()
@@ -206,7 +212,7 @@ let example_71_join () =
 
 let test_rule8_fires () =
   let e = example_71_join () in
-  let rewrites = Rewrite.rule8 schema e in
+  let rewrites = on_memo Rewrite.rule8 schema e in
   check bool_t "rule 8 fires" true (rewrites <> []);
   (* the rewritten plan joins the two link sets below a follow *)
   let has_join_under_follow =
@@ -232,7 +238,7 @@ let test_rule8_fires () =
 
 let test_rule9_fires_with_inclusion () =
   let e = example_71_join () in
-  let rewrites = Rewrite.rule9 schema e in
+  let rewrites = on_memo Rewrite.rule9 schema e in
   check bool_t "rule 9 fires" true (rewrites <> []);
   (* chase: sessions disappear, courses reached from professors *)
   let chased =
@@ -251,7 +257,7 @@ let test_rule9_blocked_by_references () =
   let e =
     Nalg.project [ "SessionPage.Session"; "CoursePage.CName" ] (example_71_join ())
   in
-  let rewrites = Rewrite.rule9 schema e in
+  let rewrites = on_memo Rewrite.rule9 schema e in
   check bool_t "no rewriting keeps the needed attribute" true
     (List.for_all (fun e' -> List.mem "SessionPage" (Nalg.aliases e')) rewrites)
 
@@ -272,7 +278,7 @@ let test_rule9_requires_inclusion () =
   (* chase would follow CoursePage.ToProf; inclusion CoursePage.ToProf
      ⊆ DeptPage.ProfList.ToProf does NOT hold, so rule 9 must not
      produce a plan that drops the DeptPage path *)
-  let rewrites = Rewrite.rule9 schema e in
+  let rewrites = on_memo Rewrite.rule9 schema e in
   check bool_t "dept path never dropped" true
     (List.for_all (fun e' -> List.mem "DeptPage" (Nalg.aliases e')) rewrites)
 
@@ -297,7 +303,7 @@ let test_rule9_requires_pure_navigation () =
     Nalg.project [ "ProfPage.PName" ]
       (Nalg.join [ ("ProfPage.PName", "DeptPage.ProfList.PName") ] restricted_profs dept_profs)
   in
-  let rewrites = Rewrite.rule9 schema e in
+  let rewrites = on_memo Rewrite.rule9 schema e in
   check bool_t "restricted prefix never dropped" true
     (List.for_all (fun e' -> List.mem "CoursePage" (Nalg.aliases e')) rewrites);
   List.iter
@@ -312,7 +318,7 @@ let test_prune_drops_unneeded_follow () =
   (* π[names from the list page] over profs_nav: no ProfPage attribute
      needed, so the follow disappears (rule 5) *)
   let e = Nalg.project [ "ProfListPage.ProfList.PName" ] (profs_nav ()) in
-  let pruned = Rewrite.prune schema e in
+  let pruned = on_memo Rewrite.prune schema e in
   check bool_t "follow dropped" false (List.mem "ProfPage" (Nalg.aliases pruned));
   check bool_t "same answer" true
     (same_answer ~on_attrs:[ "ProfListPage.ProfList.PName" ] e pruned)
@@ -321,7 +327,7 @@ let test_prune_drops_unneeded_unnest () =
   (* π[DName] over DeptPage ◦ ProfList: unnest contributes nothing and
      the schema declares ProfList non-empty, licensing rule 3 *)
   let e = Nalg.project [ "DeptPage.DName" ] (Nalg.unnest (dept_nav ()) "DeptPage.ProfList") in
-  let pruned = Rewrite.prune schema e in
+  let pruned = on_memo Rewrite.prune schema e in
   let has_unnest =
     Nalg.fold
       (fun acc n -> acc || match n with Nalg.Unnest (_, a) -> String.equal a "DeptPage.ProfList" | _ -> false)
@@ -332,7 +338,7 @@ let test_prune_drops_unneeded_unnest () =
 
 let test_prune_keeps_needed () =
   let e = Nalg.project [ "ProfPage.Rank" ] (profs_nav ()) in
-  let pruned = Rewrite.prune schema e in
+  let pruned = on_memo Rewrite.prune schema e in
   check bool_t "follow kept" true (List.mem "ProfPage" (Nalg.aliases pruned));
   check bool_t "same answer" true (same_answer ~on_attrs:[ "ProfPage.Rank" ] e pruned)
 
@@ -344,7 +350,7 @@ let test_prune_keeps_possibly_empty_unnest () =
   let e =
     Nalg.project [ "ProfPage.PName" ] (Nalg.unnest (profs_nav ()) "ProfPage.CourseList")
   in
-  let pruned = Rewrite.prune schema e in
+  let pruned = on_memo Rewrite.prune schema e in
   let has_unnest =
     Nalg.fold
       (fun acc n ->
@@ -369,7 +375,7 @@ let test_rule7_replace_eliminates_navigation () =
          "DeptPage.ProfList.ToProf" ~scheme:"ProfPage")
   in
   let variants =
-    Rewrite.rule7_replace schema e |> List.map (Rewrite.prune schema)
+    Rewrite.rule7_replace schema e |> List.map (on_memo Rewrite.prune schema)
   in
   let eliminated =
     List.filter (fun e' -> not (List.mem "ProfPage" (Nalg.aliases e'))) variants
@@ -417,7 +423,7 @@ let test_join_rotate_preserves () =
       (Nalg.join [ ("ProfPage.PName", "CoursePage.PName") ] profs courses)
       depts
   in
-  let rotated = Rewrite.join_rotate schema e in
+  let rotated = on_memo Rewrite.join_rotate schema e in
   (* k2's left attr comes from profs (the a side), not b: rotation is
      NOT legal here, so rotate must not fire *)
   check int_t "illegal rotation blocked" 0 (List.length rotated);
@@ -427,7 +433,7 @@ let test_join_rotate_preserves () =
       (Nalg.join [ ("ProfPage.PName", "CoursePage.PName") ] profs courses)
       (sessions_nav ~alias:"SessionPage@9" ~list_alias:"SessionListPage@9" ())
   in
-  match Rewrite.join_rotate schema e2 with
+  match on_memo Rewrite.join_rotate schema e2 with
   | e2' :: _ ->
     check bool_t "rotation same answer" true
       (same_answer ~on_attrs:[ "ProfPage.PName"; "CoursePage.CName" ] e2 e2')

@@ -349,13 +349,13 @@ let test_output_attrs_memo () =
            "DeptListPage.DeptList.ToDept" ~scheme:"DeptPage");
     ]
   in
-  let memo = Nalg.output_attrs_memo uni_schema in
+  let memo = Memo.create uni_schema (Stats.create ()) in
   List.iter
     (fun e ->
       Alcotest.(check (list string))
         "memoized output_attrs agrees"
         (Nalg.output_attrs uni_schema e)
-        (memo e))
+        (Memo.attrs memo (Memo.intern memo e)))
     exprs
 
 (* --- the planner property: every candidate typechecks -------------- *)
