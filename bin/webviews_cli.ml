@@ -43,9 +43,10 @@ let site_arg =
                behind a parameterized entry point, answered through the \
                binding-pattern rewriting search).")
 
-(* Site sizes the generators can build: at least one department and
-   one professor (courses draw both), zero or more courses. A bad size
-   is a usage error (exit 124) naming its flag. *)
+(* Counts and sizes: an integer of at least [min] — a site the
+   generators can build has one department and one professor (courses
+   draw both), a scheduler one lane. A bad value is a usage error
+   (exit 124) naming its flag. *)
 let size_conv ~min =
   let parse s =
     match int_of_string_opt s with
@@ -53,6 +54,15 @@ let size_conv ~min =
     | _ -> Error (`Msg (Fmt.str "expected an integer >= %d, got %S" min s))
   in
   Arg.conv (parse, Fmt.int)
+
+(* A probability, in [0, 1]. *)
+let rate_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some r when r >= 0.0 && r <= 1.0 -> Ok r
+    | _ -> Error (`Msg (Fmt.str "expected a rate between 0 and 1, got %S" s))
+  in
+  Arg.conv (parse, Fmt.float)
 
 let depts_arg =
   Arg.(value & opt (size_conv ~min:1) 3 & info [ "depts" ] ~docv:"N"
@@ -73,7 +83,7 @@ let sql_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query.")
 
 let cap_arg =
-  Arg.(value & opt (some int) None & info [ "cap" ] ~docv:"N"
+  Arg.(value & opt (some (size_conv ~min:0)) None & info [ "cap" ] ~docv:"N"
          ~doc:"Override the planner's per-phase plan-space caps (join 1500, \
                selection/projection 400). Hitting a cap is reported as a \
                $(b,W0401) diagnostic.")
@@ -186,7 +196,7 @@ let plan_cmd =
     end
   in
   let n_arg =
-    Arg.(value & opt int 3 & info [ "candidates" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:0) 3 & info [ "candidates" ] ~docv:"N"
            ~doc:"How many candidate plans to display.")
   in
   let dot_arg =
@@ -237,7 +247,7 @@ let explain_cmd =
                  page accesses per operator.")
   in
   let window_arg =
-    Arg.(value & opt int 8 & info [ "window" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:1) 8 & info [ "window" ] ~docv:"N"
            ~doc:"Prefetch window of the streaming executor's navigations.")
   in
   Cmd.v
@@ -319,7 +329,7 @@ let run_cmd =
     Fmt.pr "%a@." Explain.pp_fetch_report report
   in
   let faults_arg =
-    Arg.(value & opt float 0.0 & info [ "faults" ] ~docv:"RATE"
+    Arg.(value & opt rate_conv 0.0 & info [ "faults" ] ~docv:"RATE"
            ~doc:"Transient-failure probability per URL (0.0–1.0) of the \
                  simulated network; failures are retried with backoff.")
   in
@@ -329,12 +339,12 @@ let run_cmd =
                  elapsed-time report is meaningful.")
   in
   let window_arg =
-    Arg.(value & opt int 8 & info [ "window" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:1) 8 & info [ "window" ] ~docv:"N"
            ~doc:"In-flight width of a navigation's fetch batch; 1 fetches \
                  sequentially.")
   in
   let retries_arg =
-    Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:0) 3 & info [ "retries" ] ~docv:"N"
            ~doc:"Extra attempts after a failed exchange.")
   in
   let net_seed_arg =
@@ -343,7 +353,7 @@ let run_cmd =
                  replays deterministically from it.")
   in
   let limit_arg =
-    Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N"
+    Arg.(value & opt (some (size_conv ~min:0)) None & info [ "limit" ] ~docv:"N"
            ~doc:"Stop after N result rows: the streaming executor's \
                  early-exit protocol stops fetching pages the truncated \
                  answer does not need.")
@@ -872,7 +882,7 @@ let churn_cmd =
            ~doc:"Workload file (one SQL query per line).")
   in
   let n_arg =
-    Arg.(value & opt int 24 & info [ "queries" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:0) 24 & info [ "queries" ] ~docv:"N"
            ~doc:"Size of the generated workload (ignored with $(b,--workload)).")
   in
   let wseed_arg =
@@ -880,15 +890,15 @@ let churn_cmd =
            ~doc:"Seed of the workload generator.")
   in
   let concurrency_arg =
-    Arg.(value & opt int 8 & info [ "concurrency" ] ~docv:"K"
+    Arg.(value & opt (size_conv ~min:1) 8 & info [ "concurrency" ] ~docv:"K"
            ~doc:"Resident-query cap (admission control).")
   in
   let quantum_arg =
-    Arg.(value & opt int 4 & info [ "quantum" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:1) 4 & info [ "quantum" ] ~docv:"N"
            ~doc:"Cursor steps one query runs per scheduler turn.")
   in
   let domains_arg =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:1) 1 & info [ "domains" ] ~docv:"N"
            ~doc:"Execution lanes; results are identical at every N.")
   in
   let json_arg =
@@ -1012,7 +1022,7 @@ let serve_cmd =
                  site's template pool.")
   in
   let n_arg =
-    Arg.(value & opt int 8 & info [ "queries" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:0) 8 & info [ "queries" ] ~docv:"N"
            ~doc:"Size of the generated workload (ignored with $(b,--workload)).")
   in
   let wseed_arg =
@@ -1020,11 +1030,11 @@ let serve_cmd =
            ~doc:"Seed of the workload generator.")
   in
   let concurrency_arg =
-    Arg.(value & opt int 8 & info [ "concurrency" ] ~docv:"K"
+    Arg.(value & opt (size_conv ~min:1) 8 & info [ "concurrency" ] ~docv:"K"
            ~doc:"Resident-query cap (admission control).")
   in
   let quantum_arg =
-    Arg.(value & opt int 4 & info [ "quantum" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:1) 4 & info [ "quantum" ] ~docv:"N"
            ~doc:"Cursor steps one query runs per scheduler turn.")
   in
   let policy_conv =
@@ -1051,7 +1061,7 @@ let serve_cmd =
                  of failing. Implies a latency model.")
   in
   let faults_arg =
-    Arg.(value & opt float 0.0 & info [ "faults" ] ~docv:"RATE"
+    Arg.(value & opt rate_conv 0.0 & info [ "faults" ] ~docv:"RATE"
            ~doc:"Transient-failure probability per URL of the simulated \
                  network shared by all queries.")
   in
@@ -1061,11 +1071,11 @@ let serve_cmd =
                  percentiles are meaningful.")
   in
   let window_arg =
-    Arg.(value & opt int 8 & info [ "window" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:1) 8 & info [ "window" ] ~docv:"N"
            ~doc:"In-flight width of a navigation's fetch batch.")
   in
   let retries_arg =
-    Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:0) 3 & info [ "retries" ] ~docv:"N"
            ~doc:"Extra attempts after a failed exchange.")
   in
   let net_seed_arg =
@@ -1078,7 +1088,7 @@ let serve_cmd =
                  when a page is unreachable (graceful degradation).")
   in
   let domains_arg =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
+    Arg.(value & opt (size_conv ~min:1) 1 & info [ "domains" ] ~docv:"N"
            ~doc:"Execution lanes of the modelled multicore server: each \
                  quantum's fetch time is charged to the earliest-frontier \
                  lane (a query's own chain stays sequential) and makespan \

@@ -126,6 +126,18 @@ diff "$bench_dir/committed.txt" "$bench_dir/fresh.txt" \
 rm -rf "$bench_dir"
 echo "EXP-1 to EXP-10 reproduced (EXP-10 wall times masked)"
 
+echo "== examples: the five examples print what they printed before =="
+# every example's stdout is deterministic; optimizer_tour applies
+# rules 4, 8, 6 and 9 and sinking/pruning step by step
+for ex in quickstart intro_bibliography optimizer_tour materialized_views catalog_shopping; do
+  _build/default/examples/$ex.exe \
+    || { echo "example $ex failed" >&2; rm -f /tmp/ci_examples.$$; exit 1; }
+done > /tmp/ci_examples.$$
+diff test/examples.expected /tmp/ci_examples.$$ \
+  || { echo "examples diverged from test/examples.expected"; rm -f /tmp/ci_examples.$$; exit 1; }
+rm -f /tmp/ci_examples.$$
+echo "examples reproduced"
+
 echo "== smoke views: one view-substituted query end to end =="
 dune exec --profile ci bin/webviews_cli.exe -- query --views \
   "SELECT p.PName, p.Email FROM Professor p" > /tmp/ci_views_smoke.$$
@@ -211,12 +223,18 @@ dune exec --profile ci bin/webviews_cli.exe -- serve --workload /tmp/ci_lint_wor
 [ "$status" -eq 2 ] && grep -q ":2: error\[E0308\]" /tmp/ci_lint_gate.$$ \
   || { echo "out-of-range integer in serve --workload not reported as E0308 with exit 2"; rm -f /tmp/ci_lint_gate.$$ /tmp/ci_lint_workload.$$; exit 1; }
 rm -f /tmp/ci_lint_workload.$$
-# a site size the generators cannot build is a usage error (exit 124)
+# a site size the generators cannot build, or a count out of its range,
+# is a usage error (exit 124) naming the flag
 status=0
 dune exec --profile ci bin/webviews_cli.exe -- query --depts 0 \
   "SELECT p.PName FROM Professor p" > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
 [ "$status" -eq 124 ] \
   || { echo "--depts 0 exited $status (want 124)"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
+status=0
+dune exec --profile ci bin/webviews_cli.exe -- serve --concurrency 0 \
+  > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
+[ "$status" -eq 124 ] && grep -q -- "--concurrency" /tmp/ci_lint_gate.$$ \
+  || { echo "serve --concurrency 0 exited $status (want 124 naming the flag)"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
 rm -f /tmp/ci_lint_gate.$$
 
 echo "== ci: all green =="

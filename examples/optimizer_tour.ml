@@ -13,8 +13,8 @@ let () =
   let uni = Sitegen.Sites.load University in
   let schema = uni.schema and registry = uni.registry in
   let stats = Sitegen.Sites.stats uni in
-  (* the rules that read subexpression properties take the plan as a
-     node of a planning memo *)
+  (* every rule takes the plan as a node of a planning memo, and
+     matches over the memo's walk of it *)
   let memo = Memo.create schema stats in
   let on_memo rule e = rule memo (Memo.intern memo e) in
 
@@ -40,7 +40,7 @@ let () =
   (* Rule 4: Professor and CourseInstructor share the navigation
      ProfListPage ◦ ProfList → ProfPage — the join collapses. *)
   let merged =
-    match Rewrite.rule4 schema expansion with
+    match on_memo Rewrite.rule4 expansion with
     | e :: _ -> e
     | [] -> expansion
   in
@@ -59,7 +59,7 @@ let () =
      down the navigation (the paper's plan (1d)). *)
   let with_selections =
     List.fold_left
-      (fun e _ -> match Rewrite.rule6 schema e with e' :: _ -> e' | [] -> e)
+      (fun e _ -> match on_memo Rewrite.rule6 e with e' :: _ -> e' | [] -> e)
       pointer_join [ 1; 2 ]
     |> on_memo Rewrite.sink_selections
     |> on_memo Rewrite.prune

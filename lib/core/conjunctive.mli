@@ -12,8 +12,6 @@ type t = {
 val make : select:string list -> from:source list -> where:Pred.t -> t
 val source : ?alias:string -> string -> source
 val alias_of_attr : string -> string
-val split_conditions : Pred.t -> Pred.t * Pred.t
-(** (equi-join atoms, plain conditions). *)
 
 val validate : View.registry -> t -> string list
 (** Unknown relations/attributes, duplicate aliases (empty = valid). *)

@@ -34,10 +34,6 @@ val no_views : view_econ
 (** No registered views: every [External] stays infinitely costly —
     the behavior of every call site that does not pass [?views]. *)
 
-val view_scan_cost : view_econ -> view_cost -> float
-(** [view_pages * view_stale * (head_unit + view_change)] in GET
-    units — what the {!estimate} charges an [External] occurrence the
-    economics knows. *)
 
 val estimate :
   ?views:view_econ -> Adm.Schema.t -> Stats.t -> Nalg.expr -> Nalg.expr -> estimate

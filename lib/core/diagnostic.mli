@@ -24,7 +24,6 @@ val error : ?path:string list -> code:string -> ('a, Format.formatter, unit, t) 
 val warning : ?path:string list -> code:string -> ('a, Format.formatter, unit, t) format4 -> 'a
 
 val is_error : t -> bool
-val is_warning : t -> bool
 val errors : t list -> t list
 val warnings : t list -> t list
 val has_errors : t list -> bool

@@ -10,10 +10,6 @@ type report = {
   discovered_inclusions : Adm.Constraints.inclusion list;
 }
 
-val link_occurrences :
-  Adm.Relation.t -> string list -> (string * (string list * Adm.Value.t) list) list
-(** (link URL, atomic attributes along the traversal) pairs. *)
-
 val link_constraints :
   Adm.Schema.t -> Websim.Crawler.instance -> Adm.Constraints.link_constraint list
 

@@ -39,7 +39,6 @@ val stored_tuple : t -> scheme:string -> url:string -> Adm.Value.tuple option
 val stored_pages : t -> string -> int
 val total_pages : t -> int
 val check_missing_backlog : t -> int
-val status_of : t -> string -> status
 
 val url_check : t -> scheme:string -> url:string -> Adm.Value.tuple option
 (** Function 2: return the up-to-date tuple, downloading only when the

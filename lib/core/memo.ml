@@ -79,9 +79,17 @@ type t = {
   occurrences : (string * string, Typecheck.typed) Hashtbl.t;
       (** [Typecheck.occurrence] per (scheme, alias) *)
   mutable visits : int;
-  mutable index : (node * Nalg.expr array * node array) option;
-      (** the last node indexed: the expressions of its plan's
-          subexpressions and their nodes, in pre-order *)
+  mutable walked : walk option;  (** the last plan walked *)
+}
+
+(* The positions of one plan in pre-order. Position [i]'s subtree is
+   positions [i] to [ends.(i)], so a node's first child is the next
+   position and a join's right operand follows its left's subtree. *)
+and walk = {
+  subs : Nalg.expr array;  (** each position's subexpression *)
+  nodes : node array;  (** and its node *)
+  up : int array;  (** the parent's position; -1 at the root *)
+  ends : int array;  (** the last position of the subtree *)
 }
 
 let create ?(views = fun (_ : string) -> None) ?(econ = Cost.no_views) schema stats =
@@ -96,7 +104,7 @@ let create ?(views = fun (_ : string) -> None) ?(econ = Cost.no_views) schema st
     keys = Keys.create 256;
     occurrences = Hashtbl.create 16;
     visits = 0;
-    index = None;
+    walked = None;
   }
 
 let schema m = m.schema
@@ -107,33 +115,80 @@ let kid n i = n.kids.(i)
 let size m = Shape.length m.shapes
 
 (* ------------------------------------------------------------------ *)
+(* The walk of a plan                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Only the last plan walked is kept: the planner walks one plan many
+   times in a row (once per rule, and once per rule output it interns
+   against the plan), and never again once it moves on. *)
+let walk m n =
+  match m.walked with
+  | Some w when w.nodes.(0) == n -> w
+  | _ ->
+    let size = Nalg.size n.expr in
+    let w =
+      {
+        subs = Array.make size n.expr;
+        nodes = Array.make size n;
+        up = Array.make size (-1);
+        ends = Array.make size 0;
+      }
+    in
+    let next = ref 0 in
+    let rec go parent e n =
+      let i = !next in
+      incr next;
+      w.subs.(i) <- e;
+      w.nodes.(i) <- n;
+      w.up.(i) <- parent;
+      List.iteri (fun k kid -> go i kid n.kids.(k)) (Nalg.children e);
+      w.ends.(i) <- !next - 1
+    in
+    go (-1) n.expr n;
+    m.walked <- Some w;
+    w
+
+let sub w i = w.subs.(i)
+let node_at w i = w.nodes.(i)
+let child w i k = if k = 0 then i + 1 else w.ends.(i + 1) + 1
+
+let concat_map ?within w f =
+  let first, last =
+    match within with Some a -> (a, w.ends.(a)) | None -> (0, Array.length w.subs - 1)
+  in
+  let rec go i =
+    if i > last then []
+    else
+      let here = f i in
+      here @ go (i + 1)
+  in
+  go first
+
+(* Replace position [i] by [x] and rebuild its ancestors up to
+   [within], each over its other operands as they are. *)
+let rec rebuild ?(within = 0) w i x =
+  if i = within then x
+  else
+    let p = w.up.(i) in
+    let slot = if i = p + 1 then 0 else 1 in
+    let kids = List.mapi (fun k kid -> if k = slot then x else kid) (Nalg.children w.subs.(p)) in
+    rebuild ~within w p (Nalg.with_children w.subs.(p) kids)
+
+(* ------------------------------------------------------------------ *)
 (* Interning                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The subexpressions of [n]'s plan with their nodes, in pre-order.
-   Only the last node asked for is kept: the planner asks for one
-   plan's index many times in a row (once per rule and rule output),
-   and never again once it moves on. *)
-let index m n =
-  match m.index with
-  | Some (n', exprs, nodes) when n' == n -> (exprs, nodes)
-  | _ ->
-    let acc = ref [] in
-    let rec go e n =
-      acc := (e, n) :: !acc;
-      List.iteri (fun i kid -> go kid n.kids.(i)) (Nalg.children e)
-    in
-    go n.expr n;
-    let pairs = Array.of_list (List.rev !acc) in
-    let exprs = Array.map fst pairs and nodes = Array.map snd pairs in
-    m.index <- Some (n, exprs, nodes);
-    (exprs, nodes)
-
 let intern ?hint m e =
-  let exprs, nodes = match hint with Some h -> index m h | None -> ([||], [||]) in
+  let subs, nodes =
+    match hint with
+    | Some h ->
+      let w = walk m h in
+      (w.subs, w.nodes)
+    | None -> ([||], [||])
+  in
   let rec find e i =
-    if i = Array.length exprs then None
-    else if exprs.(i) == e then Some nodes.(i)
+    if i = Array.length subs then None
+    else if subs.(i) == e then Some nodes.(i)
     else find e (i + 1)
   in
   let rec go e =

@@ -40,7 +40,7 @@ val schema : t -> Adm.Schema.t
 val intern : ?hint:node -> t -> Nalg.expr -> node
 (** The node of an expression. With [hint], the subtrees of [hint]'s
     expression that the expression shares physically are found
-    without hashing. *)
+    among [hint]'s {!walk} without hashing. *)
 
 val expr : node -> Nalg.expr
 (** The expression first interned with this node's structure. *)
@@ -54,6 +54,32 @@ val kid : node -> int -> node
 
 val size : t -> int
 (** Distinct nodes interned so far. *)
+
+(** {1 The walk of a plan}
+
+    A plan's positions in pre-order — a node before its operands, left
+    operand before right — numbered from 0 (the root), each with its
+    subexpression and its node. Every rule reads a plan through its
+    walk, and interning a rule output against the plan finds the kept
+    subtrees in it. Only the last walk is kept. *)
+
+type walk
+
+val walk : t -> node -> walk
+val sub : walk -> int -> Nalg.expr
+val node_at : walk -> int -> node
+
+val child : walk -> int -> int -> int
+(** [child w i k] is the position of operand [k] of position [i]. *)
+
+val concat_map : ?within:int -> walk -> (int -> 'a list) -> 'a list
+(** [f]'s results at every position, in pre-order; with [within], at
+    the positions of that position's subtree only. *)
+
+val rebuild : ?within:int -> walk -> int -> Nalg.expr -> Nalg.expr
+(** [rebuild w i x] is the plan with position [i] replaced by [x] —
+    with [within], an ancestor of [i], that ancestor's subexpression —
+    sharing every subtree off the path from [i] up physically. *)
 
 (** {1 Dedup} *)
 

@@ -123,11 +123,6 @@ val constraint_path_of_attr :
 (** The constraint path (scheme + steps) an attribute denotes,
     resolving its alias, plus that alias. *)
 
-val constraint_path_in :
-  (string * string) list -> string -> (Adm.Constraints.path * string) option
-(** {!constraint_path_of_attr} against a precomputed {!alias_env}, for
-    callers resolving many attributes of one expression. *)
-
 val output_attrs : Adm.Schema.t -> expr -> string list
 (** Statically computed output attribute names. Full static
     well-formedness checking lives in {!Typecheck}. *)
@@ -170,7 +165,6 @@ val uniquify_aliases : taken:string list -> expr -> expr
 
 (** {1 Printing} *)
 
-val pp_arg : arg Fmt.t
 val pp_args : (string * arg) list Fmt.t
 val pp : expr Fmt.t
 val to_string : expr -> string

@@ -67,6 +67,16 @@ let rename_output (o : outcome) rel =
     Adm.Relation.of_arrays o.select (Adm.Relation.rows_arrays rel)
   else rel
 
+(* The rules of the three closure phases (steps 4, 5 and 6/7). *)
+let join_rules ~pointer_rules =
+  (* reordering exposes repeated / joinable navigations that the
+     left-deep FROM-order tree hides *)
+  [ Rewrite.rule4; Rewrite.join_commute; Rewrite.join_rotate ]
+  @ if pointer_rules then [ Rewrite.rules8_9; Rewrite.rule2 ] else []
+
+let selection_rules = [ Rewrite.rule6 ]
+let projection_rules = [ Rewrite.rule7_replace ]
+
 (* Closure of a set of plans under one-step rewritings, deduplicated
    by their memo nodes (structural identity), with a safety cap.
    Returns the plans plus whether the cap truncated the exploration
@@ -76,7 +86,7 @@ let rename_output (o : outcome) rel =
    deduplication — the planner hooks the rewrite-soundness check
    here. *)
 let closure ?(cap = 400) ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
-    (rules : (Memo.node -> Nalg.expr list) list) (seeds : Memo.node list) =
+    (rules : Rewrite.rule list) (seeds : Memo.node list) =
   let seen = Memo.visit memo in
   let out = ref [] in
   let queue = Queue.create () in
@@ -96,21 +106,21 @@ let closure ?(cap = 400) ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
             let n' = Memo.intern ~hint:n memo e' in
             on_rewrite ~parent:n ~child:n';
             add n')
-          (rule n))
+          (rule memo n))
       rules
   done;
   (List.rev !out, not (Queue.is_empty queue))
 
 (* Apply a deterministic rule to fixpoint (first rewrite each round). *)
-let fixpoint ?(max_rounds = 50) (rule : Nalg.expr -> Nalg.expr list) e =
-  let rec go n e =
-    if n = 0 then e
+let fixpoint ?(max_rounds = 50) memo (rule : Rewrite.rule) n =
+  let rec go k n =
+    if k = 0 then n
     else
-      match rule e with
-      | [] -> e
-      | e' :: _ -> go (n - 1) e'
+      match rule memo n with
+      | [] -> n
+      | e' :: _ -> go (k - 1) (Memo.intern ~hint:n memo e')
   in
-  go max_rounds e
+  go max_rounds n
 
 (* The residual predicate of a view substitution: the selection atoms
    of the plan that reference the substituted occurrence's alias —
@@ -246,22 +256,16 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   in
   (* Step 3: rule 4 to fixpoint on each expansion (cheap first pass) *)
   let merged =
-    List.map (fun e -> Memo.intern memo (fixpoint (Rewrite.rule4 schema) e)) expanded
+    List.map (fun e -> fixpoint memo Rewrite.rule4 (Memo.intern memo e)) expanded
   in
-  let on_expr rule n = rule schema (Memo.expr n) in
-  (* Step 4: closure under join reordering and rules 4, 8, 9 (and 2);
-     reordering exposes repeated / joinable navigations that the
-     left-deep FROM-order tree hides *)
-  let join_rules =
-    [ on_expr Rewrite.rule4; on_expr Rewrite.join_commute; Rewrite.join_rotate memo ]
-    @ if pointer_rules then [ Rewrite.rules8_9 memo; Rewrite.rule2 memo ] else []
+  (* Step 4: closure under join reordering and rules 4, 8, 9 (and 2) *)
+  let with_joins =
+    closure_phase ~phase:"join" ~cap:join_cap (join_rules ~pointer_rules) merged
   in
-  let with_joins = closure_phase ~phase:"join" ~cap:join_cap join_rules merged in
   (* Step 5: closure under rule 6, then sink selections *)
   let with_selections =
     (if constraint_selections then
-       closure_phase ~phase:"selection" ~cap:other_cap
-         [ on_expr Rewrite.rule6 ] with_joins
+       closure_phase ~phase:"selection" ~cap:other_cap selection_rules with_joins
      else with_joins)
     |> List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n))
   in
@@ -271,8 +275,7 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
      values *)
   let with_projections =
     (if constraint_selections then
-       closure_phase ~phase:"projection" ~cap:other_cap
-         [ on_expr Rewrite.rule7_replace ] with_selections
+       closure_phase ~phase:"projection" ~cap:other_cap projection_rules with_selections
      else with_selections)
     |> List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.prune memo n))
   in

@@ -67,11 +67,25 @@ val rename_output : outcome -> Adm.Relation.t -> Adm.Relation.t
     names (plans name columns after the page occurrences they
     navigate, which differ between candidates). *)
 
+(** {1 Rewrite closures}
+
+    The rules of {!enumerate}'s three closure phases: join (rules 4,
+    commutation, rotation, then with [pointer_rules] rules 8/9 and 2),
+    selection (rule 6, then {!Rewrite.sink_selections} on each plan)
+    and projection ({!Rewrite.rule7_replace}, then {!Rewrite.prune}).
+    A closure applies them in list order, and each rule yields its
+    outputs in pre-order, so the exploration order and the cap points
+    are fixed. *)
+
+val join_rules : pointer_rules:bool -> Rewrite.rule list
+val selection_rules : Rewrite.rule list
+val projection_rules : Rewrite.rule list
+
 val closure :
   ?cap:int ->
   ?on_rewrite:(parent:Memo.node -> child:Memo.node -> unit) ->
   Memo.t ->
-  (Memo.node -> Nalg.expr list) list ->
+  Rewrite.rule list ->
   Memo.node list ->
   Memo.node list * bool
 (** Closure of a seed set under one-step rewritings, deduplicated by
@@ -81,8 +95,11 @@ val closure :
     the exploration (work was still queued). [on_rewrite] fires on
     every rule application, before deduplication. *)
 
-val fixpoint :
-  ?max_rounds:int -> (Nalg.expr -> Nalg.expr list) -> Nalg.expr -> Nalg.expr
+val fixpoint : ?max_rounds:int -> Memo.t -> Rewrite.rule -> Memo.node -> Memo.node
+(** The rule applied to its fixpoint, taking its first output each
+    round (at most [max_rounds], default 50), each output interned
+    against the plan it rewrote. {!enumerate} runs {!Rewrite.rule4}
+    this way on every expansion before the join phase. *)
 
 val enumerate :
   ?cap:int ->
@@ -136,10 +153,5 @@ val run :
     opens view access paths to the planner; the source's [views]
     (typically {!Viewstore.answerer}) answers a chosen view scan from
     the store. *)
-
-val substitutions_of : view_context option -> Nalg.expr -> substitution list
-(** The view substitutions a plan answers from — one per [External]
-    leaf the context prices, with its residual predicate and priced
-    HEAD/GET split. *)
 
 val pp_plan : plan Fmt.t

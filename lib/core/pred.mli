@@ -17,27 +17,17 @@ val cmp_to_string : cmp -> string
 
 val operand_equal : operand -> operand -> bool
 val atom_equal : atom -> atom -> bool
-val operand_compare : operand -> operand -> int
-val atom_compare : atom -> atom -> int
-
-val falsum : atom
-(** The canonical always-false atom ([true = false]); {!normalize}
-    collapses a statically refuted conjunction to [[falsum]]. *)
 
 val orient : atom -> atom
 (** Canonical orientation: attributes left of constants, symmetric
     comparisons with sorted operands, strict orders written Lt/Le.
     Truth-preserving (including Null refutation). *)
 
-val atom_verdict : atom -> [ `True | `False | `Open ]
-(** Static per-atom verdict, sound for every tuple: constant
-    comparisons fold, and self-comparisons that no value (Null
-    included) can satisfy ([x < x], [x > x], [x <> x]) are [`False].
-    [x = x] stays [`Open] — Null satisfies no comparison. *)
-
 val normalize : t -> t
 (** Normal form: oriented, constant-folded, sorted, deduped;
-    [[falsum]] when refuted. Idempotent, semantics-preserving. *)
+    the one always-false atom [true = false] when refuted (constant
+    comparisons fold, and so do self-comparisons no value satisfies:
+    [x < x], [x > x], [x <> x]). Idempotent, semantics-preserving. *)
 
 val atom_attrs : atom -> string list
 val attrs : t -> string list
@@ -55,7 +45,6 @@ val compile : offset:(string -> int option) -> t -> Adm.Value.t array -> bool
 val subst_attr : from:string -> into:string -> t -> t
 val map_attrs : (string -> string) -> t -> t
 
-val pp_operand : operand Fmt.t
 val pp_atom : atom Fmt.t
 val pp : t Fmt.t
 val to_string : t -> string

@@ -15,34 +15,16 @@
    - rule 9: pointer chase — replace a join by a navigation, justified
      by an inclusion constraint.
 
-   Rules that restructure joins (4, 8, 9) must rewrite attribute
-   references in the *whole* plan, so they are implemented as searches
-   over the root expression using explicit node contexts. *)
+   Every rule takes a plan as a node of the planning run's memo and
+   matches over the memo's walk of it ({!Memo.walk}): one pass over the
+   plan's positions in pre-order, each with its subexpression and its
+   node, and each output the plan rebuilt around one position. Rules
+   that restructure joins (4, 8, 9) also rewrite attribute references
+   in the whole plan. *)
 
 open Nalg
 
-(* Every subexpression paired with the function that rebuilds the root
-   with that subexpression replaced, in pre-order (left operand before
-   right). Each node's rebuild extends its parent's, so the list costs
-   one closure per node. *)
-let contexts (e : expr) : (expr * (expr -> expr)) list =
-  let acc = ref [] in
-  let rec go e rb =
-    acc := (e, rb) :: !acc;
-    match e with
-    | Entry _ | External _ | Call { c_src = None; _ } -> ()
-    | Select (p, e1) -> go e1 (fun x -> rb (Select (p, x)))
-    | Project (attrs, e1) -> go e1 (fun x -> rb (Project (attrs, x)))
-    | Unnest (e1, a) -> go e1 (fun x -> rb (Unnest (x, a)))
-    | Follow fl -> go fl.src (fun x -> rb (Follow { fl with src = x }))
-    | Call ({ c_src = Some src; _ } as c) ->
-      go src (fun x -> rb (Call { c with c_src = Some x }))
-    | Join (keys, e1, e2) ->
-      go e1 (fun x -> rb (Join (keys, x, e2)));
-      go e2 (fun x -> rb (Join (keys, e1, x)))
-  in
-  go e Fun.id;
-  List.rev !acc
+type rule = Memo.t -> Memo.node -> expr list
 
 (* ------------------------------------------------------------------ *)
 (* Attribute name helpers                                              *)
@@ -52,10 +34,6 @@ let contexts (e : expr) : (expr * (expr -> expr)) list =
    standing for its page-scheme occurrence. *)
 let attr_of_path alias (p : Adm.Constraints.path) =
   String.concat "." (alias :: p.Adm.Constraints.steps)
-
-(* The memo node of [e], a subexpression of [root]'s plan: found by
-   physical identity among [root]'s nodes. *)
-let node_of m root e = Memo.intern ~hint:root m e
 
 (* [s] extends [prefix] by at least one character. *)
 let extends ~prefix s =
@@ -88,6 +66,31 @@ let references_any_alias e aliases =
     (fun attr -> List.exists (fun prefix -> extends ~prefix attr) prefixes)
     (referenced_attrs e)
 
+(* The source-side attributes a link constraint equates with [attr],
+   an attribute of [fl]'s target page: for each constraint A = B of
+   [fl]'s link with [attr] = [fl]'s alias . B, the source side's A.
+   Rules 6 and 7 read a target attribute from the source side this
+   way. *)
+let source_attrs schema (fl : follow) attr =
+  let prefix = fl.alias ^ "." in
+  if not (extends ~prefix attr) then []
+  else
+    match constraint_path_of_attr fl.src fl.link with
+    | None -> []
+    | Some (link_path, link_alias) ->
+      let b = String.sub attr (String.length prefix) (String.length attr - String.length prefix) in
+      List.filter_map
+        (fun (c : Adm.Constraints.link_constraint) ->
+          if String.equal c.target_attr b then Some (attr_of_path link_alias c.source_attr)
+          else None)
+        (Adm.Schema.constraints_on_link schema link_path)
+
+(* The follows inside position [i]'s subtree (itself included), in
+   pre-order. *)
+let follows_within w i =
+  Memo.concat_map ~within:i w (fun f ->
+      match Memo.sub w f with Follow fl -> [ (f, fl) ] | _ -> [])
+
 (* ------------------------------------------------------------------ *)
 (* Rule 2: join with a link-constraint predicate = follow              *)
 (* ------------------------------------------------------------------ *)
@@ -96,30 +99,26 @@ let references_any_alias e aliases =
    with associated constraint A = B, becomes e1 →L P2. The paper
    states the rule for any page relation; in plans only entry points
    appear as bare page relations. *)
-let rule2 (m : Memo.t) (root : Memo.node) : expr list =
+let rule2 m root =
   let schema = Memo.schema m in
-  List.concat_map
-    (fun (sub, rb) ->
-      match sub with
+  let w = Memo.walk m root in
+  Memo.concat_map w (fun i ->
+      match Memo.sub w i with
       | Join ([ (ka, kb) ], e1, Entry { scheme; alias }) ->
         List.filter_map
           (fun (link_attr, link_path, link_alias, target) ->
-            if not (String.equal target scheme) then None
-            else
-              let matching =
-                List.find_opt
-                  (fun (c : Adm.Constraints.link_constraint) ->
-                    String.equal c.target_scheme scheme
-                    && String.equal (attr_of_path link_alias c.source_attr) ka
-                    && String.equal (alias ^ "." ^ c.target_attr) kb)
-                  (Adm.Schema.constraints_on_link schema link_path)
-              in
-              match matching with
-              | Some _ -> Some (rb (Follow { src = e1; link = link_attr; scheme; alias }))
-              | None -> None)
-          (Memo.links m (node_of m root e1))
+            if
+              String.equal target scheme
+              && List.exists
+                   (fun (c : Adm.Constraints.link_constraint) ->
+                     String.equal c.target_scheme scheme
+                     && String.equal (attr_of_path link_alias c.source_attr) ka
+                     && String.equal (alias ^ "." ^ c.target_attr) kb)
+                   (Adm.Schema.constraints_on_link schema link_path)
+            then Some (Memo.rebuild w i (Follow { src = e1; link = link_attr; scheme; alias }))
+            else None)
+          (Memo.links m (Memo.node_at w (Memo.child w i 0)))
       | _ -> [])
-    (contexts (Memo.expr root))
 
 (* ------------------------------------------------------------------ *)
 (* Rule 4: eliminate repeated navigations                              *)
@@ -173,41 +172,28 @@ let rec iso (e1 : expr) (e2 : expr) (map : (string * string) list) :
     | _ -> None)
   | _, _ -> None
 
-(* Peel trailing unnests: e = core ◦ a1 ◦ … ◦ ak. *)
-let rec peel_unnests = function
-  | Unnest (e1, a) ->
-    let core, steps = peel_unnests e1 in
-    (core, steps @ [ a ])
-  | e -> (e, [])
-
-(* Try to merge Join(keys, keep, drop): [drop]'s core must be
-   isomorphic to a peeled prefix of [keep], and every join key must
-   collapse to an identity under the alias renaming. On success the
-   result is [keep] (which subsumes [drop]) plus the renaming to apply
-   to the rest of the plan. *)
+(* Try to merge Join(keys, keep, drop): [drop] must be isomorphic to a
+   peeled prefix of [keep], and every join key must collapse to an
+   identity under the alias renaming. On success the result is [keep]
+   (which subsumes [drop]) plus the renaming to apply to the rest of
+   the plan. *)
 let try_merge (keys : (string * string) list) ~(keep : expr) ~(drop : expr)
     ~drop_is_right =
-  let drop_core, _drop_steps = peel_unnests drop in
-  (* [drop] must not have residual unnests beyond the core — otherwise
-     merging would lose attributes; require drop = its own core. *)
-  if not (equal drop drop_core) then None
-  else
+  match drop with
+  | Unnest _ ->
+    (* trailing unnests on [drop] would be lost by the merge *)
+    None
+  | _ -> (
     (* find a prefix of keep (peeled at any depth) isomorphic to drop *)
-    let rec prefixes e = e :: (match e with
-      | Unnest (e1, _) -> prefixes e1
-      | Follow { src; _ } -> prefixes src
-      | Select (_, e1) -> prefixes e1
-      | Entry _ | External _ | Project _ | Join _ | Call _ -> [])
+    let rec first_match e =
+      match iso e drop [] with
+      | Some map -> Some map
+      | None -> (
+        match e with
+        | Unnest (e1, _) | Follow { src = e1; _ } | Select (_, e1) -> first_match e1
+        | Entry _ | External _ | Project _ | Join _ | Call _ -> None)
     in
-    let candidates = prefixes keep in
-    let rec first_match = function
-      | [] -> None
-      | prefix :: rest -> (
-        match iso prefix drop [] with
-        | Some map -> Some map
-        | None -> first_match rest)
-    in
-    match first_match candidates with
+    match first_match keep with
     | None -> None
     | Some alias_map ->
       let rename a =
@@ -221,22 +207,21 @@ let try_merge (keys : (string * string) list) ~(keep : expr) ~(drop : expr)
             String.equal (rename drop_key) keep_key)
           keys
       in
-      if keys_ok then Some (keep, rename) else None
+      if keys_ok then Some (keep, rename) else None)
 
-let rule4 (_schema : Adm.Schema.t) (root : expr) : expr list =
-  List.concat_map
-    (fun (sub, rb) ->
-      match sub with
+let rule4 m root =
+  let w = Memo.walk m root in
+  Memo.concat_map w (fun i ->
+      match Memo.sub w i with
       | Join (keys, e1, e2) ->
         let attempt ~keep ~drop ~drop_is_right =
           match try_merge keys ~keep ~drop ~drop_is_right with
-          | Some (merged, rename) -> [ rename_attrs rename (rb merged) ]
+          | Some (merged, rename) -> [ rename_attrs rename (Memo.rebuild w i merged) ]
           | None -> []
         in
         attempt ~keep:e2 ~drop:e1 ~drop_is_right:false
         @ attempt ~keep:e1 ~drop:e2 ~drop_is_right:true
       | _ -> [])
-    (contexts root)
 
 (* ------------------------------------------------------------------ *)
 (* Join reordering                                                     *)
@@ -246,36 +231,35 @@ let rule4 (_schema : Adm.Schema.t) (root : expr) : expr list =
    commutativity and associativity let rules 4, 8 and 9 find repeated
    or joinable navigations wherever they sit in the tree. *)
 
-let join_commute (_schema : Adm.Schema.t) (root : expr) : expr list =
-  List.filter_map
-    (fun (sub, rb) ->
-      match sub with
+let join_commute m root =
+  let w = Memo.walk m root in
+  Memo.concat_map w (fun i ->
+      match Memo.sub w i with
       | Join (keys, e1, e2) ->
-        Some (rb (Join (List.map (fun (a, b) -> (b, a)) keys, e2, e1)))
-      | _ -> None)
-    (contexts root)
+        [ Memo.rebuild w i (Join (List.map (fun (a, b) -> (b, a)) keys, e2, e1)) ]
+      | _ -> [])
 
-let join_rotate (m : Memo.t) (root : Memo.node) : expr list =
-  let attrs e = Memo.attrs m (node_of m root e) in
-  List.concat_map
-    (fun (sub, rb) ->
-      match sub with
+let join_rotate m root =
+  let w = Memo.walk m root in
+  (* the output attributes of operand [k] of position [i]'s operand [j] *)
+  let attrs i j k = Memo.attrs m (Memo.node_at w (Memo.child w (Memo.child w i j) k)) in
+  Memo.concat_map w (fun i ->
+      match Memo.sub w i with
       | Join (k2, Join (k1, a, b), c) ->
         (* ((a ⋈ b) ⋈ c) = (a ⋈ (b ⋈ c)) when k2's left attributes all
            come from b *)
-        let b_attrs = attrs b in
+        let b_attrs = attrs i 0 1 in
         if List.for_all (fun (x, _) -> List.mem x b_attrs) k2 then
-          [ rb (Join (k1, a, Join (k2, b, c))) ]
+          [ Memo.rebuild w i (Join (k1, a, Join (k2, b, c))) ]
         else []
       | Join (k2, a, Join (k1, b, c)) ->
         (* (a ⋈ (b ⋈ c)) = ((a ⋈ b) ⋈ c) when k2's right attributes all
            come from b *)
-        let b_attrs = attrs b in
+        let b_attrs = attrs i 1 0 in
         if List.for_all (fun (_, y) -> List.mem y b_attrs) k2 then
-          [ rb (Join (k1, Join (k2, a, b), c)) ]
+          [ Memo.rebuild w i (Join (k1, Join (k2, a, b), c)) ]
         else []
       | _ -> [])
-    (contexts (Memo.expr root))
 
 (* ------------------------------------------------------------------ *)
 (* Rules 8 and 9: pointer join and pointer chase                       *)
@@ -284,101 +268,97 @@ let join_rotate (m : Memo.t) (root : Memo.node) : expr list =
 (* Common pattern: a Join whose one side contains (on its spine) a
    Follow to page-scheme P3, joined with the other side on
    P3.B = R2.A, where R2 carries its own link to P3 whose constraint
-   says R2.A = P3.B. Returns, per match:
-   (context of the Follow inside that side, the follow record, the
-    other side, R2's link attribute, remaining join keys, rebuild). *)
+   says R2.A = P3.B. One match per (Join, Follow, join key, R2 link),
+   by their positions in the plan's walk. *)
 type pointer_match = {
-  follow : follow; (* the Follow node on the navigation side *)
-  follow_rb : expr -> expr; (* rebuilds that side around the Follow *)
-  other : expr; (* R2 *)
-  other_link_attr : string; (* R2's link attribute towards P3 *)
+  walk : Memo.walk;
+  join : int;  (** the Join's position *)
+  side : int;  (** the navigation side's position *)
+  at : int;  (** the Follow's position, inside the navigation side *)
+  follow : follow;
+  other : expr;  (** R2 *)
+  other_link_attr : string;  (** R2's link attribute towards P3 *)
   other_link_path : Adm.Constraints.path;
   residual_keys : (string * string) list;
-  rebuild : expr -> expr; (* rebuilds the root around the Join *)
 }
 
-let pointer_matches (m : Memo.t) (root : Memo.node) : pointer_match list =
+let pointer_matches m root =
   let schema = Memo.schema m in
-  List.concat_map
-    (fun (sub, rb) ->
-      match sub with
-      | Join (keys, left, right) ->
-        let sided nav_side other ~nav_is_left =
+  let w = Memo.walk m root in
+  Memo.concat_map w (fun join ->
+      match Memo.sub w join with
+      | Join (keys, _, _) ->
+        let sided ~side ~other_at ~nav_is_left =
           (* R2's links, resolved once per side and only when some
              join key names a follow's target *)
-          let links = lazy (Memo.links m (node_of m root other)) in
+          let links = lazy (Memo.links m (Memo.node_at w other_at)) in
           List.concat_map
-            (fun (fsub, frb) ->
-              match fsub with
-              | Follow fl ->
-                (* join keys of the form (P3.B, R2.A) *)
-                let prefix = fl.alias ^ "." in
-                List.concat_map
-                  (fun (ka, kb) ->
-                    let nav_key, other_key = if nav_is_left then (ka, kb) else (kb, ka) in
-                    if extends ~prefix nav_key then
-                      let b =
-                        String.sub nav_key (String.length prefix)
-                          (String.length nav_key - String.length prefix)
-                      in
-                      (* find R2's links to P3 whose constraint binds A = B *)
-                      List.filter_map
-                        (fun (link_attr, link_path, link_alias, target) ->
-                          if not (String.equal target fl.scheme) then None
-                          else
-                            let ok =
-                              List.exists
-                                (fun (c : Adm.Constraints.link_constraint) ->
-                                  String.equal c.target_scheme fl.scheme
-                                  && String.equal c.target_attr b
-                                  && String.equal
-                                       (attr_of_path link_alias c.source_attr)
-                                       other_key)
-                                (Adm.Schema.constraints_on_link schema link_path)
-                            in
-                            if not ok then None
-                            else
-                              let residual_keys =
+            (fun (at, (fl : follow)) ->
+              (* join keys of the form (P3.B, R2.A) *)
+              let prefix = fl.alias ^ "." in
+              List.concat_map
+                (fun (ka, kb) ->
+                  let nav_key, other_key = if nav_is_left then (ka, kb) else (kb, ka) in
+                  if not (extends ~prefix nav_key) then []
+                  else
+                    let b =
+                      String.sub nav_key (String.length prefix)
+                        (String.length nav_key - String.length prefix)
+                    in
+                    (* R2's links to P3 whose constraint binds A = B *)
+                    List.filter_map
+                      (fun (link_attr, link_path, link_alias, target) ->
+                        if
+                          String.equal target fl.scheme
+                          && List.exists
+                               (fun (c : Adm.Constraints.link_constraint) ->
+                                 String.equal c.target_scheme fl.scheme
+                                 && String.equal c.target_attr b
+                                 && String.equal (attr_of_path link_alias c.source_attr) other_key)
+                               (Adm.Schema.constraints_on_link schema link_path)
+                        then
+                          Some
+                            {
+                              walk = w;
+                              join;
+                              side;
+                              at;
+                              follow = fl;
+                              other = Memo.sub w other_at;
+                              other_link_attr = link_attr;
+                              other_link_path = link_path;
+                              residual_keys =
                                 List.filter
-                                  (fun (x, y) ->
-                                    not (String.equal x ka && String.equal y kb))
-                                  keys
-                              in
-                              Some
-                                {
-                                  follow = fl;
-                                  follow_rb = frb;
-                                  other;
-                                  other_link_attr = link_attr;
-                                  other_link_path = link_path;
-                                  residual_keys;
-                                  rebuild = rb;
-                                })
-                        (Lazy.force links)
-                    else [])
-                  keys
-              | _ -> [])
-            (contexts nav_side)
+                                  (fun (x, y) -> not (String.equal x ka && String.equal y kb))
+                                  keys;
+                            }
+                        else None)
+                      (Lazy.force links))
+                keys)
+            (follows_within w side)
         in
-        sided left right ~nav_is_left:true @ sided right left ~nav_is_left:false
+        let left = Memo.child w join 0 and right = Memo.child w join 1 in
+        sided ~side:left ~other_at:right ~nav_is_left:true
+        @ sided ~side:right ~other_at:left ~nav_is_left:false
       | _ -> [])
-    (contexts (Memo.expr root))
 
-(* A pointer match with its residual join keys re-applied as a
-   selection over the rewritten side. *)
-let with_residual m new_side =
-  match m.residual_keys with
-  | [] -> new_side
-  | keys -> Select (List.map (fun (a, b) -> Pred.eq_attrs a b) keys, new_side)
+(* The plan with the match's Join replaced by its navigation side, the
+   Follow in it replaced by [follow], and the residual join keys
+   re-applied as a selection over it. *)
+let replace_join pm follow =
+  let side = Memo.rebuild ~within:pm.side pm.walk pm.at follow in
+  Memo.rebuild pm.walk pm.join
+    (match pm.residual_keys with
+    | [] -> side
+    | keys -> Select (List.map (fun (a, b) -> Pred.eq_attrs a b) keys, side))
 
 (* Rule 8 [Pointer Join]:
    (R1 →L R3) ⋈_{R3.B=R2.A} R2  =  (R1 ⋈_{R1.L=R2.L'} R2) →L R3 *)
-let pointer_join m =
-  let fl = m.follow in
+let pointer_join pm =
+  let fl = pm.follow in
   (* R2's attributes must be disjoint from the navigation side's:
      guaranteed by unique aliases. Link values joined directly. *)
-  let joined = Join ([ (fl.link, m.other_link_attr) ], fl.src, m.other) in
-  m.rebuild (with_residual m (m.follow_rb (Follow { fl with src = joined })))
+  replace_join pm (Follow { fl with src = Join ([ (fl.link, pm.other_link_attr) ], fl.src, pm.other) })
 
 let rule8 m root = List.map pointer_join (pointer_matches m root)
 
@@ -401,20 +381,20 @@ let rec pure_navigation = function
      a link attribute's full extent — rule 9's inclusion does not apply *)
   | Select _ | Join _ | Project _ | External _ | Call _ -> false
 
-let pointer_chase (schema : Adm.Schema.t) m =
-  let fl = m.follow in
+let pointer_chase (schema : Adm.Schema.t) pm =
+  let fl = pm.follow in
   if not (pure_navigation fl.src) then None
   else
     match constraint_path_of_attr fl.src fl.link with
     | None -> None
     | Some (sup_path, _) ->
-      if not (Adm.Schema.inclusion_holds schema ~sub:m.other_link_path ~sup:sup_path)
+      if not (Adm.Schema.inclusion_holds schema ~sub:pm.other_link_path ~sup:sup_path)
       then None
       else
-        let new_follow =
-          Follow { src = m.other; link = m.other_link_attr; scheme = fl.scheme; alias = fl.alias }
+        let candidate =
+          replace_join pm
+            (Follow { src = pm.other; link = pm.other_link_attr; scheme = fl.scheme; alias = fl.alias })
         in
-        let candidate = m.rebuild (with_residual m (m.follow_rb new_follow)) in
         (* side condition: the dropped prefix R1's aliases must not
            be referenced anywhere in the rewritten plan *)
         let kept = aliases candidate in
@@ -426,7 +406,7 @@ let rule9 m root = List.filter_map (pointer_chase (Memo.schema m)) (pointer_matc
 (* Rules 8 and 9 over one shared match pass: rule 8's rewritings,
    then rule 9's — the order the two rules produce one after the
    other. *)
-let rules8_9 (m : Memo.t) (root : Memo.node) : expr list =
+let rules8_9 m root =
   let ms = pointer_matches m root in
   List.map pointer_join ms @ List.filter_map (pointer_chase (Memo.schema m)) ms
 
@@ -438,63 +418,37 @@ let rules8_9 (m : Memo.t) (root : Memo.node) : expr list =
    target of a Follow over link L carrying constraint A = B, the atom
    can equivalently test A on the source side. One rewriting step per
    applicable (atom, constraint); closure is taken by the planner. *)
-let rule6 (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.concat_map
-    (fun (sub, rb) ->
-      match sub with
+let rule6 m root =
+  let schema = Memo.schema m in
+  let w = Memo.walk m root in
+  Memo.concat_map w (fun i ->
+      match Memo.sub w i with
       | Select (p, e1) ->
+        let follows = follows_within w (Memo.child w i 0) in
         List.concat_map
           (fun (atom : Pred.atom) ->
             (* any comparison against a constant qualifies: A = B makes
                σ_{B ⊙ v} ≡ σ_{A ⊙ v} for every comparison ⊙ *)
-            let attr_const =
-              match atom.Pred.left, atom.Pred.right with
-              | Pred.Attr a, Pred.Const v -> Some (a, v, true)
-              | Pred.Const v, Pred.Attr a -> Some (a, v, false)
-              | _ -> None
-            in
-            match attr_const with
-            | None -> []
-            | Some (attr, v, const_right) ->
-              (* find follows in e1 whose alias qualifies [attr] *)
+            match atom.Pred.left, atom.Pred.right with
+            | Pred.Attr attr, Pred.Const _ | Pred.Const _, Pred.Attr attr ->
+              (* the atom testing [a] in [attr]'s place *)
+              let reread a =
+                match atom.Pred.left with
+                | Pred.Attr _ -> { atom with Pred.left = Pred.Attr a }
+                | Pred.Const _ -> { atom with Pred.right = Pred.Attr a }
+              in
               List.concat_map
-                (fun (fsub, _) ->
-                  match fsub with
-                  | Follow fl
-                    when extends ~prefix:(fl.alias ^ ".") attr -> (
-                    let b =
-                      String.sub attr
-                        (String.length fl.alias + 1)
-                        (String.length attr - String.length fl.alias - 1)
-                    in
-                    match constraint_path_of_attr fl.src fl.link with
-                    | None -> []
-                    | Some (link_path, link_alias) ->
-                      List.filter_map
-                        (fun (c : Adm.Constraints.link_constraint) ->
-                          if not (String.equal c.target_attr b) then None
-                          else
-                            let source_attr = attr_of_path link_alias c.source_attr in
-                            let atom' =
-                              if const_right then
-                                { Pred.left = Pred.Attr source_attr;
-                                  cmp = atom.Pred.cmp;
-                                  right = Pred.Const v }
-                              else
-                                { Pred.left = Pred.Const v;
-                                  cmp = atom.Pred.cmp;
-                                  right = Pred.Attr source_attr }
-                            in
-                            let p' =
-                              List.map (fun a -> if a == atom then atom' else a) p
-                            in
-                            Some (rb (Select (p', e1))))
-                        (Adm.Schema.constraints_on_link schema link_path))
-                  | _ -> [])
-                (contexts e1))
+                (fun (_, fl) ->
+                  List.map
+                    (fun source_attr ->
+                      let atom' = reread source_attr in
+                      Memo.rebuild w i
+                        (Select (List.map (fun a -> if a == atom then atom' else a) p, e1)))
+                    (source_attrs schema fl attr))
+                follows
+            | _ -> [])
           p
       | _ -> [])
-    (contexts root)
 
 (* ------------------------------------------------------------------ *)
 (* Standard selection sinking                                          *)
@@ -607,68 +561,38 @@ let prune (m : Memo.t) (root : Memo.node) : expr =
    page"). Combined with [prune], this eliminates whole navigations
    whose pages only contribute replicated values. One projection
    attribute is replaced per step; the planner takes the closure. *)
-let rule7_replace (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.concat_map
-    (fun (sub, rb) ->
-      match sub with
+let rule7_replace m root =
+  let schema = Memo.schema m in
+  let w = Memo.walk m root in
+  Memo.concat_map w (fun i ->
+      match Memo.sub w i with
       | Project (attrs, e1) ->
+        let follows = follows_within w (Memo.child w i 0) in
         List.concat_map
           (fun attr ->
-            (* find the Follow feeding [attr]'s alias *)
             List.concat_map
-              (fun (fsub, _) ->
-                match fsub with
-                | Follow fl
-                  when extends ~prefix:(fl.alias ^ ".") attr -> (
-                  let b =
-                    String.sub attr
-                      (String.length fl.alias + 1)
-                      (String.length attr - String.length fl.alias - 1)
-                  in
-                  match constraint_path_of_attr fl.src fl.link with
-                  | None -> []
-                  | Some (link_path, link_alias) ->
-                    List.filter_map
-                      (fun (c : Adm.Constraints.link_constraint) ->
-                        if not (String.equal c.target_attr b) then None
-                        else
-                          let source_attr = attr_of_path link_alias c.source_attr in
-                          let attrs' =
-                            List.map
-                              (fun a -> if String.equal a attr then source_attr else a)
-                              attrs
-                          in
-                          Some (rb (Project (attrs', e1))))
-                      (Adm.Schema.constraints_on_link schema link_path))
-                | _ -> [])
-              (contexts e1))
+              (fun (_, fl) ->
+                List.map
+                  (fun source_attr ->
+                    let attrs' =
+                      List.map (fun a -> if String.equal a attr then source_attr else a) attrs
+                    in
+                    Memo.rebuild w i (Project (attrs', e1)))
+                  (source_attrs schema fl attr))
+              follows)
           attrs
       | _ -> [])
-    (contexts root)
 
 (* Rule 7 in its literal form, for tests and documentation:
    π_B(R1 →L R2) = π_A(π_{A,L}(R1) →L R2) given constraint A = B
    (we return the source-side equivalent π_A(R1)). *)
-let rule7_literal (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.concat_map
-    (fun (sub, rb) ->
-      match sub with
-      | Project ([ b_attr ], Follow fl) -> (
-        match constraint_path_of_attr fl.src fl.link with
-        | None -> []
-        | Some (link_path, link_alias) ->
-          let prefix = fl.alias ^ "." in
-          if extends ~prefix b_attr then
-            let b =
-              String.sub b_attr (String.length prefix)
-                (String.length b_attr - String.length prefix)
-            in
-            List.filter_map
-              (fun (c : Adm.Constraints.link_constraint) ->
-                if String.equal c.target_attr b then
-                  Some (rb (Project ([ attr_of_path link_alias c.source_attr ], fl.src)))
-                else None)
-              (Adm.Schema.constraints_on_link schema link_path)
-          else [])
+let rule7_literal m root =
+  let schema = Memo.schema m in
+  let w = Memo.walk m root in
+  Memo.concat_map w (fun i ->
+      match Memo.sub w i with
+      | Project ([ b_attr ], Follow fl) ->
+        List.map
+          (fun source_attr -> Memo.rebuild w i (Project ([ source_attr ], fl.src)))
+          (source_attrs schema fl b_attr)
       | _ -> [])
-    (contexts root)

@@ -1,48 +1,45 @@
 (** The NALG rewriting rules of paper Section 6.1. Rule 1 (default
-    navigation) lives in {!View.expand}. Rules that restructure joins
-    (4, 8, 9) rename attribute references across the whole plan, so
-    every rule takes and returns {e root} expressions; each returned
-    expression is the root rewritten at one position. The rules that
-    read logical properties of subexpressions (links, output
-    attributes) take the root as a node of the planning run's
-    {!Memo}, which answers each property once per distinct subtree. *)
+    navigation) lives in {!View.expand}.
 
-val contexts : Nalg.expr -> (Nalg.expr * (Nalg.expr -> Nalg.expr)) list
-(** Every subexpression with the function rebuilding the root around a
-    replacement. *)
+    Every rule has one signature, {!rule}: it takes a plan as a node of
+    the planning run's {!Memo} and returns that plan rewritten at one
+    position per output, in pre-order of the positions. A rule matches
+    over the memo's one walk of the plan ({!Memo.walk}), reads the
+    logical properties of subexpressions (links, output attributes)
+    from the positions' nodes, and rebuilds the plan around a
+    position, sharing every untouched subtree physically. Rules that
+    restructure joins (4, 8, 9) also rename attribute references
+    across the whole plan. *)
 
-val attr_of_path : string -> Adm.Constraints.path -> string
+type rule = Memo.t -> Memo.node -> Nalg.expr list
 
-val referenced_attrs : Nalg.expr -> string list
-val references_any_alias : Nalg.expr -> string list -> bool
-
-val rule2 : Memo.t -> Memo.node -> Nalg.expr list
+val rule2 : rule
 (** A join whose predicate is a link constraint is a follow. *)
 
-val rule4 : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
+val rule4 : rule
 (** Eliminate repeated navigations: [(R ◦ A) ⋈_Y R = R ◦ A]. The
     surviving occurrence's aliases replace the dropped one's
     throughout the plan. *)
 
-val rule6 : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
+val rule6 : rule
 (** Move a selection atom across a link constraint (σ_{B=v} becomes
     σ_{A=v} on the source side). One step per (atom, constraint). *)
 
-val rule8 : Memo.t -> Memo.node -> Nalg.expr list
+val rule8 : rule
 (** Pointer join:
     [(R1 →L R3) ⋈_{R3.B=R2.A} R2 = (R1 ⋈_{R1.L=R2.L'} R2) →L R3]. *)
 
-val rule9 : Memo.t -> Memo.node -> Nalg.expr list
+val rule9 : rule
 (** Pointer chase:
     [π_X((R1 →L R3) ⋈_{R3.B=R2.A} R2) = π_X(R2 →L' R3)] given the
     inclusion [R2.L' ⊆ R1.L] and that nothing references [R1]. *)
 
-val rules8_9 : Memo.t -> Memo.node -> Nalg.expr list
+val rules8_9 : rule
 (** [rule8] followed by [rule9], in that order, from one shared search
     for pointer-join/chase matches. *)
 
-val join_commute : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
-val join_rotate : Memo.t -> Memo.node -> Nalg.expr list
+val join_commute : rule
+val join_rotate : rule
 (** Join associativity/commutativity: expose repeated or joinable
     navigations hidden by the FROM-order left-deep tree. *)
 
@@ -55,10 +52,10 @@ val prune : Memo.t -> Memo.node -> Nalg.expr
     contributing no needed attribute (projection pushing, rule 7, done
     by analysis rather than π-node placement). *)
 
-val rule7_replace : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
+val rule7_replace : rule
 (** Rule 7 as a plan-space rewriting: read a projected attribute from
     the link's source side (the value is replicated there by a link
     constraint); with {!prune} this can eliminate whole navigations. *)
 
-val rule7_literal : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
+val rule7_literal : rule
 (** Rule 7 in its literal single-attribute form, for tests. *)

@@ -21,7 +21,6 @@ val find_distinct : t -> string -> int option
 val selectivity : t -> string -> float
 (** s_A = 1 / c_A. *)
 
-val set_page_bytes : t -> string -> float -> unit
 val page_bytes : t -> string -> float
 (** Average page size (bytes) of a page-scheme; 0 when unknown. Used
     by the refined byte-based cost model (paper, footnote 8). *)
@@ -29,7 +28,6 @@ val page_bytes : t -> string -> float
 val key : string -> string list -> string
 (** [key scheme steps] builds the dotted lookup key. *)
 
-val collect_scheme : t -> string -> Adm.Relation.t -> unit
 val of_instance : Websim.Crawler.instance -> t
 
 val repetition : t -> string -> string list -> float

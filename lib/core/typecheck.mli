@@ -15,13 +15,6 @@ type env = (string * Adm.Webtype.t) list
 (** Ordered output environment of a NALG expression: exactly the names
     of [Nalg.output_attrs], in order, with their web types. *)
 
-val pp_env : env Fmt.t
-
-val scheme_env : Adm.Schema.t -> scheme:string -> alias:string -> env
-(** Environment a page-scheme occurrence contributes: [alias.URL]
-    first (typed [Link scheme]), then the declared attributes. Empty
-    for unknown schemes. *)
-
 val infer :
   ?views:(string -> (string * Adm.Webtype.t) list option) ->
   Adm.Schema.t ->
@@ -46,7 +39,9 @@ type typed
 val typed_env : typed -> env
 
 val occurrence : Adm.Schema.t -> scheme:string -> alias:string -> typed
-(** The type of a page-scheme occurrence: its {!scheme_env}. *)
+(** The type of a page-scheme occurrence: [alias.URL] first (typed
+    [Link scheme]), then the declared attributes; empty for unknown
+    schemes. *)
 
 val type_node :
   ?views:(string -> (string * Adm.Webtype.t) list option) ->
@@ -72,10 +67,6 @@ val under : string -> Diagnostic.t -> Diagnostic.t
 
 val check : Adm.Schema.t -> Nalg.expr -> Diagnostic.t list
 (** [check schema e = snd (infer schema e)]. *)
-
-val env_compatible : env -> env -> bool
-(** Same arity and positionally compatible types — output-shape
-    equality up to aliasing and attribute renaming. *)
 
 val soundness :
   Adm.Schema.t -> parent:Nalg.expr -> child:Nalg.expr -> Diagnostic.t list

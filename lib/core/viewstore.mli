@@ -62,10 +62,6 @@ val observe : t -> string -> changed:bool -> unit
 (** Feed one revalidation outcome for a scheme into the change-rate
     observations (maintenance lanes report through this too). *)
 
-val change_rate : t -> string list -> float
-(** Laplace-smoothed probability that a page under these schemes
-    changed since last contact; 0.5 when unobserved. *)
-
 val note_plan : t -> Nalg.expr -> unit
 (** Record the views a chosen best plan answers from (its [External]
     leaves). Feeds {!chosen_views} and {!relevant_schemes}. *)
@@ -80,10 +76,6 @@ val view_schemes : t -> string -> string list
 val relevant_schemes : t -> string list
 (** Schemes under views that noted plans actually chose — the churn
     runtime's maintenance lane prioritizes these. *)
-
-val type_env : t -> string -> Typecheck.env option
-(** The unqualified typed environment of a registered view's
-    attributes, for the planner's soundness gate on view plans. *)
 
 val context : t -> Planner.view_context
 (** The planner's view of this store — filter tree, price snapshot as

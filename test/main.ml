@@ -29,4 +29,5 @@ let () =
       Test_bindings.suite;
       Test_exec_trace.suite;
       Test_cli.suite;
+      Test_rule_outputs.suite;
     ]

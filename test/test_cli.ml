@@ -49,15 +49,26 @@ let test_bad_workload_line () =
     [ "serve"; "churn" ];
   Sys.remove path
 
+(* Site sizes the generators cannot build, and counts and rates out of
+   their range, are usage errors naming the flag. None of these runs
+   starts a domain: the value is refused before the command runs. *)
 let test_unbuildable_site_sizes () =
   List.iter
-    (fun (flag, value) ->
-      let ((_, stderr) as r) =
-        run_cli [ "query"; flag ^ "=" ^ value; "SELECT p.PName FROM Professor p" ]
-      in
-      expect_exit (flag ^ "=" ^ value) 124 r;
+    (fun (cmd, flag, value) ->
+      let sql = if cmd = "serve" || cmd = "churn" then [] else [ "SELECT p.PName FROM Professor p" ] in
+      let ((_, stderr) as r) = run_cli ((cmd :: [ flag ^ "=" ^ value ]) @ sql) in
+      expect_exit (cmd ^ " " ^ flag ^ "=" ^ value) 124 r;
       Alcotest.(check bool) ("usage error names " ^ flag) true (contains stderr flag))
-    [ ("--depts", "0"); ("--profs", "0"); ("--courses", "-1") ]
+    ([ ("query", "--depts", "0"); ("query", "--profs", "0"); ("query", "--courses", "-1") ]
+    @ List.concat_map
+        (fun cmd ->
+          [ (cmd, "--concurrency", "0"); (cmd, "--quantum", "0"); (cmd, "--domains", "0");
+            (cmd, "--queries", "-1") ])
+        [ "serve"; "churn" ]
+    @ [
+        ("run", "--window", "-3"); ("run", "--retries", "-1"); ("run", "--limit", "-1");
+        ("plan", "--cap", "-5"); ("plan", "--candidates", "-1"); ("run", "--faults", "2.0");
+      ])
 
 (* An integer literal beyond the native int range is a syntax error
    (E0308, exit 2) wherever a query enters: LIMIT, a comparison, and a

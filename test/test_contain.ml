@@ -640,19 +640,12 @@ let join_family_gen =
    sunk and pruned), with small caps so each query stays cheap. *)
 let closure_plans sql =
   let memo = Memo.create schema (Stats.create ()) in
-  let on_expr rule n = rule schema (Memo.expr n) in
-  let rules =
-    [
-      on_expr Rewrite.rule4; on_expr Rewrite.join_commute; Rewrite.join_rotate memo;
-      Rewrite.rules8_9 memo; Rewrite.rule2 memo;
-    ]
-  in
   let seeds =
     View.expand registry (Conjunctive.to_algebra (parse sql))
-    |> List.map (fun e -> Memo.intern memo (Planner.fixpoint (Rewrite.rule4 schema) e))
+    |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
   in
-  let joins, _ = Planner.closure ~cap:80 memo rules seeds in
-  let selections, _ = Planner.closure ~cap:120 memo [ on_expr Rewrite.rule6 ] joins in
+  let joins, _ = Planner.closure ~cap:80 memo (Planner.join_rules ~pointer_rules:true) seeds in
+  let selections, _ = Planner.closure ~cap:120 memo Planner.selection_rules joins in
   List.map Memo.expr joins
   @ List.map
       (fun n ->

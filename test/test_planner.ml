@@ -534,26 +534,18 @@ let test_plan_order_independent () =
 (* Every plan the closures of [enumerate] reach for a query, rebuilt
    from the public rules phase by phase (join, selection, sinking,
    projection, pruning) with the planner's caps, over one memo. *)
-let closure_plans memo schema registry sql =
+let closure_plans memo registry sql =
   let q, _ = Contain.minimize_query registry (Sql_parser.parse registry sql) in
-  let on_expr rule n = rule schema (Memo.expr n) in
   let seeds =
     View.expand registry (Conjunctive.to_algebra q)
-    |> List.map (fun e -> Memo.intern memo (Planner.fixpoint (Rewrite.rule4 schema) e))
+    |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
   in
-  let joins, _ =
-    Planner.closure ~cap:1500 memo
-      [
-        on_expr Rewrite.rule4; on_expr Rewrite.join_commute; Rewrite.join_rotate memo;
-        Rewrite.rules8_9 memo; Rewrite.rule2 memo;
-      ]
-      seeds
-  in
-  let selections, _ = Planner.closure memo [ on_expr Rewrite.rule6 ] joins in
+  let joins, _ = Planner.closure ~cap:1500 memo (Planner.join_rules ~pointer_rules:true) seeds in
+  let selections, _ = Planner.closure memo Planner.selection_rules joins in
   let sunk =
     List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n)) selections
   in
-  let projections, _ = Planner.closure memo [ on_expr Rewrite.rule7_replace ] sunk in
+  let projections, _ = Planner.closure memo Planner.projection_rules sunk in
   List.map Memo.expr (joins @ selections @ sunk @ projections)
   @ List.map (Rewrite.prune memo) projections
 
@@ -574,9 +566,10 @@ let context_agrees ?memo ~what schema stats (plans : Nalg.expr list) =
   in
   List.iter
     (fun e ->
-      List.iter
-        (fun (sub, _) ->
-          let n = Memo.intern memo sub in
+      let w = Memo.walk memo (Memo.intern memo e) in
+      Memo.concat_map w (fun i -> [ (Memo.sub w i, Memo.node_at w i) ])
+      |> List.iter (fun (sub, n) ->
+          agree "walk" sub (Memo.intern memo sub == n);
           agree "expr" sub (Nalg.equal sub (Memo.expr n));
           agree "attrs" sub
             (outcome (Nalg.output_attrs schema) sub = outcome (Memo.attrs memo) n);
@@ -589,8 +582,7 @@ let context_agrees ?memo ~what schema stats (plans : Nalg.expr list) =
             (Diagnostic.has_errors (snd inferred) = Memo.has_errors memo n);
           agree "estimate" sub
             (outcome (Cost.estimate schema stats sub) sub = outcome (Memo.estimate memo) n);
-          agree "key" sub (String.equal (Contain.plan_key sub) (Memo.key memo n)))
-        (Rewrite.contexts e);
+          agree "key" sub (String.equal (Contain.plan_key sub) (Memo.key memo n)));
       agree "judge" e
         (Typecheck.judge ~parent:(Typecheck.infer schema (Memo.expr root))
            ~child:(Typecheck.infer schema e)
@@ -603,7 +595,7 @@ let test_context_closure_plans () =
     (fun (name, site, sql) ->
       let schema, registry, stats = pin_parts site in
       let memo = Memo.create schema stats in
-      context_agrees ~memo ~what:name schema stats (closure_plans memo schema registry sql))
+      context_agrees ~memo ~what:name schema stats (closure_plans memo registry sql))
     pin_cases
 
 (* Hand-made plans the closures never reach: ill-typed ones (their
@@ -705,6 +697,8 @@ let test_memo_shares_subtrees () =
   let outputs = ref 0 in
   List.iter
     (fun parent ->
+      let w = Memo.walk memo parent in
+      let parent_subs = Memo.concat_map w (fun i -> [ Memo.sub w i ]) in
       List.iter
         (fun child ->
           let parent_ids = ids parent in
@@ -715,15 +709,14 @@ let test_memo_shares_subtrees () =
           (* every subtree of the output physically shared with the
              parent's plan has the parent's node *)
           let rec shared e n =
-            if List.exists (fun (sub, _) -> sub == e) (Rewrite.contexts (Memo.expr parent))
-            then check bool_t "kept subtree keeps its id" true (List.mem (Memo.id n) parent_ids)
+            if List.exists (( == ) e) parent_subs then check bool_t "kept subtree keeps its id" true (List.mem (Memo.id n) parent_ids)
             else List.iter2 shared (Nalg.children e) (Memo.kids n)
           in
           shared child n;
           (* the new nodes are at most the output's nodes not shared *)
           let fresh = Memo.size memo - before in
           check bool_t "only rebuilt nodes are new" true (fresh <= Nalg.size child))
-        (Rewrite.join_commute schema (Memo.expr parent) @ Rewrite.rules8_9 memo parent))
+        (Rewrite.join_commute memo parent @ Rewrite.rules8_9 memo parent))
     seeds;
   check bool_t "rules applied" true (!outputs > 0)
 

@@ -9,7 +9,7 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-(* Apply a rule that reads subexpression properties through a fresh
+(* Apply a rule (or sinking, or pruning) to a plan interned in a fresh
    planning memo. *)
 let on_memo rule schema e =
   let m = Memo.create schema (Stats.create ()) in
@@ -86,7 +86,7 @@ let test_rule4_merges_repeated_navigation () =
   let e =
     Nalg.join [ ("ProfPage.PName", "ProfPage@2.PName") ] long short
   in
-  let rewrites = Rewrite.rule4 schema e in
+  let rewrites = on_memo Rewrite.rule4 schema e in
   check bool_t "rule 4 fires" true (rewrites <> []);
   let merged = List.hd rewrites in
   check bool_t "join eliminated" true
@@ -101,7 +101,7 @@ let test_rule4_respects_keys () =
   let long = Nalg.unnest (profs_nav ()) "ProfPage.CourseList" in
   let short = profs_nav ~alias:"ProfPage@2" ~list_alias:"ProfListPage@2" () in
   let e = Nalg.join [ ("ProfPage.PName", "ProfPage@2.Email") ] long short in
-  check int_t "no merge on mismatched keys" 0 (List.length (Rewrite.rule4 schema e))
+  check int_t "no merge on mismatched keys" 0 (List.length (on_memo Rewrite.rule4 schema e))
 
 let test_rule4_identical_relations () =
   (* R ⋈ R = R; the merged plan keeps one occurrence, so compare the
@@ -109,7 +109,7 @@ let test_rule4_identical_relations () =
   let r1 = profs_nav () in
   let r2 = profs_nav ~alias:"ProfPage@2" ~list_alias:"ProfListPage@2" () in
   let e = Nalg.join [ ("ProfPage.PName", "ProfPage@2.PName") ] r1 r2 in
-  let rewrites = Rewrite.rule4 schema e in
+  let rewrites = on_memo Rewrite.rule4 schema e in
   check bool_t "fires" true (rewrites <> []);
   let merged = List.hd rewrites in
   let names e =
@@ -134,7 +134,7 @@ let test_rule6_moves_selection_across_link () =
       [ Pred.eq_const "CoursePage.Session" (Adm.Value.text "Fall") ]
       (courses_nav ())
   in
-  let rewrites = Rewrite.rule6 schema e in
+  let rewrites = on_memo Rewrite.rule6 schema e in
   check bool_t "rule 6 fires" true (rewrites <> []);
   let moved =
     List.exists
@@ -162,7 +162,7 @@ let test_rule6_then_sink_reduces_cost () =
   let stats = Sitegen.Sites.stats uni in
   let baseline = Cost.cost schema stats e in
   let improved =
-    Rewrite.rule6 schema e
+    on_memo Rewrite.rule6 schema e
     |> List.map (on_memo Rewrite.sink_selections schema)
     |> List.map (Cost.cost schema stats)
     |> List.fold_left Float.min baseline
@@ -375,7 +375,7 @@ let test_rule7_replace_eliminates_navigation () =
          "DeptPage.ProfList.ToProf" ~scheme:"ProfPage")
   in
   let variants =
-    Rewrite.rule7_replace schema e |> List.map (on_memo Rewrite.prune schema)
+    on_memo Rewrite.rule7_replace schema e |> List.map (on_memo Rewrite.prune schema)
   in
   let eliminated =
     List.filter (fun e' -> not (List.mem "ProfPage" (Nalg.aliases e'))) variants
@@ -389,7 +389,7 @@ let test_rule7_literal () =
   (* π[DeptPage.DName](DeptListPage ◦ DeptList → DeptPage) =
      π[DeptListPage.DeptList.DName](DeptListPage ◦ DeptList) *)
   let e = Nalg.project [ "DeptPage.DName" ] (dept_nav ()) in
-  let rewrites = Rewrite.rule7_literal schema e in
+  let rewrites = on_memo Rewrite.rule7_literal schema e in
   check bool_t "rule 7 fires" true (rewrites <> []);
   let r1 = eval e in
   List.iter
@@ -406,7 +406,7 @@ let test_rule7_literal () =
 
 let test_join_commute_preserves () =
   let e = example_71_join () in
-  match Rewrite.join_commute schema e with
+  match on_memo Rewrite.join_commute schema e with
   | e' :: _ ->
     check bool_t "commuted same answer" true
       (same_answer ~on_attrs:[ "CoursePage.CName" ] e e')

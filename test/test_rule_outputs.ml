@@ -1,0 +1,95 @@
+(* Per-rule output pins. For each pinned query of [Test_planner], every
+   plan the planner's three closures visit (join, selection and
+   projection phases, with the planner's caps, over one memo) is fed
+   to each rewrite rule on its own, and to selection sinking and
+   pruning. Per rule, the outputs of every plan — in order, each with
+   the number of its nodes not physically shared with the plan it
+   rewrote — are digested; rule_outputs.expected holds one line per
+   (query, rule): the output count, the unshared-node count and the
+   MD5. A refactoring of the rules must leave every line unchanged. On
+   a mismatch the current text is written to rule_outputs.actual
+   beside the test binary. *)
+
+open Webviews
+
+(* The plans the planner's closures visit for a query, each once, in
+   visiting order. *)
+let visited memo registry sql =
+  let q, _ = Contain.minimize_query registry (Sql_parser.parse registry sql) in
+  let seeds =
+    View.expand registry (Conjunctive.to_algebra q)
+    |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
+  in
+  let joins, _ = Planner.closure ~cap:1500 memo (Planner.join_rules ~pointer_rules:true) seeds in
+  let selections, _ = Planner.closure ~cap:400 memo Planner.selection_rules joins in
+  let sunk =
+    List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n)) selections
+  in
+  let projections, _ = Planner.closure ~cap:400 memo Planner.projection_rules sunk in
+  let seen = Memo.visit memo in
+  List.filter (Memo.first_visit seen) (joins @ selections @ projections)
+
+let rules =
+  [
+    ("rule2", Rewrite.rule2);
+    ("rule4", Rewrite.rule4);
+    ("commute", Rewrite.join_commute);
+    ("rotate", Rewrite.join_rotate);
+    ("rule8", Rewrite.rule8);
+    ("rule9", Rewrite.rule9);
+    ("rule6", Rewrite.rule6);
+    ("rule7_replace", Rewrite.rule7_replace);
+    ("sink_selections", fun m n -> [ Rewrite.sink_selections m n ]);
+    ("prune", fun m n -> [ Rewrite.prune m n ]);
+  ]
+
+(* The nodes of [e] not physically shared with a subexpression of
+   [parent]: counted top-down, stopping at shared subtrees. *)
+let unshared parent e =
+  let subs = Nalg.fold (fun acc s -> s :: acc) [] parent in
+  let rec go e =
+    if List.exists (( == ) e) subs then 0
+    else List.fold_left (fun acc k -> acc + go k) 1 (Nalg.children e)
+  in
+  go e
+
+let query_block (name, site, sql) =
+  let schema, registry, stats = Test_planner.pin_parts site in
+  let memo = Memo.create schema stats in
+  let plans = visited memo registry sql in
+  let lines =
+    List.map
+      (fun (rule, apply) ->
+        let b = Buffer.create 4096 in
+        let outputs = ref 0 and fresh = ref 0 in
+        List.iteri
+          (fun i n ->
+            List.iter
+              (fun e ->
+                let u = unshared (Memo.expr n) e in
+                incr outputs;
+                fresh := !fresh + u;
+                Printf.bprintf b "%d %d %s\n" i u (Nalg.to_string e))
+              (apply memo n))
+          plans;
+        Printf.sprintf "%s outputs %d unshared %d md5 %s" rule !outputs !fresh
+          (Digest.to_hex (Digest.string (Buffer.contents b))))
+      rules
+  in
+  String.concat "\n"
+    ((Printf.sprintf "query %s plans %d" name (List.length plans)) :: lines)
+  ^ "\n"
+
+let test_rule_outputs_pinned () =
+  let expected = In_channel.with_open_text "rule_outputs.expected" In_channel.input_all in
+  let actual = String.concat "" (List.map query_block Test_planner.pin_cases) in
+  if not (String.equal expected actual) then begin
+    Out_channel.with_open_text "rule_outputs.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    Alcotest.failf "rule outputs diverged from rule_outputs.expected"
+  end
+
+let suite =
+  ( "rule_outputs",
+    [ Alcotest.test_case "rule outputs match rule_outputs.expected" `Slow
+        test_rule_outputs_pinned ] )
