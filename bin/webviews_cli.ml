@@ -64,6 +64,15 @@ let rate_conv =
   in
   Arg.conv (parse, Fmt.float)
 
+(* A non-negative, finite amount: a rate or a budget. *)
+let amount_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x >= 0.0 -> Ok x
+    | _ -> Error (`Msg (Fmt.str "expected a non-negative finite number, got %S" s))
+  in
+  Arg.conv (parse, Fmt.float)
+
 let depts_arg =
   Arg.(value & opt (size_conv ~min:1) 3 & info [ "depts" ] ~docv:"N"
          ~doc:"Number of departments (at least 1).")
@@ -84,9 +93,10 @@ let sql_arg =
 
 let cap_arg =
   Arg.(value & opt (some (size_conv ~min:0)) None & info [ "cap" ] ~docv:"N"
-         ~doc:"Override the planner's per-phase plan-space caps (join 1500, \
-               selection/projection 400). Hitting a cap is reported as a \
-               $(b,W0401) diagnostic.")
+         ~doc:"Cap the plans each of the planner's closure phases (join, \
+               selection, projection) adds to its seeds; by default no phase \
+               is capped. Hitting the cap is reported as a $(b,W0401) \
+               diagnostic.")
 
 let views_arg =
   Arg.(value & flag & info [ "views" ]
@@ -845,7 +855,7 @@ let churn_cmd =
       ~json ~fail_on_violation loaded
   in
   let rate_arg =
-    Arg.(value & opt float 0.05 & info [ "churn-rate" ] ~docv:"RATE"
+    Arg.(value & opt amount_conv 0.05 & info [ "churn-rate" ] ~docv:"RATE"
            ~doc:"Expected site mutations per simulated clock tick (may be \
                  fractional; the generator carries the remainder \
                  deterministically).")
@@ -855,12 +865,12 @@ let churn_cmd =
            ~doc:"Seed of the mutation-traffic generator.")
   in
   let budget_arg =
-    Arg.(value & opt float 8.0 & info [ "budget" ] ~docv:"UNITS"
+    Arg.(value & opt amount_conv 8.0 & info [ "budget" ] ~docv:"UNITS"
            ~doc:"Wire budget per scheduler turn, in Function 2's cost model \
                  (HEAD = 1 unit, GET = 10).")
   in
   let max_age_arg =
-    Arg.(value & opt int 100 & info [ "max-age" ] ~docv:"TICKS"
+    Arg.(value & opt (size_conv ~min:0) 100 & info [ "max-age" ] ~docv:"TICKS"
            ~doc:"Freshness SLA: the age (site-clock ticks) beyond which a \
                  served stale entry counts as a violation.")
   in
@@ -1102,7 +1112,7 @@ let serve_cmd =
                  rows than this.")
   in
   let churn_arg =
-    Arg.(value & opt (some float) None & info [ "churn" ] ~docv:"RATE"
+    Arg.(value & opt (some amount_conv) None & info [ "churn" ] ~docv:"RATE"
            ~doc:"Serve over a live site mutating at RATE changes per tick: \
                  queries answer from an incrementally maintained store and \
                  each result carries a freshness verdict.")
@@ -1112,11 +1122,11 @@ let serve_cmd =
            ~doc:"Seed of the mutation-traffic generator (with $(b,--churn)).")
   in
   let budget_arg =
-    Arg.(value & opt float 8.0 & info [ "budget" ] ~docv:"UNITS"
+    Arg.(value & opt amount_conv 8.0 & info [ "budget" ] ~docv:"UNITS"
            ~doc:"Wire budget per turn for freshness work (with $(b,--churn)).")
   in
   let max_age_arg =
-    Arg.(value & opt int 100 & info [ "max-age" ] ~docv:"TICKS"
+    Arg.(value & opt (size_conv ~min:0) 100 & info [ "max-age" ] ~docv:"TICKS"
            ~doc:"Freshness SLA age threshold (with $(b,--churn)).")
   in
   let json_arg =

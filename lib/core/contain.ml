@@ -893,54 +893,110 @@ let serializer (t : tableau) sigs outputs =
       outs;
     Buffer.contents buf
 
-let plan_key (e : Nalg.expr) : string =
+(* A hash of what a tableau keeps under every occurrence renumbering:
+   its signatures, navigations, unnests, classes (members as their
+   occurrences' signatures and paths, with the class's constants) and
+   residuals, each set summed, and its outputs in order, each as its
+   class or its occurrence's signature and path. Isomorphic tableaux
+   hash alike. *)
+let hint (t : tableau) sigs outputs =
+  let mix h = Hashtbl.hash (h : int) in
+  let sig_hash = Array.map Hashtbl.hash sigs in
+  let term (o, p) = mix (sig_hash.(o) + Hashtbl.hash (p : string list)) in
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  let value v =
+    match v with Adm.Value.Rows _ -> Hashtbl.hash (value_str v) | v -> Hashtbl.hash v
+  in
+  let bound = function None -> 0 | Some (v, s) -> mix (value v + Bool.to_int s) in
+  let classes =
+    Array.map
+      (fun c ->
+        let constants =
+          (match c.binding with None -> 0 | Some v -> value v)
+          + (3 * bound c.lo) + (5 * bound c.hi) + (7 * sum value c.excluded)
+        in
+        mix (sum term c.members + mix constants))
+      t.classes
+  in
+  let of_term o =
+    match Hashtbl.find_opt t.cls_of o with Some c -> classes.(c) | None -> term o
+  in
+  let residual (x, cmp, y) =
+    let x = of_term x and y = of_term y and c = Hashtbl.hash cmp in
+    match cmp with
+    | Pred.Neq -> mix (x + y + c)
+    | _ -> mix ((((x * 65599) + c) * 65599) + y)
+  in
+  let parts =
+    [
+      Array.fold_left (fun acc h -> acc + mix h) 0 sig_hash;
+      sum
+        (fun (s, steps, d) ->
+          mix ((sig_hash.(s) * 65599) + Hashtbl.hash (steps : string list) + (31 * sig_hash.(d))))
+        t.navs;
+      sum term t.unnests;
+      Array.fold_left (fun acc h -> acc + mix h) 0 classes;
+      sum residual t.residuals;
+      List.fold_left (fun acc o -> (acc * 65599) + of_term o) 0 outputs;
+    ]
+  in
+  List.fold_left (fun acc h -> mix ((acc * 65599) + h)) 0 parts
+
+(* The least serialization of [t] over the renumberings that permute
+   the refined groups of its signature [groups]. *)
+let least_serialization (t : tableau) sigs groups outputs =
+  let n = Array.length t.occs in
+  (* split the groups that are not already singletons *)
+  let inv = lazy (occ_invariants t) in
+  let refined =
+    List.concat_map
+      (fun (_, is) ->
+        match is with
+        | [ _ ] -> [ is ]
+        | _ -> List.map snd (group_by (fun i -> (Lazy.force inv).(i)) is))
+      groups
+  in
+  (* each refined group takes the consecutive block of new
+     positions assigned to it, in every order *)
+  let ser = serializer t sigs outputs in
+  let pi = Array.make n 0 in
+  let best = ref None in
+  let rec assign base = function
+    | [] -> (
+      let s = ser pi in
+      match !best with
+      | Some b when String.compare b s <= 0 -> ()
+      | _ -> best := Some s)
+    | is :: rest ->
+      List.iter
+        (fun perm ->
+          List.iteri (fun k i -> pi.(i) <- base + k) perm;
+          assign (base + List.length is) rest)
+        (permutations is)
+  in
+  assign 0 refined;
+  Option.get !best
+
+let key_stages (e : Nalg.expr) : int * string Lazy.t =
+  let known k = (Hashtbl.hash k, Lazy.from_val k) in
   match of_expr e with
   | Some t when not t.unsat -> (
     match t.outputs with
-    | None -> "S:" ^ Nalg.canonical e
+    | None -> known ("S:" ^ Nalg.canonical e)
     | Some outputs ->
       let n = Array.length t.occs in
       let sigs = occ_sigs t in
       let groups = group_by (fun i -> sigs.(i)) (List.init n Fun.id) in
-      if renumberings (List.map snd groups) > perm_cap then "S:" ^ Nalg.canonical e
-      else begin
-        (* split the groups that are not already singletons *)
-        let inv = lazy (occ_invariants t) in
-        let refined =
-          List.concat_map
-            (fun (_, is) ->
-              match is with
-              | [ _ ] -> [ is ]
-              | _ -> List.map snd (group_by (fun i -> (Lazy.force inv).(i)) is))
-            groups
-        in
-        (* each refined group takes the consecutive block of new
-           positions assigned to it, in every order *)
-        let ser = serializer t sigs outputs in
-        let pi = Array.make n 0 in
-        let best = ref None in
-        let rec assign base = function
-          | [] -> (
-            let s = ser pi in
-            match !best with
-            | Some b when String.compare b s <= 0 -> ()
-            | _ -> best := Some s)
-          | is :: rest ->
-            List.iter
-              (fun perm ->
-                List.iteri (fun k i -> pi.(i) <- base + k) perm;
-                assign (base + List.length is) rest)
-              (permutations is)
-        in
-        assign 0 refined;
-        "T:" ^ Option.get !best
-      end)
+      if renumberings (List.map snd groups) > perm_cap then known ("S:" ^ Nalg.canonical e)
+      else (hint t sigs outputs, lazy ("T:" ^ least_serialization t sigs groups outputs)))
   | Some t -> (
     (* provably empty: all empty plans of one arity are equivalent *)
     match t.outputs with
-    | Some outputs -> Fmt.str "T:UNSAT:%d" (List.length outputs)
-    | None -> "S:" ^ Nalg.canonical e)
-  | None -> "S:" ^ Nalg.canonical e
+    | Some outputs -> known (Fmt.str "T:UNSAT:%d" (List.length outputs))
+    | None -> known ("S:" ^ Nalg.canonical e))
+  | None -> known ("S:" ^ Nalg.canonical e)
+
+let plan_key e = Lazy.force (snd (key_stages e))
 
 (* The items [build] reads from one node: its occurrence, navigation,
    unnest and (oriented) atom items, each encoded as one string — a

@@ -109,6 +109,14 @@ val plan_key : Nalg.expr -> string
     coarse as structural identity and never merges plans it cannot
     analyze. *)
 
+val key_stages : Nalg.expr -> int * string Lazy.t
+(** [(hint, key)]: [key] is {!plan_key}, computed when forced; [hint]
+    is a cheap hash of what the tableau keeps under every occurrence
+    renumbering (signatures, navigations, unnests, classes, residuals
+    and outputs), taken before the renumberings are enumerated. Plans
+    with equal keys have equal hints, so a plan whose hint no other
+    plan shares has a key no other plan shares. *)
+
 val items : Nalg.expr -> string list option
 (** The key items of one node (children excluded): its occurrence,
     navigation, unnest and atom items, one string each, one encoding

@@ -25,7 +25,7 @@ type node = {
           is an error; set with [ty] *)
   mutable est : Cost.estimate option;
   mutable bag : bag;  (** the key items of the subtree *)
-  mutable key : string option;
+  mutable key : (int * string Lazy.t) option;  (** hint and key *)
   mutable mark : int;  (** the last {!visit} that met the node *)
   mutable judged : bool;
 }
@@ -59,7 +59,7 @@ module Bags = Hashtbl.Make (struct
   let hash = hash_ids
 end)
 
-(* Interned bags with top projections, for sharing plan keys. *)
+(* Interned bags with top projections, for sharing hints and keys. *)
 module Keys = Hashtbl.Make (struct
   type t = int array * string list option
 
@@ -75,7 +75,7 @@ type t = {
   shapes : node Shape.t;  (** every node, by shape *)
   item_ids : (string, int) Hashtbl.t;
   bags : int array Bags.t;
-  keys : string Keys.t;
+  keys : (int * string Lazy.t) Keys.t;
   occurrences : (string * string, Typecheck.typed) Hashtbl.t;
       (** [Typecheck.occurrence] per (scheme, alias) *)
   mutable visits : int;
@@ -224,21 +224,18 @@ let intern ?hint m e =
 (* Dedup                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type visit = { stamp : int; mutable count : int }
+type visit = int
 
 let visit m =
   m.visits <- m.visits + 1;
-  { stamp = m.visits; count = 0 }
+  m.visits
 
 let first_visit v n =
-  if n.mark = v.stamp then false
+  if n.mark = v then false
   else begin
-    n.mark <- v.stamp;
-    v.count <- v.count + 1;
+    n.mark <- v;
     true
   end
-
-let visited v = v.count
 
 let first_judgment n =
   if n.judged then false
@@ -394,21 +391,26 @@ let rec top n =
   | Nalg.Project (attrs, _) -> Some attrs
   | _ -> None
 
-let key m n =
+(* The hint and the key, shared by the plans of one bag and top
+   projection when the key is not the structural fallback. *)
+let key_stages m n =
   match n.key with
   | Some k -> k
   | None ->
     let k =
       match bag m n with
-      | Unknown | No_items -> Contain.plan_key n.expr
+      | Unknown | No_items -> Contain.key_stages n.expr
       | Bag ids -> (
         let shape = (ids, top n) in
         match Keys.find_opt m.keys shape with
         | Some k -> k
         | None ->
-          let k = Contain.plan_key n.expr in
-          if String.starts_with ~prefix:"T:" k then Keys.add m.keys shape k;
+          let k = Contain.key_stages n.expr in
+          if not (Lazy.is_val (snd k) && String.starts_with ~prefix:"S:" (Lazy.force (snd k)))
+          then Keys.add m.keys shape k;
           k)
     in
     n.key <- Some k;
     k
+
+let key m n = Lazy.force (snd (key_stages m n))

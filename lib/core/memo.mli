@@ -14,8 +14,9 @@
       {!Nalg.available_links};
     - {!infer} — {!Typecheck.infer}, with the views' environments;
     - {!estimate} — [Cost.estimate schema stats e e];
-    - {!key} — {!Contain.plan_key}, shared by the plans with one
-      multiset of key items ({!Contain.items}) and one top projection.
+    - {!key} and {!key_stages} — {!Contain.key_stages}, shared by the
+      plans with one multiset of key items ({!Contain.items}) and one
+      top projection.
 
     Each returns exactly what its context-free function returns on
     the node's expression; {!estimate} does so for plans with unique
@@ -91,7 +92,6 @@ val visit : t -> visit
 val first_visit : visit -> node -> bool
 (** Adds the node; [true] when it was not in the set yet. *)
 
-val visited : visit -> int
 val first_judgment : node -> bool
 (** [true] the first time it is asked for a node. *)
 
@@ -109,3 +109,9 @@ val has_errors : t -> node -> bool
 
 val estimate : t -> node -> Cost.estimate
 val key : t -> node -> string
+
+val key_stages : t -> node -> int * string Lazy.t
+(** {!Contain.key_stages} of the node's plan: equal {!key}s imply
+    equal hints. The plans of one multiset of key items and top
+    projection share one key, physically, unless it is the structural
+    fallback (["S:"]); it is computed when first forced. *)

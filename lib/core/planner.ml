@@ -5,7 +5,8 @@
    2. replace each external relation with its default navigations in
       all possible ways (rule 1);
    3. eliminate repeated navigations (rule 4);
-   4. push and prune joins (rules 8 and 9);
+   4. push and prune joins (rules 8 and 9), then keep the cheapest
+      plan of each equivalence class;
    5. push selections (rule 6 + commutation);
    6/7. push projections and eliminate unnecessary navigations
       (rules 7, 3, 5 — the [prune] pass);
@@ -40,8 +41,8 @@ type outcome = {
   candidates : plan list; (* all candidates, sorted by cost *)
   explored : int;
   merged : int;
-      (* candidates dropped because an equivalent (cheaper) plan kept
-         their Contain.plan_key *)
+      (* view-scan and binding-pattern candidates dropped because an
+         equivalent (cheaper) plan kept their Contain.plan_key *)
   select : string list; (* the query's output attributes, in order *)
   view_used : substitution list;
       (* view substitutions of the best plan, one per External leaf;
@@ -78,26 +79,28 @@ let selection_rules = [ Rewrite.rule6 ]
 let projection_rules = [ Rewrite.rule7_replace ]
 
 (* Closure of a set of plans under one-step rewritings, deduplicated
-   by their memo nodes (structural identity), with a safety cap.
-   Returns the plans plus whether the cap truncated the exploration
-   (work left in the queue when the loop stopped). Each rule output is
-   interned against the plan it rewrote, so only its rebuilt nodes
-   are visited. [on_rewrite] fires on every rule application, before
-   deduplication — the planner hooks the rewrite-soundness check
-   here. *)
-let closure ?(cap = 400) ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
+   by their memo nodes (structural identity). Returns the plans plus
+   whether [cap], a safety valve on the plans the closure adds to its
+   seeds, truncated the exploration (work left in the queue when the
+   loop stopped). Each rule output is interned against the plan it
+   rewrote, so only its rebuilt nodes are visited. [on_rewrite] fires
+   on every rule application, before deduplication — the planner
+   hooks the rewrite-soundness check here. *)
+let closure ?(cap = max_int) ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
     (rules : Rewrite.rule list) (seeds : Memo.node list) =
   let seen = Memo.visit memo in
-  let out = ref [] in
+  let out = ref [] and found = ref 0 in
   let queue = Queue.create () in
   let add n =
     if Memo.first_visit seen n then begin
       out := n :: !out;
-      Queue.add n queue
+      Queue.add n queue;
+      true
     end
+    else false
   in
-  List.iter add seeds;
-  while (not (Queue.is_empty queue)) && Memo.visited seen < cap do
+  List.iter (fun n -> ignore (add n)) seeds;
+  while (not (Queue.is_empty queue)) && !found < cap do
     let n = Queue.pop queue in
     List.iter
       (fun rule ->
@@ -105,11 +108,55 @@ let closure ?(cap = 400) ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
           (fun e' ->
             let n' = Memo.intern ~hint:n memo e' in
             on_rewrite ~parent:n ~child:n';
-            add n')
+            if add n' then incr found)
           (rule memo n))
       rules
   done;
   (List.rev !out, not (Queue.is_empty queue))
+
+(* Each plan's equivalence class ({!Memo.key}) among [plans]. Plans
+   with different key hints are in different classes, and the plans of
+   a hint that share one key physically are in one: the class is named
+   by its hint then, and by its key only where a hint holds plans of
+   more than one multiset of key items, so that is where keys are
+   computed. *)
+let class_ids memo plans =
+  let hints = Hashtbl.create 64 in
+  List.iter
+    (fun n ->
+      let h, k = Memo.key_stages memo n in
+      match Hashtbl.find_opt hints h with
+      | None -> Hashtbl.add hints h (k, true)
+      | Some (k', shared) -> if shared && k != k' then Hashtbl.replace hints h (k', false))
+    plans;
+  List.map
+    (fun n ->
+      let h, k = Memo.key_stages memo n in
+      if snd (Hashtbl.find hints h) then Either.Left h else Either.Right (Lazy.force k))
+    plans
+
+(* One plan per equivalence class of [plans], classes in the order
+   their first member comes: the cheapest member by {!Memo.estimate},
+   the first one on a tie; a well-typed member before an ill-typed
+   one, so a class keeps an ill-typed representative only when it has
+   no other. *)
+let classes memo plans =
+  let best = Hashtbl.create 64 in
+  let firsts = ref [] in
+  let better n m =
+    match Memo.has_errors memo n, Memo.has_errors memo m with
+    | false, false -> (Memo.estimate memo n).Cost.cost < (Memo.estimate memo m).Cost.cost
+    | e, e' -> e' && not e
+  in
+  List.iter2
+    (fun n c ->
+      match Hashtbl.find_opt best c with
+      | None ->
+        Hashtbl.add best c n;
+        firsts := c :: !firsts
+      | Some m -> if better n m then Hashtbl.replace best c n)
+    plans (class_ids memo plans);
+  List.rev_map (Hashtbl.find best) !firsts
 
 (* Apply a deterministic rule to fixpoint (first rewrite each round). *)
 let fixpoint ?(max_rounds = 50) memo (rule : Rewrite.rule) n =
@@ -170,10 +217,8 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     (stats : Stats.t) (registry : View.registry) (q : Conjunctive.t) : outcome =
   (* [pointer_rules] and [constraint_selections] exist for ablation
      studies: without rules 8/9 (resp. rule 6) the planner falls back
-     to the constraint-blind plans. [cap], when given, overrides the
-     per-phase plan-space caps (join 1500, selection/projection 400). *)
-  let join_cap = Option.value cap ~default:1500 in
-  let other_cap = Option.value cap ~default:400 in
+     to the constraint-blind plans. [cap], when given, bounds the
+     plans each closure phase adds to its seeds. *)
   let diagnostics = ref [] in
   let diag d = diagnostics := d :: !diagnostics in
   (* View access paths: the economics snapshot prices materialized
@@ -198,14 +243,14 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
       List.iter diag
         (Typecheck.judge ~parent:(Memo.infer memo parent) ~child:(Memo.infer memo child))
   in
-  let closure_phase ~phase ~cap rules seeds =
-    let plans, capped = closure ~cap ~on_rewrite memo rules seeds in
+  let closure_phase ~phase rules seeds =
+    let plans, capped = closure ?cap ~on_rewrite memo rules seeds in
     if capped then
       diag
         (Diagnostic.warning ~code:"W0401"
            "plan-space cap %d hit during the %s phase; enumeration truncated \
             (raise --cap to explore further)"
-           cap phase);
+           (Option.get cap) phase);
     plans
   in
   (* Semantic minimization first (Contain): fold FROM occurrences
@@ -259,14 +304,15 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     List.map (fun e -> fixpoint memo Rewrite.rule4 (Memo.intern memo e)) expanded
   in
   (* Step 4: closure under join reordering and rules 4, 8, 9 (and 2) *)
-  let with_joins =
-    closure_phase ~phase:"join" ~cap:join_cap (join_rules ~pointer_rules) merged
-  in
+  let with_joins = closure_phase ~phase:"join" (join_rules ~pointer_rules) merged in
+  (* Algorithm 1 keeps the cheapest of equivalent plans: the later
+     phases start from one plan per equivalence class *)
+  let representatives = classes memo with_joins in
   (* Step 5: closure under rule 6, then sink selections *)
   let with_selections =
     (if constraint_selections then
-       closure_phase ~phase:"selection" ~cap:other_cap selection_rules with_joins
-     else with_joins)
+       closure_phase ~phase:"selection" selection_rules representatives
+     else representatives)
     |> List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n))
   in
   (* Steps 6/7: move projected attributes to the source side of link
@@ -275,7 +321,7 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
      values *)
   let with_projections =
     (if constraint_selections then
-       closure_phase ~phase:"projection" ~cap:other_cap projection_rules with_selections
+       closure_phase ~phase:"projection" projection_rules with_selections
      else with_selections)
     |> List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.prune memo n))
   in
@@ -290,16 +336,13 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let binding_plans =
     match bindings with None -> [] | Some f -> f q_plan
   in
-  let pruned =
-    with_projections @ List.map (Memo.intern memo) (view_plans @ binding_plans)
-  in
-  (* dedup once more; typecheck gate; estimate; sort. Computability is
-     relaxed to access paths: a plan may keep External leaves when
-     every one names a view the economics snapshot prices (the
-     executor answers those from the store). *)
+  (* dedup once more; typecheck gate. Computability is relaxed to
+     access paths: a plan may keep External leaves when every one
+     names a view the economics snapshot prices (the executor answers
+     those from the store). *)
   let seen = Memo.visit memo in
-  let costed =
-    List.filter (Memo.first_visit seen) pruned
+  let gate plans =
+    List.filter (Memo.first_visit seen) plans
     |> List.filter (fun n ->
            List.for_all (fun (name, _) -> known name) (Nalg.externals (Memo.expr n)))
     |> List.filter (fun n ->
@@ -310,31 +353,27 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
              false
            end
            else true)
-    |> List.map (fun n ->
-           let est = Memo.estimate memo n in
-           (n, { expr = Memo.expr n; cost = est.Cost.cost; card = est.Cost.card }))
-    |> List.stable_sort (fun (_, p1) (_, p2) -> Float.compare p1.cost p2.cost)
   in
+  let navigations = gate with_projections in
   (* Semantic dedup: plans whose tableaux are isomorphic
      (Contain.plan_key) are the same query written differently — keep
-     one representative per key. Running after the cost sort keeps the
-     cheapest representative, so the chosen plan is exactly what it
-     would have been without deduplication. *)
-  let keyed = Hashtbl.create 64 in
-  let merged = ref 0 in
+     the cheapest of each class. The navigation plans entered the
+     later phases one per class already and are not keyed again; the
+     view scans and binding-pattern plans bypassed the phases; sorting
+     them first keeps cost ties in the order a dedup after the cost
+     sort would. *)
+  let by_cost = List.stable_sort (fun n1 n2 ->
+      Float.compare (Memo.estimate memo n1).Cost.cost (Memo.estimate memo n2).Cost.cost)
+  in
+  let bypassing = List.map (Memo.intern memo) (view_plans @ binding_plans) in
+  let gated = by_cost (gate bypassing) in
+  let kept = classes memo gated in
   let candidates =
-    List.filter_map
-      (fun (n, p) ->
-        let k = Memo.key memo n in
-        if Hashtbl.mem keyed k then begin
-          incr merged;
-          None
-        end
-        else begin
-          Hashtbl.replace keyed k ();
-          Some p
-        end)
-      costed
+    List.map
+      (fun n ->
+        let est = Memo.estimate memo n in
+        { expr = Memo.expr n; cost = est.Cost.cost; card = est.Cost.card })
+      (by_cost (navigations @ kept))
   in
   match candidates with
   | [] -> invalid_arg "Planner.enumerate: no computable plan"
@@ -351,8 +390,8 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     {
       best;
       candidates;
-      explored = List.length pruned;
-      merged = !merged;
+      explored = List.length with_projections + List.length bypassing;
+      merged = List.length gated - List.length kept;
       select = q.Conjunctive.select;
       view_used;
       diagnostics = List.rev !diagnostics;

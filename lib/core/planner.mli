@@ -2,9 +2,9 @@
     conjunctive query to algebra over external relations, expand
     default navigations (rule 1), eliminate repeated navigations
     (rule 4), push and prune joins (rules 8/9 with join reordering),
-    push selections (rule 6 + commutation) and projections (rules
-    3/5/7 via pruning), then cost every candidate and keep the
-    cheapest.
+    keep the cheapest plan of each equivalence class, push selections
+    (rule 6 + commutation) and projections (rules 3/5/7 via pruning),
+    then cost every candidate and keep the cheapest.
 
     Every stage of one {!enumerate} call works on the nodes of one
     interned plan memo ({!Memo}): each distinct subtree is hashed
@@ -46,10 +46,15 @@ type outcome = {
   best : plan;
   candidates : plan list;  (** all candidates, sorted by cost *)
   explored : int;
+      (** the plans that reached the costing stage: the navigation
+          plans the selection and projection phases produced from one
+          plan per equivalence class, plus the view-scan and
+          binding-pattern plans *)
   merged : int;
-      (** candidates dropped by semantic deduplication — an
-          equivalent plan (same {!Contain.plan_key}) with lower cost
-          was kept, so the chosen plan is unaffected *)
+      (** view-scan and binding-pattern plans dropped by semantic
+          deduplication — an equivalent plan (same
+          {!Contain.plan_key}) with lower cost was kept, so the chosen
+          plan is unaffected *)
   select : string list;  (** the query's output attributes, in order *)
   view_used : substitution list;
       (** view substitutions of the best plan; empty when the cost
@@ -73,9 +78,10 @@ val rename_output : outcome -> Adm.Relation.t -> Adm.Relation.t
     commutation, rotation, then with [pointer_rules] rules 8/9 and 2),
     selection (rule 6, then {!Rewrite.sink_selections} on each plan)
     and projection ({!Rewrite.rule7_replace}, then {!Rewrite.prune}).
-    A closure applies them in list order, and each rule yields its
-    outputs in pre-order, so the exploration order and the cap points
-    are fixed. *)
+    Between the join and the selection phase, {!classes} keeps one
+    plan per equivalence class. A closure applies the rules in list
+    order, and each rule yields its outputs in pre-order, so the
+    exploration order and the cap points are fixed. *)
 
 val join_rules : pointer_rules:bool -> Rewrite.rule list
 val selection_rules : Rewrite.rule list
@@ -89,11 +95,20 @@ val closure :
   Memo.node list ->
   Memo.node list * bool
 (** Closure of a seed set under one-step rewritings, deduplicated by
-    memo node (structural identity, {!Nalg.equal}), with a safety cap
-    on the plans of this closure. Each rule output is interned against
-    the plan it rewrote. The boolean is [true] when the cap truncated
-    the exploration (work was still queued). [on_rewrite] fires on
-    every rule application, before deduplication. *)
+    memo node (structural identity, {!Nalg.equal}). [cap], a safety
+    valve with no default, bounds the plans the closure adds to its
+    seeds; the boolean is [true] when it truncated the exploration
+    (work was still queued). Each rule output is interned against the
+    plan it rewrote. [on_rewrite] fires on every rule application,
+    before deduplication. *)
+
+val classes : Memo.t -> Memo.node list -> Memo.node list
+(** One plan per equivalence class ({!Memo.key}) of the plans, classes
+    in the order their first member comes: the member with the least
+    {!Memo.estimate} cost, the first one on a tie, and a well-typed
+    member before an ill-typed one. Keys are computed only where two
+    plans of different multisets of key items share a
+    {!Memo.key_stages} hint. *)
 
 val fixpoint : ?max_rounds:int -> Memo.t -> Rewrite.rule -> Memo.node -> Memo.node
 (** The rule applied to its fixpoint, taking its first output each
@@ -115,17 +130,23 @@ val enumerate :
     for ablation studies. [minimize] (default true) runs
     {!Contain.minimize_query} on the input first (its [E0601] /
     [W0602] findings land in the outcome diagnostics; the original
-    SELECT names are kept for {!rename_output}). [cap] overrides the
-    per-phase plan-space caps (join 1500, selection / projection 400);
-    hitting a cap is reported as a [W0401] diagnostic in the outcome.
-    Every rewrite step is checked by {!Typecheck.judge}; ill-typed
-    candidates are rejected before costing, and plans equivalent under
-    {!Contain.plan_key} are deduplicated after the cost sort
-    ([merged]). [views] opens registered-view access paths: each
-    query occurrence may also resolve to a scan of a materialized view
-    that subsumes it, the scan priced by the light-connection
-    economics of [vc_econ] against pure navigation — a fresh view
-    wins, a stale view over churny schemes loses. A chosen view plan
+    SELECT names are kept for {!rename_output}). No closure phase is
+    capped unless [cap] is given: a safety valve bounding the plans
+    each closure phase adds to its seeds, hitting it is reported as a
+    [W0401] diagnostic in the outcome. The join phase's plans are
+    grouped by {!Contain.plan_key}, and only the member of each class
+    that is cheapest after the join phase goes on to the selection and
+    projection phases ({!classes}); a class's other members are not
+    rewritten further, even where their selection or projection
+    rewrites would cost less. Every rewrite step is checked by {!Typecheck.judge};
+    ill-typed candidates are rejected before costing, and view-scan
+    and binding-pattern plans equivalent under {!Contain.plan_key} are
+    deduplicated after the cost sort ([merged]). [views] opens
+    registered-view access paths: each query occurrence may also
+    resolve to a scan of a materialized view that subsumes it, the
+    scan priced by the light-connection economics of [vc_econ]
+    against pure navigation — a fresh view wins, a stale view over
+    churny schemes loses. A chosen view plan
     is recorded in [view_used] and flagged [W0605]. [bindings] supplies
     binding-pattern rewriting candidates (chains of [Call] operators
     over parameterized entry points, typically

@@ -68,7 +68,13 @@ let test_unbuildable_site_sizes () =
     @ [
         ("run", "--window", "-3"); ("run", "--retries", "-1"); ("run", "--limit", "-1");
         ("plan", "--cap", "-5"); ("plan", "--candidates", "-1"); ("run", "--faults", "2.0");
-      ])
+        ("churn", "--churn-rate", "nan"); ("churn", "--churn-rate", "-1");
+        ("churn", "--churn-rate", "inf"); ("serve", "--churn", "nan"); ("serve", "--churn", "-2");
+      ]
+    @ List.concat_map
+        (fun cmd ->
+          [ (cmd, "--budget", "-5"); (cmd, "--budget", "nan"); (cmd, "--max-age", "-3") ])
+        [ "serve"; "churn" ])
 
 (* An integer literal beyond the native int range is a syntax error
    (E0308, exit 2) wherever a query enters: LIMIT, a comparison, and a

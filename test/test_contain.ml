@@ -679,6 +679,20 @@ let prop_plan_key_matches_reference =
         (List.map Contain.plan_key plans)
         (List.map reference_key plans))
 
+(* Plans with one key have one hint, so classes told apart by their
+   hints are never one class. *)
+let prop_hint_follows_key =
+  QCheck.Test.make ~name:"plans with equal keys have equal key hints" ~count:24
+    (QCheck.make ~print:Fun.id join_family_gen)
+    (fun sql ->
+      let stages = List.map Contain.key_stages (closure_plans sql) in
+      List.for_all
+        (fun (h1, k1) ->
+          List.for_all
+            (fun (h2, k2) -> h1 = h2 || not (String.equal (Lazy.force k1) (Lazy.force k2)))
+            stages)
+        stages)
+
 (* Renaming every alias (to names that sort the other way round)
    leaves the key unchanged. *)
 let prop_plan_key_alias_invariant =
@@ -739,6 +753,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_contains_transitive;
       QCheck_alcotest.to_alcotest prop_restriction_contained;
       QCheck_alcotest.to_alcotest prop_plan_key_matches_reference;
+      QCheck_alcotest.to_alcotest prop_hint_follows_key;
       QCheck_alcotest.to_alcotest prop_plan_key_alias_invariant;
       Alcotest.test_case "seeded university minimize-equivalence (7/21/42)"
         `Slow test_seeded_university;

@@ -1,6 +1,7 @@
 (* Per-rule output pins. For each pinned query of [Test_planner], every
    plan the planner's three closures visit (join, selection and
-   projection phases, with the planner's caps, over one memo) is fed
+   projection phases, the latter two from one plan per class of the
+   join phase's, over one memo) is fed
    to each rewrite rule on its own, and to selection sinking and
    pruning. Per rule, the outputs of every plan — in order, each with
    the number of its nodes not physically shared with the plan it
@@ -15,17 +16,10 @@ open Webviews
 (* The plans the planner's closures visit for a query, each once, in
    visiting order. *)
 let visited memo registry sql =
-  let q, _ = Contain.minimize_query registry (Sql_parser.parse registry sql) in
-  let seeds =
-    View.expand registry (Conjunctive.to_algebra q)
-    |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
+  let joins = Test_planner.join_phase memo registry sql in
+  let selections, _, projections =
+    Test_planner.later_phases memo (Planner.classes memo joins)
   in
-  let joins, _ = Planner.closure ~cap:1500 memo (Planner.join_rules ~pointer_rules:true) seeds in
-  let selections, _ = Planner.closure ~cap:400 memo Planner.selection_rules joins in
-  let sunk =
-    List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n)) selections
-  in
-  let projections, _ = Planner.closure ~cap:400 memo Planner.projection_rules sunk in
   let seen = Memo.visit memo in
   List.filter (Memo.first_visit seen) (joins @ selections @ projections)
 
