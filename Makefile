@@ -3,6 +3,10 @@
 build:
 	dune build @all
 
+# Every suite and every golden file: each pinned output (the paper's
+# experiments, the examples, the scale crawl, the churn/fetch/exec/views
+# bench JSONs, the planner and executor pins) is a dune `diff` rule in
+# test/dune. Accept a deliberate change with `dune promote`.
 test:
 	dune runtest
 
@@ -65,8 +69,8 @@ bench-kernel:
 # Fetch-engine benchmark: the two literal plans of example 7.2 through
 # the resilient fetch engine over a simulated network — batched-window
 # speedup and exactness under a 10% transient failure rate. Writes
-# BENCH_fetch.json in the current directory; commit it so the
-# trajectory is tracked across PRs.
+# BENCH_fetch.json in the current directory; `dune runtest` diffs a
+# fresh run against the committed file.
 bench-fetch:
 	dune exec bench/main.exe -- fetch
 
@@ -74,8 +78,8 @@ bench-fetch:
 # pointer-chase pair through the streaming physical plans versus the
 # legacy materializing evaluator — page-access identity, peak resident
 # rows, and the LIMIT 1 early-exit saving. Writes BENCH_exec.json in
-# the current directory; commit it so the trajectory is tracked across
-# PRs.
+# the current directory; `dune runtest` diffs a fresh run against the
+# committed file.
 bench-exec:
 	dune exec bench/main.exe -- exec
 
@@ -107,8 +111,8 @@ bench-analyze:
 # mean/95p answer staleness at churn {0, low, high}, incremental
 # maintenance vs the full-refresh baseline, determinism and
 # domain-count-invariance). Writes BENCH_churn.json in the current
-# directory; commit it so the trajectory is tracked across PRs.
-# Exits nonzero if incremental is not strictly fresher at every fixed
+# directory; `dune runtest` diffs a fresh run against the committed
+# file. Exits nonzero if incremental is not strictly fresher at every fixed
 # nonzero-churn budget.
 bench-churn:
 	dune exec bench/main.exe -- churn
@@ -118,10 +122,11 @@ bench-churn:
 # economics (HEAD=1 vs GET=10) on the three sites with byte-identity
 # checks, the stale-view rejection case, and planning time vs registry
 # size 10/100/500 with filter-tree vs naive view-match check counts.
-# Writes BENCH_views.json in the current directory; commit it so the
-# trajectory is tracked across PRs. Exits nonzero if no view win
-# exists, results diverge, a stale view is chosen, or planning at 500
-# views exceeds 2x the 10-view time.
+# Writes the counters to BENCH_views.json, which `dune runtest` diffs
+# against the committed file, and the wall times (plan ms per registry
+# size, the 500/10 ratio) to BENCH_views_timing.json. Exits nonzero if
+# no view win exists, results diverge, a stale view is chosen, or
+# planning at 500 views exceeds 2x the 10-view time.
 bench-views:
 	dune exec bench/main.exe -- views
 
@@ -138,8 +143,9 @@ bench-bindings:
 
 bench-all: bench-kernel bench-fetch bench-exec bench-server bench-analyze bench-churn bench-views bench-bindings
 
-# The CI entry point: ./ci.sh (strict gate + full test suite under the
-# ci dune profile).
+# The CI entry point: ./ci.sh (strict gate + full test suite, golden
+# files included, under the ci dune profile, then the smoke runs at
+# scale, their invariants and the views bench's wall-clock bound).
 ci:
 	./ci.sh
 

@@ -134,81 +134,42 @@ let exp2 () =
        report);
   Fmt.pr "@.paper claim: C(1d) <= C(2d) — the pointer-join plan (Figure 3 left)@.";
   Fmt.pr "never loses; equality only if all Fall courses are taught by full@.";
-  Fmt.pr "professors. Sweep over the full-professor fraction:@.@.";
-  let rows =
+  Fmt.pr "professors. Sweep over the full-professor fraction, the paper's two@.";
+  Fmt.pr "literal plans (Figure 3):@.@.";
+  let sites =
     List.map
       (fun frac ->
-        let config = { Sitegen.University.default_config with full_fraction = frac } in
-        let report = strategy_report (university config) sql_71 in
+        (frac, university { Sitegen.University.default_config with full_fraction = frac }))
+      [ 0.1; 1.0 /. 3.0; 0.66; 1.0 ]
+  in
+  let literal (site : Sites.t) plan =
+    let _, gets, _ = measure_plan site.schema site.site plan in
+    Fmt.str "%s / %d" (f1 (Cost.cost site.schema (Sites.stats site) plan)) gets
+  in
+  print_table
+    [ "full fraction"; "(1d) join: cost / pages"; "(2d) chase: cost / pages" ]
+    (List.map
+       (fun (frac, site) ->
+         [
+           Fmt.str "%.2f" frac;
+           literal site (Sitegen.University.fig3_pointer_join ());
+           literal site (Sitegen.University.fig3_pointer_chase ());
+         ])
+       sites);
+  Fmt.pr "@.the optimizer's best plan per strategy class over the same sweep:@.@.";
+  let rows =
+    List.map
+      (fun (frac, site) ->
+        let report = strategy_report site sql_71 in
         let cell s =
           match List.find_opt (fun (s', _, _, _) -> s' = s) report with
           | Some (_, p, gets, _) -> Fmt.str "%s / %d" (f1 p.Planner.cost) gets
           | None -> "-"
         in
         [ Fmt.str "%.2f" frac; cell Explain.Pointer_join; cell Explain.Pointer_chase ])
-      [ 0.1; 1.0 /. 3.0; 0.66; 1.0 ]
+      sites
   in
   print_table [ "full fraction"; "join: cost / pages"; "chase: cost / pages" ] rows
-
-(* The paper's two literal plans for Example 7.2 (Figure 4).
-
-   Plan (1), pointer-join: intersect the CS department's professor
-   pointers with the instructor pointers of all graduate courses
-   (which requires downloading every session and course page), then
-   navigate the resulting professor pointers.
-
-   Plan (2), pointer-chase: navigate from the CS department page to
-   its professors, then to their courses, and select graduate ones. *)
-
-let literal_join_plan_72 () =
-  let cs_prof_pointers =
-    Nalg.unnest
-      (Nalg.follow
-         (Nalg.select
-            [ Pred.eq_const "DeptListPage.DeptList.DName"
-                (Adm.Value.text "Computer Science") ]
-            (Nalg.unnest (Nalg.entry "DeptListPage") "DeptListPage.DeptList"))
-         "DeptListPage.DeptList.ToDept" ~scheme:"DeptPage")
-      "DeptPage.ProfList"
-  in
-  let grad_instructor_pointers =
-    Nalg.select
-      [ Pred.eq_const "CoursePage.Type" (Adm.Value.text "Graduate") ]
-      (Nalg.follow
-         (Nalg.unnest
-            (Nalg.follow
-               (Nalg.unnest (Nalg.entry "SessionListPage") "SessionListPage.SesList")
-               "SessionListPage.SesList.ToSes" ~scheme:"SessionPage")
-            "SessionPage.CourseList")
-         "SessionPage.CourseList.ToCourse" ~scheme:"CoursePage")
-  in
-  Nalg.project
-    [ "ProfPage.PName"; "ProfPage.Email" ]
-    (Nalg.follow
-       (Nalg.join
-          [ ("DeptPage.ProfList.ToProf", "CoursePage.ToProf") ]
-          cs_prof_pointers grad_instructor_pointers)
-       "DeptPage.ProfList.ToProf" ~scheme:"ProfPage")
-
-let literal_chase_plan_72 () =
-  Nalg.project
-    [ "ProfPage.PName"; "ProfPage.Email" ]
-    (Nalg.select
-       [ Pred.eq_const "CoursePage.Type" (Adm.Value.text "Graduate") ]
-       (Nalg.follow
-          (Nalg.unnest
-             (Nalg.follow
-                (Nalg.unnest
-                   (Nalg.follow
-                      (Nalg.select
-                         [ Pred.eq_const "DeptListPage.DeptList.DName"
-                             (Adm.Value.text "Computer Science") ]
-                         (Nalg.unnest (Nalg.entry "DeptListPage") "DeptListPage.DeptList"))
-                      "DeptListPage.DeptList.ToDept" ~scheme:"DeptPage")
-                   "DeptPage.ProfList")
-                "DeptPage.ProfList.ToProf" ~scheme:"ProfPage")
-             "ProfPage.CourseList")
-          "ProfPage.CourseList.ToCourse" ~scheme:"CoursePage"))
 
 (* Measure the two literal plans on a configured site; answers differ
    in shape (plan 2 keeps one row per course) so we compare the
@@ -222,8 +183,8 @@ let literal_plans_report (site : Sites.t) =
       in
       (name, Cost.cost site.schema (Sites.stats site) plan, gets, profs))
     [
-      ("plan (1) pointer-join", literal_join_plan_72 ());
-      ("plan (2) pointer-chase", literal_chase_plan_72 ());
+      ("plan (1) pointer-join", Sitegen.University.fig4_pointer_join ());
+      ("plan (2) pointer-chase", Sitegen.University.fig4_pointer_chase ());
     ]
 
 let exp3 () =
@@ -542,31 +503,28 @@ let exp10 () =
         in
         let site = university config in
         let schema = site.schema and stats = Sites.stats site in
-        let t0 = Unix.gettimeofday () in
         let outcome = Planner.plan_sql schema stats site.registry sql_72 in
-        let plan_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
         let best = outcome.Planner.best in
-        let t1 = Unix.gettimeofday () in
         let result, gets, _ = measure_plan schema site.site best.Planner.expr in
-        let exec_ms = (Unix.gettimeofday () -. t1) *. 1000.0 in
         [
           Fmt.str "%dx (%d pages)" scale (Websim.Site.page_count site.site);
           Explain.strategy_name (Explain.strategy best.Planner.expr);
           f1 best.Planner.cost;
           string_of_int gets;
           string_of_int (Adm.Relation.cardinality result);
-          Fmt.str "%.0f" plan_ms;
-          Fmt.str "%.0f" exec_ms;
+          string_of_int outcome.Planner.explored;
+          string_of_int (List.length outcome.Planner.candidates);
         ])
       [ 1; 2; 5; 10 ]
   in
   print_table
-    [ "scale"; "winning strategy"; "predicted"; "measured"; "rows"; "plan ms"; "exec ms" ]
+    [ "scale"; "winning strategy"; "predicted"; "measured"; "rows"; "explored"; "candidates" ]
     rows;
   Fmt.pr "@.the chase keeps winning at every scale (its cost grows with the CS@.";
   Fmt.pr "department, not with the site), and the measured pages track the@.";
-  Fmt.pr "predictions; planning time is independent of site size (it depends@.";
-  Fmt.pr "only on the query and the scheme).@."
+  Fmt.pr "predictions; the plan space is independent of site size (it depends@.";
+  Fmt.pr "only on the query and the scheme), and so is planning time (compare@.";
+  Fmt.pr "the exp3 and exp10 plan-enumeration rows of `main.exe timings`).@."
 
 (* ------------------------------------------------------------------ *)
 (* Kernel microbenchmarks: the in-memory relational engine             *)
@@ -713,8 +671,8 @@ let fetch () =
   let { Sites.schema; site; _ } = Sites.load University in
   let plans =
     [
-      ("pointer-join", literal_join_plan_72 ());
-      ("pointer-chase", literal_chase_plan_72 ());
+      ("pointer-join", Sitegen.University.fig4_pointer_join ());
+      ("pointer-chase", Sitegen.University.fig4_pointer_chase ());
     ]
   in
   let scenarios =
@@ -831,8 +789,8 @@ let exec_bench () =
   in
   let plans =
     [
-      ("pointer-join", literal_join_plan_72 ());
-      ("pointer-chase", literal_chase_plan_72 ());
+      ("pointer-join", Sitegen.University.fig4_pointer_join ());
+      ("pointer-chase", Sitegen.University.fig4_pointer_chase ());
     ]
   in
   let records =
@@ -875,7 +833,7 @@ let exec_bench () =
     (university { Sitegen.University.default_config with n_profs = 60; n_courses = 150 })
       .site
   in
-  let chase = literal_chase_plan_72 () in
+  let chase = Sitegen.University.fig4_pointer_chase () in
   let full_gets =
     let _, gets, _ = measure_plan schema big_site chase in
     gets
@@ -1473,6 +1431,11 @@ let timings () =
       .Websim.Site.body
   in
   let prof_scheme = Adm.Schema.find_scheme_exn schema "ProfPage" in
+  (* EXP-10's largest site: planning time does not depend on site size *)
+  let site10 =
+    university { Sitegen.University.default_config with n_profs = 200; n_courses = 500 }
+  in
+  let stats10 = Sites.stats site10 in
   let tests =
     [
       Test.make ~name:"exp1: four-path eval (bibliography)"
@@ -1484,6 +1447,9 @@ let timings () =
         (Staged.stage (fun () -> ignore (Planner.plan_sql schema stats registry sql_71)));
       Test.make ~name:"exp3: plan enumeration (example 7.2)"
         (Staged.stage (fun () -> ignore (Planner.plan_sql schema stats registry sql_72)));
+      Test.make ~name:"exp10: plan enumeration (x10 site)"
+        (Staged.stage (fun () ->
+             ignore (Planner.plan_sql site10.schema stats10 site10.registry sql_72)));
       Test.make ~name:"exp4: plan enumeration (figure 2)"
         (Staged.stage (fun () -> ignore (Planner.plan_sql schema stats registry sql_fig2)));
       Test.make ~name:"best-plan execution (example 7.1)"
@@ -1931,19 +1897,28 @@ let views_bench () =
     wire;
   Printf.fprintf oc
     "  ],\n  \"stale_view_rejected\": %b,\n  \"planning\": [\n" stale_rejected;
+  let last i = if i = List.length plan_scale - 1 then "" else "," in
   List.iteri
-    (fun i (n, t, tc, nc) ->
+    (fun i (n, _, tc, nc) ->
       Printf.fprintf oc
-        "    { \"views\": %d, \"plan_ms\": %.2f, \"tree_checks\": %d, \
-         \"naive_checks\": %d }%s\n"
-        n t tc nc
-        (if i = List.length plan_scale - 1 then "" else ","))
+        "    { \"views\": %d, \"tree_checks\": %d, \"naive_checks\": %d }%s\n" n tc nc
+        (last i))
+    plan_scale;
+  Printf.fprintf oc "  ]\n}\n";
+  close_out oc;
+  (* the wall times go apart, so BENCH_views.json reproduces byte for
+     byte *)
+  let oc = open_out "BENCH_views_timing.json" in
+  Printf.fprintf oc "{\n  \"suite\": \"views\",\n  \"planning\": [\n";
+  List.iteri
+    (fun i (n, t, _, _) ->
+      Printf.fprintf oc "    { \"views\": %d, \"plan_ms\": %.2f }%s\n" n t (last i))
     plan_scale;
   Printf.fprintf oc
     "  ],\n  \"planning_ratio_500_over_10\": %.3f, \"within_2x\": %b\n}\n"
     ratio within_2x;
   close_out oc;
-  Fmt.pr "@.wrote BENCH_views.json (%d sites, %d registry sizes)@."
+  Fmt.pr "@.wrote BENCH_views.json (%d sites, %d registry sizes) and BENCH_views_timing.json@."
     (List.length wire) (List.length plan_scale);
   if not (wire_win && all_identical && stale_rejected && within_2x) then begin
     Fmt.epr "bench-views acceptance FAILED@.";

@@ -64,7 +64,7 @@ let rate_conv =
   in
   Arg.conv (parse, Fmt.float)
 
-(* A non-negative, finite amount: a rate or a budget. *)
+(* A non-negative, finite amount: a rate, a budget or a deadline. *)
 let amount_conv =
   let parse s =
     match float_of_string_opt s with
@@ -1065,7 +1065,7 @@ let serve_cmd =
              ~doc:"Scheduling policy: $(b,rr) or $(b,priority).")
   in
   let deadline_arg =
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"MS"
+    Arg.(value & opt (some amount_conv) None & info [ "deadline" ] ~docv:"MS"
            ~doc:"Per-query budget of simulated milliseconds. A query past it \
                  returns its partial rows with a completeness report instead \
                  of failing. Implies a latency model.")
@@ -1107,7 +1107,7 @@ let serve_cmd =
                  pool of N domains.")
   in
   let max_resident_arg =
-    Arg.(value & opt int 100_000 & info [ "max-resident" ] ~docv:"ROWS"
+    Arg.(value & opt (size_conv ~min:0) 100_000 & info [ "max-resident" ] ~docv:"ROWS"
            ~doc:"Stop admitting queries while resident ones buffer more \
                  rows than this.")
   in

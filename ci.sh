@@ -2,7 +2,11 @@
 # CI gate: warning-strict build and the full test suite under the ci
 # dune profile, then the static analyzer over every generated site via
 # `make check` (which itself runs the ci-profile build and tests, so a
-# plain `./ci.sh` is the one command a CI job needs).
+# plain `./ci.sh` is the one command a CI job needs). Every golden file
+# (the paper's experiments, the examples, the scale crawl, the bench
+# JSONs, the planner and executor pins) is a dune `diff` rule that
+# `dune runtest` checks; what follows are the smoke runs at scale, the
+# invariants they must keep and the views bench's wall-clock bound.
 set -eu
 
 cd "$(dirname "$0")"
@@ -37,16 +41,6 @@ echo "wire GETs: $gets, distinct URLs on the wire: $distinct"
 [ -n "$gets" ] && [ "$gets" = "$distinct" ] \
   || { echo "pages downloaded more than once ($gets GETs for $distinct distinct URLs)"; exit 1; }
 
-echo "== crawl at scale: 20,107 pages, every count as expected =="
-# every per-attribute count in the output comes from extracted tuples,
-# so any divergence in extraction at scale changes the text
-dune exec --profile ci bin/webviews_cli.exe -- crawl \
-  --depts 100 --profs 8000 --courses 12000 > /tmp/ci_crawl_scale.$$
-head -n 1 /tmp/ci_crawl_scale.$$
-diff test/crawl_scale.expected /tmp/ci_crawl_scale.$$ \
-  || { echo "crawl at scale diverged from test/crawl_scale.expected"; rm -f /tmp/ci_crawl_scale.$$; exit 1; }
-rm -f /tmp/ci_crawl_scale.$$
-
 echo "== smoke churn: live mutations, generous budget, zero SLA violations =="
 dune exec --profile ci bin/webviews_cli.exe -- churn \
   --depts 2 --profs 6 --courses 10 --churn-rate 0.2 --budget 500 \
@@ -70,73 +64,15 @@ echo "wire: $gets GETs, $heads HEADs; budget: $spent units spent; $deletes pages
   && [ "$spent" = "$((heads + 10 * gets)).0" ] \
   || { echo "budget spent ($spent) is not HEADs + 10 x GETs ($heads + 10 x $gets)"; exit 1; }
 
-echo "== read path: the churn, fetch and exec benches reproduce their committed JSON =="
-# The churn bench drives the materialized store's HEAD-then-GET
-# revalidation, the maintenance lane and view-store answers; the fetch
-# bench drives the fetch engine's retries, windows and cache; the exec
-# bench pins the GETs, state rows and peak rows of the two Example 7.2
-# plans through the executor's page-fetch operator. All three are
-# deterministic, so any behaviour change on the read path shows up as
-# a byte difference from the committed files.
+echo "== views bench: planning at 500 views within 2x of 10 views =="
+# a wall-clock bound, so it is checked here and not under `dune runtest`
+# (which diffs the suite's counters against BENCH_views.json); run in a
+# temp dir so the committed BENCH_views_timing.json stays as it is
 bench_dir=$(mktemp -d)
-for bench in churn fetch exec; do
-  (cd "$bench_dir" && "$OLDPWD/_build/default/bench/main.exe" $bench > /dev/null) \
-    || { echo "bench $bench failed"; rm -rf "$bench_dir"; exit 1; }
-  diff "BENCH_$bench.json" "$bench_dir/BENCH_$bench.json" \
-    || { echo "BENCH_$bench.json diverged from the committed file"; rm -rf "$bench_dir"; exit 1; }
-done
+(cd "$bench_dir" && "$OLDPWD/_build/default/bench/main.exe" views > views.log) \
+  || { tail -n 3 "$bench_dir/views.log"; echo "bench views failed"; rm -rf "$bench_dir"; exit 1; }
+tail -n 3 "$bench_dir/views.log"
 rm -rf "$bench_dir"
-echo "BENCH_churn.json, BENCH_fetch.json and BENCH_exec.json reproduced byte for byte"
-
-echo "== views bench: every counter of BENCH_views.json reproduces =="
-# plan_ms is a wall time, and planning_ratio_500_over_10 and within_2x
-# are computed from it, so those three are masked; everything else
-# (GETs, HEADs and units per access path, the view choice, identical
-# rows, the stale-store verdict, filter-tree and naive check counts)
-# is deterministic and must match the committed file
-mask_views() {
-  sed -e 's/"plan_ms": [0-9.]*/"plan_ms": _/g' \
-      -e 's/"planning_ratio_500_over_10": [0-9.]*/"planning_ratio_500_over_10": _/' \
-      -e 's/"within_2x": [a-z]*/"within_2x": _/' "$1"
-}
-bench_dir=$(mktemp -d)
-(cd "$bench_dir" && "$OLDPWD/_build/default/bench/main.exe" views > /dev/null) \
-  || { echo "bench views failed"; rm -rf "$bench_dir"; exit 1; }
-mask_views BENCH_views.json > "$bench_dir/committed.json"
-mask_views "$bench_dir/BENCH_views.json" > "$bench_dir/fresh.json"
-diff "$bench_dir/committed.json" "$bench_dir/fresh.json" \
-  || { echo "BENCH_views.json counters diverged from the committed file"; rm -rf "$bench_dir"; exit 1; }
-rm -rf "$bench_dir"
-echo "BENCH_views.json counters reproduced (wall times masked)"
-
-echo "== paper experiments: EXP-1 to EXP-10 reproduce their committed output =="
-# every figure of the ten experiments is deterministic except EXP-10's
-# "plan ms" and "exec ms" columns (wall times), which are masked
-mask_experiments() {
-  sed -E '/^[0-9]+x \(/ s/\| [0-9]+ +\| [0-9]+ *$/| _ | _/' "$1"
-}
-bench_dir=$(mktemp -d)
-_build/default/bench/main.exe exp1 exp2 exp3 exp4 exp5 exp6 exp7 exp8 exp9 exp10 \
-  > "$bench_dir/experiments.txt" \
-  || { echo "paper experiments failed"; rm -rf "$bench_dir"; exit 1; }
-mask_experiments test/paper_experiments.expected > "$bench_dir/committed.txt"
-mask_experiments "$bench_dir/experiments.txt" > "$bench_dir/fresh.txt"
-diff "$bench_dir/committed.txt" "$bench_dir/fresh.txt" \
-  || { echo "paper experiments diverged from test/paper_experiments.expected"; rm -rf "$bench_dir"; exit 1; }
-rm -rf "$bench_dir"
-echo "EXP-1 to EXP-10 reproduced (EXP-10 wall times masked)"
-
-echo "== examples: the five examples print what they printed before =="
-# every example's stdout is deterministic; optimizer_tour applies
-# rules 4, 8, 6 and 9 and sinking/pruning step by step
-for ex in quickstart intro_bibliography optimizer_tour materialized_views catalog_shopping; do
-  _build/default/examples/$ex.exe \
-    || { echo "example $ex failed" >&2; rm -f /tmp/ci_examples.$$; exit 1; }
-done > /tmp/ci_examples.$$
-diff test/examples.expected /tmp/ci_examples.$$ \
-  || { echo "examples diverged from test/examples.expected"; rm -f /tmp/ci_examples.$$; exit 1; }
-rm -f /tmp/ci_examples.$$
-echo "examples reproduced"
 
 echo "== smoke views: one view-substituted query end to end =="
 dune exec --profile ci bin/webviews_cli.exe -- query --views \
@@ -171,70 +107,5 @@ fi
 grep -q '"code":"E0111"' /tmp/ci_bindings_analyze.$$ \
   || { echo "E0111 missing from analyze --format=json"; rm -f /tmp/ci_bindings_analyze.$$; exit 1; }
 rm -f /tmp/ci_bindings_analyze.$$
-
-echo "== smoke lint gate: a bad query is a coded diagnostic with exit 2, never an exception =="
-for cmd in query explain plan run; do
-  status=0
-  dune exec --profile ci bin/webviews_cli.exe -- $cmd "SELECT p.Nope FROM Professor p" \
-    > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
-  [ "$status" -eq 2 ] \
-    || { echo "$cmd exited $status on an unknown attribute (want 2)"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
-  grep -q "E0304" /tmp/ci_lint_gate.$$ \
-    || { echo "E0304 missing from $cmd"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
-done
-status=0
-dune exec --profile ci bin/webviews_cli.exe -- query "SELEC p.PName FROM Professor p" \
-  > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
-[ "$status" -eq 2 ] && grep -q "E0308" /tmp/ci_lint_gate.$$ \
-  || { echo "syntax error not reported as E0308 with exit 2"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
-# an integer literal beyond the native int range is a syntax error too
-for cmd in query explain plan run; do
-  status=0
-  dune exec --profile ci bin/webviews_cli.exe -- $cmd \
-    "SELECT p.PName FROM Professor p LIMIT 99999999999999999999" \
-    > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
-  [ "$status" -eq 2 ] && grep -q "E0308" /tmp/ci_lint_gate.$$ \
-    || { echo "$cmd: out-of-range integer not reported as E0308 with exit 2"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
-done
-# a form-only query no composition of forms answers: E0111 (or, past
-# the lint, an empty plan space E0309), exit 2, never an exception
-for cmd in query plan explain run; do
-  status=0
-  dune exec --profile ci bin/webviews_cli.exe -- $cmd --site formsite \
-    "SELECT P.PName FROM Professor P" > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
-  [ "$status" -eq 2 ] \
-    || { echo "$cmd exited $status on a form-only query (want 2)"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
-  grep -q "E0111\|E0309" /tmp/ci_lint_gate.$$ \
-    || { echo "E0111/E0309 missing from $cmd"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
-done
-# a bad workload line is a coded diagnostic with its line number
-printf 'SELECT p.PName FROM Professor p\nSELECT p.Nope FROM Professor p\n' \
-  > /tmp/ci_lint_workload.$$
-status=0
-dune exec --profile ci bin/webviews_cli.exe -- serve --workload /tmp/ci_lint_workload.$$ \
-  > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
-[ "$status" -eq 2 ] && grep -q ":2: error\[E0304\]" /tmp/ci_lint_gate.$$ \
-  || { echo "bad serve --workload line not reported as E0304 with exit 2"; rm -f /tmp/ci_lint_gate.$$ /tmp/ci_lint_workload.$$; exit 1; }
-printf 'SELECT p.PName FROM Professor p\nSELECT p.PName FROM Professor p LIMIT 99999999999999999999\n' \
-  > /tmp/ci_lint_workload.$$
-status=0
-dune exec --profile ci bin/webviews_cli.exe -- serve --workload /tmp/ci_lint_workload.$$ \
-  > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
-[ "$status" -eq 2 ] && grep -q ":2: error\[E0308\]" /tmp/ci_lint_gate.$$ \
-  || { echo "out-of-range integer in serve --workload not reported as E0308 with exit 2"; rm -f /tmp/ci_lint_gate.$$ /tmp/ci_lint_workload.$$; exit 1; }
-rm -f /tmp/ci_lint_workload.$$
-# a site size the generators cannot build, or a count out of its range,
-# is a usage error (exit 124) naming the flag
-status=0
-dune exec --profile ci bin/webviews_cli.exe -- query --depts 0 \
-  "SELECT p.PName FROM Professor p" > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
-[ "$status" -eq 124 ] \
-  || { echo "--depts 0 exited $status (want 124)"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
-status=0
-dune exec --profile ci bin/webviews_cli.exe -- serve --concurrency 0 \
-  > /tmp/ci_lint_gate.$$ 2>&1 || status=$?
-[ "$status" -eq 124 ] && grep -q -- "--concurrency" /tmp/ci_lint_gate.$$ \
-  || { echo "serve --concurrency 0 exited $status (want 124 naming the flag)"; rm -f /tmp/ci_lint_gate.$$; exit 1; }
-rm -f /tmp/ci_lint_gate.$$
 
 echo "== ci: all green =="

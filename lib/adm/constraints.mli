@@ -7,7 +7,6 @@ type path = { scheme : string; steps : string list }
 val path : string -> string list -> path
 val path_of_string : string -> path
 val path_to_string : path -> string
-val pp_path : path Fmt.t
 val path_equal : path -> path -> bool
 
 type link_constraint = {

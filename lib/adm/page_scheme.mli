@@ -54,14 +54,10 @@ val bound_url : t -> (string * string) list -> string option
     site generator and the executor both use this function, so served
     and requested URLs agree byte-for-byte. *)
 
-val encode_component : string -> string
-(** RFC 3986 percent-encoding of one query-string component. *)
-
 val adornment : t -> string
 (** Binding adornment, one letter per position: ["b"] for each
     parameter then ["f"] for each attribute (e.g. ["bff"]). *)
 
-val find_attr : t -> string -> attr_decl option
 val resolve_path : t -> string list -> Webtype.t option
 val link_paths : t -> (string list * string) list
 (** All link attributes as (dotted path from page root, target

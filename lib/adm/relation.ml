@@ -106,7 +106,6 @@ let attrs r = Array.to_list r.header.names
 let rows r = List.map (row_to_tuple r.header) r.rows
 let rows_arrays r = r.rows
 let cardinality r = List.length r.rows
-let is_empty r = r.rows = []
 
 let has_attr r a = Hashtbl.mem r.header.index a
 let offset_opt r a = Hashtbl.find_opt r.header.index a

@@ -47,7 +47,6 @@ val rows_arrays : t -> row list
     mutate. *)
 
 val cardinality : t -> int
-val is_empty : t -> bool
 val has_attr : t -> string -> bool
 
 val offset_opt : t -> string -> int option
@@ -73,7 +72,6 @@ val unnest : ?expect:string list -> string -> t -> t
     when the input is empty. *)
 
 val column : string -> t -> Value.t list
-val compare_rows : row -> row -> int
 val sort_rows : t -> t
 val equal : t -> t -> bool
 val pp : t Fmt.t

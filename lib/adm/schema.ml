@@ -21,13 +21,6 @@ let find_scheme s n =
 
 let scheme_names s = List.map Page_scheme.name s.schemes
 
-(* Resolve a constraint path to its web type, if its scheme exists and
-   the dotted steps resolve. *)
-let resolve_path s (p : Constraints.path) =
-  match find_scheme s p.Constraints.scheme with
-  | None -> None
-  | Some ps -> Page_scheme.resolve_path ps p.Constraints.steps
-
 let find_scheme_exn s n =
   match find_scheme s n with
   | Some ps -> ps

@@ -21,10 +21,6 @@ val find_scheme_exn : t -> string -> Page_scheme.t
 val scheme_names : t -> string list
 val entry_points : t -> Page_scheme.t list
 
-val resolve_path : t -> Constraints.path -> Webtype.t option
-(** Resolve a constraint path (scheme plus dotted steps) to its web
-    type. *)
-
 val constraints_on_link : t -> Constraints.path -> Constraints.link_constraint list
 val link_target : t -> Constraints.path -> string option
 

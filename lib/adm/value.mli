@@ -49,8 +49,6 @@ val compare_tuple : tuple -> tuple -> int
 val hash : t -> int
 (** Structural, consistent with {!equal}; no string rendering. *)
 
-val hash_tuple : tuple -> int
-
 val is_atomic : t -> bool
 val is_null : t -> bool
 val type_name : t -> string

@@ -24,17 +24,6 @@ let is_multi ty = not (is_mono ty)
 
 let link_target = function Link p -> Some p | Text | Int | Image | List _ -> None
 
-let rec equal t1 t2 =
-  match t1, t2 with
-  | Text, Text | Int, Int | Image, Image -> true
-  | Link p1, Link p2 -> String.equal p1 p2
-  | List f1, List f2 ->
-    List.length f1 = List.length f2
-    && List.for_all2
-         (fun (a1, x1) (a2, x2) -> String.equal a1 a2 && equal x1 x2)
-         f1 f2
-  | (Text | Int | Image | Link _ | List _), _ -> false
-
 (* Comparability for predicates and join keys. Images are represented
    as text (source paths), so the two compare; links compare with
    links regardless of target (URL equality is meaningful across

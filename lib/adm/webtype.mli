@@ -15,9 +15,6 @@ val is_mono : t -> bool
 val is_multi : t -> bool
 val link_target : t -> string option
 
-val equal : t -> t -> bool
-(** Structural equality. *)
-
 val compatible : t -> t -> bool
 (** Comparability for predicates and join keys: text and image values
     compare (both render as text), links compare with links regardless
@@ -31,8 +28,6 @@ val of_value : Value.t -> t option
 val accepts : t -> Value.t -> bool
 (** Structural validation of a value against a type ([Null] accepted
     everywhere). *)
-
-val accepts_tuple : (string * t) list -> Value.tuple -> bool
 
 val resolve_in_fields : (string * t) list -> string list -> t option
 (** Resolve a dotted path against a field list, traversing nested

@@ -43,9 +43,3 @@ let admit t cost =
 
 let spent t = t.spent
 let denied t = t.denied
-
-let pp ppf t =
-  if t.unlimited then Fmt.pf ppf "unlimited (%.1f units spent)" t.spent
-  else
-    Fmt.pf ppf "%.1f units/turn (%.1f spent, %.1f balance, %d denied)" t.per_turn
-      t.spent t.balance t.denied

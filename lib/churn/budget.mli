@@ -31,4 +31,3 @@ val force : t -> float -> unit
 
 val spent : t -> float
 val denied : t -> int
-val pp : t Fmt.t

@@ -30,12 +30,3 @@ let make ?(hot_fraction = 0.1) ?(hot_bias = 0.7) ?(tombstone_rate = 0.05)
 let zero = make ~rate:0.0 ()
 let low = make ~rate:0.02 ()
 let high = make ~rate:0.3 ~burst_every:50 ~burst_len:10 ~burst_mult:3.0 ()
-
-let pp ppf p =
-  Fmt.pf ppf
-    "rate=%.3f/tick hot=%.0f%%@%.0f%% tombstone=%.0f%% insert=%.0f%% touch=%.0f%%%s"
-    p.rate (100.0 *. p.hot_fraction) (100.0 *. p.hot_bias)
-    (100.0 *. p.tombstone_rate) (100.0 *. p.insert_rate) (100.0 *. p.touch_share)
-    (if p.burst_every > 0 then
-       Fmt.str " burst=%d/%d x%.1f" p.burst_len p.burst_every p.burst_mult
-     else " steady")

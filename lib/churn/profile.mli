@@ -33,5 +33,3 @@ val low : t
 
 val high : t
 (** Hot churn: 0.3 mutations per tick with periodic bursts. *)
-
-val pp : t Fmt.t

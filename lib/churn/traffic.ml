@@ -217,7 +217,3 @@ let run_ticks t n =
     total := !total + tick t
   done;
   !total
-
-let pp ppf t =
-  Fmt.pf ppf "%d mutations over %d ticks (%d touch, %d edit, %d delete, %d insert; %d tombstones)"
-    t.applied t.ticks t.touches t.edits t.deletes t.inserts (tombstones t)

@@ -34,4 +34,3 @@ val tombstones : t -> int
 (** Currently deleted (not yet resurrected) pages. *)
 
 val kind_to_string : kind -> string
-val pp : t Fmt.t

@@ -189,10 +189,3 @@ let audit (schema : Adm.Schema.t) (instance : Websim.Crawler.instance) =
     candidate_inclusions =
       List.filter (fun c -> not (mem inclusion_eq c declared_incls)) r.discovered_inclusions;
   }
-
-let pp_report ppf r =
-  Fmt.pf ppf "@[<v>discovered link constraints:@,%a@,discovered inclusions:@,%a@]"
-    (Fmt.list ~sep:Fmt.cut (fun ppf c -> Fmt.pf ppf "  %a" Adm.Constraints.pp_link_constraint c))
-    r.discovered_links
-    (Fmt.list ~sep:Fmt.cut (fun ppf c -> Fmt.pf ppf "  %a" Adm.Constraints.pp_inclusion c))
-    r.discovered_inclusions

@@ -10,12 +10,6 @@ type report = {
   discovered_inclusions : Adm.Constraints.inclusion list;
 }
 
-val link_constraints :
-  Adm.Schema.t -> Websim.Crawler.instance -> Adm.Constraints.link_constraint list
-
-val inclusions :
-  Adm.Schema.t -> Websim.Crawler.instance -> Adm.Constraints.inclusion list
-
 val discover : Adm.Schema.t -> Websim.Crawler.instance -> report
 
 type audit = {
@@ -30,4 +24,3 @@ type audit = {
 }
 
 val audit : Adm.Schema.t -> Websim.Crawler.instance -> audit
-val pp_report : report Fmt.t

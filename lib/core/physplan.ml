@@ -262,5 +262,3 @@ let pp_noted note ppf (plan : plan) =
     List.iter (go (indent + 2) ppf) (children o)
   in
   Fmt.pf ppf "@[<v>%a@]" (go 0) plan.root
-
-let pp = pp_noted (fun _ -> "")

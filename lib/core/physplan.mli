@@ -109,11 +109,6 @@ val to_nalg : plan -> Nalg.expr
 val fold : ('a -> op -> 'a) -> 'a -> plan -> 'a
 (** Pre-order fold over the operators. *)
 
-val node_label : op -> string
-(** One-line description of an operator, without its inputs. *)
-
-val pp : plan Fmt.t
-(** The operator tree, indented. *)
-
 val pp_noted : (op -> string) -> plan Fmt.t
-(** {!pp} with a note appended to each operator's label. *)
+(** The operator tree, indented, one line per operator: its label, then
+    the note for it. *)

@@ -410,6 +410,3 @@ let plan_sql ?cap ?pointer_rules ?constraint_selections ?minimize ?views
 let run ?cap ?views ?bindings schema stats registry source sql =
   let outcome = plan_sql ?cap ?views ?bindings schema stats registry sql in
   (outcome, rename_output outcome (Eval.eval schema source outcome.best.expr))
-
-let pp_plan ppf p =
-  Fmt.pf ppf "@[<v>cost=%.2f est_card=%.2f@,%a@]" p.cost p.card Nalg.pp_plan p.expr

@@ -174,5 +174,3 @@ val run :
     opens view access paths to the planner; the source's [views]
     (typically {!Viewstore.answerer}) answers a chosen view scan from
     the store. *)
-
-val pp_plan : plan Fmt.t

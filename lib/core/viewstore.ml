@@ -64,8 +64,6 @@ let create ?(max_age = 0) ?(head_budget = 64) (schema : Adm.Schema.t)
 
 let store t = t.store
 let index t = t.index
-let registry t = t.registry
-let max_age t = t.max_age
 
 (* ------------------------------------------------------------------ *)
 (* Navigation structure of a view                                      *)

@@ -22,8 +22,6 @@ val create :
 
 val store : t -> Matview.t
 val index : t -> Viewmatch.t
-val registry : t -> View.registry
-val max_age : t -> int
 
 val econ : t -> Cost.view_econ
 (** Price snapshot for the planner: one pass over the store computes

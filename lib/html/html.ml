@@ -385,4 +385,3 @@ let node_count nodes =
   in
   List.fold_left (fun acc node -> acc + count node) 0 nodes
 
-let pp ppf nodes = Fmt.string ppf (to_string nodes)

@@ -39,8 +39,6 @@ val tokenize : string -> token list
 (** Raises {!Parse_error} on an unterminated tag, attribute value,
     comment or doctype and on a malformed close tag. *)
 
-val is_void : string -> bool
-
 (** Streaming scanner. *)
 
 type handler = {
@@ -83,4 +81,3 @@ val by_tag : string -> doc -> node list
 val by_class : string -> doc -> node list
 val by_tag_class : string -> string -> doc -> node list
 val node_count : doc -> int
-val pp : doc Fmt.t

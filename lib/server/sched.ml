@@ -491,10 +491,8 @@ let verdict_to_string = function
   | Stale_within_sla -> "stale-within-sla"
   | Violated -> "violated"
 
-let pp_freshness_verdict ppf v = Fmt.string ppf (verdict_to_string v)
-
 let pp_freshness ppf f =
-  Fmt.pf ppf "%a (%d pages, %d stale" pp_freshness_verdict f.verdict f.pages_served
+  Fmt.pf ppf "%s (%d pages, %d stale" (verdict_to_string f.verdict) f.pages_served
     f.stale_served;
   if f.stale_served > 0 then
     Fmt.pf ppf ", age mean %.1f max %d" f.mean_staleness f.max_staleness;

@@ -169,9 +169,5 @@ val run :
 val percentile : float -> float list -> float
 (** Nearest-rank percentile; 0.0 on the empty list, NaN-quantile safe. *)
 
-val pp_completeness : completeness Fmt.t
 val verdict_to_string : freshness_verdict -> string
-val pp_freshness_verdict : freshness_verdict Fmt.t
-val pp_freshness : freshness Fmt.t
-val pp_result : result Fmt.t
 val pp_report : report Fmt.t

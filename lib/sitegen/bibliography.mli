@@ -37,13 +37,3 @@ val path1_all_conferences : unit -> Webviews.Nalg.expr
 val path2_db_conferences : unit -> Webviews.Nalg.expr
 val path3_direct_link : unit -> Webviews.Nalg.expr
 val path4_via_authors : unit -> Webviews.Nalg.expr
-
-(** URLs. *)
-
-val home_url : string
-val conf_list_url : string
-val db_conf_list_url : string
-val author_list_url : string
-val conf_url : string -> string
-val edition_url : string -> int -> string
-val author_url : string -> string

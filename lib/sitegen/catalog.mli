@@ -38,10 +38,3 @@ val brands : t -> string list
 val reprice : t -> p_name:string -> price:int -> bool
 (** Change one product's price (touches only its page). *)
 
-(** URLs. *)
-
-val category_list_url : string
-val brand_list_url : string
-val category_url : string -> string
-val brand_url : string -> string
-val product_url : string -> string

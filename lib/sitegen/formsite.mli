@@ -32,7 +32,6 @@ val path_views : Bindings.path_view list
 (** The three forms as path views: department lookup (unnesting the
     course list), course lookup, professor lookup. *)
 
-val vocab : (string * (string * string) list) list
 val binding_config : Bindings.config
 
 val build : ?config:config -> unit -> t
@@ -45,13 +44,6 @@ val profs : t -> prof list
 val stats : t -> Webviews.Stats.t
 (** Declared statistics — the site cannot be crawled. *)
 
-val home_url : string
-val dept_url : string -> string
-val course_url : string -> string
-val prof_url : string -> string
-(** Templated URLs, computed with {!Adm.Page_scheme.bound_url} — the
-    same function the executor's parameterized fetch uses, so both
-    sides agree byte for byte. *)
 
 val expected_staff : t -> dept:string -> (string * string) list
 (** Ground truth of {!staff_query}: distinct (instructor, office)

@@ -652,3 +652,89 @@ let view : Webviews.View.registry =
         ]
       ();
   ]
+
+(* ------------------------------------------------------------------ *)
+(* The paper's literal plans (Section 7, Figures 3 and 4)              *)
+(* ------------------------------------------------------------------ *)
+
+open Webviews
+
+let text_is attr v = Pred.eq_const attr (Adm.Value.text v)
+
+(* SessionListPage ◦ SesList [σ Session = session] → SessionPage ◦
+   CourseList *)
+let session_course_pointers ?session () =
+  let sessions = Nalg.unnest (Nalg.entry "SessionListPage") "SessionListPage.SesList" in
+  let sessions =
+    match session with
+    | None -> sessions
+    | Some s -> Nalg.select [ text_is "SessionListPage.SesList.Session" s ] sessions
+  in
+  Nalg.unnest
+    (Nalg.follow sessions "SessionListPage.SesList.ToSes" ~scheme:"SessionPage")
+    "SessionPage.CourseList"
+
+(* ProfListPage ◦ ProfList → ProfPage σ Rank = 'Full' ◦ CourseList *)
+let full_prof_course_pointers () =
+  Nalg.unnest
+    (Nalg.select
+       [ text_is "ProfPage.Rank" "Full" ]
+       (Nalg.follow
+          (Nalg.unnest (Nalg.entry "ProfListPage") "ProfListPage.ProfList")
+          "ProfListPage.ProfList.ToProf" ~scheme:"ProfPage"))
+    "ProfPage.CourseList"
+
+let fig3_pointer_join () =
+  Nalg.project
+    [ "CoursePage.CName"; "CoursePage.Description" ]
+    (Nalg.follow
+       (Nalg.join
+          [ ("SessionPage.CourseList.ToCourse", "ProfPage.CourseList.ToCourse") ]
+          (session_course_pointers ~session:"Fall" ())
+          (full_prof_course_pointers ()))
+       "SessionPage.CourseList.ToCourse" ~scheme:"CoursePage")
+
+let fig3_pointer_chase () =
+  Nalg.project
+    [ "CoursePage.CName"; "CoursePage.Description" ]
+    (Nalg.select
+       [ text_is "CoursePage.Session" "Fall" ]
+       (Nalg.follow (full_prof_course_pointers ()) "ProfPage.CourseList.ToCourse"
+          ~scheme:"CoursePage"))
+
+(* DeptListPage ◦ DeptList σ DName = 'Computer Science' → DeptPage ◦
+   ProfList *)
+let cs_prof_pointers () =
+  Nalg.unnest
+    (Nalg.follow
+       (Nalg.select
+          [ text_is "DeptListPage.DeptList.DName" "Computer Science" ]
+          (Nalg.unnest (Nalg.entry "DeptListPage") "DeptListPage.DeptList"))
+       "DeptListPage.DeptList.ToDept" ~scheme:"DeptPage")
+    "DeptPage.ProfList"
+
+let fig4_pointer_join () =
+  let grad_instructor_pointers =
+    Nalg.select
+      [ text_is "CoursePage.Type" "Graduate" ]
+      (Nalg.follow (session_course_pointers ()) "SessionPage.CourseList.ToCourse"
+         ~scheme:"CoursePage")
+  in
+  Nalg.project
+    [ "ProfPage.PName"; "ProfPage.Email" ]
+    (Nalg.follow
+       (Nalg.join
+          [ ("DeptPage.ProfList.ToProf", "CoursePage.ToProf") ]
+          (cs_prof_pointers ()) grad_instructor_pointers)
+       "DeptPage.ProfList.ToProf" ~scheme:"ProfPage")
+
+let fig4_pointer_chase () =
+  Nalg.project
+    [ "ProfPage.PName"; "ProfPage.Email" ]
+    (Nalg.select
+       [ text_is "CoursePage.Type" "Graduate" ]
+       (Nalg.follow
+          (Nalg.unnest
+             (Nalg.follow (cs_prof_pointers ()) "DeptPage.ProfList.ToProf" ~scheme:"ProfPage")
+             "ProfPage.CourseList")
+          "ProfPage.CourseList.ToCourse" ~scheme:"CoursePage"))

@@ -57,13 +57,35 @@ val sessions : t -> string list
 (** URLs (useful in tests and experiments). *)
 
 val home_url : string
-val dept_list_url : string
 val prof_list_url : string
-val session_list_url : string
-val dept_url : string -> string
 val prof_url : string -> string
-val session_url : string -> string
 val course_url : string -> string
+
+(** The paper's literal plans (Section 7) over {!schema}, as NALG
+    expressions.
+
+    Figure 3, Example 7.1 (name and description of the Fall courses
+    taught by full professors): *)
+
+val fig3_pointer_join : unit -> Webviews.Nalg.expr
+(** Plan (1d): intersect the Fall session's course pointers with the
+    full professors' course pointers, then follow the common ones. *)
+
+val fig3_pointer_chase : unit -> Webviews.Nalg.expr
+(** Plan (2d): follow every course link of every full professor, then
+    keep the Fall courses. *)
+
+(** Figure 4, Example 7.2 (name and e-mail of the Computer Science
+    professors teaching a graduate course): *)
+
+val fig4_pointer_join : unit -> Webviews.Nalg.expr
+(** Plan (1): intersect the CS department's professor pointers with the
+    instructor pointers of every graduate course (which downloads every
+    session and course page), then follow the common ones. *)
+
+val fig4_pointer_chase : unit -> Webviews.Nalg.expr
+(** Plan (2): follow the CS department's professors, then their
+    courses, and keep the graduate ones. *)
 
 (** Mutations: the autonomous site manager at work. Each keeps every
     affected page consistent and bumps the site clock. *)

@@ -235,7 +235,6 @@ let create ?(config = default_config) ?netmodel http =
   }
 
 let http t = t.http
-let netmodel t = t.net
 let window t = t.cfg.window
 let caching t = t.cfg.cache_capacity > 0
 let elapsed_ms t = t.counters.elapsed_ms

@@ -75,7 +75,6 @@ val create : ?config:config -> ?netmodel:Netmodel.t -> Http.t -> t
     and every operation degenerates to its direct {!Http} call. *)
 
 val http : t -> Http.t
-val netmodel : t -> Netmodel.t option
 
 val window : t -> int
 (** The configured in-flight width — the prefetch window size the

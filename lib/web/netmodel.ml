@@ -64,7 +64,6 @@ type t = {
 }
 
 let create cfg = { cfg; now_ms = 0.0; epoch = 0 }
-let seed t = t.cfg.seed
 let now_ms t = t.now_ms
 let advance t ms = if ms > 0.0 then t.now_ms <- t.now_ms +. ms
 let next_epoch t = t.epoch <- t.epoch + 1
@@ -160,9 +159,3 @@ let failure_mode t ~url ~attempt =
    and GET share the episode: the site is unreachable either way. *)
 let fault t ~url ~attempt =
   if attempt <= episode_len t url then failure_mode t ~url ~attempt else Ok_response
-
-let pp_outcome ppf = function
-  | Ok_response -> Fmt.string ppf "ok"
-  | Server_error c -> Fmt.pf ppf "%d" c
-  | Timed_out -> Fmt.string ppf "timeout"
-  | Truncated f -> Fmt.pf ppf "truncated(%.0f%%)" (100.0 *. f)

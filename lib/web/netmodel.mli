@@ -16,8 +16,6 @@ type profile = {
   jitter : float;  (** latency noise, fraction of the base *)
 }
 
-val profile : ?base_ms:float -> ?per_kb_ms:float -> ?jitter:float -> unit -> profile
-
 type config = {
   seed : int;
   fault_rate : float;  (** probability a URL has a fault episode *)
@@ -44,7 +42,6 @@ type outcome =
 type t
 
 val create : config -> t
-val seed : t -> int
 
 val now_ms : t -> float
 (** The simulated wall clock. *)
@@ -65,5 +62,3 @@ val penalty_ms : t -> url:string -> attempt:int -> outcome -> float
 val uniform : t -> salt:string -> url:string -> attempt:int -> float
 (** Deterministic uniform draw in [0, 1) keyed on the arguments — the
     jitter source shared with {!Fetcher}'s backoff. *)
-
-val pp_outcome : outcome Fmt.t

@@ -23,5 +23,3 @@ val extract : Adm.Page_scheme.t -> url:string -> string -> Adm.Value.tuple
 
 val render : ?title:string -> Adm.Value.tuple -> string
 (** Render a page tuple (inverse of {!extract} up to chrome). *)
-
-val render_tuple : Adm.Value.tuple -> Html.node list

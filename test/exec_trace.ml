@@ -3,12 +3,11 @@
    chains. Each case plans a query, runs the best plan (in full and
    under LIMIT 1) over a source that records every prefetch window
    and every fetch, and prints the record beside the physical plan
-   annotated with the executor's metrics. The text is pinned in
-   exec_trace.expected; any drift in fetch order, windows, per-operator
-   counters or operator labels fails the test. On a mismatch the
-   current text is written to exec_trace.actual beside the test binary.
-   Regenerate the expected file only from code whose fetch behaviour
-   is known to be right. *)
+   annotated with the executor's metrics. dune diffs the text against
+   exec_trace.expected, so any drift in fetch order, windows,
+   per-operator counters or operator labels fails `dune runtest`.
+   Accept a change (`dune promote`) only from code whose fetch
+   behaviour is known to be right. *)
 
 open Webviews
 
@@ -62,10 +61,8 @@ let case_blocks (name, site, sql) ?bindings () =
 
 let formsite = lazy (Sitegen.Sites.of_formsite (Sitegen.Formsite.build ()))
 
-let trace () =
-  let uni =
-    List.map (fun case -> case_blocks case ()) Test_planner.pin_cases
-  in
+let () =
+  let uni = List.map (fun case -> case_blocks case ()) Pins.cases in
   let forms =
     List.mapi
       (fun i sql ->
@@ -89,27 +86,4 @@ let trace () =
         ();
     ]
   in
-  String.concat "" (uni @ forms @ others)
-
-let test_trace_pinned () =
-  let expected = In_channel.with_open_text "exec_trace.expected" In_channel.input_all in
-  let actual = trace () in
-  if not (String.equal expected actual) then begin
-    Out_channel.with_open_text "exec_trace.actual" (fun oc ->
-        Out_channel.output_string oc actual);
-    let rec first_diff i = function
-      | e :: es, a :: as_ when String.equal e a -> first_diff (i + 1) (es, as_)
-      | e :: _, a :: _ -> Printf.sprintf "line %d: expected %S, got %S" i e a
-      | [], a :: _ -> Printf.sprintf "line %d: unexpected %S" i a
-      | e :: _, [] -> Printf.sprintf "line %d: missing %S" i e
-      | [], [] -> "no line differs"
-    in
-    Alcotest.failf "exec trace diverged from exec_trace.expected (%s)"
-      (first_diff 1
-         (String.split_on_char '\n' expected, String.split_on_char '\n' actual))
-  end
-
-let suite =
-  ( "exec_trace",
-    [ Alcotest.test_case "fetch trace matches exec_trace.expected" `Slow
-        test_trace_pinned ] )
+  print_string (String.concat "" (uni @ forms @ others))

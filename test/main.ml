@@ -27,7 +27,6 @@ let () =
       Test_server.suite;
       Test_churn.suite;
       Test_bindings.suite;
-      Test_exec_trace.suite;
       Test_cli.suite;
-      Test_rule_outputs.suite;
+      Test_claims.suite;
     ]

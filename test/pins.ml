@@ -1,0 +1,158 @@
+(* The pinned queries and their sites, shared by the planner tests and
+   the golden-file programs of this directory ([planner_pins],
+   [rule_outputs], [exec_trace]).
+
+   The queries are the five join families of the planning benchmark on
+   a 20-dept/400-prof/800-course/4-session university, two constant
+   sets each, and every query the examples plan. [block] prints what
+   the planner decides for one of them: the best plan, every
+   candidate's cost in order, the explored and merged counts and the
+   diagnostic codes (W0401 included), then the whole plan space —
+   every candidate's cost, cardinality and plan text in order, and
+   every diagnostic with its code, path and message. planner_pins.exe
+   prints every block, and dune diffs that against
+   planner_pins.expected: a change that only makes planning cheaper
+   must leave all of it unchanged. *)
+
+open Webviews
+
+let join_site =
+  lazy
+    (Sitegen.Sites.of_university
+       (Sitegen.University.build
+          ~config:
+            {
+              Sitegen.University.default_config with
+              Sitegen.University.n_depts = 20;
+              n_profs = 400;
+              n_courses = 800;
+              n_sessions = 4;
+            }
+          ()))
+
+let uni_site = lazy (Sitegen.Sites.load University)
+let catalog_site = lazy (Sitegen.Sites.load Catalog)
+
+(* Schema, registry and crawled statistics of a pinned site. *)
+let parts site =
+  let (s : Sitegen.Sites.t) = Lazy.force site in
+  (s.schema, s.registry, Sitegen.Sites.stats s)
+
+let dept_members dept =
+  Printf.sprintf
+    "SELECT p.PName, p.Email FROM Professor p, ProfDept d WHERE p.PName = \
+     d.PName AND d.DName = '%s'"
+    dept
+
+let fig2 dept =
+  Printf.sprintf
+    "SELECT c.CName, c.Description FROM Course c, CourseInstructor ci, \
+     ProfDept pd WHERE c.CName = ci.CName AND ci.PName = pd.PName AND \
+     pd.DName = '%s'"
+    dept
+
+let ex71 session rank =
+  Printf.sprintf
+    "SELECT c.CName, c.Description FROM Professor p, CourseInstructor ci, \
+     Course c WHERE p.PName = ci.PName AND ci.CName = c.CName AND c.Session \
+     = '%s' AND p.Rank = '%s'"
+    session rank
+
+let ex72 dept ctype =
+  Printf.sprintf
+    "SELECT p.PName, p.Email FROM Course c, CourseInstructor ci, Professor p, \
+     ProfDept pd WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName \
+     = pd.PName AND pd.DName = '%s' AND c.Type = '%s'"
+    dept ctype
+
+let ex72_session dept session =
+  Printf.sprintf
+    "SELECT c.CName, p.Email FROM Course c, CourseInstructor ci, Professor p, \
+     ProfDept pd WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName \
+     = pd.PName AND pd.DName = '%s' AND c.Session = '%s'"
+    dept session
+
+let cases =
+  [
+    ("dept-members/cs", join_site, dept_members "Computer Science");
+    ("dept-members/d16", join_site, dept_members "Department 16");
+    ("fig2/cs", join_site, fig2 "Computer Science");
+    ("fig2/d12", join_site, fig2 "Department 12");
+    ("ex7.1/fall-full", join_site, ex71 "Fall" "Full");
+    ("ex7.1/summer-assistant", join_site, ex71 "Summer" "Assistant");
+    ("ex7.2/cs-graduate", join_site, ex72 "Computer Science" "Graduate");
+    ("ex7.2/physics-undergraduate", join_site, ex72 "Physics" "Undergraduate");
+    ("ex7.2-session/cs-fall", join_site, ex72_session "Computer Science" "Fall");
+    ("ex7.2-session/d20-winter", join_site, ex72_session "Department 20" "Winter");
+    ("examples/quickstart", uni_site, dept_members "Computer Science");
+    ("examples/optimizer_tour", uni_site, ex71 "Fall" "Full");
+    ( "examples/materialized_views/cs-ranks",
+      uni_site,
+      "SELECT p.PName, p.Rank FROM Professor p, ProfDept d WHERE p.PName = \
+       d.PName AND d.DName = 'Computer Science'" );
+    ("examples/materialized_views/all", uni_site, "SELECT p.PName FROM Professor p");
+    ( "examples/catalog_shopping/brand",
+      catalog_site,
+      "SELECT p.PName, p.Price FROM Product p WHERE p.Brand = 'Acme' AND \
+       p.Price < 50" );
+    ( "examples/catalog_shopping/category",
+      catalog_site,
+      "SELECT p.PName, p.Brand FROM Product p WHERE p.Category = 'Audio' AND \
+       p.Price >= 400" );
+    ( "examples/catalog_shopping/price",
+      catalog_site,
+      "SELECT p.PName FROM Product p WHERE p.Price > 495" );
+  ]
+
+(* One pin block: the case's name and query, then the outcome. Plans
+   print on one line (line breaks escaped). *)
+let block (name, site, sql) =
+  let schema, registry, stats = parts site in
+  let o = Planner.plan_sql schema stats registry sql in
+  let one_line s = String.concat "\\n" (String.split_on_char '\n' s) in
+  String.concat "\n"
+    ([
+      "query " ^ name;
+      "sql " ^ sql;
+      "best " ^ one_line (Nalg.to_string o.Planner.best.Planner.expr);
+      "costs "
+      ^ String.concat " "
+          (List.map
+             (fun (p : Planner.plan) -> Printf.sprintf "%.17g" p.Planner.cost)
+             o.Planner.candidates);
+      Printf.sprintf "explored %d merged %d" o.Planner.explored o.Planner.merged;
+      "diagnostics "
+      ^ String.concat ","
+          (List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) o.Planner.diagnostics);
+    ]
+    @ List.map
+        (fun (p : Planner.plan) ->
+          Printf.sprintf "candidate %.17g %.17g %s" p.Planner.cost p.Planner.card
+            (one_line (Nalg.to_string p.Planner.expr)))
+        o.Planner.candidates
+    @ List.map
+        (fun (d : Diagnostic.t) ->
+          Printf.sprintf "diagnostic %s [%s] %s" d.Diagnostic.code
+            (String.concat "/" d.Diagnostic.path)
+            (one_line d.Diagnostic.message))
+        o.Planner.diagnostics)
+
+(* The join phase of [enumerate] for a query, over one memo: rule 4
+   to fixpoint on every expansion, then the join closure. *)
+let join_phase memo registry sql =
+  let q, _ = Contain.minimize_query registry (Sql_parser.parse registry sql) in
+  View.expand registry (Conjunctive.to_algebra q)
+  |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
+  |> Planner.closure memo (Planner.join_rules ~pointer_rules:true)
+  |> fst
+
+(* The selection and projection phases of [enumerate] from [seeds]:
+   the selection closure, its plans sunk, and the projection
+   closure. *)
+let later_phases memo seeds =
+  let selections, _ = Planner.closure memo Planner.selection_rules seeds in
+  let sunk =
+    List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n)) selections
+  in
+  let projections, _ = Planner.closure memo Planner.projection_rules sunk in
+  (selections, sunk, projections)

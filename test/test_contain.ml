@@ -629,11 +629,11 @@ let join_family_gen =
   let session = pick [ "Fall"; "Winter"; "Spring" ] in
   fun st ->
     match int_bound 5 st with
-    | 0 -> Test_planner.pin_dept_members (dept st)
-    | 1 -> Test_planner.pin_fig2 (dept st)
-    | 2 -> Test_planner.pin_ex71 (session st) (pick [ "Full"; "Associate"; "Assistant" ] st)
-    | 3 -> Test_planner.pin_ex72 (dept st) (pick [ "Graduate"; "Undergraduate" ] st)
-    | 4 -> Test_planner.pin_ex72_session (dept st) (session st)
+    | 0 -> Pins.dept_members (dept st)
+    | 1 -> Pins.fig2 (dept st)
+    | 2 -> Pins.ex71 (session st) (pick [ "Full"; "Associate"; "Assistant" ] st)
+    | 3 -> Pins.ex72 (dept st) (pick [ "Graduate"; "Undergraduate" ] st)
+    | 4 -> Pins.ex72_session (dept st) (session st)
     | _ -> query_gen st
 
 (* Plans of the planner's rewrite closures (joins, then selections,
@@ -715,7 +715,7 @@ let prop_plan_key_alias_invariant =
    partition is far from trivial, and identical to the reference. *)
 let test_plan_key_merges_like_reference () =
   let plans =
-    closure_plans (Test_planner.pin_ex72 "Physics" "Graduate")
+    closure_plans (Pins.ex72 "Physics" "Graduate")
   in
   let keys = List.map Contain.plan_key plans and refs = List.map reference_key plans in
   let distinct l = List.length (List.sort_uniq String.compare l) in

@@ -169,75 +169,25 @@ let test_bibliography_paths () =
 
 (* --- pinned page-access counters (Example 7.2 literal plans) ------- *)
 
-(* The same literal figure-4 plans the benchmark measures. Pinning the
+(* The literal figure-4 plans the benchmark measures
+   ([Sitegen.University.fig4_pointer_join] and [_chase]). Pinning the
    absolute GET counts (not just stream = legacy) makes a silent
    regression of the incremental URL dedup — fetching a link twice, or
    prefetching pages the plan never consumes — fail loudly. *)
-let join_plan_72 () =
-  let cs_prof_pointers =
-    Nalg.unnest
-      (Nalg.follow
-         (Nalg.select
-            [ Pred.eq_const "DeptListPage.DeptList.DName"
-                (Adm.Value.text "Computer Science") ]
-            (Nalg.unnest (Nalg.entry "DeptListPage") "DeptListPage.DeptList"))
-         "DeptListPage.DeptList.ToDept" ~scheme:"DeptPage")
-      "DeptPage.ProfList"
-  in
-  let grad_instructor_pointers =
-    Nalg.select
-      [ Pred.eq_const "CoursePage.Type" (Adm.Value.text "Graduate") ]
-      (Nalg.follow
-         (Nalg.unnest
-            (Nalg.follow
-               (Nalg.unnest (Nalg.entry "SessionListPage") "SessionListPage.SesList")
-               "SessionListPage.SesList.ToSes" ~scheme:"SessionPage")
-            "SessionPage.CourseList")
-         "SessionPage.CourseList.ToCourse" ~scheme:"CoursePage")
-  in
-  Nalg.project
-    [ "ProfPage.PName"; "ProfPage.Email" ]
-    (Nalg.follow
-       (Nalg.join
-          [ ("DeptPage.ProfList.ToProf", "CoursePage.ToProf") ]
-          cs_prof_pointers grad_instructor_pointers)
-       "DeptPage.ProfList.ToProf" ~scheme:"ProfPage")
-
-let chase_plan_72 () =
-  Nalg.project
-    [ "ProfPage.PName"; "ProfPage.Email" ]
-    (Nalg.select
-       [ Pred.eq_const "CoursePage.Type" (Adm.Value.text "Graduate") ]
-       (Nalg.follow
-          (Nalg.unnest
-             (Nalg.follow
-                (Nalg.unnest
-                   (Nalg.follow
-                      (Nalg.select
-                         [ Pred.eq_const "DeptListPage.DeptList.DName"
-                             (Adm.Value.text "Computer Science") ]
-                         (Nalg.unnest (Nalg.entry "DeptListPage")
-                            "DeptListPage.DeptList"))
-                      "DeptListPage.DeptList.ToDept" ~scheme:"DeptPage")
-                   "DeptPage.ProfList")
-                "DeptPage.ProfList.ToProf" ~scheme:"ProfPage")
-             "ProfPage.CourseList")
-          "ProfPage.CourseList.ToCourse" ~scheme:"CoursePage"))
-
 let test_pinned_literal_72_counters () =
   let site = uni.site in
   let gets_of e =
     let _, g, _, _ = net_profile (exec_eval schema (Lazy.force stats)) site schema e in
     g
   in
-  let join_gets = gets_of (join_plan_72 ()) in
-  let chase_gets = gets_of (chase_plan_72 ()) in
+  let join_gets = gets_of (Sitegen.University.fig4_pointer_join ()) in
+  let chase_gets = gets_of (Sitegen.University.fig4_pointer_chase ()) in
   check int_t "pointer-join distinct GETs (default site)" 58 join_gets;
   check int_t "pointer-chase distinct GETs (default site)" 15 chase_gets;
   check_page_identity "literal pointer-join" site schema (Lazy.force stats)
-    (join_plan_72 ());
+    (Sitegen.University.fig4_pointer_join ());
   check_page_identity "literal pointer-chase" site schema (Lazy.force stats)
-    (chase_plan_72 ())
+    (Sitegen.University.fig4_pointer_chase ())
 
 (* --- early exit (LIMIT) ------------------------------------------- *)
 
@@ -358,7 +308,7 @@ let test_step_api_resumable () =
 (* --- build-side selection ----------------------------------------- *)
 
 let test_build_side_follows_estimates () =
-  let plan = Cost.lower schema (Lazy.force stats) (join_plan_72 ()) in
+  let plan = Cost.lower schema (Lazy.force stats) (Sitegen.University.fig4_pointer_join ()) in
   let joins =
     Physplan.fold
       (fun acc (o : Physplan.op) ->

@@ -354,209 +354,26 @@ let test_planner_figure2_query () =
   check int_t "figure 2 rows" (List.length expected) (Adm.Relation.cardinality result)
 
 (* ------------------------------------------------------------------ *)
-(* Plan pins                                                           *)
+(* The pinned queries                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* What the planner decides for a fixed set of queries, pinned in
-   planner_pins.txt: the best plan, every candidate's cost in order,
-   the explored and merged counts and the diagnostic codes (W0401
-   included), then the whole plan space — every candidate's cost,
-   cardinality and plan text in order, and every diagnostic with its
-   code, path and message. A change that only makes planning cheaper
-   must leave all of it unchanged. The queries are the five join families of the
-   planning benchmark on a 20-dept/400-prof/800-course/4-session
-   university, two constant sets each, and every query the examples
-   plan. *)
-
-let pin_join_site =
-  lazy
-    (Sitegen.Sites.of_university
-       (Sitegen.University.build
-          ~config:
-            {
-              Sitegen.University.default_config with
-              Sitegen.University.n_depts = 20;
-              n_profs = 400;
-              n_courses = 800;
-              n_sessions = 4;
-            }
-          ()))
-
-let pin_uni_site = lazy (Sitegen.Sites.load University)
-let pin_catalog_site = lazy (Sitegen.Sites.load Catalog)
-
-(* Schema, registry and crawled statistics of a pinned site. *)
-let pin_parts site =
-  let (s : Sitegen.Sites.t) = Lazy.force site in
-  (s.schema, s.registry, Sitegen.Sites.stats s)
-
-let pin_dept_members dept =
-  Printf.sprintf
-    "SELECT p.PName, p.Email FROM Professor p, ProfDept d WHERE p.PName = \
-     d.PName AND d.DName = '%s'"
-    dept
-
-let pin_fig2 dept =
-  Printf.sprintf
-    "SELECT c.CName, c.Description FROM Course c, CourseInstructor ci, \
-     ProfDept pd WHERE c.CName = ci.CName AND ci.PName = pd.PName AND \
-     pd.DName = '%s'"
-    dept
-
-let pin_ex71 session rank =
-  Printf.sprintf
-    "SELECT c.CName, c.Description FROM Professor p, CourseInstructor ci, \
-     Course c WHERE p.PName = ci.PName AND ci.CName = c.CName AND c.Session \
-     = '%s' AND p.Rank = '%s'"
-    session rank
-
-let pin_ex72 dept ctype =
-  Printf.sprintf
-    "SELECT p.PName, p.Email FROM Course c, CourseInstructor ci, Professor p, \
-     ProfDept pd WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName \
-     = pd.PName AND pd.DName = '%s' AND c.Type = '%s'"
-    dept ctype
-
-let pin_ex72_session dept session =
-  Printf.sprintf
-    "SELECT c.CName, p.Email FROM Course c, CourseInstructor ci, Professor p, \
-     ProfDept pd WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName \
-     = pd.PName AND pd.DName = '%s' AND c.Session = '%s'"
-    dept session
-
-let pin_cases =
-  [
-    ("dept-members/cs", pin_join_site, pin_dept_members "Computer Science");
-    ("dept-members/d16", pin_join_site, pin_dept_members "Department 16");
-    ("fig2/cs", pin_join_site, pin_fig2 "Computer Science");
-    ("fig2/d12", pin_join_site, pin_fig2 "Department 12");
-    ("ex7.1/fall-full", pin_join_site, pin_ex71 "Fall" "Full");
-    ("ex7.1/summer-assistant", pin_join_site, pin_ex71 "Summer" "Assistant");
-    ("ex7.2/cs-graduate", pin_join_site, pin_ex72 "Computer Science" "Graduate");
-    ("ex7.2/physics-undergraduate", pin_join_site, pin_ex72 "Physics" "Undergraduate");
-    ("ex7.2-session/cs-fall", pin_join_site, pin_ex72_session "Computer Science" "Fall");
-    ("ex7.2-session/d20-winter", pin_join_site, pin_ex72_session "Department 20" "Winter");
-    ("examples/quickstart", pin_uni_site, pin_dept_members "Computer Science");
-    ("examples/optimizer_tour", pin_uni_site, pin_ex71 "Fall" "Full");
-    ( "examples/materialized_views/cs-ranks",
-      pin_uni_site,
-      "SELECT p.PName, p.Rank FROM Professor p, ProfDept d WHERE p.PName = \
-       d.PName AND d.DName = 'Computer Science'" );
-    ("examples/materialized_views/all", pin_uni_site, "SELECT p.PName FROM Professor p");
-    ( "examples/catalog_shopping/brand",
-      pin_catalog_site,
-      "SELECT p.PName, p.Price FROM Product p WHERE p.Brand = 'Acme' AND \
-       p.Price < 50" );
-    ( "examples/catalog_shopping/category",
-      pin_catalog_site,
-      "SELECT p.PName, p.Brand FROM Product p WHERE p.Category = 'Audio' AND \
-       p.Price >= 400" );
-    ( "examples/catalog_shopping/price",
-      pin_catalog_site,
-      "SELECT p.PName FROM Product p WHERE p.Price > 495" );
-  ]
-
-(* One pin block: the case's name and query, then the outcome. Plans
-   print on one line (line breaks escaped). *)
-let pin_block (name, site, sql) =
-  let schema, registry, stats = pin_parts site in
-  let o = Planner.plan_sql schema stats registry sql in
-  let one_line s = String.concat "\\n" (String.split_on_char '\n' s) in
-  String.concat "\n"
-    ([
-      "query " ^ name;
-      "sql " ^ sql;
-      "best " ^ one_line (Nalg.to_string o.Planner.best.Planner.expr);
-      "costs "
-      ^ String.concat " "
-          (List.map
-             (fun (p : Planner.plan) -> Printf.sprintf "%.17g" p.Planner.cost)
-             o.Planner.candidates);
-      Printf.sprintf "explored %d merged %d" o.Planner.explored o.Planner.merged;
-      "diagnostics "
-      ^ String.concat ","
-          (List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) o.Planner.diagnostics);
-    ]
-    @ List.map
-        (fun (p : Planner.plan) ->
-          Printf.sprintf "candidate %.17g %.17g %s" p.Planner.cost p.Planner.card
-            (one_line (Nalg.to_string p.Planner.expr)))
-        o.Planner.candidates
-    @ List.map
-        (fun (d : Diagnostic.t) ->
-          Printf.sprintf "diagnostic %s [%s] %s" d.Diagnostic.code
-            (String.concat "/" d.Diagnostic.path)
-            (one_line d.Diagnostic.message))
-        o.Planner.diagnostics)
-
-(* The pinned blocks, keyed by case name. *)
-let pinned =
-  lazy
-    (In_channel.with_open_text "planner_pins.txt" In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.fold_left
-         (fun acc line ->
-           match acc with
-           | _ when String.length line > 6 && String.sub line 0 6 = "query " ->
-             (String.sub line 6 (String.length line - 6), [ line ]) :: acc
-           | (name, lines) :: rest when line <> "" -> (name, line :: lines) :: rest
-           | _ -> acc)
-         []
-    |> List.rev_map (fun (name, lines) -> (name, String.concat "\n" (List.rev lines))))
-
-let test_plan_pins () =
-  let pinned = Lazy.force pinned in
-  check
-    Alcotest.(list string_t)
-    "pinned cases" (List.map fst pinned)
-    (List.map (fun (name, _, _) -> name) pin_cases);
-  let blocks = List.map pin_block pin_cases in
-  (* on a mismatch, the current text goes to planner_pins.actual beside
-     the test binary *)
-  if List.exists2 (fun (_, b) b' -> not (String.equal b b')) pinned blocks then
-    Out_channel.with_open_text "planner_pins.actual" (fun oc ->
-        List.iter (fun b -> Out_channel.output_string oc (b ^ "\n\n")) blocks);
-  List.iter2
-    (fun (name, _, _) block -> check string_t name (List.assoc name pinned) block)
-    pin_cases blocks
 
 (* Planning is a function of the query alone: the pinned queries
    planned forwards and then backwards in one process give the same
    outcomes byte for byte, so no memo of the planning context survives
    an [enumerate] call. *)
 let test_plan_order_independent () =
-  let forwards = List.map pin_block pin_cases in
-  let backwards = List.rev_map pin_block (List.rev pin_cases) in
+  let forwards = List.map Pins.block Pins.cases in
+  let backwards = List.rev_map Pins.block (List.rev Pins.cases) in
   List.iter2
     (fun (name, _, _) (f, b) -> check string_t name f b)
-    pin_cases (List.combine forwards backwards)
-
-(* The join phase of [enumerate] for a query, over one memo: rule 4
-   to fixpoint on every expansion, then the join closure. *)
-let join_phase memo registry sql =
-  let q, _ = Contain.minimize_query registry (Sql_parser.parse registry sql) in
-  View.expand registry (Conjunctive.to_algebra q)
-  |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
-  |> Planner.closure memo (Planner.join_rules ~pointer_rules:true)
-  |> fst
-
-(* The selection and projection phases of [enumerate] from [seeds]:
-   the selection closure, its plans sunk, and the projection
-   closure. *)
-let later_phases memo seeds =
-  let selections, _ = Planner.closure memo Planner.selection_rules seeds in
-  let sunk =
-    List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n)) selections
-  in
-  let projections, _ = Planner.closure memo Planner.projection_rules sunk in
-  (selections, sunk, projections)
+    Pins.cases (List.combine forwards backwards)
 
 (* Every plan the closures of [enumerate] reach for a query, rebuilt
    from the public rules phase by phase (join, one plan per class,
    selection, sinking, projection, pruning), over one memo. *)
 let closure_plans memo registry sql =
-  let joins = join_phase memo registry sql in
-  let selections, sunk, projections = later_phases memo (Planner.classes memo joins) in
+  let joins = Pins.join_phase memo registry sql in
+  let selections, sunk, projections = Pins.later_phases memo (Planner.classes memo joins) in
   List.map Memo.expr (joins @ selections @ sunk @ projections)
   @ List.map (Rewrite.prune memo) projections
 
@@ -566,7 +383,7 @@ let closure_plans memo registry sql =
    plan is costed. *)
 let ungrouped_best_cost schema stats registry sql =
   let memo = Memo.create schema stats in
-  let _, _, projections = later_phases memo (join_phase memo registry sql) in
+  let _, _, projections = Pins.later_phases memo (Pins.join_phase memo registry sql) in
   List.fold_left
     (fun best n ->
       let n = Memo.intern ~hint:n memo (Rewrite.prune memo n) in
@@ -584,7 +401,7 @@ let ungrouped_best_cost schema stats registry sql =
 let test_complete_search () =
   List.iter
     (fun (name, site, sql) ->
-      let schema, registry, stats = pin_parts site in
+      let schema, registry, stats = Pins.parts site in
       let o = Planner.plan_sql schema stats registry sql in
       Alcotest.(check (list string))
         (name ^ ": no cap warning") []
@@ -595,15 +412,15 @@ let test_complete_search () =
       Alcotest.(check (float 1e-9))
         (name ^ ": the ungrouped search's best cost")
         (ungrouped_best_cost schema stats registry sql) o.Planner.best.Planner.cost)
-    pin_cases;
-  let schema, registry, stats = pin_parts pin_join_site in
+    Pins.cases;
+  let schema, registry, stats = Pins.parts Pins.join_site in
   List.iter
     (fun (name, sql, expected) ->
       let o = Planner.plan_sql schema stats registry sql in
       Alcotest.(check (float 1e-9)) (name ^ ": best cost") expected o.Planner.best.Planner.cost)
     [
-      ("ex7.2", pin_ex72 "Computer Science" "Graduate", 62.0);
-      ("ex7.2-session", pin_ex72_session "Computer Science" "Fall", 24.0);
+      ("ex7.2", Pins.ex72 "Computer Science" "Graduate", 62.0);
+      ("ex7.2-session", Pins.ex72_session "Computer Science" "Fall", 24.0);
     ]
 
 (* [Planner.classes] keeps, of the join phase's plans, one plan per
@@ -612,9 +429,9 @@ let test_complete_search () =
 let test_classes () =
   List.iter
     (fun (name, site, sql) ->
-      let schema, registry, stats = pin_parts site in
+      let schema, registry, stats = Pins.parts site in
       let memo = Memo.create schema stats in
-      let joins = join_phase memo registry sql in
+      let joins = Pins.join_phase memo registry sql in
       let cost n = (Memo.estimate memo n).Cost.cost in
       let expected =
         List.fold_left
@@ -631,7 +448,7 @@ let test_classes () =
         (name ^ ": one plan per key, the first of the cheapest")
         (List.map (fun (_, n) -> Memo.id n) expected)
         (List.map Memo.id (Planner.classes memo joins)))
-    pin_cases
+    Pins.cases
 
 (* The planning context — the interned memo — answers every property
    as the context-free function does: output attributes, alias
@@ -677,10 +494,10 @@ let context_agrees ?memo ~what schema stats (plans : Nalg.expr list) =
 let test_context_closure_plans () =
   List.iter
     (fun (name, site, sql) ->
-      let schema, registry, stats = pin_parts site in
+      let schema, registry, stats = Pins.parts site in
       let memo = Memo.create schema stats in
       context_agrees ~memo ~what:name schema stats (closure_plans memo registry sql))
-    pin_cases
+    Pins.cases
 
 (* Hand-made plans the closures never reach: ill-typed ones (their
    diagnostics, paths and order included, and the E0402/E0403 verdicts
@@ -690,7 +507,7 @@ let test_context_closure_plans () =
    renumberings, and a residual attribute-attribute comparison. The
    last three come in pairs with one multiset and different keys. *)
 let test_context_hand_made_plans () =
-  let schema, _, stats = pin_parts pin_uni_site in
+  let schema, _, stats = Pins.parts Pins.uni_site in
   let e = Nalg.entry in
   let profs = Nalg.unnest (e "ProfListPage") "ProfListPage.ProfList" in
   let ill_typed =
@@ -770,9 +587,9 @@ let test_context_hand_made_plans () =
    the rule kept are the parent's nodes (same ids), and only the
    rebuilt spine is new. *)
 let test_memo_shares_subtrees () =
-  let schema, registry, stats = pin_parts pin_uni_site in
+  let schema, registry, stats = Pins.parts Pins.uni_site in
   let memo = Memo.create schema stats in
-  let q = Sql_parser.parse registry (pin_ex72 "Computer Science" "Graduate") in
+  let q = Sql_parser.parse registry (Pins.ex72 "Computer Science" "Graduate") in
   let seeds = List.map (Memo.intern memo) (View.expand registry (Conjunctive.to_algebra q)) in
   let ids n =
     let rec go acc n = List.fold_left go (Memo.id n :: acc) (Memo.kids n) in
@@ -822,11 +639,11 @@ let test_candidates_lower () =
   in
   List.iter
     (fun (name, site, sql) ->
-      let schema, registry, stats = pin_parts site in
+      let schema, registry, stats = Pins.parts site in
       lowers name schema stats (Planner.plan_sql schema stats registry sql))
-    pin_cases;
+    Pins.cases;
   let bib_schema, bib_registry, bib_stats =
-    pin_parts (lazy (Sitegen.Sites.load Bibliography))
+    Pins.parts (lazy (Sitegen.Sites.load Bibliography))
   in
   List.iter
     (fun sql ->
@@ -868,7 +685,6 @@ let suite =
       Alcotest.test_case "planner cost vs measured" `Quick test_planner_cost_orders_match_measured;
       Alcotest.test_case "planner rejects unknown" `Quick test_planner_rejects_unknown;
       Alcotest.test_case "planner figure 2 query" `Quick test_planner_figure2_query;
-      Alcotest.test_case "plan pins unchanged" `Quick test_plan_pins;
       Alcotest.test_case "grouped search keeps the best cost" `Slow test_complete_search;
       Alcotest.test_case "one plan per class between the phases" `Quick test_classes;
       Alcotest.test_case "every candidate lowers" `Quick test_candidates_lower;

@@ -183,7 +183,7 @@ and mutation =
   | Operand of int * string
       (** the [k]-th constant or qualified column replaced *)
 
-let pins = Array.of_list Test_planner.pin_cases
+let pins = Array.of_list Pins.cases
 
 let pin i =
   let _, site, sql = pins.(i mod Array.length pins) in
@@ -225,7 +225,7 @@ let mutate toks = function
 
 (* The site and query text of an input. *)
 let realize = function
-  | Tokens ts -> (Test_planner.pin_uni_site, String.concat " " ts)
+  | Tokens ts -> (Pins.uni_site, String.concat " " ts)
   | Truncated (i, k) ->
     let site, sql = pin i in
     (site, String.sub sql 0 (k mod (String.length sql + 1)))
