@@ -1,4 +1,4 @@
-.PHONY: build test check analyze ci bench bench-kernel bench-fetch bench-exec bench-server bench-analyze bench-churn bench-views bench-bindings bench-all examples clean
+.PHONY: build test check ci bench bench-kernel bench-fetch bench-exec bench-server bench-analyze bench-churn bench-views bench-bindings bench-all examples clean
 
 build:
 	dune build @all
@@ -10,10 +10,15 @@ build:
 test:
 	dune runtest
 
-# Strict gate: warning-clean build, full test suite, and the static
-# analyzer over every site in the site table (schema + view lint plus sample
-# queries — including every SQL query the examples/ programs run;
-# nonzero exit on any error-severity diagnostic).
+# Strict gate: warning-clean build, full test suite, and the analyzer
+# over every site in the site table, once per site: schema, registry
+# and dead-view lint plus, per sample query (including every SQL query
+# the examples/ programs run), the query lint, satisfiability (E0601),
+# redundant-occurrence minimization (W0602), view subsumption (W0603),
+# trivial answerability (W0604), binding patterns (E0111) and planning
+# with the planner's equivalence dedup. `check` exits 2 on any
+# error-severity diagnostic, so make fails on it. `dune runtest` also
+# diffs these runs' output against test/check_pins.expected.
 check:
 	dune build --profile ci @all
 	dune runtest --profile ci
@@ -30,29 +35,6 @@ check:
 	  "SELECT p.PName FROM Product p WHERE p.Price > 495"
 	dune exec --profile ci bin/webviews_cli.exe -- check --site bibliography
 	dune exec --profile ci bin/webviews_cli.exe -- check --site formsite \
-	  "SELECT P.PName, P.Office FROM Course C, Professor P WHERE C.Dept = 'cs' AND C.Instructor = P.PName"
-
-# Semantic analyzer gate: `webviews analyze --format=json` over the
-# same query set the examples/ programs run (mirrored above in
-# `check`) — satisfiability (E0601), redundant-occurrence
-# minimization (W0602), view subsumption (W0603), trivial
-# answerability (W0604), and the planner's equivalence dedup. The
-# subcommand exits 2 on any error-severity finding, so `set -e` /
-# make fail on E06xx.
-analyze:
-	dune exec --profile ci bin/webviews_cli.exe -- analyze --site university --format=json \
-	  "SELECT p.PName, p.Email FROM Professor p, ProfDept pd WHERE p.PName = pd.PName AND pd.DName = 'Computer Science'" \
-	  "SELECT c.CName, ci.PName FROM Course c, CourseInstructor ci WHERE c.CName = ci.CName" \
-	  "SELECT p.PName, p.Rank FROM Professor p, ProfDept d WHERE p.PName = d.PName AND d.DName = 'Computer Science'" \
-	  "SELECT p.PName FROM Professor p" \
-	  "SELECT c.CName, c.Description FROM Professor p, CourseInstructor ci, Course c WHERE p.PName = ci.PName AND ci.CName = c.CName AND c.Session = 'Fall' AND p.Rank = 'Full'"
-	dune exec --profile ci bin/webviews_cli.exe -- analyze --site catalog --format=json \
-	  "SELECT p.PName, p.Price FROM Product p WHERE p.Category = 'Audio'" \
-	  "SELECT p.PName, p.Price FROM Product p WHERE p.Brand = 'Acme' AND p.Price < 50" \
-	  "SELECT p.PName, p.Brand FROM Product p WHERE p.Category = 'Audio' AND p.Price >= 400" \
-	  "SELECT p.PName FROM Product p WHERE p.Price > 495"
-	dune exec --profile ci bin/webviews_cli.exe -- analyze --site bibliography --format=json
-	dune exec --profile ci bin/webviews_cli.exe -- analyze --site formsite --format=json \
 	  "SELECT P.PName, P.Office FROM Course C, Professor P WHERE C.Dept = 'cs' AND C.Instructor = P.PName"
 
 # Regenerate every experiment of the paper plus bechamel timings.

@@ -6,19 +6,16 @@
      webviews crawl    [--site ...]
      webviews plan     [--site ...] [--candidates N] [--cap N] "SELECT ..."
      webviews explain  [--site ...] [--physical] [--window N] [--cap N] "SELECT ..."
-     webviews query    [--site ...] [--cap N] "SELECT ..."
-     webviews run      [--site ...] [--faults R] [--latency] [--window N]
-                       [--retries N] [--limit N] "SELECT ..."
+     webviews query    [--site ...] [--views] [--faults R] [--latency] [--window N]
+                       [--retries N] [--limit N] [--cap N] "SELECT ..."
      webviews serve    [--site ...] [--workload FILE | --queries N]
                        [--concurrency K] [--quantum N] [--policy rr|priority]
-                       [--deadline MS] [--stale] [--faults R] [--latency]
-                       [--churn RATE] [--budget U] [--max-age N] [--json]
+                       [--deadline MS] [--stale] [--faults R] [--latency] [--json]
      webviews churn    [--site ...] [--churn-rate R] [--budget U] [--max-age N]
                        [--maintenance incremental|full-refresh|none]
                        [--queries N] [--json] [--fail-on-violation]
      webviews matview  [--site ...] "SELECT ..."
-     webviews check    [--site ...] [--cap N] [--strict] ["SELECT ..." ...]
-     webviews analyze  [--site ...] [--format text|json] [--strict]
+     webviews check    [--site ...] [--views] [--json] [--cap N] [--strict]
                        ["SELECT ..." ...]
 
    webviews --version prints the release. *)
@@ -105,6 +102,41 @@ let views_arg =
                light-connection economics); a chosen substitution is \
                reported with its residual predicate and HEAD/GET split.")
 
+let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
+
+(* The simulated network and the fetch engine over it. *)
+
+let faults_arg =
+  Arg.(value & opt rate_conv 0.0 & info [ "faults" ] ~docv:"RATE"
+         ~doc:"Transient-failure probability per URL (0.0–1.0) of the \
+               simulated network; failures are retried with backoff.")
+
+let latency_arg =
+  Arg.(value & flag & info [ "latency" ]
+         ~doc:"Simulate per-request latency even with no faults, so the \
+               elapsed-time report is meaningful.")
+
+let window_arg =
+  Arg.(value & opt (size_conv ~min:1) 8 & info [ "window" ] ~docv:"N"
+         ~doc:"In-flight width of a navigation's fetch batch (the streaming \
+               executor's prefetch window); 1 fetches sequentially.")
+
+let retries_arg =
+  Arg.(value & opt (size_conv ~min:0) 3 & info [ "retries" ] ~docv:"N"
+         ~doc:"Extra attempts after a failed exchange.")
+
+let net_seed_arg =
+  Arg.(value & opt int 42 & info [ "net-seed" ] ~docv:"SEED"
+         ~doc:"Seed of the network model; every fault and latency draw \
+               replays deterministically from it.")
+
+(* A network model only when something is simulated: the perfect
+   transport otherwise. *)
+let netmodel ~faults ~latency ~net_seed =
+  if faults > 0.0 || latency then
+    Some (Websim.Netmodel.create (Websim.Netmodel.config ~seed:net_seed ~fault_rate:faults ()))
+  else None
+
 let with_site f site depts profs courses seed =
   f (Sites.load ~size:{ Sites.depts; profs; courses; seed } site)
 
@@ -184,25 +216,22 @@ let crawl_cmd =
 
 let plan_cmd =
   let run cap n dot sql (loaded : Sites.t) =
-    if loaded.registry = [] then Fmt.epr "this site has no external view@."
+    lint_gate loaded sql;
+    let stats = Sites.stats loaded in
+    let outcome = plan_query ?cap loaded stats sql in
+    if dot then Fmt.pr "%s@." (Explain.to_dot outcome.Planner.best.Planner.expr)
     else begin
-      lint_gate loaded sql;
-      let stats = Sites.stats loaded in
-      let outcome = plan_query ?cap loaded stats sql in
-      if dot then Fmt.pr "%s@." (Explain.to_dot outcome.Planner.best.Planner.expr)
-      else begin
-        Fmt.pr "%a@." Explain.pp_outcome outcome;
-        List.iter
-          (fun d -> Fmt.pr "%a@." Diagnostic.pp d)
-          outcome.Planner.diagnostics;
-        List.iteri
-          (fun i (p : Planner.plan) ->
-            if i < n then
-              Fmt.pr "@.--- candidate #%d, cost %.2f ---@.%a@." (i + 1) p.Planner.cost
-                (Explain.pp_annotated loaded.schema stats)
-                p.Planner.expr)
-          outcome.Planner.candidates
-      end
+      Fmt.pr "%a@." Explain.pp_outcome outcome;
+      List.iter
+        (fun d -> Fmt.pr "%a@." Diagnostic.pp d)
+        outcome.Planner.diagnostics;
+      List.iteri
+        (fun i (p : Planner.plan) ->
+          if i < n then
+            Fmt.pr "@.--- candidate #%d, cost %.2f ---@.%a@." (i + 1) p.Planner.cost
+              (Explain.pp_annotated loaded.schema stats)
+              p.Planner.expr)
+        outcome.Planner.candidates
     end
   in
   let n_arg =
@@ -256,10 +285,6 @@ let explain_cmd =
                  print the physical tree with estimated vs actual rows and \
                  page accesses per operator.")
   in
-  let window_arg =
-    Arg.(value & opt (size_conv ~min:1) 8 & info [ "window" ] ~docv:"N"
-           ~doc:"Prefetch window of the streaming executor's navigations.")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -276,91 +301,40 @@ let explain_cmd =
           $ physical_arg $ window_arg $ views_arg $ sql_arg)
 
 let query_cmd =
-  let run cap use_views sql (loaded : Sites.t) =
+  let run cap use_views faults latency window retries net_seed limit sql
+      (loaded : Sites.t) =
     lint_gate loaded sql;
     let stats = Sites.stats loaded in
     let vs = if use_views then Some (Sites.viewstore loaded) else None in
-    let http = Websim.Http.connect loaded.site in
-    let source =
-      { (Eval.live_source loaded.schema http) with views = Option.map Viewstore.answerer vs }
-    in
     let outcome =
       plan_query ?cap ?views:(Option.map Viewstore.context vs) loaded stats sql
     in
-    let result =
-      Planner.rename_output outcome
-        (Eval.eval loaded.schema source outcome.Planner.best.Planner.expr)
+    let best = outcome.Planner.best.Planner.expr in
+    let fetcher =
+      Websim.Fetcher.create
+        ~config:(Websim.Fetcher.config ~window ~retries ())
+        ?netmodel:(netmodel ~faults ~latency ~net_seed)
+        (Websim.Http.connect loaded.site)
     in
+    let source =
+      { (Eval.fetcher_source loaded.schema fetcher) with
+        views = Option.map Viewstore.answerer vs }
+    in
+    let result = Eval.eval ?limit loaded.schema source best in
     Fmt.pr "%a@." Explain.pp_outcome outcome;
-    Fmt.pr "plan (cost %.2f):@.%a@.@." outcome.Planner.best.Planner.cost Nalg.pp_plan
-      outcome.Planner.best.Planner.expr;
-    Fmt.pr "%a@.@." Adm.Relation.pp result;
-    Fmt.pr "network: %a@." Websim.Http.pp_stats (Websim.Http.stats http);
+    Fmt.pr "plan (cost %.2f, predicted %.0f ms at window %d):@.%a@.@."
+      outcome.Planner.best.Planner.cost
+      (Cost.elapsed_estimate ?views:(Option.map Viewstore.econ vs) ~window
+         loaded.schema stats best)
+      window Nalg.pp_plan best;
+    Fmt.pr "%a@.@." Adm.Relation.pp (Planner.rename_output outcome result);
+    Fmt.pr "%a@." Explain.pp_fetch_report
+      { Eval.result; fetch = Websim.Fetcher.report fetcher };
     Option.iter
       (fun vs ->
         let store_http = Matview.fetcher (Viewstore.store vs) |> Websim.Fetcher.http in
         Fmt.pr "view store: %a@." Websim.Http.pp_stats (Websim.Http.stats store_http))
       vs
-  in
-  Cmd.v
-    (Cmd.info "query"
-       ~doc:
-         "Plan and execute a SQL query over the site's relational view. With \
-          $(b,--views) the registered views are materialized first and \
-          compete as access paths; a chosen view scan answers from the local \
-          store after bounded HEAD revalidation.")
-    Term.(const (fun site depts profs courses seed cap use_views sql ->
-              with_site (run cap use_views sql) site depts profs courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
-          $ views_arg $ sql_arg)
-
-let run_cmd =
-  let run faults latency window retries net_seed cap limit sql (loaded : Sites.t) =
-    lint_gate loaded sql;
-    let stats = Sites.stats loaded in
-    let http = Websim.Http.connect loaded.site in
-    let netmodel =
-      if faults > 0.0 || latency then
-        Some
-          (Websim.Netmodel.create
-             (Websim.Netmodel.config ~seed:net_seed ~fault_rate:faults ()))
-      else None
-    in
-    let config = Websim.Fetcher.config ~window ~retries () in
-    let fetcher = Websim.Fetcher.create ~config ?netmodel http in
-    let outcome = plan_query ?cap loaded stats sql in
-    let best = outcome.Planner.best.Planner.expr in
-    Fmt.pr "plan (cost %.2f, predicted %.0f ms at window %d):@.%a@.@."
-      outcome.Planner.best.Planner.cost
-      (Cost.elapsed_estimate ~window loaded.schema stats best)
-      window Nalg.pp_plan best;
-    let report = Eval.eval_fetched ?limit loaded.schema fetcher best in
-    Fmt.pr "%a@.@." Adm.Relation.pp (Planner.rename_output outcome report.Eval.result);
-    Fmt.pr "%a@." Explain.pp_fetch_report report
-  in
-  let faults_arg =
-    Arg.(value & opt rate_conv 0.0 & info [ "faults" ] ~docv:"RATE"
-           ~doc:"Transient-failure probability per URL (0.0–1.0) of the \
-                 simulated network; failures are retried with backoff.")
-  in
-  let latency_arg =
-    Arg.(value & flag & info [ "latency" ]
-           ~doc:"Simulate per-request latency even with no faults, so the \
-                 elapsed-time report is meaningful.")
-  in
-  let window_arg =
-    Arg.(value & opt (size_conv ~min:1) 8 & info [ "window" ] ~docv:"N"
-           ~doc:"In-flight width of a navigation's fetch batch; 1 fetches \
-                 sequentially.")
-  in
-  let retries_arg =
-    Arg.(value & opt (size_conv ~min:0) 3 & info [ "retries" ] ~docv:"N"
-           ~doc:"Extra attempts after a failed exchange.")
-  in
-  let net_seed_arg =
-    Arg.(value & opt int 42 & info [ "net-seed" ] ~docv:"SEED"
-           ~doc:"Seed of the network model; every fault and latency draw \
-                 replays deterministically from it.")
   in
   let limit_arg =
     Arg.(value & opt (some (size_conv ~min:0)) None & info [ "limit" ] ~docv:"N"
@@ -369,26 +343,31 @@ let run_cmd =
                  answer does not need.")
   in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info "query"
        ~doc:
-         "Plan and execute a query through the resilient fetch engine: \
-          batched fetch windows, retries with backoff, circuit breaker and \
-          page cache, optionally over a simulated faulty network. Reports \
-          both cost ledgers (page accesses and fetch-engine counters) and \
-          the simulated elapsed time.")
-    Term.(const (fun site depts profs courses seed faults latency window retries
-                     net_seed cap limit sql ->
-              with_site (run faults latency window retries net_seed cap limit sql)
+         "Plan and execute a SQL query over the site's relational view \
+          through the resilient fetch engine: batched fetch windows, retries \
+          with backoff, circuit breaker and page cache, optionally over a \
+          simulated faulty network. Reports the plan with its predicted \
+          elapsed time, the rows, both cost ledgers (page accesses and \
+          fetch-engine counters) and the simulated elapsed time. With \
+          $(b,--views) the registered views are materialized first and \
+          compete as access paths; a chosen view scan answers from the local \
+          store after bounded HEAD revalidation.")
+    Term.(const (fun site depts profs courses seed cap use_views faults latency
+                     window retries net_seed limit sql ->
+              with_site
+                (run cap use_views faults latency window retries net_seed limit sql)
                 site depts profs courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ faults_arg
-          $ latency_arg $ window_arg $ retries_arg $ net_seed_arg $ cap_arg
-          $ limit_arg $ sql_arg)
+          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
+          $ views_arg $ faults_arg $ latency_arg $ window_arg $ retries_arg
+          $ net_seed_arg $ limit_arg $ sql_arg)
 
 let matview_cmd =
   let run sql (loaded : Sites.t) =
     if Option.is_some loaded.binding_config then begin
       (* materialization crawls; a form-only site has nothing to crawl *)
-      Fmt.epr "this site cannot be crawled (form-only); use query/run instead@.";
+      Fmt.epr "this site cannot be crawled (form-only); use query instead@.";
       exit 2
     end;
     lint_gate loaded sql;
@@ -456,85 +435,6 @@ let discover_cmd =
           paper assigns to WebSQL-style exploration).")
     (site_args run)
 
-let strict_arg =
-  Arg.(value & flag & info [ "strict" ]
-         ~doc:"Exit 1 when only warning-severity diagnostics are reported \
-               (errors always exit 2).")
-
-let check_cmd =
-  let run cap strict sqls (loaded : Sites.t) =
-    let section title = function
-      | [] -> Fmt.pr "%s: ok@." title
-      | ds ->
-        Fmt.pr "%s:@." title;
-        List.iter
-          (fun d -> Fmt.pr "  %a@." Diagnostic.pp d)
-          (List.sort Diagnostic.compare ds)
-    in
-    let schema_diags = Diagnostic.dedup (Typecheck.lint_schema loaded.schema) in
-    section "schema" schema_diags;
-    let registry_diags =
-      Diagnostic.dedup
-        (Typecheck.lint_registry loaded.schema loaded.registry
-        @ Viewmatch.registry_lint (Viewmatch.make loaded.registry))
-    in
-    section "view registry" registry_diags;
-    (* crawl lazily: pure lint runs offline, planning needs stats *)
-    let stats = loaded.Sites.stats in
-    let query_diags =
-      List.concat_map
-        (fun sql ->
-          let lint = Typecheck.lint_sql loaded.schema loaded.registry sql in
-          let semantic, bindings_lint =
-            if Diagnostic.has_errors lint || loaded.registry = [] then ([], [])
-            else
-              let q = Sql_parser.parse loaded.registry sql in
-              let _, ds = Contain.analyze_query loaded.registry q in
-              (ds, Sites.binding_lint loaded q)
-          in
-          let planner =
-            if Diagnostic.has_errors lint || loaded.registry = [] then []
-            else
-              match
-                Planner.plan_sql ?cap ?bindings:(Sites.bindings loaded)
-                  loaded.schema (Lazy.force stats) loaded.registry sql
-              with
-              | outcome -> outcome.Planner.diagnostics
-              | exception Invalid_argument msg ->
-                [ Diagnostic.error ~code:"E0309" "planning failed: %s" msg ]
-          in
-          let ds = Diagnostic.dedup (lint @ semantic @ bindings_lint @ planner) in
-          section (Fmt.str "query %S" sql) ds;
-          ds)
-        sqls
-    in
-    let all = schema_diags @ registry_diags @ query_diags in
-    Fmt.pr "@.%s@." (Diagnostic.summary all);
-    exit (Diagnostic.exit_code ~strict all)
-  in
-  let sqls_arg =
-    Arg.(value & pos_all string [] & info [] ~docv:"SQL"
-           ~doc:"Queries to check (each also planned, with the \
-                 rewrite-soundness check live).")
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Run the static analyzer: lint the site's web scheme and view \
-          registry (including view-subsumption), check each given query \
-          (including satisfiability and redundancy), and plan it with the \
-          rewrite-soundness differential check enabled. Exits 2 on any \
-          error-severity diagnostic, 1 with $(b,--strict) when only \
-          warnings remain, else 0.")
-    Term.(const (fun site depts profs courses seed cap strict sqls ->
-              with_site (run cap strict sqls) site depts profs courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
-          $ strict_arg $ sqls_arg)
-
-(* ------------------------------------------------------------------ *)
-(* analyze: the semantic analyzer as a first-class subcommand          *)
-(* ------------------------------------------------------------------ *)
-
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -555,173 +455,191 @@ let json_of_diag (d : Diagnostic.t) =
     (json_escape d.Diagnostic.code) Diagnostic.pp_severity d.Diagnostic.severity
     (json_escape d.Diagnostic.message)
 
-let analyze_cmd =
-  let run cap strict format use_views sqls (loaded : Sites.t) =
-    let json = format = "json" in
-    let index = Viewmatch.make loaded.registry in
-    let registry_diags = Diagnostic.dedup (Viewmatch.registry_lint index) in
-    let stats = loaded.Sites.stats in
-    let vs = if use_views then Some (Sites.viewstore loaded) else None in
-    (* per query: lint, minimize, semantic findings, then plan the
-       minimized query to report candidate dedup (with --views, view
-       access paths compete and substitutions are reported) *)
-    let reports =
-      List.map
-        (fun sql ->
-          let lint = Typecheck.lint_sql loaded.schema loaded.registry sql in
-          if Diagnostic.has_errors lint || loaded.registry = [] then
-            (sql, [], None, Diagnostic.dedup lint, None)
-          else
-            let q = Sql_parser.parse loaded.registry sql in
-            let q_min, semantic = Contain.analyze_query loaded.registry q in
-            (* binding-violation lint (E0111) participates in the
-               per-query diagnostics and therefore in the exit-code
-               accounting below: errors -> 2, JSON "errors" included *)
-            let bindings_lint = Sites.binding_lint loaded q in
-            let planned =
-              match
-                Planner.plan_sql ?cap
-                  ?views:(Option.map Viewstore.context vs)
-                  ?bindings:(Sites.bindings loaded) loaded.schema
-                  (Lazy.force stats) loaded.registry sql
-              with
-              | outcome -> Some outcome
-              | exception Invalid_argument _ -> None
-            in
-            let sources_before = List.length q.Conjunctive.from in
-            let sources_after = List.length q_min.Conjunctive.from in
-            ( sql,
-              List.map (fun (s : Conjunctive.source) -> s.Conjunctive.rel)
-                q.Conjunctive.from,
-              Some (q_min, sources_before, sources_after),
-              Diagnostic.dedup (lint @ semantic @ bindings_lint),
-              planned ))
-        sqls
+let json_of_diags ds = "[" ^ String.concat "," (List.map json_of_diag ds) ^ "]"
+
+(* ------------------------------------------------------------------ *)
+(* check: the static and semantic analyzer                             *)
+(* ------------------------------------------------------------------ *)
+
+(* What [check] finds for one query. A query the lint rejects is
+   neither minimized nor planned. *)
+type query_report = {
+  sql : string;
+  occurrences : string list;  (** the relations its FROM names *)
+  minimized : (Conjunctive.t * int * int) option;
+      (** the minimized query, sources before and after *)
+  planned : Planner.outcome option;  (** [None]: not planned, or E0309 *)
+  diagnostics : Diagnostic.t list;
+}
+
+let check_query ?cap ?views (loaded : Sites.t) sql =
+  let lint = Typecheck.lint_sql loaded.schema loaded.registry sql in
+  if Diagnostic.has_errors lint then
+    { sql; occurrences = []; minimized = None; planned = None;
+      diagnostics = Diagnostic.dedup lint }
+  else
+    let q = Sql_parser.parse loaded.registry sql in
+    let q_min, semantic = Contain.analyze_query loaded.registry q in
+    let planned, planner =
+      match
+        Planner.plan_sql ?cap ?views ?bindings:(Sites.bindings loaded) loaded.schema
+          (Sites.stats loaded) loaded.registry sql
+      with
+      | outcome -> (Some outcome, outcome.Planner.diagnostics)
+      | exception Invalid_argument msg ->
+        (None, [ Diagnostic.error ~code:"E0309" "planning failed: %s" msg ])
     in
+    {
+      sql;
+      occurrences = List.map (fun (s : Conjunctive.source) -> s.Conjunctive.rel) q.Conjunctive.from;
+      minimized =
+        Some (q_min, List.length q.Conjunctive.from, List.length q_min.Conjunctive.from);
+      planned;
+      diagnostics =
+        Diagnostic.dedup (lint @ semantic @ Sites.binding_lint loaded q @ planner);
+    }
+
+let json_of_query_report r =
+  let minimized =
+    match r.minimized with
+    | None -> ""
+    | Some (q_min, before, after) ->
+      Fmt.str ",\"minimized\":\"%s\",\"sources_before\":%d,\"sources_after\":%d"
+        (json_escape (Fmt.str "%a" Conjunctive.pp q_min))
+        before after
+  in
+  let plan_part =
+    match r.planned with
+    | None -> ""
+    | Some (o : Planner.outcome) ->
+      let subs =
+        List.map
+          (fun (s : Planner.substitution) ->
+            Fmt.str
+              "{\"view\":\"%s\",\"occurrence\":\"%s\",\"residual\":\"%s\",\
+               \"heads\":%.1f,\"gets\":%.1f}"
+              (json_escape s.Planner.sub_view)
+              (json_escape s.Planner.sub_alias)
+              (json_escape (Pred.to_string s.Planner.sub_residual))
+              s.Planner.sub_heads s.Planner.sub_gets)
+          o.Planner.view_used
+      in
+      Fmt.str
+        ",\"candidates\":%d,\"merged\":%d,\"best_cost\":%.2f,\"substitutions\":[%s]"
+        (List.length o.Planner.candidates)
+        o.Planner.merged o.Planner.best.Planner.cost
+        (String.concat "," subs)
+  in
+  Fmt.str "{\"sql\":\"%s\"%s%s,\"diagnostics\":%s}" (json_escape r.sql) minimized
+    plan_part (json_of_diags r.diagnostics)
+
+let pp_query_report ppf r =
+  Fmt.pf ppf "@.query %S:@." r.sql;
+  (match r.minimized with
+  | Some (q_min, before, after) when after < before ->
+    Fmt.pf ppf "  minimized (%d -> %d sources): %a@." before after Conjunctive.pp q_min
+  | _ -> ());
+  Option.iter
+    (fun (o : Planner.outcome) ->
+      Fmt.pf ppf "  %d candidate plan(s), %d merged as equivalent, best cost %.2f@."
+        (List.length o.Planner.candidates)
+        o.Planner.merged o.Planner.best.Planner.cost;
+      List.iter
+        (fun (s : Planner.substitution) ->
+          Fmt.pf ppf "  occurrence %s answered from view %s (≈%.1f HEAD, ≈%.1f GET)@."
+            s.Planner.sub_alias s.Planner.sub_view s.Planner.sub_heads s.Planner.sub_gets)
+        o.Planner.view_used)
+    r.planned;
+  match r.diagnostics with
+  | [] -> Fmt.pf ppf "  ok@."
+  | ds ->
+    List.iter (fun d -> Fmt.pf ppf "  %a@." Diagnostic.pp d) (List.sort Diagnostic.compare ds)
+
+let check_cmd =
+  let run cap strict json use_views sqls (loaded : Sites.t) =
+    let schema_diags = Diagnostic.dedup (Typecheck.lint_schema loaded.schema) in
+    let index = Viewmatch.make loaded.registry in
+    let registry_diags =
+      Diagnostic.dedup
+        (Typecheck.lint_registry loaded.schema loaded.registry
+        @ Viewmatch.registry_lint index)
+    in
+    let views = if use_views then Some (Viewstore.context (Sites.viewstore loaded)) else None in
+    let reports = List.map (check_query ?cap ?views loaded) sqls in
     (* dead-view lint: registered views no workload occurrence can
        ever use — not named, and sharing no filter-tree bucket with
        any named occurrence *)
     let workload_diags =
-      List.concat_map (fun (_, occs, _, _, _) -> occs) reports
+      List.concat_map (fun r -> r.occurrences) reports
       |> List.sort_uniq String.compare
       |> List.filter_map (View.find loaded.registry)
       |> Viewmatch.workload_lint index
     in
     let all =
-      registry_diags @ workload_diags
-      @ List.concat_map (fun (_, _, _, ds, _) -> ds) reports
+      schema_diags @ registry_diags @ workload_diags
+      @ List.concat_map (fun r -> r.diagnostics) reports
     in
-    if json then begin
-      let query_json (sql, _, min_info, ds, planned) =
-        let minimized =
-          match min_info with
-          | None -> ""
-          | Some (q_min, before, after) ->
-            Fmt.str ",\"minimized\":\"%s\",\"sources_before\":%d,\"sources_after\":%d"
-              (json_escape (Fmt.str "%a" Conjunctive.pp q_min))
-              before after
-        in
-        let plan_part =
-          match planned with
-          | None -> ""
-          | Some (o : Planner.outcome) ->
-            let subs =
-              List.map
-                (fun (s : Planner.substitution) ->
-                  Fmt.str
-                    "{\"view\":\"%s\",\"occurrence\":\"%s\",\"residual\":\"%s\",\
-                     \"heads\":%.1f,\"gets\":%.1f}"
-                    (json_escape s.Planner.sub_view)
-                    (json_escape s.Planner.sub_alias)
-                    (json_escape (Pred.to_string s.Planner.sub_residual))
-                    s.Planner.sub_heads s.Planner.sub_gets)
-                o.Planner.view_used
-            in
-            Fmt.str
-              ",\"candidates\":%d,\"merged\":%d,\"best_cost\":%.2f,\"substitutions\":[%s]"
-              (List.length o.Planner.candidates)
-              o.Planner.merged o.Planner.best.Planner.cost
-              (String.concat "," subs)
-        in
-        Fmt.str "{\"sql\":\"%s\"%s%s,\"diagnostics\":[%s]}" (json_escape sql)
-          minimized plan_part
-          (String.concat "," (List.map json_of_diag ds))
-      in
+    if json then
       Fmt.pr
-        "{\"views\":%d,\"view_buckets\":%d,\"registry_diagnostics\":[%s],\"workload_diagnostics\":[%s],\"queries\":[%s],\"errors\":%d,\"warnings\":%d}@."
-        (Viewmatch.size index) (Viewmatch.buckets index)
-        (String.concat "," (List.map json_of_diag registry_diags))
-        (String.concat "," (List.map json_of_diag workload_diags))
-        (String.concat "," (List.map query_json reports))
+        "{\"schema_diagnostics\":%s,\"views\":%d,\"view_buckets\":%d,\
+         \"registry_diagnostics\":%s,\"workload_diagnostics\":%s,\"queries\":[%s],\
+         \"errors\":%d,\"warnings\":%d}@."
+        (json_of_diags schema_diags) (Viewmatch.size index) (Viewmatch.buckets index)
+        (json_of_diags registry_diags) (json_of_diags workload_diags)
+        (String.concat "," (List.map json_of_query_report reports))
         (List.length (Diagnostic.errors all))
         (List.length (Diagnostic.warnings all))
-    end
     else begin
-      Fmt.pr "view registry: %d views in %d filter-tree buckets@."
-        (Viewmatch.size index) (Viewmatch.buckets index);
-      List.iter (fun d -> Fmt.pr "  %a@." Diagnostic.pp d) registry_diags;
-      List.iter (fun d -> Fmt.pr "  %a@." Diagnostic.pp d) workload_diags;
-      List.iter
-        (fun (sql, _, min_info, ds, planned) ->
-          Fmt.pr "@.query %S@." sql;
-          (match min_info with
-          | Some (q_min, before, after) when after < before ->
-            Fmt.pr "  minimized (%d -> %d sources): %a@." before after
-              Conjunctive.pp q_min
-          | _ -> ());
-          (match planned with
-          | Some (o : Planner.outcome) ->
-            Fmt.pr "  %d candidate plan(s), %d merged as equivalent, best cost %.2f@."
-              (List.length o.Planner.candidates)
-              o.Planner.merged o.Planner.best.Planner.cost;
-            List.iter
-              (fun (s : Planner.substitution) ->
-                Fmt.pr "  occurrence %s answered from view %s (≈%.1f HEAD, ≈%.1f GET)@."
-                  s.Planner.sub_alias s.Planner.sub_view s.Planner.sub_heads
-                  s.Planner.sub_gets)
-              o.Planner.view_used
-          | None -> ());
-          match ds with
-          | [] -> Fmt.pr "  ok@."
-          | ds ->
-            List.iter
-              (fun d -> Fmt.pr "  %a@." Diagnostic.pp d)
-              (List.sort Diagnostic.compare ds))
-        reports;
+      let section title = function
+        | [] -> Fmt.pr "%s: ok@." title
+        | ds ->
+          Fmt.pr "%s:@." title;
+          List.iter
+            (fun d -> Fmt.pr "  %a@." Diagnostic.pp d)
+            (List.sort Diagnostic.compare ds)
+      in
+      section "schema" schema_diags;
+      section
+        (Fmt.str "view registry (%d views in %d filter-tree buckets)"
+           (Viewmatch.size index) (Viewmatch.buckets index))
+        registry_diags;
+      section "workload" workload_diags;
+      List.iter (Fmt.pr "%a" pp_query_report) reports;
       Fmt.pr "@.%s@." (Diagnostic.summary all)
     end;
     exit (Diagnostic.exit_code ~strict all)
   in
-  let format_arg =
-    Arg.(value & opt (enum [ ("text", "text"); ("json", "json") ]) "text"
-         & info [ "format" ] ~docv:"FORMAT"
-             ~doc:"Output format: $(b,text) or $(b,json).")
+  let strict_arg =
+    Arg.(value & flag & info [ "strict" ]
+           ~doc:"Exit 1 when only warning-severity diagnostics are reported \
+                 (errors always exit 2).")
   in
   let sqls_arg =
-    Arg.(value & pos_all string [] & info [] ~docv:"SQL"
-           ~doc:"Queries to analyze.")
+    Arg.(value & pos_all string [] & info [] ~docv:"SQL" ~doc:"Queries to check.")
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "check"
        ~doc:
-         "Run the semantic query analyzer: view-subsumption lint over the \
-          registry (via the filter-tree index), dead-view lint against the \
-          given workload ($(b,W0606): views no query can ever use), then per \
-          query satisfiability ($(b,E0601)), redundant-occurrence \
+         "Run the static and semantic analyzer: lint the site's web scheme \
+          and view registry (including view subsumption via the filter-tree \
+          index), the dead-view lint against the given workload \
+          ($(b,W0606): views no query can ever use), then per query the \
+          query lint, satisfiability ($(b,E0601)), redundant-occurrence \
           minimization ($(b,W0602)), trivial answerability ($(b,W0604)), \
           binding-pattern violations on form-only sites ($(b,E0111): the \
           vocabulary covers the query but no executable composition of \
-          parameterized entry points answers it), and \
-          the planner's equivalence-keyed candidate deduplication. With \
-          $(b,--views) registered views compete as access paths and chosen \
-          substitutions are reported (JSON: per-query \
-          $(b,substitutions)). Exits 2 on any error, 1 with $(b,--strict) \
-          when only warnings remain, else 0.")
-    Term.(const (fun site depts profs courses seed cap strict format use_views sqls ->
-              with_site (run cap strict format use_views sqls) site depts profs
-                courses seed)
+          parameterized entry points answers it), and planning with the \
+          rewrite-soundness check live ($(b,E0309) when no plan exists), \
+          reporting the planner's equivalence-keyed candidate \
+          deduplication. With $(b,--views) registered views compete as \
+          access paths and chosen substitutions are reported (JSON: \
+          per-query $(b,substitutions)). Exits 2 on any error, 1 with \
+          $(b,--strict) when only warnings remain, else 0.")
+    Term.(const (fun site depts profs courses seed cap strict json use_views sqls ->
+              with_site (run cap strict json use_views sqls) site depts profs courses
+                seed)
           $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
-          $ strict_arg $ format_arg $ views_arg $ sqls_arg)
+          $ strict_arg $ json_arg $ views_arg $ sqls_arg)
 
 (* ------------------------------------------------------------------ *)
 (* churn: the live-churn runtime (mutations + maintenance + SLAs)      *)
@@ -800,35 +718,45 @@ let templates_for = function
   | Catalog -> Server.Workload.catalog_templates
   | Formsite -> Server.Workload.formsite_templates
 
-let run_churn ~rate ~churn_seed ~budget ~max_age ~maintenance ~query_check
-    ~entries ~concurrency ~quantum ~domains ~json ~fail_on_violation (loaded : Sites.t) =
-  if loaded.registry = [] then begin
-    Fmt.epr "this site has no external view@.";
-    exit 2
-  end;
-  let pool = if domains > 1 then Some (Server.Pool.create ~domains) else None in
-  let cfg =
-    Churn.Runtime.config
-      ~profile:(Churn.Profile.make ~rate ())
-      ~churn_seed
-      ~sla:(Churn.Sla.create ~default_max_age:max_age ())
-      ~budget_per_turn:budget ~policy:maintenance ~query_check ()
-  in
-  let stats = Sites.stats loaded in
-  let http = Websim.Http.connect loaded.site in
-  let sched = Server.Sched.config ~concurrency ~quantum ~domains () in
-  let report =
-    Churn.Runtime.run ~sched ?pool ?bindings:(Sites.bindings loaded) cfg
-      loaded.schema stats loaded.registry http entries
-  in
-  Option.iter Server.Pool.shutdown pool;
-  if json then Fmt.pr "%s@." (json_of_churn_report report)
-  else begin
-    Fmt.pr "%d queries, concurrency %d, quantum %d, domains %d, churn %.3f/tick@.@."
-      (List.length entries) concurrency quantum domains rate;
-    Fmt.pr "%a@." Churn.Runtime.pp_report report
-  end;
-  if fail_on_violation && report.Churn.Runtime.violations > 0 then exit 3
+(* The workload and scheduler options of serve and churn. *)
+
+let workload_arg =
+  Arg.(value & opt (some file) None & info [ "workload" ] ~docv:"FILE"
+         ~doc:"Workload file: one SQL query per line, blank lines and \
+               $(b,#) comments skipped, optional $(b,PRIO|) priority \
+               prefix. Without it a seeded workload is generated from the \
+               site's template pool.")
+
+let queries_arg default =
+  Arg.(value & opt (size_conv ~min:0) default & info [ "queries" ] ~docv:"N"
+         ~doc:"Size of the generated workload (ignored with $(b,--workload)).")
+
+let wseed_arg =
+  Arg.(value & opt int 7 & info [ "workload-seed" ] ~docv:"SEED"
+         ~doc:"Seed of the workload generator.")
+
+let concurrency_arg =
+  Arg.(value & opt (size_conv ~min:1) 8 & info [ "concurrency" ] ~docv:"K"
+         ~doc:"Resident-query cap (admission control).")
+
+let quantum_arg =
+  Arg.(value & opt (size_conv ~min:1) 4 & info [ "quantum" ] ~docv:"N"
+         ~doc:"Cursor steps one query runs per scheduler turn.")
+
+let domains_arg =
+  Arg.(value & opt (size_conv ~min:1) 1 & info [ "domains" ] ~docv:"N"
+         ~doc:"Execution lanes of the modelled multicore server: each \
+               quantum's fetch time is charged to the earliest-frontier \
+               lane (a query's own chain stays sequential) and makespan \
+               is the largest lane frontier. Results are byte-identical \
+               at every N; prefetched windows extract in parallel on a \
+               pool of N domains.")
+
+let workload_entries (loaded : Sites.t) workload n wseed =
+  match workload with
+  | Some path -> load_workload loaded path
+  | None ->
+    Server.Workload.generate ~templates:(templates_for loaded.kind) ~seed:wseed ~n ()
 
 let maintenance_conv =
   let parse s =
@@ -843,16 +771,30 @@ let maintenance_conv =
 let churn_cmd =
   let run rate churn_seed budget max_age maintenance no_query_check workload n
       wseed concurrency quantum domains json fail_on_violation (loaded : Sites.t) =
-    let entries =
-      match workload with
-      | Some path -> load_workload loaded path
-      | None ->
-        Server.Workload.generate ~templates:(templates_for loaded.kind) ~seed:wseed
-          ~n ()
+    let entries = workload_entries loaded workload n wseed in
+    let pool = if domains > 1 then Some (Server.Pool.create ~domains) else None in
+    let cfg =
+      Churn.Runtime.config
+        ~profile:(Churn.Profile.make ~rate ())
+        ~churn_seed
+        ~sla:(Churn.Sla.create ~default_max_age:max_age ())
+        ~budget_per_turn:budget ~policy:maintenance ~query_check:(not no_query_check) ()
     in
-    run_churn ~rate ~churn_seed ~budget ~max_age ~maintenance
-      ~query_check:(not no_query_check) ~entries ~concurrency ~quantum ~domains
-      ~json ~fail_on_violation loaded
+    let stats = Sites.stats loaded in
+    let http = Websim.Http.connect loaded.site in
+    let sched = Server.Sched.config ~concurrency ~quantum ~domains () in
+    let report =
+      Churn.Runtime.run ~sched ?pool ?bindings:(Sites.bindings loaded) cfg
+        loaded.schema stats loaded.registry http entries
+    in
+    Option.iter Server.Pool.shutdown pool;
+    if json then Fmt.pr "%s@." (json_of_churn_report report)
+    else begin
+      Fmt.pr "%d queries, concurrency %d, quantum %d, domains %d, churn %.3f/tick@.@."
+        (List.length entries) concurrency quantum domains rate;
+      Fmt.pr "%a@." Churn.Runtime.pp_report report
+    end;
+    if fail_on_violation && report.Churn.Runtime.violations > 0 then exit 3
   in
   let rate_arg =
     Arg.(value & opt amount_conv 0.05 & info [ "churn-rate" ] ~docv:"RATE"
@@ -887,33 +829,6 @@ let churn_cmd =
            ~doc:"Serve stored tuples without query-time freshness checks; \
                  only the maintenance lane keeps the store fresh.")
   in
-  let workload_arg =
-    Arg.(value & opt (some file) None & info [ "workload" ] ~docv:"FILE"
-           ~doc:"Workload file (one SQL query per line).")
-  in
-  let n_arg =
-    Arg.(value & opt (size_conv ~min:0) 24 & info [ "queries" ] ~docv:"N"
-           ~doc:"Size of the generated workload (ignored with $(b,--workload)).")
-  in
-  let wseed_arg =
-    Arg.(value & opt int 7 & info [ "workload-seed" ] ~docv:"SEED"
-           ~doc:"Seed of the workload generator.")
-  in
-  let concurrency_arg =
-    Arg.(value & opt (size_conv ~min:1) 8 & info [ "concurrency" ] ~docv:"K"
-           ~doc:"Resident-query cap (admission control).")
-  in
-  let quantum_arg =
-    Arg.(value & opt (size_conv ~min:1) 4 & info [ "quantum" ] ~docv:"N"
-           ~doc:"Cursor steps one query runs per scheduler turn.")
-  in
-  let domains_arg =
-    Arg.(value & opt (size_conv ~min:1) 1 & info [ "domains" ] ~docv:"N"
-           ~doc:"Execution lanes; results are identical at every N.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
   let fail_arg =
     Arg.(value & flag & info [ "fail-on-violation" ]
            ~doc:"Exit 3 when any query's freshness SLA was violated \
@@ -939,113 +854,58 @@ let churn_cmd =
                 site depts profs courses seed)
           $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ rate_arg
           $ churn_seed_arg $ budget_arg $ max_age_arg $ maintenance_arg
-          $ no_query_check_arg $ workload_arg $ n_arg $ wseed_arg
+          $ no_query_check_arg $ workload_arg $ queries_arg 24 $ wseed_arg
           $ concurrency_arg $ quantum_arg $ domains_arg $ json_arg $ fail_arg)
 
 let serve_cmd =
   let run workload n wseed concurrency quantum policy deadline faults latency
-      window retries net_seed use_stale max_resident domains churn churn_seed
-      budget max_age json (loaded : Sites.t) =
+      window retries net_seed use_stale max_resident domains json (loaded : Sites.t) =
     let entries =
-      match workload with
-      | Some path -> load_workload loaded path
-      | None ->
-        Server.Workload.generate ~templates:(templates_for loaded.kind) ~seed:wseed
-          ~n ()
+      List.map
+        (fun (e : Server.Workload.entry) ->
+          match e.Server.Workload.deadline_ms with
+          | Some _ -> e
+          | None -> { e with Server.Workload.deadline_ms = deadline })
+        (workload_entries loaded workload n wseed)
     in
-    let entries =
-      match deadline with
-      | None -> entries
-      | Some _ ->
-        List.map (fun (e : Server.Workload.entry) ->
-            match e.Server.Workload.deadline_ms with
-            | Some _ -> e
-            | None -> { e with Server.Workload.deadline_ms = deadline })
-          entries
+    let stats = Sites.stats loaded in
+    let specs =
+      or_e0309 (fun () ->
+          Server.Sched.plan_workload ?bindings:(Sites.bindings loaded)
+            loaded.schema stats loaded.registry entries)
     in
-    if loaded.registry = [] then Fmt.epr "this site has no external view@."
-    else
-      match churn with
-      | Some rate ->
-        (* live-churn serving: the store-backed runtime takes over the
-           page sourcing and per-query freshness verdicts land in the
-           results (the frozen-site path's netmodel/stale options do
-           not apply here) *)
-        run_churn ~rate ~churn_seed ~budget ~max_age
-          ~maintenance:Churn.Runtime.Incremental ~query_check:true ~entries
-          ~concurrency ~quantum ~domains ~json ~fail_on_violation:false loaded
-      | None ->
-    begin
-      let stats = Sites.stats loaded in
-      let specs =
-        or_e0309 (fun () ->
-            Server.Sched.plan_workload ?bindings:(Sites.bindings loaded)
-              loaded.schema stats loaded.registry entries)
-      in
-      let netmodel =
-        (* deadlines are measured on the simulated clock, which only
-           advances under a netmodel: enable one whenever they matter *)
-        if faults > 0.0 || latency || deadline <> None then
-          Some
-            (Websim.Netmodel.create
-               (Websim.Netmodel.config ~seed:net_seed ~fault_rate:faults ()))
-        else None
-      in
-      let pool =
-        if domains > 1 then Some (Server.Pool.create ~domains) else None
-      in
-      let cache =
-        Server.Shared_cache.create ?pool
-          ~config:(Websim.Fetcher.config ~window ~retries ~cache_capacity:8192 ())
-          ?netmodel
-          (Websim.Http.connect loaded.site)
-      in
-      let source_for =
-        if use_stale then
-          let stale = Matview.materialize loaded.schema (Websim.Http.connect loaded.site) in
-          Some
-            (fun (spec : Server.Sched.spec) ->
-              Some
-                (Server.Shared_cache.source ~stale cache ~query:spec.Server.Sched.qid
-                   loaded.schema))
-        else None
-      in
-      let config =
-        Server.Sched.config ~concurrency ~quantum ~policy
-          ~max_resident_rows:max_resident ~domains ()
-      in
-      let report = Server.Sched.run ?source_for config cache loaded.schema specs in
-      Option.iter Server.Pool.shutdown pool;
-      if json then Fmt.pr "%s@." (json_of_sched_report report)
-      else begin
-        Fmt.pr "%d queries, concurrency %d, quantum %d, domains %d@.@."
-          (List.length specs) concurrency quantum domains;
-        Fmt.pr "%a@." Server.Sched.pp_report report
-      end
+    (* deadlines are measured on the simulated clock, which only
+       advances under a netmodel: enable one whenever they matter *)
+    let netmodel = netmodel ~faults ~latency:(latency || deadline <> None) ~net_seed in
+    let pool = if domains > 1 then Some (Server.Pool.create ~domains) else None in
+    let cache =
+      Server.Shared_cache.create ?pool
+        ~config:(Websim.Fetcher.config ~window ~retries ~cache_capacity:8192 ())
+        ?netmodel
+        (Websim.Http.connect loaded.site)
+    in
+    let source_for =
+      if use_stale then
+        let stale = Matview.materialize loaded.schema (Websim.Http.connect loaded.site) in
+        Some
+          (fun (spec : Server.Sched.spec) ->
+            Some
+              (Server.Shared_cache.source ~stale cache ~query:spec.Server.Sched.qid
+                 loaded.schema))
+      else None
+    in
+    let config =
+      Server.Sched.config ~concurrency ~quantum ~policy
+        ~max_resident_rows:max_resident ~domains ()
+    in
+    let report = Server.Sched.run ?source_for config cache loaded.schema specs in
+    Option.iter Server.Pool.shutdown pool;
+    if json then Fmt.pr "%s@." (json_of_sched_report report)
+    else begin
+      Fmt.pr "%d queries, concurrency %d, quantum %d, domains %d@.@."
+        (List.length specs) concurrency quantum domains;
+      Fmt.pr "%a@." Server.Sched.pp_report report
     end
-  in
-  let workload_arg =
-    Arg.(value & opt (some file) None & info [ "workload" ] ~docv:"FILE"
-           ~doc:"Workload file: one SQL query per line, blank lines and \
-                 $(b,#) comments skipped, optional $(b,PRIO|) priority \
-                 prefix. Without it a seeded workload is generated from the \
-                 site's template pool.")
-  in
-  let n_arg =
-    Arg.(value & opt (size_conv ~min:0) 8 & info [ "queries" ] ~docv:"N"
-           ~doc:"Size of the generated workload (ignored with $(b,--workload)).")
-  in
-  let wseed_arg =
-    Arg.(value & opt int 7 & info [ "workload-seed" ] ~docv:"SEED"
-           ~doc:"Seed of the workload generator.")
-  in
-  let concurrency_arg =
-    Arg.(value & opt (size_conv ~min:1) 8 & info [ "concurrency" ] ~docv:"K"
-           ~doc:"Resident-query cap (admission control).")
-  in
-  let quantum_arg =
-    Arg.(value & opt (size_conv ~min:1) 4 & info [ "quantum" ] ~docv:"N"
-           ~doc:"Cursor steps one query runs per scheduler turn.")
   in
   let policy_conv =
     let parse = function
@@ -1070,69 +930,15 @@ let serve_cmd =
                  returns its partial rows with a completeness report instead \
                  of failing. Implies a latency model.")
   in
-  let faults_arg =
-    Arg.(value & opt rate_conv 0.0 & info [ "faults" ] ~docv:"RATE"
-           ~doc:"Transient-failure probability per URL of the simulated \
-                 network shared by all queries.")
-  in
-  let latency_arg =
-    Arg.(value & flag & info [ "latency" ]
-           ~doc:"Simulate per-request latency so makespan and fairness \
-                 percentiles are meaningful.")
-  in
-  let window_arg =
-    Arg.(value & opt (size_conv ~min:1) 8 & info [ "window" ] ~docv:"N"
-           ~doc:"In-flight width of a navigation's fetch batch.")
-  in
-  let retries_arg =
-    Arg.(value & opt (size_conv ~min:0) 3 & info [ "retries" ] ~docv:"N"
-           ~doc:"Extra attempts after a failed exchange.")
-  in
-  let net_seed_arg =
-    Arg.(value & opt int 42 & info [ "net-seed" ] ~docv:"SEED"
-           ~doc:"Seed of the network model.")
-  in
   let stale_arg =
     Arg.(value & flag & info [ "stale" ]
            ~doc:"Materialize the site first and serve stale stored tuples \
                  when a page is unreachable (graceful degradation).")
   in
-  let domains_arg =
-    Arg.(value & opt (size_conv ~min:1) 1 & info [ "domains" ] ~docv:"N"
-           ~doc:"Execution lanes of the modelled multicore server: each \
-                 quantum's fetch time is charged to the earliest-frontier \
-                 lane (a query's own chain stays sequential) and makespan \
-                 is the largest lane frontier. Results are byte-identical \
-                 at every N; prefetched windows extract in parallel on a \
-                 pool of N domains.")
-  in
   let max_resident_arg =
     Arg.(value & opt (size_conv ~min:0) 100_000 & info [ "max-resident" ] ~docv:"ROWS"
            ~doc:"Stop admitting queries while resident ones buffer more \
                  rows than this.")
-  in
-  let churn_arg =
-    Arg.(value & opt (some amount_conv) None & info [ "churn" ] ~docv:"RATE"
-           ~doc:"Serve over a live site mutating at RATE changes per tick: \
-                 queries answer from an incrementally maintained store and \
-                 each result carries a freshness verdict.")
-  in
-  let churn_seed_arg =
-    Arg.(value & opt int 42 & info [ "churn-seed" ] ~docv:"SEED"
-           ~doc:"Seed of the mutation-traffic generator (with $(b,--churn)).")
-  in
-  let budget_arg =
-    Arg.(value & opt amount_conv 8.0 & info [ "budget" ] ~docv:"UNITS"
-           ~doc:"Wire budget per turn for freshness work (with $(b,--churn)).")
-  in
-  let max_age_arg =
-    Arg.(value & opt (size_conv ~min:0) 100 & info [ "max-age" ] ~docv:"TICKS"
-           ~doc:"Freshness SLA age threshold (with $(b,--churn)).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit the report as JSON (per-query completeness and \
-                 freshness verdicts included).")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1141,32 +947,28 @@ let serve_cmd =
           scheduler interleaves their cursors in batch-sized quanta over one \
           shared page cache, so overlapping navigations hit the network once. \
           Reports per-query results and completeness, the cross-query \
-          coalescing ledger, makespan and fairness percentiles. With \
-          $(b,--churn) the site mutates while being served and every result \
-          carries a freshness verdict.")
+          coalescing ledger, makespan and fairness percentiles. Serving over \
+          a live, mutating site is $(b,churn).")
     Term.(const (fun site depts profs courses seed workload n wseed concurrency
                      quantum policy deadline faults latency window retries
-                     net_seed use_stale max_resident domains churn churn_seed
-                     budget max_age json ->
+                     net_seed use_stale max_resident domains json ->
               with_site
                 (run workload n wseed concurrency quantum policy deadline faults
                    latency window retries net_seed use_stale max_resident domains
-                   churn churn_seed budget max_age json)
+                   json)
                 site depts profs courses seed)
           $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg
-          $ workload_arg $ n_arg $ wseed_arg $ concurrency_arg $ quantum_arg
+          $ workload_arg $ queries_arg 8 $ wseed_arg $ concurrency_arg $ quantum_arg
           $ policy_arg $ deadline_arg $ faults_arg $ latency_arg $ window_arg
           $ retries_arg $ net_seed_arg $ stale_arg $ max_resident_arg
-          $ domains_arg $ churn_arg $ churn_seed_arg $ budget_arg $ max_age_arg
-          $ json_arg)
+          $ domains_arg $ json_arg)
 
 let main_cmd =
   let doc = "Efficient queries over web views (EDBT 1998 reproduction)" in
   Cmd.group (Cmd.info "webviews" ~doc ~version:"0.8.0")
     [
-      scheme_cmd; crawl_cmd; plan_cmd; explain_cmd; query_cmd; run_cmd;
-      serve_cmd; churn_cmd; matview_cmd; navigations_cmd; discover_cmd;
-      check_cmd; analyze_cmd;
+      scheme_cmd; crawl_cmd; plan_cmd; explain_cmd; query_cmd; serve_cmd;
+      churn_cmd; matview_cmd; navigations_cmd; discover_cmd; check_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI gate: warning-strict build and the full test suite under the ci
-# dune profile, then the static analyzer over every generated site via
+# dune profile, then the analyzer over every generated site via
 # `make check` (which itself runs the ci-profile build and tests, so a
 # plain `./ci.sh` is the one command a CI job needs). Every golden file
 # (the paper's experiments, the examples, the scale crawl, the bench
@@ -17,11 +17,8 @@ dune build --profile ci @all
 echo "== dune runtest (ci profile) =="
 dune runtest --profile ci
 
-echo "== make check (static analyzer) =="
+echo "== make check (analyzer, fails on any error diagnostic) =="
 make check
-
-echo "== make analyze (semantic analyzer, fails on E06xx) =="
-make analyze
 
 echo "== smoke scale: 2-domain serve over a scaled site =="
 dune exec --profile ci bin/webviews_cli.exe -- serve \
@@ -98,14 +95,15 @@ grep -q "⇒ DeptPage" /tmp/ci_bindings_smoke.$$ \
 grep -q "(11 rows)" /tmp/ci_bindings_smoke.$$ \
   || { echo "form-only query rows diverged from the expected answer"; rm -f /tmp/ci_bindings_smoke.$$; exit 1; }
 rm -f /tmp/ci_bindings_smoke.$$
-# a covered-but-unanswerable query must fail analyze with E0111 (exit 2)
-if dune exec --profile ci bin/webviews_cli.exe -- analyze --site formsite --format=json \
-     "SELECT P.PName FROM Professor P WHERE P.Office = 'Bldg A, room 100'" \
-     > /tmp/ci_bindings_analyze.$$ 2>&1; then
-  echo "analyze accepted an unanswerable form-only query"; rm -f /tmp/ci_bindings_analyze.$$; exit 1
-fi
-grep -q '"code":"E0111"' /tmp/ci_bindings_analyze.$$ \
-  || { echo "E0111 missing from analyze --format=json"; rm -f /tmp/ci_bindings_analyze.$$; exit 1; }
-rm -f /tmp/ci_bindings_analyze.$$
+# a covered-but-unanswerable query must fail check with E0111 (exit 2)
+status=0
+dune exec --profile ci bin/webviews_cli.exe -- check --site formsite --json \
+  "SELECT P.PName FROM Professor P WHERE P.Office = 'Bldg A, room 100'" \
+  > /tmp/ci_bindings_check.$$ 2>&1 || status=$?
+[ "$status" = 2 ] \
+  || { echo "check exited $status, not 2, on an unanswerable form-only query"; rm -f /tmp/ci_bindings_check.$$; exit 1; }
+grep -q '"code":"E0111"' /tmp/ci_bindings_check.$$ \
+  || { echo "E0111 missing from check --json"; rm -f /tmp/ci_bindings_check.$$; exit 1; }
+rm -f /tmp/ci_bindings_check.$$
 
 echo "== ci: all green =="

@@ -50,28 +50,30 @@ let path_view ?(unnest = []) ?(outputs = []) ~name ~scheme ~inputs () =
     pv_unnest = unnest; pv_outputs = outputs }
 
 (* Synthetic decoy views for scaling experiments: a vocabulary of
-   [width] synthetic entity names, and [n] one-step services chaining
+   [decoy_width] synthetic entity names, and [n] one-step services chaining
    them (view i maps one synthetic name to another; a [hooks] fraction
    take a real seed name as input, so the search genuinely explores
    the decoy space from the query's constants). Deterministic in
    [seed]; decoys target nonexistent page-schemes but can never appear
    in an emitted rewriting, because no decoy outputs a real name. *)
-let decoys ?(width = 24) ?(hooks = []) ~seed ~n () : path_view list =
+let decoy_width = 24
+
+let decoys ?(hooks = []) ~seed ~n () : path_view list =
   let state = ref (seed land 0x3FFFFFFF) in
   let rand m =
     (* xorshift-ish LCG: deterministic, no wall clock *)
     state := (!state * 1103515245 + 12345) land 0x3FFFFFFF;
     !state mod m
   in
-  let syn i = Fmt.str "syn%d" (i mod width) in
+  let syn i = Fmt.str "syn%d" (i mod decoy_width) in
   List.init n (fun i ->
       let input =
         match hooks with
-        | [] -> syn (rand width)
+        | [] -> syn (rand decoy_width)
         | hs when i mod 7 = 0 -> List.nth hs (rand (List.length hs))
-        | _ -> syn (rand width)
+        | _ -> syn (rand decoy_width)
       in
-      let out = syn (rand width) in
+      let out = syn (rand decoy_width) in
       path_view
         ~name:(Fmt.str "decoy%d" i)
         ~scheme:(Fmt.str "DecoyPage%d" i)
@@ -347,8 +349,13 @@ type search_report = {
   truncated : bool;  (* the state cap stopped the search *)
 }
 
-let search ?(max_states = 20_000) ?(max_results = 4) ?(max_calls = 8)
-    (t : config) (schema : Adm.Schema.t) (q : Conjunctive.t) : search_report =
+(* The search's caps: binding states expanded, rewritings returned,
+   calls in one composition. *)
+let max_states = 20_000
+let max_results = 4
+let max_calls = 8
+
+let search (t : config) (schema : Adm.Schema.t) (q : Conjunctive.t) : search_report =
   match read_query t q with
   | None -> { rewritings = []; explored = 0; truncated = false }
   | Some g ->
@@ -404,19 +411,18 @@ let search ?(max_states = 20_000) ?(max_results = 4) ?(max_calls = 8)
 (* The function {!Planner.enumerate} takes as [?bindings]: candidates
    for a (minimized) conjunctive query, emitted into the enumeration
    beside the navigation plans and view scans. *)
-let planner_hook ?max_states ?max_results ?max_calls (t : config)
-    (schema : Adm.Schema.t) : Conjunctive.t -> Nalg.expr list =
- fun q -> (search ?max_states ?max_results ?max_calls t schema q).rewritings
+let planner_hook (t : config) (schema : Adm.Schema.t) : Conjunctive.t -> Nalg.expr list =
+ fun q -> (search t schema q).rewritings
 
 (* Binding-pattern lint of one query: E0111 when the vocabulary covers
    the query but no executable composition answers it — the
    binding-pattern analogue of "no computable plan". *)
-let lint ?max_states (t : config) (schema : Adm.Schema.t) (q : Conjunctive.t) :
+let lint (t : config) (schema : Adm.Schema.t) (q : Conjunctive.t) :
     Diagnostic.t list =
   match read_query t q with
   | None -> []
   | Some g ->
-    let r = search ?max_states t schema q in
+    let r = search t schema q in
     if r.rewritings <> [] then []
     else if g.g_consts = [] then
       [

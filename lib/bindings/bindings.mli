@@ -33,10 +33,8 @@ val path_view :
   ?outputs:(string * string) list ->
   name:string -> scheme:string -> inputs:string list -> unit -> path_view
 
-val decoys :
-  ?width:int -> ?hooks:string list -> seed:int -> n:int -> unit ->
-  path_view list
-(** [n] synthetic one-step services over a vocabulary of [width]
+val decoys : ?hooks:string list -> seed:int -> n:int -> unit -> path_view list
+(** [n] synthetic one-step services over a vocabulary of 24
     entity names, for search-scaling experiments. A fraction take a
     name from [hooks] as input so the search reaches them from real
     query constants; none outputs a real name, so no decoy can appear
@@ -61,26 +59,22 @@ type search_report = {
   truncated : bool;  (** the state cap stopped the search *)
 }
 
-val search :
-  ?max_states:int -> ?max_results:int -> ?max_calls:int ->
-  config -> Adm.Schema.t -> Webviews.Conjunctive.t -> search_report
+val search : config -> Adm.Schema.t -> Webviews.Conjunctive.t -> search_report
 (** Breadth-first search over binding states (sets of bound logical
-    names), seeded by the query's equality constants. Every returned
+    names), seeded by the query's equality constants. It expands at
+    most 20,000 states, returns at most 4 rewritings and composes at
+    most 8 calls. Every returned
     plan is executable — calls appear in an order where each argument
     is bound upstream — and covers the query's SELECT and WHERE under
     the vocabulary. *)
 
 val planner_hook :
-  ?max_states:int -> ?max_results:int -> ?max_calls:int ->
   config -> Adm.Schema.t -> Webviews.Conjunctive.t -> Webviews.Nalg.expr list
 (** The function to pass as [?bindings] to
     {!Webviews.Planner.enumerate}: rewriting candidates for a
     (minimized) conjunctive query. *)
 
-val lint :
-  ?max_states:int ->
-  config -> Adm.Schema.t -> Webviews.Conjunctive.t ->
-  Webviews.Diagnostic.t list
+val lint : config -> Adm.Schema.t -> Webviews.Conjunctive.t -> Webviews.Diagnostic.t list
 (** [E0111] when the vocabulary covers the query but no executable
     composition answers it; empty when a rewriting exists or the
     query is outside the vocabulary. *)

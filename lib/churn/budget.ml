@@ -10,12 +10,12 @@ type t = {
   mutable denied : int;
 }
 
-let create ?initial ~per_turn () =
+let create ~per_turn () =
   let per_turn = Float.max 0.0 per_turn in
   {
     per_turn;
     unlimited = false;
-    balance = (match initial with Some i -> i | None -> per_turn);
+    balance = per_turn;
     spent = 0.0;
     denied = 0;
   }

@@ -13,7 +13,9 @@ val default_costs : costs
 
 type t
 
-val create : ?initial:float -> per_turn:float -> unit -> t
+val create : per_turn:float -> unit -> t
+(** The bucket starts with one turn's allowance. *)
+
 val unlimited : unit -> t
 
 val refill : t -> unit

@@ -1,14 +1,14 @@
 type config = {
   max_actions_per_slice : int;
-  sweep_per_slice : int;
   debt_threshold : float;
 }
 
-let config ?(max_actions_per_slice = 4) ?(sweep_per_slice = 2) ?(debt_threshold = 0.5)
-    () =
+(* CheckMissing HEADs per slice. *)
+let sweep_per_slice = 2
+
+let config ?(max_actions_per_slice = 4) ?(debt_threshold = 0.5) () =
   {
     max_actions_per_slice = max 0 max_actions_per_slice;
-    sweep_per_slice = max 0 sweep_per_slice;
     debt_threshold = Float.max 0.0 debt_threshold;
   }
 
@@ -59,8 +59,8 @@ let counters t = t.counters
 (* Drain a bounded, budgeted slice of the CheckMissing backlog. *)
 let sweep_slice t =
   let backlog = Webviews.Matview.check_missing_backlog t.store in
-  if backlog > 0 && t.cfg.sweep_per_slice > 0 then begin
-    let want = min backlog t.cfg.sweep_per_slice in
+  if backlog > 0 then begin
+    let want = min backlog sweep_per_slice in
     (* admit the HEADs one by one so a dry bucket stops the drain *)
     let admitted = ref 0 in
     while !admitted < want && Budget.admit t.budget t.costs.Budget.head do

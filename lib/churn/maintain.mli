@@ -15,16 +15,12 @@
 
 type config = {
   max_actions_per_slice : int;  (** revalidations attempted per slice *)
-  sweep_per_slice : int;  (** CheckMissing HEADs per slice *)
   debt_threshold : float;  (** act on entries with age/max_age >= this *)
 }
 
-val config :
-  ?max_actions_per_slice:int -> ?sweep_per_slice:int -> ?debt_threshold:float ->
-  unit -> config
-(** Defaults: 4 revalidations and 2 sweep HEADs per slice, threshold 0.5. *)
-
-val default_config : config
+val config : ?max_actions_per_slice:int -> ?debt_threshold:float -> unit -> config
+(** Defaults: 4 revalidations per slice, threshold 0.5. Every slice
+    also sweeps up to 2 CheckMissing HEADs. *)
 
 type counters = {
   mutable slices : int;

@@ -4,26 +4,29 @@
     tick and may be fractional — the generator carries the remainder
     deterministically instead of drawing it. *)
 
+val hot_fraction : float
+(** Share of the page set forming the hot set: 10%. *)
+
+val hot_bias : float
+(** Probability a mutation targets the hot set: 70%. *)
+
+val touch_share : float
+(** Among the update mutations, the probability of a pure [touch]
+    (Last-Modified bump) rather than a body [edit]: 50%. *)
+
 type t = {
   rate : float;  (** expected mutations per site-clock tick *)
-  hot_fraction : float;  (** share of the page set forming the hot set *)
-  hot_bias : float;  (** probability a mutation targets the hot set *)
   tombstone_rate : float;  (** share of mutations that delete a page *)
   insert_rate : float;  (** share that resurrect a tombstoned page *)
-  touch_share : float;
-      (** among the remaining update mutations: probability of a pure
-          [touch] (Last-Modified bump) rather than a body [edit] *)
   burst_every : int;  (** ticks between burst windows; 0 = steady *)
   burst_len : int;  (** ticks a burst lasts *)
   burst_mult : float;  (** rate multiplier inside a burst *)
 }
 
 val make :
-  ?hot_fraction:float -> ?hot_bias:float -> ?tombstone_rate:float ->
-  ?insert_rate:float -> ?touch_share:float -> ?burst_every:int ->
+  ?tombstone_rate:float -> ?insert_rate:float -> ?burst_every:int ->
   ?burst_len:int -> ?burst_mult:float -> rate:float -> unit -> t
-(** Defaults: hot 10% of pages absorbing 70% of mutations, 5%
-    tombstones, 5% resurrections, touch/edit split 50/50, steady. *)
+(** Defaults: 5% tombstones, 5% resurrections, steady. *)
 
 val zero : t
 (** No mutations at all — the frozen-snapshot baseline. *)

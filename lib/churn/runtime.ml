@@ -31,14 +31,13 @@ type config = {
   budget_per_turn : float;
   costs : Budget.costs;
   policy : policy;
-  maintain : Maintain.config;
   query_check : bool;
 }
 
 let config ?(profile = Profile.low) ?(churn_seed = 42) ?(sla = Sla.create ())
     ?(budget_per_turn = 8.0) ?(costs = Budget.default_costs) ?(policy = Incremental)
-    ?(maintain = Maintain.default_config) ?(query_check = true) () =
-  { profile; churn_seed; sla; budget_per_turn; costs; policy; maintain; query_check }
+    ?(query_check = true) () =
+  { profile; churn_seed; sla; budget_per_turn; costs; policy; query_check }
 
 type report = {
   sched : Server.Sched.report;
@@ -88,7 +87,7 @@ let run ?(sched = Server.Sched.default_config) ?pool ?bindings (cfg : config)
   in
   let budget = Budget.create ~per_turn:cfg.budget_per_turn () in
   let engine =
-    Maintain.create ~config:cfg.maintain ~sla:cfg.sla ~budget ~costs:cfg.costs store
+    Maintain.create ~sla:cfg.sla ~budget ~costs:cfg.costs store
   in
   (* Under the incremental policy the registered views over the same
      store become cost-priced access paths for the workload. A

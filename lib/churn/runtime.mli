@@ -32,7 +32,6 @@ type config = {
   budget_per_turn : float;  (** wire units refilled each turn *)
   costs : Budget.costs;
   policy : policy;
-  maintain : Maintain.config;
   query_check : bool;
       (** [Incremental] only: URLCheck over-age entries at query time
           (budgeted); [false] = queries always serve the store and
@@ -41,11 +40,10 @@ type config = {
 
 val config :
   ?profile:Profile.t -> ?churn_seed:int -> ?sla:Sla.t -> ?budget_per_turn:float ->
-  ?costs:Budget.costs -> ?policy:policy -> ?maintain:Maintain.config ->
-  ?query_check:bool -> unit -> config
+  ?costs:Budget.costs -> ?policy:policy -> ?query_check:bool -> unit -> config
 (** Defaults: {!Profile.low}, seed 42, default SLA (max_age 100),
-    budget 8 units/turn, default costs, [Incremental], default
-    maintenance config, query_check on. *)
+    budget 8 units/turn, default costs, [Incremental], query_check on.
+    Maintenance runs {!Maintain.config}'s defaults. *)
 
 type report = {
   sched : Server.Sched.report;  (** per-query results incl. freshness *)

@@ -69,7 +69,7 @@ let create ?(seed = 42) ?(protect = []) ~profile site =
     t.alive.(j) <- tmp
   done;
   t.hot <-
-    (let h = int_of_float (ceil (profile.Profile.hot_fraction *. float_of_int t.n_alive)) in
+    (let h = int_of_float (ceil (Profile.hot_fraction *. float_of_int t.n_alive)) in
      max 1 (min t.n_alive h));
   t
 
@@ -92,7 +92,7 @@ let pick_target t =
   else
     let hot = min t.hot t.n_alive in
     let i =
-      if hot > 0 && chance t t.profile.Profile.hot_bias then bounded t hot
+      if hot > 0 && chance t Profile.hot_bias then bounded t hot
       else bounded t t.n_alive
     in
     Some i
@@ -182,7 +182,7 @@ let mutate_one t =
     | None -> ()
     | Some i ->
       let url = t.alive.(i) in
-      if chance t p.Profile.touch_share then begin
+      if chance t Profile.touch_share then begin
         Websim.Site.touch t.site url;
         record t Touch
       end

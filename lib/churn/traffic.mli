@@ -14,7 +14,7 @@ type t
 
 val create : ?seed:int -> ?protect:string list -> profile:Profile.t -> Websim.Site.t -> t
 (** Snapshot the site's URL set (sorted, then shuffled by [seed]) as
-    the target population; the first [hot_fraction] of the shuffle is
+    the target population; the first {!Profile.hot_fraction} of the shuffle is
     the hot set. URLs in [protect] (typically the schema's entry
     points) are never deleted — a site keeps its front door. *)
 

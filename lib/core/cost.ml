@@ -286,11 +286,13 @@ let lower ?(views = no_views) ?window (schema : Adm.Schema.t) (stats : Stats.t)
 let rounds ~window n =
   Float.of_int (int_of_float (Float.ceil (n /. float_of_int (max 1 window))))
 
-let elapsed_estimate ?(views = no_views) ?(window = 1) ?(get_ms = 40.0) ?head_ms
-    schema stats e =
-  (* Function-2 ratio: a light connection (HEAD) moves headers only and
-     costs a tenth of a download round, matching Churn.Budget's 1:10. *)
-  let head_ms = match head_ms with Some h -> h | None -> get_ms /. 10.0 in
+(* One download round is the network model's 40 ms round-trip; by
+   Function 2's ratio a light connection (HEAD) moves headers only and
+   costs a tenth of it, matching Churn.Budget's 1:10. *)
+let get_ms = 40.0
+let head_ms = get_ms /. 10.0
+
+let elapsed_estimate ?(views = no_views) ?(window = 1) schema stats e =
   match lower ~views ~window schema stats e with
   | plan ->
     Physplan.fold

@@ -79,15 +79,13 @@ val lower :
     the cardinality estimates. Raises like {!Physplan.lower}. *)
 
 val elapsed_estimate :
-  ?views:view_econ -> ?window:int -> ?get_ms:float -> ?head_ms:float ->
-  Adm.Schema.t -> Stats.t -> Nalg.expr -> float
+  ?views:view_econ -> ?window:int -> Adm.Schema.t -> Stats.t -> Nalg.expr -> float
 (** Predicted simulated elapsed milliseconds under the batched fetch
     engine, computed from the physical plan actually executed: each
-    scan costs one [get_ms] round (default: the network model's 40ms
-    round-trip), each navigation [ceil(navigations / window)] rounds,
-    and each view scan [ceil(expected HEADs / window)] rounds of
-    [head_ms] — which defaults to [get_ms / 10], the Function-2
-    HEAD:GET ratio that {!Churn.Budget} charges. Lowering is total on
+    scan costs one 40 ms round (the network model's round-trip), each
+    navigation [ceil(navigations / window)] rounds, and each view scan
+    [ceil(expected HEADs / window)] rounds of 4 ms — the Function-2
+    HEAD:GET ratio of 1:10 that {!Churn.Budget} charges. Lowering is total on
     well-typed expressions; an expression {!Physplan.lower} rejects
     as not computable estimates [infinity]. *)
 

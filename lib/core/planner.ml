@@ -158,8 +158,11 @@ let classes memo plans =
     plans (class_ids memo plans);
   List.rev_map (Hashtbl.find best) !firsts
 
-(* Apply a deterministic rule to fixpoint (first rewrite each round). *)
-let fixpoint ?(max_rounds = 50) memo (rule : Rewrite.rule) n =
+(* Apply a deterministic rule to fixpoint (first rewrite each round,
+   at most [max_rounds] rounds). *)
+let max_rounds = 50
+
+let fixpoint memo (rule : Rewrite.rule) n =
   let rec go k n =
     if k = 0 then n
     else

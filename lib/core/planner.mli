@@ -110,9 +110,9 @@ val classes : Memo.t -> Memo.node list -> Memo.node list
     plans of different multisets of key items share a
     {!Memo.key_stages} hint. *)
 
-val fixpoint : ?max_rounds:int -> Memo.t -> Rewrite.rule -> Memo.node -> Memo.node
+val fixpoint : Memo.t -> Rewrite.rule -> Memo.node -> Memo.node
 (** The rule applied to its fixpoint, taking its first output each
-    round (at most [max_rounds], default 50), each output interned
+    round (at most 50 rounds), each output interned
     against the plan it rewrote. {!enumerate} runs {!Rewrite.rule4}
     this way on every expansion before the join phase. *)
 

@@ -103,7 +103,7 @@ let binding_lint t q =
    lint, then (when it passes) the binding-pattern lint. *)
 let lint_query t sql =
   let ds = Webviews.Typecheck.lint_sql t.schema t.registry sql in
-  if Webviews.Diagnostic.has_errors ds || t.registry = [] then ds
+  if Webviews.Diagnostic.has_errors ds then ds
   else ds @ binding_lint t (Webviews.Sql_parser.parse t.registry sql)
 
 let viewstore t =

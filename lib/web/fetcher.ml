@@ -28,23 +28,16 @@ type 'a fetched =
 type config = {
   window : int; (* in-flight width of a batch; 1 = sequential *)
   retries : int; (* extra attempts after the first *)
-  backoff_ms : float; (* first retry delay *)
-  backoff_factor : float; (* delay multiplier per further retry *)
-  backoff_jitter : float; (* delay noise, fraction of the delay *)
   breaker_threshold : int; (* consecutive dead requests to trip; 0 = off *)
   breaker_cooldown_ms : float; (* open-state duration before a probe *)
   cache_capacity : int; (* LRU entries; 0 = no cache *)
 }
 
-let config ?(window = 8) ?(retries = 3) ?(backoff_ms = 50.0) ?(backoff_factor = 2.0)
-    ?(backoff_jitter = 0.25) ?(breaker_threshold = 8) ?(breaker_cooldown_ms = 5000.0)
-    ?(cache_capacity = 1024) () =
+let config ?(window = 8) ?(retries = 3) ?(breaker_threshold = 8)
+    ?(breaker_cooldown_ms = 5000.0) ?(cache_capacity = 1024) () =
   {
     window = max 1 window;
     retries = max 0 retries;
-    backoff_ms;
-    backoff_factor;
-    backoff_jitter;
     breaker_threshold;
     breaker_cooldown_ms;
     cache_capacity = max 0 cache_capacity;
@@ -241,10 +234,16 @@ let elapsed_ms t = t.counters.elapsed_ms
 let now_ms t = match t.net with Some nm -> Netmodel.now_ms nm | None -> 0.0
 (* ---- retry loop (pure in simulated time: returns its duration) ---- *)
 
-let backoff_delay t nm ~url ~attempt =
-  let base = t.cfg.backoff_ms *. (t.cfg.backoff_factor ** float_of_int (attempt - 1)) in
+(* The delay before retry [attempt + 1]: 50 ms, doubling per further
+   retry, within +/- 25% seeded jitter. *)
+let backoff_ms = 50.0
+let backoff_factor = 2.0
+let backoff_jitter = 0.25
+
+let backoff_delay nm ~url ~attempt =
+  let base = backoff_ms *. (backoff_factor ** float_of_int (attempt - 1)) in
   let u = Netmodel.uniform nm ~salt:"backoff" ~url ~attempt in
-  base *. (1.0 +. (t.cfg.backoff_jitter *. ((2.0 *. u) -. 1.0)))
+  base *. (1.0 +. (backoff_jitter *. ((2.0 *. u) -. 1.0)))
 
 (* One full GET request: attempts + retries, without cache or breaker.
    Returns the result and the simulated duration (latencies, penalties
@@ -269,7 +268,7 @@ let run_get t url : page fetched * float =
         end
         else begin
           ignore outcome;
-          go (attempt + 1) (dur +. backoff_delay t nm ~url ~attempt)
+          go (attempt + 1) (dur +. backoff_delay nm ~url ~attempt)
         end
       in
       match Netmodel.fault nm ~url ~attempt with
@@ -322,7 +321,7 @@ let run_head t url : int fetched * float =
         end
         else
           go (attempt + 1)
-            (dur +. Netmodel.penalty_ms nm ~url ~attempt o +. backoff_delay t nm ~url ~attempt)
+            (dur +. Netmodel.penalty_ms nm ~url ~attempt o +. backoff_delay nm ~url ~attempt)
     in
     go 1 0.0
 

@@ -24,18 +24,16 @@ type 'a fetched =
 type config = {
   window : int;  (** in-flight width of a batch; 1 = sequential *)
   retries : int;  (** extra attempts after the first *)
-  backoff_ms : float;  (** first retry delay *)
-  backoff_factor : float;  (** delay multiplier per further retry *)
-  backoff_jitter : float;  (** delay noise, fraction of the delay *)
   breaker_threshold : int;  (** consecutive dead requests to trip; 0 = off *)
   breaker_cooldown_ms : float;  (** open-state duration before a probe *)
   cache_capacity : int;  (** LRU entries; 0 = no cache *)
 }
 
 val config :
-  ?window:int -> ?retries:int -> ?backoff_ms:float -> ?backoff_factor:float ->
-  ?backoff_jitter:float -> ?breaker_threshold:int -> ?breaker_cooldown_ms:float ->
+  ?window:int -> ?retries:int -> ?breaker_threshold:int -> ?breaker_cooldown_ms:float ->
   ?cache_capacity:int -> unit -> config
+(** A retry waits 50 ms, doubling per further retry, within +/- 25%
+    jitter drawn from the network model's seed. *)
 
 val default_config : config
 

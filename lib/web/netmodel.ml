@@ -15,41 +15,27 @@
    charged against it, so overlapping a batch of fetches shows up as
    real elapsed-time savings. *)
 
-type profile = {
-  base_ms : float; (* fixed per-exchange round-trip *)
-  per_kb_ms : float; (* transfer time per KiB of body *)
-  jitter : float; (* latency noise, fraction of the base *)
-}
-
-let profile ?(base_ms = 40.0) ?(per_kb_ms = 5.0) ?(jitter = 0.2) () =
-  { base_ms; per_kb_ms; jitter }
+(* The latency and failure-mode constants of every simulated network:
+   a GET costs [base_ms] plus [per_kb_ms] per KiB of body, a HEAD
+   [head_ms], each within +/- [jitter] of its base; a failed attempt
+   is a timeout ([timeout_share] of them, costing [timeout_ms]), a
+   truncated body ([truncate_share]) or a plain 5xx. *)
+let base_ms = 40.0
+let per_kb_ms = 5.0
+let jitter = 0.2
+let head_ms = 10.0
+let timeout_ms = 1000.0
+let timeout_share = 0.25
+let truncate_share = 0.25
 
 type config = {
   seed : int;
   fault_rate : float; (* probability a URL has a fault episode *)
   max_consecutive : int; (* episode length: first 1..n attempts fail *)
-  timeout_share : float; (* fraction of episodes that are timeouts *)
-  truncate_share : float; (* fraction that truncate the body mid-transfer *)
-  timeout_ms : float; (* wall-clock cost of a timed-out attempt *)
-  head_ms : float; (* latency of a light connection *)
-  default_profile : profile;
-  classes : (string * profile) list; (* URL-prefix → latency profile *)
 }
 
-let config ?(seed = 42) ?(fault_rate = 0.0) ?(max_consecutive = 2)
-    ?(timeout_share = 0.25) ?(truncate_share = 0.25) ?(timeout_ms = 1000.0)
-    ?(head_ms = 10.0) ?(default_profile = profile ()) ?(classes = []) () =
-  {
-    seed;
-    fault_rate;
-    max_consecutive;
-    timeout_share;
-    truncate_share;
-    timeout_ms;
-    head_ms;
-    default_profile;
-    classes;
-  }
+let config ?(seed = 42) ?(fault_rate = 0.0) ?(max_consecutive = 2) () =
+  { seed; fault_rate; max_consecutive }
 
 type outcome =
   | Ok_response
@@ -103,33 +89,24 @@ let uniform = u01
 (* Latency                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let profile_of t url =
-  let matches prefix =
-    String.length url >= String.length prefix
-    && String.equal (String.sub url 0 (String.length prefix)) prefix
-  in
-  match List.find_opt (fun (prefix, _) -> matches prefix) t.cfg.classes with
-  | Some (_, p) -> p
-  | None -> t.cfg.default_profile
-
-(* Jitter multiplier in [1 - j, 1 + j], deterministic per exchange. *)
-let jittered t p ~url ~attempt base =
+(* Jitter multiplier in [1 - jitter, 1 + jitter], deterministic per
+   exchange. *)
+let jittered t ~url ~attempt base =
   let u = u01 t ~salt:"lat" ~url ~attempt in
-  base *. (1.0 +. (p.jitter *. ((2.0 *. u) -. 1.0)))
+  base *. (1.0 +. (jitter *. ((2.0 *. u) -. 1.0)))
 
 let latency_ms t ~kind ~url ~attempt ~bytes =
-  let p = profile_of t url in
   match kind with
-  | `Head -> jittered t p ~url ~attempt t.cfg.head_ms
+  | `Head -> jittered t ~url ~attempt head_ms
   | `Get ->
-    let transfer = p.per_kb_ms *. (float_of_int bytes /. 1024.0) in
-    jittered t p ~url ~attempt (p.base_ms +. transfer)
+    let transfer = per_kb_ms *. (float_of_int bytes /. 1024.0) in
+    jittered t ~url ~attempt (base_ms +. transfer)
 
 (* Wall-clock cost of a failed attempt. *)
 let penalty_ms t ~url ~attempt = function
   | Ok_response -> 0.0
-  | Timed_out -> t.cfg.timeout_ms
-  | Server_error _ -> jittered t (profile_of t url) ~url ~attempt (profile_of t url).base_ms
+  | Timed_out -> timeout_ms
+  | Server_error _ -> jittered t ~url ~attempt base_ms
   | Truncated frac ->
     (* the partial transfer still took (roughly) its share of time *)
     latency_ms t ~kind:`Get ~url ~attempt ~bytes:0 *. Float.max frac 0.1
@@ -147,11 +124,11 @@ let episode_len t url =
   else 0
 
 (* The failure mode of one failed attempt: timeout, truncation or a
-   plain 5xx, split by the configured shares. *)
+   plain 5xx, split by the fixed shares. *)
 let failure_mode t ~url ~attempt =
   let u = u01 t ~salt:"mode" ~url ~attempt in
-  if u < t.cfg.timeout_share then Timed_out
-  else if u < t.cfg.timeout_share +. t.cfg.truncate_share then
+  if u < timeout_share then Timed_out
+  else if u < timeout_share +. truncate_share then
     Truncated (0.25 +. (0.5 *. u01 t ~salt:"frac" ~url ~attempt))
   else Server_error (if u01 t ~salt:"code" ~url ~attempt < 0.5 then 500 else 503)
 

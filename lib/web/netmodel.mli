@@ -1,6 +1,6 @@
 (** A seeded, deterministic fault/latency model layered over the
-    perfect {!Site}/{!Http} transport: per-URL-class latency profiles,
-    transient 5xx episodes, timeouts, truncated bodies, and a
+    perfect {!Site}/{!Http} transport: one latency profile for every
+    URL, transient 5xx episodes, timeouts, truncated bodies, and a
     simulated wall clock (milliseconds) that advances as exchanges are
     charged against it. Everything is a pure function of
     [(seed, url, attempt, epoch)], so workloads replay identically.
@@ -10,28 +10,17 @@
     fetcher retrying at least [max_consecutive] times is guaranteed
     the fault-free answer. *)
 
-type profile = {
-  base_ms : float;  (** fixed per-exchange round-trip *)
-  per_kb_ms : float;  (** transfer time per KiB of body *)
-  jitter : float;  (** latency noise, fraction of the base *)
-}
-
 type config = {
   seed : int;
   fault_rate : float;  (** probability a URL has a fault episode *)
   max_consecutive : int;  (** episode length: first 1..n attempts fail *)
-  timeout_share : float;  (** fraction of failures that are timeouts *)
-  truncate_share : float;  (** fraction that truncate the body *)
-  timeout_ms : float;  (** wall-clock cost of a timed-out attempt *)
-  head_ms : float;  (** latency of a light connection *)
-  default_profile : profile;
-  classes : (string * profile) list;  (** URL-prefix → latency profile *)
 }
 
-val config :
-  ?seed:int -> ?fault_rate:float -> ?max_consecutive:int -> ?timeout_share:float ->
-  ?truncate_share:float -> ?timeout_ms:float -> ?head_ms:float ->
-  ?default_profile:profile -> ?classes:(string * profile) list -> unit -> config
+val config : ?seed:int -> ?fault_rate:float -> ?max_consecutive:int -> unit -> config
+(** Defaults: seed 42, no faults, episodes of at most 2 attempts. A
+    GET costs 40 ms plus 5 ms per KiB, a HEAD 10 ms, both within
+    +/- 20% jitter; a failed attempt is a timeout (a quarter of them,
+    1000 ms), a truncated body (a quarter) or a plain 5xx. *)
 
 type outcome =
   | Ok_response

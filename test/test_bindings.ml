@@ -12,7 +12,7 @@
      GETs;
    - the analyzer surface: {!Bindings.lint} reports E0111 exactly when
      no composition exists, and that diagnostic drives the exit code
-     to 2 (the accounting `webviews analyze --format=json` relies on);
+     to 2 (the accounting `webviews check --json` relies on);
    - the QCheck property (seeds 7/21/42): every emitted rewriting is
      executable as-is — calls in an order where each argument is bound
      upstream — and row-equivalent to the generator's ground truth. *)
@@ -187,7 +187,7 @@ let test_lint_reports_e0111 () =
   let ds = Bindings.lint binding_config schema q in
   check (Alcotest.list Alcotest.string) "exactly E0111" [ "E0111" ]
     (codes (Diagnostic.errors ds));
-  (* the accounting `webviews analyze` relies on: errors drive the
+  (* the accounting `webviews check` relies on: errors drive the
      process exit code to 2, strict or not *)
   check int_t "exit code 2" 2 (Diagnostic.exit_code ~strict:false ds);
   check int_t "exit code 2 (strict)" 2 (Diagnostic.exit_code ~strict:true ds)

@@ -37,7 +37,7 @@ let test_form_only_query () =
             (cmd ^ " reports " ^ String.concat " or " codes)
             true
             (List.exists (contains stderr) codes))
-        [ "query"; "plan"; "explain"; "run" ])
+        [ "query"; "plan"; "explain" ])
     [
       ([ "--site"; "formsite"; "SELECT P.PName FROM Professor P" ], [ "E0111"; "E0309" ]);
       ([ "SELECT p.Nope FROM Professor p" ], [ "E0304" ]);
@@ -75,17 +75,13 @@ let test_unbuildable_site_sizes () =
             (cmd, "--queries", "-1") ])
         [ "serve"; "churn" ]
     @ [
-        ("run", "--window", "-3"); ("run", "--retries", "-1"); ("run", "--limit", "-1");
-        ("plan", "--cap", "-5"); ("plan", "--candidates", "-1"); ("run", "--faults", "2.0");
+        ("query", "--window", "-3"); ("query", "--retries", "-1"); ("query", "--limit", "-1");
+        ("plan", "--cap", "-5"); ("plan", "--candidates", "-1"); ("query", "--faults", "2.0");
         ("churn", "--churn-rate", "nan"); ("churn", "--churn-rate", "-1");
-        ("churn", "--churn-rate", "inf"); ("serve", "--churn", "nan"); ("serve", "--churn", "-2");
-        ("serve", "--deadline", "-5"); ("serve", "--deadline", "nan");
-        ("serve", "--max-resident", "-5");
-      ]
-    @ List.concat_map
-        (fun cmd ->
-          [ (cmd, "--budget", "-5"); (cmd, "--budget", "nan"); (cmd, "--max-age", "-3") ])
-        [ "serve"; "churn" ])
+        ("churn", "--churn-rate", "inf"); ("serve", "--deadline", "-5");
+        ("serve", "--deadline", "nan"); ("serve", "--max-resident", "-5");
+        ("churn", "--budget", "-5"); ("churn", "--budget", "nan"); ("churn", "--max-age", "-3");
+      ])
 
 (* An integer literal beyond the native int range is a syntax error
    (E0308, exit 2) wherever a query enters: LIMIT, a comparison, and a
@@ -106,7 +102,7 @@ let test_integer_overflow () =
           let ((_, stderr) as r) = run_cli [ cmd; sql ] in
           expect_exit (cmd ^ " " ^ sql) 2 r;
           Alcotest.(check bool) (cmd ^ " reports E0308") true (contains stderr "E0308"))
-        [ "query"; "plan"; "explain"; "run" ])
+        [ "query"; "plan"; "explain" ])
     queries;
   let path = Filename.temp_file "webviews_workload" ".sql" in
   Out_channel.with_open_text path (fun oc ->

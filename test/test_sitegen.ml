@@ -181,6 +181,18 @@ let test_site_table () =
   check bool_t "unknown name rejected" true
     (Result.is_error (Sitegen.Sites.of_name "nope"))
 
+(* Every site of the table registers at least one external view, so
+   no caller needs an empty-registry branch. *)
+let test_every_site_has_views () =
+  List.iter
+    (fun name ->
+      match Sitegen.Sites.of_name name with
+      | Error e -> Alcotest.fail e
+      | Ok kind ->
+        check bool_t (name ^ " registry is non-empty") true
+          ((Sitegen.Sites.load kind).registry <> []))
+    Sitegen.Sites.names
+
 let suite =
   ( "sitegen",
     [
@@ -195,4 +207,5 @@ let suite =
       Alcotest.test_case "path 4 much worse" `Quick test_path4_orders_of_magnitude_worse;
       Alcotest.test_case "vldb regulars ground truth" `Quick test_vldb_regulars_ground_truth;
       Alcotest.test_case "site table" `Quick test_site_table;
+      Alcotest.test_case "every site registers a view" `Quick test_every_site_has_views;
     ] )
