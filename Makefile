@@ -4,47 +4,35 @@ build:
 	dune build @all
 
 # Every suite and every golden file: each pinned output (the paper's
-# experiments, the examples, the scale crawl, the churn/fetch/exec/views
-# bench JSONs, the planner and executor pins) is a dune `diff` rule in
-# test/dune. Accept a deliberate change with `dune promote`.
+# experiments, the examples, the scale crawl, every bench suite's
+# counters in BENCH_<suite>.json, the planner and executor pins) is a
+# dune `diff` rule in test/dune. Accept a deliberate change with
+# `dune promote`.
 test:
 	dune runtest
 
-# Strict gate: warning-clean build, full test suite, and the analyzer
-# over every site in the site table, once per site: schema, registry
-# and dead-view lint plus, per sample query (including every SQL query
-# the examples/ programs run), the query lint, satisfiability (E0601),
-# redundant-occurrence minimization (W0602), view subsumption (W0603),
-# trivial answerability (W0604), binding patterns (E0111) and planning
-# with the planner's equivalence dedup. `check` exits 2 on any
-# error-severity diagnostic, so make fails on it. `dune runtest` also
-# diffs these runs' output against test/check_pins.expected.
+# Strict gate: warning-clean build and the full test suite under the
+# ci profile. The suite runs the analyzer (`check`, text and --json)
+# over a query set per site of the site table (test/dune's check_pins
+# rule): schema, registry and dead-view lint plus, per sample query
+# (including every SQL query the examples/ programs run), the query
+# lint, satisfiability (E0601), redundant-occurrence minimization
+# (W0602), view subsumption (W0603), trivial answerability (W0604),
+# binding patterns (E0111) and planning with the planner's equivalence
+# dedup. `check` exits 2 on any error-severity diagnostic, which fails
+# that rule, and its output is diffed against test/check_pins.expected.
 check:
 	dune build --profile ci @all
 	dune runtest --profile ci
-	dune exec --profile ci bin/webviews_cli.exe -- check --site university \
-	  "SELECT p.PName, p.Email FROM Professor p, ProfDept pd WHERE p.PName = pd.PName AND pd.DName = 'Computer Science'" \
-	  "SELECT c.CName, ci.PName FROM Course c, CourseInstructor ci WHERE c.CName = ci.CName" \
-	  "SELECT p.PName, p.Rank FROM Professor p, ProfDept d WHERE p.PName = d.PName AND d.DName = 'Computer Science'" \
-	  "SELECT p.PName FROM Professor p" \
-	  "SELECT c.CName, c.Description FROM Professor p, CourseInstructor ci, Course c WHERE p.PName = ci.PName AND ci.CName = c.CName AND c.Session = 'Fall' AND p.Rank = 'Full'"
-	dune exec --profile ci bin/webviews_cli.exe -- check --site catalog \
-	  "SELECT p.PName, p.Price FROM Product p WHERE p.Category = 'Audio'" \
-	  "SELECT p.PName, p.Price FROM Product p WHERE p.Brand = 'Acme' AND p.Price < 50" \
-	  "SELECT p.PName, p.Brand FROM Product p WHERE p.Category = 'Audio' AND p.Price >= 400" \
-	  "SELECT p.PName FROM Product p WHERE p.Price > 495"
-	dune exec --profile ci bin/webviews_cli.exe -- check --site bibliography
-	dune exec --profile ci bin/webviews_cli.exe -- check --site formsite \
-	  "SELECT P.PName, P.Office FROM Course C, Professor P WHERE C.Dept = 'cs' AND C.Instructor = P.PName"
 
 # Regenerate every experiment of the paper plus bechamel timings.
 bench:
 	dune exec bench/main.exe -- all
 
 # Microbenchmarks of the in-memory relational kernel (equi_join,
-# distinct, unnest at 1k/10k/100k rows). Writes BENCH_kernel.json
-# in the current directory; commit it so the perf trajectory is
-# tracked across PRs.
+# distinct, unnest at 1k/10k/100k rows). Wall times only, so it writes
+# BENCH_kernel_timing.json in the current directory and nothing diffs
+# it; commit it so the perf trajectory is tracked across PRs.
 bench-kernel:
 	dune exec bench/main.exe -- kernel
 
@@ -73,19 +61,18 @@ bench-exec:
 # domain sweep (a ~10^5-page site, 10^3 mixed scan/selective
 # queries, 1/2/4/8 domains:
 # makespan speedup curve, queue-wait vs service percentiles, stored
-# tuples, byte-identity across domain counts). Writes
-# BENCH_server.json in the current directory; commit it so the
-# trajectory is tracked across PRs.
+# tuples, byte-identity across domain counts). Every ms is simulated,
+# so it writes one file, BENCH_server.json, in the current directory;
+# `dune runtest` diffs a fresh run against the committed file.
 bench-server:
 	dune exec bench/main.exe -- server
 
-# Every benchmark that writes a BENCH_*.json.
 # Semantic-analyzer benchmark: filter-tree view-subsumption lookup vs
-# a naive pairwise scan at 10/100/500 registered views, analysis +
-# planning time and candidate-set size vs registry size, and
-# minimized-vs-raw best-plan page accesses on the three sites. Writes
-# BENCH_analyze.json in the current directory; commit it so the
-# trajectory is tracked across PRs.
+# a naive pairwise scan at 10/100/500 registered views (checks and
+# agreement), and minimized-vs-raw best-plan page accesses on the three
+# sites. Writes the counters to BENCH_analyze.json, which `dune runtest`
+# diffs against the committed file, and the lookup wall times to
+# BENCH_analyze_timing.json.
 bench-analyze:
 	dune exec bench/main.exe -- analyze
 
@@ -112,17 +99,20 @@ bench-churn:
 bench-views:
 	dune exec bench/main.exe -- views
 
-# Binding-pattern benchmark: the equivalent-rewriting search timed at
+# Binding-pattern benchmark: the equivalent-rewriting search at
 # 10/100/500 registered path views (real forms plus vocabulary-hooked
 # decoy services), then the headline form-only query executed — GETs
 # of the discovered composition vs the full-materialization oracle,
-# with a byte-identity check against generator ground truth. Writes
-# BENCH_bindings.json in the current directory; commit it so the
-# trajectory is tracked across PRs. Exits nonzero if any search size
-# finds no rewriting, rows diverge, or the oracle wins the wire.
+# with a byte-identity check against generator ground truth. Writes the
+# counters (search states, rewritings, GETs) to BENCH_bindings.json,
+# which `dune runtest` diffs against the committed file, and the search
+# and planning wall times to BENCH_bindings_timing.json. Exits nonzero
+# if any search size finds no rewriting, rows diverge, or the oracle
+# wins the wire.
 bench-bindings:
 	dune exec bench/main.exe -- bindings
 
+# Every benchmark that writes a BENCH_*.json.
 bench-all: bench-kernel bench-fetch bench-exec bench-server bench-analyze bench-churn bench-views bench-bindings
 
 # The CI entry point: ./ci.sh (strict gate + full test suite, golden

@@ -3,8 +3,10 @@
    paper-vs-measured) and runs bechamel wall-clock timings of the
    optimizer and evaluator.
 
-   Usage:  main.exe [exp1 … exp8 | all | timings]
-   Default: all experiments followed by timings. *)
+   Usage:  main.exe [exp1 … exp10 | all | timings | SUITE]
+   Default: all experiments followed by timings. A SUITE (kernel,
+   fetch, exec, server, analyze, churn, views, bindings) writes its
+   results through [write_results]. *)
 
 open Webviews
 module Sites = Sitegen.Sites
@@ -30,6 +32,108 @@ let print_table header rows =
   List.iter (fun r -> Fmt.pr "%s@." (table_row r widths)) rows
 
 let f1 x = Fmt.str "%.1f" x
+
+(* Wall-clock milliseconds of [f ()], with its result. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, (Unix.gettimeofday () -. t0) *. 1000.0)
+
+(* ns per run of each test (bechamel's monotonic clock, OLS over the
+   run count), by test name; [None] where the fit fails. *)
+let bechamel ~quota tests =
+  let open Bechamel in
+  let open Toolkit in
+  let grouped = Test.make_grouped ~name:"" ~fmt:"%s%s" tests in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 10) () in
+  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  Hashtbl.fold
+    (fun name ols acc ->
+      let ns = match Analyze.OLS.estimates ols with Some [ est ] -> Some est | _ -> None in
+      (name, ns) :: acc)
+    (Analyze.all ols Instance.monotonic_clock raw) []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* ------------------------------------------------------------------ *)
+(* Results as data: the one JSON writer of every suite                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A number carries the digits it prints after the point, so a file
+   shows each figure at one fixed precision. *)
+type json =
+  | Int of int
+  | Num of int * float
+  | Bool of bool
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (function
+      | ('"' | '\\') as c -> Buffer.add_char b '\\'; Buffer.add_char b c
+      | c when c < ' ' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  "\"" ^ Buffer.contents b ^ "\""
+
+let rec holds_array = function
+  | Arr _ -> true
+  | Obj fields -> List.exists (fun (_, v) -> holds_array v) fields
+  | _ -> false
+
+(* One record per line: an array puts each element on its own line, an
+   object that holds an array each field, so a diff of two runs names
+   the records that moved; everything else prints inline. *)
+let rec json_text pad v =
+  let field pad (k, v) = json_string k ^ ": " ^ json_text pad v in
+  let lines (o, c) item items =
+    let inner = pad ^ "  " in
+    Fmt.str "%s\n%s\n%s%s" o
+      (String.concat ",\n" (List.map (fun x -> inner ^ item inner x) items))
+      pad c
+  in
+  match v with
+  | Int n -> string_of_int n
+  | Num (digits, x) -> if Float.is_finite x then Printf.sprintf "%.*f" digits x else "null"
+  | Bool b -> string_of_bool b
+  | Str s -> json_string s
+  | Arr [] -> "[]"
+  | Arr items -> lines ("[", "]") json_text items
+  | Obj fields when holds_array v -> lines ("{", "}") field fields
+  | Obj fields -> "{ " ^ String.concat ", " (List.map (field pad) fields) ^ " }"
+
+(* An array of records as a table on stdout: a column per field, a
+   nested object's fields as "outer.inner" columns. *)
+let print_records records =
+  let rec columns name = function
+    | Obj fields ->
+      List.concat_map (fun (k, v) -> columns (if name = "" then k else name ^ "." ^ k) v) fields
+    | Str s -> [ (name, s) ]
+    | v -> [ (name, json_text "" v) ]
+  in
+  match List.map (columns "") records with
+  | [] -> ()
+  | first :: _ as rows ->
+    Fmt.pr "@.";
+    print_table (List.map fst first) (List.map (List.map snd) rows)
+
+(* A suite's numbers that replay exactly go to BENCH_<suite>.json,
+   which `dune runtest` diffs against the committed file; its
+   wall-clock numbers go to BENCH_<suite>_timing.json, which nothing
+   diffs. Each file's first field names the suite. *)
+let write_results suite ?counters ?timing () =
+  let write kind fields =
+    let file = Fmt.str "BENCH_%s%s.json" suite kind in
+    let oc = open_out file in
+    output_string oc (json_text "" (Obj (("suite", Str suite) :: fields)) ^ "\n");
+    close_out oc;
+    file
+  in
+  let files = [ Option.map (write "") counters; Option.map (write "_timing") timing ] in
+  Fmt.pr "@.wrote %s@." (String.concat " and " (List.filter_map Fun.id files))
 
 (* Measure the network cost of executing a plan against a fresh HTTP
    connection to [site]. *)
@@ -533,8 +637,8 @@ let exp10 () =
 
 (* Synthetic relations exercising the NALG hot path: equi_join,
    distinct and unnest at 1k/10k/100k rows. Results go to stdout
-   and to BENCH_kernel.json so the perf trajectory is tracked across
-   PRs. *)
+   and to BENCH_kernel_timing.json (wall time only: the suite has no
+   counters). *)
 
 let kernel_sizes = [ 1_000; 10_000; 100_000 ]
 
@@ -610,39 +714,14 @@ let kernel_tests () =
 
 let kernel () =
   banner "Kernel microbenchmarks (in-memory relational engine)";
-  let open Bechamel in
-  let open Toolkit in
-  let grouped = Test.make_grouped ~name:"kernel" ~fmt:"%s %s" (kernel_tests ()) in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-    |> List.filter_map (fun (name, ols) ->
-           match Analyze.OLS.estimates ols with
-           | Some [ est ] -> Some (name, est)
-           | Some _ | None -> None)
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let results =
+    List.filter_map
+      (fun (name, ns) ->
+        Option.map (fun ns -> Obj [ ("name", Str name); ("ns_per_run", Num (1, ns)) ]) ns)
+      (bechamel ~quota:0.5 (kernel_tests ()))
   in
-  Fmt.pr "%-30s %15s@." "benchmark" "ns/run";
-  List.iter (fun (name, ns) -> Fmt.pr "%-30s %15.0f@." name ns) rows;
-  (* machine-readable trace for the perf trajectory *)
-  let oc = open_out "BENCH_kernel.json" in
-  let strip name =
-    match String.index_opt name ' ' with
-    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-    | None -> name
-  in
-  Printf.fprintf oc "{\n  \"suite\": \"kernel\",\n  \"unit\": \"ns_per_run\",\n  \"results\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "    { \"name\": %S, \"ns_per_run\": %.1f }%s\n" (strip name) ns
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_kernel.json (%d entries)@." (List.length rows)
+  print_records results;
+  write_results "kernel" ~timing:[ ("unit", Str "ns_per_run"); ("results", Arr results) ] ()
 
 (* ------------------------------------------------------------------ *)
 (* Fetch-engine benchmark: batched windows and fault resilience        *)
@@ -679,7 +758,8 @@ let fetch () =
   let scenarios =
     [ ("latency-w1", 1, 0.0); ("latency-w8", 8, 0.0); ("faults10-w8", 8, 0.10) ]
   in
-  let records =
+  (* (elapsed ms, record) per plan and scenario, pointer join first *)
+  let runs =
     List.concat_map
       (fun (plan_name, plan) ->
         let baseline, _, _ = measure_plan schema site plan in
@@ -687,54 +767,28 @@ let fetch () =
         List.map
           (fun (scenario, window, fault_rate) ->
             let r = fetch_scenario schema site plan ~window ~fault_rate in
+            let f = r.Eval.fetch in
             let exact = Adm.Relation.equal baseline (Adm.Relation.sort_rows r.Eval.result) in
-            (plan_name, scenario, window, fault_rate, r, exact))
+            ( f.Websim.Fetcher.elapsed_ms,
+              Obj
+                [
+                  ("plan", Str plan_name); ("scenario", Str scenario); ("window", Int window);
+                  ("fault_rate", Num (2, fault_rate)); ("gets", Int f.Websim.Fetcher.gets);
+                  ("attempts", Int f.Websim.Fetcher.attempts);
+                  ("retries", Int f.Websim.Fetcher.retries);
+                  ("rows", Int (Adm.Relation.cardinality r.Eval.result)); ("exact", Bool exact);
+                  ("elapsed_ms", Num (1, f.Websim.Fetcher.elapsed_ms));
+                ] ))
           scenarios)
       plans
   in
-  print_table
-    [ "plan"; "scenario"; "gets"; "attempts"; "retries"; "elapsed ms"; "exact" ]
-    (List.map
-       (fun (plan_name, scenario, _w, _f, (r : Eval.fetch_report), exact) ->
-         [
-           plan_name; scenario;
-           string_of_int r.Eval.fetch.Websim.Fetcher.gets;
-           string_of_int r.Eval.fetch.Websim.Fetcher.attempts;
-           string_of_int r.Eval.fetch.Websim.Fetcher.retries;
-           f1 r.Eval.fetch.Websim.Fetcher.elapsed_ms;
-           (if exact then "yes" else "NO");
-         ])
-       records);
-  let elapsed plan_name scenario =
-    List.find_map
-      (fun (p, s, _, _, (r : Eval.fetch_report), _) ->
-        if String.equal p plan_name && String.equal s scenario then
-          Some r.Eval.fetch.Websim.Fetcher.elapsed_ms
-        else None)
-      records
-    |> Option.get
-  in
-  let speedup =
-    elapsed "pointer-join" "latency-w1" /. elapsed "pointer-join" "latency-w8"
-  in
+  let records = List.map snd runs in
+  print_records records;
+  let speedup = match runs with (w1, _) :: (w8, _) :: _ -> w1 /. w8 | _ -> nan in
   Fmt.pr "@.pointer-join window speedup (w1 / w8): %.1fx@." speedup;
-  let oc = open_out "BENCH_fetch.json" in
-  Printf.fprintf oc "{\n  \"suite\": \"fetch\",\n  \"results\": [\n";
-  List.iteri
-    (fun i (plan_name, scenario, window, fault_rate, (r : Eval.fetch_report), exact) ->
-      Printf.fprintf oc
-        "    { \"plan\": %S, \"scenario\": %S, \"window\": %d, \"fault_rate\": %.2f, \
-         \"gets\": %d, \"attempts\": %d, \"retries\": %d, \"rows\": %d, \
-         \"exact\": %b, \"elapsed_ms\": %.1f }%s\n"
-        plan_name scenario window fault_rate r.Eval.fetch.Websim.Fetcher.gets
-        r.Eval.fetch.Websim.Fetcher.attempts r.Eval.fetch.Websim.Fetcher.retries
-        (Adm.Relation.cardinality r.Eval.result)
-        exact r.Eval.fetch.Websim.Fetcher.elapsed_ms
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  Printf.fprintf oc "  ],\n  \"join_speedup_w1_over_w8\": %.2f\n}\n" speedup;
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_fetch.json (%d entries)@." (List.length records)
+  write_results "fetch"
+    ~counters:[ ("results", Arr records); ("join_speedup_w1_over_w8", Num (2, speedup)) ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Exec benchmark: streaming vs materializing execution                *)
@@ -811,22 +865,28 @@ let exec_bench () =
         let m_gets = (Websim.Http.stats (Websim.Fetcher.http fetcher2)).Websim.Http.gets in
         let m_elapsed = Websim.Fetcher.elapsed_ms fetcher2 in
         let m_peak = mat_peak_rows schema (Eval.instance_source (Sites.crawl uni)) plan in
-        let identical = Adm.Relation.equal result legacy in
-        (name, plan, m, s_gets, s_elapsed, m_gets, m_elapsed, m_peak, identical))
+        Obj
+          [
+            ("plan", Str name); ("window", Int window);
+            ("identical", Bool (Adm.Relation.equal result legacy));
+            ( "streaming",
+              Obj
+                [
+                  ("gets", Int s_gets); ("elapsed_ms", Num (1, s_elapsed));
+                  ("peak_resident_rows", Int (Exec.peak_resident_rows m));
+                  ("state_rows", Int m.Exec.state_rows);
+                  ("max_batch_rows", Int m.Exec.max_batch_rows);
+                ] );
+            ( "materializing",
+              Obj
+                [
+                  ("gets", Int m_gets); ("elapsed_ms", Num (1, m_elapsed));
+                  ("peak_resident_rows", Int m_peak);
+                ] );
+          ])
       plans
   in
-  print_table
-    [ "plan"; "mode"; "gets"; "elapsed ms"; "peak rows"; "state rows"; "identical" ]
-    (List.concat_map
-       (fun (name, _, m, s_gets, s_elapsed, m_gets, m_elapsed, m_peak, identical) ->
-         [
-           [ name; "streaming"; string_of_int s_gets; f1 s_elapsed;
-             string_of_int (Exec.peak_resident_rows m);
-             string_of_int m.Exec.state_rows; (if identical then "yes" else "NO") ];
-           [ name; "materializing"; string_of_int m_gets; f1 m_elapsed;
-             string_of_int m_peak; "0"; "-" ];
-         ])
-       records);
+  print_records records;
   (* LIMIT 1 on the pointer chase: the early-exit protocol stops after
      the first prefetch window instead of chasing every pointer. A
      larger university makes the skipped tail visible. *)
@@ -847,27 +907,18 @@ let exec_bench () =
   in
   Fmt.pr "@.pointer-chase with LIMIT 1: %d page accesses vs %d for the full answer@."
     limit1_gets full_gets;
-  let oc = open_out "BENCH_exec.json" in
-  Printf.fprintf oc "{\n  \"suite\": \"exec\",\n  \"results\": [\n";
-  List.iteri
-    (fun i (name, _, m, s_gets, s_elapsed, m_gets, m_elapsed, m_peak, identical) ->
-      Printf.fprintf oc
-        "    { \"plan\": %S, \"window\": %d, \"identical\": %b,\n\
-        \      \"streaming\": { \"gets\": %d, \"elapsed_ms\": %.1f, \
-         \"peak_resident_rows\": %d, \"state_rows\": %d, \"max_batch_rows\": %d },\n\
-        \      \"materializing\": { \"gets\": %d, \"elapsed_ms\": %.1f, \
-         \"peak_resident_rows\": %d } }%s\n"
-        name window identical s_gets s_elapsed
-        (Exec.peak_resident_rows m)
-        m.Exec.state_rows m.Exec.max_batch_rows m_gets m_elapsed m_peak
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  Printf.fprintf oc
-    "  ],\n  \"limit1\": { \"plan\": \"pointer-chase\", \"full_gets\": %d, \
-     \"limit1_gets\": %d, \"limit1_rows\": %d }\n}\n"
-    full_gets limit1_gets limit1_rows;
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_exec.json (%d plans)@." (List.length records)
+  write_results "exec"
+    ~counters:
+      [
+        ("results", Arr records);
+        ( "limit1",
+          Obj
+            [
+              ("plan", Str "pointer-chase"); ("full_gets", Int full_gets);
+              ("limit1_gets", Int limit1_gets); ("limit1_rows", Int limit1_rows);
+            ] );
+      ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* BENCH server: concurrent workloads through the shared cache        *)
@@ -879,7 +930,8 @@ let exec_bench () =
    isolated on its own fresh engine (the sum of those GETs is what N
    independent clients would pay) and concurrently under the
    scheduler behind one shared cache. The coalescing win is the ratio
-   between the two GET totals; results must stay byte-identical. *)
+   between the two GET totals; results must stay byte-identical.
+   Every ms is simulated, so all of BENCH_server.json replays. *)
 let server_bench () =
   banner "Concurrent server: cross-query coalescing, makespan, fairness";
   let uni = Sites.load University in
@@ -904,6 +956,9 @@ let server_bench () =
     let r = Server.Shared_cache.report cache in
     (rows, r.Websim.Fetcher.gets, r.Websim.Fetcher.elapsed_ms)
   in
+  let percentiles (rep : Server.Sched.report) =
+    [ ("p50_ms", Num (1, rep.Server.Sched.p50_ms)); ("p95_ms", Num (1, rep.Server.Sched.p95_ms)) ]
+  in
   let sizes = [ 1; 8; 64 ] in
   let rows_of size =
     let entries = Server.Workload.generate ~seed:7 ~n:size () in
@@ -927,23 +982,26 @@ let server_bench () =
           r.Server.Sched.completeness.Server.Sched.complete)
         rep.Server.Sched.results
     in
-    (size, iso_gets, iso_elapsed, rep, identical, complete)
+    let l = rep.Server.Sched.ledger and gets = rep.Server.Sched.fetch.Websim.Fetcher.gets in
+    Obj
+      ([
+         ("queries", Int size); ("gets_isolated", Int iso_gets); ("gets_shared", Int gets);
+         ("coalescing_ratio", Num (3, float_of_int gets /. float_of_int iso_gets));
+         ("distinct_urls", Int l.Server.Shared_cache.distinct_gets);
+         ("sum_per_query_urls", Int l.Server.Shared_cache.sum_per_query);
+         ("cross_query_hits", Int l.Server.Shared_cache.cross_query_hits);
+         ("makespan_isolated_ms", Num (1, iso_elapsed));
+         ("makespan_ms", Num (1, rep.Server.Sched.makespan_ms));
+       ]
+      @ percentiles rep
+      @ [
+          ("peak_resident_queries", Int rep.Server.Sched.peak_resident_queries);
+          ("peak_resident_rows", Int rep.Server.Sched.peak_resident_rows);
+          ("identical", Bool identical); ("complete", Bool complete);
+        ])
   in
   let records = List.map rows_of sizes in
-  print_table
-    [ "queries"; "gets iso"; "gets shared"; "ratio"; "makespan iso"; "makespan";
-      "p50 ms"; "p95 ms"; "identical" ]
-    (List.map
-       (fun (size, iso_gets, iso_elapsed, (rep : Server.Sched.report), identical, _) ->
-         let gets = rep.Server.Sched.fetch.Websim.Fetcher.gets in
-         [
-           string_of_int size; string_of_int iso_gets; string_of_int gets;
-           Fmt.str "%.3f" (float_of_int gets /. float_of_int iso_gets);
-           f1 iso_elapsed; f1 rep.Server.Sched.makespan_ms;
-           f1 rep.Server.Sched.p50_ms; f1 rep.Server.Sched.p95_ms;
-           (if identical then "yes" else "NO");
-         ])
-       records);
+  print_records records;
   (* graceful degradation: 10% transient faults and a tight deadline;
      with retries >= max_consecutive nothing errors out — queries
      either finish exactly or report a deadline partial *)
@@ -1099,87 +1157,52 @@ let server_bench () =
         let speedup =
           base_rep.Server.Sched.makespan_ms /. rep.Server.Sched.makespan_ms
         in
-        (d, identical, speedup, contention, rep))
+        let l = rep.Server.Sched.ledger in
+        ( d,
+          speedup,
+          Obj
+            ([
+               ("domains", Int d); ("makespan_ms", Num (1, rep.Server.Sched.makespan_ms));
+               ("speedup", Num (3, speedup)); ("identical", Bool identical);
+             ]
+            @ percentiles rep
+            @ [
+                ("p50_service_ms", Num (1, rep.Server.Sched.p50_service_ms));
+                ("p95_service_ms", Num (1, rep.Server.Sched.p95_service_ms));
+                ("p50_wait_ms", Num (1, rep.Server.Sched.p50_wait_ms));
+                ("p95_wait_ms", Num (1, rep.Server.Sched.p95_wait_ms));
+                ("distinct_gets", Int l.Server.Shared_cache.distinct_gets);
+                ("cross_query_hits", Int l.Server.Shared_cache.cross_query_hits);
+                ("tuples_cached", Int contention.Server.Shared_cache.tuples_cached);
+              ]) ))
       sweep
   in
-  print_table
-    [ "domains"; "makespan ms"; "speedup"; "p50 ms"; "p95 ms"; "p50 svc";
-      "p95 svc"; "p50 wait"; "p95 wait"; "identical" ]
-    (List.map
-       (fun (d, identical, speedup, _, (rep : Server.Sched.report)) ->
-         [
-           string_of_int d; f1 rep.Server.Sched.makespan_ms;
-           Fmt.str "%.2fx" speedup; f1 rep.Server.Sched.p50_ms;
-           f1 rep.Server.Sched.p95_ms; f1 rep.Server.Sched.p50_service_ms;
-           f1 rep.Server.Sched.p95_service_ms; f1 rep.Server.Sched.p50_wait_ms;
-           f1 rep.Server.Sched.p95_wait_ms;
-           (if identical then "yes" else "NO");
-         ])
-       sweep_rows);
-  (match List.find_opt (fun (d, _, _, _, _) -> d = 4) sweep_rows with
-  | Some (_, _, speedup, _, _) when speedup < 2.0 ->
+  let points = List.map (fun (_, _, point) -> point) sweep_rows in
+  print_records points;
+  (match List.find_opt (fun (d, _, _) -> d = 4) sweep_rows with
+  | Some (_, speedup, _) when speedup < 2.0 ->
     Fmt.pr "@.WARNING: speedup at 4 domains is %.2fx (< 2x)@." speedup
   | _ -> ());
-  let oc = open_out "BENCH_server.json" in
-  Printf.fprintf oc "{\n  \"suite\": \"server\",\n  \"results\": [\n";
-  List.iteri
-    (fun i (size, iso_gets, iso_elapsed, (rep : Server.Sched.report), identical, complete) ->
-      let l = rep.Server.Sched.ledger in
-      Printf.fprintf oc
-        "    { \"queries\": %d, \"gets_isolated\": %d, \"gets_shared\": %d, \
-         \"coalescing_ratio\": %.3f,\n\
-        \      \"distinct_urls\": %d, \"sum_per_query_urls\": %d, \
-         \"cross_query_hits\": %d,\n\
-        \      \"makespan_isolated_ms\": %.1f, \"makespan_ms\": %.1f, \
-         \"p50_ms\": %.1f, \"p95_ms\": %.1f,\n\
-        \      \"peak_resident_queries\": %d, \"peak_resident_rows\": %d, \
-         \"identical\": %b, \"complete\": %b }%s\n"
-        size iso_gets rep.Server.Sched.fetch.Websim.Fetcher.gets
-        (float_of_int rep.Server.Sched.fetch.Websim.Fetcher.gets
-        /. float_of_int iso_gets)
-        l.Server.Shared_cache.distinct_gets l.Server.Shared_cache.sum_per_query
-        l.Server.Shared_cache.cross_query_hits iso_elapsed
-        rep.Server.Sched.makespan_ms rep.Server.Sched.p50_ms
-        rep.Server.Sched.p95_ms rep.Server.Sched.peak_resident_queries
-        rep.Server.Sched.peak_resident_rows identical complete
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"deadline_scenario\": { \"queries\": 8, \"deadline_ms\": 300.0, \
-     \"fault_rate\": 0.10, \"retries\": 3,\n\
-    \    \"deadline_partials\": %d, \"errors\": %d, \"wire_retries\": %d },\n"
-    partials errors drep.Server.Sched.fetch.Websim.Fetcher.retries;
-  Printf.fprintf oc
-    "  \"domain_sweep\": {\n\
-    \    \"site_pages\": %d, \"queries\": %d, \"concurrency\": 32, \
-     \"quantum\": 4, \"net_seed\": %d,\n\
-    \    \"points\": [\n"
-    scale_pages n_queries net_seed;
-  let n_points = List.length sweep_rows in
-  List.iteri
-    (fun i (d, identical, speedup, (c : Server.Shared_cache.contention),
-            (rep : Server.Sched.report)) ->
-      Printf.fprintf oc
-        "      { \"domains\": %d, \"makespan_ms\": %.1f, \"speedup\": %.3f, \
-         \"identical\": %b,\n\
-        \        \"p50_ms\": %.1f, \"p95_ms\": %.1f, \"p50_service_ms\": %.1f, \
-         \"p95_service_ms\": %.1f, \"p50_wait_ms\": %.1f, \"p95_wait_ms\": %.1f,\n\
-        \        \"distinct_gets\": %d, \"cross_query_hits\": %d, \
-         \"tuples_cached\": %d }%s\n"
-        d rep.Server.Sched.makespan_ms speedup identical rep.Server.Sched.p50_ms
-        rep.Server.Sched.p95_ms rep.Server.Sched.p50_service_ms
-        rep.Server.Sched.p95_service_ms rep.Server.Sched.p50_wait_ms
-        rep.Server.Sched.p95_wait_ms
-        rep.Server.Sched.ledger.Server.Shared_cache.distinct_gets
-        rep.Server.Sched.ledger.Server.Shared_cache.cross_query_hits
-        c.Server.Shared_cache.tuples_cached
-        (if i = n_points - 1 then "" else ","))
-    sweep_rows;
-  Printf.fprintf oc "    ]\n  }\n}\n";
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_server.json (%d workload sizes + %d-point domain sweep)@."
-    (List.length records) n_points
+  write_results "server"
+    ~counters:
+      [
+        ("results", Arr records);
+        ( "deadline_scenario",
+          Obj
+            [
+              ("queries", Int 8); ("deadline_ms", Num (1, 300.0)); ("fault_rate", Num (2, 0.10));
+              ("retries", Int 3); ("deadline_partials", Int partials); ("errors", Int errors);
+              ("wire_retries", Int drep.Server.Sched.fetch.Websim.Fetcher.retries);
+            ] );
+        ( "domain_sweep",
+          Obj
+            [
+              ("site_pages", Int scale_pages); ("queries", Int n_queries);
+              ("concurrency", Int 32); ("quantum", Int 4); ("net_seed", Int net_seed);
+              ("points", Arr points);
+            ] );
+      ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* BENCH analyze: semantic analyzer and filter-tree view matching     *)
@@ -1197,7 +1220,9 @@ let server_bench () =
       candidate count and distinct page accesses with and without
       Contain.minimize_query in front of the planner.
 
-   Results go to stdout and BENCH_analyze.json. *)
+   Planning time against registry size is the views suite's, which
+   offers the views to the planner. Counters go to BENCH_analyze.json,
+   the lookup times to BENCH_analyze_timing.json. *)
 
 (* A synthetic registry of [n] distinct views derived from the
    navigations of [bases] (the university view): round-robin over the base external
@@ -1236,19 +1261,13 @@ let synthetic_views bases n =
 let analyze_bench () =
   banner "Analyze: filter-tree view matching and minimized planning";
   let uni = Sites.load University in
-  let schema = uni.schema and stats = Sites.stats uni in
-  let ms f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.0)
-  in
   (* --- subsumption lookup scaling ------------------------------------ *)
   let sizes = [ 10; 100; 500 ] in
   let scaling =
     List.map
       (fun n ->
         let views = synthetic_views uni.registry n in
-        let index, build_ms = ms (fun () -> Viewmatch.make views) in
+        let index, build_ms = timed (fun () -> Viewmatch.make views) in
         let probes =
           (* a fixed sample (~25) so work per probe, not probe count,
              varies; stride kept coprime with the generator's
@@ -1268,11 +1287,11 @@ let analyze_bench () =
             views
         in
         let naive_results, naive_ms =
-          ms (fun () -> List.map naive_find probes)
+          timed (fun () -> List.map naive_find probes)
         in
         let naive_checks = List.length probes * (List.length views - 1) in
         let filter_results, filter_ms =
-          ms (fun () -> List.map (Viewmatch.subsumers index) probes)
+          timed (fun () -> List.map (Viewmatch.subsumers index) probes)
         in
         let filter_checks =
           List.fold_left
@@ -1290,61 +1309,48 @@ let analyze_bench () =
         let hits =
           List.fold_left (fun acc r -> acc + List.length r) 0 filter_results
         in
-        (n, Viewmatch.buckets index, build_ms, List.length probes, naive_checks,
-         naive_ms, filter_checks, filter_ms, hits, agree))
+        let views = ("views", Int n) in
+        ( Obj
+            [
+              views; ("buckets", Int (Viewmatch.buckets index));
+              ("probes", Int (List.length probes));
+              ("naive", Obj [ ("checks", Int naive_checks) ]);
+              ("filter_tree", Obj [ ("checks", Int filter_checks) ]);
+              ("subsumers_found", Int hits); ("agree", Bool agree);
+            ],
+          Obj
+            [
+              views; ("index_build_ms", Num (2, build_ms));
+              ("naive", Obj [ ("ms", Num (2, naive_ms)) ]);
+              ("filter_tree", Obj [ ("ms", Num (2, filter_ms)) ]);
+            ] ))
       sizes
   in
-  print_table
-    [ "views"; "buckets"; "probes"; "naive checks"; "naive ms"; "tree checks";
-      "tree ms"; "subsumers"; "agree" ]
-    (List.map
-       (fun (n, buckets, _, probes, nc, nms, fc, fms, hits, agree) ->
-         [ string_of_int n; string_of_int buckets; string_of_int probes;
-           string_of_int nc; f1 nms; string_of_int fc; f1 fms;
-           string_of_int hits; (if agree then "yes" else "NO") ])
-       scaling);
+  let scaling, scaling_ms = List.split scaling in
+  print_records scaling;
+  print_records scaling_ms;
   Fmt.pr "the tree prunes with necessary conditions, so both columns find the@.";
   Fmt.pr "same subsumers; checks per probe stay near bucket size as the@.";
   Fmt.pr "registry grows, while the naive scan grows linearly.@.";
-  (* --- analysis + planning time vs registry size --------------------- *)
-  let planning =
-    List.map
-      (fun n ->
-        let registry = uni.registry @ synthetic_views uni.registry n in
-        let q = Sql_parser.parse registry sql_72 in
-        let (q_min, _), analyze_ms =
-          ms (fun () -> Contain.analyze_query registry q)
-        in
-        let outcome, plan_ms =
-          ms (fun () -> Planner.enumerate schema stats registry q)
-        in
-        ignore q_min;
-        (n, analyze_ms, plan_ms, List.length outcome.Planner.candidates,
-         outcome.Planner.merged))
-      sizes
-  in
-  print_table
-    [ "views"; "analyze ms"; "plan ms"; "candidates"; "merged" ]
-    (List.map
-       (fun (n, ams, pms, cands, merged) ->
-         [ string_of_int n; f1 ams; f1 pms; string_of_int cands;
-           string_of_int merged ])
-       planning);
   (* --- minimized vs raw plans on the three sites --------------------- *)
   let run_pair (site : Sites.t) sql =
     let st = Sites.stats site in
     let q = Sql_parser.parse site.registry sql in
     let raw = Planner.enumerate ~minimize:false site.schema st site.registry q in
     let minimized = Planner.enumerate site.schema st site.registry q in
-    let gets (o : Planner.outcome) =
-      let _, g, _ = measure_plan site.schema site.site o.Planner.best.Planner.expr in
-      g
+    let counts (o : Planner.outcome) =
+      let _, gets, _ = measure_plan site.schema site.site o.Planner.best.Planner.expr in
+      [ ("candidates", Int (List.length o.Planner.candidates)); ("gets", Int gets) ]
     in
-    (raw, minimized, gets raw, gets minimized)
+    Obj
+      [
+        ("site", Str (Sites.name site.kind)); ("raw", Obj (counts raw));
+        ("minimized", Obj (counts minimized @ [ ("merged", Int minimized.Planner.merged) ]));
+      ]
   in
-  let sites =
+  let minimization =
     List.map
-      (fun (kind, sql) -> (Sites.name kind, run_pair (Sites.load kind) sql))
+      (fun (kind, sql) -> run_pair (Sites.load kind) sql)
       [
         ( Sites.University,
           "SELECT p.PName, p.Rank FROM Professor p, Professor q WHERE p.PName \
@@ -1357,58 +1363,11 @@ let analyze_bench () =
            e.CName = c.CName" );
       ]
   in
-  print_table
-    [ "site"; "raw cands"; "raw gets"; "min cands"; "min gets"; "merged" ]
-    (List.map
-       (fun (name, (raw, minimized, raw_gets, min_gets)) ->
-         [ name;
-           string_of_int (List.length raw.Planner.candidates);
-           string_of_int raw_gets;
-           string_of_int (List.length minimized.Planner.candidates);
-           string_of_int min_gets;
-           string_of_int minimized.Planner.merged ])
-       sites);
-  (* --- JSON ---------------------------------------------------------- *)
-  let oc = open_out "BENCH_analyze.json" in
-  Printf.fprintf oc "{\n  \"suite\": \"analyze\",\n  \"subsumption_scaling\": [\n";
-  List.iteri
-    (fun i (n, buckets, build_ms, probes, nc, nms, fc, fms, hits, agree) ->
-      Printf.fprintf oc
-        "    { \"views\": %d, \"buckets\": %d, \"index_build_ms\": %.2f, \
-         \"probes\": %d,\n\
-        \      \"naive\": { \"checks\": %d, \"ms\": %.2f },\n\
-        \      \"filter_tree\": { \"checks\": %d, \"ms\": %.2f },\n\
-        \      \"subsumers_found\": %d, \"agree\": %b }%s\n"
-        n buckets build_ms probes nc nms fc fms hits agree
-        (if i = List.length scaling - 1 then "" else ","))
-    scaling;
-  Printf.fprintf oc "  ],\n  \"planning_scaling\": [\n";
-  List.iteri
-    (fun i (n, ams, pms, cands, merged) ->
-      Printf.fprintf oc
-        "    { \"views\": %d, \"analyze_ms\": %.2f, \"plan_ms\": %.2f, \
-         \"candidates\": %d, \"merged\": %d }%s\n"
-        n ams pms cands merged
-        (if i = List.length planning - 1 then "" else ","))
-    planning;
-  Printf.fprintf oc "  ],\n  \"minimization\": [\n";
-  List.iteri
-    (fun i (name, (raw, minimized, raw_gets, min_gets)) ->
-      Printf.fprintf oc
-        "    { \"site\": %S, \"raw\": { \"candidates\": %d, \"gets\": %d },\n\
-        \      \"minimized\": { \"candidates\": %d, \"gets\": %d, \"merged\": \
-         %d } }%s\n"
-        name
-        (List.length raw.Planner.candidates)
-        raw_gets
-        (List.length minimized.Planner.candidates)
-        min_gets minimized.Planner.merged
-        (if i = List.length sites - 1 then "" else ","))
-    sites;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_analyze.json (%d registry sizes, %d sites)@."
-    (List.length scaling) (List.length sites)
+  print_records minimization;
+  write_results "analyze"
+    ~counters:[ ("subsumption_scaling", Arr scaling); ("minimization", Arr minimization) ]
+    ~timing:[ ("subsumption_scaling", Arr scaling_ms) ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timings                                                    *)
@@ -1417,7 +1376,6 @@ let analyze_bench () =
 let timings () =
   banner "Timings (bechamel, monotonic clock)";
   let open Bechamel in
-  let open Toolkit in
   let uni = Sitegen.University.build () in
   let site = Sites.of_university uni in
   let schema = site.schema and registry = site.registry in
@@ -1469,22 +1427,12 @@ let timings () =
              ignore (Cost.cost schema stats outcome72.Planner.best.Planner.expr)));
     ]
   in
-  let grouped = Test.make_grouped ~name:"webviews" ~fmt:"%s %s" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 10) () in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
   Fmt.pr "%-45s %15s@." "benchmark" "ns/run";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols) ->
-         let ns =
-           match Analyze.OLS.estimates ols with
-           | Some [ est ] -> Fmt.str "%15.0f" est
-           | Some _ | None -> "n/a"
-         in
-         Fmt.pr "%-45s %15s@." name ns)
+  List.iter
+    (fun (name, ns) ->
+      Fmt.pr "%-45s %15s@." name
+        (match ns with Some ns -> Fmt.str "%15.0f" ns | None -> "n/a"))
+    (bechamel ~quota:0.25 tests)
 
 (* ------------------------------------------------------------------ *)
 (* bench-churn: the freshness/wire frontier under live churn           *)
@@ -1544,26 +1492,32 @@ let churn_bench () =
           budgets)
       rates
   in
-  print_table
-    [ "churn"; "budget"; "policy"; "mean stale"; "p95 stale"; "violated";
-      "maint HEAD"; "maint GET"; "full refr"; "wire GET"; "wire HEAD";
-      "mutations" ]
-    (List.map
-       (fun (rate_name, _, budget, policy, (r : Churn.Runtime.report)) ->
-         let m = r.Churn.Runtime.maintenance in
-         [
-           rate_name; f1 budget; Churn.Runtime.policy_to_string policy;
-           Fmt.str "%.3f" r.Churn.Runtime.mean_staleness;
-           f1 r.Churn.Runtime.p95_staleness;
-           string_of_int r.Churn.Runtime.violations;
-           string_of_int m.Churn.Maintain.heads;
-           string_of_int m.Churn.Maintain.gets_refreshed;
-           string_of_int r.Churn.Runtime.full_refreshes;
-           string_of_int r.Churn.Runtime.wire.Websim.Fetcher.gets;
-           string_of_int r.Churn.Runtime.wire.Websim.Fetcher.heads;
-           string_of_int r.Churn.Runtime.mutations_total;
-         ])
-       grid);
+  let grid_records =
+    List.map
+      (fun (rate_name, rate, budget, policy, (r : Churn.Runtime.report)) ->
+        let m = r.Churn.Runtime.maintenance and w = r.Churn.Runtime.wire in
+        Obj
+          [
+            ("churn", Str rate_name); ("rate", Num (2, rate)); ("budget", Num (1, budget));
+            ("policy", Str (Churn.Runtime.policy_to_string policy));
+            ("mean_staleness", Num (4, r.Churn.Runtime.mean_staleness));
+            ("p95_staleness", Num (2, r.Churn.Runtime.p95_staleness));
+            ("violations", Int r.Churn.Runtime.violations);
+            ("verdicts", Obj (List.map (fun (v, n) -> (v, Int n)) r.Churn.Runtime.verdicts));
+            ("maintenance_heads", Int m.Churn.Maintain.heads);
+            ("maintenance_gets", Int m.Churn.Maintain.gets_refreshed);
+            ("validated", Int m.Churn.Maintain.validated); ("swept", Int m.Churn.Maintain.swept);
+            ("purged", Int m.Churn.Maintain.purged); ("denied", Int m.Churn.Maintain.denied);
+            ("full_refreshes", Int r.Churn.Runtime.full_refreshes);
+            ("budget_spent", Num (1, r.Churn.Runtime.budget_spent));
+            ("wire_gets", Int w.Websim.Fetcher.gets); ("wire_heads", Int w.Websim.Fetcher.heads);
+            ("wire_bytes", Int w.Websim.Fetcher.bytes);
+            ("mutations", Int r.Churn.Runtime.mutations_total);
+            ("store_pages", Int r.Churn.Runtime.store_pages);
+          ])
+      grid
+  in
+  print_records grid_records;
   (* the acceptance comparison: at every fixed budget and nonzero
      churn, incremental maintenance must answer strictly fresher than
      the full-refresh baseline *)
@@ -1584,21 +1538,20 @@ let churn_bench () =
             (fun budget ->
               let inc = find rate_name budget Churn.Runtime.Incremental in
               let full = find rate_name budget Churn.Runtime.Full_refresh in
-              ( rate_name, budget,
-                inc.Churn.Runtime.mean_staleness,
-                full.Churn.Runtime.mean_staleness,
-                inc.Churn.Runtime.mean_staleness
-                < full.Churn.Runtime.mean_staleness ))
+              let inc = inc.Churn.Runtime.mean_staleness
+              and full = full.Churn.Runtime.mean_staleness in
+              ( inc < full,
+                Obj
+                  [
+                    ("churn", Str rate_name); ("budget", Num (1, budget));
+                    ("incremental_mean_staleness", Num (4, inc));
+                    ("full_refresh_mean_staleness", Num (4, full));
+                    ("incremental_strictly_lower", Bool (inc < full));
+                  ] ))
             budgets)
       rates
   in
-  Fmt.pr "@.incremental vs full-refresh (mean answer staleness, ticks):@.";
-  List.iter
-    (fun (name, budget, inc, full, ok) ->
-      Fmt.pr "  churn %-4s budget %5.1f: %.3f vs %.3f  %s@." name budget inc
-        full
-        (if ok then "incremental strictly lower" else "NOT LOWER"))
-    acceptance;
+  print_records (List.map snd acceptance);
   (* determinism: an identical configuration replays byte-identically,
      and the runtime is domain-count-invariant *)
   let digest (r : Churn.Runtime.report) =
@@ -1620,70 +1573,25 @@ let churn_bench () =
   Fmt.pr "@.determinism: repeat %s, domains 1 vs 4 %s@."
     (if repeat_identical then "identical" else "DIVERGED")
     (if domains_invariant then "identical" else "DIVERGED");
-  let oc = open_out "BENCH_churn.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"churn\",\n\
-    \  \"site_pages\": %d, \"queries\": %d, \"workload_seed\": %d, \
-     \"churn_seed\": %d,\n\
-    \  \"concurrency\": 4, \"quantum\": 1, \"max_age\": %d, \"head_cost\": 1.0, \
-     \"get_cost\": 10.0,\n\
-    \  \"grid\": [\n"
-    !site_pages n_queries wseed churn_seed max_age;
-  let n_grid = List.length grid in
-  List.iteri
-    (fun i (rate_name, rate, budget, policy, (r : Churn.Runtime.report)) ->
-      let m = r.Churn.Runtime.maintenance in
-      Printf.fprintf oc
-        "    { \"churn\": \"%s\", \"rate\": %.2f, \"budget\": %.1f, \
-         \"policy\": \"%s\",\n\
-        \      \"mean_staleness\": %.4f, \"p95_staleness\": %.2f, \
-         \"violations\": %d,\n\
-        \      \"verdicts\": { %s },\n\
-        \      \"maintenance_heads\": %d, \"maintenance_gets\": %d, \
-         \"validated\": %d, \"swept\": %d, \"purged\": %d, \"denied\": %d,\n\
-        \      \"full_refreshes\": %d, \"budget_spent\": %.1f, \
-         \"wire_gets\": %d, \"wire_heads\": %d, \"wire_bytes\": %d,\n\
-        \      \"mutations\": %d, \"store_pages\": %d }%s\n"
-        rate_name rate budget
-        (Churn.Runtime.policy_to_string policy)
-        r.Churn.Runtime.mean_staleness r.Churn.Runtime.p95_staleness
-        r.Churn.Runtime.violations
-        (String.concat ", "
-           (List.map
-              (fun (v, n) -> Printf.sprintf "\"%s\": %d" v n)
-              r.Churn.Runtime.verdicts))
-        m.Churn.Maintain.heads m.Churn.Maintain.gets_refreshed
-        m.Churn.Maintain.validated m.Churn.Maintain.swept
-        m.Churn.Maintain.purged m.Churn.Maintain.denied
-        r.Churn.Runtime.full_refreshes r.Churn.Runtime.budget_spent
-        r.Churn.Runtime.wire.Websim.Fetcher.gets
-        r.Churn.Runtime.wire.Websim.Fetcher.heads
-        r.Churn.Runtime.wire.Websim.Fetcher.bytes
-        r.Churn.Runtime.mutations_total r.Churn.Runtime.store_pages
-        (if i = n_grid - 1 then "" else ","))
-    grid;
-  Printf.fprintf oc "  ],\n  \"incremental_vs_full_refresh\": [\n";
-  let n_acc = List.length acceptance in
-  List.iteri
-    (fun i (name, budget, inc, full, ok) ->
-      Printf.fprintf oc
-        "    { \"churn\": \"%s\", \"budget\": %.1f, \
-         \"incremental_mean_staleness\": %.4f, \
-         \"full_refresh_mean_staleness\": %.4f, \
-         \"incremental_strictly_lower\": %b }%s\n"
-        name budget inc full ok
-        (if i = n_acc - 1 then "" else ","))
-    acceptance;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"determinism\": { \"repeat_identical\": %b, \
-     \"domains_invariant\": %b }\n}\n"
-    repeat_identical domains_invariant;
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_churn.json (%d grid points)@." n_grid;
+  write_results "churn"
+    ~counters:
+      [
+        ("site_pages", Int !site_pages); ("queries", Int n_queries);
+        ("workload_seed", Int wseed); ("churn_seed", Int churn_seed);
+        ("concurrency", Int 4); ("quantum", Int 1); ("max_age", Int max_age);
+        ("head_cost", Num (1, 1.0)); ("get_cost", Num (1, 10.0));
+        ("grid", Arr grid_records);
+        ("incremental_vs_full_refresh", Arr (List.map snd acceptance));
+        ( "determinism",
+          Obj
+            [
+              ("repeat_identical", Bool repeat_identical);
+              ("domains_invariant", Bool domains_invariant);
+            ] );
+      ]
+    ();
   if
-    (not (List.for_all (fun (_, _, _, _, ok) -> ok) acceptance))
+    (not (List.for_all fst acceptance))
     || (not repeat_identical) || not domains_invariant
   then begin
     Fmt.epr "bench-churn acceptance FAILED@.";
@@ -1705,8 +1613,9 @@ let churn_bench () =
 (*    views bucket away from the query's occurrences in the filter     *)
 (*    tree, so view matching — and planning time — stays flat while a  *)
 (*    naive pairwise matcher grows linearly in registry size.          *)
-(* Results go to stdout and BENCH_views.json; exits nonzero when an    *)
-(* acceptance condition fails.                                         *)
+(* Counters go to BENCH_views.json, plan times to                      *)
+(* BENCH_views_timing.json; exits nonzero when an acceptance condition *)
+(* fails.                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let views_bench () =
@@ -1741,11 +1650,22 @@ let views_bench () =
       Adm.Relation.attrs nav_rel = Adm.Relation.attrs view_rel
       && sorted_rows nav_rel = sorted_rows view_rel
     in
-    ( Sites.name site.kind, sql,
-      view_outcome.Planner.view_used <> [],
-      nav.Websim.Http.gets, nav.Websim.Http.heads,
-      view_gets, view_heads, identical )
+    let side gets heads =
+      Obj [ ("gets", Int gets); ("heads", Int heads); ("units", Int (wire_units gets heads)) ]
+    in
+    let chosen = view_outcome.Planner.view_used <> [] in
+    ( chosen && identical
+      && wire_units view_gets view_heads < wire_units nav.Websim.Http.gets nav.Websim.Http.heads,
+      identical,
+      Obj
+        [
+          ("site", Str (Sites.name site.kind)); ("sql", Str sql); ("view_chosen", Bool chosen);
+          ("identical", Bool identical);
+          ("navigation", side nav.Websim.Http.gets nav.Websim.Http.heads);
+          ("view", side view_gets view_heads);
+        ] )
   in
+  (* (view wins the wire, rows identical, record) per site *)
   let wire =
     List.map
       (fun (kind, sql) ->
@@ -1760,18 +1680,8 @@ let views_bench () =
             Fmt.str "SELECT x.%s FROM %s x" (List.hd rel.View.rel_attrs) rel.View.rel_name );
       ]
   in
-  print_table
-    [ "site"; "view chosen"; "nav GETs"; "view GETs"; "view HEADs";
-      "nav units"; "view units"; "identical" ]
-    (List.map
-       (fun (name, _, chosen, ng, nh, vg, vh, identical) ->
-         [
-           name; (if chosen then "yes" else "NO");
-           string_of_int ng; string_of_int vg; string_of_int vh;
-           string_of_int (wire_units ng nh); string_of_int (wire_units vg vh);
-           (if identical then "yes" else "NO");
-         ])
-       wire);
+  let wire_records = List.map (fun (_, _, record) -> record) wire in
+  print_records wire_records;
   (* --- the stale half: churny schemes price the view out ------------ *)
   let stale_rejected =
     let site = Sites.load University in
@@ -1793,11 +1703,6 @@ let views_bench () =
   Fmt.pr "@.stale store over churny schemes: view %s@."
     (if stale_rejected then "correctly rejected" else "WRONGLY CHOSEN");
   (* --- planning time vs registry size ------------------------------- *)
-  let ms f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.0)
-  in
   (* [n] selection-variant views over the university navigations, each
      constrained by a constant unique to the view: real registry bulk
      that subsumes nothing the workload names, so the filter tree's
@@ -1824,23 +1729,30 @@ let views_bench () =
   in
   let stats = Sites.stats uni in
   let store = Matview.materialize schema (Websim.Http.connect uni.site) in
-  let plan_scale =
+  let contexts =
     List.map
       (fun n ->
         let full = registry @ stress_views (n - List.length registry) in
-        let vs = Viewstore.create schema full store in
-        let q = Sql_parser.parse full sql_72 in
-        let plan_once () =
-          Planner.enumerate ~views:(Viewstore.context vs) schema stats full q
-        in
-        ignore (plan_once ());
-        (* min of 5: wall-clock noise hurts the flatness ratio, not
-           the workload *)
-        let best = ref infinity in
-        for _ = 1 to 5 do
-          let _, t = ms plan_once in
-          if t < !best then best := t
-        done;
+        (n, full, Viewstore.create schema full store, Sql_parser.parse full sql_72))
+      [ 10; 100; 500 ]
+  in
+  let plan_once (_, full, vs, q) () =
+    Planner.enumerate ~views:(Viewstore.context vs) schema stats full q
+  in
+  List.iter (fun c -> ignore (plan_once c ())) contexts;
+  (* min of 5 rounds, each timing every size in turn: wall-clock noise
+     and machine load fall on all sizes alike, not on one of them *)
+  let best = Array.make (List.length contexts) infinity in
+  for _ = 1 to 5 do
+    List.iteri
+      (fun i c ->
+        let _, t = timed (plan_once c) in
+        best.(i) <- Float.min best.(i) t)
+      contexts
+  done;
+  let plan_scale =
+    List.mapi
+      (fun i (n, full, vs, (q : Conjunctive.t)) ->
         let index = Viewstore.index vs in
         let probes =
           List.map (fun (s : Conjunctive.source) -> s.Conjunctive.rel)
@@ -1854,73 +1766,34 @@ let views_bench () =
             0 probes
         in
         let naive_checks = List.length probes * (List.length full - 1) in
-        (n, !best, tree_checks, naive_checks))
-      [ 10; 100; 500 ]
+        ( Obj
+            [ ("views", Int n); ("tree_checks", Int tree_checks); ("naive_checks", Int naive_checks) ],
+          Obj [ ("views", Int n); ("plan_ms", Num (2, best.(i))) ] ))
+      contexts
   in
-  print_table
-    [ "views"; "plan ms"; "tree checks"; "naive checks" ]
-    (List.map
-       (fun (n, t, tc, nc) ->
-         [ string_of_int n; Fmt.str "%.2f" t; string_of_int tc;
-           string_of_int nc ])
-       plan_scale);
-  let time_of n =
-    let _, t, _, _ = List.find (fun (m, _, _, _) -> m = n) plan_scale in
-    t
-  in
-  let ratio = time_of 500 /. time_of 10 in
+  let planning, planning_ms = List.split plan_scale in
+  print_records planning;
+  print_records planning_ms;
+  let times = List.mapi (fun i (n, _, _, _) -> (n, best.(i))) contexts in
+  let ratio = List.assoc 500 times /. List.assoc 10 times in
   let within_2x = ratio <= 2.0 in
   Fmt.pr "@.planning time 500 vs 10 views: %.2fx (%s)@." ratio
     (if within_2x then "within 2x, filter tree engaged" else "OVER 2x");
   (* --- JSON + acceptance -------------------------------------------- *)
-  let wire_win =
-    List.exists
-      (fun (_, _, chosen, ng, nh, vg, vh, identical) ->
-        chosen && identical && wire_units vg vh < wire_units ng nh)
-      wire
-  in
-  let all_identical =
-    List.for_all (fun (_, _, _, _, _, _, _, i) -> i) wire
-  in
-  let oc = open_out "BENCH_views.json" in
-  Printf.fprintf oc
-    "{\n  \"suite\": \"views\",\n  \"head_cost\": 1, \"get_cost\": 10,\n  \"wire\": [\n";
-  List.iteri
-    (fun i (name, sql, chosen, ng, nh, vg, vh, identical) ->
-      Printf.fprintf oc
-        "    { \"site\": %S, \"sql\": %S, \"view_chosen\": %b, \
-         \"identical\": %b,\n\
-        \      \"navigation\": { \"gets\": %d, \"heads\": %d, \"units\": %d },\n\
-        \      \"view\": { \"gets\": %d, \"heads\": %d, \"units\": %d } }%s\n"
-        name sql chosen identical ng nh (wire_units ng nh) vg vh
-        (wire_units vg vh)
-        (if i = List.length wire - 1 then "" else ","))
-    wire;
-  Printf.fprintf oc
-    "  ],\n  \"stale_view_rejected\": %b,\n  \"planning\": [\n" stale_rejected;
-  let last i = if i = List.length plan_scale - 1 then "" else "," in
-  List.iteri
-    (fun i (n, _, tc, nc) ->
-      Printf.fprintf oc
-        "    { \"views\": %d, \"tree_checks\": %d, \"naive_checks\": %d }%s\n" n tc nc
-        (last i))
-    plan_scale;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  (* the wall times go apart, so BENCH_views.json reproduces byte for
-     byte *)
-  let oc = open_out "BENCH_views_timing.json" in
-  Printf.fprintf oc "{\n  \"suite\": \"views\",\n  \"planning\": [\n";
-  List.iteri
-    (fun i (n, t, _, _) ->
-      Printf.fprintf oc "    { \"views\": %d, \"plan_ms\": %.2f }%s\n" n t (last i))
-    plan_scale;
-  Printf.fprintf oc
-    "  ],\n  \"planning_ratio_500_over_10\": %.3f, \"within_2x\": %b\n}\n"
-    ratio within_2x;
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_views.json (%d sites, %d registry sizes) and BENCH_views_timing.json@."
-    (List.length wire) (List.length plan_scale);
+  write_results "views"
+    ~counters:
+      [
+        ("head_cost", Int 1); ("get_cost", Int 10); ("wire", Arr wire_records);
+        ("stale_view_rejected", Bool stale_rejected); ("planning", Arr planning);
+      ]
+    ~timing:
+      [
+        ("planning", Arr planning_ms); ("planning_ratio_500_over_10", Num (3, ratio));
+        ("within_2x", Bool within_2x);
+      ]
+    ();
+  let wire_win = List.exists (fun (win, _, _) -> win) wire in
+  let all_identical = List.for_all (fun (_, identical, _) -> identical) wire in
   if not (wire_win && all_identical && stale_rejected && within_2x) then begin
     Fmt.epr "bench-views acceptance FAILED@.";
     exit 1
@@ -1937,9 +1810,10 @@ let views_bench () =
    to contribute an output) to 10/100/500 and time the search. (2) On
    the form-only site, how many GETs does the discovered composition
    cost against the oracle that materializes every page before
-   answering? Results go to stdout and BENCH_bindings.json; exits
-   nonzero when no rewriting is found, when the executed rows diverge
-   from ground truth, or when the oracle wins the wire. *)
+   answering? Counters go to BENCH_bindings.json, search and planning
+   times to BENCH_bindings_timing.json; exits nonzero when no rewriting
+   is found, when the executed rows diverge from ground truth, or when
+   the oracle wins the wire. *)
 
 let bindings_bench () =
   banner "Bindings: rewriting search scaling and the form-only wire";
@@ -1949,11 +1823,6 @@ let bindings_bench () =
   let binding_config = Option.get site.binding_config in
   let sql = Sitegen.Formsite.staff_query "cs" in
   let q = Sql_parser.parse registry sql in
-  let ms f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.0)
-  in
   (* --- search scaling ------------------------------------------------ *)
   let hooks = [ "dept"; "course"; "prof" ] in
   let real = List.length Sitegen.Formsite.path_views in
@@ -1969,26 +1838,27 @@ let bindings_bench () =
            the GC's warm-up *)
         let reports, times =
           List.split
-            (List.init 5 (fun _ -> ms (fun () -> Bindings.search cfg schema q)))
+            (List.init 5 (fun _ -> timed (fun () -> Bindings.search cfg schema q)))
         in
         let report = List.hd reports in
-        let t = List.fold_left min infinity times in
-        ( n, t,
-          report.Bindings.explored,
-          List.length report.Bindings.rewritings,
-          report.Bindings.truncated ))
+        let path_views = ("path_views", Int n) in
+        ( List.length report.Bindings.rewritings > 0 && not report.Bindings.truncated,
+          Obj
+            [
+              path_views; ("states_explored", Int report.Bindings.explored);
+              ("rewritings", Int (List.length report.Bindings.rewritings));
+              ("truncated", Bool report.Bindings.truncated);
+            ],
+          Obj [ path_views; ("search_ms", Num (3, List.fold_left min infinity times)) ] ))
       sizes
   in
-  print_table
-    [ "path views"; "search ms"; "states"; "rewritings"; "truncated" ]
-    (List.map
-       (fun (n, t, ex, rw, tr) ->
-         [ string_of_int n; Fmt.str "%.2f" t; string_of_int ex;
-           string_of_int rw; string_of_bool tr ])
-       scaling);
+  let search = List.map (fun (_, counters, _) -> counters) scaling in
+  let search_ms = List.map (fun (_, _, timing) -> timing) scaling in
+  print_records search;
+  print_records search_ms;
   (* --- the wire: discovered composition vs full materialization ------ *)
   let outcome, plan_ms =
-    ms (fun () -> Planner.plan_sql ?bindings:(Sites.bindings site) schema stats registry sql)
+    timed (fun () -> Planner.plan_sql ?bindings:(Sites.bindings site) schema stats registry sql)
   in
   let result, gets, _ = measure_plan schema site.site outcome.Planner.best.Planner.expr in
   let rows =
@@ -2010,34 +1880,30 @@ let bindings_bench () =
   Fmt.pr "full-materialization oracle: %d GETs (%.1fx the rewriting)@." oracle
     (float_of_int oracle /. float_of_int (max 1 gets));
   (* --- JSON + acceptance -------------------------------------------- *)
-  let found_all =
-    List.for_all (fun (_, _, _, rw, tr) -> rw > 0 && not tr) scaling
-  in
-  let oc = open_out "BENCH_bindings.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"query\": %S,\n\
-    \  \"search_scaling\": [\n%s\n  ],\n\
-    \  \"execution\": { \"plan_ms\": %.2f, \"gets\": %d, \"rows\": %d, \
-     \"identical\": %b },\n\
-    \  \"oracle\": { \"gets\": %d },\n\
-    \  \"acceptance\": { \"rewriting_at_every_size\": %b, \
-     \"identical_rows\": %b, \"fewer_gets_than_oracle\": %b }\n\
-     }\n"
-    sql
-    (String.concat ",\n"
-       (List.map
-          (fun (n, t, ex, rw, tr) ->
-            Printf.sprintf
-              "    { \"path_views\": %d, \"search_ms\": %.3f, \
-               \"states_explored\": %d, \"rewritings\": %d, \"truncated\": %b }"
-              n t ex rw tr)
-          scaling))
-    plan_ms gets (List.length rows) identical oracle found_all identical
-    (gets < oracle);
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_bindings.json (%d registry sizes)@."
-    (List.length scaling);
+  let found_all = List.for_all (fun (found, _, _) -> found) scaling in
+  write_results "bindings"
+    ~counters:
+      [
+        ("query", Str sql);
+        ("search_scaling", Arr search);
+        ( "execution",
+          Obj
+            [ ("gets", Int gets); ("rows", Int (List.length rows)); ("identical", Bool identical) ]
+        );
+        ("oracle", Obj [ ("gets", Int oracle) ]);
+        ( "acceptance",
+          Obj
+            [
+              ("rewriting_at_every_size", Bool found_all); ("identical_rows", Bool identical);
+              ("fewer_gets_than_oracle", Bool (gets < oracle));
+            ] );
+      ]
+    ~timing:
+      [
+        ("search_scaling", Arr search_ms);
+        ("execution", Obj [ ("plan_ms", Num (2, plan_ms)) ]);
+      ]
+    ();
   if not (found_all && identical && gets < oracle) then begin
     Fmt.epr "bench-bindings acceptance FAILED@.";
     exit 1

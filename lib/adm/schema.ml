@@ -68,67 +68,6 @@ let all_link_paths s =
         (Page_scheme.link_paths ps))
     s.schemes
 
-(* Well-formedness: every path in every constraint resolves, link
-   constraints live on actual link attributes and bind mono-valued
-   attributes, inclusions relate links with the same target. Returns
-   the list of problems (empty = valid). *)
-let validate s =
-  let errors = ref [] in
-  let err fmt = Fmt.kstr (fun m -> errors := m :: !errors) fmt in
-  let resolve (p : Constraints.path) =
-    match find_scheme s p.scheme with
-    | None ->
-      err "unknown page-scheme %s in %s" p.scheme (Constraints.path_to_string p);
-      None
-    | Some ps -> (
-      match Page_scheme.resolve_path ps p.steps with
-      | Some ty -> Some ty
-      | None ->
-        err "path %s does not resolve" (Constraints.path_to_string p);
-        None)
-  in
-  List.iter
-    (fun (c : Constraints.link_constraint) ->
-      (match resolve c.link with
-      | Some (Webtype.Link target) ->
-        if not (String.equal target c.target_scheme) then
-          err "link %s targets %s, constraint names %s"
-            (Constraints.path_to_string c.link)
-            target c.target_scheme
-      | Some _ -> err "%s is not a link attribute" (Constraints.path_to_string c.link)
-      | None -> ());
-      (match resolve c.source_attr with
-      | Some ty when Webtype.is_mono ty -> ()
-      | Some _ ->
-        err "source attribute %s is multi-valued"
-          (Constraints.path_to_string c.source_attr)
-      | None -> ());
-      match find_scheme s c.target_scheme with
-      | None -> err "unknown target page-scheme %s" c.target_scheme
-      | Some ps -> (
-        match Page_scheme.resolve_path ps [ c.target_attr ] with
-        | Some ty when Webtype.is_mono ty -> ()
-        | Some _ -> err "target attribute %s.%s is multi-valued" c.target_scheme c.target_attr
-        | None ->
-          if not (String.equal c.target_attr Page_scheme.url_attr) then
-            err "unknown target attribute %s.%s" c.target_scheme c.target_attr))
-    s.link_constraints;
-  List.iter
-    (fun (c : Constraints.inclusion) ->
-      match resolve c.sub, resolve c.sup with
-      | Some (Webtype.Link t1), Some (Webtype.Link t2) ->
-        if not (String.equal t1 t2) then
-          err "inclusion %s relates links with different targets (%s vs %s)"
-            (Fmt.str "%a" Constraints.pp_inclusion c)
-            t1 t2
-      | Some _, Some _ ->
-        err "inclusion %s ⊆ %s must relate link attributes"
-          (Constraints.path_to_string c.sub)
-          (Constraints.path_to_string c.sup)
-      | _ -> ())
-    s.inclusions;
-  List.rev !errors
-
 (* Instance checking. [values_at_path] collects the (non-null) values
    reached by a dotted path inside a page relation whose attributes
    are the page-scheme's own (unqualified) names. *)

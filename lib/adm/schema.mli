@@ -29,9 +29,6 @@ val inclusion_holds : t -> sub:Constraints.path -> sup:Constraints.path -> bool
 
 val all_link_paths : t -> (Constraints.path * string) list
 
-val validate : t -> string list
-(** Well-formedness problems of the scheme itself (empty = valid). *)
-
 val values_at_path : Relation.t -> string list -> Value.t list
 
 val validate_instance : t -> (string -> Relation.t option) -> string list

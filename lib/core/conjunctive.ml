@@ -113,9 +113,9 @@ let pp ppf q =
     else Fmt.pf ppf "%s %s" s.rel s.alias
   in
   Fmt.pf ppf "SELECT %a FROM %a%a"
-    Fmt.(list ~sep:comma string)
+    Fmt.(list ~sep:(any ", ") string)
     q.select
-    Fmt.(list ~sep:comma pp_src)
+    Fmt.(list ~sep:(any ", ") pp_src)
     q.from
     (fun ppf -> function
       | [] -> ()

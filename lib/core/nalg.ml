@@ -476,11 +476,11 @@ let pp_plan ppf e =
     | Select (p, e1) ->
       Fmt.pf ppf "%sσ %a@,%a" pad Pred.pp p (go (indent + 2)) e1
     | Project (attrs, e1) ->
-      Fmt.pf ppf "%sπ %a@,%a" pad Fmt.(list ~sep:comma string) attrs (go (indent + 2)) e1
+      Fmt.pf ppf "%sπ %a@,%a" pad Fmt.(list ~sep:(any ", ") string) attrs (go (indent + 2)) e1
     | Join (keys, e1, e2) ->
       let pp_key ppf (a, b) = Fmt.pf ppf "%s=%s" a b in
       Fmt.pf ppf "%s⋈ %a@,%a%a" pad
-        Fmt.(list ~sep:comma pp_key)
+        Fmt.(list ~sep:(any ", ") pp_key)
         keys (go (indent + 2)) e1 (go (indent + 2)) e2
     | Unnest (e1, a) -> Fmt.pf ppf "%s◦ %s@,%a" pad a (go (indent + 2)) e1
     | Follow { src; link; scheme; alias } ->
