@@ -30,7 +30,9 @@ bench:
 	dune exec bench/main.exe -- all
 
 # Microbenchmarks of the in-memory relational kernel (equi_join,
-# distinct, unnest at 1k/10k/100k rows). Wall times only, so it writes
+# distinct, unnest at 1k/10k/100k rows) and of the executor's
+# Hash_join, Project and Stream_unnest on the same relations (exec_*).
+# Wall times only, so it writes
 # BENCH_kernel_timing.json in the current directory and nothing diffs
 # it; commit it so the perf trajectory is tracked across PRs.
 bench-kernel:

@@ -15,23 +15,25 @@
    in particular it does NOT depend on [id], so results cannot depend
    on the order in which domains first intern a string. The table is
    mutex-guarded: interning is the only global mutable state touched
-   by pool workers (wrapper extraction runs in parallel). *)
+   by pool workers (wrapper extraction runs in parallel). It is a
+   [String_tbl], so a lookup compares strings with [String.equal]
+   rather than the polymorphic compare. *)
 module Atom = struct
   type t = { id : int; hash : int; str : string }
 
-  let table : (string, t) Hashtbl.t = Hashtbl.create 4096
+  let table : t String_tbl.t = String_tbl.create 4096
   let lock = Mutex.create ()
   let counter = ref 0
 
   let of_string str =
     Mutex.lock lock;
     let a =
-      match Hashtbl.find_opt table str with
+      match String_tbl.find_opt table str with
       | Some a -> a
       | None ->
         let a = { id = !counter; hash = Hashtbl.hash str; str } in
         incr counter;
-        Hashtbl.add table str a;
+        String_tbl.add table str a;
         a
     in
     Mutex.unlock lock;
@@ -48,7 +50,7 @@ module Atom = struct
 
   let interned () =
     Mutex.lock lock;
-    let n = Hashtbl.length table in
+    let n = String_tbl.length table in
     Mutex.unlock lock;
     n
 end

@@ -114,13 +114,14 @@ let afilter p (a : batch) : batch =
     out
   end
 
-(* filter_map into a batch allocated lazily at source size. *)
+(* filter_map into a batch allocated lazily at source size; [f] also
+   gets the row's index, for per-row values computed beforehand. *)
 let afilter_map f (a : batch) : batch =
   let n = Array.length a in
   let buf = ref [||] in
   let k = ref 0 in
   for i = 0 to n - 1 do
-    match f a.(i) with
+    match f i a.(i) with
     | None -> ()
     | Some row ->
       if !k = 0 then buf := Array.make n row;
@@ -145,11 +146,24 @@ module Rowbuf = struct
     b.arr.(b.len) <- row;
     b.len <- b.len + 1
 
-  let push_list b rows = List.iter (push b) rows
-
   let contents b : batch =
     if b.len = Array.length b.arr then b.arr else Array.sub b.arr 0 b.len
 end
+
+(* Per-row lookup tables that hash each key once, by what the value
+   already carries: a URL by its interned atom (precomputed hash, id
+   equality), a one-attribute join key by the value itself. A
+   [Text] and a [Link] of one string share an atom, so atom tables
+   hold URLs only; the value table compares with [Value.equal],
+   which keeps the two apart. *)
+module Atom_tbl = Hashtbl.Make (Adm.Value.Atom)
+
+module Value_tbl = Hashtbl.Make (struct
+  type t = Adm.Value.t
+
+  let equal = Adm.Value.equal
+  let hash = Adm.Value.hash
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Page-scheme helpers                                                 *)
@@ -309,16 +323,14 @@ let compile (schema : Adm.Schema.t) (source : source)
             | Some va ->
               m.pages <- m.pages + va.va_heads + va.va_gets;
               metrics.state_rows <- metrics.state_rows + Array.length va.va_rows;
-              (* reorder the stored columns into declaration order *)
-              let offs =
-                let vtbl = index_of va.va_attrs in
-                Array.of_list
-                  (List.map (offset_exn "view_scan" va.va_attrs vtbl) ext_attrs)
-              in
-              let reorder row = Array.map (fun i -> row.(i)) offs in
-              let out = afilter_map (fun r -> let r = reorder r in
-                                      if pred r then Some r else None)
-                  va.va_rows
+              if not (List.equal String.equal va.va_attrs ext_attrs) then
+                invalid_arg
+                  (Fmt.str "Exec.view_scan: %s stores [%s], declared [%s]" view
+                     (String.concat "; " va.va_attrs) (String.concat "; " ext_attrs));
+              (* the cached extent's rows pass on as they are: no
+                 operator mutates a row *)
+              let out =
+                match filter with [] -> va.va_rows | _ -> afilter pred va.va_rows
               in
               (match out with [||] -> None | _ -> Some out)
           end
@@ -342,11 +354,13 @@ let compile (schema : Adm.Schema.t) (source : source)
           Array.of_list (List.map (offset_exn "project" c.attrs tbl) attrs)
         in
         let seen = Adm.Relation.Row_tbl.create 64 in
-        let fresh row =
+        (* one probe: [replace] grows the table only for a new row *)
+        let fresh _ row =
           let take = Array.map (fun i -> row.(i)) offs in
-          if Adm.Relation.Row_tbl.mem seen take then None
+          let n = Adm.Relation.Row_tbl.length seen in
+          Adm.Relation.Row_tbl.replace seen take ();
+          if Adm.Relation.Row_tbl.length seen = n then None
           else begin
-            Adm.Relation.Row_tbl.add seen take ();
             metrics.state_rows <- metrics.state_rows + 1;
             Some take
           end
@@ -371,12 +385,24 @@ let compile (schema : Adm.Schema.t) (source : source)
         in
         let keep2, out_attrs = join_header keys lc.attrs rc.attrs in
         let w1 = List.length lc.attrs in
-        let key_of ks row = Array.map (fun i -> row.(i)) ks in
         let has_null ks row = Array.exists (fun i -> Adm.Value.is_null row.(i)) ks in
         let build_c, build_k, probe_c, probe_k =
           if build_left then (lc, k1, rc, k2) else (rc, k2, lc, k1)
         in
-        let tbl = Adm.Relation.Row_tbl.create 64 in
+        (* one key attribute: the table keys on the value itself; more:
+           on the key sub-row *)
+        let add, find_all =
+          match build_k, probe_k with
+          | [| b |], [| p |] ->
+            let tbl = Value_tbl.create 64 in
+            ( (fun row -> Value_tbl.add tbl row.(b) row),
+              fun row -> Value_tbl.find_all tbl row.(p) )
+          | _ ->
+            let key_of ks row = Array.map (fun i -> row.(i)) ks in
+            let tbl = Adm.Relation.Row_tbl.create 64 in
+            ( (fun row -> Adm.Relation.Row_tbl.add tbl (key_of build_k row) row),
+              fun row -> Adm.Relation.Row_tbl.find_all tbl (key_of probe_k row) )
+        in
         let built = ref false in
         let ensure_built () =
           if not !built then begin
@@ -388,7 +414,7 @@ let compile (schema : Adm.Schema.t) (source : source)
                 Array.iter
                   (fun row ->
                     if not (has_null build_k row) then begin
-                      Adm.Relation.Row_tbl.add tbl (key_of build_k row) row;
+                      add row;
                       metrics.state_rows <- metrics.state_rows + 1
                     end)
                   batch;
@@ -397,13 +423,14 @@ let compile (schema : Adm.Schema.t) (source : source)
             drain ()
           end
         in
-        let emit probe_row =
-          if has_null probe_k probe_row then []
-          else
-            let matches = Adm.Relation.Row_tbl.find_all tbl (key_of probe_k probe_row) in
-            if build_left then
-              List.map (fun lrow -> combine w1 keep2 lrow probe_row) matches
-            else List.map (fun rrow -> combine w1 keep2 probe_row rrow) matches
+        let emit buf probe_row =
+          if not (has_null probe_k probe_row) then
+            List.iter
+              (fun m ->
+                Rowbuf.push buf
+                  (if build_left then combine w1 keep2 m probe_row
+                   else combine w1 keep2 probe_row m))
+              (find_all probe_row)
         in
         let rec next () =
           ensure_built ();
@@ -411,7 +438,7 @@ let compile (schema : Adm.Schema.t) (source : source)
           | None -> None
           | Some batch -> (
             let buf = Rowbuf.create () in
-            Array.iter (fun row -> Rowbuf.push_list buf (emit row)) batch;
+            Array.iter (emit buf) batch;
             match Rowbuf.contents buf with [||] -> next () | out -> Some out)
         in
         { attrs = out_attrs; next }
@@ -444,35 +471,48 @@ let compile (schema : Adm.Schema.t) (source : source)
         let w = n_outer + List.length expect in
         let prefix = attr ^ "." in
         let plen = String.length prefix in
+        let local_names =
+          Array.of_list
+            (List.map (fun full -> String.sub full plen (String.length full - plen)) expect)
+        in
+        let n_local = Array.length local_names in
         let locals : int Adm.String_tbl.t = Adm.String_tbl.create 16 in
-        List.iteri
-          (fun j full ->
-            let local = String.sub full plen (String.length full - plen) in
-            Adm.String_tbl.add locals local (n_outer + j))
-          expect;
+        Array.iteri (fun j local -> Adm.String_tbl.add locals local j) local_names;
         let out_attrs =
           Array.to_list (Array.map (fun i -> in_arr.(i)) outer_offs) @ expect
         in
-        let expand row =
+        (* nested tuples list their attributes in header order, so the
+           common case is a lock-step copy; a binding out of step is
+           looked up by name and the walk resumes after it *)
+        let rec fill out j = function
+          | [] -> ()
+          | (a, v) :: rest ->
+            if j < n_local && String.equal local_names.(j) a then begin
+              out.(n_outer + j) <- v;
+              fill out (j + 1) rest
+            end
+            else (
+              match Adm.String_tbl.find_opt locals a with
+              | Some k ->
+                out.(n_outer + k) <- v;
+                fill out (k + 1) rest
+              | None ->
+                invalid_arg
+                  (Fmt.str
+                     "Exec.stream_unnest: nested attribute %S of %S is not in the static header"
+                     a attr))
+        in
+        let expand buf row =
           match row.(attr_off) with
           | Adm.Value.Rows inner ->
-            List.map
+            List.iter
               (fun nested ->
                 let out = Array.make w Adm.Value.Null in
                 Array.iteri (fun j i -> out.(j) <- row.(i)) outer_offs;
-                List.iter
-                  (fun (a, v) ->
-                    match Adm.String_tbl.find_opt locals a with
-                    | Some off -> out.(off) <- v
-                    | None ->
-                      invalid_arg
-                        (Fmt.str
-                           "Exec.stream_unnest: nested attribute %S of %S is not in the static header"
-                           a attr))
-                  nested;
-                out)
+                fill out 0 nested;
+                Rowbuf.push buf out)
               inner
-          | Adm.Value.Null -> []
+          | Adm.Value.Null -> ()
           | v ->
             invalid_arg
               (Fmt.str "Relation.unnest: attribute %S is %s, not nested rows" attr
@@ -483,7 +523,7 @@ let compile (schema : Adm.Schema.t) (source : source)
           | None -> None
           | Some batch -> (
             let buf = Rowbuf.create () in
-            Array.iter (fun row -> Rowbuf.push_list buf (expand row)) batch;
+            Array.iter (expand buf) batch;
             match Rowbuf.contents buf with [||] -> next () | out -> Some out)
         in
         { attrs = out_attrs; next }
@@ -498,13 +538,14 @@ let compile (schema : Adm.Schema.t) (source : source)
         let stbl = index_of src_attrs in
         (* a followed link joins on the target's URL attribute, so the
            header check treats the pair as a join key *)
-        let (url_of : Adm.Relation.row -> string option), keys =
+        let (url_of : Adm.Relation.row -> Adm.Value.Atom.t option), keys =
           match target with
           | Physplan.Entry_url url | Physplan.Form { url = Some url; _ } ->
-            ((fun _ -> Some url), [])
+            let url = Some (Adm.Value.Atom.of_string url) in
+            ((fun _ -> url), [])
           | Physplan.Link link ->
             let off = offset_exn "follow" src_attrs stbl link in
-            ( (fun row -> Adm.Value.as_link row.(off)),
+            ( (fun row -> match row.(off) with Adm.Value.Link u -> Some u | _ -> None),
               [ (link, alias ^ "." ^ Adm.Page_scheme.url_attr) ] )
           | Physplan.Form { args; url = None } ->
             let ps = Adm.Schema.find_scheme_exn schema scheme in
@@ -519,7 +560,9 @@ let compile (schema : Adm.Schema.t) (source : source)
             in
             let url_of row =
               let rec build acc = function
-                | [] -> Adm.Page_scheme.bound_url ps (List.rev acc)
+                | [] ->
+                  Option.map Adm.Value.Atom.of_string
+                    (Adm.Page_scheme.bound_url ps (List.rev acc))
                 | (p, `Const v) :: tl -> build ((p, v) :: acc) tl
                 | (p, `Off i) :: tl -> (
                   match param_string row.(i) with
@@ -540,9 +583,7 @@ let compile (schema : Adm.Schema.t) (source : source)
         let pred = Pred.compile ~offset:(Hashtbl.find_opt otbl) filter in
         (* one URL table per operator: each distinct URL is fetched at
            most once, the paper's distinct-access count *)
-        let pages : Adm.Relation.row option Adm.String_tbl.t =
-          Adm.String_tbl.create 64
-        in
+        let pages : Adm.Relation.row option Atom_tbl.t = Atom_tbl.create 64 in
         (* without input, one empty row stands for the node's one URL:
            a one-shot fetch that holds no state row and counts no
            queued row *)
@@ -568,39 +609,40 @@ let compile (schema : Adm.Schema.t) (source : source)
               Array.init (min window (Queue.length pending)) (fun _ ->
                   Queue.pop pending)
             in
+            (* each row's URL, once: a form's is rendered and interned *)
+            let urls = Array.map url_of group in
             (* distinct unseen URLs of this group, first-appearance
                order: one prefetch window for the fetch engine *)
-            let fresh = Adm.String_tbl.create 16 in
+            let fresh = Atom_tbl.create 16 in
             let want =
               Array.fold_left
-                (fun acc row ->
-                  match url_of row with
-                  | Some url
-                    when (not (Adm.String_tbl.mem pages url))
-                         && not (Adm.String_tbl.mem fresh url) ->
-                    Adm.String_tbl.add fresh url ();
-                    url :: acc
+                (fun acc url ->
+                  match url with
+                  | Some u when (not (Atom_tbl.mem pages u)) && not (Atom_tbl.mem fresh u) ->
+                    Atom_tbl.add fresh u ();
+                    u :: acc
                   | Some _ | None -> acc)
-                [] group
+                [] urls
               |> List.rev
             in
             if want <> [] then begin
-              source.prefetch ~scheme want;
+              source.prefetch ~scheme (List.map Adm.Value.Atom.str want);
               List.iter
-                (fun url ->
-                  Adm.String_tbl.add pages url
-                    (Option.map build_target (source.fetch ~scheme ~url));
+                (fun u ->
+                  Atom_tbl.add pages u
+                    (Option.map build_target
+                       (source.fetch ~scheme ~url:(Adm.Value.Atom.str u)));
                   m.pages <- m.pages + 1;
                   if not one_shot then metrics.state_rows <- metrics.state_rows + 1)
                 want
             end;
             let out =
               afilter_map
-                (fun row ->
-                  match url_of row with
+                (fun i row ->
+                  match urls.(i) with
                   | None -> None
-                  | Some url -> (
-                    match Adm.String_tbl.find_opt pages url with
+                  | Some u -> (
+                    match Atom_tbl.find_opt pages u with
                     | Some (Some target) ->
                       let joined = combine w1 keep2 row target in
                       if pred joined then Some joined else None

@@ -11,7 +11,10 @@
     through its [views]. *)
 
 type view_answer = {
-  va_attrs : string list;  (** unqualified column names, row order *)
+  va_attrs : string list;
+      (** unqualified column names, row order: the view's declared
+          attributes in declaration order, as [view_attrs] gives them
+          (a scan raises [Invalid_argument] otherwise) *)
   va_rows : Adm.Relation.row array;
   va_heads : int;  (** light connections issued while revalidating *)
   va_gets : int;  (** full downloads forced by observed changes *)

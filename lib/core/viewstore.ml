@@ -197,6 +197,26 @@ let econ t : Cost.view_econ =
 (* The executor's answerer                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The order in which a scan revalidates stale entries: oldest access
+   date first, ties by scheme, then by URL. *)
+let stalest (d1, s1, u1) (d2, s2, u2) =
+  match Int.compare d1 d2 with
+  | 0 -> ( match String.compare s1 s2 with 0 -> String.compare u1 u2 | c -> c)
+  | c -> c
+
+(* Restore the min-heap order below [i] in [h.(0 .. n-1)]. *)
+let rec sift_down h n i =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && stalest h.(l + 1) h.(l) < 0 then l + 1 else l in
+    if stalest h.(c) h.(i) < 0 then begin
+      let x = h.(i) in
+      h.(i) <- h.(c);
+      h.(c) <- x;
+      sift_down h n c
+    end
+  end
+
 (* Revalidate the stalest pages under the view, oldest first, within
    the HEAD budget; every outcome feeds the change-rate observations.
    Returns (heads issued, gets forced). *)
@@ -210,30 +230,26 @@ let revalidate_stale ?(head_budget = max_int) ?(admit_head = fun () -> true)
           if now - access_date > t.max_age then
             stale := (access_date, scheme, url) :: !stale))
     schemes;
-  let ordered =
-    List.sort
-      (fun (d1, s1, u1) (d2, s2, u2) ->
-        match Int.compare d1 d2 with
-        | 0 -> (
-          match String.compare s1 s2 with
-          | 0 -> String.compare u1 u2
-          | c -> c)
-        | c -> c)
-      !stale
-  in
   (* Compose the admitted batch up front — the budget and the caller's
      wire gate bound the HEADs — then revalidate it as one windowed
-     batch so the light-connection latencies overlap. *)
-  let admitted = ref [] in
-  (try
-     List.iter
-       (fun (_, scheme, url) ->
-         if List.length !admitted >= head_budget || not (admit_head ()) then
-           raise Exit;
-         admitted := (scheme, url) :: !admitted)
-       ordered
-   with Exit -> ());
-  let heads = List.length !admitted in
+     batch so the light-connection latencies overlap. A pass admits a
+     few of many stale entries, so they come off a heap in [stalest]
+     order rather than out of a full sort: O(n + k log n) for k HEADs
+     of n stale entries. *)
+  let heap = Array.of_list !stale in
+  let n = ref (Array.length heap) in
+  for i = (!n / 2) - 1 downto 0 do
+    sift_down heap !n i
+  done;
+  let admitted = ref [] and heads = ref 0 in
+  while !n > 0 && !heads < head_budget && admit_head () do
+    let _, scheme, url = heap.(0) in
+    decr n;
+    heap.(0) <- heap.(!n);
+    sift_down heap !n 0;
+    admitted := (scheme, url) :: !admitted;
+    incr heads
+  done;
   let gets = ref 0 in
   List.iter
     (fun (scheme, _url, outcome) ->
@@ -248,7 +264,7 @@ let revalidate_stale ?(head_budget = max_int) ?(admit_head = fun () -> true)
       | `Current -> observe t scheme ~changed:false
       | `Unreachable | `Unknown -> ())
     (Matview.revalidate_batch t.store (List.rev !admitted));
-  (heads, !gets)
+  (!heads, !gets)
 
 (* Every scheme whose pages the navigation reads — calls included —
    so the extent's tag covers every tuple its evaluation can touch. *)

@@ -34,9 +34,11 @@ val answerer :
   ?head_budget:int -> ?admit_head:(unit -> bool) -> ?charge_get:(unit -> unit) ->
   t -> Exec.views
 (** The executor's view of the store. A scan revalidates the stalest
-    pages under the view oldest-first — at most [head_budget] HEADs
-    (default: the store-wide budget), each gated by [admit_head] (the
-    churn runtime's wire budget) — then evaluates the view's
+    pages under the view oldest-first, ties by scheme then URL — at
+    most [head_budget] HEADs (default: the store-wide budget), each
+    gated by [admit_head] (the churn runtime's wire budget), which is
+    asked once per admitted HEAD plus once for a refusal that ends the
+    pass, and never once the budget is spent — then evaluates the view's
     navigation over the stored tuples alone: a link whose target is
     not stored is skipped, so the revalidation pass is the scan's
     whole wire work ([va_heads + va_gets] requests). [charge_get]

@@ -96,7 +96,7 @@ type query = { requested : Bitset.t; mutable stale : int; mutable missing : int 
 type t = {
   fetcher : Websim.Fetcher.t;
   pool : Pool.t option; (* parallel window extraction when present *)
-  url_ids : (string, int) Hashtbl.t; (* URL -> id, assigned at first request *)
+  url_ids : int Adm.String_tbl.t; (* URL -> id, assigned at first request *)
   mutable urls : string array; (* id -> url, [0, n_urls): the wire set *)
   mutable tuples : (string * Adm.Value.tuple) list array;
       (* id -> (scheme, tuple) entries; successes only — failures are
@@ -111,7 +111,7 @@ let wrap ?pool fetcher =
   {
     fetcher;
     pool;
-    url_ids = Hashtbl.create 1024;
+    url_ids = Adm.String_tbl.create 1024;
     urls = Array.make 1024 "";
     tuples = Array.make 1024 [];
     n_urls = 0;
@@ -139,7 +139,7 @@ let intern t url =
   end;
   t.urls.(id) <- url;
   t.n_urls <- id + 1;
-  Hashtbl.replace t.url_ids url id;
+  Adm.String_tbl.replace t.url_ids url id;
   id
 
 let query_state t qid =
@@ -156,7 +156,7 @@ let query_state t qid =
    put on the wire counts as one cross-query hit for this query. *)
 let note t ~query url =
   let id, on_wire =
-    match Hashtbl.find_opt t.url_ids url with
+    match Adm.String_tbl.find_opt t.url_ids url with
     | Some id -> (id, true)
     | None -> (intern t url, false)
   in
@@ -203,7 +203,7 @@ let prefetch_extract t ~query (schema : Adm.Schema.t) ~scheme urls =
       match t.pool with Some pool -> Pool.map pool extract pages | None -> List.map extract pages
     in
     List.iter2
-      (fun (url, _) tuple -> store_tuple t (Hashtbl.find t.url_ids url) ~scheme tuple)
+      (fun (url, _) tuple -> store_tuple t (Adm.String_tbl.find t.url_ids url) ~scheme tuple)
       pages tuples
   end
 

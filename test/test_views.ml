@@ -112,6 +112,75 @@ let test_stale_view_loses_until_revalidated () =
     (fresh_outcome.Planner.view_used <> []);
   same_rows "stale-era = fresh-era rows" stale_rel fresh_rel
 
+(* --- which entries a budgeted scan revalidates ---------------------- *)
+
+(* A freshly materialized store dates every entry alike, so after one
+   tick the whole view is stale on one access date and only the
+   (scheme, URL) tie-break orders it. A scan with budget [k] must HEAD
+   exactly the first [k] entries of that order, asking [admit_head]
+   once per admitted HEAD plus once for a refusal that ends the pass
+   early. *)
+let test_budgeted_scan_order () =
+  let scan_with ?(tick = true) ?(refuse_after = max_int) k =
+    let site = Sitegen.Sites.load University in
+    let vs = Sitegen.Sites.viewstore site in
+    let store = Viewstore.store vs in
+    if tick then Websim.Site.tick site.site;
+    let entries () =
+      List.concat_map
+        (fun scheme ->
+          let acc = ref [] in
+          Matview.iter_scheme store scheme (fun ~url ~access_date ->
+              acc := (access_date, scheme, url) :: !acc);
+          !acc)
+        (Viewstore.view_schemes vs "Professor")
+      |> List.sort compare
+    in
+    let before = entries () in
+    let calls = ref 0 in
+    let admit_head () =
+      incr calls;
+      !calls <= refuse_after
+    in
+    let heads =
+      match Viewstore.scan ~head_budget:k ~admit_head vs ~view:"Professor" with
+      | None -> Alcotest.fail "Professor view must be scannable"
+      | Some a -> a.Exec.va_heads
+    in
+    (* a revalidated entry is dated now; the others keep their date *)
+    let now = Matview.now store in
+    let revalidated =
+      List.filter_map
+        (fun (_, scheme, url) ->
+          match Matview.entry_date store ~scheme ~url with
+          | Some d when d = now -> Some (scheme, url)
+          | _ -> None)
+        before
+    in
+    (before, heads, !calls, revalidated)
+  in
+  let first k l = List.filteri (fun i _ -> i < k) l in
+  let key (_, scheme, url) = (scheme, url) in
+  let pairs = Alcotest.(list (pair string string)) in
+  let before, heads, calls, revalidated = scan_with 5 in
+  let dates = List.sort_uniq compare (List.map (fun (d, _, _) -> d) before) in
+  check int_t "one access date" 1 (List.length dates);
+  check bool_t "more stale entries than the budget" true (List.length before > 5);
+  check int_t "budget of 5: 5 HEADs" 5 heads;
+  check pairs "the first 5 by (date, scheme, URL)"
+    (List.map key (first 5 before)) revalidated;
+  check int_t "admit_head once per HEAD, none past the budget" 5 calls;
+  let _, heads, calls, revalidated = scan_with ~refuse_after:3 5 in
+  check int_t "refused after 3: 3 HEADs" 3 heads;
+  check pairs "the first 3" (List.map key (first 3 before)) revalidated;
+  check int_t "admit_head: 3 admitted + 1 refusal" 4 calls;
+  let before, heads, calls, _ = scan_with max_int in
+  check int_t "unbounded: every stale entry" (List.length before) heads;
+  check int_t "admit_head: no call once nothing is left" (List.length before) calls;
+  let _, heads, calls, _ = scan_with ~tick:false 5 in
+  check int_t "nothing stale: no HEAD" 0 heads;
+  check int_t "nothing stale: admit_head never called" 0 calls
+
 (* --- dead-view lint (W0606) ---------------------------------------- *)
 
 let test_dead_view_lint () =
@@ -209,6 +278,8 @@ let suite =
         test_fresh_view_wins;
       Alcotest.test_case "stale view loses until revalidated" `Quick
         test_stale_view_loses_until_revalidated;
+      Alcotest.test_case "budgeted scan HEADs the stalest k" `Quick
+        test_budgeted_scan_order;
       Alcotest.test_case "dead-view lint (W0606)" `Quick test_dead_view_lint;
       Alcotest.test_case "seeded university agreement (7/21/42)" `Slow
         test_seeded_university_agreement;
