@@ -28,12 +28,23 @@ type node = {
   mutable key : (int * string Lazy.t) option;  (** hint and key *)
   mutable mark : int;  (** the last {!visit} that met the node *)
   mutable judged : bool;
+  mutable group : group option;  (** set on a group's members *)
 }
 
 (* The multiset of key items of a subtree, as the sorted ids of its
    items; interned, so equal bags are one array. [No_items] when a node
    of the subtree has none. *)
 and bag = Unknown | No_items | Bag of int array
+
+(* The equivalent subexpressions of one bag of key items and top
+   projection: its members are nodes whose children are the witnesses
+   of their own groups, so a member stands for an operator over
+   groups. *)
+and group = {
+  witness : node;  (** the first member *)
+  mutable members : node list;  (** in the order they were added *)
+  mutable parents : node list;  (** members with the group as a child, newest first *)
+}
 
 (* Nodes by shape: an expression's head and its children's nodes. *)
 module Shape = Hashtbl.Make (struct
@@ -76,6 +87,7 @@ type t = {
   item_ids : (string, int) Hashtbl.t;
   bags : int array Bags.t;
   keys : (int * string Lazy.t) Keys.t;
+  groups : group Keys.t;
   occurrences : (string * string, Typecheck.typed) Hashtbl.t;
       (** [Typecheck.occurrence] per (scheme, alias) *)
   mutable visits : int;
@@ -102,6 +114,7 @@ let create ?(views = fun (_ : string) -> None) ?(econ = Cost.no_views) schema st
     item_ids = Hashtbl.create 256;
     bags = Bags.create 256;
     keys = Keys.create 256;
+    groups = Keys.create 256;
     occurrences = Hashtbl.create 16;
     visits = 0;
     walked = None;
@@ -178,6 +191,35 @@ let rec rebuild ?(within = 0) w i x =
 (* Interning                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The node of [e] over the child nodes [kids], [e]'s own. *)
+let shallow m e kids =
+  let n =
+    {
+      id = Shape.length m.shapes;
+      expr = e;
+      kids;
+      attrs = None;
+      links = None;
+      ty = None;
+      own = [];
+      findings = 0;
+      est = None;
+      bag = Unknown;
+      key = None;
+      mark = 0;
+      judged = false;
+      group = None;
+    }
+  in
+  match Shape.find_opt m.shapes n with
+  | Some known -> known
+  | None ->
+    Shape.add m.shapes n n;
+    n
+
+let make m e kids =
+  shallow m (Nalg.with_children e (List.map (fun k -> k.expr) kids)) (Array.of_list kids)
+
 let intern ?hint m e =
   let subs, nodes =
     match hint with
@@ -194,29 +236,7 @@ let intern ?hint m e =
   let rec go e =
     match find e 0 with
     | Some n -> n
-    | None -> (
-      let n =
-        {
-          id = Shape.length m.shapes;
-          expr = e;
-          kids = Array.of_list (List.map go (Nalg.children e));
-          attrs = None;
-          links = None;
-          ty = None;
-          own = [];
-          findings = 0;
-          est = None;
-          bag = Unknown;
-          key = None;
-          mark = 0;
-          judged = false;
-        }
-      in
-      match Shape.find_opt m.shapes n with
-      | Some known -> known
-      | None ->
-        Shape.add m.shapes n n;
-        n)
+    | None -> shallow m e (Array.of_list (List.map go (Nalg.children e)))
   in
   go e
 
@@ -414,3 +434,51 @@ let key_stages m n =
     k
 
 let key m n = Lazy.force (snd (key_stages m n))
+
+(* ------------------------------------------------------------------ *)
+(* Groups                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let group_of n = n.group
+let gid g = g.witness.id
+let witness g = g.witness
+let members g = g.members
+let alternatives n = match n.group with Some g -> g.members | None -> [ n ]
+let parents g = g.parents
+
+let rec member ~fresh m n =
+  match n.group with
+  | Some _ -> n
+  | None ->
+    let kids =
+      Array.map
+        (fun k ->
+          match (member ~fresh m k).group with Some g -> g.witness | None -> assert false)
+        n.kids
+    in
+    let c =
+      if Array.for_all2 ( == ) kids n.kids then n else make m n.expr (Array.to_list kids)
+    in
+    (match c.group with
+    | Some _ -> ()
+    | None ->
+      let fresh_group () = { witness = c; members = []; parents = [] } in
+      let g =
+        match bag m c with
+        | Bag ids -> (
+          let shape = (ids, top c) in
+          match Keys.find_opt m.groups shape with
+          | Some g -> g
+          | None ->
+            let g = fresh_group () in
+            Keys.add m.groups shape g;
+            g)
+        | Unknown | No_items -> fresh_group ()
+      in
+      c.group <- Some g;
+      g.members <- g.members @ [ c ];
+      Array.iter
+        (fun k -> match k.group with Some kg -> kg.parents <- c :: kg.parents | None -> ())
+        c.kids;
+      fresh c);
+    c

@@ -43,6 +43,10 @@ val intern : ?hint:node -> t -> Nalg.expr -> node
     expression that the expression shares physically are found
     among [hint]'s {!walk} without hashing. *)
 
+val make : t -> Nalg.expr -> node list -> node
+(** [make m e kids] is the node of [e]'s operator over the nodes
+    [kids] (in {!Nalg.children} order), hashing only the operator. *)
+
 val expr : node -> Nalg.expr
 (** The expression first interned with this node's structure. *)
 
@@ -115,3 +119,43 @@ val key_stages : t -> node -> int * string Lazy.t
     equal hints. The plans of one multiset of key items and top
     projection share one key, physically, unless it is the structural
     fallback (["S:"]); it is computed when first forced. *)
+
+(** {1 Groups}
+
+    The planner's join phase runs over groups (Algorithm 1's
+    equivalence classes, Cascades-style): a group holds the
+    subexpressions with one multiset of key items ({!Contain.items})
+    and one top projection, which {!key_stages} already treats as one
+    class. A member of a group is a node whose children are the
+    witnesses of their own groups, so it stands for one operator over
+    groups: the plans a group holds are every choice of a member per
+    group, top-down. A node of a [Call] or of a residual
+    attribute-attribute comparison has no key items; it is alone in its
+    group. *)
+
+type group
+
+val member : fresh:(node -> unit) -> t -> node -> node
+(** The member standing for a node: the node's operator over its
+    children's members' witnesses, added to its group (made on first
+    use) when it is not a member yet. [fresh] sees every member added
+    on the way, children's before their parents'. *)
+
+val group_of : node -> group option
+(** The group of a member; [None] for any other node. *)
+
+val gid : group -> int
+(** The group's identity: its witness's {!id}. *)
+
+val witness : group -> node
+(** The group's first member. *)
+
+val members : group -> node list
+(** In the order they were added. *)
+
+val alternatives : node -> node list
+(** The members of a member's group; [[n]] for any other node [n]. *)
+
+val parents : group -> node list
+(** The members with the group among their children's groups, newest
+    first. *)

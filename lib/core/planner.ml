@@ -75,6 +75,17 @@ let join_rules ~pointer_rules =
   [ Rewrite.rule4; Rewrite.join_commute; Rewrite.join_rotate ]
   @ if pointer_rules then [ Rewrite.rules8_9; Rewrite.rule2 ] else []
 
+(* The join rules at one position, for the join groups: each output
+   comes with the renaming of attribute names it applies above the
+   rewritten join, rule 4's or the identity. *)
+type join_step = (Nalg.expr * (string -> string)) Rewrite.at
+
+let plain at m w i = List.map (fun e -> (e, Fun.id)) (at m w i)
+
+let join_steps ~pointer_rules =
+  [ Rewrite.rule4_at; plain Rewrite.join_commute_at; plain Rewrite.join_rotate_at ]
+  @ if pointer_rules then [ plain Rewrite.rules8_9_at; plain Rewrite.rule2_at ] else []
+
 let selection_rules = [ Rewrite.rule6 ]
 let projection_rules = [ Rewrite.rule7_replace ]
 
@@ -114,13 +125,13 @@ let closure ?(cap = max_int) ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
   done;
   (List.rev !out, not (Queue.is_empty queue))
 
-(* Each plan's equivalence class ({!Memo.key}) among [plans]. Plans
-   with different key hints are in different classes, and the plans of
-   a hint that share one key physically are in one: the class is named
-   by its hint then, and by its key only where a hint holds plans of
-   more than one multiset of key items, so that is where keys are
-   computed. *)
-let class_ids memo plans =
+(* One plan per equivalence class ({!Memo.key}) of [plans], the first
+   of each, in order. Plans with different key hints are in different
+   classes, and the plans of a hint that share one key physically are
+   in one: the class is named by its hint then, and by its key only
+   where a hint holds plans of more than one multiset of key items, so
+   that is where keys are computed. *)
+let classes memo plans =
   let hints = Hashtbl.create 64 in
   List.iter
     (fun n ->
@@ -129,34 +140,144 @@ let class_ids memo plans =
       | None -> Hashtbl.add hints h (k, true)
       | Some (k', shared) -> if shared && k != k' then Hashtbl.replace hints h (k', false))
     plans;
-  List.map
+  let seen = Hashtbl.create 64 in
+  List.filter
     (fun n ->
       let h, k = Memo.key_stages memo n in
-      if snd (Hashtbl.find hints h) then Either.Left h else Either.Right (Lazy.force k))
+      let c = if snd (Hashtbl.find hints h) then Either.Left h else Either.Right (Lazy.force k) in
+      (not (Hashtbl.mem seen c)) && (Hashtbl.add seen c (); true))
     plans
 
-(* One plan per equivalence class of [plans], classes in the order
-   their first member comes: the cheapest member by {!Memo.estimate},
-   the first one on a tie; a well-typed member before an ill-typed
-   one, so a class keeps an ill-typed representative only when it has
-   no other. *)
-let classes memo plans =
-  let best = Hashtbl.create 64 in
-  let firsts = ref [] in
-  let better n m =
-    match Memo.has_errors memo n, Memo.has_errors memo m with
-    | false, false -> (Memo.estimate memo n).Cost.cost < (Memo.estimate memo m).Cost.cost
-    | e, e' -> e' && not e
+(* A rewrite of one group into another, to be applied to every
+   operator over it: the operator over the new group, its attribute
+   names renamed, and dropped when it still references an alias the
+   rewrite removed (rule 9's side condition; rule 4 renames its
+   dropped aliases away). *)
+type edge = { into : Memo.group; rename : string -> string; gone : string list }
+
+(* Step 4 over groups (Algorithm 1 keeps one plan per equivalence
+   class; Goldstein–Larson's Cascades-style memo): the join phase's
+   plans are the groups' members. Each step matches at one member's
+   own operator; rotation, whose pattern reaches a child's operator,
+   also matches with each member of that child's group in its place.
+   An output in the member's group (commutation, rotation) is one
+   more member; an output in another group (rules 4, 8/9 and 2) is a
+   rewrite of the group, which reaches every operator over it, up to
+   the plans' roots. Each member is explored once, so a rewrite the
+   groups already hold spawns nothing. Returns the witness of every
+   root group — one plan of the join phase up to join order — in the
+   order they were reached, and whether [cap], a bound on the members
+   added to the seeds', truncated the phase. [judge] sees each member
+   a step adds to its own group with the plan it was rewritten from,
+   [~by_name:true] (a reordering permutes the columns of a join, which
+   only a root's projection puts in order), and each root reached from
+   another root with its parent root, [~by_name:false]. *)
+let join_groups ?(judge = fun ~by_name:_ ~parent:_ ~child:_ -> ()) ?(cap = max_int) memo
+    (steps : join_step list) seeds =
+  let rotation = [ plain Rewrite.join_rotate_at ] in
+  let queue = Queue.create () and added = ref 0 in
+  let member n = Memo.member ~fresh:(fun c -> incr added; Queue.add c queue) memo n in
+  let group n = Option.get (Memo.group_of n) in
+  let roots = ref [] and is_root = Hashtbl.create 16 in
+  let root g =
+    if not (Hashtbl.mem is_root (Memo.gid g)) then begin
+      Hashtbl.add is_root (Memo.gid g) ();
+      roots := g :: !roots
+    end
   in
-  List.iter2
-    (fun n c ->
-      match Hashtbl.find_opt best c with
-      | None ->
-        Hashtbl.add best c n;
-        firsts := c :: !firsts
-      | Some m -> if better n m then Hashtbl.replace best c n)
-    plans (class_ids memo plans);
-  List.rev_map (Hashtbl.find best) !firsts
+  let edges = Hashtbl.create 64 in
+  let edges_of g = Option.value (Hashtbl.find_opt edges (Memo.gid g)) ~default:[] in
+  (* [p], a member over [g], over [edge.into] instead *)
+  let rec propagate p g edge =
+    let kids =
+      List.map (fun k -> if group k == g then Memo.witness edge.into else k) (Memo.kids p)
+    in
+    let n = Memo.make memo (Memo.expr p) kids in
+    let n =
+      if edge.rename == Fun.id then n
+      else Memo.make memo (Nalg.rename_attrs edge.rename (Memo.expr n)) kids
+    in
+    if edge.gone = [] || not (Rewrite.references_any_alias (Memo.expr n) edge.gone) then begin
+      let p' = member n in
+      let h = group p in
+      if Hashtbl.mem is_root (Memo.gid h) then begin
+        root (group p');
+        judge ~by_name:false ~parent:p ~child:p'
+      end;
+      add_edge h { edge with into = group p' }
+    end
+  and add_edge g edge =
+    let known = edges_of g in
+    if
+      edge.into != g
+      && not
+           (List.exists
+              (fun e -> e.into == edge.into && e.rename == edge.rename && e.gone = edge.gone)
+              known)
+    then begin
+      Hashtbl.replace edges (Memo.gid g) (edge :: known);
+      List.iter (fun p -> propagate p g edge) (Memo.parents g)
+    end
+  in
+  (* [steps] at the root of [n], a plan of group [g] *)
+  let rewrite steps g n =
+    let w = Memo.walk memo n in
+    List.iter
+      (fun step ->
+        List.iter
+          (fun (e, rename) ->
+            let before = !added in
+            let c = member (Memo.intern ~hint:n memo e) in
+            if group c == g then begin
+              (* once per member: only when this step added it *)
+              if !added > before then judge ~by_name:true ~parent:n ~child:c
+            end
+            else begin
+              let kept = Nalg.aliases (Memo.expr c) in
+              let gone =
+                List.filter (fun a -> not (List.mem a kept)) (Nalg.aliases (Memo.expr n))
+              in
+              add_edge g { into = group c; rename; gone }
+            end)
+          (step memo w 0))
+      steps
+  in
+  (* [n] with child [i] replaced by [q] *)
+  let with_kid n i q =
+    Memo.make memo (Memo.expr n) (List.mapi (fun j k -> if j = i then q else k) (Memo.kids n))
+  in
+  List.iter (fun s -> root (group (member s))) seeds;
+  added := 0;
+  while (not (Queue.is_empty queue)) && !added < cap do
+    let p = Queue.pop queue in
+    let g = group p in
+    List.iter (fun k -> List.iter (propagate p (group k)) (edges_of (group k))) (Memo.kids p);
+    match Memo.expr p with
+    | Nalg.Join _ ->
+      rewrite steps g p;
+      (* rotation, the one pattern that reaches a child's operator:
+         the members of each child's group under [p], and [p] under
+         each join over its group *)
+      List.iteri
+        (fun i k ->
+          List.iter
+            (fun q -> if q != k then rewrite rotation g (with_kid p i q))
+            (Memo.members (group k)))
+        (Memo.kids p);
+      List.iter
+        (fun parent ->
+          match Memo.expr parent with
+          | Nalg.Join _ ->
+            List.iteri
+              (fun i k ->
+                if group k == g && k != p then
+                  rewrite rotation (group parent) (with_kid parent i p))
+              (Memo.kids parent)
+          | _ -> ())
+        (Memo.parents g)
+    | _ -> ()
+  done;
+  (List.rev_map Memo.witness !roots, not (Queue.is_empty queue))
 
 (* Apply a deterministic rule to fixpoint (first rewrite each round,
    at most [max_rounds] rounds). *)
@@ -240,14 +361,15 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   in
   (* Rewrite soundness (E0402/E0403): each distinct child plan judged
      once, against the first plan rewritten into it. *)
-  let on_rewrite ~parent ~child =
+  let judge ~by_name ~parent ~child =
     (* an ill-typed parent gets no verdict, as in [Typecheck.judge] *)
     if Memo.first_judgment child && not (Memo.has_errors memo parent) then
       List.iter diag
-        (Typecheck.judge ~parent:(Memo.infer memo parent) ~child:(Memo.infer memo child))
+        ((if by_name then Typecheck.judge_reordering else Typecheck.judge)
+           ~parent:(Memo.infer memo parent) ~child:(Memo.infer memo child))
   in
-  let closure_phase ~phase rules seeds =
-    let plans, capped = closure ?cap ~on_rewrite memo rules seeds in
+  let on_rewrite = judge ~by_name:false in
+  let capped ~phase (plans, capped) =
     if capped then
       diag
         (Diagnostic.warning ~code:"W0401"
@@ -255,6 +377,9 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
             (raise --cap to explore further)"
            (Option.get cap) phase);
     plans
+  in
+  let closure_phase ~phase rules seeds =
+    capped ~phase (closure ?cap ~on_rewrite memo rules seeds)
   in
   (* Semantic minimization first (Contain): fold FROM occurrences
      equated on declared keys (bag-sound), normalize the WHERE
@@ -306,17 +431,21 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let merged =
     List.map (fun e -> fixpoint memo Rewrite.rule4 (Memo.intern memo e)) expanded
   in
-  (* Step 4: closure under join reordering and rules 4, 8, 9 (and 2) *)
-  let with_joins = closure_phase ~phase:"join" (join_rules ~pointer_rules) merged in
-  (* Algorithm 1 keeps the cheapest of equivalent plans: the later
-     phases start from one plan per equivalence class *)
-  let representatives = classes memo with_joins in
-  (* Step 5: closure under rule 6, then sink selections *)
+  (* Step 4: join reordering and rules 4, 8, 9 (and 2) over groups;
+     Algorithm 1 keeps one plan per equivalence class, so the later
+     phases start from one root group per class *)
+  let representatives =
+    classes memo
+      (capped ~phase:"join"
+         (join_groups ?cap ~judge memo (join_steps ~pointer_rules) merged))
+  in
+  (* Step 5: closure under rule 6, then sink selections, into the
+     cheapest member of every group the plan reaches *)
   let with_selections =
     (if constraint_selections then
        closure_phase ~phase:"selection" selection_rules representatives
      else representatives)
-    |> List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n))
+    |> List.map (Rewrite.sink memo)
   in
   (* Steps 6/7: move projected attributes to the source side of link
      constraints (rule 7), then prune unneeded unnests and navigations

@@ -1,9 +1,9 @@
 (** Plan selection (paper Algorithm 1, Section 6.3): translate the
     conjunctive query to algebra over external relations, expand
     default navigations (rule 1), eliminate repeated navigations
-    (rule 4), push and prune joins (rules 8/9 with join reordering),
-    keep the cheapest plan of each equivalence class, push selections
-    (rule 6 + commutation) and projections (rules 3/5/7 via pruning),
+    (rule 4), push and prune joins (rules 8/9 with join reordering)
+    over groups of equivalent subexpressions, push selections (rule 6
+    + commutation, into each class's cheapest join order) and projections (rules 3/5/7 via pruning),
     then cost every candidate and keep the cheapest.
 
     Every stage of one {!enumerate} call works on the nodes of one
@@ -72,18 +72,30 @@ val rename_output : outcome -> Adm.Relation.t -> Adm.Relation.t
     names (plans name columns after the page occurrences they
     navigate, which differ between candidates). *)
 
-(** {1 Rewrite closures}
+(** {1 Rewrite phases}
 
-    The rules of {!enumerate}'s three closure phases: join (rules 4,
-    commutation, rotation, then with [pointer_rules] rules 8/9 and 2),
-    selection (rule 6, then {!Rewrite.sink_selections} on each plan)
-    and projection ({!Rewrite.rule7_replace}, then {!Rewrite.prune}).
-    Between the join and the selection phase, {!classes} keeps one
-    plan per equivalence class. A closure applies the rules in list
-    order, and each rule yields its outputs in pre-order, so the
+    The join phase runs over groups ({!join_groups}); the selection
+    phase (rule 6, then {!Rewrite.sink} of each plan into the cheapest
+    member of every group it reaches) and the projection phase
+    ({!Rewrite.rule7_replace}, then {!Rewrite.prune}) are closures
+    over whole plans ({!closure}), started from one root group per
+    equivalence class ({!classes}). A closure applies the rules in
+    list order, and each rule yields its outputs in pre-order, so the
     exploration order and the cap points are fixed. *)
 
 val join_rules : pointer_rules:bool -> Rewrite.rule list
+(** The join phase's rules as whole-plan rewritings: rule 4,
+    commutation, rotation, then with [pointer_rules] rules 8/9 and 2.
+    The tests hold {!join_groups} to {!closure} over them. *)
+
+type join_step = (Nalg.expr * (string -> string)) Rewrite.at
+(** A join rule at one position, each output with the renaming of
+    attribute names it applies above the rewritten join (rule 4's, the
+    identity for the others). *)
+
+val join_steps : pointer_rules:bool -> join_step list
+(** {!join_rules} at one position each, in the same order. *)
+
 val selection_rules : Rewrite.rule list
 val projection_rules : Rewrite.rule list
 
@@ -102,13 +114,35 @@ val closure :
     plan it rewrote. [on_rewrite] fires on every rule application,
     before deduplication. *)
 
+val join_groups :
+  ?judge:(by_name:bool -> parent:Memo.node -> child:Memo.node -> unit) ->
+  ?cap:int ->
+  Memo.t ->
+  join_step list ->
+  Memo.node list ->
+  Memo.node list * bool
+(** The join phase over {!Memo} groups: the seeds' nodes become
+    members of their groups and each step applies at one member's own
+    operator ({!join_steps} in {!enumerate}); rotation, whose pattern
+    reaches a child's operator, also applies with each member of that
+    child's group in its place. An output in the member's group (a
+    commutation or rotation) is one more member; an output in another
+    group (rules 4, 8/9 and 2) is a rewrite of the group that then
+    applies to every operator over it, rule 4's renaming and rule 9's
+    side condition included, up to the roots. Returns the witness of
+    every root group (a plan of the join phase up to join order), in
+    the order they were reached, and whether [cap], a bound on the
+    members added to the seeds', truncated the phase. [judge] sees
+    every member a step adds to its own group with the plan it was
+    rewritten from, [~by_name:true] (a reordering permutes the columns
+    of a join, which only a root's projection puts in order; see
+    {!Typecheck.judge_reordering}), and every root reached from another root,
+    [~by_name:false]. *)
+
 val classes : Memo.t -> Memo.node list -> Memo.node list
-(** One plan per equivalence class ({!Memo.key}) of the plans, classes
-    in the order their first member comes: the member with the least
-    {!Memo.estimate} cost, the first one on a tie, and a well-typed
-    member before an ill-typed one. Keys are computed only where two
-    plans of different multisets of key items share a
-    {!Memo.key_stages} hint. *)
+(** The first plan of each equivalence class ({!Memo.key}), in order.
+    Keys are computed only where two plans of different multisets of
+    key items share a {!Memo.key_stages} hint. *)
 
 val fixpoint : Memo.t -> Rewrite.rule -> Memo.node -> Memo.node
 (** The rule applied to its fixpoint, taking its first output each
@@ -133,12 +167,12 @@ val enumerate :
     SELECT names are kept for {!rename_output}). No closure phase is
     capped unless [cap] is given: a safety valve bounding the plans
     each closure phase adds to its seeds, hitting it is reported as a
-    [W0401] diagnostic in the outcome. The join phase's plans are
-    grouped by {!Contain.plan_key}, and only the member of each class
-    that is cheapest after the join phase goes on to the selection and
-    projection phases ({!classes}); a class's other members are not
-    rewritten further, even where their selection or projection
-    rewrites would cost less. Every rewrite step is checked by {!Typecheck.judge};
+    [W0401] diagnostic in the outcome. The join phase runs over groups
+    ({!join_groups}), one root group per equivalence class goes on to
+    the selection and projection phases, and sinking each plan's
+    selections picks the cheapest member of every group it reaches, so
+    a class is planned by its cheapest join order for its selections.
+    Every rewrite step is checked by {!Typecheck.judge};
     ill-typed candidates are rejected before costing, and view-scan
     and binding-pattern plans equivalent under {!Contain.plan_key} are
     deduplicated after the cost sort ([merged]). [views] opens

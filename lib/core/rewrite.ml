@@ -26,6 +26,15 @@ open Nalg
 
 type rule = Memo.t -> Memo.node -> expr list
 
+(* A rule's rewritings at one position of the memo's walk of a plan,
+   each the whole plan rebuilt around that position. *)
+type 'a at = Memo.t -> Memo.walk -> int -> 'a list
+
+(* The rewritings at every position, in pre-order. *)
+let everywhere (at : 'a at) m root =
+  let w = Memo.walk m root in
+  Memo.concat_map w (at m w)
+
 (* ------------------------------------------------------------------ *)
 (* Attribute name helpers                                              *)
 (* ------------------------------------------------------------------ *)
@@ -99,26 +108,25 @@ let follows_within w i =
    with associated constraint A = B, becomes e1 →L P2. The paper
    states the rule for any page relation; in plans only entry points
    appear as bare page relations. *)
-let rule2 m root =
-  let schema = Memo.schema m in
-  let w = Memo.walk m root in
-  Memo.concat_map w (fun i ->
-      match Memo.sub w i with
-      | Join ([ (ka, kb) ], e1, Entry { scheme; alias }) ->
-        List.filter_map
-          (fun (link_attr, link_path, link_alias, target) ->
-            if
-              String.equal target scheme
-              && List.exists
-                   (fun (c : Adm.Constraints.link_constraint) ->
-                     String.equal c.target_scheme scheme
-                     && String.equal (attr_of_path link_alias c.source_attr) ka
-                     && String.equal (alias ^ "." ^ c.target_attr) kb)
-                   (Adm.Schema.constraints_on_link schema link_path)
-            then Some (Memo.rebuild w i (Follow { src = e1; link = link_attr; scheme; alias }))
-            else None)
-          (Memo.links m (Memo.node_at w (Memo.child w i 0)))
-      | _ -> [])
+let rule2_at m w i =
+  match Memo.sub w i with
+  | Join ([ (ka, kb) ], e1, Entry { scheme; alias }) ->
+    List.filter_map
+      (fun (link_attr, link_path, link_alias, target) ->
+        if
+          String.equal target scheme
+          && List.exists
+               (fun (c : Adm.Constraints.link_constraint) ->
+                 String.equal c.target_scheme scheme
+                 && String.equal (attr_of_path link_alias c.source_attr) ka
+                 && String.equal (alias ^ "." ^ c.target_attr) kb)
+               (Adm.Schema.constraints_on_link (Memo.schema m) link_path)
+        then Some (Memo.rebuild w i (Follow { src = e1; link = link_attr; scheme; alias }))
+        else None)
+      (Memo.links m (Memo.node_at w (Memo.child w i 0)))
+  | _ -> []
+
+let rule2 m root = everywhere rule2_at m root
 
 (* ------------------------------------------------------------------ *)
 (* Rule 4: eliminate repeated navigations                              *)
@@ -209,19 +217,18 @@ let try_merge (keys : (string * string) list) ~(keep : expr) ~(drop : expr)
       in
       if keys_ok then Some (keep, rename) else None)
 
-let rule4 m root =
-  let w = Memo.walk m root in
-  Memo.concat_map w (fun i ->
-      match Memo.sub w i with
-      | Join (keys, e1, e2) ->
-        let attempt ~keep ~drop ~drop_is_right =
-          match try_merge keys ~keep ~drop ~drop_is_right with
-          | Some (merged, rename) -> [ rename_attrs rename (Memo.rebuild w i merged) ]
-          | None -> []
-        in
-        attempt ~keep:e2 ~drop:e1 ~drop_is_right:false
-        @ attempt ~keep:e1 ~drop:e2 ~drop_is_right:true
-      | _ -> [])
+let rule4_at _ w i =
+  match Memo.sub w i with
+  | Join (keys, e1, e2) ->
+    let attempt ~keep ~drop ~drop_is_right =
+      match try_merge keys ~keep ~drop ~drop_is_right with
+      | Some (merged, rename) -> [ (rename_attrs rename (Memo.rebuild w i merged), rename) ]
+      | None -> []
+    in
+    attempt ~keep:e2 ~drop:e1 ~drop_is_right:false @ attempt ~keep:e1 ~drop:e2 ~drop_is_right:true
+  | _ -> []
+
+let rule4 m root = List.map fst (everywhere rule4_at m root)
 
 (* ------------------------------------------------------------------ *)
 (* Join reordering                                                     *)
@@ -231,35 +238,34 @@ let rule4 m root =
    commutativity and associativity let rules 4, 8 and 9 find repeated
    or joinable navigations wherever they sit in the tree. *)
 
-let join_commute m root =
-  let w = Memo.walk m root in
-  Memo.concat_map w (fun i ->
-      match Memo.sub w i with
-      | Join (keys, e1, e2) ->
-        [ Memo.rebuild w i (Join (List.map (fun (a, b) -> (b, a)) keys, e2, e1)) ]
-      | _ -> [])
+let join_commute_at _ w i =
+  match Memo.sub w i with
+  | Join (keys, e1, e2) -> [ Memo.rebuild w i (Join (List.map (fun (a, b) -> (b, a)) keys, e2, e1)) ]
+  | _ -> []
 
-let join_rotate m root =
-  let w = Memo.walk m root in
+let join_commute m root = everywhere join_commute_at m root
+
+let join_rotate_at m w i =
   (* the output attributes of operand [k] of position [i]'s operand [j] *)
-  let attrs i j k = Memo.attrs m (Memo.node_at w (Memo.child w (Memo.child w i j) k)) in
-  Memo.concat_map w (fun i ->
-      match Memo.sub w i with
-      | Join (k2, Join (k1, a, b), c) ->
-        (* ((a ⋈ b) ⋈ c) = (a ⋈ (b ⋈ c)) when k2's left attributes all
-           come from b *)
-        let b_attrs = attrs i 0 1 in
-        if List.for_all (fun (x, _) -> List.mem x b_attrs) k2 then
-          [ Memo.rebuild w i (Join (k1, a, Join (k2, b, c))) ]
-        else []
-      | Join (k2, a, Join (k1, b, c)) ->
-        (* (a ⋈ (b ⋈ c)) = ((a ⋈ b) ⋈ c) when k2's right attributes all
-           come from b *)
-        let b_attrs = attrs i 1 0 in
-        if List.for_all (fun (_, y) -> List.mem y b_attrs) k2 then
-          [ Memo.rebuild w i (Join (k1, Join (k2, a, b), c)) ]
-        else []
-      | _ -> [])
+  let attrs j k = Memo.attrs m (Memo.node_at w (Memo.child w (Memo.child w i j) k)) in
+  match Memo.sub w i with
+  | Join (k2, Join (k1, a, b), c) ->
+    (* ((a ⋈ b) ⋈ c) = (a ⋈ (b ⋈ c)) when k2's left attributes all
+       come from b *)
+    let b_attrs = attrs 0 1 in
+    if List.for_all (fun (x, _) -> List.mem x b_attrs) k2 then
+      [ Memo.rebuild w i (Join (k1, a, Join (k2, b, c))) ]
+    else []
+  | Join (k2, a, Join (k1, b, c)) ->
+    (* (a ⋈ (b ⋈ c)) = ((a ⋈ b) ⋈ c) when k2's right attributes all
+       come from b *)
+    let b_attrs = attrs 1 0 in
+    if List.for_all (fun (_, y) -> List.mem y b_attrs) k2 then
+      [ Memo.rebuild w i (Join (k1, Join (k2, a, b), c)) ]
+    else []
+  | _ -> []
+
+let join_rotate m root = everywhere join_rotate_at m root
 
 (* ------------------------------------------------------------------ *)
 (* Rules 8 and 9: pointer join and pointer chase                       *)
@@ -282,65 +288,65 @@ type pointer_match = {
   residual_keys : (string * string) list;
 }
 
-let pointer_matches m root =
+let pointer_matches_at m w join =
   let schema = Memo.schema m in
-  let w = Memo.walk m root in
-  Memo.concat_map w (fun join ->
-      match Memo.sub w join with
-      | Join (keys, _, _) ->
-        let sided ~side ~other_at ~nav_is_left =
-          (* R2's links, resolved once per side and only when some
-             join key names a follow's target *)
-          let links = lazy (Memo.links m (Memo.node_at w other_at)) in
+  match Memo.sub w join with
+  | Join (keys, _, _) ->
+    let sided ~side ~other_at ~nav_is_left =
+      (* R2's links, resolved once per side and only when some
+         join key names a follow's target *)
+      let links = lazy (Memo.links m (Memo.node_at w other_at)) in
+      List.concat_map
+        (fun (at, (fl : follow)) ->
+          (* join keys of the form (P3.B, R2.A) *)
+          let prefix = fl.alias ^ "." in
           List.concat_map
-            (fun (at, (fl : follow)) ->
-              (* join keys of the form (P3.B, R2.A) *)
-              let prefix = fl.alias ^ "." in
-              List.concat_map
-                (fun (ka, kb) ->
-                  let nav_key, other_key = if nav_is_left then (ka, kb) else (kb, ka) in
-                  if not (extends ~prefix nav_key) then []
-                  else
-                    let b =
-                      String.sub nav_key (String.length prefix)
-                        (String.length nav_key - String.length prefix)
-                    in
-                    (* R2's links to P3 whose constraint binds A = B *)
-                    List.filter_map
-                      (fun (link_attr, link_path, link_alias, target) ->
-                        if
-                          String.equal target fl.scheme
-                          && List.exists
-                               (fun (c : Adm.Constraints.link_constraint) ->
-                                 String.equal c.target_scheme fl.scheme
-                                 && String.equal c.target_attr b
-                                 && String.equal (attr_of_path link_alias c.source_attr) other_key)
-                               (Adm.Schema.constraints_on_link schema link_path)
-                        then
-                          Some
-                            {
-                              walk = w;
-                              join;
-                              side;
-                              at;
-                              follow = fl;
-                              other = Memo.sub w other_at;
-                              other_link_attr = link_attr;
-                              other_link_path = link_path;
-                              residual_keys =
-                                List.filter
-                                  (fun (x, y) -> not (String.equal x ka && String.equal y kb))
-                                  keys;
-                            }
-                        else None)
-                      (Lazy.force links))
-                keys)
-            (follows_within w side)
-        in
-        let left = Memo.child w join 0 and right = Memo.child w join 1 in
-        sided ~side:left ~other_at:right ~nav_is_left:true
-        @ sided ~side:right ~other_at:left ~nav_is_left:false
-      | _ -> [])
+            (fun (ka, kb) ->
+              let nav_key, other_key = if nav_is_left then (ka, kb) else (kb, ka) in
+              if not (extends ~prefix nav_key) then []
+              else
+                let b =
+                  String.sub nav_key (String.length prefix)
+                    (String.length nav_key - String.length prefix)
+                in
+                (* R2's links to P3 whose constraint binds A = B *)
+                List.filter_map
+                  (fun (link_attr, link_path, link_alias, target) ->
+                    if
+                      String.equal target fl.scheme
+                      && List.exists
+                           (fun (c : Adm.Constraints.link_constraint) ->
+                             String.equal c.target_scheme fl.scheme
+                             && String.equal c.target_attr b
+                             && String.equal (attr_of_path link_alias c.source_attr) other_key)
+                           (Adm.Schema.constraints_on_link schema link_path)
+                    then
+                      Some
+                        {
+                          walk = w;
+                          join;
+                          side;
+                          at;
+                          follow = fl;
+                          other = Memo.sub w other_at;
+                          other_link_attr = link_attr;
+                          other_link_path = link_path;
+                          residual_keys =
+                            List.filter
+                              (fun (x, y) -> not (String.equal x ka && String.equal y kb))
+                              keys;
+                        }
+                    else None)
+                  (Lazy.force links))
+            keys)
+        (follows_within w side)
+    in
+    let left = Memo.child w join 0 and right = Memo.child w join 1 in
+    sided ~side:left ~other_at:right ~nav_is_left:true
+    @ sided ~side:right ~other_at:left ~nav_is_left:false
+  | _ -> []
+
+let pointer_matches m root = everywhere pointer_matches_at m root
 
 (* The plan with the match's Join replaced by its navigation side, the
    Follow in it replaced by [follow], and the residual join keys
@@ -406,9 +412,9 @@ let rule9 m root = List.filter_map (pointer_chase (Memo.schema m)) (pointer_matc
 (* Rules 8 and 9 over one shared match pass: rule 8's rewritings,
    then rule 9's — the order the two rules produce one after the
    other. *)
-let rules8_9 m root =
-  let ms = pointer_matches m root in
-  List.map pointer_join ms @ List.filter_map (pointer_chase (Memo.schema m)) ms
+let rules8_9_of m ms = List.map pointer_join ms @ List.filter_map (pointer_chase (Memo.schema m)) ms
+let rules8_9 m root = rules8_9_of m (pointer_matches m root)
+let rules8_9_at m w i = rules8_9_of m (pointer_matches_at m w i)
 
 (* ------------------------------------------------------------------ *)
 (* Rule 6: moving selections across link constraints                   *)
@@ -459,7 +465,7 @@ let subset attrs available = List.for_all (fun a -> List.mem a available) attrs
 (* Push every selection atom to the lowest operator that provides its
    attributes. Equalities implied by link constraints are not used
    here — that is rule 6's job; this is plain commutation. *)
-let sink_selections (m : Memo.t) (root : Memo.node) : expr =
+let sink (m : Memo.t) =
   (* the atoms child [i] of [n] provides every attribute of, and the
      rest; the memo answers each child's attributes once *)
   let split atoms n i =
@@ -469,25 +475,57 @@ let sink_selections (m : Memo.t) (root : Memo.node) : expr =
       let avail = Memo.attrs m (Memo.kid n i) in
       List.partition (fun at -> subset (Pred.atom_attrs at) avail) atoms
   in
-  let rec place (atoms : Pred.atom list) e n =
-    let kid i atoms e' = place atoms e' (Memo.kid n i) in
+  (* per node (a group's first member for its group), the plan made
+     for each set of atoms *)
+  let chosen = Hashtbl.create 16 in
+  fun (root : Memo.node) ->
+  let rec place (atoms : Pred.atom list) n =
+    let alts = Memo.alternatives n in
+    let id = Memo.id (match alts with first :: _ -> first | [] -> n) in
+    let made = Option.value (Hashtbl.find_opt chosen id) ~default:[] in
+    match List.find_opt (fun (a, _) -> List.equal Pred.atom_equal a atoms) made with
+    | Some (_, x) -> x
+    | None ->
+      let x =
+        match alts with
+        | [] | [ _ ] -> place_in atoms n
+        | alts -> (
+          (* typed only as far as the cheapest well-typed one *)
+          let by_cost =
+            List.stable_sort
+              (fun x y -> Float.compare (Memo.estimate m x).Cost.cost (Memo.estimate m y).Cost.cost)
+              (List.map (place_in atoms) alts)
+          in
+          match List.find_opt (fun x -> not (Memo.has_errors m x)) by_cost with
+          | Some x -> x
+          | None -> List.hd by_cost)
+      in
+      Hashtbl.replace chosen id ((atoms, x) :: made);
+      x
+  and place_in atoms n =
+    let e = Memo.expr n in
+    let kid i atoms = place atoms (Memo.kid n i) in
     match e with
-    | Select (p, e1) -> kid 0 (atoms @ p) e1
-    | Entry _ | External _ | Call { c_src = None; _ } -> wrap atoms e
-    | Project (attrs, e1) ->
+    | Select (p, _) -> kid 0 (atoms @ p)
+    | Entry _ | External _ | Call { c_src = None; _ } -> wrap atoms n
+    | Project (attrs, _) ->
       let inside, here =
         List.partition (fun a -> subset (Pred.atom_attrs a) attrs) atoms
       in
-      wrap here (with_children e [ kid 0 inside e1 ])
-    | Unnest (e1, _) | Follow { src = e1; _ } | Call { c_src = Some e1; _ } ->
+      wrap here (Memo.make m e [ kid 0 inside ])
+    | Unnest _ | Follow _ | Call { c_src = Some _; _ } ->
       let inside, here = split atoms n 0 in
-      wrap here (with_children e [ kid 0 inside e1 ])
-    | Join (_, e1, e2) ->
+      wrap here (Memo.make m e [ kid 0 inside ])
+    | Join _ ->
       let left, rest = split atoms n 0 in
       let right, here = split rest n 1 in
-      wrap here (with_children e [ kid 0 left e1; kid 1 right e2 ])
-  and wrap atoms e = match atoms with [] -> e | p -> Select (p, e) in
-  place [] (Memo.expr root) root
+      wrap here (Memo.make m e [ kid 0 left; kid 1 right ])
+  and wrap atoms n =
+    match atoms with [] -> n | p -> Memo.make m (Select (p, Memo.expr n)) [ n ]
+  in
+  place [] root
+
+let sink_selections m root = Memo.expr (sink m root)
 
 (* ------------------------------------------------------------------ *)
 (* Rules 3, 5, 7: neededness pruning                                   *)

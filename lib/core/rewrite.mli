@@ -13,6 +13,15 @@
 
 type rule = Memo.t -> Memo.node -> Nalg.expr list
 
+type 'a at = Memo.t -> Memo.walk -> int -> 'a list
+(** A rule's rewritings at one position of the memo's walk of a plan
+    ({!Memo.walk}), each the whole plan rebuilt around that position.
+    The planner's join groups match the join rules at a plan's root
+    alone (position [0]). *)
+
+val everywhere : 'a at -> Memo.t -> Memo.node -> 'a list
+(** The rewritings at every position of the plan, in pre-order. *)
+
 val rule2 : rule
 (** A join whose predicate is a link constraint is a follow. *)
 
@@ -20,6 +29,11 @@ val rule4 : rule
 (** Eliminate repeated navigations: [(R ◦ A) ⋈_Y R = R ◦ A]. The
     surviving occurrence's aliases replace the dropped one's
     throughout the plan. *)
+
+
+val references_any_alias : Nalg.expr -> string list -> bool
+(** The plan references an attribute qualified by one of the aliases
+    ({!rule9}'s side condition on the dropped prefix). *)
 
 val rule6 : rule
 (** Move a selection atom across a link constraint (σ_{B=v} becomes
@@ -43,9 +57,32 @@ val join_rotate : rule
 (** Join associativity/commutativity: expose repeated or joinable
     navigations hidden by the FROM-order left-deep tree. *)
 
+val rule2_at : Nalg.expr at
+val rule4_at : (Nalg.expr * (string -> string)) at
+val join_commute_at : Nalg.expr at
+val join_rotate_at : Nalg.expr at
+val rules8_9_at : Nalg.expr at
+(** The join rules above at one position: [everywhere rule2_at] is
+    {!rule2}, and so on. {!rule4_at} pairs each output with the
+    renaming of attribute names it applied to the plan, which the
+    planner's join groups apply to every operator above the merged
+    join. {!rules8_9}'s outputs are rule 8's at every position, then
+    rule 9's; [everywhere rules8_9_at] interleaves them by position. *)
+
 val sink_selections : Memo.t -> Memo.node -> Nalg.expr
 (** Push every selection atom to the lowest operator providing its
-    attributes (plain commutation; constraint moves are {!rule6}). *)
+    attributes (plain commutation; constraint moves are {!rule6}):
+    [Memo.expr (sink m n)]. *)
+
+val sink : Memo.t -> Memo.node -> Memo.node
+(** {!sink_selections}'s plan as a node. A subexpression that is a
+    member of a {!Memo} group may be replaced by any member of its
+    group ({!Memo.alternatives}): the atoms are sunk into each, and the
+    one with the least {!Memo.estimate} cost — a well-typed one before
+    an ill-typed one, the first on a tie — is kept, once per group and
+    set of atoms: [sink m] keeps its choices for every plan it is
+    applied to. On a plan with no group members it sinks the plan as
+    it stands. *)
 
 val prune : Memo.t -> Memo.node -> Nalg.expr
 (** Rules 3 and 5 by neededness analysis: drop unnests and navigations

@@ -340,12 +340,21 @@ let env_compatible (env1 : env) (env2 : env) =
        (fun (_, t1) (_, t2) -> Adm.Webtype.compatible t1 t2)
        env1 env2
 
+(* The same names with compatible types, in any order: a reordering
+   of joins permutes the columns of a subexpression. *)
+let same_bindings (env1 : env) (env2 : env) =
+  let by_name = List.sort (fun (a, _) (b, _) -> String.compare a b) in
+  List.length env1 = List.length env2
+  && List.for_all2
+       (fun (a, t1) (b, t2) -> String.equal a b && Adm.Webtype.compatible t1 t2)
+       (by_name env1) (by_name env2)
+
 (* Judge one rewrite step: the child must typecheck, and its output
    environment must stay compatible with the parent's. A parent that
    is itself ill-typed yields no verdict (garbage in, garbage out).
    [judge] works over pre-computed inference results so the planner
    can memoize [infer] across the thousands of steps of a closure. *)
-let judge ~parent:(parent_env, parent_diags) ~child:(child_env, child_diags) :
+let verdict compatible ~parent:(parent_env, parent_diags) ~child:(child_env, child_diags) :
     Diagnostic.t list =
   if Diagnostic.has_errors parent_diags then []
   else
@@ -357,13 +366,16 @@ let judge ~parent:(parent_env, parent_diags) ~child:(child_env, child_diags) :
             (Fmt.str "rewrite produced ill-typed plan: %s" d.Diagnostic.message))
         child_errors
     | [] ->
-      if env_compatible parent_env child_env then []
+      if compatible parent_env child_env then []
       else
         [
           Diagnostic.error ~code:"E0403"
             "rewrite changed the output type: parent %a vs child %a" pp_env
             parent_env pp_env child_env;
         ]
+
+let judge = verdict env_compatible
+let judge_reordering = verdict same_bindings
 
 let soundness (schema : Adm.Schema.t) ~(parent : Nalg.expr)
     ~(child : Nalg.expr) : Diagnostic.t list =

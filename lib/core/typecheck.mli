@@ -82,6 +82,15 @@ val judge :
 (** The judgment underlying {!soundness}, over pre-computed {!infer}
     results — lets the planner memoize inference across a closure. *)
 
+val judge_reordering :
+  parent:env * Diagnostic.t list ->
+  child:env * Diagnostic.t list ->
+  Diagnostic.t list
+(** {!judge} with the output environments compared as sets of
+    bindings, each name with a compatible type, in any order: the
+    judgment of a join reordering below a plan's root, which permutes
+    columns that only the root's projection puts in order. *)
+
 val check_plan :
   Adm.Schema.t -> parent:Nalg.expr -> Physplan.plan -> Diagnostic.t list
 (** Judge a lowered physical plan like a rewrite step: its logical

@@ -72,6 +72,17 @@ let ex72_session dept session =
      = pd.PName AND pd.DName = '%s' AND c.Session = '%s'"
     dept session
 
+(* A 5-way join in a FROM order none of the five families has: the
+   left-deep tree joins CourseInstructor with Dept before anything
+   links them. On it the join groups reach the whole-plan closure's
+   classes only with both the rotations against a child group's other
+   members and the rewrites a new member catches up on from its
+   children's groups; the five families need neither. *)
+let chain5 =
+  "SELECT c.CName, d.Address FROM CourseInstructor ci, Dept d, Professor p, \
+   ProfDept pd, Course c WHERE c.CName = ci.CName AND ci.PName = p.PName AND \
+   p.PName = pd.PName AND pd.DName = d.DName"
+
 let cases =
   [
     ("dept-members/cs", join_site, dept_members "Computer Science");
@@ -137,22 +148,33 @@ let block (name, site, sql) =
             (one_line d.Diagnostic.message))
         o.Planner.diagnostics)
 
-(* The join phase of [enumerate] for a query, over one memo: rule 4
-   to fixpoint on every expansion, then the join closure. *)
-let join_phase memo registry sql =
+(* The seeds of [enumerate]'s join phase for a query, over one memo:
+   its expansions, each with rule 4 applied to fixpoint. *)
+let seeds memo registry sql =
   let q, _ = Contain.minimize_query registry (Sql_parser.parse registry sql) in
   View.expand registry (Conjunctive.to_algebra q)
   |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
-  |> Planner.closure memo (Planner.join_rules ~pointer_rules:true)
-  |> fst
+
+(* The join phase as whole plans: the closure of the seeds under the
+   join rules, every join order a plan of its own. The planner runs
+   the phase over groups ([Planner.join_groups]); this is the
+   reference it is held to. *)
+let join_phase memo registry sql =
+  fst (Planner.closure memo (Planner.join_rules ~pointer_rules:true) (seeds memo registry sql))
+
+(* The root groups of the planner's join phase, one per class:
+   the plans the selection phase starts from. *)
+let representatives memo registry sql =
+  let roots, _ =
+    Planner.join_groups memo (Planner.join_steps ~pointer_rules:true) (seeds memo registry sql)
+  in
+  Planner.classes memo roots
 
 (* The selection and projection phases of [enumerate] from [seeds]:
-   the selection closure, its plans sunk, and the projection
-   closure. *)
+   the selection closure, its plans sunk (a group member into its
+   group's cheapest member), and the projection closure. *)
 let later_phases memo seeds =
   let selections, _ = Planner.closure memo Planner.selection_rules seeds in
-  let sunk =
-    List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.sink_selections memo n)) selections
-  in
+  let sunk = List.map (Rewrite.sink memo) selections in
   let projections, _ = Planner.closure memo Planner.projection_rules sunk in
   (selections, sunk, projections)

@@ -1,24 +1,25 @@
 (* Per-rule output pins. For each pinned query of [Pins], every
-   plan the planner's three closures visit (join, selection and
-   projection phases, the latter two from one plan per class of the
-   join phase's, over one memo) is fed
-   to each rewrite rule on its own, and to selection sinking and
-   pruning. Per rule, the outputs of every plan — in order, each with
-   the number of its nodes not physically shared with the plan it
-   rewrote — are digested; rule_outputs.expected holds one line per
-   (query, rule): the output count, the unshared-node count and the
-   MD5. A refactoring of the rules must leave every line unchanged:
-   dune diffs the output against rule_outputs.expected, and `dune
-   promote` accepts a deliberate change. *)
+   plan the join rules' whole-plan closure visits, and every plan the
+   planner's selection and projection phases visit (from one root
+   group per class of its join groups, each plan sunk into its
+   groups' cheapest members), over one memo, is fed to each rewrite
+   rule on its own, and to selection sinking and pruning. Per rule, the
+   outputs of every plan — in order, each with the number of its nodes
+   not physically shared with the plan it rewrote — are digested;
+   rule_outputs.expected holds one line per (query, rule): the output
+   count, the unshared-node count and the MD5. A refactoring of the
+   rules must leave every line unchanged: dune diffs the output
+   against rule_outputs.expected, and `dune promote` accepts a
+   deliberate change. *)
 
 open Webviews
 
-(* The plans the planner's closures visit for a query, each once, in
-   visiting order. *)
+(* The plans the phases visit for a query, each once, in visiting
+   order. *)
 let visited memo registry sql =
   let joins = Pins.join_phase memo registry sql in
   let selections, _, projections =
-    Pins.later_phases memo (Planner.classes memo joins)
+    Pins.later_phases memo (Pins.representatives memo registry sql)
   in
   let seen = Memo.visit memo in
   List.filter (Memo.first_visit seen) (joins @ selections @ projections)

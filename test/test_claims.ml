@@ -61,6 +61,28 @@ let test_exp7_crossover () =
           true (chase < join))
     [ 1; 2; 3; 6; 10 ]
 
+(* EXP-3's ablation: on the paper's university, the optimizer's best
+   Example 7.2 plan with every rule (cost 25.3) costs less than its
+   best without the pointer rules 8/9 (75.0), and without both 8/9 and
+   the selection rule 6 the best plan still costs 75.0: the
+   constraint-aware rules are what find the cheap plan. *)
+let test_exp3_pointer_rules_pay () =
+  let site = Sitegen.Sites.load University in
+  let best ?pointer_rules ?constraint_selections () =
+    (Planner.plan_sql ?pointer_rules ?constraint_selections site.schema
+       (Sitegen.Sites.stats site) site.registry
+       "SELECT p.PName, p.Email FROM Course c, CourseInstructor ci, Professor p, ProfDept pd \
+        WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName = pd.PName AND pd.DName = \
+        'Computer Science' AND c.Type = 'Graduate'")
+      .Planner.best.Planner.cost
+  in
+  let all = best () and without_8_9 = best ~pointer_rules:false () in
+  Alcotest.(check bool)
+    (Fmt.str "all rules %.1f < without rules 8/9 %.1f" all without_8_9)
+    true (all < without_8_9);
+  Alcotest.(check (float 0.05)) "without rules 8/9 and 6" 75.0
+    (best ~pointer_rules:false ~constraint_selections:false ())
+
 (* EXP-1 (the introduction): on the bibliography site, reaching the
    last three VLDBs' authors through every author's page (path 4)
    downloads at least ten times the pages of each of paths 1-3. *)
@@ -156,4 +178,6 @@ let suite =
         test_sec8_heads_are_virtual_gets;
       Alcotest.test_case "checkmissing: the sweep drains the backlog" `Quick
         test_checkmissing_sweep_drains;
+      Alcotest.test_case "exp3: rules 8/9 find the cheaper Ex. 7.2 plan" `Quick
+        test_exp3_pointer_rules_pay;
     ] )

@@ -368,36 +368,55 @@ let test_plan_order_independent () =
     (fun (name, _, _) (f, b) -> check string_t name f b)
     Pins.cases (List.combine forwards backwards)
 
-(* Every plan the closures of [enumerate] reach for a query, rebuilt
-   from the public rules phase by phase (join, one plan per class,
-   selection, sinking, projection, pruning), over one memo. *)
+(* Every member of the groups below [roots], each once. *)
+let group_members roots =
+  let seen = Hashtbl.create 64 and out = ref [] in
+  let rec visit n =
+    match Memo.group_of n with
+    | Some g when not (Hashtbl.mem seen (Memo.gid g)) ->
+      Hashtbl.add seen (Memo.gid g) ();
+      out := List.rev_append (Memo.members g) !out;
+      List.iter (fun m -> List.iter visit (Memo.kids m)) (Memo.members g)
+    | _ -> ()
+  in
+  List.iter visit roots;
+  List.rev !out
+
+(* Every plan the phases of [enumerate] reach for a query, rebuilt
+   from the public rules phase by phase over one memo: the join rules'
+   whole-plan closure, every member of the join groups, and from one
+   root group per class the selection closure, its plans sunk into
+   the groups' cheapest members, the projection closure and its plans
+   pruned. *)
 let closure_plans memo registry sql =
   let joins = Pins.join_phase memo registry sql in
-  let selections, sunk, projections = Pins.later_phases memo (Planner.classes memo joins) in
-  List.map Memo.expr (joins @ selections @ sunk @ projections)
+  let roots = Pins.representatives memo registry sql in
+  let selections, sunk, projections = Pins.later_phases memo roots in
+  List.map Memo.expr (joins @ group_members roots @ selections @ sunk @ projections)
   @ List.map (Rewrite.prune memo) projections
 
-(* The best cost over the complete plan space, searched without the
-   planner's grouping: the selection and projection closures start
-   from every plan of the join closure, and every pruned, well-typed
-   plan is costed. *)
-let ungrouped_best_cost schema stats registry sql =
-  let memo = Memo.create schema stats in
-  let _, _, projections = Pins.later_phases memo (Pins.join_phase memo registry sql) in
+(* The least cost of a well-typed plan that the selection and
+   projection phases reach from [seeds], each plan's selections sunk
+   as it stands (no group to choose another join order from) and its
+   navigations pruned. *)
+let later_best_cost memo seeds =
+  let _, _, projections = Pins.later_phases memo seeds in
   List.fold_left
     (fun best n ->
       let n = Memo.intern ~hint:n memo (Rewrite.prune memo n) in
       if Memo.has_errors memo n then best else Float.min best (Memo.estimate memo n).Cost.cost)
     infinity projections
 
+(* The best cost over the complete plan space, searched without
+   groups: the selection and projection closures start from every
+   plan of the join rules' whole-plan closure. *)
+let ungrouped_best_cost schema stats registry sql =
+  let memo = Memo.create schema stats in
+  later_best_cost memo (Pins.join_phase memo registry sql)
+
 (* At the default settings no pinned query hits a cap, and each finds
-   the best cost of the ungrouped search: keeping one plan per class
-   of the join phase loses no query its best plan. The 4-way
-   Example 7.2 queries on the join-plan-sized university reach 62 and
-   24 (81 and 81 under the former default caps). The representative
-   of a class is chosen by its join-phase cost, so this holds for
-   these queries, not for every query: [test_classes] holds the
-   choice itself. *)
+   the best cost of the ungrouped search. The 4-way Example 7.2
+   queries on the join-plan-sized university reach 62 and 24. *)
 let test_complete_search () =
   List.iter
     (fun (name, site, sql) ->
@@ -423,32 +442,65 @@ let test_complete_search () =
       ("ex7.2-session", Pins.ex72_session "Computer Science" "Fall", 24.0);
     ]
 
-(* [Planner.classes] keeps, of the join phase's plans, one plan per
-   key, the first of the cheapest, in the order of each key's first
-   plan. *)
+(* No plan of the join phase is lost to its class: on the pinned
+   Fig. 2, Example 7.1, 7.2 and 7.2-session queries the planner's best
+   cost is at most what the selection and projection phases make of
+   any single plan of the join rules' whole-plan closure. The planner
+   keeps one root group per class, and sinking a plan's selections
+   picks every group's cheapest member, so a class cannot keep a join
+   order whose later plans cost more than another's. *)
+let test_no_plan_lost_to_its_class () =
+  List.iter
+    (fun (name, site, sql) ->
+      let family = List.hd (String.split_on_char '/' name) in
+      if List.mem family [ "fig2"; "ex7.1"; "ex7.2"; "ex7.2-session" ] then begin
+        let schema, registry, stats = Pins.parts site in
+        let o = Planner.plan_sql schema stats registry sql in
+        let memo = Memo.create schema stats in
+        let joins = Pins.join_phase memo registry sql in
+        let least =
+          List.fold_left (fun acc n -> Float.min acc (later_best_cost memo [ n ])) infinity joins
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: best cost %g <= %g over %d join-phase plans" name
+             o.Planner.best.Planner.cost least (List.length joins))
+          true
+          (o.Planner.best.Planner.cost <= least)
+      end)
+    Pins.cases
+
+(* The planner's join groups reach exactly the classes of the join
+   rules' whole-plan closure, and [Planner.classes] keeps the first
+   plan of each class, in order: on every pinned query and on the
+   5-way [Pins.chain5]. *)
 let test_classes () =
   List.iter
     (fun (name, site, sql) ->
       let schema, registry, stats = Pins.parts site in
       let memo = Memo.create schema stats in
+      let keys plans = List.sort_uniq String.compare (List.map (Memo.key memo) plans) in
       let joins = Pins.join_phase memo registry sql in
-      let cost n = (Memo.estimate memo n).Cost.cost in
+      let roots, capped =
+        Planner.join_groups memo
+          (Planner.join_steps ~pointer_rules:true)
+          (Pins.seeds memo registry sql)
+      in
+      check bool_t (name ^ ": the groups are not capped") false capped;
+      Alcotest.(check (list string))
+        (name ^ ": the groups reach the closure's classes")
+        (keys joins) (keys roots);
       let expected =
         List.fold_left
           (fun acc n ->
             let k = Memo.key memo n in
-            match List.assoc_opt k acc with
-            | None -> acc @ [ (k, n) ]
-            | Some m when cost n < cost m ->
-              List.map (fun (k', m') -> if String.equal k k' then (k, n) else (k', m')) acc
-            | Some _ -> acc)
+            if List.mem_assoc k acc then acc else acc @ [ (k, n) ])
           [] joins
       in
       Alcotest.(check (list int))
-        (name ^ ": one plan per key, the first of the cheapest")
+        (name ^ ": the first plan per key")
         (List.map (fun (_, n) -> Memo.id n) expected)
         (List.map Memo.id (Planner.classes memo joins)))
-    Pins.cases
+    (Pins.cases @ [ ("chain5", Pins.join_site, Pins.chain5) ])
 
 (* The planning context — the interned memo — answers every property
    as the context-free function does: output attributes, alias
@@ -693,4 +745,6 @@ let suite =
       Alcotest.test_case "context agrees on hand-made plans" `Quick test_context_hand_made_plans;
       Alcotest.test_case "memo shares a rule output's kept subtrees" `Quick
         test_memo_shares_subtrees;
+      Alcotest.test_case "no join-phase plan lost to its class" `Slow
+        test_no_plan_lost_to_its_class;
     ] )

@@ -488,6 +488,31 @@ let test_random_candidates_typecheck () =
       done)
     [ 7; 21; 42 ]
 
+(* A reordering step is judged in the planner's join groups: a
+   commutation that swaps a join's operands but not its keys adds an
+   ill-typed member to the join's own group, and only the judgment of
+   such a member can report it, since the step reaches no other
+   group. *)
+let test_reordering_judged () =
+  let schema, registry, stats = Pins.parts Pins.uni_site in
+  let memo = Memo.create schema stats in
+  let bad_commute _ w i =
+    match Memo.sub w i with
+    | Nalg.Join (keys, e1, e2) -> [ (Memo.rebuild w i (Nalg.Join (keys, e2, e1)), Fun.id) ]
+    | _ -> []
+  in
+  let found = ref [] in
+  let judge ~by_name ~parent ~child =
+    found :=
+      !found
+      @ (if by_name then Typecheck.judge_reordering else Typecheck.judge)
+          ~parent:(Memo.infer memo parent) ~child:(Memo.infer memo child)
+  in
+  ignore
+    (Planner.join_groups ~judge memo [ bad_commute ]
+       (Pins.seeds memo registry (Pins.dept_members "Computer Science")));
+  check_code "bad commutation" "E0402" !found
+
 (* --- the cap diagnostic (W0401) ------------------------------------ *)
 
 let test_w0401_cap () =
@@ -533,6 +558,7 @@ let suite =
       Alcotest.test_case "registry lint: site views are clean" `Quick
         test_registry_lint_clean_sites;
       Alcotest.test_case "soundness judgment" `Quick test_soundness;
+      Alcotest.test_case "reordering steps are judged" `Quick test_reordering_judged;
       Alcotest.test_case "structural equality" `Quick test_structural_equal;
       Alcotest.test_case "output_attrs_memo agrees" `Quick test_output_attrs_memo;
       Alcotest.test_case "university: candidates typecheck" `Quick
