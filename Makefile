@@ -32,9 +32,11 @@ bench:
 # Microbenchmarks of the in-memory relational kernel (equi_join,
 # distinct, unnest at 1k/10k/100k rows) and of the executor's
 # Hash_join, Project and Stream_unnest on the same relations (exec_*).
-# Wall times only, so it writes
-# BENCH_kernel_timing.json in the current directory and nothing diffs
-# it; commit it so the perf trajectory is tracked across PRs.
+# It runs the bechamel pass three times (~3 min) and records each
+# entry's median ns_per_run with the passes' min_ns and max_ns, so a
+# run-to-run swing shows beside the figure. Wall times only, so it
+# writes BENCH_kernel_timing.json in the current directory and nothing
+# diffs it; commit it so the perf trajectory is tracked across PRs.
 bench-kernel:
 	dune exec bench/main.exe -- kernel
 

@@ -4,10 +4,10 @@
 
      webviews scheme   [--site ...]
      webviews crawl    [--site ...]
-     webviews plan     [--site ...] [--candidates N] [--cap N] "SELECT ..."
-     webviews explain  [--site ...] [--physical] [--window N] [--cap N] "SELECT ..."
+     webviews plan     [--site ...] [--candidates N] "SELECT ..."
+     webviews explain  [--site ...] [--physical] [--window N] "SELECT ..."
      webviews query    [--site ...] [--views] [--faults R] [--latency] [--window N]
-                       [--retries N] [--limit N] [--cap N] "SELECT ..."
+                       [--retries N] [--limit N] "SELECT ..."
      webviews serve    [--site ...] [--workload FILE | --queries N]
                        [--concurrency K] [--quantum N] [--policy rr|priority]
                        [--deadline MS] [--stale] [--faults R] [--latency] [--json]
@@ -15,10 +15,11 @@
                        [--maintenance incremental|full-refresh|none]
                        [--queries N] [--json] [--fail-on-violation]
      webviews matview  [--site ...] "SELECT ..."
-     webviews check    [--site ...] [--views] [--json] [--cap N] [--strict]
+     webviews check    [--site ...] [--views] [--json] [--strict]
                        ["SELECT ..." ...]
 
-   webviews --version prints the release. *)
+   webviews --version prints the release. The planner searches the
+   whole plan space of a query; no option bounds it. *)
 
 open Cmdliner
 open Webviews
@@ -88,13 +89,6 @@ let seed_arg =
 let sql_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query.")
 
-let cap_arg =
-  Arg.(value & opt (some (size_conv ~min:0)) None & info [ "cap" ] ~docv:"N"
-         ~doc:"Cap the plans each of the planner's closure phases (join, \
-               selection, projection) adds to its seeds; by default no phase \
-               is capped. Hitting the cap is reported as a $(b,W0401) \
-               diagnostic.")
-
 let views_arg =
   Arg.(value & flag & info [ "views" ]
          ~doc:"Materialize the site's registered views first and offer them \
@@ -161,9 +155,9 @@ let or_e0309 plan =
   | exception Invalid_argument msg ->
     fail_gate [ Diagnostic.error ~code:"E0309" "planning failed: %s" msg ]
 
-let plan_query ?cap ?views (loaded : Sites.t) stats sql =
+let plan_query ?views (loaded : Sites.t) stats sql =
   or_e0309 (fun () ->
-      Planner.plan_sql ?cap ?views ?bindings:(Sites.bindings loaded) loaded.schema
+      Planner.plan_sql ?views ?bindings:(Sites.bindings loaded) loaded.schema
         stats loaded.registry sql)
 
 (* A workload file passes the same gate line by line: each error is
@@ -215,10 +209,10 @@ let crawl_cmd =
     (site_args run)
 
 let plan_cmd =
-  let run cap n dot sql (loaded : Sites.t) =
+  let run n dot sql (loaded : Sites.t) =
     lint_gate loaded sql;
     let stats = Sites.stats loaded in
-    let outcome = plan_query ?cap loaded stats sql in
+    let outcome = plan_query loaded stats sql in
     if dot then Fmt.pr "%s@." (Explain.to_dot outcome.Planner.best.Planner.expr)
     else begin
       Fmt.pr "%a@." Explain.pp_outcome outcome;
@@ -244,19 +238,19 @@ let plan_cmd =
   in
   Cmd.v
     (Cmd.info "plan" ~doc:"Show the optimizer's candidate navigation plans for a query.")
-    Term.(const (fun site depts profs courses seed cap n dot sql ->
-              with_site (run cap n dot sql) site depts profs courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg $ n_arg
+    Term.(const (fun site depts profs courses seed n dot sql ->
+              with_site (run n dot sql) site depts profs courses seed)
+          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ n_arg
           $ dot_arg $ sql_arg)
 
 let explain_cmd =
-  let run cap physical window use_views sql (loaded : Sites.t) =
+  let run physical window use_views sql (loaded : Sites.t) =
     lint_gate loaded sql;
     let stats = Sites.stats loaded in
     let vs = if use_views then Some (Sites.viewstore loaded) else None in
     let econ = Option.map Viewstore.econ vs in
     let outcome =
-      plan_query ?cap ?views:(Option.map Viewstore.context vs) loaded stats sql
+      plan_query ?views:(Option.map Viewstore.context vs) loaded stats sql
     in
     let best = outcome.Planner.best.Planner.expr in
     Fmt.pr "%a@.@." Explain.pp_outcome outcome;
@@ -283,7 +277,10 @@ let explain_cmd =
     Arg.(value & flag & info [ "physical" ]
            ~doc:"Lower the best plan to physical operators, execute it, and \
                  print the physical tree with estimated vs actual rows and \
-                 page accesses per operator.")
+                 page accesses per operator. This lowering picks each hash \
+                 join's build side from the estimates; $(b,query) lowers \
+                 without estimates and always builds the right input, so \
+                 the two can differ.")
   in
   Cmd.v
     (Cmd.info "explain"
@@ -294,20 +291,20 @@ let explain_cmd =
           per-operator estimated vs actual counters. With $(b,--views) \
           registered views compete as access paths and any substitution in \
           the winning plan is reported.")
-    Term.(const (fun site depts profs courses seed cap physical window use_views sql ->
-              with_site (run cap physical window use_views sql) site depts profs
+    Term.(const (fun site depts profs courses seed physical window use_views sql ->
+              with_site (run physical window use_views sql) site depts profs
                 courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
+          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg
           $ physical_arg $ window_arg $ views_arg $ sql_arg)
 
 let query_cmd =
-  let run cap use_views faults latency window retries net_seed limit sql
+  let run use_views faults latency window retries net_seed limit sql
       (loaded : Sites.t) =
     lint_gate loaded sql;
     let stats = Sites.stats loaded in
     let vs = if use_views then Some (Sites.viewstore loaded) else None in
     let outcome =
-      plan_query ?cap ?views:(Option.map Viewstore.context vs) loaded stats sql
+      plan_query ?views:(Option.map Viewstore.context vs) loaded stats sql
     in
     let best = outcome.Planner.best.Planner.expr in
     let fetcher =
@@ -354,12 +351,12 @@ let query_cmd =
           $(b,--views) the registered views are materialized first and \
           compete as access paths; a chosen view scan answers from the local \
           store after bounded HEAD revalidation.")
-    Term.(const (fun site depts profs courses seed cap use_views faults latency
+    Term.(const (fun site depts profs courses seed use_views faults latency
                      window retries net_seed limit sql ->
               with_site
-                (run cap use_views faults latency window retries net_seed limit sql)
+                (run use_views faults latency window retries net_seed limit sql)
                 site depts profs courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
+          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg
           $ views_arg $ faults_arg $ latency_arg $ window_arg $ retries_arg
           $ net_seed_arg $ limit_arg $ sql_arg)
 
@@ -472,7 +469,7 @@ type query_report = {
   diagnostics : Diagnostic.t list;
 }
 
-let check_query ?cap ?views (loaded : Sites.t) sql =
+let check_query ?views (loaded : Sites.t) sql =
   let lint = Typecheck.lint_sql loaded.schema loaded.registry sql in
   if Diagnostic.has_errors lint then
     { sql; occurrences = []; minimized = None; planned = None;
@@ -482,7 +479,7 @@ let check_query ?cap ?views (loaded : Sites.t) sql =
     let q_min, semantic = Contain.analyze_query loaded.registry q in
     let planned, planner =
       match
-        Planner.plan_sql ?cap ?views ?bindings:(Sites.bindings loaded) loaded.schema
+        Planner.plan_sql ?views ?bindings:(Sites.bindings loaded) loaded.schema
           (Sites.stats loaded) loaded.registry sql
       with
       | outcome -> (Some outcome, outcome.Planner.diagnostics)
@@ -556,7 +553,7 @@ let pp_query_report ppf r =
     List.iter (fun d -> Fmt.pf ppf "  %a@." Diagnostic.pp d) (List.sort Diagnostic.compare ds)
 
 let check_cmd =
-  let run cap strict json use_views sqls (loaded : Sites.t) =
+  let run strict json use_views sqls (loaded : Sites.t) =
     let schema_diags = Diagnostic.dedup (Typecheck.lint_schema loaded.schema) in
     let index = Viewmatch.make loaded.registry in
     let registry_diags =
@@ -565,7 +562,7 @@ let check_cmd =
         @ Viewmatch.registry_lint index)
     in
     let views = if use_views then Some (Viewstore.context (Sites.viewstore loaded)) else None in
-    let reports = List.map (check_query ?cap ?views loaded) sqls in
+    let reports = List.map (check_query ?views loaded) sqls in
     (* dead-view lint: registered views no workload occurrence can
        ever use — not named, and sharing no filter-tree bucket with
        any named occurrence *)
@@ -635,10 +632,10 @@ let check_cmd =
           access paths and chosen substitutions are reported (JSON: \
           per-query $(b,substitutions)). Exits 2 on any error, 1 with \
           $(b,--strict) when only warnings remain, else 0.")
-    Term.(const (fun site depts profs courses seed cap strict json use_views sqls ->
-              with_site (run cap strict json use_views sqls) site depts profs courses
+    Term.(const (fun site depts profs courses seed strict json use_views sqls ->
+              with_site (run strict json use_views sqls) site depts profs courses
                 seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
+          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg
           $ strict_arg $ json_arg $ views_arg $ sqls_arg)
 
 (* ------------------------------------------------------------------ *)

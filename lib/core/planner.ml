@@ -48,8 +48,7 @@ type outcome = {
       (* view substitutions of the best plan, one per External leaf;
          empty when the cost race chose pure navigation *)
   diagnostics : Diagnostic.t list;
-      (* findings of the enumeration: W0401 when a plan-space cap
-         truncated a closure phase, E0402/E0403 when a rewrite step
+      (* findings of the enumeration: E0402/E0403 when a rewrite step
          failed the soundness check, E0404 for candidates rejected as
          ill-typed before costing, E0601/W0602 from input-query
          minimization, W0605 when the best plan answers from a
@@ -90,28 +89,24 @@ let selection_rules = [ Rewrite.rule6 ]
 let projection_rules = [ Rewrite.rule7_replace ]
 
 (* Closure of a set of plans under one-step rewritings, deduplicated
-   by their memo nodes (structural identity). Returns the plans plus
-   whether [cap], a safety valve on the plans the closure adds to its
-   seeds, truncated the exploration (work left in the queue when the
-   loop stopped). Each rule output is interned against the plan it
-   rewrote, so only its rebuilt nodes are visited. [on_rewrite] fires
-   on every rule application, before deduplication — the planner
-   hooks the rewrite-soundness check here. *)
-let closure ?(cap = max_int) ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
+   by their memo nodes (structural identity), in breadth-first order.
+   Each rule output is interned against the plan it rewrote, so only
+   its rebuilt nodes are visited. [on_rewrite] fires on every rule
+   application, before deduplication — the planner hooks the
+   rewrite-soundness check here. *)
+let closure ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
     (rules : Rewrite.rule list) (seeds : Memo.node list) =
   let seen = Memo.visit memo in
-  let out = ref [] and found = ref 0 in
+  let out = ref [] in
   let queue = Queue.create () in
   let add n =
     if Memo.first_visit seen n then begin
       out := n :: !out;
-      Queue.add n queue;
-      true
+      Queue.add n queue
     end
-    else false
   in
-  List.iter (fun n -> ignore (add n)) seeds;
-  while (not (Queue.is_empty queue)) && !found < cap do
+  List.iter add seeds;
+  while not (Queue.is_empty queue) do
     let n = Queue.pop queue in
     List.iter
       (fun rule ->
@@ -119,11 +114,11 @@ let closure ?(cap = max_int) ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
           (fun e' ->
             let n' = Memo.intern ~hint:n memo e' in
             on_rewrite ~parent:n ~child:n';
-            if add n' then incr found)
+            add n')
           (rule memo n))
       rules
   done;
-  (List.rev !out, not (Queue.is_empty queue))
+  List.rev !out
 
 (* One plan per equivalence class ({!Memo.key}) of [plans], the first
    of each, in order. Plans with different key hints are in different
@@ -166,13 +161,12 @@ type edge = { into : Memo.group; rename : string -> string; gone : string list }
    the plans' roots. Each member is explored once, so a rewrite the
    groups already hold spawns nothing. Returns the witness of every
    root group — one plan of the join phase up to join order — in the
-   order they were reached, and whether [cap], a bound on the members
-   added to the seeds', truncated the phase. [judge] sees each member
-   a step adds to its own group with the plan it was rewritten from,
-   [~by_name:true] (a reordering permutes the columns of a join, which
-   only a root's projection puts in order), and each root reached from
-   another root with its parent root, [~by_name:false]. *)
-let join_groups ?(judge = fun ~by_name:_ ~parent:_ ~child:_ -> ()) ?(cap = max_int) memo
+   order they were reached. [judge] sees each member a step adds to its
+   own group with the plan it was rewritten from, [~by_name:true] (a
+   reordering permutes the columns of a join, which only a root's
+   projection puts in order), and each root reached from another root
+   with its parent root, [~by_name:false]. *)
+let join_groups ?(judge = fun ~by_name:_ ~parent:_ ~child:_ -> ()) memo
     (steps : join_step list) seeds =
   let rotation = [ plain Rewrite.join_rotate_at ] in
   let queue = Queue.create () and added = ref 0 in
@@ -247,8 +241,7 @@ let join_groups ?(judge = fun ~by_name:_ ~parent:_ ~child:_ -> ()) ?(cap = max_i
     Memo.make memo (Memo.expr n) (List.mapi (fun j k -> if j = i then q else k) (Memo.kids n))
   in
   List.iter (fun s -> root (group (member s))) seeds;
-  added := 0;
-  while (not (Queue.is_empty queue)) && !added < cap do
+  while not (Queue.is_empty queue) do
     let p = Queue.pop queue in
     let g = group p in
     List.iter (fun k -> List.iter (propagate p (group k)) (edges_of (group k))) (Memo.kids p);
@@ -277,7 +270,7 @@ let join_groups ?(judge = fun ~by_name:_ ~parent:_ ~child:_ -> ()) ?(cap = max_i
         (Memo.parents g)
     | _ -> ()
   done;
-  (List.rev_map Memo.witness !roots, not (Queue.is_empty queue))
+  List.rev_map Memo.witness !roots
 
 (* Apply a deterministic rule to fixpoint (first rewrite each round,
    at most [max_rounds] rounds). *)
@@ -336,13 +329,12 @@ let substitutions_of (views : view_context option) (e : Nalg.expr) :
             })
       (Nalg.externals e)
 
-let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
+let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
     ?(minimize = true) ?views ?bindings (schema : Adm.Schema.t)
     (stats : Stats.t) (registry : View.registry) (q : Conjunctive.t) : outcome =
   (* [pointer_rules] and [constraint_selections] exist for ablation
      studies: without rules 8/9 (resp. rule 6) the planner falls back
-     to the constraint-blind plans. [cap], when given, bounds the
-     plans each closure phase adds to its seeds. *)
+     to the constraint-blind plans. *)
   let diagnostics = ref [] in
   let diag d = diagnostics := d :: !diagnostics in
   (* View access paths: the economics snapshot prices materialized
@@ -369,18 +361,6 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
            ~parent:(Memo.infer memo parent) ~child:(Memo.infer memo child))
   in
   let on_rewrite = judge ~by_name:false in
-  let capped ~phase (plans, capped) =
-    if capped then
-      diag
-        (Diagnostic.warning ~code:"W0401"
-           "plan-space cap %d hit during the %s phase; enumeration truncated \
-            (raise --cap to explore further)"
-           (Option.get cap) phase);
-    plans
-  in
-  let closure_phase ~phase rules seeds =
-    capped ~phase (closure ?cap ~on_rewrite memo rules seeds)
-  in
   (* Semantic minimization first (Contain): fold FROM occurrences
      equated on declared keys (bag-sound), normalize the WHERE
      conjunction, report provable emptiness. The minimized query has
@@ -435,15 +415,13 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
      Algorithm 1 keeps one plan per equivalence class, so the later
      phases start from one root group per class *)
   let representatives =
-    classes memo
-      (capped ~phase:"join"
-         (join_groups ?cap ~judge memo (join_steps ~pointer_rules) merged))
+    classes memo (join_groups ~judge memo (join_steps ~pointer_rules) merged)
   in
   (* Step 5: closure under rule 6, then sink selections, into the
      cheapest member of every group the plan reaches *)
   let with_selections =
     (if constraint_selections then
-       closure_phase ~phase:"selection" selection_rules representatives
+       closure ~on_rewrite memo selection_rules representatives
      else representatives)
     |> List.map (Rewrite.sink memo)
   in
@@ -452,9 +430,7 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
      — together these drop navigations that only read replicated
      values *)
   let with_projections =
-    (if constraint_selections then
-       closure_phase ~phase:"projection" projection_rules with_selections
-     else with_selections)
+    closure ~on_rewrite memo projection_rules with_selections
     |> List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.prune memo n))
   in
   (* Step 2'': binding-pattern access paths — on sites whose data sits
@@ -529,9 +505,9 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
       diagnostics = List.rev !diagnostics;
     }
 
-let plan_sql ?cap ?pointer_rules ?constraint_selections ?minimize ?views
+let plan_sql ?pointer_rules ?constraint_selections ?minimize ?views
     ?bindings schema stats registry sql =
-  enumerate ?cap ?pointer_rules ?constraint_selections ?minimize ?views
+  enumerate ?pointer_rules ?constraint_selections ?minimize ?views
     ?bindings schema stats registry
     (Sql_parser.parse registry sql)
 
@@ -539,6 +515,6 @@ let plan_sql ?cap ?pointer_rules ?constraint_selections ?minimize ?views
    chosen plan and the result. [views] opens registered-view access
    paths to the enumeration; a chosen view scan is answered by the
    source's own view answerer. *)
-let run ?cap ?views ?bindings schema stats registry source sql =
-  let outcome = plan_sql ?cap ?views ?bindings schema stats registry sql in
+let run ?views ?bindings schema stats registry source sql =
+  let outcome = plan_sql ?views ?bindings schema stats registry sql in
   (outcome, rename_output outcome (Eval.eval schema source outcome.best.expr))

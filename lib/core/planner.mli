@@ -60,8 +60,8 @@ type outcome = {
       (** view substitutions of the best plan; empty when the cost
           race chose pure navigation *)
   diagnostics : Diagnostic.t list;
-      (** enumeration findings: [W0401] cap truncations, [E0402] /
-          [E0403] rewrite-soundness violations, [E0404] ill-typed
+      (** enumeration findings: [E0402] / [E0403] rewrite-soundness
+          violations, [E0404] ill-typed
           candidates rejected before costing, [E0601] / [W0602] from
           input-query minimization, [W0605] when the best plan answers
           from a materialized view *)
@@ -81,7 +81,7 @@ val rename_output : outcome -> Adm.Relation.t -> Adm.Relation.t
     over whole plans ({!closure}), started from one root group per
     equivalence class ({!classes}). A closure applies the rules in
     list order, and each rule yields its outputs in pre-order, so the
-    exploration order and the cap points are fixed. *)
+    exploration order is fixed. *)
 
 val join_rules : pointer_rules:bool -> Rewrite.rule list
 (** The join phase's rules as whole-plan rewritings: rule 4,
@@ -100,27 +100,23 @@ val selection_rules : Rewrite.rule list
 val projection_rules : Rewrite.rule list
 
 val closure :
-  ?cap:int ->
   ?on_rewrite:(parent:Memo.node -> child:Memo.node -> unit) ->
   Memo.t ->
   Rewrite.rule list ->
   Memo.node list ->
-  Memo.node list * bool
+  Memo.node list
 (** Closure of a seed set under one-step rewritings, deduplicated by
-    memo node (structural identity, {!Nalg.equal}). [cap], a safety
-    valve with no default, bounds the plans the closure adds to its
-    seeds; the boolean is [true] when it truncated the exploration
-    (work was still queued). Each rule output is interned against the
-    plan it rewrote. [on_rewrite] fires on every rule application,
+    memo node (structural identity, {!Nalg.equal}): the seeds, then
+    every plan reached, in breadth-first order. Each rule output is
+    interned against the plan it rewrote. [on_rewrite] fires on every rule application,
     before deduplication. *)
 
 val join_groups :
   ?judge:(by_name:bool -> parent:Memo.node -> child:Memo.node -> unit) ->
-  ?cap:int ->
   Memo.t ->
   join_step list ->
   Memo.node list ->
-  Memo.node list * bool
+  Memo.node list
 (** The join phase over {!Memo} groups: the seeds' nodes become
     members of their groups and each step applies at one member's own
     operator ({!join_steps} in {!enumerate}); rotation, whose pattern
@@ -131,13 +127,12 @@ val join_groups :
     applies to every operator over it, rule 4's renaming and rule 9's
     side condition included, up to the roots. Returns the witness of
     every root group (a plan of the join phase up to join order), in
-    the order they were reached, and whether [cap], a bound on the
-    members added to the seeds', truncated the phase. [judge] sees
-    every member a step adds to its own group with the plan it was
-    rewritten from, [~by_name:true] (a reordering permutes the columns
-    of a join, which only a root's projection puts in order; see
-    {!Typecheck.judge_reordering}), and every root reached from another root,
-    [~by_name:false]. *)
+    the order they were reached. [judge] sees every member a step adds
+    to its own group with the plan it was rewritten from,
+    [~by_name:true] (a reordering permutes the columns of a join, which
+    only a root's projection puts in order; see
+    {!Typecheck.judge_reordering}), and every root reached from another
+    root, [~by_name:false]. *)
 
 val classes : Memo.t -> Memo.node list -> Memo.node list
 (** The first plan of each equivalence class ({!Memo.key}), in order.
@@ -151,7 +146,6 @@ val fixpoint : Memo.t -> Rewrite.rule -> Memo.node -> Memo.node
     this way on every expansion before the join phase. *)
 
 val enumerate :
-  ?cap:int ->
   ?pointer_rules:bool ->
   ?constraint_selections:bool ->
   ?minimize:bool ->
@@ -160,14 +154,13 @@ val enumerate :
   Adm.Schema.t -> Stats.t -> View.registry -> Conjunctive.t -> outcome
 (** Raises [Invalid_argument] when no computable plan exists.
     [pointer_rules] (default true) enables rules 2/8/9;
-    [constraint_selections] (default true) enables rule 6 — both exist
-    for ablation studies. [minimize] (default true) runs
-    {!Contain.minimize_query} on the input first (its [E0601] /
-    [W0602] findings land in the outcome diagnostics; the original
-    SELECT names are kept for {!rename_output}). No closure phase is
-    capped unless [cap] is given: a safety valve bounding the plans
-    each closure phase adds to its seeds, hitting it is reported as a
-    [W0401] diagnostic in the outcome. The join phase runs over groups
+    [constraint_selections] (default true) enables rule 6 alone (the
+    projection phase runs either way) — both exist for ablation
+    studies. [minimize] (default true) runs {!Contain.minimize_query}
+    on the input first (its [E0601] / [W0602] findings land in the
+    outcome diagnostics; the original SELECT names are kept for
+    {!rename_output}). No phase truncates its search: every plan the
+    rules reach is explored. The join phase runs over groups
     ({!join_groups}), one root group per equivalence class goes on to
     the selection and projection phases, and sinking each plan's
     selections picks the cheapest member of every group it reaches, so
@@ -190,7 +183,6 @@ val enumerate :
     and cost race. *)
 
 val plan_sql :
-  ?cap:int ->
   ?pointer_rules:bool ->
   ?constraint_selections:bool ->
   ?minimize:bool ->
@@ -199,7 +191,6 @@ val plan_sql :
   Adm.Schema.t -> Stats.t -> View.registry -> string -> outcome
 
 val run :
-  ?cap:int ->
   ?views:view_context ->
   ?bindings:(Conjunctive.t -> Nalg.expr list) ->
   Adm.Schema.t -> Stats.t -> View.registry -> Eval.source -> string ->

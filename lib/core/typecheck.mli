@@ -7,8 +7,8 @@
     - [E0201]–[E0214], [W0210] — schema lint ({!lint_schema});
     - [E0301]–[E0308], [W0306], [W0307] — query lint ({!lint_query},
       {!lint_sql});
-    - [E0402], [E0403] — rewrite soundness ({!soundness}); [W0401] and
-      [E0404] are emitted by {!Planner.enumerate};
+    - [E0402], [E0403] — rewrite soundness ({!soundness}); [E0404] is
+      emitted by {!Planner.enumerate};
     - [E0501]–[E0503] — view-registry lint ({!lint_registry}). *)
 
 type env = (string * Adm.Webtype.t) list

@@ -7,7 +7,7 @@
    sets each, and every query the examples plan. [block] prints what
    the planner decides for one of them: the best plan, every
    candidate's cost in order, the explored and merged counts and the
-   diagnostic codes (W0401 included), then the whole plan space —
+   diagnostic codes, then the whole plan space —
    every candidate's cost, cardinality and plan text in order, and
    every diagnostic with its code, path and message. planner_pins.exe
    prints every block, and dune diffs that against
@@ -82,6 +82,29 @@ let chain5 =
   "SELECT c.CName, d.Address FROM CourseInstructor ci, Dept d, Professor p, \
    ProfDept pd, Course c WHERE c.CName = ci.CName AND ci.PName = p.PName AND \
    p.PName = pd.PName AND pd.DName = d.DName"
+
+(* Every FROM order of [sql], the given one first (orders by position
+   in the given FROM list, lexicographically), each labelled with its
+   aliases in order, e.g. "c, ci, p, pd". *)
+let from_orders sql =
+  let index_of sub =
+    let n = String.length sub in
+    let rec go i = if String.sub sql i n = sub then i else go (i + 1) in
+    go 0
+  in
+  let from = index_of " FROM " + 6 and where = index_of " WHERE " in
+  let items = String.split_on_char ',' (String.sub sql from (where - from)) |> List.map String.trim in
+  let rec orders = function
+    | [] -> [ [] ]
+    | l -> List.concat_map (fun x -> List.map (List.cons x) (orders (List.filter (( <> ) x) l))) l
+  in
+  let alias item = List.nth (String.split_on_char ' ' item) 1 in
+  List.map
+    (fun order ->
+      ( String.concat ", " (List.map alias order),
+        String.sub sql 0 from ^ String.concat ", " order
+        ^ String.sub sql where (String.length sql - where) ))
+    (orders items)
 
 let cases =
   [
@@ -160,21 +183,19 @@ let seeds memo registry sql =
    the phase over groups ([Planner.join_groups]); this is the
    reference it is held to. *)
 let join_phase memo registry sql =
-  fst (Planner.closure memo (Planner.join_rules ~pointer_rules:true) (seeds memo registry sql))
+  Planner.closure memo (Planner.join_rules ~pointer_rules:true) (seeds memo registry sql)
 
 (* The root groups of the planner's join phase, one per class:
    the plans the selection phase starts from. *)
 let representatives memo registry sql =
-  let roots, _ =
-    Planner.join_groups memo (Planner.join_steps ~pointer_rules:true) (seeds memo registry sql)
-  in
-  Planner.classes memo roots
+  Planner.classes memo
+    (Planner.join_groups memo (Planner.join_steps ~pointer_rules:true) (seeds memo registry sql))
 
 (* The selection and projection phases of [enumerate] from [seeds]:
    the selection closure, its plans sunk (a group member into its
    group's cheapest member), and the projection closure. *)
 let later_phases memo seeds =
-  let selections, _ = Planner.closure memo Planner.selection_rules seeds in
+  let selections = Planner.closure memo Planner.selection_rules seeds in
   let sunk = List.map (Rewrite.sink memo) selections in
-  let projections, _ = Planner.closure memo Planner.projection_rules sunk in
+  let projections = Planner.closure memo Planner.projection_rules sunk in
   (selections, sunk, projections)

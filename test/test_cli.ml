@@ -76,12 +76,16 @@ let test_unbuildable_site_sizes () =
         [ "serve"; "churn" ]
     @ [
         ("query", "--window", "-3"); ("query", "--retries", "-1"); ("query", "--limit", "-1");
-        ("plan", "--cap", "-5"); ("plan", "--candidates", "-1"); ("query", "--faults", "2.0");
+        ("plan", "--candidates", "-1"); ("query", "--faults", "2.0");
         ("churn", "--churn-rate", "nan"); ("churn", "--churn-rate", "-1");
         ("churn", "--churn-rate", "inf"); ("serve", "--deadline", "-5");
         ("serve", "--deadline", "nan"); ("serve", "--max-resident", "-5");
         ("churn", "--budget", "-5"); ("churn", "--budget", "nan"); ("churn", "--max-age", "-3");
-      ])
+      ]);
+  (* the planner's search has no bound to set: --cap is an unknown option *)
+  let ((_, stderr) as r) = run_cli [ "plan"; "--cap"; "5"; "SELECT p.PName FROM Professor p" ] in
+  expect_exit "plan --cap 5" 124 r;
+  Alcotest.(check bool) "unknown option --cap" true (contains stderr "unknown option")
 
 (* An integer literal beyond the native int range is a syntax error
    (E0308, exit 2) wherever a query enters: LIMIT, a comparison, and a

@@ -637,15 +637,20 @@ let join_family_gen =
     | _ -> query_gen st
 
 (* Plans of the planner's rewrite closures (joins, then selections,
-   sunk and pruned), with small caps so each query stays cheap. *)
+   sunk and pruned). A closure lists its seeds first, then the plans it
+   reaches breadth first; keeping the seeds plus the first 80 join and
+   120 selection plans keeps each query's sample small. *)
 let closure_plans sql =
   let memo = Memo.create schema (Stats.create ()) in
   let seeds =
     View.expand registry (Conjunctive.to_algebra (parse sql))
     |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
   in
-  let joins, _ = Planner.closure ~cap:80 memo (Planner.join_rules ~pointer_rules:true) seeds in
-  let selections, _ = Planner.closure ~cap:120 memo Planner.selection_rules joins in
+  let prefix seeds k plans = List.filteri (fun i _ -> i < List.length seeds + k) plans in
+  let joins =
+    prefix seeds 80 (Planner.closure memo (Planner.join_rules ~pointer_rules:true) seeds)
+  in
+  let selections = prefix joins 120 (Planner.closure memo Planner.selection_rules joins) in
   List.map Memo.expr joins
   @ List.map
       (fun n ->

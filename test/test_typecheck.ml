@@ -513,20 +513,6 @@ let test_reordering_judged () =
        (Pins.seeds memo registry (Pins.dept_members "Computer Science")));
   check_code "bad commutation" "E0402" !found
 
-(* --- the cap diagnostic (W0401) ------------------------------------ *)
-
-let test_w0401_cap () =
-  let sql =
-    "SELECT d.DName, p.PName FROM Dept d, ProfDept pd, Professor p \
-     WHERE d.DName = pd.DName AND pd.PName = p.PName"
-  in
-  let o = Planner.plan_sql ~cap:5 uni_schema empty_stats uni_view sql in
-  check_code "truncated enumeration" "W0401" o.Planner.diagnostics;
-  Alcotest.(check bool) "still produced candidates" true (o.Planner.candidates <> []);
-  let full = Planner.plan_sql uni_schema empty_stats uni_view sql in
-  Alcotest.(check bool) "uncapped run reports no W0401" false
-    (has_code "W0401" full.Planner.diagnostics)
-
 let suite =
   ( "typecheck",
     [
@@ -569,5 +555,4 @@ let suite =
         test_bibliography_candidates_typecheck;
       Alcotest.test_case "random queries: candidates typecheck (seeds 7/21/42)"
         `Quick test_random_candidates_typecheck;
-      Alcotest.test_case "W0401 cap diagnostic" `Quick test_w0401_cap;
     ] )
