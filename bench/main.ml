@@ -742,7 +742,6 @@ let kernel_exec rels =
       node =
         Physplan.View_scan
           { view; alias = view; ext_attrs = (List.assoc view answers).Exec.va_attrs; filter = [] };
-      est = None;
     }
   in
   let run n_ops root () = ignore (Exec.run schema source { Physplan.root; n_ops; window = 8 }) in
@@ -758,7 +757,7 @@ let kernel_tests () =
       let nested = kernel_nested n in
       let scanned_nested = Adm.Relation.prefix_attrs "N" nested in
       let scan, run = kernel_exec [ left; right; dupes; scanned_nested ] in
-      let op id node = { Physplan.id; node; est = None } in
+      let op id node = { Physplan.id; node } in
       [
         Test.make
           ~name:(Fmt.str "exec_hash_join/%d" n)
@@ -766,8 +765,7 @@ let kernel_tests () =
              (run 3
                 (op 2
                    (Physplan.Hash_join
-                      { keys = [ ("L.K", "R.K") ]; left = scan 0 left; right = scan 1 right;
-                        build_left = false }))));
+                      { keys = [ ("L.K", "R.K") ]; left = scan 0 left; right = scan 1 right }))));
         Test.make
           ~name:(Fmt.str "exec_project/%d" n)
           (Staged.stage
@@ -895,12 +893,13 @@ let fetch () =
 (* ------------------------------------------------------------------ *)
 
 (* The Example 7.2 pointer-join / pointer-chase pair through the
-   streaming executor versus the legacy relation-at-a-time evaluator:
-   same pages, same answers, but the pipeline's transient residency is
-   bounded by its largest batch while the materializer holds whole
-   intermediate relations; and with LIMIT 1 the early-exit protocol
-   stops the chase after its first prefetch window. Results go to
-   stdout and BENCH_exec.json. *)
+   streaming executor versus the legacy relation-at-a-time evaluator.
+   The streaming side is lowered by [Exec.lower], as every query is,
+   so each hash join builds its right input. Same pages, same answers,
+   but the pipeline's transient residency is bounded by its largest
+   batch while the materializer holds whole intermediate relations;
+   and with LIMIT 1 the early-exit protocol stops the chase after its
+   first prefetch window. Results go to stdout and BENCH_exec.json. *)
 
 (* Peak resident rows of the materializing evaluator: at each operator
    the inputs are fully materialized before the output exists, so the
@@ -931,7 +930,7 @@ let mat_peak_rows schema source e =
 let exec_bench () =
   banner "Exec: streaming pipeline vs materializing evaluator (example 7.2)";
   let uni = Sites.load University in
-  let schema = uni.schema and stats = Sites.stats uni and site = uni.site in
+  let schema = uni.schema and site = uni.site in
   let window = 8 in
   let latency_fetcher () =
     let http = Websim.Http.connect site in
@@ -951,10 +950,10 @@ let exec_bench () =
   let records =
     List.map
       (fun (name, plan) ->
-        (* streaming: lowered with cost annotations, run with metrics *)
+        (* streaming: lowered as every query is, run with metrics *)
         let fetcher = latency_fetcher () in
         let source = Eval.fetcher_source schema fetcher in
-        let phys = Cost.lower ~window schema stats plan in
+        let phys = Exec.lower schema source plan in
         let result, m = Exec.run_metrics schema source phys in
         let s_gets = (Websim.Http.stats (Websim.Fetcher.http fetcher)).Websim.Http.gets in
         let s_elapsed = Websim.Fetcher.elapsed_ms fetcher in

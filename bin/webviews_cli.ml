@@ -255,12 +255,9 @@ let explain_cmd =
     let best = outcome.Planner.best.Planner.expr in
     Fmt.pr "%a@.@." Explain.pp_outcome outcome;
     if physical then begin
-      let plan = Cost.lower ?views:econ ~window loaded.schema stats best in
-      List.iter
-        (fun d -> Fmt.pr "%a@." Diagnostic.pp d)
-        (Typecheck.check_plan loaded.schema ~parent:best plan);
-      (* execute over the live site so the tree shows estimated vs
-         actual rows and page accesses side by side *)
+      (* lower and execute over the live site exactly as [query] does,
+         so the tree shows estimated vs actual rows and page accesses
+         side by side *)
       let http = Websim.Http.connect loaded.site in
       let config = Websim.Fetcher.config ~window () in
       let fetcher = Websim.Fetcher.create ~config http in
@@ -268,8 +265,13 @@ let explain_cmd =
         { (Eval.fetcher_source loaded.schema fetcher) with
           views = Option.map Viewstore.answerer vs }
       in
+      let plan = Exec.lower loaded.schema source best in
+      List.iter
+        (fun d -> Fmt.pr "%a@." Diagnostic.pp d)
+        (Typecheck.check_plan loaded.schema ~parent:best plan);
       let _result, metrics = Exec.run_metrics loaded.schema source plan in
-      Fmt.pr "%a@." (Explain.pp_physical ~metrics ()) plan
+      let estimates = Cost.estimates ?views:econ loaded.schema stats plan in
+      Fmt.pr "%a@." (Explain.pp_physical ~estimates ~metrics ()) plan
     end
     else Fmt.pr "%a@." (Explain.pp_annotated ?views:econ loaded.schema stats) best
   in
@@ -277,17 +279,15 @@ let explain_cmd =
     Arg.(value & flag & info [ "physical" ]
            ~doc:"Lower the best plan to physical operators, execute it, and \
                  print the physical tree with estimated vs actual rows and \
-                 page accesses per operator. This lowering picks each hash \
-                 join's build side from the estimates; $(b,query) lowers \
-                 without estimates and always builds the right input, so \
-                 the two can differ.")
+                 page accesses per operator. The plan is lowered and run \
+                 exactly as $(b,query) runs it.")
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
          "Explain the optimizer's chosen plan: the annotated logical tree by \
           default, or with $(b,--physical) the lowered physical operator tree \
-          (fused filters, hash-join build sides, streaming navigations) with \
+          (fused filters, hash joins, streaming navigations) with \
           per-operator estimated vs actual counters. With $(b,--views) \
           registered views compete as access paths and any substitution in \
           the winning plan is reported.")

@@ -248,18 +248,19 @@ let byte_estimate ~views (schema : Adm.Schema.t) (stats : Stats.t)
 
 let byte_cost ?(views = no_views) schema stats e = byte_estimate ~views schema stats e
 
-(* Lowering with cost annotations: the physical plan carries, per
-   operator, the estimated output cardinality and the page accesses
-   the operator itself issues (1 for a scan; the distinct-link count
-   of Section 6.2 for a navigation). The [pages] callback computes
-   the navigation count directly — not as a cost difference — so the
-   annotation matches the worked examples exactly. *)
-let lower ?(views = no_views) ?window (schema : Adm.Schema.t) (stats : Stats.t)
-    (e : Nalg.expr) : Physplan.plan =
-  let env = Nalg.alias_env e in
+(* The estimates of a lowered plan, per operator: the estimated
+   output cardinality of the logical subexpression it computes, and
+   the page accesses the operator itself issues (1 for a scan; the
+   distinct-link count of Section 6.2 for a navigation; the expected
+   HEADs for a view scan; none for a local operator). The navigation
+   count is computed directly — not as a cost difference — so it
+   matches the worked examples exactly. *)
+let estimates ?(views = no_views) (schema : Adm.Schema.t) (stats : Stats.t)
+    (plan : Physplan.plan) : Physplan.est array =
+  let env = Nalg.alias_env (Physplan.to_nalg plan) in
   let cache = stats_cache stats in
   let card sub = (estimate_in ~views schema cache env sub).card in
-  let pages sub =
+  let pages (sub : Nalg.expr) =
     match sub with
     | Nalg.Entry _ -> 1.0
     | Nalg.Follow { src; link; _ } -> distinct_in cache env link (card src)
@@ -273,8 +274,22 @@ let lower ?(views = no_views) ?window (schema : Adm.Schema.t) (stats : Stats.t)
       | None -> 0.0)
     | _ -> 0.0
   in
-  let view_attrs name = Option.map (fun vc -> vc.view_attrs) (views.view name) in
-  Physplan.lower ~card ~pages ~view_attrs ?window schema e
+  let ests = Array.make plan.Physplan.n_ops { Physplan.est_rows = 0.0; est_pages = 0.0 } in
+  Physplan.fold
+    (fun () (o : Physplan.op) ->
+      let e = Physplan.op_to_nalg o in
+      let est_pages =
+        match o.Physplan.node, e with
+        (* a fetch's or view scan's pages are its access's, fused
+           selection stripped *)
+        | (Physplan.Fetch _ | Physplan.View_scan _), (Nalg.Select (_, access) | access) ->
+          pages access
+        | (Physplan.Filter _ | Physplan.Project _ | Physplan.Hash_join _
+          | Physplan.Stream_unnest _), _ -> 0.0
+      in
+      ests.(o.Physplan.id) <- { Physplan.est_rows = card e; est_pages })
+    () plan;
+  ests
 
 (* Predicted simulated elapsed time (milliseconds) under the batched
    fetch engine: a navigation submits its URL set in prefetch windows
@@ -293,18 +308,17 @@ let get_ms = 40.0
 let head_ms = get_ms /. 10.0
 
 let elapsed_estimate ?(views = no_views) ?(window = 1) schema stats e =
-  match lower ~views ~window schema stats e with
+  let view_attrs name = Option.map (fun vc -> vc.view_attrs) (views.view name) in
+  match Physplan.lower ~view_attrs ~window schema e with
   | plan ->
+    let ests = estimates ~views schema stats plan in
     Physplan.fold
       (fun acc (o : Physplan.op) ->
-        match o.Physplan.node, o.Physplan.est with
-        | Physplan.Fetch _, Some { est_pages; _ } ->
-          acc +. (rounds ~window est_pages *. get_ms)
-        | Physplan.Fetch _, None -> acc +. get_ms
-        | Physplan.View_scan _, Some { est_pages; _ } ->
-          acc +. (rounds ~window est_pages *. head_ms)
-        | Physplan.View_scan _, None -> acc +. head_ms
-        | (Physplan.Filter _ | Physplan.Project _ | Physplan.Hash_join _
-          | Physplan.Stream_unnest _), _ -> acc)
+        let pages = ests.(o.Physplan.id).Physplan.est_pages in
+        match o.Physplan.node with
+        | Physplan.Fetch _ -> acc +. (rounds ~window pages *. get_ms)
+        | Physplan.View_scan _ -> acc +. (rounds ~window pages *. head_ms)
+        | Physplan.Filter _ | Physplan.Project _ | Physplan.Hash_join _
+        | Physplan.Stream_unnest _ -> acc)
       0.0 plan
   | exception Physplan.Not_computable _ -> infinity

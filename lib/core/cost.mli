@@ -69,19 +69,20 @@ val byte_cost : ?views:view_econ -> Adm.Schema.t -> Stats.t -> Nalg.expr -> floa
     (page accesses weighted by average page size per scheme).
     Distinguishes plans that tie on page count. *)
 
-val lower :
-  ?views:view_econ -> ?window:int -> Adm.Schema.t -> Stats.t -> Nalg.expr ->
-  Physplan.plan
-(** {!Physplan.lower} with cost annotations: each operator carries its
-    estimated output cardinality and the page accesses it issues (1
-    for a scan, the distinct-link count for a navigation, the expected
-    HEAD count for a view scan), and join build sides are chosen from
-    the cardinality estimates. Raises like {!Physplan.lower}. *)
+val estimates :
+  ?views:view_econ -> Adm.Schema.t -> Stats.t -> Physplan.plan -> Physplan.est array
+(** The cost model's estimates for each operator of a lowered plan,
+    indexed by operator id: the estimated output cardinality of the
+    logical subexpression the operator computes
+    ({!Physplan.op_to_nalg}), and the page accesses it issues itself
+    (1 for a scan, the distinct-link count for a navigation, the
+    expected HEAD count for a view scan, 0 for a local operator). *)
 
 val elapsed_estimate :
   ?views:view_econ -> ?window:int -> Adm.Schema.t -> Stats.t -> Nalg.expr -> float
 (** Predicted simulated elapsed milliseconds under the batched fetch
-    engine, computed from the physical plan actually executed: each
+    engine, computed from the physical plan {!Physplan.lower} gives
+    (the one every execution runs) and its {!estimates}: each
     scan costs one 40 ms round (the network model's round-trip), each
     navigation [ceil(navigations / window)] rounds, and each view scan
     [ceil(expected HEADs / window)] rounds of 4 ms — the Function-2

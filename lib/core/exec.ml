@@ -19,8 +19,8 @@
      once per operator, exactly the paper's distinct-access count) and
      handing the fetch engine one prefetch window per group; without
      an input it fetches its one URL once;
-   - [Hash_join] drains only its build side (chosen by the planner)
-     into a hash table and streams the probe side through it;
+   - [Hash_join] drains only its right input into a hash table and
+     streams the left input through it;
    - [Stream_unnest] expands each batch against the statically
      inferred inner header, so the header never depends on the data.
 
@@ -372,7 +372,7 @@ let compile (schema : Adm.Schema.t) (source : source)
             match afilter_map fresh batch with [||] -> next () | kept -> Some kept)
         in
         { attrs; next }
-      | Physplan.Hash_join { keys; left; right; build_left } ->
+      | Physplan.Hash_join { keys; left; right } ->
         let lc = go left and rc = go right in
         let ltbl = index_of lc.attrs and rtbl = index_of rc.attrs in
         let k1 =
@@ -386,13 +386,11 @@ let compile (schema : Adm.Schema.t) (source : source)
         let keep2, out_attrs = join_header keys lc.attrs rc.attrs in
         let w1 = List.length lc.attrs in
         let has_null ks row = Array.exists (fun i -> Adm.Value.is_null row.(i)) ks in
-        let build_c, build_k, probe_c, probe_k =
-          if build_left then (lc, k1, rc, k2) else (rc, k2, lc, k1)
-        in
-        (* one key attribute: the table keys on the value itself; more:
-           on the key sub-row *)
+        (* the right input is built, the left probes it; one key
+           attribute: the table keys on the value itself; more: on the
+           key sub-row *)
         let add, find_all =
-          match build_k, probe_k with
+          match k2, k1 with
           | [| b |], [| p |] ->
             let tbl = Value_tbl.create 64 in
             ( (fun row -> Value_tbl.add tbl row.(b) row),
@@ -400,20 +398,20 @@ let compile (schema : Adm.Schema.t) (source : source)
           | _ ->
             let key_of ks row = Array.map (fun i -> row.(i)) ks in
             let tbl = Adm.Relation.Row_tbl.create 64 in
-            ( (fun row -> Adm.Relation.Row_tbl.add tbl (key_of build_k row) row),
-              fun row -> Adm.Relation.Row_tbl.find_all tbl (key_of probe_k row) )
+            ( (fun row -> Adm.Relation.Row_tbl.add tbl (key_of k2 row) row),
+              fun row -> Adm.Relation.Row_tbl.find_all tbl (key_of k1 row) )
         in
         let built = ref false in
         let ensure_built () =
           if not !built then begin
             built := true;
             let rec drain () =
-              match build_c.next () with
+              match rc.next () with
               | None -> ()
               | Some batch ->
                 Array.iter
                   (fun row ->
-                    if not (has_null build_k row) then begin
+                    if not (has_null k2 row) then begin
                       add row;
                       metrics.state_rows <- metrics.state_rows + 1
                     end)
@@ -424,17 +422,14 @@ let compile (schema : Adm.Schema.t) (source : source)
           end
         in
         let emit buf probe_row =
-          if not (has_null probe_k probe_row) then
+          if not (has_null k1 probe_row) then
             List.iter
-              (fun m ->
-                Rowbuf.push buf
-                  (if build_left then combine w1 keep2 m probe_row
-                   else combine w1 keep2 probe_row m))
+              (fun m -> Rowbuf.push buf (combine w1 keep2 probe_row m))
               (find_all probe_row)
         in
         let rec next () =
           ensure_built ();
-          match probe_c.next () with
+          match lc.next () with
           | None -> None
           | Some batch -> (
             let buf = Rowbuf.create () in

@@ -77,7 +77,8 @@ val run_metrics :
 
 val lower : Adm.Schema.t -> source -> Nalg.expr -> Physplan.plan
 (** {!Physplan.lower} against a source: its prefetch window, and the
-    declared attributes of the views its [views] answers. *)
+    declared attributes of the views its [views] answers. Every
+    execution lowers through it, [explain --physical] included. *)
 
 (** {1 Resumable runs}
 

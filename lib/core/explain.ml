@@ -48,15 +48,15 @@ let pp_annotated ?(views = Cost.no_views) (schema : Adm.Schema.t)
   Fmt.pf ppf "@[<v>%a@]" (go 0) root
 
 (* The physical tree, annotated per operator with the cost model's
-   estimates carried by the plan and — when the plan has been run —
-   the executor's actual rows, batches and page accesses next to
-   them, so a prediction that went wrong is visible on the exact
-   operator that missed. *)
-let pp_physical ?metrics () ppf (plan : Physplan.plan) =
+   estimates and — when the plan has been run — the executor's actual
+   rows, batches and page accesses next to them, so a prediction that
+   went wrong is visible on the exact operator that missed. *)
+let pp_physical ?estimates ?metrics () ppf (plan : Physplan.plan) =
   let note (o : Physplan.op) =
     let est =
-      match o.Physplan.est with
-      | Some { Physplan.est_rows; est_pages } ->
+      match estimates with
+      | Some ests ->
+        let { Physplan.est_rows; est_pages } = ests.(o.Physplan.id) in
         if est_pages > 0.0 then
           Fmt.str "est rows≈%.1f, pages≈%.1f" est_rows est_pages
         else Fmt.str "est rows≈%.1f" est_rows

@@ -8,11 +8,13 @@ val pp_annotated : ?views:Cost.view_econ -> Adm.Schema.t -> Stats.t -> Nalg.expr
     renders as a view scan with its light-connection cost instead of
     "not computable". *)
 
-val pp_physical : ?metrics:Exec.metrics -> unit -> Physplan.plan Fmt.t
+val pp_physical :
+  ?estimates:Physplan.est array -> ?metrics:Exec.metrics -> unit -> Physplan.plan Fmt.t
 (** The physical operator tree, each operator annotated with the cost
-    model's estimated rows and page accesses, and — when [metrics]
-    from a {!Exec.run_metrics} execution are supplied — the actual
-    rows, batches and page accesses beside the estimates. *)
+    model's estimated rows and page accesses when [estimates] (from
+    {!Cost.estimates}) are supplied, and — when [metrics] from a
+    {!Exec.run_metrics} execution are supplied — the actual rows,
+    batches and page accesses beside them. *)
 
 val to_dot : Nalg.expr -> string
 (** Graphviz rendering of the plan, paper-figure style (page relations

@@ -15,10 +15,10 @@
      distinct-access cost model), hands the fetch engine prefetch
      windows of [window] URLs, and applies any selection sunk onto the
      node to the joined output (a filtered fetch, not fetch-then-filter);
-   - [Hash_join] carries an explicit build side, chosen from the cost
-     model's cardinality estimates (build the smaller input, probe
-     with the larger) — the legacy evaluator always built the right
-     input;
+   - [Hash_join] builds its right input and probes it with the left,
+     as the legacy evaluator does: operand order is a choice in the
+     plan space (the memo's join groups hold both orders of every
+     join), so the plan's join order is its build side;
    - [Stream_unnest] expands nested lists row by row against the
      declared inner header, so unnesting never materializes its
      input.
@@ -67,12 +67,11 @@ type node =
   | Hash_join of {
       keys : (string * string) list; (* (left attr, right attr) pairs *)
       left : op;
-      right : op;
-      build_left : bool; (* hash the left input, probe with the right *)
+      right : op; (* built into the hash table; the left input probes it *)
     }
   | Stream_unnest of { attr : string; expect : string list; input : op }
 
-and op = { id : int; node : node; est : est option }
+and op = { id : int; node : node }
 
 type plan = { root : op; n_ops : int; window : int }
 
@@ -100,31 +99,22 @@ let constant_url schema scheme args =
     raise
       (Not_computable (Fmt.str "call to %s does not bind every parameter" scheme))
 
-let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
+let lower ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
     (schema : Adm.Schema.t) (e : Nalg.expr) : plan =
   let counter = ref 0 in
-  let mk node est =
+  let mk node =
     let id = !counter in
     incr counter;
-    { id; node; est }
-  in
-  let pages_of e = match pages with Some f -> f e | None -> 0.0 in
-  let est_of ?(own_pages = 0.0) e =
-    Option.map (fun f -> { est_rows = f e; est_pages = own_pages }) card
+    { id; node }
   in
   let rec go (e : Nalg.expr) : op =
     let fetch input target scheme alias =
-      mk
-        (Fetch { input; target; scheme; alias; filter = [] })
-        (est_of ~own_pages:(pages_of e) e)
+      mk (Fetch { input; target; scheme; alias; filter = [] })
     in
     match e with
     | Nalg.External { name; alias } -> (
       match view_attrs name with
-      | Some attrs ->
-        mk
-          (View_scan { view = name; alias; ext_attrs = attrs; filter = [] })
-          (est_of ~own_pages:(pages_of e) e)
+      | Some attrs -> mk (View_scan { view = name; alias; ext_attrs = attrs; filter = [] })
       | None ->
         raise
           (Not_computable
@@ -139,31 +129,18 @@ let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
       | Some url -> fetch None (Entry_url url) scheme alias)
     | Nalg.Select (p, e1) -> (
       (* fuse the selection into the producing operator when it has a
-         filter slot; page estimates are the producer's own *)
+         filter slot *)
       let inner = go e1 in
-      let own_pages =
-        match inner.est with Some { est_pages; _ } -> est_pages | None -> 0.0
-      in
-      let est = est_of ~own_pages e in
       match inner.node with
-      | Fetch f -> { inner with node = Fetch { f with filter = f.filter @ p }; est }
-      | View_scan v ->
-        { inner with node = View_scan { v with filter = v.filter @ p }; est }
-      | Filter f -> { inner with node = Filter { f with pred = f.pred @ p }; est }
-      | Project _ | Hash_join _ | Stream_unnest _ ->
-        mk (Filter { pred = p; input = inner }) est)
-    | Nalg.Project (attrs, e1) -> mk (Project { attrs; input = go e1 }) (est_of e)
+      | Fetch f -> { inner with node = Fetch { f with filter = f.filter @ p } }
+      | View_scan v -> { inner with node = View_scan { v with filter = v.filter @ p } }
+      | Filter f -> { inner with node = Filter { f with pred = f.pred @ p } }
+      | Project _ | Hash_join _ | Stream_unnest _ -> mk (Filter { pred = p; input = inner }))
+    | Nalg.Project (attrs, e1) -> mk (Project { attrs; input = go e1 })
     | Nalg.Join (keys, e1, e2) ->
       let left = go e1 in
       let right = go e2 in
-      let build_left =
-        (* build the smaller estimated side; without statistics keep
-           the legacy evaluator's choice (build the right input) *)
-        match left.est, right.est with
-        | Some l, Some r -> l.est_rows < r.est_rows
-        | _ -> false
-      in
-      mk (Hash_join { keys; left; right; build_left }) (est_of e)
+      mk (Hash_join { keys; left; right })
     | Nalg.Unnest (e1, attr) -> (
       match Nalg.list_fields schema e1 attr with
       | None ->
@@ -173,7 +150,7 @@ let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
       | Some fields ->
         let input = go e1 in
         let expect = List.map (fun (f, _) -> attr ^ "." ^ f) fields in
-        mk (Stream_unnest { attr; expect; input }) (est_of e))
+        mk (Stream_unnest { attr; expect; input }))
     | Nalg.Follow { src; link; scheme; alias } ->
       fetch (Some (go src)) (Link link) scheme alias
     | Nalg.Call { c_src; c_scheme; c_alias; c_args } ->
@@ -211,7 +188,7 @@ let rec op_to_nalg (o : op) : Nalg.expr =
     filtered filter (Nalg.External { name = view; alias })
   | Filter { pred; input } -> Nalg.Select (pred, op_to_nalg input)
   | Project { attrs; input } -> Nalg.Project (attrs, op_to_nalg input)
-  | Hash_join { keys; left; right; build_left = _ } ->
+  | Hash_join { keys; left; right } ->
     Nalg.Join (keys, op_to_nalg left, op_to_nalg right)
   | Stream_unnest { attr; expect = _; input } -> Nalg.Unnest (op_to_nalg input, attr)
 
@@ -250,10 +227,9 @@ let node_label (o : op) =
     Fmt.str "view-scan %s%s%s" view (aka view alias) (filtered filter)
   | Filter { pred; _ } -> Fmt.str "filter σ[%s]" (Pred.to_string pred)
   | Project { attrs; _ } -> Fmt.str "project π %s" (String.concat ", " attrs)
-  | Hash_join { keys; build_left; _ } ->
-    Fmt.str "hash-join ⋈ %s (build=%s)"
+  | Hash_join { keys; _ } ->
+    Fmt.str "hash-join ⋈ %s"
       (String.concat ", " (List.map (fun (a, b) -> Fmt.str "%s=%s" a b) keys))
-      (if build_left then "left" else "right")
   | Stream_unnest { attr; _ } -> Fmt.str "stream-unnest ◦ %s" attr
 
 let pp_noted note ppf (plan : plan) =

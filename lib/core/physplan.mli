@@ -4,14 +4,16 @@
     physical plan says {e how}: one page-fetch operator for every way a
     plan reads pages (entry point, followed link, form call), with
     incremental URL dedup, windowed prefetch and any selection fused
-    into it; hash joins with an explicit build side chosen from
-    cardinality estimates; and streaming unnest against the declared
-    inner header. {!Exec} runs these plans with pull-based cursors. *)
+    into it; hash joins that build their right input and probe it with
+    the left, so a plan's join order is its build side; and streaming
+    unnest against the declared inner header. {!Exec} runs these plans
+    with pull-based cursors. *)
 
 type est = {
   est_rows : float;  (** estimated output cardinality of the operator *)
   est_pages : float;  (** estimated page accesses the operator issues *)
 }
+(** One operator's cost-model estimates ({!Cost.estimates}). *)
 
 (** Where a page-fetch operator takes each URL from. *)
 type target =
@@ -52,17 +54,13 @@ type node =
   | Hash_join of {
       keys : (string * string) list;
       left : op;
-      right : op;
-      build_left : bool;
-          (** hash the left input and probe with the right (chosen from
-              cardinality estimates; without estimates the right input
-              is built, matching the legacy evaluator) *)
+      right : op;  (** built into the hash table; the left input probes it *)
     }
   | Stream_unnest of { attr : string; expect : string list; input : op }
       (** row-by-row expansion of a nested attribute against the
           declared inner header [expect] *)
 
-and op = { id : int; node : node; est : est option }
+and op = { id : int; node : node }
 (** [id] is a dense post-order index in [0 .. n_ops-1]; {!Exec} uses it
     to address per-operator counters. *)
 
@@ -82,24 +80,23 @@ exception Not_streamable of string
     on it. *)
 
 val lower :
-  ?card:(Nalg.expr -> float) ->
-  ?pages:(Nalg.expr -> float) ->
   ?view_attrs:(string -> string list option) ->
   ?window:int ->
   Adm.Schema.t ->
   Nalg.expr ->
   plan
-(** Compile a logical expression to a physical plan. [card] estimates
-    the output cardinality of a subexpression and [pages] the page
-    accesses its own operator issues (both typically from {!Cost} over
-    {!Stats}; omitted → no annotations and legacy build sides).
-    [view_attrs] answers the declared attribute list of a registered
-    materialized view by name; when it returns [Some attrs] an
-    [External] leaf lowers to {!View_scan} instead of raising.
-    [window] (default 8) is the prefetch window handed to the fetch
-    engine. Total on well-typed expressions: every unnest streams
-    against the declared tuple type of its list attribute
-    ({!Nalg.list_fields}). Raises {!Not_computable} otherwise. *)
+(** Compile a logical expression to a physical plan. [view_attrs]
+    answers the declared attribute list of a registered materialized
+    view by name; when it returns [Some attrs] an [External] leaf
+    lowers to {!View_scan} instead of raising. [window] (default 8) is
+    the prefetch window handed to the fetch engine. Total on
+    well-typed expressions: every unnest streams against the declared
+    tuple type of its list attribute ({!Nalg.list_fields}). Raises
+    {!Not_computable} otherwise. *)
+
+val op_to_nalg : op -> Nalg.expr
+(** The logical subexpression an operator computes, fused filters as
+    [Select] wrappers. *)
 
 val to_nalg : plan -> Nalg.expr
 (** Reconstruct the logical expression a plan computes (fused filters

@@ -32,11 +32,9 @@ let run_block ~name ~sql ?limit (site : Sitegen.Sites.t) stats
   let http = Websim.Http.connect site.site in
   let log = Buffer.create 1024 in
   let source = recording log (Eval.live_source site.schema http) in
-  let plan =
-    Cost.lower ~window:source.Eval.window site.schema stats
-      o.Planner.best.Planner.expr
-  in
+  let plan = Exec.lower site.schema source o.Planner.best.Planner.expr in
   let rel, m = Exec.run_metrics ?limit site.schema source plan in
+  let estimates = Cost.estimates site.schema stats plan in
   let s = Websim.Http.stats http in
   String.concat ""
     [
@@ -44,7 +42,7 @@ let run_block ~name ~sql ?limit (site : Sitegen.Sites.t) stats
         (match limit with Some l -> Printf.sprintf " limit %d" l | None -> "");
       Printf.sprintf "sql %s\n" sql;
       Buffer.contents log;
-      Fmt.str "%a@." (Explain.pp_physical ~metrics:m ()) plan;
+      Fmt.str "%a@." (Explain.pp_physical ~estimates ~metrics:m ()) plan;
       Printf.sprintf
         "rows %d gets %d heads %d bytes %d state_rows %d peak_queue_rows %d \
          max_batch_rows %d exhausted %b\n\n"

@@ -168,13 +168,12 @@ let test_staff_query_end_to_end () =
    one whose plans call forms). *)
 let test_streaming_matches_legacy () =
   let site = Sitegen.Sites.of_formsite (Sitegen.Formsite.build ()) in
-  let stats = Sitegen.Sites.stats site in
   List.iter
     (fun sql ->
       let r = Bindings.search binding_config schema (conj sql) in
       check bool_t (sql ^ ": has rewritings") true (r.Bindings.rewritings <> []);
       List.iter
-        (fun e -> Test_exec.check_page_identity sql site.site schema stats e)
+        (fun e -> Test_exec.check_page_identity sql site.site schema e)
         r.Bindings.rewritings)
     Server.Workload.formsite_templates
 

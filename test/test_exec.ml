@@ -19,16 +19,10 @@ let stats = uni.stats
 
 let bib = Sitegen.Sites.load Bibliography
 let bib_instance = lazy (Sitegen.Sites.crawl bib)
-let bib_stats = bib.stats
 let catalog_records = Sitegen.Catalog.build ()
 let catalog = Sitegen.Sites.of_catalog catalog_records
 let catalog_instance = lazy (Sitegen.Sites.crawl catalog)
 let catalog_stats = catalog.stats
-
-(* Run an expression through the physical layer: lower with cost
-   annotations, execute with pull-based cursors. *)
-let exec_eval schema stats source e =
-  Exec.run schema source (Cost.lower ~window:source.Eval.window schema stats e)
 
 (* Streaming and legacy runs of the same plan over fresh connections;
    on the perfect simulated network both must hit the same pages. *)
@@ -39,8 +33,8 @@ let net_profile run site schema e =
   let s = Websim.Http.stats http in
   (r, s.Websim.Http.gets, s.Websim.Http.heads, s.Websim.Http.bytes)
 
-let check_page_identity name site schema stats e =
-  let r_stream, g1, h1, b1 = net_profile (exec_eval schema stats) site schema e in
+let check_page_identity name site schema e =
+  let r_stream, g1, h1, b1 = net_profile (Eval.eval schema) site schema e in
   let r_legacy, g2, h2, b2 = net_profile (Eval.eval_legacy schema) site schema e in
   Alcotest.(check bool) (name ^ ": same relation") true
     (Adm.Relation.equal r_stream r_legacy);
@@ -57,7 +51,7 @@ let prop_exec_matches_legacy =
       List.for_all
         (fun (p : Planner.plan) ->
           Adm.Relation.equal
-            (exec_eval schema (Lazy.force stats) source p.Planner.expr)
+            (Eval.eval schema source p.Planner.expr)
             (Eval.eval_legacy schema source p.Planner.expr))
         outcome.Planner.candidates)
 
@@ -67,7 +61,7 @@ let prop_exec_same_pages =
       let outcome = Planner.plan_sql schema (Lazy.force stats) registry sql in
       let e = outcome.Planner.best.Planner.expr in
       let site = uni.site in
-      let _, g1, h1, b1 = net_profile (exec_eval schema (Lazy.force stats)) site schema e in
+      let _, g1, h1, b1 = net_profile (Eval.eval schema) site schema e in
       let _, g2, h2, b2 = net_profile (Eval.eval_legacy schema) site schema e in
       (g1, h1, b1) = (g2, h2, b2))
 
@@ -77,7 +71,7 @@ let prop_lowered_plans_well_typed =
       let outcome = Planner.plan_sql schema (Lazy.force stats) registry sql in
       List.for_all
         (fun (p : Planner.plan) ->
-          let plan = Cost.lower schema (Lazy.force stats) p.Planner.expr in
+          let plan = Physplan.lower schema p.Planner.expr in
           not
             (Diagnostic.has_errors
                (Typecheck.check_plan schema ~parent:p.Planner.expr plan)))
@@ -99,13 +93,13 @@ let test_seeded_university_candidates () =
           (fun j (p : Planner.plan) ->
             check bool_t (Fmt.str "uni seed %d query %d candidate %d" seed i j) true
               (Adm.Relation.equal
-                 (exec_eval schema (Lazy.force stats) source p.Planner.expr)
+                 (Eval.eval schema source p.Planner.expr)
                  (Eval.eval_legacy schema source p.Planner.expr)))
           outcome.Planner.candidates;
         check_page_identity
           (Fmt.str "uni seed %d query %d best" seed i)
           (uni.site)
-          schema (Lazy.force stats) outcome.Planner.best.Planner.expr
+          schema outcome.Planner.best.Planner.expr
       done)
     seeds
 
@@ -137,14 +131,13 @@ let test_seeded_catalog_candidates () =
                 (Fmt.str "catalog seed %d query %d candidate %d" seed i j)
                 true
                 (Adm.Relation.equal
-                   (exec_eval catalog.schema (Lazy.force catalog_stats)
-                      source pl.Planner.expr)
+                   (Eval.eval catalog.schema source pl.Planner.expr)
                    (Eval.eval_legacy catalog.schema source pl.Planner.expr)))
             outcome.Planner.candidates;
           check_page_identity
             (Fmt.str "catalog seed %d query %d best" seed i)
             catalog.site catalog.schema
-            (Lazy.force catalog_stats) outcome.Planner.best.Planner.expr)
+            outcome.Planner.best.Planner.expr)
         queries)
     seeds
 
@@ -162,9 +155,9 @@ let test_bibliography_paths () =
     (fun (name, e) ->
       check bool_t (name ^ " relation") true
         (Adm.Relation.equal
-           (exec_eval bib.schema (Lazy.force bib_stats) source e)
+           (Eval.eval bib.schema source e)
            (Eval.eval_legacy bib.schema source e));
-      check_page_identity name bib.site bib.schema (Lazy.force bib_stats) e)
+      check_page_identity name bib.site bib.schema e)
     paths
 
 (* --- pinned page-access counters (Example 7.2 literal plans) ------- *)
@@ -177,16 +170,16 @@ let test_bibliography_paths () =
 let test_pinned_literal_72_counters () =
   let site = uni.site in
   let gets_of e =
-    let _, g, _, _ = net_profile (exec_eval schema (Lazy.force stats)) site schema e in
+    let _, g, _, _ = net_profile (Eval.eval schema) site schema e in
     g
   in
   let join_gets = gets_of (Sitegen.University.fig4_pointer_join ()) in
   let chase_gets = gets_of (Sitegen.University.fig4_pointer_chase ()) in
   check int_t "pointer-join distinct GETs (default site)" 58 join_gets;
   check int_t "pointer-chase distinct GETs (default site)" 15 chase_gets;
-  check_page_identity "literal pointer-join" site schema (Lazy.force stats)
+  check_page_identity "literal pointer-join" site schema
     (Sitegen.University.fig4_pointer_join ());
-  check_page_identity "literal pointer-chase" site schema (Lazy.force stats)
+  check_page_identity "literal pointer-chase" site schema
     (Sitegen.University.fig4_pointer_chase ())
 
 (* --- early exit (LIMIT) ------------------------------------------- *)
@@ -249,9 +242,7 @@ let test_limit_truncates_exact () =
 
 let test_metrics_and_early_exit_flag () =
   let source = Eval.instance_source (Lazy.force instance) in
-  let plan = Cost.lower ~window:source.Eval.window schema (Lazy.force stats)
-      (prof_names_plan ())
-  in
+  let plan = Exec.lower schema source (prof_names_plan ()) in
   let full, m_full = Exec.run_metrics schema source plan in
   check bool_t "full pull exhausts the pipeline" true m_full.Exec.exhausted;
   check int_t "result_rows matches relation" (Adm.Relation.cardinality full)
@@ -266,9 +257,7 @@ let test_metrics_and_early_exit_flag () =
 
 let test_step_api_resumable () =
   let source = Eval.instance_source (Lazy.force instance) in
-  let plan = Cost.lower ~window:source.Eval.window schema (Lazy.force stats)
-      (prof_names_plan ())
-  in
+  let plan = Exec.lower schema source (prof_names_plan ()) in
   let full, m_full = Exec.run_metrics schema source plan in
   (* stepping to completion = running to completion *)
   let r = Exec.start schema source plan in
@@ -305,30 +294,51 @@ let test_step_api_resumable () =
   check bool_t "limit leaves the pipeline unexhausted" false
     (Exec.metrics_of rl).Exec.exhausted
 
-(* --- build-side selection ----------------------------------------- *)
+(* --- build side ---------------------------------------------------- *)
 
-let test_build_side_follows_estimates () =
-  let plan = Cost.lower schema (Lazy.force stats) (Sitegen.University.fig4_pointer_join ()) in
-  let joins =
-    Physplan.fold
-      (fun acc (o : Physplan.op) ->
-        match o.Physplan.node with
-        | Physplan.Hash_join { left; right; build_left; _ } ->
-          (left.Physplan.est, right.Physplan.est, build_left) :: acc
-        | Physplan.Fetch _ | Physplan.View_scan _ | Physplan.Filter _
-        | Physplan.Project _ | Physplan.Stream_unnest _ -> acc)
-      [] plan
+(* A hash join builds its right input and probes it with the left, so
+   a plan's join order is its build side. On the literal pointer-join
+   plan and on the same plan with the join's operands swapped, the
+   executor's state beyond the right input's rows is the same (the
+   page tables and the projection's dedup set), and both orders
+   return the same bag of rows. *)
+let test_hash_join_builds_right () =
+  let swap =
+    Nalg.map (function
+      | Nalg.Join (keys, e1, e2) -> Nalg.Join (List.map (fun (a, b) -> (b, a)) keys, e2, e1)
+      | e -> e)
   in
-  check bool_t "the pointer-join plan has a hash join" true (joins <> []);
-  List.iter
-    (fun (l, r, build_left) ->
-      match (l, r) with
-      | Some le, Some re ->
-        check bool_t "build side is the smaller estimated input"
-          (le.Physplan.est_rows < re.Physplan.est_rows)
-          build_left
-      | _ -> Alcotest.fail "cost-lowered join children carry estimates")
-    joins
+  let run e =
+    let source = Eval.instance_source (Lazy.force instance) in
+    let plan = Exec.lower schema source e in
+    let rel, m = Exec.run_metrics schema source plan in
+    let input side =
+      Physplan.fold
+        (fun acc (o : Physplan.op) ->
+          match o.Physplan.node with
+          | Physplan.Hash_join { left; right; _ } ->
+            acc + m.Exec.ops.((side left right).Physplan.id).Exec.rows_out
+          | Physplan.Fetch _ | Physplan.View_scan _ | Physplan.Filter _
+          | Physplan.Project _ | Physplan.Stream_unnest _ -> acc)
+        0 plan
+    in
+    (rel, m.Exec.state_rows, input (fun l _ -> l), input (fun _ r -> r))
+  in
+  let e = Sitegen.University.fig4_pointer_join () in
+  let rel, state, left, right = run e in
+  let rel', state', left', right' = run (swap e) in
+  check bool_t "the join's inputs differ in size" true (left <> right);
+  check bool_t "swapping trades the inputs" true (left = right' && right = left');
+  check int_t "state beyond the right input is the same in both orders"
+    (state - right) (state' - right');
+  let bag rel =
+    List.sort Adm.Value.compare_tuple
+      (List.map
+         (List.sort (fun (a, _) (b, _) -> String.compare a b))
+         (Adm.Relation.rows rel))
+  in
+  check bool_t "both orders return the same bag" true
+    (List.equal Adm.Value.equal_tuple (bag rel) (bag rel'))
 
 (* Lowering is total on well-typed expressions, so there is no
    fallback: an unnest of an attribute that is not a declared list is
@@ -380,8 +390,8 @@ let suite =
       Alcotest.test_case "resumable step API" `Quick test_step_api_resumable;
       Alcotest.test_case "metrics and early-exit flag" `Quick
         test_metrics_and_early_exit_flag;
-      Alcotest.test_case "join build side follows estimates" `Quick
-        test_build_side_follows_estimates;
+      Alcotest.test_case "a hash join builds its right input" `Quick
+        test_hash_join_builds_right;
       Alcotest.test_case "unnest of a non-list is not computable" `Quick
         test_bad_unnest_not_computable;
     ] )

@@ -682,10 +682,10 @@ let test_memo_shares_subtrees () =
    pins do not cover (bibliography, and the form-only site, whose
    plans unnest the lists of call-fetched pages). *)
 let test_candidates_lower () =
-  let lowers name schema stats (o : Planner.outcome) =
+  let lowers name schema (o : Planner.outcome) =
     List.iter
       (fun (p : Planner.plan) ->
-        match Cost.lower schema stats p.Planner.expr with
+        match Physplan.lower schema p.Planner.expr with
         | _ -> ()
         | exception e ->
           Alcotest.failf "%s: %a raised %s" name Nalg.pp p.Planner.expr
@@ -695,21 +695,21 @@ let test_candidates_lower () =
   List.iter
     (fun (name, site, sql) ->
       let schema, registry, stats = Pins.parts site in
-      lowers name schema stats (Planner.plan_sql schema stats registry sql))
+      lowers name schema (Planner.plan_sql schema stats registry sql))
     Pins.cases;
   let bib_schema, bib_registry, bib_stats =
     Pins.parts (lazy (Sitegen.Sites.load Bibliography))
   in
   List.iter
     (fun sql ->
-      lowers sql bib_schema bib_stats
+      lowers sql bib_schema
         (Planner.plan_sql bib_schema bib_stats bib_registry sql))
     Server.Workload.bibliography_templates;
   let fs = Sitegen.Sites.of_formsite (Sitegen.Formsite.build ()) in
   let fs_stats = Sitegen.Sites.stats fs in
   List.iter
     (fun sql ->
-      lowers sql fs.schema fs_stats
+      lowers sql fs.schema
         (Planner.plan_sql ?bindings:(Sitegen.Sites.bindings fs) fs.schema fs_stats
            fs.registry sql))
     Server.Workload.formsite_templates
