@@ -352,7 +352,7 @@ let exp4 () =
   let result, gets, _ = measure_plan schema site.site outcome.Planner.best.Planner.expr in
   Fmt.pr "@.measured: %d pages downloaded, %d answer rows@." gets
     (Adm.Relation.cardinality result);
-  Fmt.pr "top candidates:%a@." Explain.pp_candidates
+  Fmt.pr "top candidates:@.%a@." Explain.pp_candidates
     { outcome with Planner.candidates =
         (List.filteri (fun i _ -> i < 5) outcome.Planner.candidates) }
 

@@ -11,6 +11,15 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# The smoke runs write their output to /tmp/ci_*.$$ and the views bench
+# runs in $bench_dir; remove them however the script exits.
+bench_dir=
+cleanup() {
+  rm -f /tmp/ci_*.$$
+  if [ -n "$bench_dir" ]; then rm -rf "$bench_dir"; fi
+}
+trap cleanup EXIT
+
 echo "== dune build (ci profile) =="
 dune build --profile ci @all
 
@@ -30,7 +39,6 @@ dune exec --profile ci bin/webviews_cli.exe -- serve \
   > /tmp/ci_redownload.$$
 gets=$(sed -n 's/^wire: \([0-9]*\) GETs.*/\1/p' /tmp/ci_redownload.$$)
 distinct=$(sed -n 's/^distinct URLs on the wire: \([0-9]*\)$/\1/p' /tmp/ci_redownload.$$)
-rm -f /tmp/ci_redownload.$$
 echo "wire GETs: $gets, distinct URLs on the wire: $distinct"
 [ -n "$gets" ] && [ "$gets" = "$distinct" ] \
   || { echo "pages downloaded more than once ($gets GETs for $distinct distinct URLs)"; exit 1; }
@@ -52,7 +60,6 @@ gets=$(sed -n 's/^wire: \([0-9]*\) GETs, [0-9]* HEADs.*/\1/p' /tmp/ci_churn_budg
 heads=$(sed -n 's/^wire: [0-9]* GETs, \([0-9]*\) HEADs.*/\1/p' /tmp/ci_churn_budget.$$)
 spent=$(sed -n 's/^budget: \([0-9.]*\) units spent.*/\1/p' /tmp/ci_churn_budget.$$)
 deletes=$(sed -n 's/^policy: .* delete \([0-9]*\),.*/\1/p' /tmp/ci_churn_budget.$$)
-rm -f /tmp/ci_churn_budget.$$
 echo "wire: $gets GETs, $heads HEADs; budget: $spent units spent; $deletes pages deleted"
 [ -n "$gets" ] && [ -n "$heads" ] && [ "${deletes:-0}" -gt 0 ] \
   && [ "$spent" = "$((heads + 10 * gets)).0" ] \
@@ -64,17 +71,15 @@ echo "== views bench: planning at 500 views within 2x of 10 views =="
 # temp dir so the committed BENCH_views_timing.json stays as it is
 bench_dir=$(mktemp -d)
 (cd "$bench_dir" && "$OLDPWD/_build/default/bench/main.exe" views > views.log) \
-  || { tail -n 3 "$bench_dir/views.log"; echo "bench views failed"; rm -rf "$bench_dir"; exit 1; }
+  || { tail -n 3 "$bench_dir/views.log"; echo "bench views failed"; exit 1; }
 tail -n 3 "$bench_dir/views.log"
-rm -rf "$bench_dir"
 
 echo "== smoke views: one view-substituted query end to end =="
 dune exec --profile ci bin/webviews_cli.exe -- query --views \
   "SELECT p.PName, p.Email FROM Professor p" > /tmp/ci_views_smoke.$$
 head -n 4 /tmp/ci_views_smoke.$$
 grep -q "view Professor" /tmp/ci_views_smoke.$$ \
-  || { echo "view substitution missing from query --views"; rm -f /tmp/ci_views_smoke.$$; exit 1; }
-rm -f /tmp/ci_views_smoke.$$
+  || { echo "view substitution missing from query --views"; exit 1; }
 
 echo "== smoke bindings: form-only query planned and executed via a composition of forms =="
 dune exec --profile ci bin/webviews_cli.exe -- query --site formsite \
@@ -86,21 +91,19 @@ head -n 10 /tmp/ci_bindings_smoke.$$
 # the plan must reach the data through parameterized calls (no
 # navigation exists on the form-only site) ...
 grep -q "⇒ DeptPage" /tmp/ci_bindings_smoke.$$ \
-  || { echo "no call composition in the form-only plan"; rm -f /tmp/ci_bindings_smoke.$$; exit 1; }
+  || { echo "no call composition in the form-only plan"; exit 1; }
 # ... and return exactly the generator's rows (11 at the default
 # seed/sizes; any mismatch changes the count or the rendering)
 grep -q "(11 rows)" /tmp/ci_bindings_smoke.$$ \
-  || { echo "form-only query rows diverged from the expected answer"; rm -f /tmp/ci_bindings_smoke.$$; exit 1; }
-rm -f /tmp/ci_bindings_smoke.$$
+  || { echo "form-only query rows diverged from the expected answer"; exit 1; }
 # a covered-but-unanswerable query must fail check with E0111 (exit 2)
 status=0
 dune exec --profile ci bin/webviews_cli.exe -- check --site formsite --json \
   "SELECT P.PName FROM Professor P WHERE P.Office = 'Bldg A, room 100'" \
   > /tmp/ci_bindings_check.$$ 2>&1 || status=$?
 [ "$status" = 2 ] \
-  || { echo "check exited $status, not 2, on an unanswerable form-only query"; rm -f /tmp/ci_bindings_check.$$; exit 1; }
+  || { echo "check exited $status, not 2, on an unanswerable form-only query"; exit 1; }
 grep -q '"code":"E0111"' /tmp/ci_bindings_check.$$ \
-  || { echo "E0111 missing from check --json"; rm -f /tmp/ci_bindings_check.$$; exit 1; }
-rm -f /tmp/ci_bindings_check.$$
+  || { echo "E0111 missing from check --json"; exit 1; }
 
 echo "== ci: all green =="

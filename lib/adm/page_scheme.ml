@@ -204,9 +204,9 @@ let pp ppf ps =
     (fun ppf -> function
       | [] -> ()
       | params ->
-        Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any ",@ ") pp_param) params)
+        Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any ", ") pp_param) params)
     ps.params
-    (Fmt.list (fun ppf a -> Fmt.pf ppf ",@ %a" pp_attr a))
+    (Fmt.list ~sep:Fmt.nop (fun ppf a -> Fmt.pf ppf ",@ %a" pp_attr a))
     ps.attrs
     (Fmt.option (fun ppf u ->
          if ps.params = [] then Fmt.pf ppf "@ entry point: %s" u

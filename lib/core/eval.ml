@@ -95,13 +95,10 @@ let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
     | Nalg.Unnest (e1, attr) ->
       (* seed the unnested header with the statically-known nested
          attributes so that empty inputs keep a full header *)
-      let prefix = attr ^ "." in
       let expect =
-        List.filter
-          (fun a ->
-            String.length a > String.length prefix
-            && String.sub a 0 (String.length prefix) = prefix)
-          (Nalg.output_attrs schema e)
+        match Nalg.list_fields schema e1 attr with
+        | Some fields -> List.map (fun (f, _) -> attr ^ "." ^ f) fields
+        | None -> []
       in
       Adm.Relation.unnest ~expect attr (go e1)
     | Nalg.Follow { src; link; scheme; alias } ->

@@ -27,17 +27,18 @@ let pp_annotated ?(views = Cost.no_views) (schema : Adm.Schema.t)
       | Some _ -> Fmt.pf ppf "%sview-scan %s%s@," pad name note
       | None -> Fmt.pf ppf "%sext:%s (not computable)@," pad name)
     | Nalg.Call { c_src; c_scheme; c_alias; c_args } -> (
-      Fmt.pf ppf "%s⇒ %s [%a]%s%s@," pad (adorned c_scheme) Nalg.pp_args c_args
+      Fmt.pf ppf "%s⇒ %s [@[<h>%a@]]%s%s@," pad (adorned c_scheme) Nalg.pp_args c_args
         (if String.equal c_scheme c_alias then "" else " as " ^ c_alias)
         note;
       match c_src with None -> () | Some src -> go (indent + 2) ppf src)
     | Nalg.Select (p, e1) ->
       Fmt.pf ppf "%sσ %a%s@,%a" pad Pred.pp p note (go (indent + 2)) e1
     | Nalg.Project (attrs, e1) ->
-      Fmt.pf ppf "%sπ %a%s@,%a" pad Fmt.(list ~sep:comma string) attrs note (go (indent + 2)) e1
+      Fmt.pf ppf "%sπ %a%s@,%a" pad Fmt.(list ~sep:(any ", ") string) attrs note
+        (go (indent + 2)) e1
     | Nalg.Join (keys, e1, e2) ->
       let pp_key ppf (a, b) = Fmt.pf ppf "%s=%s" a b in
-      Fmt.pf ppf "%s⋈ %a%s@,%a%a" pad Fmt.(list ~sep:comma pp_key) keys note
+      Fmt.pf ppf "%s⋈ %a%s@,%a%a" pad Fmt.(list ~sep:(any ", ") pp_key) keys note
         (go (indent + 2)) e1 (go (indent + 2)) e2
     | Nalg.Unnest (e1, a) -> Fmt.pf ppf "%s◦ %s%s@,%a" pad a note (go (indent + 2)) e1
     | Nalg.Follow { src; link; scheme; alias } ->
@@ -79,6 +80,23 @@ let pp_physical ?estimates ?metrics () ppf (plan : Physplan.plan) =
   in
   Physplan.pp_noted note ppf plan
 
+(* One-line operator label, for pointing diagnostics at plan nodes
+   without printing whole subtrees. *)
+let node_label (e : Nalg.expr) =
+  match e with
+  | Nalg.Entry { scheme; alias } ->
+    if String.equal scheme alias then scheme else Fmt.str "%s as %s" scheme alias
+  | Nalg.External { name; _ } -> Fmt.str "ext:%s" name
+  | Nalg.Select (p, _) -> Fmt.str "σ %s" (Pred.to_string p)
+  | Nalg.Project (attrs, _) -> Fmt.str "π %s" (String.concat ", " attrs)
+  | Nalg.Join (keys, _, _) ->
+    Fmt.str "⋈ %s"
+      (String.concat ", " (List.map (fun (a, b) -> Fmt.str "%s=%s" a b) keys))
+  | Nalg.Unnest (_, a) -> Fmt.str "◦ %s" a
+  | Nalg.Follow { link; scheme; _ } -> Fmt.str "→ %s via %s" scheme link
+  | Nalg.Call { c_scheme; c_args; _ } ->
+    Fmt.str "⇒ %s [%s]" c_scheme (Fmt.str "%a" Nalg.pp_args c_args)
+
 (* Graphviz rendering of a query plan, one node per operator, in the
    visual style of the paper's figures (page relations as boxes, link
    operators as upward edges). *)
@@ -97,36 +115,15 @@ let to_dot (root : Nalg.expr) : string =
       (Fmt.str "  %s [label=\"%s\", shape=%s];\n" id (escape label) shape)
   in
   let edge a b = Buffer.add_string buf (Fmt.str "  %s -> %s;\n" a b) in
-  let rec walk (e : Nalg.expr) =
+  let shape : Nalg.expr -> string = function
+    | Nalg.Entry _ | Nalg.External _ | Nalg.Follow _ | Nalg.Call _ -> "box"
+    | Nalg.Join _ -> "diamond"
+    | Nalg.Select _ | Nalg.Project _ | Nalg.Unnest _ -> "ellipse"
+  in
+  let rec walk e =
     let id = fresh () in
-    (match e with
-    | Nalg.Entry { scheme; alias } ->
-      node id
-        (if String.equal scheme alias then scheme else Fmt.str "%s as %s" scheme alias)
-        "box"
-    | Nalg.External { name; _ } -> node id (Fmt.str "ext:%s" name) "box"
-    | Nalg.Select (p, e1) ->
-      node id (Fmt.str "σ %s" (Pred.to_string p)) "ellipse";
-      edge id (walk e1)
-    | Nalg.Project (attrs, e1) ->
-      node id (Fmt.str "π %s" (String.concat ", " attrs)) "ellipse";
-      edge id (walk e1)
-    | Nalg.Join (keys, e1, e2) ->
-      let key_label =
-        String.concat ", " (List.map (fun (a, b) -> Fmt.str "%s=%s" a b) keys)
-      in
-      node id (Fmt.str "⋈ %s" key_label) "diamond";
-      edge id (walk e1);
-      edge id (walk e2)
-    | Nalg.Unnest (e1, a) ->
-      node id (Fmt.str "◦ %s" a) "ellipse";
-      edge id (walk e1)
-    | Nalg.Follow { src; link; scheme; _ } ->
-      node id (Fmt.str "→ %s via %s" scheme link) "box";
-      edge id (walk src)
-    | Nalg.Call { c_src; c_scheme; c_args; _ } -> (
-      node id (Fmt.str "⇒ %s [%s]" c_scheme (Fmt.str "%a" Nalg.pp_args c_args)) "box";
-      match c_src with None -> () | Some src -> edge id (walk src)));
+    node id (node_label e) (shape e);
+    List.iter (fun kid -> edge id (walk kid)) (Nalg.children e);
     id
   in
   Buffer.add_string buf "digraph plan {\n  rankdir=BT;\n";
@@ -157,23 +154,6 @@ let locate (root : Nalg.expr) (path : string list) : Nalg.expr option =
         None)
   in
   go root path
-
-(* One-line operator label, for pointing diagnostics at plan nodes
-   without printing whole subtrees. *)
-let node_label (e : Nalg.expr) =
-  match e with
-  | Nalg.Entry { scheme; alias } ->
-    if String.equal scheme alias then scheme else Fmt.str "%s as %s" scheme alias
-  | Nalg.External { name; _ } -> Fmt.str "ext:%s" name
-  | Nalg.Select (p, _) -> Fmt.str "σ %s" (Pred.to_string p)
-  | Nalg.Project (attrs, _) -> Fmt.str "π %s" (String.concat ", " attrs)
-  | Nalg.Join (keys, _, _) ->
-    Fmt.str "⋈ %s"
-      (String.concat ", " (List.map (fun (a, b) -> Fmt.str "%s=%s" a b) keys))
-  | Nalg.Unnest (_, a) -> Fmt.str "◦ %s" a
-  | Nalg.Follow { link; scheme; _ } -> Fmt.str "→ %s via %s" scheme link
-  | Nalg.Call { c_scheme; c_args; _ } ->
-    Fmt.str "⇒ %s [%s]" c_scheme (Fmt.str "%a" Nalg.pp_args c_args)
 
 (* Strategy classification for the Section 7 experiments: a plan that
    joins link sets follows the pointer-join approach; a pure
@@ -224,9 +204,10 @@ let pp_fetch_report ppf (r : Eval.fetch_report) =
     (Adm.Relation.cardinality r.Eval.result)
     Websim.Fetcher.pp_report r.Eval.fetch
 
-(* Tabulate all candidates with their costs. *)
+(* Tabulate all candidates with their costs, one line each. *)
 let pp_candidates ppf (o : Planner.outcome) =
-  List.iteri
-    (fun i (p : Planner.plan) ->
-      Fmt.pf ppf "@,#%d  cost=%8.2f  %a" (i + 1) p.Planner.cost Nalg.pp p.Planner.expr)
-    o.Planner.candidates
+  let pp_one ppf (i, (p : Planner.plan)) =
+    Fmt.pf ppf "#%d  cost=%8.2f  @[<h>%a@]" i p.Planner.cost Nalg.pp p.Planner.expr
+  in
+  Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_one)
+    (List.mapi (fun i p -> (i + 1, p)) o.Planner.candidates)

@@ -8,8 +8,9 @@
    nodes finds those subtrees by physical identity, without hashing.
 
    A node carries its logical properties, each computed at most once,
-   from its children's: output attributes, available links, typed
-   environment with its own diagnostics, cost estimate and plan key.
+   from its children's: typed environment with its own diagnostics,
+   output attributes (the environment's names), available links, cost
+   estimate and plan key.
    The memo is a value of one planning run: nothing outlives it. *)
 
 type node = {
@@ -272,26 +273,6 @@ let first_judgment n =
    it, so not kept. *)
 let alias_env n = Nalg.alias_env n.expr
 
-let rec attrs m n =
-  match n.attrs with
-  | Some a -> a
-  | None ->
-    let a =
-      Nalg.node_output_attrs m.schema n.expr
-        ~kid:(fun i -> attrs m n.kids.(i))
-        ~kid_env:(fun i -> alias_env n.kids.(i))
-    in
-    n.attrs <- Some a;
-    a
-
-let links m n =
-  match n.links with
-  | Some l -> l
-  | None ->
-    let l = Nalg.links_in m.schema (alias_env n) (attrs m n) in
-    n.links <- Some l;
-    l
-
 let rec typed m n =
   match n.ty with
   | Some ty -> ty
@@ -333,6 +314,24 @@ let rec diagnostics m n =
     @ n.own
 
 let infer m n = (Typecheck.typed_env (typed m n), diagnostics m n)
+
+(* A plan's output attributes are the names of its typed environment:
+   the typing rule is the one naming rule. *)
+let attrs m n =
+  match n.attrs with
+  | Some a -> a
+  | None ->
+    let a = List.map fst (Typecheck.typed_env (typed m n)) in
+    n.attrs <- Some a;
+    a
+
+let links m n =
+  match n.links with
+  | Some l -> l
+  | None ->
+    let l = Nalg.links_in m.schema (alias_env n) (attrs m n) in
+    n.links <- Some l;
+    l
 
 let has_errors m n =
   ignore (typed m n);

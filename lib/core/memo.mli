@@ -10,9 +10,9 @@
     dedup, and the node is the key of every logical property, each
     computed at most once from the children's:
 
-    - {!attrs} and {!links} — {!Nalg.output_attrs} and
-      {!Nalg.available_links};
     - {!infer} — {!Typecheck.infer}, with the views' environments;
+    - {!attrs} and {!links} — the names of {!infer}'s environment, and
+      {!Nalg.links_in} over them;
     - {!estimate} — [Cost.estimate schema stats e e];
     - {!key} and {!key_stages} — {!Contain.key_stages}, shared by the
       plans with one multiset of key items ({!Contain.items}) and one

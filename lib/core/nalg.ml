@@ -261,45 +261,11 @@ let constraint_path_in env attr =
 let constraint_path_of_attr e attr = constraint_path_in (alias_env e) attr
 
 (* ------------------------------------------------------------------ *)
-(* Output attributes                                                   *)
+(* List fields and links                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Statically computed output attribute names of a node, from its
-   children's: [kid i] is child [i]'s attributes and [kid_env i] its
-   alias environment, each asked for only when the node needs it.
-   Nested (list) attributes are included with their type so unnest can
-   be checked. External relations contribute their attributes only
-   after binding, so here they contribute a placeholder. *)
-let rec node_output_attrs (schema : Adm.Schema.t) e ~kid ~kid_env : string list =
-  match e with
-  | Entry { scheme; alias } -> scheme_attrs schema ~scheme ~alias
-  | External { name; alias } -> [ alias ^ ".*" ^ name ]
-  | Select _ -> kid 0
-  | Project (attrs, _) -> attrs
-  | Join _ -> kid 0 @ kid 1
-  | Unnest (_, attr) ->
-    let inner =
-      match list_fields_in schema (kid_env 0) attr with
-      | Some fields -> List.map (fun (a, _) -> attr ^ "." ^ a) fields
-      | None -> []
-    in
-    List.filter (fun a -> not (String.equal a attr)) (kid 0) @ inner
-  | Follow { scheme; alias; _ } -> kid 0 @ scheme_attrs schema ~scheme ~alias
-  | Call { c_src; c_scheme; c_alias; _ } ->
-    (match c_src with None -> [] | Some _ -> kid 0)
-    @ scheme_attrs schema ~scheme:c_scheme ~alias:c_alias
-
-and scheme_attrs schema ~scheme ~alias =
-  let ps = Adm.Schema.find_scheme_exn schema scheme in
-  (alias ^ "." ^ Adm.Page_scheme.url_attr)
-  :: List.map
-       (fun (d : Adm.Page_scheme.attr_decl) -> alias ^ "." ^ d.Adm.Page_scheme.name)
-       (Adm.Page_scheme.attrs ps)
-
-(* The declared tuple type of list attribute [attr], resolved through
-   the alias environment [env]. *)
-and list_fields_in schema env attr =
-  match constraint_path_in env attr with
+let list_fields (schema : Adm.Schema.t) e attr =
+  match constraint_path_of_attr e attr with
   | None -> None
   | Some (path, _alias) -> (
     match Adm.Schema.find_scheme schema path.Adm.Constraints.scheme with
@@ -308,14 +274,6 @@ and list_fields_in schema env attr =
       match Adm.Page_scheme.resolve_path ps path.Adm.Constraints.steps with
       | Some (Adm.Webtype.List fields) -> Some fields
       | Some _ | None -> None))
-
-let rec output_attrs (schema : Adm.Schema.t) e : string list =
-  let kids = children e in
-  node_output_attrs schema e
-    ~kid:(fun i -> output_attrs schema (List.nth kids i))
-    ~kid_env:(fun i -> alias_env (List.nth kids i))
-
-let list_fields schema e attr = list_fields_in schema (alias_env e) attr
 
 type link = string * Adm.Constraints.path * string * string
 
@@ -332,10 +290,6 @@ let links_in (schema : Adm.Schema.t) env attrs : link list =
         | Some target -> Some (attr, path, alias, target)
         | None -> None))
     attrs
-
-let available_links schema e =
-  let out = output_attrs schema e in
-  links_in schema (alias_env e) out
 
 (* ------------------------------------------------------------------ *)
 (* Attribute renaming                                                  *)

@@ -123,20 +123,6 @@ val constraint_path_of_attr :
 (** The constraint path (scheme + steps) an attribute denotes,
     resolving its alias, plus that alias. *)
 
-val output_attrs : Adm.Schema.t -> expr -> string list
-(** Statically computed output attribute names. Full static
-    well-formedness checking lives in {!Typecheck}. *)
-
-val node_output_attrs :
-  Adm.Schema.t ->
-  expr ->
-  kid:(int -> string list) ->
-  kid_env:(int -> (string * string) list) ->
-  string list
-(** {!output_attrs} of a node from its children's: [kid i] and
-    [kid_env i] are child [i]'s output attributes and alias
-    environment, asked for only when the node needs them. *)
-
 val list_fields :
   Adm.Schema.t -> expr -> string -> (string * Adm.Webtype.t) list option
 (** [list_fields schema e attr] is the declared tuple type of the list
@@ -153,9 +139,6 @@ type link = string * Adm.Constraints.path * string * string
 val links_in : Adm.Schema.t -> (string * string) list -> string list -> link list
 (** The link attributes among output attributes, resolved through an
     alias environment. *)
-
-val available_links : Adm.Schema.t -> expr -> link list
-(** Link attributes in an expression's output. *)
 
 (** {1 Renaming} *)
 

@@ -272,19 +272,13 @@ let join_groups ?(judge = fun ~by_name:_ ~parent:_ ~child:_ -> ()) memo
   done;
   List.rev_map Memo.witness !roots
 
-(* Apply a deterministic rule to fixpoint (first rewrite each round,
-   at most [max_rounds] rounds). *)
-let max_rounds = 50
-
-let fixpoint memo (rule : Rewrite.rule) n =
-  let rec go k n =
-    if k = 0 then n
-    else
-      match rule memo n with
-      | [] -> n
-      | e' :: _ -> go (k - 1) (Memo.intern ~hint:n memo e')
-  in
-  go max_rounds n
+(* Rule 4 to its fixpoint, taking its first output each round. The
+   recursion ends without a cap: each step replaces a join with one of
+   its operands, so every output has one join fewer than its input. *)
+let rec rule4_fixpoint memo n =
+  match Rewrite.rule4 memo n with
+  | [] -> n
+  | e' :: _ -> rule4_fixpoint memo (Memo.intern ~hint:n memo e')
 
 (* The residual predicate of a view substitution: the selection atoms
    of the plan that reference the substituted occurrence's alias —
@@ -409,7 +403,7 @@ let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
   in
   (* Step 3: rule 4 to fixpoint on each expansion (cheap first pass) *)
   let merged =
-    List.map (fun e -> fixpoint memo Rewrite.rule4 (Memo.intern memo e)) expanded
+    List.map (fun e -> rule4_fixpoint memo (Memo.intern memo e)) expanded
   in
   (* Step 4: join reordering and rules 4, 8, 9 (and 2) over groups;
      Algorithm 1 keeps one plan per equivalence class, so the later

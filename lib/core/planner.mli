@@ -139,11 +139,11 @@ val classes : Memo.t -> Memo.node list -> Memo.node list
     Keys are computed only where two plans of different multisets of
     key items share a {!Memo.key_stages} hint. *)
 
-val fixpoint : Memo.t -> Rewrite.rule -> Memo.node -> Memo.node
-(** The rule applied to its fixpoint, taking its first output each
-    round (at most 50 rounds), each output interned
-    against the plan it rewrote. {!enumerate} runs {!Rewrite.rule4}
-    this way on every expansion before the join phase. *)
+val rule4_fixpoint : Memo.t -> Memo.node -> Memo.node
+(** {!Rewrite.rule4} applied to its fixpoint, taking its first output
+    each round, each output interned against the plan it rewrote. It
+    ends because every step removes a join. {!enumerate} runs it on
+    every expansion before the join phase. *)
 
 val enumerate :
   ?pointer_rules:bool ->

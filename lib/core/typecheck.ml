@@ -93,9 +93,9 @@ let steps (e : Nalg.expr) =
 
 (* The type of one node from its children's ([kids], in
    [Nalg.children] order), with the node's own findings in report
-   order, each with the empty path. The environment mirrors
-   [Nalg.output_attrs] name for name (same order), adding the web type
-   of each attribute; names resolve through the children's bindings. *)
+   order, each with the empty path. The environment's names, in order,
+   are the node's output attributes, each with its web type; names
+   resolve through the children's bindings. *)
 let type_node ?(views = fun (_ : string) -> None) ?occurrence:occ
     (schema : Adm.Schema.t)
     (e : Nalg.expr) (kids : typed list) : typed * Diagnostic.t list =
@@ -172,7 +172,8 @@ let type_node ?(views = fun (_ : string) -> None) ?occurrence:occ
           List.map (fun (a, ty) -> (alias ^ "." ^ a, ty)) attrs
         | None ->
           err "E0107" "external relation %s remains (not computable)" name;
-          (* placeholder matching [Nalg.output_attrs]'s arity *)
+          (* an arity-1 placeholder: the relation's attributes are
+             unknown until rule 1 replaces it *)
           [ (alias ^ ".*" ^ name, Adm.Webtype.Text) ]
       in
       typed_of env

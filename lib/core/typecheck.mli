@@ -12,8 +12,9 @@
     - [E0501]–[E0503] — view-registry lint ({!lint_registry}). *)
 
 type env = (string * Adm.Webtype.t) list
-(** Ordered output environment of a NALG expression: exactly the names
-    of [Nalg.output_attrs], in order, with their web types. *)
+(** Ordered output environment of a NALG expression: its output
+    attributes, in order, with their web types. Its names are the one
+    naming rule of output attributes ({!Memo.attrs} reads them). *)
 
 val infer :
   ?views:(string -> (string * Adm.Webtype.t) list option) ->

@@ -41,22 +41,25 @@ type t = {
   registry : View.registry;
   store : Matview.t;
   index : Viewmatch.t;
-  max_age : int; (* freshness tolerance, simulated clock ticks *)
-  head_budget : int; (* default HEAD allowance per view scan *)
   obs : (string, obs) Hashtbl.t; (* scheme -> revalidation outcomes *)
   chosen : (string, int) Hashtbl.t; (* view -> times a best plan used it *)
   extents : extent Adm.String_tbl.t; (* view -> compiled scan and extent *)
 }
 
-let create ?(max_age = 0) ?(head_budget = 64) (schema : Adm.Schema.t)
-    (registry : View.registry) (store : Matview.t) : t =
+(* The freshness tolerance in simulated clock ticks: a stored page
+   older than this counts as stale for pricing and is revalidated ahead
+   of a scan. *)
+let max_age = 0
+
+(* The HEADs one view scan may issue when its caller sets no budget. *)
+let default_head_budget = 64
+
+let create (schema : Adm.Schema.t) (registry : View.registry) (store : Matview.t) : t =
   {
     schema;
     registry;
     store;
     index = Viewmatch.make registry;
-    max_age;
-    head_budget;
     obs = Hashtbl.create 16;
     chosen = Hashtbl.create 16;
     extents = Adm.String_tbl.create 16;
@@ -151,7 +154,7 @@ let econ t : Cost.view_econ =
       let total, stale =
         Option.value (Hashtbl.find_opt per_scheme scheme) ~default:(0, 0)
       in
-      let stale = if now - access_date > t.max_age then stale + 1 else stale in
+      let stale = if now - access_date > max_age then stale + 1 else stale in
       Hashtbl.replace per_scheme scheme (total + 1, stale));
   let view name =
     match find_view t name with
@@ -227,7 +230,7 @@ let revalidate_stale ?(head_budget = max_int) ?(admit_head = fun () -> true)
   List.iter
     (fun scheme ->
       Matview.iter_scheme t.store scheme (fun ~url ~access_date ->
-          if now - access_date > t.max_age then
+          if now - access_date > max_age then
             stale := (access_date, scheme, url) :: !stale))
     schemes;
   (* Compose the admitted batch up front — the budget and the caller's
@@ -301,14 +304,11 @@ let extent_of t view =
     Option.iter (Adm.String_tbl.replace t.extents view) compiled;
     compiled
 
-let scan ?head_budget ?admit_head ?charge_get t ~view :
+let scan ?(head_budget = default_head_budget) ?admit_head ?charge_get t ~view :
     Exec.view_answer option =
   match extent_of t view with
   | None -> None
   | Some x ->
-    let head_budget =
-      match head_budget with Some b -> b | None -> t.head_budget
-    in
     let heads, gets =
       revalidate_stale ~head_budget ?admit_head ?charge_get t x.schemes
     in
@@ -339,13 +339,13 @@ let scan ?head_budget ?admit_head ?charge_get t ~view :
         va_pages = x.pages;
       }
 
-let answerer ?head_budget ?admit_head ?charge_get t : Exec.views =
+let answerer ?admit_head ?charge_get t : Exec.views =
   {
     Exec.view_attrs =
       (fun name ->
         Option.map (fun (r : View.relation) -> r.View.rel_attrs)
           (find_view t name));
-    answer = (fun ~view -> scan ?head_budget ?admit_head ?charge_get t ~view);
+    answer = (fun ~view -> scan ?admit_head ?charge_get t ~view);
   }
 
 (* ------------------------------------------------------------------ *)

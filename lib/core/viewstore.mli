@@ -12,13 +12,10 @@
 
 type t
 
-val create :
-  ?max_age:int -> ?head_budget:int ->
-  Adm.Schema.t -> View.registry -> Matview.t -> t
-(** [max_age] (site-clock ticks, default 0) is the freshness tolerance:
-    stored pages older than it count as stale for pricing and get
-    revalidated ahead of a scan. [head_budget] (default 64) bounds the
-    HEADs a single view scan may issue. *)
+val create : Adm.Schema.t -> View.registry -> Matview.t -> t
+(** A store's views. The freshness tolerance is 0 site-clock ticks:
+    every stored page older than the current tick counts as stale for
+    pricing and gets revalidated ahead of a scan. *)
 
 val store : t -> Matview.t
 val index : t -> Viewmatch.t
@@ -31,11 +28,10 @@ val econ : t -> Cost.view_econ
     never chooses it). *)
 
 val answerer :
-  ?head_budget:int -> ?admit_head:(unit -> bool) -> ?charge_get:(unit -> unit) ->
-  t -> Exec.views
+  ?admit_head:(unit -> bool) -> ?charge_get:(unit -> unit) -> t -> Exec.views
 (** The executor's view of the store. A scan revalidates the stalest
     pages under the view oldest-first, ties by scheme then URL — at
-    most [head_budget] HEADs (default: the store-wide budget), each
+    most 64 HEADs, each
     gated by [admit_head] (the churn runtime's wire budget), which is
     asked once per admitted HEAD plus once for a refusal that ends the
     pass, and never once the budget is spent — then evaluates the view's
@@ -55,8 +51,9 @@ val answerer :
 val scan :
   ?head_budget:int -> ?admit_head:(unit -> bool) -> ?charge_get:(unit -> unit) ->
   t -> view:string -> Exec.view_answer option
-(** One view scan, as {!answerer} performs it. [None] when the view is
-    unknown or has no complete navigation bindings. *)
+(** One view scan, as {!answerer} performs it, with at most
+    [head_budget] HEADs (default 64). [None] when the view is unknown
+    or has no complete navigation bindings. *)
 
 val observe : t -> string -> changed:bool -> unit
 (** Feed one revalidation outcome for a scheme into the change-rate

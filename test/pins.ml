@@ -176,7 +176,7 @@ let block (name, site, sql) =
 let seeds memo registry sql =
   let q, _ = Contain.minimize_query registry (Sql_parser.parse registry sql) in
   View.expand registry (Conjunctive.to_algebra q)
-  |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
+  |> List.map (fun e -> Planner.rule4_fixpoint memo (Memo.intern memo e))
 
 (* The join phase as whole plans: the closure of the seeds under the
    join rules, every join order a plan of its own. The planner runs

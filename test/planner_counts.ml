@@ -21,7 +21,7 @@ let join_classes stats sql =
   let memo = Memo.create U.schema stats in
   let seeds =
     View.expand U.view (Conjunctive.to_algebra q)
-    |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
+    |> List.map (fun e -> Planner.rule4_fixpoint memo (Memo.intern memo e))
   in
   let keys plans = List.sort_uniq String.compare (List.map (Memo.key memo) plans) in
   ( keys (Planner.join_groups memo (Planner.join_steps ~pointer_rules:true) seeds),

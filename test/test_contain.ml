@@ -644,7 +644,7 @@ let closure_plans sql =
   let memo = Memo.create schema (Stats.create ()) in
   let seeds =
     View.expand registry (Conjunctive.to_algebra (parse sql))
-    |> List.map (fun e -> Planner.fixpoint memo Rewrite.rule4 (Memo.intern memo e))
+    |> List.map (fun e -> Planner.rule4_fixpoint memo (Memo.intern memo e))
   in
   let prefix seeds k plans = List.filteri (fun i _ -> i < List.length seeds + k) plans in
   let joins =

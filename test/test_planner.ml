@@ -516,6 +516,7 @@ let context_agrees ?memo ~what schema stats (plans : Nalg.expr list) =
   let memo = match memo with Some m -> m | None -> Memo.create schema stats in
   let root = Memo.intern memo (List.hd plans) in
   let outcome f x = match f x with v -> Ok v | exception ex -> Error (Printexc.to_string ex) in
+  let names e = List.map fst (fst (Typecheck.infer schema e)) in
   let mismatches = ref [] in
   let agree property e same =
     if not same then mismatches := (property ^ " of " ^ Nalg.to_string e) :: !mismatches
@@ -528,10 +529,11 @@ let context_agrees ?memo ~what schema stats (plans : Nalg.expr list) =
           agree "walk" sub (Memo.intern memo sub == n);
           agree "expr" sub (Nalg.equal sub (Memo.expr n));
           agree "attrs" sub
-            (outcome (Nalg.output_attrs schema) sub = outcome (Memo.attrs memo) n);
+            (outcome names sub = outcome (Memo.attrs memo) n);
           agree "alias env" sub (Nalg.alias_env sub = Memo.alias_env n);
           agree "links" sub
-            (outcome (Nalg.available_links schema) sub = outcome (Memo.links memo) n);
+            (outcome (fun e -> Nalg.links_in schema (Nalg.alias_env e) (names e)) sub
+            = outcome (Memo.links memo) n);
           let inferred = Typecheck.infer schema sub in
           agree "infer" sub (inferred = Memo.infer memo n);
           agree "errors" sub
