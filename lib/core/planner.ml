@@ -5,12 +5,13 @@
    2. replace each external relation with its default navigations in
       all possible ways (rule 1);
    3. eliminate repeated navigations (rule 4);
-   4. push and prune joins (rules 8 and 9), then keep the cheapest
-      plan of each equivalence class;
+   4. push and prune joins (rules 8 and 9) over groups, keeping one
+      root group per equivalence class;
    5. push selections (rule 6 + commutation);
    6/7. push projections and eliminate unnecessary navigations
       (rules 7, 3, 5 — the [prune] pass);
-   8. estimate the cost of every candidate and pick the cheapest. *)
+   8. estimate the cost of every candidate and pick the cheapest.
+   Steps 5–7 extract one candidate per class ([extract]). *)
 
 type plan = { expr : Nalg.expr; cost : float; card : float }
 
@@ -67,13 +68,6 @@ let rename_output (o : outcome) rel =
     Adm.Relation.of_arrays o.select (Adm.Relation.rows_arrays rel)
   else rel
 
-(* The rules of the three closure phases (steps 4, 5 and 6/7). *)
-let join_rules ~pointer_rules =
-  (* reordering exposes repeated / joinable navigations that the
-     left-deep FROM-order tree hides *)
-  [ Rewrite.rule4; Rewrite.join_commute; Rewrite.join_rotate ]
-  @ if pointer_rules then [ Rewrite.rules8_9; Rewrite.rule2 ] else []
-
 (* The join rules at one position, for the join groups: each output
    comes with the renaming of attribute names it applies above the
    rewritten join, rule 4's or the identity. *)
@@ -84,41 +78,6 @@ let plain at m w i = List.map (fun e -> (e, Fun.id)) (at m w i)
 let join_steps ~pointer_rules =
   [ Rewrite.rule4_at; plain Rewrite.join_commute_at; plain Rewrite.join_rotate_at ]
   @ if pointer_rules then [ plain Rewrite.rules8_9_at; plain Rewrite.rule2_at ] else []
-
-let selection_rules = [ Rewrite.rule6 ]
-let projection_rules = [ Rewrite.rule7_replace ]
-
-(* Closure of a set of plans under one-step rewritings, deduplicated
-   by their memo nodes (structural identity), in breadth-first order.
-   Each rule output is interned against the plan it rewrote, so only
-   its rebuilt nodes are visited. [on_rewrite] fires on every rule
-   application, before deduplication — the planner hooks the
-   rewrite-soundness check here. *)
-let closure ?(on_rewrite = fun ~parent:_ ~child:_ -> ()) memo
-    (rules : Rewrite.rule list) (seeds : Memo.node list) =
-  let seen = Memo.visit memo in
-  let out = ref [] in
-  let queue = Queue.create () in
-  let add n =
-    if Memo.first_visit seen n then begin
-      out := n :: !out;
-      Queue.add n queue
-    end
-  in
-  List.iter add seeds;
-  while not (Queue.is_empty queue) do
-    let n = Queue.pop queue in
-    List.iter
-      (fun rule ->
-        List.iter
-          (fun e' ->
-            let n' = Memo.intern ~hint:n memo e' in
-            on_rewrite ~parent:n ~child:n';
-            add n')
-          (rule memo n))
-      rules
-  done;
-  List.rev !out
 
 (* One plan per equivalence class ({!Memo.key}) of [plans], the first
    of each, in order. Plans with different key hints are in different
@@ -280,6 +239,16 @@ let rec rule4_fixpoint memo n =
   | [] -> n
   | e' :: _ -> rule4_fixpoint memo (Memo.intern ~hint:n memo e')
 
+(* Steps 5–7 for one class, from its root group: sink the selections
+   into the cheapest member of every group and the cheapest rule-6
+   form, then prune in the cheapest rule-7 form. [extract m] keeps its
+   sinking choices for every class it is applied to. *)
+let extract ?(constraint_selections = true) memo =
+  let sink = Rewrite.sink ~rule6:constraint_selections memo in
+  fun root ->
+    let n = sink root in
+    Memo.intern ~hint:n memo (Rewrite.prune ~rule7:true memo n)
+
 (* The residual predicate of a view substitution: the selection atoms
    of the plan that reference the substituted occurrence's alias —
    what the executor still filters above the view scan. *)
@@ -354,7 +323,6 @@ let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
         ((if by_name then Typecheck.judge_reordering else Typecheck.judge)
            ~parent:(Memo.infer memo parent) ~child:(Memo.infer memo child))
   in
-  let on_rewrite = judge ~by_name:false in
   (* Semantic minimization first (Contain): fold FROM occurrences
      equated on declared keys (bag-sound), normalize the WHERE
      conjunction, report provable emptiness. The minimized query has
@@ -364,7 +332,11 @@ let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
     if minimize then begin
       let q', ds = Contain.minimize_query registry q in
       List.iter diag ds;
-      q'
+      (* a query proved unsatisfiable is planned with the always-false
+         atom for its WHERE, which sinking puts on an entry page *)
+      if List.exists (fun (d : Diagnostic.t) -> String.equal d.Diagnostic.code "E0601") ds then
+        { q' with Conjunctive.where = [ Pred.falsum ] }
+      else q'
     end
     else q
   in
@@ -411,21 +383,16 @@ let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
   let representatives =
     classes memo (join_groups ~judge memo (join_steps ~pointer_rules) merged)
   in
-  (* Step 5: closure under rule 6, then sink selections, into the
-     cheapest member of every group the plan reaches *)
-  let with_selections =
-    (if constraint_selections then
-       closure ~on_rewrite memo selection_rules representatives
-     else representatives)
-    |> List.map (Rewrite.sink memo)
-  in
-  (* Steps 6/7: move projected attributes to the source side of link
-     constraints (rule 7), then prune unneeded unnests and navigations
-     — together these drop navigations that only read replicated
-     values *)
-  let with_projections =
-    closure ~on_rewrite memo projection_rules with_selections
-    |> List.map (fun n -> Memo.intern ~hint:n memo (Rewrite.prune memo n))
+  (* Steps 5–7: one candidate per class, judged against the class's
+     plan *)
+  let extract = extract ~constraint_selections memo in
+  let extracted =
+    List.map
+      (fun r ->
+        let n = extract r in
+        judge ~by_name:false ~parent:r ~child:n;
+        n)
+      representatives
   in
   (* Step 2'': binding-pattern access paths — on sites whose data sits
      behind parameterized forms, an equivalent-rewriting search over
@@ -456,7 +423,7 @@ let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
            end
            else true)
   in
-  let navigations = gate with_projections in
+  let navigations = gate extracted in
   (* Semantic dedup: plans whose tableaux are isomorphic
      (Contain.plan_key) are the same query written differently — keep
      the cheapest of each class. The navigation plans entered the
@@ -492,7 +459,7 @@ let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
     {
       best;
       candidates;
-      explored = List.length with_projections + List.length bypassing;
+      explored = List.length extracted + List.length bypassing;
       merged = List.length gated - List.length kept;
       select = q.Conjunctive.select;
       view_used;

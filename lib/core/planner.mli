@@ -2,15 +2,16 @@
     conjunctive query to algebra over external relations, expand
     default navigations (rule 1), eliminate repeated navigations
     (rule 4), push and prune joins (rules 8/9 with join reordering)
-    over groups of equivalent subexpressions, push selections (rule 6
-    + commutation, into each class's cheapest join order) and projections (rules 3/5/7 via pruning),
-    then cost every candidate and keep the cheapest.
+    over groups of equivalent subexpressions, then extract one
+    candidate per class with its selections (rule 6 + commutation) and
+    projections (rules 3/5/7 via pruning) pushed, and keep the
+    cheapest.
 
     Every stage of one {!enumerate} call works on the nodes of one
     interned plan memo ({!Memo}): each distinct subtree is hashed
     once, shallowly, and a rule output is interned against the plan it
     rewrote, so only its rebuilt nodes are visited. That intern step
-    is the closures' and the soundness check's dedup, and each node's
+    is the join phase's and the soundness check's dedup, and each node's
     output attributes, links, typed environment, cost estimate and
     plan key are computed once, from its children's, and reused by
     every later stage. The memo lives exactly as long as the call; the
@@ -44,12 +45,13 @@ type substitution = {
 
 type outcome = {
   best : plan;
-  candidates : plan list;  (** all candidates, sorted by cost *)
+  candidates : plan list;
+      (** the well-typed, distinct plans of [explored] left after
+          semantic deduplication, sorted by cost *)
   explored : int;
-      (** the plans that reached the costing stage: the navigation
-          plans the selection and projection phases produced from one
-          plan per equivalence class, plus the view-scan and
-          binding-pattern plans *)
+      (** the plans that reached the typecheck gate: one navigation
+          plan extracted per equivalence class of the join phase, plus
+          the view-scan and binding-pattern plans *)
   merged : int;
       (** view-scan and binding-pattern plans dropped by semantic
           deduplication — an equivalent plan (same
@@ -74,19 +76,12 @@ val rename_output : outcome -> Adm.Relation.t -> Adm.Relation.t
 
 (** {1 Rewrite phases}
 
-    The join phase runs over groups ({!join_groups}); the selection
-    phase (rule 6, then {!Rewrite.sink} of each plan into the cheapest
-    member of every group it reaches) and the projection phase
-    ({!Rewrite.rule7_replace}, then {!Rewrite.prune}) are closures
-    over whole plans ({!closure}), started from one root group per
-    equivalence class ({!classes}). A closure applies the rules in
-    list order, and each rule yields its outputs in pre-order, so the
-    exploration order is fixed. *)
-
-val join_rules : pointer_rules:bool -> Rewrite.rule list
-(** The join phase's rules as whole-plan rewritings: rule 4,
-    commutation, rotation, then with [pointer_rules] rules 8/9 and 2.
-    The tests hold {!join_groups} to {!closure} over them. *)
+    The join phase runs over groups ({!join_groups}), and {!classes}
+    keeps one root group per equivalence class. The selection and
+    projection phases are choices the extraction of each class makes
+    ({!extract}): the cheapest member of every group, rule-6 form of
+    every selection and rule-7 form of the top projection, a tie going
+    to the one met first (the unrewritten form before its rewrites). *)
 
 type join_step = (Nalg.expr * (string -> string)) Rewrite.at
 (** A join rule at one position, each output with the renaming of
@@ -94,22 +89,10 @@ type join_step = (Nalg.expr * (string -> string)) Rewrite.at
     identity for the others). *)
 
 val join_steps : pointer_rules:bool -> join_step list
-(** {!join_rules} at one position each, in the same order. *)
-
-val selection_rules : Rewrite.rule list
-val projection_rules : Rewrite.rule list
-
-val closure :
-  ?on_rewrite:(parent:Memo.node -> child:Memo.node -> unit) ->
-  Memo.t ->
-  Rewrite.rule list ->
-  Memo.node list ->
-  Memo.node list
-(** Closure of a seed set under one-step rewritings, deduplicated by
-    memo node (structural identity, {!Nalg.equal}): the seeds, then
-    every plan reached, in breadth-first order. Each rule output is
-    interned against the plan it rewrote. [on_rewrite] fires on every rule application,
-    before deduplication. *)
+(** The join phase's rules at one position each: rule 4,
+    commutation, rotation, then with [pointer_rules] rules 8/9 and 2.
+    The tests hold {!join_groups} to the whole-plan closure of the same
+    rules. *)
 
 val join_groups :
   ?judge:(by_name:bool -> parent:Memo.node -> child:Memo.node -> unit) ->
@@ -139,6 +122,11 @@ val classes : Memo.t -> Memo.node list -> Memo.node list
     Keys are computed only where two plans of different multisets of
     key items share a {!Memo.key_stages} hint. *)
 
+val extract : ?constraint_selections:bool -> Memo.t -> Memo.node -> Memo.node
+(** One class's candidate from its root group (a plan of {!classes}):
+    {!Rewrite.sink}[ ~rule6:constraint_selections] (default [true]),
+    then {!Rewrite.prune}[ ~rule7:true]. *)
+
 val rule4_fixpoint : Memo.t -> Memo.node -> Memo.node
 (** {!Rewrite.rule4} applied to its fixpoint, taking its first output
     each round, each output interned against the plan it rewrote. It
@@ -161,11 +149,11 @@ val enumerate :
     outcome diagnostics; the original SELECT names are kept for
     {!rename_output}). No phase truncates its search: every plan the
     rules reach is explored. The join phase runs over groups
-    ({!join_groups}), one root group per equivalence class goes on to
-    the selection and projection phases, and sinking each plan's
-    selections picks the cheapest member of every group it reaches, so
-    a class is planned by its cheapest join order for its selections.
-    Every rewrite step is checked by {!Typecheck.judge};
+    ({!join_groups}), and one candidate is extracted per equivalence
+    class ({!extract}) and judged against its class's plan. A query
+    {!Contain.minimize_query} proves unsatisfiable ([E0601]) is
+    planned with {!Pred.falsum} for its WHERE, which sinking puts on an
+    entry page. Every rewrite is checked by {!Typecheck.judge};
     ill-typed candidates are rejected before costing, and view-scan
     and binding-pattern plans equivalent under {!Contain.plan_key} are
     deduplicated after the cost sort ([merged]). [views] opens

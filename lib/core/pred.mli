@@ -23,9 +23,12 @@ val orient : atom -> atom
     comparisons with sorted operands, strict orders written Lt/Le.
     Truth-preserving (including Null refutation). *)
 
+val falsum : atom
+(** The always-false atom [true = false]. *)
+
 val normalize : t -> t
 (** Normal form: oriented, constant-folded, sorted, deduped;
-    the one always-false atom [true = false] when refuted (constant
+    [[falsum]] when refuted (constant
     comparisons fold, and so do self-comparisons no value satisfies:
     [x < x], [x > x], [x <> x]). Idempotent, semantics-preserving. *)
 

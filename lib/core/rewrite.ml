@@ -8,9 +8,10 @@
      needed attribute (implemented together as [prune]);
    - rule 4: eliminate repeated navigations under a join;
    - rule 6: move a selection across a link constraint (and standard
-     selection sinking);
+     selection sinking, which can choose among rule 6's forms);
    - rule 7: projection pushing (standard, via neededness analysis in
-     [prune]; the literal rule is exposed for tests);
+     [prune], which can choose among the rule's forms; the literal
+     rule is exposed for tests);
    - rule 8: pointer join — join link sets before navigating;
    - rule 9: pointer chase — replace a join by a navigation, justified
      by an inclusion constraint.
@@ -420,40 +421,63 @@ let rules8_9_at m w i = rules8_9_of m (pointer_matches_at m w i)
 (* Rule 6: moving selections across link constraints                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The follows of [e], in pre-order. *)
+let follows_of e = List.rev (fold (fun acc -> function Follow fl -> fl :: acc | _ -> acc) [] e)
+
+(* [x] and every form [steps] reaches from it, each once, in
+   breadth-first order. *)
+let forms equal steps x =
+  let seen = ref [ x ] and queue = Queue.create () in
+  Queue.add x queue;
+  while not (Queue.is_empty queue) do
+    List.iter
+      (fun y ->
+        if not (List.exists (equal y) !seen) then begin
+          seen := y :: !seen;
+          Queue.add y queue
+        end)
+      (steps (Queue.pop queue))
+  done;
+  List.rev !seen
+
 (* For a selection atom on attribute P3.B (alias a3) where a3 is the
    target of a Follow over link L carrying constraint A = B, the atom
-   can equivalently test A on the source side. One rewriting step per
-   applicable (atom, constraint); closure is taken by the planner. *)
+   can equivalently test A on the source side. The one-step rewritings
+   of a conjunction [p] over a subplan with [follows]: one per
+   applicable (atom, follow, constraint), in that order. *)
+let rule6_steps schema follows (p : Pred.t) =
+  List.concat_map
+    (fun (atom : Pred.atom) ->
+      (* any comparison against a constant qualifies: A = B makes
+         σ_{B ⊙ v} ≡ σ_{A ⊙ v} for every comparison ⊙ *)
+      match atom.Pred.left, atom.Pred.right with
+      | Pred.Attr attr, Pred.Const _ | Pred.Const _, Pred.Attr attr ->
+        (* the atom testing [a] in [attr]'s place *)
+        let reread a =
+          match atom.Pred.left with
+          | Pred.Attr _ -> { atom with Pred.left = Pred.Attr a }
+          | Pred.Const _ -> { atom with Pred.right = Pred.Attr a }
+        in
+        List.concat_map
+          (fun fl ->
+            List.map
+              (fun source_attr ->
+                let atom' = reread source_attr in
+                List.map (fun a -> if a == atom then atom' else a) p)
+              (source_attrs schema fl attr))
+          follows
+      | _ -> [])
+    p
+
 let rule6 m root =
   let schema = Memo.schema m in
   let w = Memo.walk m root in
   Memo.concat_map w (fun i ->
       match Memo.sub w i with
       | Select (p, e1) ->
-        let follows = follows_within w (Memo.child w i 0) in
-        List.concat_map
-          (fun (atom : Pred.atom) ->
-            (* any comparison against a constant qualifies: A = B makes
-               σ_{B ⊙ v} ≡ σ_{A ⊙ v} for every comparison ⊙ *)
-            match atom.Pred.left, atom.Pred.right with
-            | Pred.Attr attr, Pred.Const _ | Pred.Const _, Pred.Attr attr ->
-              (* the atom testing [a] in [attr]'s place *)
-              let reread a =
-                match atom.Pred.left with
-                | Pred.Attr _ -> { atom with Pred.left = Pred.Attr a }
-                | Pred.Const _ -> { atom with Pred.right = Pred.Attr a }
-              in
-              List.concat_map
-                (fun (_, fl) ->
-                  List.map
-                    (fun source_attr ->
-                      let atom' = reread source_attr in
-                      Memo.rebuild w i
-                        (Select (List.map (fun a -> if a == atom then atom' else a) p, e1)))
-                    (source_attrs schema fl attr))
-                follows
-            | _ -> [])
-          p
+        List.map
+          (fun p' -> Memo.rebuild w i (Select (p', e1)))
+          (rule6_steps schema (follows_of e1) p)
       | _ -> [])
 
 (* ------------------------------------------------------------------ *)
@@ -462,10 +486,26 @@ let rule6 m root =
 
 let subset attrs available = List.for_all (fun a -> List.mem a available) attrs
 
+(* The cheapest of [xs] by {!Memo.estimate} — a well-typed one
+   before an ill-typed one, the first on a tie; typed only as far as
+   the cheapest well-typed one. *)
+let cheapest m = function
+  | [ x ] -> x
+  | xs -> (
+    let by_cost =
+      List.stable_sort
+        (fun x y -> Float.compare (Memo.estimate m x).Cost.cost (Memo.estimate m y).Cost.cost)
+        xs
+    in
+    match List.find_opt (fun x -> not (Memo.has_errors m x)) by_cost with
+    | Some x -> x
+    | None -> List.hd by_cost)
+
 (* Push every selection atom to the lowest operator that provides its
-   attributes. Equalities implied by link constraints are not used
-   here — that is rule 6's job; this is plain commutation. *)
-let sink (m : Memo.t) =
+   attributes. Without [rule6] this is plain commutation; with it,
+   each selection's conjunction is also placed in each of its rule-6
+   forms, and the cheapest placement is kept. *)
+let sink ?(rule6 = false) (m : Memo.t) =
   (* the atoms child [i] of [n] provides every attribute of, and the
      rest; the memo answers each child's attributes once *)
   let split atoms n i =
@@ -481,32 +521,25 @@ let sink (m : Memo.t) =
   fun (root : Memo.node) ->
   let rec place (atoms : Pred.atom list) n =
     let alts = Memo.alternatives n in
-    let id = Memo.id (match alts with first :: _ -> first | [] -> n) in
+    let id = Memo.id (List.hd alts) in
     let made = Option.value (Hashtbl.find_opt chosen id) ~default:[] in
     match List.find_opt (fun (a, _) -> List.equal Pred.atom_equal a atoms) made with
     | Some (_, x) -> x
     | None ->
-      let x =
-        match alts with
-        | [] | [ _ ] -> place_in atoms n
-        | alts -> (
-          (* typed only as far as the cheapest well-typed one *)
-          let by_cost =
-            List.stable_sort
-              (fun x y -> Float.compare (Memo.estimate m x).Cost.cost (Memo.estimate m y).Cost.cost)
-              (List.map (place_in atoms) alts)
-          in
-          match List.find_opt (fun x -> not (Memo.has_errors m x)) by_cost with
-          | Some x -> x
-          | None -> List.hd by_cost)
-      in
+      let x = cheapest m (List.map (place_in atoms) alts) in
       Hashtbl.replace chosen id ((atoms, x) :: made);
       x
   and place_in atoms n =
     let e = Memo.expr n in
     let kid i atoms = place atoms (Memo.kid n i) in
     match e with
-    | Select (p, _) -> kid 0 (atoms @ p)
+    | Select (p, e1) ->
+      let ps =
+        if rule6 then
+          forms (List.equal Pred.atom_equal) (rule6_steps (Memo.schema m) (follows_of e1)) p
+        else [ p ]
+      in
+      cheapest m (List.map (fun p -> kid 0 (atoms @ p)) ps)
     | Entry _ | External _ | Call { c_src = None; _ } -> wrap atoms n
     | Project (attrs, _) ->
       let inside, here =
@@ -536,7 +569,7 @@ let sink_selections m root = Memo.expr (sink m root)
    done by analysis instead of by materializing π nodes. Neededness
    flows top-down: the root's projection, plus every predicate, join
    key, link and unnest attribute below. *)
-let prune (m : Memo.t) (root : Memo.node) : expr =
+let prune_plan (m : Memo.t) (root : Memo.node) : expr =
   let schema = Memo.schema m in
   let rec go (needed : string list) e =
     match e with
@@ -592,33 +625,51 @@ let prune (m : Memo.t) (root : Memo.node) : expr =
   in
   go (Memo.attrs m root) (Memo.expr root)
 
-(* Rule 7 as a plan-space rewriting: a projected attribute P2.B whose
-   page is reached over a link carrying the constraint A = B can be
-   read from the source side instead (the value is replicated there —
-   the paper's "editors of VLDB'96 are already on the conference
-   page"). Combined with [prune], this eliminates whole navigations
-   whose pages only contribute replicated values. One projection
-   attribute is replaced per step; the planner takes the closure. *)
+(* Rule 7: a projected attribute P2.B whose page is reached over a
+   link carrying the constraint A = B can be read from the source side
+   instead (the value is replicated there — the paper's "editors of
+   VLDB'96 are already on the conference page"). With pruning this
+   eliminates whole navigations whose pages only contribute replicated
+   values. The one-step rewritings of a projection list [attrs] over a
+   subplan with [follows]: one per (attribute, follow, constraint), in
+   that order. *)
+let rule7_steps schema follows attrs =
+  List.concat_map
+    (fun attr ->
+      List.concat_map
+        (fun fl ->
+          List.map
+            (fun source_attr ->
+              List.map (fun a -> if String.equal a attr then source_attr else a) attrs)
+            (source_attrs schema fl attr))
+        follows)
+    attrs
+
+(* With [rule7], every rule-7 form of the top projection pruned, the
+   cheapest kept: an attribute is read from its source side where that
+   lets a navigation go. *)
+let prune ?(rule7 = false) m root =
+  match Memo.expr root with
+  | Project (attrs, e1) when rule7 ->
+    let pruned attrs' =
+      let n = Memo.make m (Project (attrs', e1)) [ Memo.kid root 0 ] in
+      Memo.intern ~hint:n m (prune_plan m n)
+    in
+    let attrs' =
+      forms (List.equal String.equal) (rule7_steps (Memo.schema m) (follows_of e1)) attrs
+    in
+    Memo.expr (cheapest m (List.map pruned attrs'))
+  | _ -> prune_plan m root
+
 let rule7_replace m root =
   let schema = Memo.schema m in
   let w = Memo.walk m root in
   Memo.concat_map w (fun i ->
       match Memo.sub w i with
       | Project (attrs, e1) ->
-        let follows = follows_within w (Memo.child w i 0) in
-        List.concat_map
-          (fun attr ->
-            List.concat_map
-              (fun (_, fl) ->
-                List.map
-                  (fun source_attr ->
-                    let attrs' =
-                      List.map (fun a -> if String.equal a attr then source_attr else a) attrs
-                    in
-                    Memo.rebuild w i (Project (attrs', e1)))
-                  (source_attrs schema fl attr))
-              follows)
-          attrs
+        List.map
+          (fun attrs' -> Memo.rebuild w i (Project (attrs', e1)))
+          (rule7_steps schema (follows_of e1) attrs)
       | _ -> [])
 
 (* Rule 7 in its literal form, for tests and documentation:

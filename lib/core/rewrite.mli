@@ -74,7 +74,7 @@ val sink_selections : Memo.t -> Memo.node -> Nalg.expr
     attributes (plain commutation; constraint moves are {!rule6}):
     [Memo.expr (sink m n)]. *)
 
-val sink : Memo.t -> Memo.node -> Memo.node
+val sink : ?rule6:bool -> Memo.t -> Memo.node -> Memo.node
 (** {!sink_selections}'s plan as a node. A subexpression that is a
     member of a {!Memo} group may be replaced by any member of its
     group ({!Memo.alternatives}): the atoms are sunk into each, and the
@@ -82,12 +82,18 @@ val sink : Memo.t -> Memo.node -> Memo.node
     an ill-typed one, the first on a tie — is kept, once per group and
     set of atoms: [sink m] keeps its choices for every plan it is
     applied to. On a plan with no group members it sinks the plan as
-    it stands. *)
+    it stands. With [rule6] (default [false]) each selection is also
+    sunk in every form {!rule6}'s closure reaches from it, and the
+    cheapest placement is kept the same way, the forms in that
+    closure's breadth-first order (the selection as written first). *)
 
-val prune : Memo.t -> Memo.node -> Nalg.expr
+val prune : ?rule7:bool -> Memo.t -> Memo.node -> Nalg.expr
 (** Rules 3 and 5 by neededness analysis: drop unnests and navigations
     contributing no needed attribute (projection pushing, rule 7, done
-    by analysis rather than π-node placement). *)
+    by analysis rather than π-node placement). With [rule7] (default
+    [false]) the plan's top projection is also pruned in every form
+    {!rule7_replace}'s closure reaches from it, and the cheapest result
+    is kept as {!sink} keeps a form. *)
 
 val rule7_replace : rule
 (** Rule 7 as a plan-space rewriting: read a projected attribute from

@@ -178,24 +178,123 @@ let seeds memo registry sql =
   View.expand registry (Conjunctive.to_algebra q)
   |> List.map (fun e -> Planner.rule4_fixpoint memo (Memo.intern memo e))
 
+(* Closure of a seed set under one-step rewritings, deduplicated by
+   memo node (structural identity): the seeds, then every plan
+   reached, in breadth-first order. A closure applies the rules in list
+   order, and each rule yields its outputs in pre-order, so the
+   exploration order is fixed. Each rule output is interned against the
+   plan it rewrote. *)
+let closure memo (rules : Rewrite.rule list) (seeds : Memo.node list) =
+  let seen = Memo.visit memo in
+  let out = ref [] in
+  let queue = Queue.create () in
+  let add n =
+    if Memo.first_visit seen n then begin
+      out := n :: !out;
+      Queue.add n queue
+    end
+  in
+  List.iter add seeds;
+  while not (Queue.is_empty queue) do
+    let n = Queue.pop queue in
+    List.iter
+      (fun rule -> List.iter (fun e' -> add (Memo.intern ~hint:n memo e')) (rule memo n))
+      rules
+  done;
+  List.rev !out
+
+(* The join phase's rules as whole-plan rewritings, in the order of
+   [Planner.join_steps ~pointer_rules:true]. *)
+let join_rules =
+  [ Rewrite.rule4; Rewrite.join_commute; Rewrite.join_rotate; Rewrite.rules8_9; Rewrite.rule2 ]
+
 (* The join phase as whole plans: the closure of the seeds under the
    join rules, every join order a plan of its own. The planner runs
    the phase over groups ([Planner.join_groups]); this is the
    reference it is held to. *)
 let join_phase memo registry sql =
-  Planner.closure memo (Planner.join_rules ~pointer_rules:true) (seeds memo registry sql)
+  closure memo join_rules (seeds memo registry sql)
 
 (* The root groups of the planner's join phase, one per class:
-   the plans the selection phase starts from. *)
+   the plans the selection and projection phases start from. *)
 let representatives memo registry sql =
   Planner.classes memo
     (Planner.join_groups memo (Planner.join_steps ~pointer_rules:true) (seeds memo registry sql))
 
-(* The selection and projection phases of [enumerate] from [seeds]:
-   the selection closure, its plans sunk (a group member into its
-   group's cheapest member), and the projection closure. *)
+(* The selection and projection phases as whole-plan closures from
+   [seeds]: the closure under rule 6, its plans sunk (plain
+   commutation, a group member into its group's cheapest member), and
+   the closure under rule 7. The planner makes the rules' choices while
+   it extracts one plan per class ([Planner.extract]); this is the
+   reference it is held to. *)
 let later_phases memo seeds =
-  let selections = Planner.closure memo Planner.selection_rules seeds in
+  let selections = closure memo [ Rewrite.rule6 ] seeds in
   let sunk = List.map (Rewrite.sink memo) selections in
-  let projections = Planner.closure memo Planner.projection_rules sunk in
+  let projections = closure memo [ Rewrite.rule7_replace ] sunk in
   (selections, sunk, projections)
+
+(* The reference's candidates from [seeds]: the later phases'
+   projection plans pruned, the well-typed ones, each once, in order. *)
+let reference memo seeds =
+  let _, _, projections = later_phases memo seeds in
+  let seen = Memo.visit memo in
+  List.filter_map
+    (fun n ->
+      let n = Memo.intern ~hint:n memo (Rewrite.prune memo n) in
+      if Memo.first_visit seen n && not (Memo.has_errors memo n) then Some n else None)
+    projections
+
+(* Where the planner departs from the whole-plan reference on a query
+   (no views, no binding patterns): per join class, when the candidate
+   [Planner.extract] makes of the class's root group has another cost
+   and cardinality than the least ones (by cost, then cardinality) of
+   the reference's candidates from that group; and when the planner's
+   best plan is not the reference's (the first of least cost of all
+   classes' candidates, in the reference's order). Empty when it does
+   not depart. *)
+let extraction_mismatches schema stats registry sql =
+  let memo = Memo.create schema stats in
+  let roots = representatives memo registry sql in
+  let est n =
+    let e = Memo.estimate memo n in
+    (e.Cost.cost, e.Cost.card)
+  in
+  let extract = Planner.extract memo in
+  let per_class =
+    List.filter_map
+      (fun r ->
+        let c = extract r in
+        match List.map est (reference memo [ r ]) with
+        | [] ->
+          if Memo.has_errors memo c then None
+          else
+            Some
+              (Printf.sprintf "class %d: a well-typed candidate, none in the reference" (Memo.id r))
+        | e :: es ->
+          let cost, card = List.fold_left min e es in
+          let cost', card' = est c in
+          if cost = cost' && card = card' then None
+          else
+            Some
+              (Printf.sprintf "class %d: candidate cost %g card %g, reference least cost %g card %g"
+                 (Memo.id r) cost' card' cost card))
+      roots
+  in
+  let best =
+    match
+      List.stable_sort
+        (fun x y -> Float.compare (fst (est x)) (fst (est y)))
+        (reference memo roots)
+    with
+    | [] -> []
+    | b :: _ ->
+      let o = Planner.plan_sql schema stats registry sql in
+      if Nalg.equal (Memo.expr b) o.Planner.best.Planner.expr then []
+      else
+        [
+          Printf.sprintf "best plan %s, reference best %s"
+            (Nalg.to_string o.Planner.best.Planner.expr)
+            (Nalg.to_string (Memo.expr b));
+        ]
+  in
+  per_class @ best

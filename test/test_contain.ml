@@ -636,8 +636,8 @@ let join_family_gen =
     | 4 -> Pins.ex72_session (dept st) (session st)
     | _ -> query_gen st
 
-(* Plans of the planner's rewrite closures (joins, then selections,
-   sunk and pruned). A closure lists its seeds first, then the plans it
+(* Plans of the rewrite closures of the planner's reference (joins,
+   then selections, sunk and pruned; [Pins.closure]). A closure lists its seeds first, then the plans it
    reaches breadth first; keeping the seeds plus the first 80 join and
    120 selection plans keeps each query's sample small. *)
 let closure_plans sql =
@@ -648,9 +648,9 @@ let closure_plans sql =
   in
   let prefix seeds k plans = List.filteri (fun i _ -> i < List.length seeds + k) plans in
   let joins =
-    prefix seeds 80 (Planner.closure memo (Planner.join_rules ~pointer_rules:true) seeds)
+    prefix seeds 80 (Pins.closure memo Pins.join_rules seeds)
   in
-  let selections = prefix joins 120 (Planner.closure memo Planner.selection_rules joins) in
+  let selections = prefix joins 120 (Pins.closure memo [ Rewrite.rule6 ] joins) in
   List.map Memo.expr joins
   @ List.map
       (fun n ->

@@ -473,6 +473,25 @@ let test_no_plan_lost_to_its_class () =
       end)
     Pins.cases
 
+(* One extraction per join class matches the whole-plan reference of
+   the selection and projection phases ([Pins.later_phases], pruned):
+   each class's candidate has the least cost and cardinality of that
+   class's reference plans, and the best plan is the reference's best.
+   On every pinned query, on [Pins.chain5] and on the 24 FROM orders of
+   the pinned Example 7.2 query. *)
+let test_extraction_matches_reference () =
+  let ex72 = Pins.ex72 "Computer Science" "Graduate" in
+  List.iter
+    (fun (name, site, sql) ->
+      let schema, registry, stats = Pins.parts site in
+      Alcotest.(check (list string))
+        (name ^ ": extraction departs from the reference")
+        []
+        (Pins.extraction_mismatches schema stats registry sql))
+    (Pins.cases
+    @ [ ("chain5", Pins.join_site, Pins.chain5) ]
+    @ List.map (fun (order, sql) -> ("ex7.2 " ^ order, Pins.join_site, sql)) (Pins.from_orders ex72))
+
 (* The planner's join groups reach exactly the classes of the join
    rules' whole-plan closure, and [Planner.classes] keeps the first
    plan of each class, in order: on every pinned query and on the
@@ -744,6 +763,8 @@ let suite =
       Alcotest.test_case "planner figure 2 query" `Quick test_planner_figure2_query;
       Alcotest.test_case "grouped search keeps the best cost" `Slow test_complete_search;
       Alcotest.test_case "one plan per class between the phases" `Quick test_classes;
+      Alcotest.test_case "one extraction per class matches the reference" `Quick
+        test_extraction_matches_reference;
       Alcotest.test_case "every candidate lowers" `Quick test_candidates_lower;
       Alcotest.test_case "planning is order-independent" `Quick test_plan_order_independent;
       Alcotest.test_case "context agrees on closure plans" `Quick test_context_closure_plans;
