@@ -18,8 +18,8 @@ test:
 # (including every SQL query the examples/ programs run), the query
 # lint, satisfiability (E0601), redundant-occurrence minimization
 # (W0602), view subsumption (W0603), trivial answerability (W0604),
-# binding patterns (E0111) and planning with the planner's equivalence
-# dedup. `check` exits 2 on any error-severity diagnostic, which fails
+# binding patterns (E0111) and planning (candidate count and best
+# cost). `check` exits 2 on any error-severity diagnostic, which fails
 # that rule, and its output is diffed against test/check_pins.expected.
 check:
 	dune build --profile ci @all

@@ -1444,7 +1444,7 @@ let analyze_bench () =
     Obj
       [
         ("site", Str (Sites.name site.kind)); ("raw", Obj (counts raw));
-        ("minimized", Obj (counts minimized @ [ ("merged", Int minimized.Planner.merged) ]));
+        ("minimized", Obj (counts minimized));
       ]
   in
   let minimization =

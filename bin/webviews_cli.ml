@@ -522,9 +522,9 @@ let json_of_query_report r =
           o.Planner.view_used
       in
       Fmt.str
-        ",\"candidates\":%d,\"merged\":%d,\"best_cost\":%.2f,\"substitutions\":[%s]"
+        ",\"candidates\":%d,\"best_cost\":%.2f,\"substitutions\":[%s]"
         (List.length o.Planner.candidates)
-        o.Planner.merged o.Planner.best.Planner.cost
+        o.Planner.best.Planner.cost
         (String.concat "," subs)
   in
   Fmt.str "{\"sql\":\"%s\"%s%s,\"diagnostics\":%s}" (json_escape r.sql) minimized
@@ -538,9 +538,9 @@ let pp_query_report ppf r =
   | _ -> ());
   Option.iter
     (fun (o : Planner.outcome) ->
-      Fmt.pf ppf "  %d candidate plan(s), %d merged as equivalent, best cost %.2f@."
+      Fmt.pf ppf "  %d candidate plan(s), best cost %.2f@."
         (List.length o.Planner.candidates)
-        o.Planner.merged o.Planner.best.Planner.cost;
+        o.Planner.best.Planner.cost;
       List.iter
         (fun (s : Planner.substitution) ->
           Fmt.pf ppf "  occurrence %s answered from view %s (≈%.1f HEAD, ≈%.1f GET)@."

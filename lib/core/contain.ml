@@ -700,312 +700,13 @@ let equiv q1 q2 =
   | Some t1, Some t2 -> contains_t t1 t2 && contains_t t2 t1
   | _ -> Nalg.equal q1 q2
 
-(* ------------------------------------------------------------------ *)
-(* Equivalence-keyed canonical form                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The key serializes a tableau under an occurrence renumbering π and
-   takes the lexicographic minimum over the renumberings that permute
-   only occurrences with the same kind/name signature. Isomorphic
-   tableaux (equal up to occurrence renaming — bag equivalence on the
-   conjunctive fragment) therefore share a key, and distinct keys are
-   possible for equivalent plans (the key is sound for deduplication,
-   not complete).
-
-   Refinement. Most same-signature occurrences are told apart by how
-   they sit in the tableau, so the minimum need not range over every
-   renumbering of a signature group. Each group is split by an
-   invariant of the occurrence that mentions no occurrence index —
-   its navigation steps with the neighbour's scheme, its unnest
-   paths, its terms with their classes' constants, sizes and output
-   positions, its residual comparisons and its classless outputs —
-   and renumberings only permute occurrences inside one refined
-   group, whose blocks are laid out in (signature, invariant) order.
-   An isomorphism between two tableaux preserves signatures and
-   invariants, so it maps refined groups onto refined groups: two
-   tableaux share a refined key exactly when they share the key over
-   whole signature groups. Whether the enumeration is attempted at all
-   (at most [perm_cap] renumberings) is still decided on the unrefined
-   groups, so exactly the same plans fall back to the structural key. *)
-
-let value_str v = Adm.Value.type_name v ^ ":" ^ Adm.Value.to_string v
-
-let bound_str = function
-  | None -> "_"
-  | Some (v, s) -> (if s then "!" else "=") ^ value_str v
-
-(* A class's constants: binding, bounds and excluded values. *)
-let class_constants c =
-  Printf.sprintf "b%s l%s h%s x%s"
-    (match c.binding with None -> "_" | Some v -> value_str v)
-    (bound_str c.lo) (bound_str c.hi)
-    (String.concat "," (List.map value_str c.excluded))
-
-let perm_cap = 720
-
-let kind_str = function Entry_occ -> "E" | External_occ -> "X" | Follow_occ -> "F"
-
-let steps_str = String.concat "."
-
-(* Kind, name and incoming link steps of every occurrence. *)
-let occ_sigs (t : tableau) =
-  let incoming = Array.make (Array.length t.occs) "" in
-  List.iter (fun (_, steps, d) -> incoming.(d) <- steps_str steps) t.navs;
-  Array.mapi
-    (fun i o ->
-      let steps = match o.kind with Follow_occ -> incoming.(i) | _ -> "" in
-      kind_str o.kind ^ "/" ^ o.name ^ "/" ^ steps)
-    t.occs
-
-(* The index-free invariant of every occurrence, as a sorted list of
-   facts joined into one string. *)
-let occ_invariants (t : tableau) =
-  let facts = Array.make (Array.length t.occs) [] in
-  let add i f = facts.(i) <- f :: facts.(i) in
-  let name i = t.occs.(i).name in
-  List.iter
-    (fun (s, steps, d) ->
-      let st = steps_str steps in
-      add s ("n>" ^ st ^ ">" ^ name d);
-      add d ("n<" ^ st ^ "<" ^ name s))
-    t.navs;
-  List.iter (fun (o, p) -> add o ("u:" ^ steps_str p)) t.unnests;
-  let positions = Array.make (Array.length t.classes) [] in
-  (match t.outputs with
-  | None -> ()
-  | Some outs ->
-    List.iteri
-      (fun k ((o, p) as term) ->
-        match Hashtbl.find_opt t.cls_of term with
-        | Some c -> positions.(c) <- string_of_int k :: positions.(c)
-        | None -> add o ("o:" ^ string_of_int k ^ ":" ^ steps_str p))
-      outs);
-  Array.iteri
-    (fun ci c ->
-      let desc =
-        Printf.sprintf "{%d %s @%s}" (List.length c.members) (class_constants c)
-          (String.concat "," (List.rev positions.(ci)))
-      in
-      List.iter (fun (o, p) -> add o ("m:" ^ steps_str p ^ desc)) c.members)
-    t.classes;
-  List.iter
-    (fun ((xo, xp), cmp, (yo, yp)) ->
-      let c = Pred.cmp_to_string cmp in
-      add xo ("r:" ^ steps_str xp ^ c ^ name yo ^ "." ^ steps_str yp);
-      add yo ("r':" ^ name xo ^ "." ^ steps_str xp ^ c ^ steps_str yp))
-    t.residuals;
-  Array.map (fun fs -> String.concat ";" (List.sort String.compare fs)) facts
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x ->
-        let rest = List.filter (fun y -> y <> x) l in
-        List.map (fun p -> x :: p) (permutations rest))
-      l
-
-(* Saturating product of the groups' factorials: stops multiplying as
-   soon as the running product passes [perm_cap], so a large group
-   (≥ 21 same-signature occurrences) cannot overflow the int, wrap
-   below the cap, and slip past the guard into an n! enumeration. *)
-let renumberings groups =
-  List.fold_left
-    (fun acc is ->
-      let rec go acc k = if acc > perm_cap || k <= 1 then acc else go (acc * k) (k - 1) in
-      go acc (List.length is))
-    1 groups
-
-(* Occurrence indices grouped by [key], groups in key order. *)
-let group_by key idxs =
-  List.map (fun i -> (key i, i)) idxs
-  |> List.stable_sort (fun (k1, _) (k2, _) -> compare k1 k2)
-  |> List.fold_left
-       (fun acc (k, i) ->
-         match acc with
-         | (k', is) :: rest when k = k' -> (k', i :: is) :: rest
-         | _ -> (k, [ i ]) :: acc)
-       []
-  |> List.rev_map (fun (k, is) -> (k, List.rev is))
-
-(* Serializer of one tableau: everything that does not depend on the
-   renumbering is rendered once; [ser pi] writes the renumbered
-   tableau into one buffer. Every part is sorted on its renumbered
-   form, so the output is a function of the renumbered tableau. *)
-let serializer (t : tableau) sigs outputs =
-  let buf = Buffer.create 256 in
-  let add = Buffer.add_string buf in
-  let add_int i = add (string_of_int i) in
-  let term_cmp (o1, p1) (o2, p2) =
-    match Int.compare o1 o2 with 0 -> String.compare p1 p2 | c -> c
-  in
-  let path (o, p) = (o, steps_str p) in
-  let add_term (o, p) = add_int o; add "."; add p in
-  let navs = List.map (fun (s, steps, d) -> (s, steps_str steps, d)) t.navs in
-  let unnests = List.map path t.unnests in
-  let classes = Array.map (fun c -> (List.map path c.members, class_constants c)) t.classes in
-  let residuals =
-    List.map (fun (x, cmp, y) -> (path x, Pred.cmp_to_string cmp, path y)) t.residuals
-  in
-  let outs =
-    List.map
-      (fun o ->
-        match Hashtbl.find_opt t.cls_of o with
-        | Some c -> Either.Left c
-        | None -> Either.Right (path o))
-      outputs
-  in
-  let by_index = Array.make (Array.length sigs) "" in
-  fun (pi : int array) ->
-    Buffer.clear buf;
-    let ren (o, p) = (pi.(o), p) in
-    Array.iteri (fun i s -> by_index.(pi.(i)) <- s) sigs;
-    Array.iteri (fun k s -> if k > 0 then add ";"; add s) by_index;
-    add "|N:";
-    List.map (fun (s, st, d) -> (pi.(s), st, pi.(d))) navs
-    |> List.sort compare
-    |> List.iter (fun (s, st, d) -> add_int s; add ">"; add st; add ">"; add_int d; add ";");
-    add "|U:";
-    List.map ren unnests |> List.sort term_cmp |> List.iter (fun u -> add_term u; add ";");
-    add "|C:";
-    (* a class is named by its least renumbered member: classes are
-       disjoint, so that member identifies it *)
-    let members = Array.map (fun (ms, _) -> List.sort term_cmp (List.map ren ms)) classes in
-    Array.to_list (Array.mapi (fun ci ms -> (ms, ci)) members)
-    |> List.sort (fun (m1, _) (m2, _) -> List.compare term_cmp m1 m2)
-    |> List.iter (fun (ms, ci) ->
-           add "{";
-           List.iteri (fun k m -> if k > 0 then add ","; add_term m) ms;
-           add "}";
-           add (snd classes.(ci));
-           add ";");
-    add "|R:";
-    List.map (fun (x, c, y) -> (ren x, c, ren y)) residuals
-    |> List.sort compare
-    |> List.iter (fun (x, c, y) -> add_term x; add c; add_term y; add ";");
-    add "|O:";
-    List.iter
-      (fun o ->
-        (match o with
-        | Either.Left ci -> add "{"; add_term (List.hd members.(ci)); add "}"
-        | Either.Right term -> add_term (ren term));
-        add ";")
-      outs;
-    Buffer.contents buf
-
-(* A hash of what a tableau keeps under every occurrence renumbering:
-   its signatures, navigations, unnests, classes (members as their
-   occurrences' signatures and paths, with the class's constants) and
-   residuals, each set summed, and its outputs in order, each as its
-   class or its occurrence's signature and path. Isomorphic tableaux
-   hash alike. *)
-let hint (t : tableau) sigs outputs =
-  let mix h = Hashtbl.hash (h : int) in
-  let sig_hash = Array.map Hashtbl.hash sigs in
-  let term (o, p) = mix (sig_hash.(o) + Hashtbl.hash (p : string list)) in
-  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
-  let value v =
-    match v with Adm.Value.Rows _ -> Hashtbl.hash (value_str v) | v -> Hashtbl.hash v
-  in
-  let bound = function None -> 0 | Some (v, s) -> mix (value v + Bool.to_int s) in
-  let classes =
-    Array.map
-      (fun c ->
-        let constants =
-          (match c.binding with None -> 0 | Some v -> value v)
-          + (3 * bound c.lo) + (5 * bound c.hi) + (7 * sum value c.excluded)
-        in
-        mix (sum term c.members + mix constants))
-      t.classes
-  in
-  let of_term o =
-    match Hashtbl.find_opt t.cls_of o with Some c -> classes.(c) | None -> term o
-  in
-  let residual (x, cmp, y) =
-    let x = of_term x and y = of_term y and c = Hashtbl.hash cmp in
-    match cmp with
-    | Pred.Neq -> mix (x + y + c)
-    | _ -> mix ((((x * 65599) + c) * 65599) + y)
-  in
-  let parts =
-    [
-      Array.fold_left (fun acc h -> acc + mix h) 0 sig_hash;
-      sum
-        (fun (s, steps, d) ->
-          mix ((sig_hash.(s) * 65599) + Hashtbl.hash (steps : string list) + (31 * sig_hash.(d))))
-        t.navs;
-      sum term t.unnests;
-      Array.fold_left (fun acc h -> acc + mix h) 0 classes;
-      sum residual t.residuals;
-      List.fold_left (fun acc o -> (acc * 65599) + of_term o) 0 outputs;
-    ]
-  in
-  List.fold_left (fun acc h -> mix ((acc * 65599) + h)) 0 parts
-
-(* The least serialization of [t] over the renumberings that permute
-   the refined groups of its signature [groups]. *)
-let least_serialization (t : tableau) sigs groups outputs =
-  let n = Array.length t.occs in
-  (* split the groups that are not already singletons *)
-  let inv = lazy (occ_invariants t) in
-  let refined =
-    List.concat_map
-      (fun (_, is) ->
-        match is with
-        | [ _ ] -> [ is ]
-        | _ -> List.map snd (group_by (fun i -> (Lazy.force inv).(i)) is))
-      groups
-  in
-  (* each refined group takes the consecutive block of new
-     positions assigned to it, in every order *)
-  let ser = serializer t sigs outputs in
-  let pi = Array.make n 0 in
-  let best = ref None in
-  let rec assign base = function
-    | [] -> (
-      let s = ser pi in
-      match !best with
-      | Some b when String.compare b s <= 0 -> ()
-      | _ -> best := Some s)
-    | is :: rest ->
-      List.iter
-        (fun perm ->
-          List.iteri (fun k i -> pi.(i) <- base + k) perm;
-          assign (base + List.length is) rest)
-        (permutations is)
-  in
-  assign 0 refined;
-  Option.get !best
-
-let key_stages (e : Nalg.expr) : int * string Lazy.t =
-  let known k = (Hashtbl.hash k, Lazy.from_val k) in
-  match of_expr e with
-  | Some t when not t.unsat -> (
-    match t.outputs with
-    | None -> known ("S:" ^ Nalg.canonical e)
-    | Some outputs ->
-      let n = Array.length t.occs in
-      let sigs = occ_sigs t in
-      let groups = group_by (fun i -> sigs.(i)) (List.init n Fun.id) in
-      if renumberings (List.map snd groups) > perm_cap then known ("S:" ^ Nalg.canonical e)
-      else (hint t sigs outputs, lazy ("T:" ^ least_serialization t sigs groups outputs)))
-  | Some t -> (
-    (* provably empty: all empty plans of one arity are equivalent *)
-    match t.outputs with
-    | Some outputs -> known (Fmt.str "T:UNSAT:%d" (List.length outputs))
-    | None -> known ("S:" ^ Nalg.canonical e))
-  | None -> known ("S:" ^ Nalg.canonical e)
-
-let plan_key e = Lazy.force (snd (key_stages e))
-
 (* The items [build] reads from one node: its occurrence, navigation,
    unnest and (oriented) atom items, each encoded as one string — a
    tag per item kind, every string but the last after its length — so
    one encoding means one item. Plans whose nodes carry the same
    multiset of items and that share their top projection build the
-   same tableau up to occurrence numbering, and [plan_key]'s ["T:"]
-   keys do not depend on that numbering: one computed key serves every
-   such plan. Two item kinds make the tableau depend on the numbering
+   same tableau up to occurrence numbering: the memo groups them as
+   one class. Two item kinds make the tableau depend on the numbering
    and get [None]: residual attribute-attribute comparisons (rewritten
    to class roots, the least term under the numbering) and calls (no
    tableau form); so do constants that are nested rows. *)

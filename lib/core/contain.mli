@@ -1,5 +1,6 @@
 (** Semantic query analysis: tableau normal form, containment,
-    equivalence, minimization and static emptiness over NALG.
+    equivalence, minimization, static emptiness and the key items of
+    the planner's equivalence classes over NALG.
 
     A computable NALG plan (or a conjunctive query's algebra over
     [External] leaves) is canonicalized into a {e tableau}: one
@@ -14,7 +15,7 @@
     "could not prove".
 
     Containment and equivalence here are {e set}-semantics statements,
-    used for lints and candidate deduplication. {!minimize_query} is
+    used for lints and view subsumption. {!minimize_query} is
     stronger: it only folds a duplicate FROM occurrence when the two
     occurrences are equated on a declared unique key
     ({!View.relation}'s [rel_keys]), which preserves results under bag
@@ -59,16 +60,14 @@ type tableau = private {
 }
 (** The canonical form, read-only; build with {!of_expr}. Occurrences
     are numbered in plan order, so the same query written differently
-    may number them differently — {!plan_key} is the
-    renumbering-independent form. *)
+    may number them differently. *)
 
 val of_expr : Nalg.expr -> tableau option
 (** Canonicalize a plan. [None] when the plan is outside the supported
     fragment (an attribute whose alias cannot be resolved, or a
     repeated alias) — callers fall back to structural comparison.
     Plans without a top-level projection canonicalize, but carry no
-    output list: {!contains} cannot relate them and {!plan_key} falls
-    back to the structural key. *)
+    output list: {!contains} cannot relate them. *)
 
 val unsat_expr : Nalg.expr -> bool
 (** Static emptiness: the plan provably returns no rows on every
@@ -90,42 +89,16 @@ val contains : Nalg.expr -> Nalg.expr -> bool
 val equiv : Nalg.expr -> Nalg.expr -> bool
 (** Containment both ways. *)
 
-val plan_key : Nalg.expr -> string
-(** Equivalence-keyed canonical form: plans whose tableaux are
-    isomorphic (equal up to occurrence renaming — bag equivalence for
-    the conjunctive fragment) share a key. The key is the least
-    serialization of the tableau over occurrence renumberings that
-    permute same-signature (kind, name, incoming link) occurrences.
-    Before enumerating, each signature group is split by an invariant
-    that mentions no occurrence index (navigation steps with the
-    neighbour's scheme, unnest paths, terms with their classes'
-    constants, sizes and output positions, residual comparisons,
-    classless outputs); renumberings only permute inside the refined
-    groups. Isomorphisms preserve the invariant, so the refinement
-    changes which plans share a key not at all — only how many
-    renumberings are tried. When the unrefined groups admit more than
-    720 renumberings, and outside the supported fragment, the key
-    falls back to {!Nalg.canonical}, so it is always at least as
-    coarse as structural identity and never merges plans it cannot
-    analyze. *)
-
-val key_stages : Nalg.expr -> int * string Lazy.t
-(** [(hint, key)]: [key] is {!plan_key}, computed when forced; [hint]
-    is a cheap hash of what the tableau keeps under every occurrence
-    renumbering (signatures, navigations, unnests, classes, residuals
-    and outputs), taken before the renumberings are enumerated. Plans
-    with equal keys have equal hints, so a plan whose hint no other
-    plan shares has a key no other plan shares. *)
-
 val items : Nalg.expr -> string list option
 (** The key items of one node (children excluded): its occurrence,
     navigation, unnest and atom items, one string each, one encoding
     per item. Plans whose nodes carry the same multiset of items and
     that share their top projection (the projection under the top
-    selections) have the same {!plan_key} whenever that key starts
-    with ["T:"]. [None] for a node whose items make the tableau depend
-    on occurrence numbering — a call, or a residual attribute-attribute
-    comparison — and for constants that are nested rows. *)
+    selections) build the same tableau up to occurrence numbering, so
+    they are one equivalence class: one {!Memo} group. [None] for a
+    node whose items make the tableau depend on occurrence numbering —
+    a call, or a residual attribute-attribute comparison — and for
+    constants that are nested rows. *)
 
 val minimize_query :
   View.registry -> Conjunctive.t -> Conjunctive.t * Diagnostic.t list

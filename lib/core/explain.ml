@@ -182,8 +182,6 @@ let pp_outcome ppf (o : Planner.outcome) =
   Fmt.pf ppf "@[<v>%d candidate plans, best cost %.2f"
     (List.length o.Planner.candidates)
     o.Planner.best.Planner.cost;
-  if o.Planner.merged > 0 then
-    Fmt.pf ppf " (%d equivalent candidate(s) merged)" o.Planner.merged;
   (match o.Planner.diagnostics with
   | [] -> ()
   | ds -> Fmt.pf ppf " (%s)" (Diagnostic.summary ds));

@@ -10,7 +10,8 @@
    A node carries its logical properties, each computed at most once,
    from its children's: typed environment with its own diagnostics,
    output attributes (the environment's names), available links, cost
-   estimate and plan key.
+   estimate and key items; and, once the join phase has met it, its
+   group.
    The memo is a value of one planning run: nothing outlives it. *)
 
 type node = {
@@ -26,7 +27,6 @@ type node = {
           is an error; set with [ty] *)
   mutable est : Cost.estimate option;
   mutable bag : bag;  (** the key items of the subtree *)
-  mutable key : (int * string Lazy.t) option;  (** hint and key *)
   mutable mark : int;  (** the last {!visit} that met the node *)
   mutable judged : bool;
   mutable group : group option;  (** set on a group's members *)
@@ -71,7 +71,7 @@ module Bags = Hashtbl.Make (struct
   let hash = hash_ids
 end)
 
-(* Interned bags with top projections, for sharing hints and keys. *)
+(* Interned bags with top projections: the groups' keys. *)
 module Keys = Hashtbl.Make (struct
   type t = int array * string list option
 
@@ -87,7 +87,6 @@ type t = {
   shapes : node Shape.t;  (** every node, by shape *)
   item_ids : (string, int) Hashtbl.t;
   bags : int array Bags.t;
-  keys : (int * string Lazy.t) Keys.t;
   groups : group Keys.t;
   occurrences : (string * string, Typecheck.typed) Hashtbl.t;
       (** [Typecheck.occurrence] per (scheme, alias) *)
@@ -114,7 +113,6 @@ let create ?(views = fun (_ : string) -> None) ?(econ = Cost.no_views) schema st
     shapes = Shape.create 1024;
     item_ids = Hashtbl.create 256;
     bags = Bags.create 256;
-    keys = Keys.create 256;
     groups = Keys.create 256;
     occurrences = Hashtbl.create 16;
     visits = 0;
@@ -206,7 +204,6 @@ let shallow m e kids =
       findings = 0;
       est = None;
       bag = Unknown;
-      key = None;
       mark = 0;
       judged = false;
       group = None;
@@ -409,30 +406,6 @@ let rec top n =
   | Nalg.Select _ -> top n.kids.(0)
   | Nalg.Project (attrs, _) -> Some attrs
   | _ -> None
-
-(* The hint and the key, shared by the plans of one bag and top
-   projection when the key is not the structural fallback. *)
-let key_stages m n =
-  match n.key with
-  | Some k -> k
-  | None ->
-    let k =
-      match bag m n with
-      | Unknown | No_items -> Contain.key_stages n.expr
-      | Bag ids -> (
-        let shape = (ids, top n) in
-        match Keys.find_opt m.keys shape with
-        | Some k -> k
-        | None ->
-          let k = Contain.key_stages n.expr in
-          if not (Lazy.is_val (snd k) && String.starts_with ~prefix:"S:" (Lazy.force (snd k)))
-          then Keys.add m.keys shape k;
-          k)
-    in
-    n.key <- Some k;
-    k
-
-let key m n = Lazy.force (snd (key_stages m n))
 
 (* ------------------------------------------------------------------ *)
 (* Groups                                                              *)

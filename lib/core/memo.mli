@@ -14,9 +14,8 @@
     - {!attrs} and {!links} — the names of {!infer}'s environment, and
       {!Nalg.links_in} over them;
     - {!estimate} — [Cost.estimate schema stats e e];
-    - {!key} and {!key_stages} — {!Contain.key_stages}, shared by the
-      plans with one multiset of key items ({!Contain.items}) and one
-      top projection.
+    - the multiset of the subtree's key items ({!Contain.items}), which
+      with the top projection names the node's group ({!member}).
 
     Each returns exactly what its context-free function returns on
     the node's expression; {!estimate} does so for plans with unique
@@ -112,21 +111,14 @@ val has_errors : t -> node -> bool
     diagnostics. *)
 
 val estimate : t -> node -> Cost.estimate
-val key : t -> node -> string
-
-val key_stages : t -> node -> int * string Lazy.t
-(** {!Contain.key_stages} of the node's plan: equal {!key}s imply
-    equal hints. The plans of one multiset of key items and top
-    projection share one key, physically, unless it is the structural
-    fallback (["S:"]); it is computed when first forced. *)
 
 (** {1 Groups}
 
     The planner's join phase runs over groups (Algorithm 1's
     equivalence classes, Cascades-style): a group holds the
     subexpressions with one multiset of key items ({!Contain.items})
-    and one top projection, which {!key_stages} already treats as one
-    class. A member of a group is a node whose children are the
+    and one top projection — plans with one tableau up to occurrence
+    numbering. A group is the planner's only equivalence class. A member of a group is a node whose children are the
     witnesses of their own groups, so it stands for one operator over
     groups: the plans a group holds are every choice of a member per
     group, top-down. A node of a [Call] or of a residual

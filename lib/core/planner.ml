@@ -5,8 +5,8 @@
    2. replace each external relation with its default navigations in
       all possible ways (rule 1);
    3. eliminate repeated navigations (rule 4);
-   4. push and prune joins (rules 8 and 9) over groups, keeping one
-      root group per equivalence class;
+   4. push and prune joins (rules 8 and 9) over groups, one root group
+      per equivalence class;
    5. push selections (rule 6 + commutation);
    6/7. push projections and eliminate unnecessary navigations
       (rules 7, 3, 5 — the [prune] pass);
@@ -42,8 +42,9 @@ type outcome = {
   candidates : plan list; (* all candidates, sorted by cost *)
   explored : int;
   merged : int;
-      (* view-scan and binding-pattern candidates dropped because an
-         equivalent (cheaper) plan kept their Contain.plan_key *)
+      (* always 0: a class is a memo group, so no candidate is merged
+         after the join phase; kept for the end-to-end benchmark's
+         planner.merged counter (bench/e2e/workloads.ml) *)
   select : string list; (* the query's output attributes, in order *)
   view_used : substitution list;
       (* view substitutions of the best plan, one per External leaf;
@@ -78,29 +79,6 @@ let plain at m w i = List.map (fun e -> (e, Fun.id)) (at m w i)
 let join_steps ~pointer_rules =
   [ Rewrite.rule4_at; plain Rewrite.join_commute_at; plain Rewrite.join_rotate_at ]
   @ if pointer_rules then [ plain Rewrite.rules8_9_at; plain Rewrite.rule2_at ] else []
-
-(* One plan per equivalence class ({!Memo.key}) of [plans], the first
-   of each, in order. Plans with different key hints are in different
-   classes, and the plans of a hint that share one key physically are
-   in one: the class is named by its hint then, and by its key only
-   where a hint holds plans of more than one multiset of key items, so
-   that is where keys are computed. *)
-let classes memo plans =
-  let hints = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      let h, k = Memo.key_stages memo n in
-      match Hashtbl.find_opt hints h with
-      | None -> Hashtbl.add hints h (k, true)
-      | Some (k', shared) -> if shared && k != k' then Hashtbl.replace hints h (k', false))
-    plans;
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun n ->
-      let h, k = Memo.key_stages memo n in
-      let c = if snd (Hashtbl.find hints h) then Either.Left h else Either.Right (Lazy.force k) in
-      (not (Hashtbl.mem seen c)) && (Hashtbl.add seen c (); true))
-    plans
 
 (* A rewrite of one group into another, to be applied to every
    operator over it: the operator over the new group, its attribute
@@ -378,11 +356,9 @@ let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
     List.map (fun e -> rule4_fixpoint memo (Memo.intern memo e)) expanded
   in
   (* Step 4: join reordering and rules 4, 8, 9 (and 2) over groups;
-     Algorithm 1 keeps one plan per equivalence class, so the later
-     phases start from one root group per class *)
-  let representatives =
-    classes memo (join_groups ~judge memo (join_steps ~pointer_rules) merged)
-  in
+     a group is Algorithm 1's equivalence class, so the later phases
+     start from one root group per class *)
+  let representatives = join_groups ~judge memo (join_steps ~pointer_rules) merged in
   (* Steps 5–7: one candidate per class, judged against the class's
      plan *)
   let extract = extract ~constraint_selections memo in
@@ -405,7 +381,7 @@ let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
   let binding_plans =
     match bindings with None -> [] | Some f -> f q_plan
   in
-  (* dedup once more; typecheck gate. Computability is relaxed to
+  (* structural dedup; typecheck gate. Computability is relaxed to
      access paths: a plan may keep External leaves when every one
      names a view the economics snapshot prices (the executor answers
      those from the store). *)
@@ -423,26 +399,16 @@ let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
            end
            else true)
   in
-  let navigations = gate extracted in
-  (* Semantic dedup: plans whose tableaux are isomorphic
-     (Contain.plan_key) are the same query written differently — keep
-     the cheapest of each class. The navigation plans entered the
-     later phases one per class already and are not keyed again; the
-     view scans and binding-pattern plans bypassed the phases; sorting
-     them first keeps cost ties in the order a dedup after the cost
-     sort would. *)
-  let by_cost = List.stable_sort (fun n1 n2 ->
-      Float.compare (Memo.estimate memo n1).Cost.cost (Memo.estimate memo n2).Cost.cost)
-  in
+  (* the view scans and binding-pattern plans bypassed the phases and
+     rejoin here *)
   let bypassing = List.map (Memo.intern memo) (view_plans @ binding_plans) in
-  let gated = by_cost (gate bypassing) in
-  let kept = classes memo gated in
   let candidates =
     List.map
       (fun n ->
         let est = Memo.estimate memo n in
         { expr = Memo.expr n; cost = est.Cost.cost; card = est.Cost.card })
-      (by_cost (navigations @ kept))
+      (gate (extracted @ bypassing))
+    |> List.stable_sort (fun p1 p2 -> Float.compare p1.cost p2.cost)
   in
   match candidates with
   | [] -> invalid_arg "Planner.enumerate: no computable plan"
@@ -460,7 +426,7 @@ let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
       best;
       candidates;
       explored = List.length extracted + List.length bypassing;
-      merged = List.length gated - List.length kept;
+      merged = 0;
       select = q.Conjunctive.select;
       view_used;
       diagnostics = List.rev !diagnostics;

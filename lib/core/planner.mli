@@ -3,7 +3,8 @@
     default navigations (rule 1), eliminate repeated navigations
     (rule 4), push and prune joins (rules 8/9 with join reordering)
     over groups of equivalent subexpressions, then extract one
-    candidate per class with its selections (rule 6 + commutation) and
+    candidate per root group — a group is Algorithm 1's equivalence
+    class — with its selections (rule 6 + commutation) and
     projections (rules 3/5/7 via pruning) pushed, and keep the
     cheapest.
 
@@ -13,7 +14,7 @@
     rewrote, so only its rebuilt nodes are visited. That intern step
     is the join phase's and the soundness check's dedup, and each node's
     output attributes, links, typed environment, cost estimate and
-    plan key are computed once, from its children's, and reused by
+    key items are computed once, from its children's, and reused by
     every later stage. The memo lives exactly as long as the call; the
     plan space, costs and diagnostics are those of the context-free
     functions. *)
@@ -46,17 +47,18 @@ type substitution = {
 type outcome = {
   best : plan;
   candidates : plan list;
-      (** the well-typed, distinct plans of [explored] left after
-          semantic deduplication, sorted by cost *)
+      (** the well-typed, structurally distinct plans of [explored],
+          sorted by cost *)
   explored : int;
       (** the plans that reached the typecheck gate: one navigation
-          plan extracted per equivalence class of the join phase, plus
-          the view-scan and binding-pattern plans *)
+          plan extracted per root group of the join phase
+          ({!join_groups}), plus the view-scan and binding-pattern
+          plans *)
   merged : int;
-      (** view-scan and binding-pattern plans dropped by semantic
-          deduplication — an equivalent plan (same
-          {!Contain.plan_key}) with lower cost was kept, so the chosen
-          plan is unaffected *)
+      (** always 0: a class is a memo group, so no plan is merged after
+          the join phase. Kept in the record only because the
+          end-to-end benchmark's [planner.merged] counter
+          (bench/e2e/workloads.ml) reads it. *)
   select : string list;  (** the query's output attributes, in order *)
   view_used : substitution list;
       (** view substitutions of the best plan; empty when the cost
@@ -76,9 +78,9 @@ val rename_output : outcome -> Adm.Relation.t -> Adm.Relation.t
 
 (** {1 Rewrite phases}
 
-    The join phase runs over groups ({!join_groups}), and {!classes}
-    keeps one root group per equivalence class. The selection and
-    projection phases are choices the extraction of each class makes
+    The join phase runs over groups ({!join_groups}); each root group
+    is one equivalence class. The selection and projection phases are
+    choices the extraction of each class makes
     ({!extract}): the cheapest member of every group, rule-6 form of
     every selection and rule-7 form of the top projection, a tie going
     to the one met first (the unrewritten form before its rewrites). *)
@@ -117,13 +119,8 @@ val join_groups :
     {!Typecheck.judge_reordering}), and every root reached from another
     root, [~by_name:false]. *)
 
-val classes : Memo.t -> Memo.node list -> Memo.node list
-(** The first plan of each equivalence class ({!Memo.key}), in order.
-    Keys are computed only where two plans of different multisets of
-    key items share a {!Memo.key_stages} hint. *)
-
 val extract : ?constraint_selections:bool -> Memo.t -> Memo.node -> Memo.node
-(** One class's candidate from its root group (a plan of {!classes}):
+(** One class's candidate from its root group (a plan of {!join_groups}):
     {!Rewrite.sink}[ ~rule6:constraint_selections] (default [true]),
     then {!Rewrite.prune}[ ~rule7:true]. *)
 
@@ -149,14 +146,13 @@ val enumerate :
     outcome diagnostics; the original SELECT names are kept for
     {!rename_output}). No phase truncates its search: every plan the
     rules reach is explored. The join phase runs over groups
-    ({!join_groups}), and one candidate is extracted per equivalence
-    class ({!extract}) and judged against its class's plan. A query
+    ({!join_groups}), and one candidate is extracted per root group
+    ({!extract}) and judged against its group's plan. A query
     {!Contain.minimize_query} proves unsatisfiable ([E0601]) is
     planned with {!Pred.falsum} for its WHERE, which sinking puts on an
     entry page. Every rewrite is checked by {!Typecheck.judge};
-    ill-typed candidates are rejected before costing, and view-scan
-    and binding-pattern plans equivalent under {!Contain.plan_key} are
-    deduplicated after the cost sort ([merged]). [views] opens
+    ill-typed candidates are rejected before costing, and a plan
+    structurally equal to one already gated is dropped. [views] opens
     registered-view access paths: each query occurrence may also
     resolve to a scan of a materialized view that subsumes it, the
     scan priced by the light-connection economics of [vc_econ]
@@ -167,8 +163,8 @@ val enumerate :
     over parameterized entry points, typically
     [Bindings.planner_hook]) for the minimized query; like view scans
     they bypass the navigation rewrites and rejoin at the costing
-    stage, subject to the same typecheck gate, semantic deduplication
-    and cost race. *)
+    stage, subject to the same typecheck gate, structural
+    deduplication and cost race. *)
 
 val plan_sql :
   ?pointer_rules:bool ->

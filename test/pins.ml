@@ -6,7 +6,7 @@
    a 20-dept/400-prof/800-course/4-session university, two constant
    sets each, and every query the examples plan. [block] prints what
    the planner decides for one of them: the best plan, every
-   candidate's cost in order, the explored and merged counts and the
+   candidate's cost in order, the explored count and the
    diagnostic codes, then the whole plan space —
    every candidate's cost, cardinality and plan text in order, and
    every diagnostic with its code, path and message. planner_pins.exe
@@ -154,7 +154,7 @@ let block (name, site, sql) =
           (List.map
              (fun (p : Planner.plan) -> Printf.sprintf "%.17g" p.Planner.cost)
              o.Planner.candidates);
-      Printf.sprintf "explored %d merged %d" o.Planner.explored o.Planner.merged;
+      Printf.sprintf "explored %d" o.Planner.explored;
       "diagnostics "
       ^ String.concat ","
           (List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) o.Planner.diagnostics);
@@ -215,11 +215,17 @@ let join_rules =
 let join_phase memo registry sql =
   closure memo join_rules (seeds memo registry sql)
 
+(* The groups of [plans], as their sorted distinct ids: each plan is
+   made a member of its group ([Memo.member]). A member added here is
+   not explored, so call it after the join phase has run on [memo]. *)
+let group_ids memo plans =
+  List.map (fun n -> Memo.gid (Option.get (Memo.group_of (Memo.member ~fresh:ignore memo n)))) plans
+  |> List.sort_uniq Int.compare
+
 (* The root groups of the planner's join phase, one per class:
    the plans the selection and projection phases start from. *)
 let representatives memo registry sql =
-  Planner.classes memo
-    (Planner.join_groups memo (Planner.join_steps ~pointer_rules:true) (seeds memo registry sql))
+  Planner.join_groups memo (Planner.join_steps ~pointer_rules:true) (seeds memo registry sql)
 
 (* The selection and projection phases as whole-plan closures from
    [seeds]: the closure under rule 6, its plans sunk (plain

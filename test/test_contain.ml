@@ -98,10 +98,7 @@ let test_equiv_permutation () =
       "SELECT q.PName FROM ProfDept e, Professor q WHERE q.Rank = 'Full' AND \
        e.PName = q.PName"
   in
-  Alcotest.(check bool) "permuted query equivalent" true (Contain.equiv a b);
-  Alcotest.(check bool)
-    "permuted query same plan key" true
-    (String.equal (Contain.plan_key a) (Contain.plan_key b))
+  Alcotest.(check bool) "permuted query equivalent" true (Contain.equiv a b)
 
 (* Regression: a closed bound touching the excluded constant still
    admits it — x >= c must not prove x <> c, and x >= c is not
@@ -117,21 +114,6 @@ let test_closed_bound_is_not_exclusion () =
   t "x<=c not equivalent to x<c" false (Contain.equiv (q "<=") (q "<"));
   t "x>c does prove x<>c" true (Contain.contains (q ">") (q "<>"));
   t "x<c does prove x<>c" true (Contain.contains (q "<") (q "<>"))
-
-(* Regression: 21 same-signature occurrences — 21! overflows a naive
-   factorial product and used to wrap below the permutation cap,
-   sending plan_key into an n! enumeration; the saturating count must
-   fall back to the structural key (and return promptly). *)
-let test_plan_key_many_way_self_join () =
-  let sql =
-    Fmt.str "SELECT p0.PName FROM %s"
-      (String.concat ", "
-         (List.init 21 (fun i -> Fmt.str "Professor p%d" i)))
-  in
-  let key = Contain.plan_key (algebra sql) in
-  Alcotest.(check bool)
-    "structural fallback past the cap" true
-    (String.length key >= 2 && String.equal (String.sub key 0 2) "S:")
 
 (* --- minimization and analyze units -------------------------------- *)
 
@@ -489,245 +471,6 @@ let test_seeded_bibliography () =
          ])
     seeds
 
-(* --- plan_key against the full-enumeration reference --------------- *)
-
-(* The reference key: the tableau serialized under every renumbering
-   that permutes same-signature occurrences, lexicographic minimum,
-   with the structural fallback past 720 renumberings — the key before
-   groups were refined. [Contain.plan_key] must induce exactly the
-   same partition of plans. *)
-let reference_key (e : Nalg.expr) =
-  let value_str v = Adm.Value.type_name v ^ ":" ^ Adm.Value.to_string v in
-  let bound_str = function
-    | None -> "_"
-    | Some (v, s) -> (if s then "!" else "=") ^ value_str v
-  in
-  let occ_sig (t : Contain.tableau) i =
-    let o = t.Contain.occs.(i) in
-    let kind =
-      match o.Contain.kind with
-      | Contain.Entry_occ -> "E"
-      | Contain.External_occ -> "X"
-      | Contain.Follow_occ -> "F"
-    in
-    let steps =
-      match o.Contain.kind with
-      | Contain.Follow_occ -> (
-        match List.find_opt (fun (_, _, d) -> d = i) t.Contain.navs with
-        | Some (_, steps, _) -> String.concat "." steps
-        | None -> "")
-      | _ -> ""
-    in
-    kind ^ "/" ^ o.Contain.name ^ "/" ^ steps
-  in
-  let rec permutations = function
-    | [] -> [ [] ]
-    | l ->
-      List.concat_map
-        (fun x ->
-          List.map (fun p -> x :: p) (permutations (List.filter (fun y -> y <> x) l)))
-        l
-  in
-  let serialize_under (t : Contain.tableau) pi outputs =
-    let term_str (o, p) = string_of_int pi.(o) ^ "." ^ String.concat "." p in
-    let sorted f l = List.map f l |> List.sort String.compare in
-    let members (c : Contain.cls) = sorted term_str c.Contain.members in
-    String.concat "|"
-      [
-        Array.to_list (Array.mapi (fun i _ -> (pi.(i), occ_sig t i)) t.Contain.occs)
-        |> List.sort compare |> List.map snd |> String.concat ";";
-        "N:"
-        ^ String.concat ";"
-            (sorted
-               (fun (s, steps, d) ->
-                 Fmt.str "%d>%s>%d" pi.(s) (String.concat "." steps) pi.(d))
-               t.Contain.navs);
-        "U:" ^ String.concat ";" (sorted term_str t.Contain.unnests);
-        "C:"
-        ^ String.concat ";"
-            (sorted
-               (fun (c : Contain.cls) ->
-                 Fmt.str "{%s}b%s l%s h%s x%s"
-                   (String.concat "," (members c))
-                   (match c.Contain.binding with None -> "_" | Some v -> value_str v)
-                   (bound_str c.Contain.lo) (bound_str c.Contain.hi)
-                   (String.concat "," (List.map value_str c.Contain.excluded)))
-               (Array.to_list t.Contain.classes));
-        "R:"
-        ^ String.concat ";"
-            (sorted
-               (fun (x, cmp, y) ->
-                 term_str x ^ Pred.cmp_to_string cmp ^ term_str y)
-               t.Contain.residuals);
-        "O:"
-        ^ String.concat ";"
-            (List.map
-               (fun o ->
-                 match Hashtbl.find_opt t.Contain.cls_of o with
-                 | Some i ->
-                   "{" ^ String.concat "," (members t.Contain.classes.(i)) ^ "}"
-                 | None -> term_str o)
-               outputs);
-      ]
-  in
-  let structural = "S:" ^ Nalg.canonical e in
-  match Contain.of_expr e with
-  | None -> structural
-  | Some t when t.Contain.unsat -> (
-    match t.Contain.outputs with
-    | Some outputs -> Fmt.str "T:UNSAT:%d" (List.length outputs)
-    | None -> structural)
-  | Some t -> (
-    match t.Contain.outputs with
-    | None -> structural
-    | Some outputs ->
-      let n = Array.length t.Contain.occs in
-      let groups =
-        List.init n (fun i -> (occ_sig t i, i))
-        |> List.sort compare
-        |> List.fold_left
-             (fun acc (s, i) ->
-               match acc with
-               | (s', is) :: rest when String.equal s s' -> (s', i :: is) :: rest
-               | _ -> (s, [ i ]) :: acc)
-             []
-        |> List.rev_map (fun (_, is) -> List.rev is)
-      in
-      let count =
-        List.fold_left
-          (fun acc is ->
-            let rec go acc k = if acc > 720 || k <= 1 then acc else go (acc * k) (k - 1) in
-            go acc (List.length is))
-          1 groups
-      in
-      if count > 720 then structural
-      else
-        let pi = Array.make n 0 in
-        let best = ref None in
-        let rec assign base = function
-          | [] ->
-            let s = serialize_under t pi outputs in
-            if match !best with Some b -> String.compare s b < 0 | None -> true then
-              best := Some s
-          | is :: rest ->
-            List.iter
-              (fun perm ->
-                List.iteri (fun k i -> pi.(i) <- base + k) perm;
-                assign (base + List.length is) rest)
-              (permutations is)
-        in
-        assign 0 groups;
-        "T:" ^ Option.get !best)
-
-(* Random university joins: the planning benchmark's five families
-   (as pinned in [Test_planner]) with random constants, plus the
-   generator above. *)
-let join_family_gen =
-  let open QCheck.Gen in
-  let pick l st = List.nth l (int_bound (List.length l - 1) st) in
-  let dept = pick [ "Computer Science"; "Mathematics"; "Physics" ] in
-  let session = pick [ "Fall"; "Winter"; "Spring" ] in
-  fun st ->
-    match int_bound 5 st with
-    | 0 -> Pins.dept_members (dept st)
-    | 1 -> Pins.fig2 (dept st)
-    | 2 -> Pins.ex71 (session st) (pick [ "Full"; "Associate"; "Assistant" ] st)
-    | 3 -> Pins.ex72 (dept st) (pick [ "Graduate"; "Undergraduate" ] st)
-    | 4 -> Pins.ex72_session (dept st) (session st)
-    | _ -> query_gen st
-
-(* Plans of the rewrite closures of the planner's reference (joins,
-   then selections, sunk and pruned; [Pins.closure]). A closure lists its seeds first, then the plans it
-   reaches breadth first; keeping the seeds plus the first 80 join and
-   120 selection plans keeps each query's sample small. *)
-let closure_plans sql =
-  let memo = Memo.create schema (Stats.create ()) in
-  let seeds =
-    View.expand registry (Conjunctive.to_algebra (parse sql))
-    |> List.map (fun e -> Planner.rule4_fixpoint memo (Memo.intern memo e))
-  in
-  let prefix seeds k plans = List.filteri (fun i _ -> i < List.length seeds + k) plans in
-  let joins =
-    prefix seeds 80 (Pins.closure memo Pins.join_rules seeds)
-  in
-  let selections = prefix joins 120 (Pins.closure memo [ Rewrite.rule6 ] joins) in
-  List.map Memo.expr joins
-  @ List.map
-      (fun n ->
-        let sunk = Memo.intern ~hint:n memo (Rewrite.sink_selections memo n) in
-        Rewrite.prune memo sunk)
-      selections
-
-(* Each key is a function of the other over [plans]: the two induce
-   the same partition. *)
-let same_partition keys refs =
-  let functional xs ys =
-    let tbl = Hashtbl.create 64 in
-    List.for_all2
-      (fun x y ->
-        match Hashtbl.find_opt tbl x with
-        | Some y' -> String.equal y y'
-        | None ->
-          Hashtbl.add tbl x y;
-          true)
-      xs ys
-  in
-  functional keys refs && functional refs keys
-
-let prop_plan_key_matches_reference =
-  QCheck.Test.make ~name:"plan_key partitions closure plans like the reference key"
-    ~count:24
-    (QCheck.make ~print:Fun.id join_family_gen)
-    (fun sql ->
-      let plans = closure_plans sql in
-      same_partition
-        (List.map Contain.plan_key plans)
-        (List.map reference_key plans))
-
-(* Plans with one key have one hint, so classes told apart by their
-   hints are never one class. *)
-let prop_hint_follows_key =
-  QCheck.Test.make ~name:"plans with equal keys have equal key hints" ~count:24
-    (QCheck.make ~print:Fun.id join_family_gen)
-    (fun sql ->
-      let stages = List.map Contain.key_stages (closure_plans sql) in
-      List.for_all
-        (fun (h1, k1) ->
-          List.for_all
-            (fun (h2, k2) -> h1 = h2 || not (String.equal (Lazy.force k1) (Lazy.force k2)))
-            stages)
-        stages)
-
-(* Renaming every alias (to names that sort the other way round)
-   leaves the key unchanged. *)
-let prop_plan_key_alias_invariant =
-  QCheck.Test.make ~name:"plan_key is invariant under alias renaming" ~count:24
-    (QCheck.make ~print:Fun.id join_family_gen)
-    (fun sql ->
-      List.for_all
-        (fun e ->
-          let renamed =
-            List.fold_left
-              (fun (e, k) alias ->
-                (Nalg.rename_alias ~from:alias ~into:(Fmt.str "z%d_%s" k alias) e, k - 1))
-              (e, 99) (Nalg.aliases e)
-            |> fst
-          in
-          String.equal (Contain.plan_key e) (Contain.plan_key renamed))
-        (closure_plans sql))
-
-(* On a 4-way join the closure holds many isomorphic plans: the
-   partition is far from trivial, and identical to the reference. *)
-let test_plan_key_merges_like_reference () =
-  let plans =
-    closure_plans (Pins.ex72 "Physics" "Graduate")
-  in
-  let keys = List.map Contain.plan_key plans and refs = List.map reference_key plans in
-  let distinct l = List.length (List.sort_uniq String.compare l) in
-  Alcotest.(check bool) "isomorphic plans merge" true (distinct keys < List.length plans / 2);
-  Alcotest.(check int) "as many keys as reference keys" (distinct refs) (distinct keys);
-  Alcotest.(check bool) "same partition" true (same_partition keys refs)
-
 let suite =
   ( "contain",
     [
@@ -739,10 +482,6 @@ let suite =
         test_equiv_permutation;
       Alcotest.test_case "closed bound is not an exclusion" `Quick
         test_closed_bound_is_not_exclusion;
-      Alcotest.test_case "plan_key caps many-way self-joins" `Quick
-        test_plan_key_many_way_self_join;
-      Alcotest.test_case "plan_key merges like the reference key" `Quick
-        test_plan_key_merges_like_reference;
       Alcotest.test_case "minimization folds key-equated duplicates" `Quick
         test_minimize_folds;
       Alcotest.test_case "minimization keeps non-key duplicates" `Quick
@@ -757,9 +496,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_contains_reflexive;
       QCheck_alcotest.to_alcotest prop_contains_transitive;
       QCheck_alcotest.to_alcotest prop_restriction_contained;
-      QCheck_alcotest.to_alcotest prop_plan_key_matches_reference;
-      QCheck_alcotest.to_alcotest prop_hint_follows_key;
-      QCheck_alcotest.to_alcotest prop_plan_key_alias_invariant;
       Alcotest.test_case "seeded university minimize-equivalence (7/21/42)"
         `Slow test_seeded_university;
       Alcotest.test_case "seeded catalog minimize-equivalence (7/21/42)" `Slow

@@ -492,44 +492,37 @@ let test_extraction_matches_reference () =
     @ [ ("chain5", Pins.join_site, Pins.chain5) ]
     @ List.map (fun (order, sql) -> ("ex7.2 " ^ order, Pins.join_site, sql)) (Pins.from_orders ex72))
 
-(* The planner's join groups reach exactly the classes of the join
-   rules' whole-plan closure, and [Planner.classes] keeps the first
-   plan of each class, in order: on every pinned query and on the
-   5-way [Pins.chain5]. *)
+(* The planner's join groups reach exactly the groups of the join
+   rules' whole-plan closure, and [enumerate] explores one plan per
+   root group (the pinned queries have no view-scan or
+   binding-pattern plans): on every pinned query and on the 5-way
+   [Pins.chain5]. *)
 let test_classes () =
   List.iter
     (fun (name, site, sql) ->
       let schema, registry, stats = Pins.parts site in
       let memo = Memo.create schema stats in
-      let keys plans = List.sort_uniq String.compare (List.map (Memo.key memo) plans) in
-      let joins = Pins.join_phase memo registry sql in
       let roots =
         Planner.join_groups memo
           (Planner.join_steps ~pointer_rules:true)
           (Pins.seeds memo registry sql)
       in
-      Alcotest.(check (list string))
-        (name ^ ": the groups reach the closure's classes")
-        (keys joins) (keys roots);
-      let expected =
-        List.fold_left
-          (fun acc n ->
-            let k = Memo.key memo n in
-            if List.mem_assoc k acc then acc else acc @ [ (k, n) ])
-          [] joins
-      in
       Alcotest.(check (list int))
-        (name ^ ": the first plan per key")
-        (List.map (fun (_, n) -> Memo.id n) expected)
-        (List.map Memo.id (Planner.classes memo joins)))
+        (name ^ ": the groups reach the closure's groups")
+        (Pins.group_ids memo (Pins.join_phase memo registry sql))
+        (Pins.group_ids memo roots);
+      Alcotest.(check int)
+        (name ^ ": one plan explored per root group")
+        (List.length roots)
+        (Planner.plan_sql schema stats registry sql).Planner.explored)
     (Pins.cases @ [ ("chain5", Pins.join_site, Pins.chain5) ])
 
 (* The planning context — the interned memo — answers every property
    as the context-free function does: output attributes, alias
    environment, available links, the typed environment with its
    diagnostics (full paths, in order), the soundness verdict against
-   the first plan, the cost estimate and the plan key, for every plan
-   and every subexpression. One memo serves all plans of a query, so
+   the first plan and the cost estimate, for every plan and every
+   subexpression. One memo serves all plans of a query, so
    its nodes are read back as often as the planner reads them. *)
 let context_agrees ?memo ~what schema stats (plans : Nalg.expr list) =
   let memo = match memo with Some m -> m | None -> Memo.create schema stats in
@@ -558,8 +551,7 @@ let context_agrees ?memo ~what schema stats (plans : Nalg.expr list) =
           agree "errors" sub
             (Diagnostic.has_errors (snd inferred) = Memo.has_errors memo n);
           agree "estimate" sub
-            (outcome (Cost.estimate schema stats sub) sub = outcome (Memo.estimate memo) n);
-          agree "key" sub (String.equal (Contain.plan_key sub) (Memo.key memo n)));
+            (outcome (Cost.estimate schema stats sub) sub = outcome (Memo.estimate memo) n));
       agree "judge" e
         (Typecheck.judge ~parent:(Typecheck.infer schema (Memo.expr root))
            ~child:(Typecheck.infer schema e)
@@ -577,11 +569,10 @@ let test_context_closure_plans () =
 
 (* Hand-made plans the closures never reach: ill-typed ones (their
    diagnostics, paths and order included, and the E0402/E0403 verdicts
-   built from them), and plans whose key the memo must not share
-   between plans with one multiset of key items — a call, a duplicate
-   alias, more same-signature occurrences than [perm_cap] admits
-   renumberings, and a residual attribute-attribute comparison. The
-   last three come in pairs with one multiset and different keys. *)
+   built from them), calls, and pairs of plans with one multiset of key
+   items read through one memo — a duplicate alias, seven occurrences
+   of one page-scheme joined left-deep and right-deep, and a residual
+   attribute-attribute comparison. *)
 let test_context_hand_made_plans () =
   let schema, _, stats = Pins.parts Pins.uni_site in
   let e = Nalg.entry in
@@ -619,11 +610,7 @@ let test_context_hand_made_plans () =
     (fun code -> check bool_t ("reaches " ^ code) true (List.mem code codes))
     [ "E0101"; "E0102"; "E0103"; "E0104"; "E0105"; "E0106"; "E0107"; "E0108"; "E0109";
       "E0402"; "E0403" ];
-  let shared_items ~what p1 p2 =
-    context_agrees ~what schema stats [ p1; p2 ];
-    check bool_t (what ^ ": different keys") false
-      (String.equal (Contain.plan_key p1) (Contain.plan_key p2))
-  in
+  let shared_items ~what p1 p2 = context_agrees ~what schema stats [ p1; p2 ] in
   let j = Nalg.join [] in
   let top a = Nalg.project [ a ^ ".URL" ] in
   shared_items ~what:"duplicate alias"
@@ -632,10 +619,9 @@ let test_context_hand_made_plans () =
   let occs = List.init 7 (fun i -> e ~alias:(Printf.sprintf "P%d" i) "ProfListPage") in
   let left_deep = List.fold_left j (List.hd occs) (List.tl occs) in
   let right_deep = List.fold_right j (List.tl occs) (List.hd occs) in
-  shared_items ~what:"beyond perm_cap" (top "P0" left_deep) (top "P0" right_deep);
+  shared_items ~what:"seven-way self-join" (top "P0" left_deep) (top "P0" right_deep);
   (* the residual's left term sits in the class {A.URL, C.URL}, whose
-     root is whichever of A and C the plan numbers first; only A is
-     unnested, so the two numberings give different keys *)
+     root is whichever of A and C the plan numbers first *)
   let residual ~a_first =
     let a = Nalg.unnest (e ~alias:"A" "ProfListPage") "A.ProfList" in
     let b = e ~alias:"B" "ProfListPage" and c = e ~alias:"C" "ProfListPage" in
